@@ -228,8 +228,24 @@ class TensorSpace:
     def induced_map(self, f_mat, g_mat, target: "TensorSpace"):
         """Matrix of f (x) g between presented tensor products."""
         fld = self.left_factor.field
-        big = fld.kron(fld.asarray(f_mat), fld.asarray(g_mat))
-        return fld.matmul(target.projection, fld.matmul(big, self.section))
+        f_mat, g_mat = fld.asarray(f_mat), fld.asarray(g_mat)
+        on_right = _on_right_leg(fld, g_mat, self.section, self.left_factor.dim)
+        return fld.matmul(target.projection, _on_left_leg(fld, f_mat, on_right, g_mat.shape[0]))
+
+
+def _on_left_leg(field: Field, mat, x, right_dim: int):
+    """kron(mat, I) @ x, acting on the first tensor leg of the rows of x
+    without forming the Kronecker product."""
+    k = x.shape[1]
+    y = field.tensordot(mat, x.reshape(mat.shape[1], right_dim, k), ([1], [0]))
+    return y.reshape(mat.shape[0] * right_dim, k)
+
+
+def _on_right_leg(field: Field, mat, x, left_dim: int):
+    """kron(I, mat) @ x, acting on the second tensor leg of the rows of x."""
+    k = x.shape[1]
+    y = field.tensordot(mat, x.reshape(left_dim, mat.shape[1], k), ([1], [1]))  # (n', m, k)
+    return y.transpose(1, 0, 2).reshape(left_dim * mat.shape[0], k)
 
 
 def _balancing_relations(m: Bimodule, n: Bimodule):
@@ -256,19 +272,20 @@ def tensor_over(m: Bimodule, n: Bimodule, validate_actions: bool = True) -> Tens
         pres = QuotientPresentation.from_relations(f, ambient, _balancing_relations(m, n))
     proj, sect = pres.projection, pres.section
     q = pres.quotient_dim
+    rels = pres.relation_basis.T
     lam = f.zeros((m.left_alg.dim, q, q))
     for i in range(m.left_alg.dim):
-        big = f.kron(m.left_mats[i], f.eye(n.dim))
-        lam[i] = f.matmul(proj, f.matmul(big, sect)).T
+        act = m.left_mats[i]
+        lam[i] = f.matmul(proj, _on_left_leg(f, act, sect, n.dim)).T
         if validate_actions and not pres.is_trivial:
-            if not pres.reduces_to_zero(f.matmul(big, pres.relation_basis.T)):
+            if not pres.reduces_to_zero(_on_left_leg(f, act, rels, n.dim)):
                 raise BimoduleAxiomError(f"left action does not descend at basis {i}")
     rho = f.zeros((q, n.right_alg.dim, q))
     for j in range(n.right_alg.dim):
-        big = f.kron(f.eye(m.dim), n.right_mats[j])
-        rho[:, j, :] = f.matmul(proj, f.matmul(big, sect)).T
+        act = n.right_mats[j]
+        rho[:, j, :] = f.matmul(proj, _on_right_leg(f, act, sect, m.dim)).T
         if validate_actions and not pres.is_trivial:
-            if not pres.reduces_to_zero(f.matmul(big, pres.relation_basis.T)):
+            if not pres.reduces_to_zero(_on_right_leg(f, act, rels, m.dim)):
                 raise BimoduleAxiomError(f"right action does not descend at basis {j}")
     space = Bimodule(m.left_alg, n.right_alg, lam, rho,
                      name=f"{m.name or 'M'}(x){n.name or 'N'}")

@@ -23,6 +23,8 @@ from .bimodule import (
     BimoduleMap,
     TensorSpace,
     _matrix_subspace_coords,
+    _on_left_leg,
+    _on_right_leg,
     random_bimodule_iso,
     regular_bimodule,
     restrict_left,
@@ -31,7 +33,7 @@ from .bimodule import (
 )
 from .errors import CoringAxiomError, FieldMismatchError, TooLargeToValidateError
 from .fields import Field
-from .linalg import _kernel, _solve
+from .linalg import _kernel, _solve, rref
 
 __all__ = [
     "Coring",
@@ -56,7 +58,12 @@ _SQUARE_DIM_LIMIT = 32
 
 
 class Coring:
-    """An A-coring with representative-level structure maps."""
+    """An A-coring with representative-level structure maps.
+
+    The structure maps never change after construction; the tensor-square
+    presentation and the reduced cointegral constraints are built on first
+    use and memoized on the coring.
+    """
 
     def __init__(self, base: Algebra, carrier: Bimodule, delta_amb, counit_mat,
                  carrier_tensor: TensorSpace | None = None, validate: bool = True):
@@ -74,6 +81,7 @@ class Coring:
         if self.counit_mat.shape != (base.dim, d):
             raise CoringAxiomError(f"counit matrix has shape {self.counit_mat.shape}")
         self._square: TensorSpace | None = None
+        self._cointegral_echelon: np.ndarray | None = None
         self.validation = "none"
         if validate:
             self.validate()
@@ -84,7 +92,8 @@ class Coring:
 
     @property
     def square(self) -> TensorSpace:
-        """Presentation of C (x)_A C; only available for small carriers."""
+        """Presentation of C (x)_A C, built once per coring; only available
+        for small carriers."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise CoringAxiomError(
@@ -92,6 +101,15 @@ class Coring:
                     f"presentation (limit {_SQUARE_DIM_LIMIT})")
             self._square = tensor_over(self.carrier, self.carrier)
         return self._square
+
+    @property
+    def cointegral_echelon(self):
+        """Reduced echelon rows spanning the linear constraints on a cointegral
+        (``_gamma_constraint_rows``); computed once per coring."""
+        if self._cointegral_echelon is None:
+            red, pivots = rref(self.field, _gamma_constraint_rows(self))
+            self._cointegral_echelon = red[:len(pivots)].copy()
+        return self._cointegral_echelon
 
     def delta_quot(self):
         """Coproduct into tensor-square quotient coordinates."""
@@ -151,31 +169,21 @@ class Coring:
     def _validate_delta_bimodule(self, may_project: bool) -> None:
         f = self.field
         d = self.dim
-        d3 = self.delta_tensor()
         proj = None
         for i in range(self.base.dim):
-            # act on the first tensor leg without materializing kron(L, I)
-            lhs = f.matmul(self.delta_amb, self.carrier.left_mats[i])
-            rhs = f.tensordot(self.carrier.left_mats[i], d3, ([1], [0])).reshape(d * d, d)
-            if not Field.equal(lhs, f.asarray(rhs)):
+            for side, act, on_leg in (("left", self.carrier.left_mats[i], _on_left_leg),
+                                      ("right", self.carrier.right_mats[i], _on_right_leg)):
+                lhs = f.matmul(self.delta_amb, act)
+                rhs = on_leg(f, act, self.delta_amb, d)
+                if Field.equal(lhs, rhs):
+                    continue
                 if not may_project:
                     raise TooLargeToValidateError(
-                        f"coproduct left-linearity fails on representatives at basis {i} "
+                        f"coproduct {side}-linearity fails on representatives at basis {i} "
                         "and carrier is too large to compare in the quotient")
                 proj = self.square.projection if proj is None else proj
-                if not Field.equal(f.matmul(proj, lhs), f.matmul(proj, f.asarray(rhs))):
-                    raise CoringAxiomError(f"coproduct not left-linear at basis {i}")
-            lhs = f.matmul(self.delta_amb, self.carrier.right_mats[i])
-            rhs = f.tensordot(self.carrier.right_mats[i], d3, ([1], [1]))
-            rhs = rhs.transpose(1, 0, 2).reshape(d * d, d)
-            if not Field.equal(lhs, f.asarray(rhs)):
-                if not may_project:
-                    raise TooLargeToValidateError(
-                        f"coproduct right-linearity fails on representatives at basis {i} "
-                        "and carrier is too large to compare in the quotient")
-                proj = self.square.projection if proj is None else proj
-                if not Field.equal(f.matmul(proj, lhs), f.matmul(proj, f.asarray(rhs))):
-                    raise CoringAxiomError(f"coproduct not right-linear at basis {i}")
+                if not Field.equal(f.matmul(proj, lhs), f.matmul(proj, rhs)):
+                    raise CoringAxiomError(f"coproduct not {side}-linear at basis {i}")
 
     def _validate_coassociativity(self, may_project: bool) -> None:
         f = self.field
@@ -199,12 +207,14 @@ class Coring:
         # compare in ((C (x) C) (x) C); its kernel is exactly the triple relations
         sq = self.square
         upper = tensor_over(sq.space, self.carrier)
-        pi = f.matmul(upper.projection, f.kron(sq.projection, f.eye(d)))
-        lhs = f.tensordot(d2, d2, ([2], [0])).reshape(d * d * d, d)
-        rhs = f.tensordot(d2, d2, ([1], [2])).transpose(0, 2, 3, 1).reshape(d * d * d, d)
-        if not Field.equal(f.matmul(pi, lhs), f.matmul(pi, rhs)):
-            bad = np.argwhere(f.matmul(pi, lhs) != f.matmul(pi, rhs))
-            c = int(bad[0][1])
+
+        def project(t):  # through kron(sq.projection, I) and upper.projection
+            return f.matmul(upper.projection, _on_left_leg(f, sq.projection, t, d))
+
+        lhs = project(f.tensordot(d2, d2, ([2], [0])).reshape(d * d * d, d))
+        rhs = project(f.tensordot(d2, d2, ([1], [2])).transpose(0, 2, 3, 1).reshape(d * d * d, d))
+        if not Field.equal(lhs, rhs):
+            c = int(np.argwhere(lhs != rhs)[0][1])
             raise CoringAxiomError(f"coassociativity fails at basis element {c}")
 
 
@@ -247,7 +257,8 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
     unit_col = a.unit[:, None]
     into_first = f.matmul(ts.projection, f.kron(f.eye(a.dim), unit_col))  # a -> a (x) 1
     into_second = f.matmul(ts.projection, f.kron(unit_col, f.eye(a.dim)))  # a -> 1 (x) a
-    delta_amb = f.matmul(f.kron(into_first, into_second), ts.section)
+    delta_amb = _on_left_leg(f, into_first, _on_right_leg(f, into_second, ts.section, a.dim),
+                             ts.dim)
     mult_amb = a.structure.reshape(a.dim * a.dim, a.dim).T
     counit_mat = f.matmul(mult_amb, ts.section)
     return Coring(a, ts.space, delta_amb, counit_mat, carrier_tensor=ts)
@@ -274,8 +285,8 @@ class CoringMorphism:
         if not Field.equal(f.matmul(self.target.counit_mat, self.matrix),
                            self.source.counit_mat):
             raise CoringAxiomError("morphism does not preserve the counit")
-        both = f.kron(self.matrix, self.matrix)
-        lhs = f.matmul(both, self.source.delta_amb)
+        on_right = _on_right_leg(f, self.matrix, self.source.delta_amb, self.source.dim)
+        lhs = _on_left_leg(f, self.matrix, on_right, self.target.dim)
         rhs = f.matmul(self.target.delta_amb, self.matrix)
         if Field.equal(lhs, rhs):
             return
@@ -475,8 +486,9 @@ def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
 
 def _gamma_constraint_rows(c: Coring):
     """Linear constraints on a quotient-coordinate gamma: bimodule-map rows
-    and pre-cointegral rows, stacked; unknowns are vec(gamma_q), row-major
-    over (base index, tensor-square index)."""
+    and pre-cointegral rows, stacked, zero rows dropped; unknowns are
+    vec(gamma_q), row-major over (base index, tensor-square index).  The
+    deciders read them reduced, through ``Coring.cointegral_echelon``."""
     f = c.field
     sq = c.square
     d, da, q = c.dim, c.base.dim, sq.dim
@@ -501,23 +513,23 @@ def _gamma_constraint_rows(c: Coring):
     rhs_coeff = t2.transpose(4, 0, 2, 1, 3)  # (c, l, m', b, t)
     pre = f.asarray(lhs_coeff - rhs_coeff).reshape(d * d * d, da * q)
     rows.append(pre)
-    stacked = np.concatenate(rows, axis=0)
-    keep = [i for i in range(stacked.shape[0]) if np.any(stacked[i] != 0)]
-    return f.asarray(stacked[keep]) if keep else f.zeros((0, da * q))
+    stacked = np.concatenate(rows, axis=0)  # nonzero entries stay nonzero once reduced
+    return f.asarray(stacked[np.any(stacked != 0, axis=1)])
 
 
 def find_cointegral(c: Coring):
     """Exact decision of coseparability on small carriers.
 
     Solves the full linear system (bimodule-map constraints, pre-cointegral
-    identity, normalization) for gamma in tensor-square coordinates.
+    identity, normalization) for gamma in tensor-square coordinates.  The
+    homogeneous part enters as the coring's memoized echelon rows, which
+    span the same row space, so the reduced solution is the same.
     """
     f = c.field
     sq = c.square
     da, q = c.base.dim, sq.dim
-    homogeneous = _gamma_constraint_rows(c)
-    dq = f.matmul(sq.projection, c.delta_amb)
-    normalization = f.kron(f.eye(da), dq.T)
+    homogeneous = c.cointegral_echelon
+    normalization = f.kron(f.eye(da), c.delta_quot().T)
     system = np.concatenate([homogeneous, normalization], axis=0)
     rhs = f.zeros(system.shape[0])
     rhs[homogeneous.shape[0]:] = c.counit_mat.reshape(-1)
@@ -537,7 +549,8 @@ def find_frobenius_system(c: Coring, seed: int = 0, enumeration_budget: int = 2*
 
     The defining conditions are linear in gamma for a fixed invariant e, so
     the solver enumerates or samples e over the central subspace and solves
-    exactly for gamma inside the precomputed pre-cointegral solution space.
+    exactly for gamma inside the pre-cointegral solution space, the kernel of
+    the coring's memoized ``cointegral_echelon``.
     An exhausted enumeration is an exact negative; otherwise the dual-ring
     isomorphism criterion is tried before reporting inconclusive.
     """
@@ -547,7 +560,7 @@ def find_frobenius_system(c: Coring, seed: int = 0, enumeration_budget: int = 2*
     centrals = central_subspace(c)
     if not centrals:
         return FrobeniusSearch("none")
-    v_basis = _kernel(f, _gamma_constraint_rows(c))
+    v_basis = _kernel(f, c.cointegral_echelon)
     if not v_basis:
         # gamma would have to be zero, which cannot reproduce the counit
         return FrobeniusSearch("none")

@@ -13,6 +13,7 @@ relation matrices fast without giving up exactness.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def _scaled_integral_view(arr):
         if type(v) is Fraction:
             d = v.denominator
             if denom % d:
-                denom = denom * d // _gcd(denom, d)
+                denom = denom * d // gcd(denom, d)
                 if denom > 1 << 16:
                     return None
         elif type(v) is not int and not isinstance(v, np.integer):
@@ -190,12 +191,6 @@ def _scaled_integral_view(arr):
             biggest = abs(n)
         out[idx] = n
     return out.reshape(arr.shape), denom, biggest
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _box_scaled(ints, denom: int):

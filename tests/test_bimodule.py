@@ -6,6 +6,8 @@ from coring_lab.algebra import AlgebraMap, check_algebra_map, direct_product, ma
 from coring_lab.bimodule import (
     Bimodule,
     BimoduleMap,
+    _on_left_leg,
+    _on_right_leg,
     canonical_s_iso,
     dual_basis,
     endomorphism_algebra,
@@ -20,6 +22,7 @@ from coring_lab.bimodule import (
     tensor_over,
 )
 from coring_lab.errors import BimoduleAxiomError, FieldMismatchError
+from coring_lab.fields import Field
 
 from conftest import (
     column_module,
@@ -29,6 +32,7 @@ from conftest import (
     row_module,
     trivial_bimodule,
 )
+from random_modules import random_projective_bimodule
 
 F2 = GF(2)
 F3 = GF(3)
@@ -110,6 +114,39 @@ def test_tensor_functorial_on_pure_tensors(rng):
         lhs = F3.matmul(induced, ts.pure(u, v))
         rhs = ts.pure(f(u), g(v))
         assert np.array_equal(lhs, rhs)
+
+
+def test_leg_helpers_match_kronecker_products(rng):
+    for field in (F3, QQ):
+        a, b = field.random(rng, (2, 3)), field.random(rng, (4, 5))
+        x = field.random(rng, (15, 6))
+        assert Field.equal(_on_left_leg(field, a, x, 5),
+                           field.matmul(field.kron(a, field.eye(5)), x))
+        assert Field.equal(_on_right_leg(field, b, x, 3),
+                           field.matmul(field.kron(field.eye(3), b), x))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_leg_wise_tensor_actions_match_kronecker_products(seed, rng):
+    m = random_projective_bimodule(seed)
+    f = m.field
+    dual = right_dual(m)
+    # over the right algebra of m, then over its left algebra; seeds 2, 3
+    # and 8 have trivial middle algebras on both sides
+    for ts in (tensor_over(m, dual), tensor_over(dual, m)):
+        left, right = ts.left_factor, ts.right_factor
+        for i, mat in enumerate(left.left_mats):
+            big = f.kron(mat, f.eye(right.dim))
+            assert Field.equal(ts.space.left_mats[i],
+                               f.matmul(ts.projection, f.matmul(big, ts.section)))
+        for j, mat in enumerate(right.right_mats):
+            big = f.kron(f.eye(left.dim), mat)
+            assert Field.equal(ts.space.right_mats[j],
+                               f.matmul(ts.projection, f.matmul(big, ts.section)))
+        f_mat, g_mat = f.random(rng, (left.dim, left.dim)), f.random(rng, (right.dim, right.dim))
+        big = f.kron(f_mat, g_mat)
+        assert Field.equal(ts.induced_map(f_mat, g_mat, ts),
+                           f.matmul(ts.projection, f.matmul(big, ts.section)))
 
 
 # --------------------------------------------------------------------- duals

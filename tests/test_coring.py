@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ
+from coring_lab import GF, QQ, coring as coring_module
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import BimoduleMap, tensor_over
 from coring_lab.coring import (
+    _gamma_constraint_rows,
     Cointegral,
     Coring,
     CoringMorphism,
@@ -21,6 +22,8 @@ from coring_lab.coring import (
     verify_frobenius_system,
 )
 from coring_lab.errors import CoringAxiomError
+from coring_lab.linalg import _solve, rref
+from coring_lab.structure import analyze, bimodule_tower
 
 from conftest import (
     dual_numbers,
@@ -29,6 +32,7 @@ from conftest import (
     trivial_bimodule,
     upper_triangular_2,
 )
+from random_modules import random_projective_bimodule
 
 F2 = GF(2)
 F3 = GF(3)
@@ -302,6 +306,74 @@ def test_sweedler_of_non_frobenius_algebra_is_proven_non_frobenius():
 
 def test_central_subspace_of_matrix_coring_is_everything():
     assert len(central_subspace(matrix_coring(2, F2))) == 4
+
+
+# ------------------------------------------------ the shared cointegral system
+
+# Sweedler corings S (x)_B S of B -> End_A(M): k^2 (coseparable and
+# Frobenius) over two fields, and recipe module 1, with a 2-dimensional B
+# (neither)
+SHARED_SYSTEM_MODULES = {
+    "k^2/GF(2)": lambda: trivial_bimodule(F2, 2),
+    "k^2/GF(3)": lambda: trivial_bimodule(F3, 2),
+    "recipe-1": lambda: random_projective_bimodule(1),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SHARED_SYSTEM_MODULES))
+def sweedler(request):
+    return bimodule_tower(SHARED_SYSTEM_MODULES[request.param]()).sweedler
+
+
+def test_find_cointegral_matches_the_unreduced_system(sweedler):
+    c = sweedler
+    f, sq = c.field, c.square
+    da, q = c.base.dim, sq.dim
+    homogeneous = _gamma_constraint_rows(c)
+    red, pivots = rref(f, homogeneous)
+    assert np.array_equal(c.cointegral_echelon, red[:len(pivots)])
+    assert len(pivots) < homogeneous.shape[0]
+    normalization = f.kron(f.eye(da), f.matmul(sq.projection, c.delta_amb).T)
+    system = np.concatenate([homogeneous, normalization], axis=0)
+    rhs = f.zeros(system.shape[0])
+    rhs[homogeneous.shape[0]:] = c.counit_mat.reshape(-1)
+    sol = _solve(f, system, rhs)
+    ci = find_cointegral(c)
+    assert (ci is None) == (sol is None)
+    if sol is not None:
+        assert np.array_equal(ci.gamma_amb, f.matmul(sol.reshape(da, q), sq.projection))
+
+
+def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler, monkeypatch):
+    reduced = find_frobenius_system(sweedler, seed=0)
+    # the oracle: the same search over the kernel of the raw stacked rows
+    monkeypatch.setattr(Coring, "cointegral_echelon", property(_gamma_constraint_rows))
+    oracle = find_frobenius_system(sweedler, seed=0)
+    assert reduced.status == oracle.status
+    if oracle.found:
+        assert np.array_equal(reduced.system.gamma_amb, oracle.system.gamma_amb)
+        assert np.array_equal(reduced.system.invariant, oracle.system.invariant)
+
+
+def test_analyze_builds_each_cointegral_system_once(monkeypatch):
+    built = []
+    original = coring_module._gamma_constraint_rows
+
+    def counting(c):
+        built.append(c.dim)
+        return original(c)
+
+    monkeypatch.setattr(coring_module, "_gamma_constraint_rows", counting)
+    analyze(trivial_bimodule(F2, 2), seed=0)
+    assert built == [4, 16]  # the comatrix coring, then the Sweedler coring
+
+
+def test_trivial_coring_of_the_field_has_an_empty_constraint_system():
+    c = trivial_coring(field_algebra(F2))
+    assert _gamma_constraint_rows(c).shape == (0, 1)
+    assert c.cointegral_echelon.shape == (0, 1)
+    assert find_cointegral(c) is not None
+    assert find_frobenius_system(c, seed=0).status == "found"
 
 
 # ------------------------------------------------------------------ morphisms
