@@ -47,6 +47,7 @@ __all__ = [
     "left_dual_basis",
     "endomorphism_algebra",
     "left_endomorphism_algebra",
+    "intertwiners",
     "canonical_s_iso",
     "hom_bimodule",
     "random_bimodule_iso",
@@ -332,6 +333,34 @@ def _matrix_subspace_coords(field: Field, basis_mats, targets):
     return [sol[:, i] for i in range(sol.shape[1])]
 
 
+def _intertwiner_rows(field: Field, src_mats, tgt_mats) -> list:
+    """One block of rows per pair (s, t): the linear conditions
+    X @ s == t @ X on vec(X), row-major over X's (target, source) shape."""
+    return [field.kron(field.eye(t.shape[0]), s.T) - field.kron(t, field.eye(s.shape[0]))
+            for s, t in zip(src_mats, tgt_mats)]
+
+
+def intertwiners(field: Field, src_mats, tgt_mats) -> list:
+    """Basis of the matrices X with X @ s_k == t_k @ X for every k, each of
+    shape (target dim, source dim); the basis is the reduced-echelon kernel
+    basis, so it does not depend on the order of the pairs."""
+    rows = _intertwiner_rows(field, src_mats, tgt_mats)
+    shape = (tgt_mats[0].shape[0], src_mats[0].shape[0])
+    return [v.reshape(shape) for v in _kernel(field, np.concatenate(rows, axis=0))]
+
+
+def _induced_action(field: Field, basis_mats, images):
+    """Array [k, alpha, beta]: the coordinate on basis_mats[beta] of
+    images[k][alpha], the image of basis_mats[alpha] under the k-th operator;
+    one solve for all operators, raising if an image leaves the span."""
+    n = len(basis_mats)
+    out = field.zeros((len(images), n, n))
+    if n:
+        flat = [img for imgs in images for img in imgs]
+        out[...] = np.stack(_matrix_subspace_coords(field, basis_mats, flat)).reshape(out.shape)
+    return out
+
+
 def right_dual(m: Bimodule) -> DualModule:
     """Hom over the right algebra into it, as an (A, B)-bimodule.
 
@@ -339,23 +368,10 @@ def right_dual(m: Bimodule) -> DualModule:
     """
     f = m.field
     a_alg, b_alg = m.right_alg, m.left_alg
-    da, dm = a_alg.dim, m.dim
-    rows = []
-    for j in range(a_alg.dim):
-        rows.append(f.kron(f.eye(da), m.right_mats[j].T) - f.kron(a_alg.right_mult[j], f.eye(dm)))
-    mats = [v.reshape(da, dm) for v in _kernel(f, np.concatenate(rows, axis=0))]
-    t = len(mats)
-    lam = f.zeros((da, t, t))
-    rho = f.zeros((t, b_alg.dim, t))
-    if t:
-        left_imgs = [[f.matmul(a_alg.left_mult[i], phi) for phi in mats] for i in range(da)]
-        for i in range(da):
-            for alpha, coords in enumerate(_matrix_subspace_coords(f, mats, left_imgs[i])):
-                lam[i, alpha] = coords
-        for j in range(b_alg.dim):
-            imgs = [f.matmul(phi, m.left_mats[j]) for phi in mats]
-            for alpha, coords in enumerate(_matrix_subspace_coords(f, mats, imgs)):
-                rho[alpha, j] = coords
+    mats = intertwiners(f, m.right_mats, a_alg.right_mult)
+    acts = _induced_action(f, mats, [[f.matmul(x, phi) for phi in mats] for x in a_alg.left_mult]
+                           + [[f.matmul(phi, y) for phi in mats] for y in m.left_mats])
+    lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
     return DualModule(a_alg, b_alg, lam, rho, m, mats, name=f"{m.name or 'M'}^*")
 
 
@@ -366,39 +382,19 @@ def left_dual(m: Bimodule) -> DualModule:
     """
     f = m.field
     a_alg, b_alg = m.right_alg, m.left_alg
-    db, dm = b_alg.dim, m.dim
-    rows = []
-    for i in range(b_alg.dim):
-        rows.append(f.kron(f.eye(db), m.left_mats[i].T) - f.kron(b_alg.left_mult[i], f.eye(dm)))
-    mats = [v.reshape(db, dm) for v in _kernel(f, np.concatenate(rows, axis=0))]
-    t = len(mats)
-    lam = f.zeros((a_alg.dim, t, t))
-    rho = f.zeros((t, db, t))
-    if t:
-        for i in range(a_alg.dim):
-            imgs = [f.matmul(psi, m.right_mats[i]) for psi in mats]
-            for alpha, coords in enumerate(_matrix_subspace_coords(f, mats, imgs)):
-                lam[i, alpha] = coords
-        for j in range(db):
-            imgs = [f.matmul(b_alg.right_mult[j], psi) for psi in mats]
-            for alpha, coords in enumerate(_matrix_subspace_coords(f, mats, imgs)):
-                rho[alpha, j] = coords
+    mats = intertwiners(f, m.left_mats, b_alg.left_mult)
+    acts = _induced_action(f, mats, [[f.matmul(psi, x) for psi in mats] for x in m.right_mats]
+                           + [[f.matmul(y, psi) for psi in mats] for y in b_alg.right_mult])
+    lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
     return DualModule(a_alg, b_alg, lam, rho, m, mats, name=f"*{m.name or 'M'}")
 
 
-def _right_scaling_matrix(m: Bimodule, e, phi):
-    """Matrix of x -> e . phi(x) for e in M and phi given as a value matrix."""
-    f = m.field
-    # e . w for w in the right algebra: sum_a w_a (e . a), contract e first
-    act = f.tensordot(f.asarray(e), m.right_action, ([0], [0]))  # (a, m')
-    return f.matmul(act.T, f.asarray(phi))
-
-
-def _left_scaling_matrix(m: Bimodule, psi, e):
-    """Matrix of x -> psi(x) . e for psi a value matrix into the left algebra."""
-    f = m.field
-    act = f.tensordot(f.asarray(e), m.left_action, ([0], [1]))  # (b, m')
-    return f.matmul(act.T, f.asarray(psi))
+def _scaling_matrix(field: Field, action, axis: int, e, values):
+    """Matrix of x -> e . w(x) (``action`` a right action tensor, ``axis`` 0)
+    or x -> w(x) . e (a left action tensor, ``axis`` 1), where the algebra
+    element w(x) is given columnwise in ``values``."""
+    act = field.tensordot(field.asarray(e), action, ([0], [axis]))  # (algebra, m')
+    return field.matmul(act.T, field.asarray(values))
 
 
 @dataclass
@@ -418,46 +414,33 @@ class DualBasis:
         f = self.module.field
         total = f.zeros((self.module.dim, self.module.dim))
         for e, phi in zip(self.elements, self.functional_mats):
-            total = total + _right_scaling_matrix(self.module, e, phi)
+            total = total + _scaling_matrix(f, self.module.right_action, 0, e, phi)
         return Field.equal(f.asarray(total), f.eye(self.module.dim))
 
 
 def dual_basis(m: Bimodule, dual: DualModule | None = None):
     """Solve for a dual basis on the field basis of M; None when M is not
     finitely generated projective over the right algebra."""
-    f = m.field
-    if dual is None:
-        dual = right_dual(m)
-    t = len(dual.functional_mats)
-    dm = m.dim
-    if t == 0:
-        return None if dm else DualBasis(m, dual, [], [])
-    # G[i, alpha, j, m'] = sum_a Phi_alpha[a, j] rho[i, a, m']
-    phis = np.stack([f.asarray(p) for p in dual.functional_mats])
-    g = f.tensordot(phis, m.right_action, ([1], [1])).transpose(2, 0, 1, 3)
-    system = g.reshape(dm * t, dm * dm).T
-    rhs = f.eye(dm).reshape(-1)
-    sol = _solve(f, f.asarray(system), rhs)
-    if sol is None:
-        return None
-    coords = sol.reshape(dm, t)
-    eye = f.eye(dm)
-    return DualBasis(m, dual, [eye[:, i] for i in range(dm)],
-                     [coords[i] for i in range(dm)])
+    return _dual_basis(m, right_dual(m) if dual is None else dual, m.right_action, 1)
 
 
 def left_dual_basis(m: Bimodule, dual: DualModule | None = None):
     """Left-side mirror: psi_i with x = sum psi_i(x) . e_i, or None."""
+    return _dual_basis(m, left_dual(m) if dual is None else dual, m.left_action, 0)
+
+
+def _dual_basis(m: Bimodule, dual: DualModule, action, axis: int):
+    """The dual basis of M on its field basis against the functionals of
+    ``dual``, whose values act on M through ``action`` (the right action
+    contracted at axis 1, or the left action at axis 0); None if none exists."""
     f = m.field
-    if dual is None:
-        dual = left_dual(m)
     t = len(dual.functional_mats)
     dm = m.dim
     if t == 0:
         return None if dm else DualBasis(m, dual, [], [])
-    # G[i, alpha, j, m'] = sum_b Psi_alpha[b, j] lambda[b, i, m']
-    psis = np.stack([f.asarray(p) for p in dual.functional_mats])
-    g = f.tensordot(psis, m.left_action, ([1], [0])).transpose(2, 0, 1, 3)
+    # G[i, alpha, j, m'] = sum_a F_alpha[a, j] action(e_i, a)[m']
+    vals = np.stack([f.asarray(p) for p in dual.functional_mats])
+    g = f.tensordot(vals, action, ([1], [axis])).transpose(2, 0, 1, 3)
     system = g.reshape(dm * t, dm * dm).T
     rhs = f.eye(dm).reshape(-1)
     sol = _solve(f, f.asarray(system), rhs)
@@ -498,17 +481,9 @@ class EndData:
 
 
 def _end_algebra_from_mats(field, mats, module, composition, name):
-    n = len(mats)
-    if n == 0:
+    if not mats:
         raise BimoduleAxiomError("endomorphism space is empty; module has dimension problems")
-    structure = field.zeros((n, n, n))
-    products = []
-    for i in range(n):
-        for j in range(n):
-            products.append(composition(mats[i], mats[j]))
-    for (i, j), coords in zip(itertools.product(range(n), range(n)),
-                              _matrix_subspace_coords(field, mats, products)):
-        structure[i, j] = coords
+    structure = _induced_action(field, mats, [[composition(x, y) for y in mats] for x in mats])
     unit = _matrix_subspace_coords(field, mats, [field.eye(module.dim)])[0]
     return EndAlgebra(field, structure, unit, mats, module, name=name)
 
@@ -518,10 +493,7 @@ def endomorphism_algebra(m: Bimodule) -> EndData:
     the (S, A)-bimodule structure on M."""
     f = m.field
     dm = m.dim
-    rows = []
-    for j in range(m.right_alg.dim):
-        rows.append(f.kron(f.eye(dm), m.right_mats[j].T) - f.kron(m.right_mats[j], f.eye(dm)))
-    mats = [v.reshape(dm, dm) for v in _kernel(f, np.concatenate(rows, axis=0))]
+    mats = intertwiners(f, m.right_mats, m.right_mats)
     s_alg = _end_algebra_from_mats(f, mats, m, lambda a, b: f.matmul(a, b),
                                    name=f"End({m.name or 'M'})")
     b_cols = _matrix_subspace_coords(f, mats, [m.left_mats[i] for i in range(m.left_alg.dim)])
@@ -539,11 +511,7 @@ def endomorphism_algebra(m: Bimodule) -> EndData:
 def left_endomorphism_algebra(m: Bimodule) -> EndAlgebra:
     """End over the left algebra with the opposite-composition product."""
     f = m.field
-    dm = m.dim
-    rows = []
-    for i in range(m.left_alg.dim):
-        rows.append(f.kron(f.eye(dm), m.left_mats[i].T) - f.kron(m.left_mats[i], f.eye(dm)))
-    mats = [v.reshape(dm, dm) for v in _kernel(f, np.concatenate(rows, axis=0))]
+    mats = intertwiners(f, m.left_mats, m.left_mats)
     return _end_algebra_from_mats(f, mats, m, lambda a, b: f.matmul(b, a),
                                   name=f"End_left({m.name or 'M'})")
 
@@ -552,35 +520,21 @@ def hom_bimodule(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
     """Basis of the space of bimodule maps m -> n."""
     if m.left_alg != n.left_alg or m.right_alg != n.right_alg:
         raise FieldMismatchError("hom requires the same algebras on both sides")
-    f = m.field
-    rows = []
-    for i in range(m.left_alg.dim):
-        rows.append(f.kron(f.eye(n.dim), m.left_mats[i].T) - f.kron(n.left_mats[i], f.eye(m.dim)))
-    for j in range(m.right_alg.dim):
-        rows.append(f.kron(f.eye(n.dim), m.right_mats[j].T) - f.kron(n.right_mats[j], f.eye(m.dim)))
-    kernel = _kernel(f, np.concatenate(rows, axis=0))
-    return [BimoduleMap(m, n, v.reshape(n.dim, m.dim), _validate=False) for v in kernel]
+    mats = intertwiners(m.field, m.left_mats + m.right_mats, n.left_mats + n.right_mats)
+    return [BimoduleMap(m, n, x, _validate=False) for x in mats]
 
 
 def one_sided_hom(m: Bimodule, n: Bimodule, side: str) -> list:
     """Basis matrices of maps linear over one side only ('left' or 'right')."""
-    f = m.field
-    rows = []
     if side == "right":
         if m.right_alg != n.right_alg:
             raise FieldMismatchError("right algebras differ")
-        for j in range(m.right_alg.dim):
-            rows.append(f.kron(f.eye(n.dim), m.right_mats[j].T)
-                        - f.kron(n.right_mats[j], f.eye(m.dim)))
-    elif side == "left":
+        return intertwiners(m.field, m.right_mats, n.right_mats)
+    if side == "left":
         if m.left_alg != n.left_alg:
             raise FieldMismatchError("left algebras differ")
-        for i in range(m.left_alg.dim):
-            rows.append(f.kron(f.eye(n.dim), m.left_mats[i].T)
-                        - f.kron(n.left_mats[i], f.eye(m.dim)))
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return [v.reshape(n.dim, m.dim) for v in _kernel(f, np.concatenate(rows, axis=0))]
+        return intertwiners(m.field, m.left_mats, n.left_mats)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass
@@ -678,14 +632,11 @@ def canonical_s_iso(m: Bimodule, db: DualBasis | None = None,
         end = endomorphism_algebra(m)
     s_alg = end.algebra
     ts = tensor_over(m, dual)
-    t_amb = m.dim * len(dual.functional_mats)
 
     # forward on the ambient: pair (m_i, phi_alpha) -> endo x -> e_i . phi_alpha(x)
-    endos = []
-    for i in range(m.dim):
-        for alpha, phi in enumerate(dual.functional_mats):
-            eye = f.eye(m.dim)
-            endos.append(_right_scaling_matrix(m, eye[:, i], phi))
+    eye = f.eye(m.dim)
+    endos = [_scaling_matrix(f, m.right_action, 0, eye[:, i], phi)
+             for i in range(m.dim) for phi in dual.functional_mats]
     cols = _matrix_subspace_coords(f, s_alg.endo_mats, endos)
     fwd_amb = np.stack(cols, axis=1) if cols else f.zeros((s_alg.dim, 0))
     to_endo = f.matmul(f.asarray(fwd_amb), ts.section)
@@ -711,6 +662,10 @@ def _verify_s_iso_product_rules(m, db, end, ts, to_endo):
     f = m.field
     s_alg = end.algebra
     dual = db.dual
+    # the right action of S on M^*, phi -> phi s, in coordinates
+    dual_acts = _induced_action(f, dual.functional_mats,
+                                [[f.matmul(phi, s_mat) for phi in dual.functional_mats]
+                                 for s_mat in s_alg.endo_mats])
     for beta, s_mat in enumerate(s_alg.endo_mats):
         # rule: s (m (x) phi) = s(m) (x) phi
         left_act = ts.induced_map(s_mat, f.eye(len(dual.functional_mats)), ts)
@@ -719,10 +674,7 @@ def _verify_s_iso_product_rules(m, db, end, ts, to_endo):
         if not Field.equal(lhs, rhs):
             raise BimoduleAxiomError(f"product rule s.(m(x)phi) fails at s_{beta}")
         # rule: (m (x) phi) s = m (x) phi s
-        dual_imgs = [f.matmul(phi, s_mat) for phi in dual.functional_mats]
-        coords = _matrix_subspace_coords(f, dual.functional_mats, dual_imgs)
-        d_mat = np.stack(coords, axis=1) if coords else f.zeros((0, 0))
-        right_act = ts.induced_map(f.eye(m.dim), f.asarray(d_mat), ts)
+        right_act = ts.induced_map(f.eye(m.dim), dual_acts[beta].T, ts)
         lhs = f.matmul(to_endo, right_act)
         rhs = f.matmul(s_alg.right_mult[beta], to_endo)
         if not Field.equal(lhs, rhs):

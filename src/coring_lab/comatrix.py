@@ -23,6 +23,7 @@ from .bimodule import (
     DualModule,
     TensorSpace,
     _matrix_subspace_coords,
+    _scaling_matrix,
     dual_basis,
     left_endomorphism_algebra,
     regular_bimodule,
@@ -31,6 +32,7 @@ from .bimodule import (
 )
 from .coring import Coring, CoringMorphism, left_dual_ring
 from .errors import (
+    BimoduleAxiomError,
     ContextAxiomError,
     InternalInconsistencyError,
     NotProjectiveError,
@@ -164,27 +166,15 @@ class CoringContext:
                 coeff = w[u, v]
                 # sigma(- (x) e_u): matrix N -> A
                 sig_u = f.matmul(sig, f.matmul(p_nm, f.kron(eye_n, eye_m[:, u][:, None])))
-                first = first + coeff * _left_scaling_col(self.n, sig_u, v)
+                first = first + coeff * _scaling_matrix(f, self.n.left_action, 1,
+                                                        eye_n[:, v], sig_u)
                 sig_v = f.matmul(sig, f.matmul(p_nm, f.kron(eye_n[:, v][:, None], eye_m)))
-                second = second + coeff * _right_scaling_col(self.m, u, sig_v)
+                second = second + coeff * _scaling_matrix(f, self.m.right_action, 0,
+                                                          eye_m[:, u], sig_v)
         if not Field.equal(f.asarray(first), eye_n):
             raise ContextAxiomError("first context diagram fails")
         if not Field.equal(f.asarray(second), eye_m):
             raise ContextAxiomError("second context diagram fails")
-
-
-def _left_scaling_col(n: Bimodule, value_mat, v: int):
-    """Matrix of x -> value_mat(x) . e_v, values in the left algebra of n."""
-    f = n.field
-    act = f.tensordot(f.eye(n.dim)[:, v], n.left_action, ([0], [1]))  # (a, m')
-    return f.matmul(act.T, value_mat)
-
-
-def _right_scaling_col(m: Bimodule, u: int, value_mat):
-    """Matrix of x -> e_u . value_mat(x), values in the right algebra of m."""
-    f = m.field
-    act = f.tensordot(f.eye(m.dim)[:, u], m.right_action, ([0], [0]))  # (a, m')
-    return f.matmul(act.T, value_mat)
 
 
 def context_from_bimodule(m: Bimodule, db: DualBasis | None = None) -> CoringContext:
@@ -223,7 +213,6 @@ class MoritaData:
         n_dim, m_dim = self.n.dim, self.m.dim
         eye_n, eye_m = f.eye(n_dim), f.eye(m_dim)
         sig, tt = self.sigma.matrix.data, self.tau_tilde.matrix.data
-        p_nm, p_mn = self.tensor_nm.projection, self.tensor_mn.projection
         for v in range(n_dim):
             for u in range(m_dim):
                 s_val = f.matmul(sig, self.tensor_nm.pure(eye_n[:, v], eye_m[:, u]))
@@ -342,7 +331,7 @@ def context_iso(ctx: CoringContext) -> ContextIso:
     """The coring isomorphism N (x)_B M -> M^* (x)_B M from Theorem-style
     transport of chi, verified in both directions."""
     f = ctx.field
-    db, chi, chi_inv = context_dual_basis(ctx)
+    _, chi, chi_inv = context_dual_basis(ctx)
     data = comatrix_data(ctx.m)
     source = context_coring(ctx)
     target = data.coring
@@ -390,11 +379,11 @@ def left_dual_anti_iso(m: Bimodule, data: ComatrixData | None = None) -> AntiIso
             # column x: e_i . xi(e_i^* (x) x)
             embed = f.matmul(ts.projection, f.kron(f.asarray(phi_coords)[:, None], eye_m))
             vals = f.matmul(xi, embed)  # (A coords, x)
-            total = total + _right_scaling_matrix_from_values(m, e_vec, vals)
+            total = total + _scaling_matrix(f, m.right_action, 0, e_vec, vals)
         endo_of.append(f.asarray(total))
     try:
         cols = _matrix_subspace_coords(f, endos.endo_mats, endo_of)
-    except Exception as exc:  # noqa: BLE001 - any failure here is a bug
+    except BimoduleAxiomError as exc:
         raise InternalInconsistencyError(f"anti-isomorphism left the endo ring: {exc}")
     forward = np.stack(cols, axis=1)
     backward = _solve(f, f.asarray(forward), f.eye(ring.dim))
@@ -409,10 +398,3 @@ def left_dual_anti_iso(m: Bimodule, data: ComatrixData | None = None) -> AntiIso
                 raise InternalInconsistencyError(
                     f"anti-multiplicativity fails at basis pair ({i}, {j})")
     return AntiIso(ring, endos, f.asarray(forward), f.asarray(backward))
-
-
-def _right_scaling_matrix_from_values(m: Bimodule, e_vec, value_mat):
-    """Matrix of x -> e . w(x) where w(x) is given columnwise in value_mat."""
-    f = m.field
-    act = f.tensordot(f.asarray(e_vec), m.right_action, ([0], [0]))  # (a, m')
-    return f.matmul(act.T, f.asarray(value_mat))

@@ -22,16 +22,24 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     TensorSpace,
+    _induced_action,
+    _intertwiner_rows,
     _matrix_subspace_coords,
     _on_left_leg,
     _on_right_leg,
+    intertwiners,
     random_bimodule_iso,
     regular_bimodule,
     restrict_left,
     restrict_right,
     tensor_over,
 )
-from .errors import CoringAxiomError, FieldMismatchError, TooLargeToValidateError
+from .errors import (
+    CoringAxiomError,
+    FieldMismatchError,
+    InternalInconsistencyError,
+    TooLargeToValidateError,
+)
 from .fields import Field
 from .linalg import _kernel, _solve, rref
 
@@ -298,33 +306,36 @@ class CoringMorphism:
 def left_dual_ring(c: Coring) -> Algebra:
     """Left-linear functionals C -> A with convolution-style product."""
     f = c.field
-    a = c.base
-    d, da = c.dim, a.dim
-    rows = []
-    for i in range(da):
-        rows.append(f.kron(f.eye(da), c.carrier.left_mats[i].T)
-                    - f.kron(a.left_mult[i], f.eye(d)))
-    mats = [v.reshape(da, d) for v in _kernel(f, np.concatenate(rows, axis=0))]
-    n = len(mats)
-    if n == 0:
+    mats = intertwiners(f, c.carrier.left_mats, c.base.left_mult)
+    if not mats:
         raise CoringAxiomError("left dual ring is zero; the counit cannot exist")
-    d2flat = c.delta_amb  # ((u, v), c)
-    structure = f.zeros((n, n, n))
-    products = []
-    for xi in mats:
-        for eta in mats:
-            # (xi eta)(e_c) = sum_{u,v} Delta-rep[u,v,c] xi(e_u . eta(e_v))
-            z = f.tensordot(c.carrier.right_action, eta, ([1], [0]))  # (u, m', v)
-            z = z.transpose(0, 2, 1).reshape(d * d, d)  # ((u, v), m')
-            w = f.matmul(d2flat.T, z)  # (c, m')
-            products.append(f.matmul(xi, w.T))  # (a', c)
-    coords = _matrix_subspace_coords(f, mats, products)
-    for (i, j), col in zip(itertools.product(range(n), range(n)), coords):
-        structure[i, j] = col
+    # (xi eta)(e_c) = sum_{u,v} Delta-rep[u,v,c] xi(e_u . eta(e_v)) = xi(hit(eta) e_c)
+    hits = [_hit_from_right(c, eta) for eta in mats]
+    structure = _induced_action(f, mats, [[f.matmul(xi, h) for h in hits] for xi in mats])
     unit = _matrix_subspace_coords(f, mats, [c.counit_mat])[0]
     ring = Algebra(f, structure, unit, name=f"*({c.carrier.name or 'C'})")
     ring.functional_mats = mats
     return ring
+
+
+def _central_section(space: Bimodule, value_mat):
+    """The bimodule map a -> a.e out of the regular bimodule of the algebra
+    acting on both sides of ``space``, for a central e with value_mat @ e = 1;
+    None when there is no such e.  Decided by one exact solve."""
+    f = space.field
+    alg = space.left_alg
+    blocks = [space.left_mats[i] - space.right_mats[i] for i in range(alg.dim)]
+    system = np.concatenate(blocks + [value_mat], axis=0)
+    rhs = f.zeros(alg.dim * space.dim + alg.dim)
+    rhs[alg.dim * space.dim:] = alg.unit
+    e = _solve(f, f.asarray(system), rhs)
+    if e is None:
+        return None
+    section = np.stack([f.matmul(space.left_mats[i], e) for i in range(alg.dim)], axis=1)
+    sec_map = BimoduleMap(regular_bimodule(alg), space, section)
+    if not Field.equal(f.matmul(value_mat, section), f.eye(alg.dim)):
+        raise InternalInconsistencyError("the solved central element does not have value 1")
+    return sec_map
 
 
 def central_subspace(c: Coring) -> list[np.ndarray]:
@@ -339,19 +350,7 @@ def is_cosplit(c: Coring):
 
     A section a -> a.e is determined by a central element e with eps(e) = 1.
     """
-    f = c.field
-    da, d = c.base.dim, c.dim
-    blocks = [c.carrier.left_mats[i] - c.carrier.right_mats[i] for i in range(da)]
-    system = np.concatenate(blocks + [c.counit_mat], axis=0)
-    rhs = f.zeros(da * d + da)
-    rhs[da * d:] = c.base.unit
-    e = _solve(f, f.asarray(system), rhs)
-    if e is None:
-        return None
-    section = np.stack([f.matmul(c.carrier.left_mats[i], e) for i in range(da)], axis=1)
-    sec_map = BimoduleMap(regular_bimodule(c.base), c.carrier, section)
-    assert Field.equal(f.matmul(c.counit_mat, section), f.eye(da))
-    return sec_map
+    return _central_section(c.carrier, c.counit_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +492,9 @@ def _gamma_constraint_rows(c: Coring):
     sq = c.square
     d, da, q = c.dim, c.base.dim, sq.dim
     a = c.base
-    rows = []
-    for i in range(da):
-        lt = sq.space.left_mats[i]
-        rows.append(f.kron(f.eye(da), lt.T) - f.kron(a.left_mult[i], f.eye(q)))
-        rt = sq.space.right_mats[i]
-        rows.append(f.kron(f.eye(da), rt.T) - f.kron(a.right_mult[i], f.eye(q)))
+    # gamma_q (da x q) commutes with the actions of the base on the square and on A
+    rows = _intertwiner_rows(f, sq.space.left_mats + sq.space.right_mats,
+                             list(a.left_mult) + list(a.right_mult))
     d3 = c.delta_tensor()
     p2r = sq.projection.reshape(q, d, d)
     rho, lam = c.carrier.right_action, c.carrier.left_action
@@ -629,11 +625,8 @@ def coring_bimodules_over_dual_ring(c: Coring):
     c_mod = Bimodule(c.base, r_alg, c.carrier.left_action, rho_c,
                      name="C as (A,R)")
     # R with (a . xi)(x) = xi(x . a) and right multiplication
-    lam_r = f.zeros((c.base.dim, n, n))
-    for i in range(c.base.dim):
-        imgs = [f.matmul(xi, c.carrier.right_mats[i]) for xi in mats]
-        for beta, coords in enumerate(_matrix_subspace_coords(f, mats, imgs)):
-            lam_r[i, beta] = coords
+    lam_r = _induced_action(f, mats, [[f.matmul(xi, x) for xi in mats]
+                                      for x in c.carrier.right_mats])
     rho_r = f.zeros((n, n, n))
     for j in range(n):
         rho_r[:, j, :] = r_alg.right_mult[j].T

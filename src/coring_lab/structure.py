@@ -21,8 +21,9 @@ from .bimodule import (
     DualBasis,
     IsoSearch,
     SIso,
-    _left_scaling_matrix,
+    _induced_action,
     _matrix_subspace_coords,
+    _scaling_matrix,
     canonical_s_iso,
     dual_basis,
     hom_bimodule,
@@ -42,6 +43,7 @@ from .coring import (
     Cointegral,
     Coring,
     FrobeniusSystem,
+    _central_section,
     find_cointegral,
     find_frobenius_system,
     gamma_is_normalized,
@@ -64,7 +66,6 @@ __all__ = [
     "split_extension_check",
     "split_from_separability",
     "frobenius_extension_check",
-    "cosplit_equivalence",
     "lift_cosplit",
     "cointegral_from_separability",
     "lift_precointegral",
@@ -122,23 +123,13 @@ def is_separable_bimodule(m: Bimodule):
     f = m.field
     ld = left_dual(m)
     ts = tensor_over(m, ld)
-    b = m.left_alg
-    space = ts.space
-    blocks = [space.left_mats[i] - space.right_mats[i] for i in range(b.dim)]
     # evaluation on the quotient: m (x) psi -> psi(m)
-    eval_amb = f.zeros((b.dim, m.dim * ld.dim))
+    eval_amb = f.zeros((m.left_alg.dim, m.dim * ld.dim))
     for kappa, psi in enumerate(ld.functional_mats):
         eval_amb[:, kappa::ld.dim] = psi
-    eval_q = f.matmul(eval_amb, ts.section)
-    system = np.concatenate(blocks + [eval_q], axis=0)
-    rhs = f.zeros(b.dim * space.dim + b.dim)
-    rhs[b.dim * space.dim:] = b.unit
-    u = _solve(f, f.asarray(system), rhs)
-    if u is None:
-        return None
-    cols = np.stack([f.matmul(space.left_mats[i], u) for i in range(b.dim)], axis=1)
-    nu = BimoduleMap(regular_bimodule(b), space, cols)
-    nu.tensor = ts
+    nu = _central_section(ts.space, f.matmul(eval_amb, ts.section))
+    if nu is not None:
+        nu.tensor = ts
     return nu
 
 
@@ -179,16 +170,6 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
     rdual = right_dual(s_sb)  # (B, S)-bimodule Hom_B(S, B)
     s_bs = restrict_left(regular_bimodule(s_alg), ring_map)  # S as (B, S)
     return random_bimodule_iso(rdual, s_bs, seed=seed)
-
-
-def cosplit_equivalence(m: Bimodule):
-    """(M^* separable, comatrix coring cosplit): the two must agree."""
-    separable = is_separable_bimodule(right_dual(m)) is not None
-    cosplit = is_cosplit(comatrix_data(m).coring) is not None
-    if separable != cosplit:
-        raise InternalInconsistencyError(
-            "separability of the dual disagrees with cosplitness of the comatrix coring")
-    return separable, cosplit
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +327,6 @@ def lift_precointegral(m: Bimodule, gamma: Cointegral,
 
     # omega(u (x) e_k^*) as a matrix in u, for each k
     omega_k = []
-    eye_dual = f.eye(data.dual.dim)
     for k in range(mdim):
         t_k = f.asarray(tower.basis.functional_coords[k])[:, None]
         block = f.matmul(tower.s_iso.tensor.projection, f.kron(eye_m, t_k))
@@ -414,7 +394,7 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap,
     for alpha in range(data.dual.dim):
         psi = ld.mat_of(f.matmul(theta.matrix.data, f.eye(data.dual.dim)[:, alpha]))
         for i in range(m.dim):
-            cols.append(_left_scaling_matrix(m, psi, eye_m[:, i]))
+            cols.append(_scaling_matrix(f, m.left_action, 1, eye_m[:, i], psi))
     coords = _matrix_subspace_coords(f, endos.endo_mats, cols)
     iota_amb = np.stack(coords, axis=1)
     iota = f.matmul(f.asarray(iota_amb), data.tensor.section)
@@ -428,11 +408,11 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap,
         if not Field.equal(lhs, rhs):
             raise InternalInconsistencyError(f"iota is not right-linear at endo {rho}")
     # left A-linearity, with a acting on endomorphisms by (a.r)(x) = r(x.a)
+    twisted = _induced_action(f, endos.endo_mats,
+                              [[f.matmul(r, x) for r in endos.endo_mats] for x in m.right_mats])
     for a_idx in range(m.right_alg.dim):
         lhs = f.matmul(iota, data.coring.carrier.left_mats[a_idx])
-        twisted = [f.matmul(r_mat, m.right_mats[a_idx]) for r_mat in endos.endo_mats]
-        conj = np.stack(_matrix_subspace_coords(f, endos.endo_mats, twisted), axis=1)
-        rhs = f.matmul(f.asarray(conj), iota)
+        rhs = f.matmul(twisted[a_idx].T, iota)
         if not Field.equal(lhs, rhs):
             raise InternalInconsistencyError(f"iota is not left-linear at base {a_idx}")
     return IotaCertificate(iota, endos)
@@ -504,19 +484,11 @@ def williard_check(m: Bimodule, seed: int = 0,
     m_sa = tower.end.module_as_s_bimodule
     mats = one_sided_hom(m_sa, regular_bimodule(s_alg), "left")
     a_alg, b_alg = m.right_alg, m.left_alg
-    lam = f.zeros((a_alg.dim, len(mats), len(mats)))
-    rho = f.zeros((len(mats), b_alg.dim, len(mats)))
-    if mats:
-        for i in range(a_alg.dim):
-            imgs = [f.matmul(g, m.right_mats[i]) for g in mats]
-            for alpha, coords in enumerate(_matrix_subspace_coords(f, mats, imgs)):
-                lam[i, alpha] = coords
-        for j in range(b_alg.dim):
-            b_img = s_alg.right_mult_matrix(f.matmul(tower.b_to_s.matrix.data,
-                                                     f.eye(b_alg.dim)[:, j]))
-            imgs = [f.matmul(b_img, g) for g in mats]
-            for alpha, coords in enumerate(_matrix_subspace_coords(f, mats, imgs)):
-                rho[alpha, j] = coords
+    # b acts on Hom_S(M, S) through right multiplication by its image in S
+    b_imgs = [s_alg.right_mult_matrix(col) for col in tower.b_to_s.matrix.data.T]
+    acts = _induced_action(f, mats, [[f.matmul(g, x) for g in mats] for x in m.right_mats]
+                           + [[f.matmul(y, g) for g in mats] for y in b_imgs])
+    lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
     hom_s = Bimodule(a_alg, b_alg, lam, rho, name="Hom_S(M,S)")
     return random_bimodule_iso(hom_s, right_dual(m), seed=seed)
 

@@ -6,12 +6,16 @@ from coring_lab.algebra import AlgebraMap, check_algebra_map, direct_product, ma
 from coring_lab.bimodule import (
     Bimodule,
     BimoduleMap,
+    _induced_action,
+    _matrix_subspace_coords,
     _on_left_leg,
     _on_right_leg,
+    _scaling_matrix,
     canonical_s_iso,
     dual_basis,
     endomorphism_algebra,
     hom_bimodule,
+    intertwiners,
     left_dual,
     left_dual_basis,
     random_bimodule_iso,
@@ -23,6 +27,7 @@ from coring_lab.bimodule import (
 )
 from coring_lab.errors import BimoduleAxiomError, FieldMismatchError
 from coring_lab.fields import Field
+from coring_lab.linalg import _kernel
 
 from conftest import (
     column_module,
@@ -116,6 +121,27 @@ def test_tensor_functorial_on_pure_tensors(rng):
         assert np.array_equal(lhs, rhs)
 
 
+def _check_constraint_core(field, src, tgt, operators):
+    """intertwiners against the kernel of the explicit Kronecker system, and
+    _induced_action of the given maps on that space against one
+    _matrix_subspace_coords solve per operator."""
+    rows = np.concatenate([field.kron(field.eye(t.shape[0]), s.T)
+                           - field.kron(t, field.eye(s.shape[0])) for s, t in zip(src, tgt)])
+    mats = intertwiners(field, src, tgt)
+    expected = _kernel(field, rows)
+    assert len(mats) == len(expected)
+    for x, v in zip(mats, expected):
+        assert Field.equal(x.reshape(-1), v)
+        for s, t in zip(src, tgt):
+            assert Field.equal(field.matmul(x, s), field.matmul(t, x))
+    images = [[op(x) for x in mats] for op in operators]
+    acts = _induced_action(field, mats, images)
+    assert acts.shape == (len(operators), len(mats), len(mats))
+    for k, imgs in enumerate(images):
+        for alpha, coords in enumerate(_matrix_subspace_coords(field, mats, imgs)):
+            assert Field.equal(acts[k, alpha], coords)
+
+
 def test_leg_helpers_match_kronecker_products(rng):
     for field in (F3, QQ):
         a, b = field.random(rng, (2, 3)), field.random(rng, (4, 5))
@@ -124,6 +150,10 @@ def test_leg_helpers_match_kronecker_products(rng):
                            field.matmul(field.kron(a, field.eye(5)), x))
         assert Field.equal(_on_right_leg(field, b, x, 3),
                            field.matmul(field.kron(field.eye(3), b), x))
+        # the commutant of s, with s acting on it from both sides
+        s = field.random(rng, (4, 4))
+        _check_constraint_core(field, [s], [s], [lambda y: field.matmul(s, y),
+                                                 lambda y: field.matmul(y, s)])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -147,6 +177,18 @@ def test_leg_wise_tensor_actions_match_kronecker_products(seed, rng):
         big = f.kron(f_mat, g_mat)
         assert Field.equal(ts.induced_map(f_mat, g_mat, ts),
                            f.matmul(ts.projection, f.matmul(big, ts.section)))
+    # Hom_A(M, A) with the actions a.phi and phi.b of the right dual
+    a_alg = m.right_alg
+    _check_constraint_core(
+        f, m.right_mats, a_alg.right_mult,
+        [lambda y, x=x: f.matmul(x, y) for x in a_alg.left_mult]
+        + [lambda y, x=x: f.matmul(y, x) for x in m.left_mats])
+    # the scaling helper on both sides: act.T @ values, act from the action matrices
+    e = f.random(rng, m.dim)
+    for action, axis, mats in ((m.right_action, 0, m.right_mats), (m.left_action, 1, m.left_mats)):
+        values = f.random(rng, (len(mats), m.dim))
+        act_t = np.stack([f.matmul(x, e) for x in mats], axis=1)
+        assert Field.equal(_scaling_matrix(f, action, axis, e, values), f.matmul(act_t, values))
 
 
 # --------------------------------------------------------------------- duals

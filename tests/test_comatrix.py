@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coring_lab import GF
+from coring_lab import GF, comatrix as comatrix_module
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import (
     Bimodule,
@@ -303,6 +303,20 @@ def test_left_dual_anti_iso_on_corpus(module_builder):
     m = module_builder()
     anti = left_dual_anti_iso(m)
     assert anti.dual_ring.dim == anti.endos.dim
+
+
+def test_left_dual_anti_iso_lets_other_errors_through(monkeypatch):
+    # only a matrix outside the span is a broken anti-isomorphism; any other
+    # failure of the coordinate solve propagates unchanged
+    error = TypeError("not a coordinate failure")
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(comatrix_module, "_matrix_subspace_coords", broken)
+    with pytest.raises(TypeError) as info:
+        left_dual_anti_iso(trivial_bimodule(F2, 2))
+    assert info.value is error
 
 
 def test_left_dual_anti_iso_point_module():

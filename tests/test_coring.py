@@ -21,7 +21,7 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from coring_lab.errors import CoringAxiomError
+from coring_lab.errors import CoringAxiomError, InternalInconsistencyError
 from coring_lab.linalg import _solve, rref
 from coring_lab.structure import analyze, bimodule_tower
 
@@ -180,6 +180,14 @@ def test_sweedler_of_product_field_is_cosplit():
     # section lands on a central element with counit 1
     e = section(kk.unit)
     assert np.array_equal(F2.matmul(c.counit_mat, e), kk.unit)
+
+
+def test_is_cosplit_raises_when_the_solved_section_misses_the_counit(monkeypatch):
+    # a zero "solution" gives the zero section, which the check must reject
+    # with an error that survives python -O
+    monkeypatch.setattr(coring_module, "_solve", lambda field, a, b: field.zeros(a.shape[1]))
+    with pytest.raises(InternalInconsistencyError):
+        is_cosplit(matrix_coring(2, F3))
 
 
 def test_sweedler_of_dual_number_inclusion_is_not_cosplit():
