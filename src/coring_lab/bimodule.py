@@ -14,6 +14,7 @@ is decided by comparing projected coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,6 +54,24 @@ __all__ = [
     "random_bimodule_iso",
 ]
 
+# random_bimodule_iso enumerates hom spaces up to this size, else samples
+_ISO_ENUMERATION_BUDGET = 2**20
+_ISO_RANDOM_ATTEMPTS = 32
+
+
+def _memo(fn):
+    """Memoize ``fn(m)`` on the bimodule ``m`` itself, a ``None`` result
+    too.  The value lives exactly as long as the module, so a process that
+    analyses many modules keeps none of them alive."""
+
+    @functools.wraps(fn)
+    def memoized(m):
+        if fn not in m._memo:
+            m._memo[fn] = fn(m)
+        return m._memo[fn]
+
+    return memoized
+
 
 class Bimodule:
     """A (B, A)-bimodule with machine-checked axioms."""
@@ -76,6 +95,7 @@ class Bimodule:
         # per-basis action matrices: left_mats[i] @ v = b_i . v
         self.left_mats = [self.left_action[i].T.copy() for i in range(left_alg.dim)]
         self.right_mats = [self.right_action[:, j, :].T.copy() for j in range(right_alg.dim)]
+        self._memo: dict = {}  # values of the ``_memo`` functions of this module
         if _validate:
             self.validate()
 
@@ -260,7 +280,7 @@ def _balancing_relations(m: Bimodule, n: Bimodule):
     return rels
 
 
-def tensor_over(m: Bimodule, n: Bimodule, validate_actions: bool = True) -> TensorSpace:
+def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
     """Present M (x)_C N for C = m.right_alg = n.left_alg."""
     if m.right_alg != n.left_alg:
         raise FieldMismatchError("middle algebra mismatch in tensor product")
@@ -278,14 +298,14 @@ def tensor_over(m: Bimodule, n: Bimodule, validate_actions: bool = True) -> Tens
     for i in range(m.left_alg.dim):
         act = m.left_mats[i]
         lam[i] = f.matmul(proj, _on_left_leg(f, act, sect, n.dim)).T
-        if validate_actions and not pres.is_trivial:
+        if not pres.is_trivial:
             if not pres.reduces_to_zero(_on_left_leg(f, act, rels, n.dim)):
                 raise BimoduleAxiomError(f"left action does not descend at basis {i}")
     rho = f.zeros((q, n.right_alg.dim, q))
     for j in range(n.right_alg.dim):
         act = n.right_mats[j]
         rho[:, j, :] = f.matmul(proj, _on_right_leg(f, act, sect, m.dim)).T
-        if validate_actions and not pres.is_trivial:
+        if not pres.is_trivial:
             if not pres.reduces_to_zero(_on_right_leg(f, act, rels, m.dim)):
                 raise BimoduleAxiomError(f"right action does not descend at basis {j}")
     space = Bimodule(m.left_alg, n.right_alg, lam, rho,
@@ -361,6 +381,7 @@ def _induced_action(field: Field, basis_mats, images):
     return out
 
 
+@_memo
 def right_dual(m: Bimodule) -> DualModule:
     """Hom over the right algebra into it, as an (A, B)-bimodule.
 
@@ -375,6 +396,7 @@ def right_dual(m: Bimodule) -> DualModule:
     return DualModule(a_alg, b_alg, lam, rho, m, mats, name=f"{m.name or 'M'}^*")
 
 
+@_memo
 def left_dual(m: Bimodule) -> DualModule:
     """Hom over the left algebra into it, as an (A, B)-bimodule.
 
@@ -418,15 +440,17 @@ class DualBasis:
         return Field.equal(f.asarray(total), f.eye(self.module.dim))
 
 
-def dual_basis(m: Bimodule, dual: DualModule | None = None):
+@_memo
+def dual_basis(m: Bimodule):
     """Solve for a dual basis on the field basis of M; None when M is not
     finitely generated projective over the right algebra."""
-    return _dual_basis(m, right_dual(m) if dual is None else dual, m.right_action, 1)
+    return _dual_basis(m, right_dual(m), m.right_action, 1)
 
 
-def left_dual_basis(m: Bimodule, dual: DualModule | None = None):
+@_memo
+def left_dual_basis(m: Bimodule):
     """Left-side mirror: psi_i with x = sum psi_i(x) . e_i, or None."""
-    return _dual_basis(m, left_dual(m) if dual is None else dual, m.left_action, 0)
+    return _dual_basis(m, left_dual(m), m.left_action, 0)
 
 
 def _dual_basis(m: Bimodule, dual: DualModule, action, axis: int):
@@ -488,6 +512,7 @@ def _end_algebra_from_mats(field, mats, module, composition, name):
     return EndAlgebra(field, structure, unit, mats, module, name=name)
 
 
+@_memo
 def endomorphism_algebra(m: Bimodule) -> EndData:
     """S = End over the right algebra, composition product, plus B -> S and
     the (S, A)-bimodule structure on M."""
@@ -508,6 +533,7 @@ def endomorphism_algebra(m: Bimodule) -> EndData:
     return EndData(s_alg, b_to_s, m_sa)
 
 
+@_memo
 def left_endomorphism_algebra(m: Bimodule) -> EndAlgebra:
     """End over the left algebra with the opposite-composition product."""
     f = m.field
@@ -553,8 +579,7 @@ class IsoSearch:
         return self.status == "found"
 
 
-def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0, attempts: int = 32,
-                        budget: int = 2**20) -> IsoSearch:
+def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0) -> IsoSearch:
     """Search for an invertible bimodule map m -> n.
 
     Identity first, then exhaustive enumeration over a small finite hom
@@ -585,7 +610,7 @@ def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0, attempts: int =
         pass
 
     p = f.characteristic
-    if p and p**h <= budget:
+    if p and p**h <= _ISO_ENUMERATION_BUDGET:
         for coeffs in itertools.product(range(p), repeat=h):
             if not any(coeffs):
                 continue
@@ -596,7 +621,7 @@ def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0, attempts: int =
         return IsoSearch("none")
 
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(_ISO_RANDOM_ATTEMPTS):
         coeffs = f.random(rng, h)
         mat = f.tensordot(coeffs, stack, ([0], [0]))
         candidate = attempt(mat)
@@ -615,21 +640,19 @@ class SIso:
     from_endo: np.ndarray  # S coords -> tensor coords
 
 
-def canonical_s_iso(m: Bimodule, db: DualBasis | None = None,
-                    end: EndData | None = None) -> SIso:
+@_memo
+def canonical_s_iso(m: Bimodule) -> SIso:
     """Identify M (x)_A M^* with S through m (x) phi -> (x -> m.phi(x)).
 
     Verifies that both composites are identities and that the three
     product rules relating the identification to S's ring structure hold.
     """
     f = m.field
-    if db is None:
-        db = dual_basis(m)
+    db = dual_basis(m)
     if db is None:
         raise NotProjectiveError("module admits no dual basis over its right algebra")
     dual = db.dual
-    if end is None:
-        end = endomorphism_algebra(m)
+    end = endomorphism_algebra(m)
     s_alg = end.algebra
     ts = tensor_over(m, dual)
 
@@ -654,14 +677,6 @@ def canonical_s_iso(m: Bimodule, db: DualBasis | None = None,
     if not Field.equal(f.matmul(from_endo, to_endo), f.eye(ts.dim)):
         raise BimoduleAxiomError("canonical identification: tensor round trip failed")
 
-    _verify_s_iso_product_rules(m, db, end, ts, to_endo)
-    return SIso(ts, end, to_endo, from_endo)
-
-
-def _verify_s_iso_product_rules(m, db, end, ts, to_endo):
-    f = m.field
-    s_alg = end.algebra
-    dual = db.dual
     # the right action of S on M^*, phi -> phi s, in coordinates
     dual_acts = _induced_action(f, dual.functional_mats,
                                 [[f.matmul(phi, s_mat) for phi in dual.functional_mats]
@@ -692,3 +707,4 @@ def _verify_s_iso_product_rules(m, db, end, ts, to_endo):
         direct = f.matmul(to_endo, ts.pure(u, eye_d[:, beta]))
         if not Field.equal(f.asarray(product), f.asarray(direct)):
             raise BimoduleAxiomError("pointwise product rule fails in the identification")
+    return SIso(ts, end, to_endo, from_endo)

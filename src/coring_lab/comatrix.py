@@ -23,6 +23,7 @@ from .bimodule import (
     DualModule,
     TensorSpace,
     _matrix_subspace_coords,
+    _memo,
     _scaling_matrix,
     dual_basis,
     left_endomorphism_algebra,
@@ -60,7 +61,6 @@ class ComatrixData:
     """A comatrix coring together with the data used to build it."""
 
     coring: Coring
-    module: Bimodule
     dual: DualModule
     basis: DualBasis
     tensor: TensorSpace  # presentation of M^* (x)_B M
@@ -85,12 +85,12 @@ def _comatrix_delta_amb(ts: TensorSpace, db: DualBasis, field):
     return f.asarray(delta)
 
 
-def comatrix_data(m: Bimodule, db: DualBasis | None = None) -> ComatrixData:
+@_memo
+def comatrix_data(m: Bimodule) -> ComatrixData:
     """Build the comatrix coring of a right-projective bimodule."""
     f = m.field
     dual = right_dual(m)
-    if db is None:
-        db = dual_basis(m, dual)
+    db = dual_basis(m)
     if db is None:
         raise NotProjectiveError(
             f"{m!r} admits no dual basis over its right algebra")
@@ -103,11 +103,11 @@ def comatrix_data(m: Bimodule, db: DualBasis | None = None) -> ComatrixData:
         eval_amb[:, alpha * m.dim:(alpha + 1) * m.dim] = phi
     counit_mat = f.matmul(eval_amb, ts.section)
     coring = Coring(m.right_alg, ts.space, delta_amb, counit_mat, carrier_tensor=ts)
-    return ComatrixData(coring, m, dual, db, ts)
+    return ComatrixData(coring, dual, db, ts)
 
 
-def comatrix_coring(m: Bimodule, db: DualBasis | None = None) -> Coring:
-    return comatrix_data(m, db).coring
+def comatrix_coring(m: Bimodule) -> Coring:
+    return comatrix_data(m).coring
 
 
 def coproduct_basis_independence(m: Bimodule, alternative: DualBasis) -> bool:
@@ -127,7 +127,7 @@ class CoringContext:
     machine-checked on basis elements."""
 
     def __init__(self, n: Bimodule, m: Bimodule, sigma: BimoduleMap, tau: BimoduleMap,
-                 tensor_nm: TensorSpace, tensor_mn: TensorSpace, validate: bool = True):
+                 tensor_nm: TensorSpace, tensor_mn: TensorSpace):
         self.a_alg = m.right_alg
         self.b_alg = m.left_alg
         self.n = n
@@ -139,8 +139,7 @@ class CoringContext:
         self.field = m.field
         if n.left_alg != self.a_alg or n.right_alg != self.b_alg:
             raise ContextAxiomError("N must be an (A, B)-bimodule")
-        if validate:
-            self.validate()
+        self.validate()
 
     def tau_of_unit(self):
         """tau(1_B) as a (dim M, dim N) matrix of ambient coefficients."""
@@ -177,9 +176,9 @@ class CoringContext:
             raise ContextAxiomError("second context diagram fails")
 
 
-def context_from_bimodule(m: Bimodule, db: DualBasis | None = None) -> CoringContext:
+def context_from_bimodule(m: Bimodule) -> CoringContext:
     """The canonical context (A, B, M^*, M, evaluation, dual-basis tau)."""
-    data = comatrix_data(m, db)
+    data = comatrix_data(m)
     f = m.field
     dual, db = data.dual, data.basis
     ts_nm = data.tensor
@@ -358,7 +357,7 @@ class AntiIso:
     backward: np.ndarray
 
 
-def left_dual_anti_iso(m: Bimodule, data: ComatrixData | None = None) -> AntiIso:
+def left_dual_anti_iso(m: Bimodule) -> AntiIso:
     """Check the map xi -> (x -> sum_i e_i . xi(e_i^* (x) x)) is bijective and
     anti-multiplicative onto the opposite-composition endomorphism ring.
 
@@ -366,8 +365,7 @@ def left_dual_anti_iso(m: Bimodule, data: ComatrixData | None = None) -> AntiIso
     statement, so it signals an implementation bug rather than mathematics.
     """
     f = m.field
-    if data is None:
-        data = comatrix_data(m)
+    data = comatrix_data(m)
     ring = left_dual_ring(data.coring)
     endos = left_endomorphism_algebra(m)
     ts = data.tensor

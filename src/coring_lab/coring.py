@@ -63,6 +63,10 @@ __all__ = [
 
 # carriers above this size keep only the cheap exact checks (light mode)
 _SQUARE_DIM_LIMIT = 32
+_PRECOINTEGRAL_CHUNK = 8
+# find_frobenius_system enumerates central subspaces up to this size, else samples
+_FROBENIUS_ENUMERATION_BUDGET = 2**16
+_FROBENIUS_RANDOM_ATTEMPTS = 64
 
 
 class Coring:
@@ -74,7 +78,7 @@ class Coring:
     """
 
     def __init__(self, base: Algebra, carrier: Bimodule, delta_amb, counit_mat,
-                 carrier_tensor: TensorSpace | None = None, validate: bool = True):
+                 carrier_tensor: TensorSpace | None = None):
         if carrier.left_alg != base or carrier.right_alg != base:
             raise FieldMismatchError("carrier must be a bimodule over the base on both sides")
         self.base = base
@@ -90,9 +94,7 @@ class Coring:
             raise CoringAxiomError(f"counit matrix has shape {self.counit_mat.shape}")
         self._square: TensorSpace | None = None
         self._cointegral_echelon: np.ndarray | None = None
-        self.validation = "none"
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def dim(self) -> int:
@@ -240,7 +242,7 @@ def new_coring(carrier: Bimodule, coproduct: BimoduleMap, counit: BimoduleMap) -
         raise CoringAxiomError("counit does not land in the base algebra")
     f = base.field
     delta_amb = f.matmul(ts.section, coproduct.matrix.data)
-    coring = Coring(base, carrier, delta_amb, counit.matrix.data, validate=True)
+    coring = Coring(base, carrier, delta_amb, counit.matrix.data)
     coring._square = ts
     return coring
 
@@ -414,7 +416,7 @@ def gamma_is_bimodule_map(c: Coring, gamma_amb) -> bool:
     return Field.equal(f.asarray(lhs), f.asarray(rhs))
 
 
-def precointegral_identity_holds(c: Coring, gamma_amb, chunk: int = 8) -> bool:
+def precointegral_identity_holds(c: Coring, gamma_amb) -> bool:
     """sum c_1 gamma(c_2 (x) c') == sum gamma(c (x) c'_1) c'_2 on basis pairs.
 
     Both sides are assembled chunked so that large carriers never create a
@@ -426,15 +428,15 @@ def precointegral_identity_holds(c: Coring, gamma_amb, chunk: int = 8) -> bool:
     dflat = c.delta_amb  # ((u, v), c)
     rho, lam = c.carrier.right_action, c.carrier.left_action
     lhs = f.zeros((d, d, d))  # (c, m', l)
-    for start in range(0, d, chunk):
-        lcols = slice(start, min(start + chunk, d))
+    for start in range(0, d, _PRECOINTEGRAL_CHUNK):
+        lcols = slice(start, min(start + _PRECOINTEGRAL_CHUNK, d))
         k = lcols.stop - lcols.start
         x = f.tensordot(rho, g3[:, :, lcols], ([1], [0]))  # (u, m', v, l)
         xf = x.transpose(0, 2, 1, 3).reshape(d * d, d * k)  # ((u, v), (m', l))
         lhs[:, :, lcols] = f.matmul(dflat.T, xf).reshape(d, d, k)
     rhs = f.zeros((d, d, d))  # (c, m', l)
-    for start in range(0, d, chunk):
-        ccols = slice(start, min(start + chunk, d))
+    for start in range(0, d, _PRECOINTEGRAL_CHUNK):
+        ccols = slice(start, min(start + _PRECOINTEGRAL_CHUNK, d))
         k = ccols.stop - ccols.start
         z = f.tensordot(g3[:, ccols, :], lam, ([0], [0]))  # (c, u, v, m')
         zf = z.transpose(0, 3, 1, 2).reshape(k * d, d * d)  # ((c, m'), (u, v))
@@ -539,8 +541,7 @@ def find_cointegral(c: Coring):
     return ci
 
 
-def find_frobenius_system(c: Coring, seed: int = 0, enumeration_budget: int = 2**16,
-                          random_attempts: int = 64) -> FrobeniusSearch:
+def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
     """Search for a reduced Frobenius system (gamma, e).
 
     The defining conditions are linear in gamma for a fixed invariant e, so
@@ -583,7 +584,7 @@ def find_frobenius_system(c: Coring, seed: int = 0, enumeration_budget: int = 2*
     z = len(centrals)
     zb = np.stack(centrals, axis=1)
     p = f.characteristic
-    if p and p**z <= enumeration_budget:
+    if p and p**z <= _FROBENIUS_ENUMERATION_BUDGET:
         for coeffs in itertools.product(range(p), repeat=z):
             e = f.matmul(zb, f.asarray(list(coeffs)))
             fs = try_invariant(e)
@@ -592,7 +593,7 @@ def find_frobenius_system(c: Coring, seed: int = 0, enumeration_budget: int = 2*
         return FrobeniusSearch("none")
 
     rng = np.random.default_rng(seed)
-    for _ in range(random_attempts):
+    for _ in range(_FROBENIUS_RANDOM_ATTEMPTS):
         e = f.matmul(zb, f.random(rng, z))
         fs = try_invariant(e)
         if fs is not None:

@@ -23,6 +23,7 @@ from .bimodule import (
     SIso,
     _induced_action,
     _matrix_subspace_coords,
+    _memo,
     _scaling_matrix,
     canonical_s_iso,
     dual_basis,
@@ -82,7 +83,7 @@ __all__ = [
 class BimoduleTower:
     """Everything repeatedly needed when analyzing one bimodule: the dual
     basis, comatrix data, endomorphism ring with its identification, and
-    the Sweedler coring of B -> S."""
+    the Sweedler coring of B -> S; built once per bimodule."""
 
     module: Bimodule
     comatrix: ComatrixData
@@ -102,9 +103,10 @@ class BimoduleTower:
         return self.s_iso.end.b_to_s
 
 
+@_memo
 def bimodule_tower(m: Bimodule) -> BimoduleTower:
     data = comatrix_data(m)
-    s_iso = canonical_s_iso(m, db=data.basis)
+    s_iso = canonical_s_iso(m)
     sw = sweedler_coring(s_iso.end.b_to_s)
     return BimoduleTower(m, data, s_iso, sw)
 
@@ -209,11 +211,10 @@ def _tilde_invariant(tower: BimoduleTower, e_vec):
     return f.asarray(acc)
 
 
-def lift_cosplit(m: Bimodule, section: BimoduleMap, tower: BimoduleTower | None = None):
+def lift_cosplit(m: Bimodule, section: BimoduleMap):
     """Transport a cosplit section of the comatrix coring to one of the
     Sweedler coring of B -> S; verified against multiplication."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    tower = bimodule_tower(m)
     f = m.field
     e_vec = f.matmul(section.matrix.data, m.right_alg.unit)
     tilde = _tilde_invariant(tower, e_vec)
@@ -232,12 +233,10 @@ def lift_cosplit(m: Bimodule, section: BimoduleMap, tower: BimoduleTower | None 
     return BimoduleMap(regular_bimodule(s_alg), sw.carrier, cols)
 
 
-def split_from_separability(m: Bimodule, nu: BimoduleMap,
-                            tower: BimoduleTower | None = None) -> BimoduleMap:
+def split_from_separability(m: Bimodule, nu: BimoduleMap) -> BimoduleMap:
     """The split-extension witness s: S -> B induced by a separability
     splitting, normalized so that s applied to the dual-basis invariant is 1."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    tower = bimodule_tower(m)
     f = m.field
     ts = nu.tensor  # tensor_over(M, *M) attached by is_separable_bimodule
     ld = ts.right_factor
@@ -262,14 +261,12 @@ def split_from_separability(m: Bimodule, nu: BimoduleMap,
     return witness
 
 
-def cointegral_from_separability(m: Bimodule, nu: BimoduleMap,
-                                 tower: BimoduleTower | None = None) -> Cointegral:
+def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
     """The constructive cointegral eps o (M^* (x) s (x) M) of a separable
     bimodule, verified as a full cointegral."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    tower = bimodule_tower(m)
     f = m.field
-    witness = split_from_separability(m, nu, tower)
+    witness = split_from_separability(m, nu)
     data = tower.comatrix
     dual = data.dual
     ts = data.tensor
@@ -294,12 +291,9 @@ def cointegral_from_separability(m: Bimodule, nu: BimoduleMap,
     return ci
 
 
-def lift_precointegral(m: Bimodule, gamma: Cointegral,
-                       tower: BimoduleTower | None = None,
-                       verify: bool = True) -> Cointegral:
+def lift_precointegral(m: Bimodule, gamma: Cointegral, verify: bool = True) -> Cointegral:
     """Transport a pre-cointegral of the comatrix coring to S (x)_B S."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    tower = bimodule_tower(m)
     f = m.field
     data = tower.comatrix
     s_alg = tower.end.algebra
@@ -357,15 +351,12 @@ def lift_precointegral(m: Bimodule, gamma: Cointegral,
     return ci
 
 
-def lift_cointegral(m: Bimodule, gamma: Cointegral,
-                    tower: BimoduleTower | None = None) -> Cointegral:
+def lift_cointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
     """Transport of a full cointegral; additionally checks normalization."""
-    if tower is None:
-        tower = bimodule_tower(m)
-    lifted = lift_precointegral(m, gamma, tower)
-    if not gamma_is_normalized(tower.sweedler, lifted.gamma_amb):
+    lifted = lift_precointegral(m, gamma)
+    if not gamma_is_normalized(lifted.coring, lifted.gamma_amb):
         raise InternalInconsistencyError("transported cointegral is not normalized")
-    return Cointegral(tower.sweedler, lifted.gamma_amb, normalized=True)
+    return Cointegral(lifted.coring, lifted.gamma_amb, normalized=True)
 
 
 @dataclass
@@ -377,16 +368,13 @@ class IotaCertificate:
     endos: Algebra
 
 
-def iota_from_frobenius(m: Bimodule, theta: BimoduleMap,
-                        tower: BimoduleTower | None = None) -> IotaCertificate:
+def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
     """iota(phi (x) m)(x) = theta(phi)(x) . m, verified bijective,
     right-linear over the dual ring action and left A-linear."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    data = bimodule_tower(m).comatrix
     f = m.field
     if left_dual_basis(m) is None:
         raise NotProjectiveError("module is not projective over its left algebra")
-    data = tower.comatrix
     ld = theta.target
     endos = left_endomorphism_algebra(m)
     eye_m = f.eye(m.dim)
@@ -418,14 +406,12 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap,
     return IotaCertificate(iota, endos)
 
 
-def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem,
-                          tower: BimoduleTower | None = None) -> FrobeniusSystem:
+def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem) -> FrobeniusSystem:
     """Transport a reduced Frobenius system of the comatrix coring to the
     Sweedler coring of B -> S; fully re-verified."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    tower = bimodule_tower(m)
     gamma = lift_precointegral(m, Cointegral(tower.comatrix.coring, fs.gamma_amb,
-                                             normalized=False), tower, verify=False)
+                                             normalized=False), verify=False)
     tilde_e = _tilde_invariant(tower, fs.invariant)
     lifted = FrobeniusSystem(tower.sweedler, gamma.gamma_amb, tilde_e)
     if not verify_frobenius_system(lifted):
@@ -471,12 +457,10 @@ def _module_is_right_generator(m: Bimodule) -> bool:
     return rank(f, images) == m.right_alg.dim
 
 
-def williard_check(m: Bimodule, seed: int = 0,
-                   tower: BimoduleTower | None = None) -> IsoSearch:
+def williard_check(m: Bimodule, seed: int = 0) -> IsoSearch:
     """Hom over S from M into S compared with the right dual over A, as
     (A, B)-bimodules; a generator module short-circuits to found."""
-    if tower is None:
-        tower = bimodule_tower(m)
+    tower = bimodule_tower(m)
     f = m.field
     if _module_is_right_generator(m):
         return IsoSearch("found", None)
@@ -536,7 +520,7 @@ class AnalysisReport:
         return self.flags[name]
 
 
-def _tri(search: IsoSearch):
+def _tri(search):
     return {"found": True, "none": False}.get(search.status, None)
 
 
@@ -635,7 +619,7 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
         witnesses["comatrix_coseparable"] = {"cointegral": ci.gamma_amb}
 
     cfs = find_frobenius_system(tower.comatrix.coring, seed=seed)
-    flags["comatrix_frobenius"] = {"found": True, "none": False}.get(cfs.status, None)
+    flags["comatrix_frobenius"] = _tri(cfs)
     if cfs.found:
         witnesses["comatrix_frobenius"] = {
             "gamma": cfs.system.gamma_amb, "invariant": cfs.system.invariant}
@@ -661,7 +645,7 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
         witnesses["sweedler_coseparable"] = {"cointegral": sw_ci.gamma_amb}
 
     sw_fs = find_frobenius_system(tower.sweedler, seed=seed)
-    flags["sweedler_frobenius"] = {"found": True, "none": False}.get(sw_fs.status, None)
+    flags["sweedler_frobenius"] = _tri(sw_fs)
     if sw_fs.found:
         witnesses["sweedler_frobenius"] = {
             "gamma": sw_fs.system.gamma_amb, "invariant": sw_fs.system.invariant}
@@ -669,24 +653,24 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
     flags["b_s_faithfully_flat"] = (faithfully_flat_check(tower.b_to_s, "left")
                                     or faithfully_flat_check(tower.b_to_s, "right"))
 
-    will = williard_check(m, seed=seed, tower=tower)
+    will = williard_check(m, seed=seed)
     flags["williard"] = _tri(will)
     if will.found and will.map is not None:
         witnesses["williard"] = {"iso": will.map.matrix.data}
 
     # witness-level transports for the forward theorems
     if section is not None:
-        lifted = lift_cosplit(m, section, tower)
+        lifted = lift_cosplit(m, section)
         witnesses["sweedler_cosplit_lift"] = {"section": lifted.matrix.data}
     if nu is not None:
-        constructed = cointegral_from_separability(m, nu, tower)
+        constructed = cointegral_from_separability(m, nu)
         witnesses["comatrix_cointegral_constructed"] = {"gamma": constructed.gamma_amb}
-        lifted_ci = lift_cointegral(m, constructed, tower)
+        lifted_ci = lift_cointegral(m, constructed)
         witnesses["sweedler_cointegral_lift"] = {"gamma": lifted_ci.gamma_amb}
     if frob.found and cfs.found:
-        iota = iota_from_frobenius(m, frob.map, tower)
+        iota = iota_from_frobenius(m, frob.map)
         witnesses["iota"] = {"matrix": iota.matrix}
-        lifted_fs = lift_frobenius_system(m, cfs.system, tower)
+        lifted_fs = lift_frobenius_system(m, cfs.system)
         witnesses["sweedler_frobenius_lift"] = {
             "gamma": lifted_fs.gamma_amb, "invariant": lifted_fs.invariant}
 

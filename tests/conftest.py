@@ -1,10 +1,12 @@
 """Shared builders for small algebras and bimodules used across the suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from coring_lab.algebra import Algebra, matrix_algebra
-from coring_lab.bimodule import Bimodule
+from coring_lab.bimodule import Bimodule, _memo
 
 
 def field_algebra(field, name="k"):
@@ -101,3 +103,24 @@ def matrix_coring(n, field):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+def count_memo_bodies(monkeypatch, *memoized):
+    """Rebind each memoized function, in every library module that holds it,
+    to a memo of a copy of its body that records each run; returns the list
+    of (function name, bimodule) runs, which keeps the bimodules alive."""
+    runs = []
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "coring_lab"]
+    for fn in memoized:
+        body = fn.__wrapped__
+
+        def counting(m, body=body):
+            runs.append((body.__name__, m))
+            return body(m)
+
+        spy = _memo(counting)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, spy)
+    return runs

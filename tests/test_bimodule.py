@@ -25,12 +25,15 @@ from coring_lab.bimodule import (
     right_dual,
     tensor_over,
 )
-from coring_lab.errors import BimoduleAxiomError, FieldMismatchError
+from coring_lab import bimodule as bimodule_module
+from coring_lab.comatrix import comatrix_coring
+from coring_lab.errors import BimoduleAxiomError, FieldMismatchError, NotProjectiveError
 from coring_lab.fields import Field
 from coring_lab.linalg import _kernel
 
 from conftest import (
     column_module,
+    count_memo_bodies,
     dual_numbers,
     field_algebra,
     point_module_over_dual_numbers,
@@ -256,6 +259,20 @@ def test_point_module_is_projective_over_the_field_side():
 
 def test_point_module_is_not_projective_over_dual_numbers():
     assert left_dual_basis(point_module_over_dual_numbers(F2)) is None
+
+
+def test_missing_dual_basis_is_computed_once(monkeypatch):
+    # k as a (k, dual numbers)-bimodule, x acting as zero: not projective on the right
+    rho = F2.zeros((1, 2, 1))
+    rho[0, 0, 0] = 1
+    m = Bimodule(field_algebra(F2), dual_numbers(F2), F2.eye(1)[None], rho)
+    runs = count_memo_bodies(monkeypatch, dual_basis)
+    assert bimodule_module.dual_basis(m) is None
+    assert bimodule_module.dual_basis(m) is None
+    for _ in range(2):
+        with pytest.raises(NotProjectiveError):
+            comatrix_coring(m)
+    assert runs == [("dual_basis", m)]
 
 
 def test_left_dual_basis_of_regular_module():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,8 +129,11 @@ def test_witnesses_reverify_on_reload(name):
 
 
 def test_console_script_entry_point():
+    # the child imports the package from this checkout's src, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "coring_lab.cli", "validate", str(bundled_path("matrix2"))],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"

@@ -26,11 +26,14 @@ from coring_lab.comatrix import (
     coproduct_basis_independence,
     left_dual_anti_iso,
 )
-from coring_lab.coring import CoringMorphism, find_cointegral, sweedler_coring
+from coring_lab.cli import cmd_construct
+from coring_lab.coring import Coring, CoringMorphism, find_cointegral, sweedler_coring
+from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import NotProjectiveError
 
 from conftest import (
     column_module,
+    count_memo_bodies,
     dual_numbers,
     field_algebra,
     matrix_coring,
@@ -336,3 +339,25 @@ def test_twisted_point_module_comatrix_coring_has_no_cointegral():
     c = comatrix_coring(m)
     assert c.dim == 2
     assert find_cointegral(c) is None
+
+
+def test_construct_sequence_builds_and_validates_the_comatrix_coring_once(monkeypatch):
+    runs = count_memo_bodies(monkeypatch, comatrix_data)
+    validated = []
+    validate = Coring.validate
+
+    def counting(c):
+        validated.append(c)
+        validate(c)
+
+    monkeypatch.setattr(Coring, "validate", counting)
+    deffile = load(bundled_path("regular-module"))
+    m = deffile.bimodules["M"]
+    cmd_construct(deffile, "comatrix", "M")
+    cmd_construct(deffile, "dual-ring", "M")
+    context_iso(context_from_bimodule(m))
+    left_dual_anti_iso(m)
+    assert [name for name, _ in runs] == ["comatrix_data"]
+    coring = comatrix_coring(m)
+    assert sum(c is coring for c in validated) == 1
+    assert len(validated) == 2  # the comatrix coring and the context coring

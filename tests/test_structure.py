@@ -1,3 +1,6 @@
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +9,18 @@ from coring_lab import GF, QQ
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
+    canonical_s_iso,
+    dual_basis,
+    endomorphism_algebra,
     left_dual,
+    left_dual_basis,
+    left_endomorphism_algebra,
     regular_bimodule,
     restrict_left,
     right_dual,
     tensor_over,
 )
-from coring_lab.comatrix import comatrix_coring
+from coring_lab.comatrix import comatrix_coring, comatrix_data
 from coring_lab.coring import find_frobenius_system, is_cosplit, verify_frobenius_system
 from coring_lab.structure import (
     analyze,
@@ -33,6 +41,7 @@ from coring_lab.structure import (
 )
 
 from conftest import (
+    count_memo_bodies,
     dual_numbers,
     field_algebra,
     point_module_over_dual_numbers,
@@ -150,7 +159,7 @@ def test_lift_cosplit_trivial():
     m = trivial_bimodule(F2, 1)
     tower = bimodule_tower(m)
     section = is_cosplit(tower.comatrix.coring)
-    lifted = lift_cosplit(m, section, tower)
+    lifted = lift_cosplit(m, section)
     assert lifted.matrix.data.shape == (1, 1)
 
 
@@ -159,7 +168,7 @@ def test_lift_cosplit_matrix_module():
     tower = bimodule_tower(m)
     section = is_cosplit(tower.comatrix.coring)
     assert section is not None
-    lifted = lift_cosplit(m, section, tower)  # verification is internal
+    lifted = lift_cosplit(m, section)  # verification is internal
     assert lifted.matrix.data.shape == (16, 4)
 
 
@@ -168,14 +177,14 @@ def test_lift_cosplit_product_field_module():
     tower = bimodule_tower(m)
     section = is_cosplit(tower.comatrix.coring)
     assert section is not None
-    lift_cosplit(m, section, tower)
+    lift_cosplit(m, section)
 
 
 def test_separability_witness_is_normalized():
     m = trivial_bimodule(F3, 2)
     tower = bimodule_tower(m)
     nu = is_separable_bimodule(m)
-    s = split_from_separability(m, nu, tower)
+    s = split_from_separability(m, nu)
     assert np.array_equal(F3.matmul(s.matrix.data, tower.end.algebra.unit),
                           m.left_alg.unit)
 
@@ -183,7 +192,6 @@ def test_separability_witness_is_normalized():
 def test_cointegral_from_half_trace_splitting_over_q():
     # nu(1) = (e_1 (x) e_1^* + e_2 (x) e_2^*) / 2 gives the halved pairing
     m = trivial_bimodule(QQ, 2)
-    tower = bimodule_tower(m)
     ld = left_dual(m)
     ts = tensor_over(m, ld)
     half = Fraction(1, 2)
@@ -191,7 +199,7 @@ def test_cointegral_from_half_trace_splitting_over_q():
     target = half * (ts.pure(one[:, 0], one[:, 0]) + ts.pure(one[:, 1], one[:, 1]))
     nu = BimoduleMap(regular_bimodule(m.left_alg), ts.space, target[:, None])
     nu.tensor = ts
-    ci = cointegral_from_separability(m, nu, tower)
+    ci = cointegral_from_separability(m, nu)
     # frozen oracle: gamma(c_ij (x) c_kl) = delta_jk delta_il / 2
     g3 = ci.gamma_amb.reshape(1, 4, 4)
     for i in range(2):
@@ -204,36 +212,32 @@ def test_cointegral_from_half_trace_splitting_over_q():
 
 def test_cointegral_from_solver_splitting_f2():
     m = trivial_bimodule(F2, 2)
-    tower = bimodule_tower(m)
     nu = is_separable_bimodule(m)
-    ci = cointegral_from_separability(m, nu, tower)  # verified internally
+    ci = cointegral_from_separability(m, nu)  # verified internally
     assert ci.normalized
 
 
 def test_lift_cointegral_trivial_module():
     m = trivial_bimodule(F2, 1)
-    tower = bimodule_tower(m)
     nu = is_separable_bimodule(m)
-    ci = cointegral_from_separability(m, nu, tower)
-    lifted = lift_cointegral(m, ci, tower)
+    ci = cointegral_from_separability(m, nu)
+    lifted = lift_cointegral(m, ci)
     assert lifted.normalized
 
 
 def test_lift_cointegral_k2_over_f3():
     m = trivial_bimodule(F3, 2)
-    tower = bimodule_tower(m)
     nu = is_separable_bimodule(m)
-    ci = cointegral_from_separability(m, nu, tower)
-    lift_precointegral(m, ci, tower)
-    lift_cointegral(m, ci, tower)
+    ci = cointegral_from_separability(m, nu)
+    lift_precointegral(m, ci)
+    lift_cointegral(m, ci)
 
 
 def test_lift_cointegral_product_field_module():
     m = product_field_module(F2)
-    tower = bimodule_tower(m)
     nu = is_separable_bimodule(m)
-    ci = cointegral_from_separability(m, nu, tower)
-    lift_cointegral(m, ci, tower)
+    ci = cointegral_from_separability(m, nu)
+    lift_cointegral(m, ci)
 
 
 # --------------------------------------------------------------- iota and fs
@@ -263,7 +267,7 @@ def test_lift_frobenius_system_trivial():
     m = trivial_bimodule(F2, 1)
     tower = bimodule_tower(m)
     fs = find_frobenius_system(tower.comatrix.coring, seed=0)
-    lifted = lift_frobenius_system(m, fs.system, tower)
+    lifted = lift_frobenius_system(m, fs.system)
     assert verify_frobenius_system(lifted)
 
 
@@ -272,7 +276,7 @@ def test_lift_frobenius_system_k2():
     tower = bimodule_tower(m)
     fs = find_frobenius_system(tower.comatrix.coring, seed=0)
     assert fs.found
-    lifted = lift_frobenius_system(m, fs.system, tower)
+    lifted = lift_frobenius_system(m, fs.system)
     assert verify_frobenius_system(lifted)
 
 
@@ -281,7 +285,7 @@ def test_lift_frobenius_system_product_field_module():
     tower = bimodule_tower(m)
     fs = find_frobenius_system(tower.comatrix.coring, seed=0)
     assert fs.found
-    lifted = lift_frobenius_system(m, fs.system, tower)
+    lifted = lift_frobenius_system(m, fs.system)
     assert verify_frobenius_system(lifted)
 
 
@@ -370,3 +374,29 @@ def test_analyze_product_field_module():
     assert report.flags["m_separable"] is True
     assert report.flags["extension_split"] is True
     assert report.flags["sweedler_coseparable"] is True
+
+
+# ----------------------------------------------------- per-bimodule memo
+
+
+MEMOIZED = (right_dual, left_dual, dual_basis, left_dual_basis, endomorphism_algebra,
+            left_endomorphism_algebra, comatrix_data, canonical_s_iso, bimodule_tower)
+
+
+def test_analyze_runs_each_memoized_body_once_per_module(monkeypatch):
+    runs = count_memo_bodies(monkeypatch, *MEMOIZED)
+    m = trivial_bimodule(F2, 2)
+    analyze(m, seed=0)
+    per_module = Counter((name, id(module)) for name, module in runs)
+    assert set(per_module.values()) == {1}
+    # k^2 is separable and Frobenius, so every transport runs on M itself
+    assert {name for name, module in runs if module is m} == {fn.__name__ for fn in MEMOIZED}
+
+
+def test_an_analysed_bimodule_is_freed():
+    m = trivial_bimodule(F2, 2)
+    report = analyze(m, seed=0)
+    ref = weakref.ref(m)
+    del m, report
+    gc.collect()
+    assert ref() is None
