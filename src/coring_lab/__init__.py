@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .fields import GF, QQ, Field, PrimeField, RationalField, field_of_characteristic
-from .linalg import Mat, QuotientPresentation, cokernel, kernel_basis, solve_linear
+from .linalg import QuotientPresentation
 
 __all__ = [
     "GF",
@@ -12,10 +12,6 @@ __all__ = [
     "PrimeField",
     "RationalField",
     "field_of_characteristic",
-    "Mat",
     "QuotientPresentation",
-    "cokernel",
-    "kernel_basis",
-    "solve_linear",
     "__version__",
 ]

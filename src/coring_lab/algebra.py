@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlgebraAxiomError, FieldMismatchError
+from .errors import AlgebraAxiomError, DimensionMismatchError, FieldMismatchError
 from .fields import Field
-from .linalg import Mat, _kernel
+from .linalg import _kernel
 
 __all__ = [
     "Algebra",
@@ -145,15 +145,17 @@ class AlgebraMap:
         source.field.check_same(target.field)
         self.source = source
         self.target = target
-        self.matrix = matrix if isinstance(matrix, Mat) else Mat(source.field, matrix)
-        if self.matrix.data.shape != (target.dim, source.dim):
+        self.matrix = source.field.asarray(matrix)
+        if self.matrix.ndim != 2:
+            raise DimensionMismatchError(f"matrix must be 2-D, got shape {self.matrix.shape}")
+        if self.matrix.shape != (target.dim, source.dim):
             raise FieldMismatchError(
-                f"matrix shape {self.matrix.data.shape} does not map "
+                f"matrix shape {self.matrix.shape} does not map "
                 f"dim {source.dim} into dim {target.dim}"
             )
 
     def __call__(self, x):
-        return self.source.field.matmul(self.matrix.data, self.source.field.asarray(x))
+        return self.source.field.matmul(self.matrix, self.source.field.asarray(x))
 
     def __repr__(self):
         return f"AlgebraMap({self.source!r} -> {self.target!r})"
@@ -162,7 +164,7 @@ class AlgebraMap:
 def check_algebra_map(f: AlgebraMap) -> bool:
     """True iff f is multiplicative on all basis pairs and preserves the unit."""
     fld = f.source.field
-    fm = f.matrix.data
+    fm = f.matrix
     # products of images: sum_{u,v} fm[u,i] fm[v,j] c_target[u,v,k]
     t1 = fld.tensordot(fm, f.target.structure, ([0], [0]))  # (i, v, k)
     images = fld.tensordot(fm, t1, ([0], [1])).transpose(1, 0, 2)  # (i, j, k)
@@ -173,7 +175,7 @@ def check_algebra_map(f: AlgebraMap) -> bool:
 
 
 def identity_map(a: Algebra) -> AlgebraMap:
-    return AlgebraMap(a, a, Mat.identity(a.field, a.dim))
+    return AlgebraMap(a, a, a.field.eye(a.dim))
 
 
 def center_basis(a: Algebra) -> list[np.ndarray]:

@@ -28,7 +28,7 @@ from .errors import (
     NotProjectiveError,
 )
 from .fields import Field
-from .linalg import Mat, QuotientPresentation, _kernel, _solve
+from .linalg import QuotientPresentation, _kernel, _solve
 
 __all__ = [
     "Bimodule",
@@ -153,7 +153,7 @@ def restrict_left(m: Bimodule, f: AlgebraMap) -> Bimodule:
         raise FieldMismatchError("map target is not the left algebra of the module")
     if not check_algebra_map(f):
         raise BimoduleAxiomError("restriction along a non-multiplicative map")
-    lam = m.field.tensordot(f.matrix.data, m.left_action, ([0], [0]))
+    lam = m.field.tensordot(f.matrix, m.left_action, ([0], [0]))
     return Bimodule(f.source, m.right_alg, lam, m.right_action, name=m.name)
 
 
@@ -163,7 +163,7 @@ def restrict_right(m: Bimodule, f: AlgebraMap) -> Bimodule:
         raise FieldMismatchError("map target is not the right algebra of the module")
     if not check_algebra_map(f):
         raise BimoduleAxiomError("restriction along a non-multiplicative map")
-    rho = m.field.tensordot(f.matrix.data, m.right_action, ([0], [1])).transpose(1, 0, 2)
+    rho = m.field.tensordot(f.matrix, m.right_action, ([0], [1])).transpose(1, 0, 2)
     return Bimodule(m.left_alg, f.source, m.left_action, rho, name=m.name)
 
 
@@ -176,15 +176,15 @@ class BimoduleMap:
         self.source = source
         self.target = target
         self.field = source.field
-        self.matrix = matrix if isinstance(matrix, Mat) else Mat(self.field, matrix)
-        if self.matrix.data.shape != (target.dim, source.dim):
+        self.matrix = self.field.asarray(matrix)
+        if self.matrix.shape != (target.dim, source.dim):
             raise DimensionMismatchError(
-                f"matrix shape {self.matrix.data.shape}, expected {(target.dim, source.dim)}")
+                f"matrix shape {self.matrix.shape}, expected {(target.dim, source.dim)}")
         if _validate and not self.commutes_with_actions():
             raise BimoduleAxiomError("matrix does not commute with the bimodule actions")
 
     def commutes_with_actions(self) -> bool:
-        f, mat = self.field, self.matrix.data
+        f, mat = self.field, self.matrix
         for i in range(self.source.left_alg.dim):
             if not Field.equal(f.matmul(mat, self.source.left_mats[i]),
                                f.matmul(self.target.left_mats[i], mat)):
@@ -196,15 +196,15 @@ class BimoduleMap:
         return True
 
     def __call__(self, v):
-        return self.field.matmul(self.matrix.data, self.field.asarray(v))
+        return self.field.matmul(self.matrix, self.field.asarray(v))
 
     def is_invertible(self) -> bool:
         if self.source.dim != self.target.dim:
             return False
-        return _solve(self.field, self.matrix.data, self.field.eye(self.source.dim)) is not None
+        return _solve(self.field, self.matrix, self.field.eye(self.source.dim)) is not None
 
     def inverse(self) -> "BimoduleMap":
-        inv = _solve(self.field, self.matrix.data, self.field.eye(self.target.dim))
+        inv = _solve(self.field, self.matrix, self.field.eye(self.target.dim))
         if inv is None:
             raise DimensionMismatchError("map is not invertible")
         return BimoduleMap(self.target, self.source, inv, _validate=False)
@@ -593,7 +593,7 @@ def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0) -> IsoSearch:
     homs = hom_bimodule(m, n)
     if not homs:
         return IsoSearch("none")
-    stack = np.stack([h.matrix.data for h in homs])
+    stack = np.stack([h.matrix for h in homs])
     h = len(homs)
 
     def attempt(mat):

@@ -66,21 +66,19 @@ class ComatrixData:
     tensor: TensorSpace  # presentation of M^* (x)_B M
 
 
-def _comatrix_delta_amb(ts: TensorSpace, db: DualBasis, field):
-    """Representative coproduct of phi (x) m -> sum_i phi (x) e_i (x) e_i^* (x) m.
+def _comatrix_delta_amb(ts: TensorSpace, pairs):
+    """Representative coproduct n (x) m -> sum_i (n (x) m_i) (x) (n_i (x) m) on
+    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i.
 
-    Works for any dual basis, not only the coordinate one.
+    A dual basis {e_i, e_i^*} of M gives the pairs of the comatrix coring.
     """
-    f = field
-    dual, m = ts.left_factor, ts.right_factor
-    t_dual, dm = dual.dim, m.dim
+    f = ts.left_factor.field
+    eye_n, eye_m = f.eye(ts.left_factor.dim), f.eye(ts.right_factor.dim)
     d = ts.dim
-    eye_dual, eye_m = f.eye(t_dual), f.eye(dm)
     delta = f.zeros((d * d, d))
-    for e_vec, phi_coords in zip(db.elements, db.functional_coords):
-        # phi (x) m -> (phi (x) e_i) (x) (e_i^* (x) m) on the ambient pairs
-        first = f.matmul(ts.projection, f.kron(eye_dual, f.asarray(e_vec)[:, None]))
-        second = f.matmul(ts.projection, f.kron(f.asarray(phi_coords)[:, None], eye_m))
+    for m_vec, n_vec in pairs:
+        first = ts.pure(eye_n, f.asarray(m_vec)[:, None])  # n -> n (x) m_i
+        second = ts.pure(f.asarray(n_vec)[:, None], eye_m)  # m -> n_i (x) m
         delta = delta + f.matmul(f.kron(first, second), ts.section)
     return f.asarray(delta)
 
@@ -95,7 +93,7 @@ def comatrix_data(m: Bimodule) -> ComatrixData:
         raise NotProjectiveError(
             f"{m!r} admits no dual basis over its right algebra")
     ts = tensor_over(dual, m)
-    delta_amb = _comatrix_delta_amb(ts, db, f)
+    delta_amb = _comatrix_delta_amb(ts, zip(db.elements, db.functional_coords))
     # counit phi (x) m -> phi(m)
     a_dim = m.right_alg.dim
     eval_amb = f.zeros((a_dim, dual.dim * m.dim))
@@ -117,7 +115,8 @@ def coproduct_basis_independence(m: Bimodule, alternative: DualBasis) -> bool:
         raise NotProjectiveError("alternative dual basis fails the dual-basis identity")
     data = comatrix_data(m)
     f = m.field
-    other = _comatrix_delta_amb(data.tensor, alternative, f)
+    other = _comatrix_delta_amb(data.tensor,
+                                zip(alternative.elements, alternative.functional_coords))
     proj = data.coring.square.projection
     return Field.equal(f.matmul(proj, data.coring.delta_amb), f.matmul(proj, other))
 
@@ -144,32 +143,30 @@ class CoringContext:
     def tau_of_unit(self):
         """tau(1_B) as a (dim M, dim N) matrix of ambient coefficients."""
         f = self.field
-        t = f.matmul(self.tau.matrix.data, self.b_alg.unit)
+        t = f.matmul(self.tau.matrix, self.b_alg.unit)
         return f.matmul(self.tensor_mn.section, t).reshape(self.m.dim, self.n.dim)
+
+    def tau_pairs(self) -> list:
+        """Pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i, one for each
+        nonzero ambient coefficient of tau(1)."""
+        f, w = self.field, self.tau_of_unit()
+        eye_n, eye_m = f.eye(self.n.dim), f.eye(self.m.dim)
+        return [(f.asarray(w[u, v] * eye_m[:, u]), eye_n[:, v])
+                for u, v in zip(*np.nonzero(w))]
 
     def validate(self) -> None:
         f = self.field
-        w = self.tau_of_unit()
-        n_dim, m_dim = self.n.dim, self.m.dim
-        sig = self.sigma.matrix.data
-        p_nm = self.tensor_nm.projection
+        sig, ts = self.sigma.matrix, self.tensor_nm
+        eye_n, eye_m = f.eye(self.n.dim), f.eye(self.m.dim)
         # first diagram: n -> sum_i sigma(n (x) m_i) . n_i equals n
-        first = f.zeros((n_dim, n_dim))
+        first = f.zeros((self.n.dim, self.n.dim))
         # second diagram: m -> sum_i m_i . sigma(n_i (x) m) equals m
-        second = f.zeros((m_dim, m_dim))
-        eye_n, eye_m = f.eye(n_dim), f.eye(m_dim)
-        for u in range(m_dim):
-            for v in range(n_dim):
-                if not np.any(w[u, v] != 0):
-                    continue
-                coeff = w[u, v]
-                # sigma(- (x) e_u): matrix N -> A
-                sig_u = f.matmul(sig, f.matmul(p_nm, f.kron(eye_n, eye_m[:, u][:, None])))
-                first = first + coeff * _scaling_matrix(f, self.n.left_action, 1,
-                                                        eye_n[:, v], sig_u)
-                sig_v = f.matmul(sig, f.matmul(p_nm, f.kron(eye_n[:, v][:, None], eye_m)))
-                second = second + coeff * _scaling_matrix(f, self.m.right_action, 0,
-                                                          eye_m[:, u], sig_v)
+        second = f.zeros((self.m.dim, self.m.dim))
+        for m_vec, n_vec in self.tau_pairs():
+            sig_m = f.matmul(sig, ts.pure(eye_n, m_vec[:, None]))  # sigma(- (x) m_i)
+            first = first + _scaling_matrix(f, self.n.left_action, 1, n_vec, sig_m)
+            sig_n = f.matmul(sig, ts.pure(n_vec[:, None], eye_m))  # sigma(n_i (x) -)
+            second = second + _scaling_matrix(f, self.m.right_action, 0, m_vec, sig_n)
         if not Field.equal(f.asarray(first), eye_n):
             raise ContextAxiomError("first context diagram fails")
         if not Field.equal(f.asarray(second), eye_m):
@@ -211,7 +208,7 @@ class MoritaData:
         f = self.m.field
         n_dim, m_dim = self.n.dim, self.m.dim
         eye_n, eye_m = f.eye(n_dim), f.eye(m_dim)
-        sig, tt = self.sigma.matrix.data, self.tau_tilde.matrix.data
+        sig, tt = self.sigma.matrix, self.tau_tilde.matrix
         for v in range(n_dim):
             for u in range(m_dim):
                 s_val = f.matmul(sig, self.tensor_nm.pure(eye_n[:, v], eye_m[:, u]))
@@ -238,7 +235,7 @@ def context_from_morita(md: MoritaData):
     """Invert a surjective tau_tilde into a context; None when not surjective."""
     md.validate()
     f = md.m.field
-    tt = md.tau_tilde.matrix.data
+    tt = md.tau_tilde.matrix
     b_dim = md.m.left_alg.dim
     inverse = _solve(f, tt, f.eye(b_dim))
     if inverse is None:
@@ -255,24 +252,17 @@ def context_dual_basis(ctx: CoringContext):
     """The dual basis {m_i, sigma(n_i (x) -)} read off tau(1), plus the
     mutually inverse maps between N and M^*."""
     f = ctx.field
-    w = ctx.tau_of_unit()
     m, n = ctx.m, ctx.n
     dual = right_dual(m)
     eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
-    sig = ctx.sigma.matrix.data
-    p_nm = ctx.tensor_nm.projection
+    pairs = ctx.tau_pairs()
 
     def sigma_functional(n_vec):
         """sigma(n_vec (x) -) as a value matrix M -> A."""
-        return f.matmul(sig, f.matmul(p_nm, f.kron(f.asarray(n_vec)[:, None], eye_m)))
+        return f.matmul(ctx.sigma.matrix, ctx.tensor_nm.pure(n_vec[:, None], eye_m))
 
-    elements, functionals = [], []
-    for u in range(m.dim):
-        for v in range(n.dim):
-            if not np.any(w[u, v] != 0):
-                continue
-            elements.append(f.asarray(w[u, v] * eye_m[:, u]))
-            functionals.append(sigma_functional(eye_n[:, v]))
+    elements = [m_vec for m_vec, _ in pairs]
+    functionals = [sigma_functional(n_vec) for _, n_vec in pairs]
     coords = _matrix_subspace_coords(f, dual.functional_mats, functionals) \
         if functionals else []
     db = DualBasis(m, dual, elements, coords)
@@ -286,38 +276,22 @@ def context_dual_basis(ctx: CoringContext):
     inv_cols = []
     for phi in dual.functional_mats:
         acc = f.zeros(n.dim)
-        for u in range(m.dim):
-            for v in range(n.dim):
-                if not np.any(w[u, v] != 0):
-                    continue
-                value = w[u, v] * f.matmul(phi, eye_m[:, u])  # phi(m_i) in A
-                acc = acc + f.matmul(n.act_left(value), eye_n[:, v])
+        for m_vec, n_vec in pairs:
+            acc = acc + f.matmul(n.act_left(f.matmul(phi, m_vec)), n_vec)
         inv_cols.append(f.asarray(acc))
     chi_inv = BimoduleMap(dual, n, np.stack(inv_cols, axis=1))
-    if not Field.equal(f.matmul(chi.matrix.data, chi_inv.matrix.data), f.eye(dual.dim)):
+    if not Field.equal(f.matmul(chi.matrix, chi_inv.matrix), f.eye(dual.dim)):
         raise InternalInconsistencyError("chi o chi^{-1} is not the identity")
-    if not Field.equal(f.matmul(chi_inv.matrix.data, chi.matrix.data), f.eye(n.dim)):
+    if not Field.equal(f.matmul(chi_inv.matrix, chi.matrix), f.eye(n.dim)):
         raise InternalInconsistencyError("chi^{-1} o chi is not the identity")
     return db, chi, chi_inv
 
 
 def context_coring(ctx: CoringContext) -> Coring:
     """The coring N (x)_B M with coproduct n (x) m -> n (x) tau(1) (x) m."""
-    f = ctx.field
-    w = ctx.tau_of_unit()
     ts = ctx.tensor_nm
-    eye_n, eye_m = f.eye(ctx.n.dim), f.eye(ctx.m.dim)
-    d = ts.dim
-    delta = f.zeros((d * d, d))
-    for u in range(ctx.m.dim):
-        for v in range(ctx.n.dim):
-            if not np.any(w[u, v] != 0):
-                continue
-            first = f.matmul(ts.projection, f.kron(eye_n, (w[u, v] * eye_m[:, u])[:, None]))
-            second = f.matmul(ts.projection, f.kron(eye_n[:, v][:, None], eye_m))
-            delta = delta + f.matmul(f.kron(first, second), ts.section)
-    return Coring(ctx.a_alg, ts.space, f.asarray(delta), ctx.sigma.matrix.data,
-                  carrier_tensor=ts)
+    return Coring(ctx.a_alg, ts.space, _comatrix_delta_amb(ts, ctx.tau_pairs()),
+                  ctx.sigma.matrix, carrier_tensor=ts)
 
 
 @dataclass
@@ -334,8 +308,8 @@ def context_iso(ctx: CoringContext) -> ContextIso:
     data = comatrix_data(ctx.m)
     source = context_coring(ctx)
     target = data.coring
-    theta = ctx.tensor_nm.induced_map(chi.matrix.data, f.eye(ctx.m.dim), data.tensor)
-    theta_inv = data.tensor.induced_map(chi_inv.matrix.data, f.eye(ctx.m.dim),
+    theta = ctx.tensor_nm.induced_map(chi.matrix, f.eye(ctx.m.dim), data.tensor)
+    theta_inv = data.tensor.induced_map(chi_inv.matrix, f.eye(ctx.m.dim),
                                         ctx.tensor_nm)
     if not Field.equal(f.matmul(theta, theta_inv), f.eye(target.dim)):
         raise InternalInconsistencyError("context iso does not invert (forward)")
@@ -375,7 +349,7 @@ def left_dual_anti_iso(m: Bimodule) -> AntiIso:
         total = f.zeros((m.dim, m.dim))
         for e_vec, phi_coords in zip(data.basis.elements, data.basis.functional_coords):
             # column x: e_i . xi(e_i^* (x) x)
-            embed = f.matmul(ts.projection, f.kron(f.asarray(phi_coords)[:, None], eye_m))
+            embed = ts.pure(f.asarray(phi_coords)[:, None], eye_m)
             vals = f.matmul(xi, embed)  # (A coords, x)
             total = total + _scaling_matrix(f, m.right_action, 0, e_vec, vals)
         endo_of.append(f.asarray(total))

@@ -236,13 +236,13 @@ def new_coring(carrier: Bimodule, coproduct: BimoduleMap, counit: BimoduleMap) -
     """
     base = carrier.left_alg
     ts = tensor_over(carrier, carrier)
-    if coproduct.matrix.data.shape != (ts.dim, carrier.dim):
+    if coproduct.matrix.shape != (ts.dim, carrier.dim):
         raise CoringAxiomError("coproduct does not land in the tensor square")
-    if counit.matrix.data.shape != (base.dim, carrier.dim):
+    if counit.matrix.shape != (base.dim, carrier.dim):
         raise CoringAxiomError("counit does not land in the base algebra")
     f = base.field
-    delta_amb = f.matmul(ts.section, coproduct.matrix.data)
-    coring = Coring(base, carrier, delta_amb, counit.matrix.data)
+    delta_amb = f.matmul(ts.section, coproduct.matrix)
+    coring = Coring(base, carrier, delta_amb, counit.matrix)
     coring._square = ts
     return coring
 
@@ -277,7 +277,7 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
 class CoringMorphism:
     """A bimodule map of carriers compatible with coproducts and counits."""
 
-    def __init__(self, source: Coring, target: Coring, matrix, validate: bool = True):
+    def __init__(self, source: Coring, target: Coring, matrix):
         if source.base != target.base:
             raise FieldMismatchError("coring morphism requires corings over the same base")
         self.source = source
@@ -286,8 +286,7 @@ class CoringMorphism:
         self.matrix = self.field.asarray(matrix)
         if self.matrix.shape != (target.dim, source.dim):
             raise CoringAxiomError(f"morphism matrix has shape {self.matrix.shape}")
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         f = self.field
@@ -646,7 +645,7 @@ def _frobenius_via_dual_ring_iso(c: Coring, seed: int) -> FrobeniusSearch:
         return FrobeniusSearch("none")
     if search.status != "found":
         return FrobeniusSearch("inconclusive")
-    phi = search.map.matrix.data
+    phi = search.map.matrix
     mats = np.stack([f.asarray(m) for m in ldual.functional_mats])
     g3 = f.tensordot(phi, mats, ([0], [0])).transpose(1, 2, 0)  # (a', u, v)
     e = _solve(f, phi, ldual.unit)

@@ -59,9 +59,6 @@ class Field:
     def eye(self, n):
         raise NotImplementedError
 
-    def inv_scalar(self, x):
-        raise NotImplementedError
-
     def matmul(self, a, b):
         raise NotImplementedError
 
@@ -250,9 +247,6 @@ class RationalField(Field):
         for i in range(n):
             arr[i, i] = Fraction(1)
         return arr
-
-    def inv_scalar(self, x):
-        return Fraction(1) / x
 
     @staticmethod
     def _fast_binary(a, b, op):

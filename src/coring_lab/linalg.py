@@ -19,71 +19,16 @@ from .errors import DimensionMismatchError
 from .fields import Field
 
 
-class Mat:
-    """A matrix tagged with its field; thin wrapper over an ndarray."""
-
-    __slots__ = ("field", "data")
-
-    def __init__(self, field: Field, data):
-        self.field = field
-        arr = field.asarray(data)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(f"matrix must be 2-D, got shape {arr.shape}")
-        self.data = arr
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        self.field.check_same(other.field)
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"cannot multiply {self.data.shape} by {other.data.shape}")
-        return Mat(self.field, self.field.matmul(self.data, other.data))
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self.field.check_same(other.field)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatchError("shape mismatch in addition")
-        return Mat(self.field, self.data + other.data)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self.field.check_same(other.field)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatchError("shape mismatch in subtraction")
-        return Mat(self.field, self.data - other.data)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and Field.equal(self.data, other.data)
-        )
-
-    def __repr__(self):
-        return f"Mat({self.field}, {self.data.tolist()})"
-
-    @property
-    def T(self) -> "Mat":
-        return Mat(self.field, self.data.T.copy())
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, field.eye(n))
-
-
 def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Reduced row echelon form.
 
     Returns the reduced array and the list of (row, col) pivot positions.
+    Rational matrices go through ``_rref_rational_integer``; the loop below
+    serves the prime fields.
     """
+    if field.characteristic == 0:
+        return _rref_rational_integer(field, field.asarray(a))
     a = field.asarray(a).copy()
-    if field.characteristic == 0 and a.size > 512:
-        return _rref_rational_integer(field, a)
     nrows, ncols = a.shape
     pivots: list[tuple[int, int]] = []
     row = 0
@@ -114,9 +59,8 @@ def _rref_rational_integer(field: Field, a) -> tuple[np.ndarray, list[tuple[int,
 
     Rows are scaled to integers, elimination multiplies rows through instead
     of dividing (arbitrary-precision ints, no overflow), updated rows are
-    reduced by their gcd, and pivots are normalized to 1 only at the end.
-    The reduced echelon form is unique, so the result matches the generic
-    path entry for entry while avoiding per-operation Fraction overhead.
+    reduced by their gcd, and pivots are normalized to 1 only at the end,
+    which avoids per-operation Fraction overhead.
     """
     from fractions import Fraction
     from math import gcd
@@ -175,27 +119,20 @@ def rank(field: Field, a) -> int:
     return len(rref(field, a)[1])
 
 
-def solve_linear(a: Mat, b: Mat):
+def _solve(field: Field, a, b):
     """Solve ``a @ x = b`` exactly; None when inconsistent.
 
-    Free variables are set to zero, so the returned solution is the
-    reduced echelon particular solution and is deterministic.
+    ``b`` may be a vector or a matrix of columns.  Free variables are set to
+    zero, so the result is the reduced echelon particular solution.
     """
-    a.field.check_same(b.field)
-    if a.rows != b.rows:
-        raise DimensionMismatchError(f"a has {a.rows} rows but b has {b.rows}")
-    x = _solve(a.field, a.data, b.data)
-    return None if x is None else Mat(a.field, x)
-
-
-def _solve(field: Field, a, b):
-    """Array-level solve; b may be a vector or a matrix of columns."""
-    b_arr = field.asarray(b)
+    a, b_arr = field.asarray(a), field.asarray(b)
+    if a.shape[0] != b_arr.shape[0]:
+        raise DimensionMismatchError(f"a has {a.shape[0]} rows but b has {b_arr.shape[0]}")
     vector_rhs = b_arr.ndim == 1
     if vector_rhs:
         b_arr = b_arr[:, None]
     ncols = a.shape[1]
-    aug = np.concatenate([field.asarray(a), b_arr], axis=1)
+    aug = np.concatenate([a, b_arr], axis=1)
     red, pivots = rref(field, aug)
     for r, c in pivots:
         if c >= ncols:
@@ -204,11 +141,6 @@ def _solve(field: Field, a, b):
     for r, c in pivots:
         x[c] = red[r, ncols:]
     return x[:, 0] if vector_rhs else x
-
-
-def kernel_basis(a: Mat) -> list[np.ndarray]:
-    """Basis vectors of the right null space, deterministic from RREF."""
-    return _kernel(a.field, a.data)
 
 
 def _kernel(field: Field, a) -> list[np.ndarray]:
@@ -290,7 +222,3 @@ class QuotientPresentation:
         cols = self.field.asarray(vectors)
         return bool(np.all(self.field.matmul(self.projection, cols) == 0))
 
-
-def cokernel(a: Mat) -> QuotientPresentation:
-    """Present target / image(a); projection @ a = 0 by construction."""
-    return QuotientPresentation.from_relations(a.field, a.rows, a.data.T)

@@ -152,13 +152,13 @@ def split_extension_check(ring_map: AlgebraMap):
     homs = hom_bimodule(s_bb, regular_bimodule(b))
     if not homs:
         return None
-    values = np.stack([f.matmul(h.matrix.data, s_alg.unit) for h in homs], axis=1)
+    values = np.stack([f.matmul(h.matrix, s_alg.unit) for h in homs], axis=1)
     coeffs = _solve(f, f.asarray(values), b.unit)
     if coeffs is None:
         return None
     mat = f.zeros((b.dim, s_alg.dim))
     for c, h in zip(coeffs, homs):
-        mat = mat + c * h.matrix.data
+        mat = mat + c * h.matrix
     return BimoduleMap(s_bb, regular_bimodule(b), f.asarray(mat))
 
 
@@ -216,7 +216,7 @@ def lift_cosplit(m: Bimodule, section: BimoduleMap):
     Sweedler coring of B -> S; verified against multiplication."""
     tower = bimodule_tower(m)
     f = m.field
-    e_vec = f.matmul(section.matrix.data, m.right_alg.unit)
+    e_vec = f.matmul(section.matrix, m.right_alg.unit)
     tilde = _tilde_invariant(tower, e_vec)
     sw = tower.sweedler
     s_alg = tower.end.algebra
@@ -240,7 +240,7 @@ def split_from_separability(m: Bimodule, nu: BimoduleMap) -> BimoduleMap:
     f = m.field
     ts = nu.tensor  # tensor_over(M, *M) attached by is_separable_bimodule
     ld = ts.right_factor
-    v = ts.lift(f.matmul(nu.matrix.data, m.left_alg.unit))  # (module, left-dual)
+    v = ts.lift(f.matmul(nu.matrix, m.left_alg.unit))  # (module, left-dual)
     s_alg = tower.end.algebra
     b = m.left_alg
     mat = f.zeros((b.dim, s_alg.dim))
@@ -278,7 +278,7 @@ def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
         phi_alpha = dual.functional_mats[alpha]
         for i in range(dm):
             for beta in range(dd):
-                s_val = f.matmul(witness.matrix.data,
+                s_val = f.matmul(witness.matrix,
                                  _omega(tower, eye_m[:, i], eye_d[:, beta]))
                 act = m.act_left(s_val)
                 for j in range(dm):
@@ -380,7 +380,7 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
     eye_m = f.eye(m.dim)
     cols = []
     for alpha in range(data.dual.dim):
-        psi = ld.mat_of(f.matmul(theta.matrix.data, f.eye(data.dual.dim)[:, alpha]))
+        psi = ld.mat_of(f.matmul(theta.matrix, f.eye(data.dual.dim)[:, alpha]))
         for i in range(m.dim):
             cols.append(_scaling_matrix(f, m.left_action, 1, eye_m[:, i], psi))
     coords = _matrix_subspace_coords(f, endos.endo_mats, cols)
@@ -469,7 +469,7 @@ def williard_check(m: Bimodule, seed: int = 0) -> IsoSearch:
     mats = one_sided_hom(m_sa, regular_bimodule(s_alg), "left")
     a_alg, b_alg = m.right_alg, m.left_alg
     # b acts on Hom_S(M, S) through right multiplication by its image in S
-    b_imgs = [s_alg.right_mult_matrix(col) for col in tower.b_to_s.matrix.data.T]
+    b_imgs = [s_alg.right_mult_matrix(col) for col in tower.b_to_s.matrix.T]
     acts = _induced_action(f, mats, [[f.matmul(g, x) for g in mats] for x in m.right_mats]
                            + [[f.matmul(y, g) for g in mats] for y in b_imgs])
     lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
@@ -594,24 +594,24 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
     nu = is_separable_bimodule(m)
     flags["m_separable"] = nu is not None
     if nu is not None:
-        witnesses["m_separable"] = {"splitting": nu.matrix.data}
+        witnesses["m_separable"] = {"splitting": nu.matrix}
 
     nu_star = is_separable_bimodule(right_dual(m))
     flags["mstar_separable"] = nu_star is not None
     if nu_star is not None:
-        witnesses["mstar_separable"] = {"splitting": nu_star.matrix.data}
+        witnesses["mstar_separable"] = {"splitting": nu_star.matrix}
     section = is_cosplit(tower.comatrix.coring)
     flags["comatrix_cosplit"] = section is not None
     if flags["mstar_separable"] != flags["comatrix_cosplit"]:
         raise InternalInconsistencyError(
             "separability of the dual disagrees with cosplitness of the comatrix coring")
     if section is not None:
-        witnesses["comatrix_cosplit"] = {"section": section.matrix.data}
+        witnesses["comatrix_cosplit"] = {"section": section.matrix}
 
     frob = is_frobenius_bimodule(m, seed=seed)
     flags["m_frobenius"] = _tri(frob)
     if frob.found:
-        witnesses["m_frobenius"] = {"theta": frob.map.matrix.data}
+        witnesses["m_frobenius"] = {"theta": frob.map.matrix}
 
     ci = find_cointegral(tower.comatrix.coring)
     flags["comatrix_coseparable"] = ci is not None
@@ -627,17 +627,17 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
     split = split_extension_check(tower.b_to_s)
     flags["extension_split"] = split is not None
     if split is not None:
-        witnesses["extension_split"] = {"retraction": split.matrix.data}
+        witnesses["extension_split"] = {"retraction": split.matrix}
 
     ext_frob = frobenius_extension_check(tower.b_to_s, seed=seed)
     flags["extension_frobenius"] = _tri(ext_frob)
     if ext_frob.found and ext_frob.map is not None:
-        witnesses["extension_frobenius"] = {"iso": ext_frob.map.matrix.data}
+        witnesses["extension_frobenius"] = {"iso": ext_frob.map.matrix}
 
     sw_section = is_cosplit(tower.sweedler)
     flags["sweedler_cosplit"] = sw_section is not None
     if sw_section is not None:
-        witnesses["sweedler_cosplit"] = {"section": sw_section.matrix.data}
+        witnesses["sweedler_cosplit"] = {"section": sw_section.matrix}
 
     sw_ci = find_cointegral(tower.sweedler)
     flags["sweedler_coseparable"] = sw_ci is not None
@@ -656,12 +656,12 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
     will = williard_check(m, seed=seed)
     flags["williard"] = _tri(will)
     if will.found and will.map is not None:
-        witnesses["williard"] = {"iso": will.map.matrix.data}
+        witnesses["williard"] = {"iso": will.map.matrix}
 
     # witness-level transports for the forward theorems
     if section is not None:
         lifted = lift_cosplit(m, section)
-        witnesses["sweedler_cosplit_lift"] = {"section": lifted.matrix.data}
+        witnesses["sweedler_cosplit_lift"] = {"section": lifted.matrix}
     if nu is not None:
         constructed = cointegral_from_separability(m, nu)
         witnesses["comatrix_cointegral_constructed"] = {"gamma": constructed.gamma_amb}

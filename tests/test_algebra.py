@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ, Mat
+from coring_lab import GF, QQ
 from coring_lab.algebra import (
     AlgebraMap,
     center_basis,
@@ -12,7 +12,7 @@ from coring_lab.algebra import (
     new_algebra,
     opposite,
 )
-from coring_lab.errors import AlgebraAxiomError, FieldMismatchError
+from coring_lab.errors import AlgebraAxiomError, DimensionMismatchError, FieldMismatchError
 
 from conftest import dual_numbers, field_algebra
 
@@ -102,19 +102,28 @@ def test_direct_product_refuses_mixed_fields():
 def test_diagonal_embedding_is_an_algebra_map():
     k = field_algebra(F2)
     kk = direct_product(k, k)
-    diag = AlgebraMap(k, kk, Mat(F2, [[1], [1]]))
+    diag = AlgebraMap(k, kk, [[1], [1]])
     assert check_algebra_map(diag)
 
 
 def test_non_unital_embedding_is_rejected():
     k = field_algebra(F2)
     kk = direct_product(k, k)
-    corner = AlgebraMap(k, kk, Mat(F2, [[1], [0]]))
+    corner = AlgebraMap(k, kk, [[1], [0]])
     assert not check_algebra_map(corner)
 
 
 def test_identity_map_checks():
     assert check_algebra_map(identity_map(matrix_algebra(2, F3)))
+
+
+def test_algebra_map_shape_checks():
+    k = field_algebra(F2)
+    kk = direct_product(k, k)
+    with pytest.raises(DimensionMismatchError):
+        AlgebraMap(k, kk, [1, 1])  # not 2-D
+    with pytest.raises(FieldMismatchError):
+        AlgebraMap(k, kk, [[1, 1]])  # 2-D, but maps dim 2 into dim 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -127,8 +136,8 @@ def test_mult_matrices_agree_with_mult(rng):
     for _ in range(10):
         x = F3.random(rng, a.dim)
         y = F3.random(rng, a.dim)
-        assert Mat(F3, [a.mult(x, y)]) == Mat(F3, [F3.matmul(a.left_mult_matrix(x), y)])
-        assert Mat(F3, [a.mult(x, y)]) == Mat(F3, [F3.matmul(a.right_mult_matrix(y), x)])
+        assert np.array_equal(a.mult(x, y), F3.matmul(a.left_mult_matrix(x), y))
+        assert np.array_equal(a.mult(x, y), F3.matmul(a.right_mult_matrix(y), x))
 
 
 def test_validated_algebras_satisfy_all_associativity_identities():

@@ -27,7 +27,12 @@ from coring_lab.bimodule import (
 )
 from coring_lab import bimodule as bimodule_module
 from coring_lab.comatrix import comatrix_coring
-from coring_lab.errors import BimoduleAxiomError, FieldMismatchError, NotProjectiveError
+from coring_lab.errors import (
+    BimoduleAxiomError,
+    DimensionMismatchError,
+    FieldMismatchError,
+    NotProjectiveError,
+)
 from coring_lab.fields import Field
 from coring_lab.linalg import _kernel
 
@@ -61,6 +66,16 @@ def test_incompatible_action_is_rejected():
     rho[1, 0, 0] = 1
     with pytest.raises(BimoduleAxiomError):
         Bimodule(k, k, lam, rho)
+
+
+def test_bimodule_map_checks_shape_and_actions():
+    m = regular_bimodule(dual_numbers(F2))
+    with pytest.raises(DimensionMismatchError):
+        BimoduleMap(m, m, [1, 0])  # not 2-D
+    with pytest.raises(DimensionMismatchError):
+        BimoduleMap(m, m, [[1, 0]])
+    with pytest.raises(BimoduleAxiomError):
+        BimoduleMap(m, m, [[0, 1], [1, 0]])  # the swap 1 <-> x is not x-linear
 
 
 # ------------------------------------------------------------------- tensors
@@ -116,7 +131,7 @@ def test_tensor_functorial_on_pure_tensors(rng):
     ts = tensor_over(m, m)
     f = BimoduleMap(m, m, F3.asarray([[1, 2], [0, 1]]))
     g = BimoduleMap(m, m, F3.asarray([[2, 0], [1, 1]]))
-    induced = ts.induced_map(f.matrix.data, g.matrix.data, ts)
+    induced = ts.induced_map(f.matrix, g.matrix, ts)
     for _ in range(10):
         u, v = F3.random(rng, 2), F3.random(rng, 2)
         lhs = F3.matmul(induced, ts.pure(u, v))
@@ -291,7 +306,7 @@ def test_endomorphisms_of_trivial_module_are_full_matrix_algebra():
     assert np.array_equal(end.algebra.structure, oracle.structure)
     assert np.array_equal(end.algebra.unit, oracle.unit)
     # scalar embedding of B = k
-    assert end.b_to_s.matrix.data.shape == (4, 1)
+    assert end.b_to_s.matrix.shape == (4, 1)
     assert check_algebra_map(end.b_to_s)
 
 
@@ -306,7 +321,7 @@ def test_endomorphisms_of_point_module_over_dual_numbers():
     end = endomorphism_algebra(m)
     assert end.algebra.dim == 1
     # B -> S is the quotient killing x
-    assert end.b_to_s.matrix.data.tolist() == [[1, 0]]
+    assert end.b_to_s.matrix.tolist() == [[1, 0]]
 
 
 def test_module_as_s_bimodule_validates():
@@ -385,14 +400,14 @@ def test_hom_from_quotient_to_dual_numbers():
     s_bb = restrict_left(restrict_right(s_reg, end.b_to_s), end.b_to_s)
     homs = hom_bimodule(s_bb, regular_bimodule(b))
     assert len(homs) == 1
-    assert homs[0].matrix.data.tolist() == [[0], [1]]  # 1_S maps to x
+    assert homs[0].matrix.tolist() == [[0], [1]]  # 1_S maps to x
 
 
 def test_iso_identity_found_first():
     m = trivial_bimodule(F3, 3)
     search = random_bimodule_iso(m, m, seed=5)
     assert search.found
-    assert np.array_equal(search.map.matrix.data, F3.eye(3))
+    assert np.array_equal(search.map.matrix, F3.eye(3))
 
 
 def test_iso_duals_of_trivial_module():

@@ -15,6 +15,7 @@ from coring_lab.bimodule import (
 )
 from coring_lab.linalg import _kernel
 from coring_lab.comatrix import (
+    CoringContext,
     MoritaData,
     comatrix_coring,
     comatrix_data,
@@ -77,6 +78,25 @@ def test_comatrix_of_k2_is_the_matrix_coring():
     oracle = matrix_coring(2, F2)
     assert np.array_equal(built.delta_amb, oracle.delta_amb)
     assert np.array_equal(built.counit_mat, oracle.counit_mat)
+
+
+def test_context_with_non_unit_tau_coefficients():
+    # (2 sigma, 2 tau) is again a context over GF(3), since 2 * 2 = 1; its
+    # tau(1) has coefficient 2, which every use of tau(1) must carry
+    m = trivial_bimodule(F3, 2)
+    ctx = context_from_bimodule(m)
+    sigma, tau = ctx.sigma, ctx.tau
+    scaled = CoringContext(ctx.n, m, BimoduleMap(sigma.source, sigma.target, 2 * sigma.matrix),
+                           BimoduleMap(tau.source, tau.target, 2 * tau.matrix),
+                           ctx.tensor_nm, ctx.tensor_mn)
+    assert np.array_equal(scaled.tau_of_unit(), 2 * F3.eye(2))
+    db, _, _ = context_dual_basis(scaled)
+    assert db.verify()
+    built = context_coring(scaled)
+    oracle = comatrix_coring(m)
+    assert np.array_equal(built.delta_amb, F3.asarray(2 * oracle.delta_amb))
+    assert np.array_equal(built.counit_mat, F3.asarray(2 * oracle.counit_mat))
+    context_iso(scaled)  # both coring morphisms are verified
 
 
 def test_comatrix_of_point_module_is_one_dimensional():
@@ -156,7 +176,7 @@ def test_context_from_point_module_kills_x():
     m = point_module_over_dual_numbers(F2)
     ctx = context_from_bimodule(m)
     # tau(x) = x.e (x) e^* = 0
-    x_col = ctx.tau.matrix.data[:, 1]
+    x_col = ctx.tau.matrix[:, 1]
     assert np.all(x_col == 0)
 
 
@@ -211,7 +231,7 @@ def test_trivial_morita_context():
     md = MoritaData(k, k, mult, mult, ts, ts)
     ctx = context_from_morita(md)
     assert ctx is not None
-    assert np.array_equal(ctx.tau.matrix.data, F2.eye(1))
+    assert np.array_equal(ctx.tau.matrix, F2.eye(1))
 
 
 # -------------------------------------------------- Theorem-style round trip
@@ -222,14 +242,14 @@ def test_context_dual_basis_recovers_the_standard_one():
     ctx = context_from_bimodule(m)
     db, chi, chi_inv = context_dual_basis(ctx)
     assert db.verify()
-    assert np.array_equal(chi.matrix.data, F2.eye(2))
+    assert np.array_equal(chi.matrix, F2.eye(2))
 
 
 def test_context_dual_basis_trivial():
     m = trivial_bimodule(F3, 1)
     ctx = context_from_bimodule(m)
     db, chi, chi_inv = context_dual_basis(ctx)
-    assert chi.matrix.data.tolist() == [[1]]
+    assert chi.matrix.tolist() == [[1]]
 
 
 def test_context_dual_basis_for_morita_context():
@@ -260,6 +280,25 @@ def test_context_coring_of_canonical_context_matches_comatrix():
     oracle = comatrix_coring(m)
     assert np.array_equal(built.delta_amb, oracle.delta_amb)
     assert np.array_equal(built.counit_mat, oracle.counit_mat)
+
+
+def test_context_with_non_unit_tau_coefficients():
+    # (2 sigma, 2 tau) is again a context over GF(3), since 2 * 2 = 1; its
+    # tau(1) has coefficient 2, which every use of tau(1) must carry
+    m = trivial_bimodule(F3, 2)
+    ctx = context_from_bimodule(m)
+    sigma, tau = ctx.sigma, ctx.tau
+    scaled = CoringContext(ctx.n, m, BimoduleMap(sigma.source, sigma.target, 2 * sigma.matrix),
+                           BimoduleMap(tau.source, tau.target, 2 * tau.matrix),
+                           ctx.tensor_nm, ctx.tensor_mn)
+    assert np.array_equal(scaled.tau_of_unit(), 2 * F3.eye(2))
+    db, _, _ = context_dual_basis(scaled)
+    assert db.verify()
+    built = context_coring(scaled)
+    oracle = comatrix_coring(m)
+    assert np.array_equal(built.delta_amb, F3.asarray(2 * oracle.delta_amb))
+    assert np.array_equal(built.counit_mat, F3.asarray(2 * oracle.counit_mat))
+    context_iso(scaled)  # both coring morphisms are verified
 
 
 # ------------------------------------------------------ Sweedler consistency

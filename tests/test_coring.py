@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coring_lab import GF, QQ, coring as coring_module
-from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
+from coring_lab.algebra import AlgebraMap, direct_product, identity_map, matrix_algebra
 from coring_lab.bimodule import BimoduleMap, tensor_over
 from coring_lab.coring import (
     _gamma_constraint_rows,
@@ -396,3 +396,16 @@ def test_noncounital_map_is_rejected():
     c = matrix_coring(2, F2)
     with pytest.raises(CoringAxiomError):
         CoringMorphism(c, c, F2.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("field,dtype", [(F2, np.int64), (F3, np.int64), (QQ, object)])
+def test_maps_hold_their_matrix_as_a_field_array(field, dtype):
+    a = matrix_algebra(2, field)
+    c = trivial_coring(a)
+    plain = np.eye(4, dtype=int).tolist()
+    maps = [identity_map(a), BimoduleMap(c.carrier, c.carrier, plain),
+            CoringMorphism(c, c, plain)]
+    for m in maps:
+        assert isinstance(m.matrix, np.ndarray)
+        assert m.matrix.dtype == dtype
+        assert np.array_equal(m.matrix, field.eye(4))
