@@ -146,6 +146,7 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.matrix = source.field.asarray(matrix)
+        self._memo: dict = {}  # values of the ``bimodule._memo`` functions of this map
         if self.matrix.ndim != 2:
             raise DimensionMismatchError(f"matrix must be 2-D, got shape {self.matrix.shape}")
         if self.matrix.shape != (target.dim, source.dim):

@@ -41,6 +41,9 @@ __all__ = [
     "regular_bimodule",
     "restrict_left",
     "restrict_right",
+    "target_sb",
+    "target_bs",
+    "target_bb",
     "tensor_over",
     "right_dual",
     "left_dual",
@@ -60,9 +63,9 @@ _ISO_RANDOM_ATTEMPTS = 32
 
 
 def _memo(fn):
-    """Memoize ``fn(m)`` on the bimodule ``m`` itself, a ``None`` result
-    too.  The value lives exactly as long as the module, so a process that
-    analyses many modules keeps none of them alive."""
+    """Memoize ``fn(m)``, a ``None`` result too, on the bimodule or algebra
+    map ``m`` itself: the value lives exactly as long as ``m``, so a process
+    that analyses many modules keeps none of them alive."""
 
     @functools.wraps(fn)
     def memoized(m):
@@ -165,6 +168,24 @@ def restrict_right(m: Bimodule, f: AlgebraMap) -> Bimodule:
         raise BimoduleAxiomError("restriction along a non-multiplicative map")
     rho = m.field.tensordot(f.matrix, m.right_action, ([0], [1])).transpose(1, 0, 2)
     return Bimodule(m.left_alg, f.source, m.left_action, rho, name=m.name)
+
+
+@_memo
+def target_sb(f: AlgebraMap) -> Bimodule:
+    """The target S of f: B -> S as an (S, B)-bimodule."""
+    return restrict_right(regular_bimodule(f.target), f)
+
+
+@_memo
+def target_bs(f: AlgebraMap) -> Bimodule:
+    """The target S of f: B -> S as a (B, S)-bimodule."""
+    return restrict_left(regular_bimodule(f.target), f)
+
+
+@_memo
+def target_bb(f: AlgebraMap) -> Bimodule:
+    """The target S of f: B -> S as a (B, B)-bimodule."""
+    return restrict_left(target_sb(f), f)
 
 
 class BimoduleMap:
@@ -270,14 +291,16 @@ def _on_right_leg(field: Field, mat, x, left_dim: int):
 
 
 def _balancing_relations(m: Bimodule, n: Bimodule):
-    """Rows spanning m.c (x) n - m (x) c.n over the middle algebra."""
+    """Rows (m, c, n) spanning m.c (x) n - m (x) c.n over the middle algebra:
+    the right action on the n' = n diagonal minus the left on the m' = m one."""
     f = m.field
     dm, dc, dn = m.dim, m.right_alg.dim, n.dim
-    eye_m, eye_n = f.eye(dm), f.eye(dn)
-    r1 = m.right_action[:, :, None, :, None] * eye_n[None, None, :, None, :]
-    r2 = eye_m[:, None, None, :, None] * n.left_action[None, :, :, None, :]
-    rels = f.asarray(r1 - r2).reshape(dm * dc * dn, dm * dn)
-    return rels
+    rels = f.zeros((dm, dc, dn, dm, dn))
+    for k in range(dn):
+        rels[:, :, k, :, k] = m.right_action
+    for k in range(dm):
+        rels[k, :, :, k, :] -= n.left_action
+    return f.asarray(rels.reshape(dm * dc * dn, dm * dn))
 
 
 def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
@@ -285,29 +308,24 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
     if m.right_alg != n.left_alg:
         raise FieldMismatchError("middle algebra mismatch in tensor product")
     f = m.field
-    ambient = m.dim * n.dim
-    if m.right_alg.dim == 1:
-        # the middle algebra is the base field, the tensor product is free
-        pres = QuotientPresentation.trivial(f, ambient)
-    else:
-        pres = QuotientPresentation.from_relations(f, ambient, _balancing_relations(m, n))
-    proj, sect = pres.projection, pres.section
-    q = pres.quotient_dim
-    rels = pres.relation_basis.T
-    lam = f.zeros((m.left_alg.dim, q, q))
-    for i in range(m.left_alg.dim):
-        act = m.left_mats[i]
-        lam[i] = f.matmul(proj, _on_left_leg(f, act, sect, n.dim)).T
-        if not pres.is_trivial:
-            if not pres.reduces_to_zero(_on_left_leg(f, act, rels, n.dim)):
-                raise BimoduleAxiomError(f"left action does not descend at basis {i}")
-    rho = f.zeros((q, n.right_alg.dim, q))
-    for j in range(n.right_alg.dim):
-        act = n.right_mats[j]
-        rho[:, j, :] = f.matmul(proj, _on_right_leg(f, act, sect, m.dim)).T
-        if not pres.is_trivial:
-            if not pres.reduces_to_zero(_on_right_leg(f, act, rels, m.dim)):
-                raise BimoduleAxiomError(f"right action does not descend at basis {j}")
+    pres = QuotientPresentation.from_relations(f, m.dim * n.dim, _balancing_relations(m, n))
+    proj = pres.projection
+    picked = pres.section.any(axis=1)
+    free, rest = np.flatnonzero(picked), np.flatnonzero(~picked)
+
+    def induced(pk, side: str, i: int):
+        """L.T for L = P K S, given pk = P K.  K descends iff P K = L P; P is
+        the identity on the columns S picks, so only the others can differ."""
+        lmat = pk[:, free]
+        if not Field.equal(pk[:, rest], f.matmul(lmat, proj[:, rest])):
+            raise BimoduleAxiomError(f"{side} action does not descend at basis {i}")
+        return lmat.T
+
+    # P kron(X, I) and P kron(I, X) are the transposes of the leg products on P.T
+    lam = np.stack([induced(_on_left_leg(f, act.T, proj.T, n.dim).T, "left", i)
+                    for i, act in enumerate(m.left_mats)])
+    rho = np.stack([induced(_on_right_leg(f, act.T, proj.T, m.dim).T, "right", j)
+                    for j, act in enumerate(n.right_mats)], axis=1)
     space = Bimodule(m.left_alg, n.right_alg, lam, rho,
                      name=f"{m.name or 'M'}(x){n.name or 'N'}")
     return TensorSpace(m, n, m.right_alg, pres, space)
@@ -324,16 +342,16 @@ class DualModule(Bimodule):
 
     def mat_of(self, coords):
         """The functional matrix of an element given by coordinates."""
-        f = self.field
-        coords = f.asarray(coords)
-        out = f.zeros(self.functional_mats[0].shape) if self.functional_mats else f.zeros((0, 0))
-        for c, phi in zip(coords, self.functional_mats):
-            out = out + c * phi
-        return f.asarray(out)
+        return _combination(self.field, coords, self.functional_mats)
 
-    def apply(self, coords, vec):
-        """Evaluate the functional with given coordinates on a module vector."""
-        return self.field.matmul(self.mat_of(coords), self.field.asarray(vec))
+
+def _combination(field: Field, coords, mats):
+    """sum_k coords[k] mats[k] as one reduced product over the stacked
+    matrices; the zero (0, 0) matrix when there are none."""
+    if not mats:
+        return field.zeros((0, 0))
+    flat = np.stack(mats).reshape(len(mats), -1)
+    return field.matmul(field.asarray(coords), flat).reshape(mats[0].shape)
 
 
 def _matrix_subspace_coords(field: Field, basis_mats, targets):
@@ -488,11 +506,7 @@ class EndAlgebra(Algebra):
         return _matrix_subspace_coords(self.field, self.endo_mats, [endo_mat])[0]
 
     def mat_of(self, coords):
-        f = self.field
-        out = f.zeros(self.endo_mats[0].shape)
-        for c, s in zip(f.asarray(coords), self.endo_mats):
-            out = out + c * s
-        return f.asarray(out)
+        return _combination(self.field, coords, self.endo_mats)
 
 
 @dataclass

@@ -3,7 +3,8 @@ bimodules and emit deterministic reports.
 
 Exit codes: 0 when the requested analysis completed (whatever the flags),
 1 for input problems, 2 when a proven implication failed, which signals an
-implementation bug rather than a mathematical outcome.
+implementation bug rather than a mathematical outcome, and 3 when a coring
+is too large for the dense tensor square (a capacity limit, not an answer).
 """
 
 from __future__ import annotations
@@ -26,8 +27,13 @@ from .coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from .definitions import DefinitionFile, load
-from .errors import CoringLabError, DefinitionError, InternalInconsistencyError
+from .definitions import DefinitionFile, _parse_tensor, load
+from .errors import (
+    CoringLabError,
+    DefinitionError,
+    InternalInconsistencyError,
+    TooLargeToValidateError,
+)
 from .structure import FLAG_NAMES, analyze, bimodule_tower
 
 _SEED_ENV = "CORING_LAB_SEED"
@@ -38,19 +44,6 @@ def _serialize_array(field, arr):
     if arr.ndim == 1:
         return [field.format_scalar(v) for v in arr]
     return [[field.format_scalar(v) for v in row] for row in arr]
-
-
-def _parse_array(field, data):
-    if data and isinstance(data[0], list):
-        out = field.zeros((len(data), len(data[0])))
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                out[i, j] = field.parse_scalar(v)
-    else:
-        out = field.zeros(len(data))
-        for i, v in enumerate(data):
-            out[i] = field.parse_scalar(v)
-    return field.asarray(out)
 
 
 def _flag_text(value) -> str:
@@ -105,31 +98,31 @@ def render_text(doc: dict) -> str:
 
 
 def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
-    """Re-verify the re-checkable witnesses of a serialized report."""
+    """Re-verify the re-checkable witnesses of a serialized report.  A
+    witness of the wrong shape or with a bad scalar raises DefinitionError."""
     module = deffile.bimodules[doc["subject"]]
     fld = deffile.field
     tower = bimodule_tower(module)
     wit = doc["witnesses"]
+
+    def parse(key, part, shape):
+        return _parse_tensor(fld, wit[key][part], shape, f"witness {key}.{part}")
+
+    def gamma(key, part, c):
+        return parse(key, part, (c.base.dim, c.dim * c.dim))
+
     ok = True
-    if "comatrix_coseparable" in wit:
-        gamma = _parse_array(fld, wit["comatrix_coseparable"]["cointegral"])
-        ok &= verify_cointegral(Cointegral(tower.comatrix.coring, gamma, normalized=True))
-    if "sweedler_coseparable" in wit:
-        gamma = _parse_array(fld, wit["sweedler_coseparable"]["cointegral"])
-        ok &= verify_cointegral(Cointegral(tower.sweedler, gamma, normalized=True))
-    if "comatrix_frobenius" in wit:
-        fs = FrobeniusSystem(tower.comatrix.coring,
-                             _parse_array(fld, wit["comatrix_frobenius"]["gamma"]),
-                             _parse_array(fld, wit["comatrix_frobenius"]["invariant"]))
-        ok &= verify_frobenius_system(fs)
-    if "sweedler_frobenius" in wit:
-        fs = FrobeniusSystem(tower.sweedler,
-                             _parse_array(fld, wit["sweedler_frobenius"]["gamma"]),
-                             _parse_array(fld, wit["sweedler_frobenius"]["invariant"]))
-        ok &= verify_frobenius_system(fs)
+    for key, c in (("comatrix", tower.comatrix.coring), ("sweedler", tower.sweedler)):
+        if f"{key}_coseparable" in wit:
+            ci = Cointegral(c, gamma(f"{key}_coseparable", "cointegral", c), normalized=True)
+            ok &= verify_cointegral(ci)
+        if f"{key}_frobenius" in wit:
+            fs = FrobeniusSystem(c, gamma(f"{key}_frobenius", "gamma", c),
+                                 parse(f"{key}_frobenius", "invariant", (c.dim,)))
+            ok &= verify_frobenius_system(fs)
     if "comatrix_cosplit" in wit:
-        section = _parse_array(fld, wit["comatrix_cosplit"]["section"])
         c = tower.comatrix.coring
+        section = parse("comatrix_cosplit", "section", (c.dim, c.base.dim))
         e = fld.matmul(section, c.base.unit)
         ok &= bool(np.array_equal(fld.matmul(c.counit_mat, e), c.base.unit))
     return bool(ok)
@@ -252,6 +245,9 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
+    except TooLargeToValidateError as exc:
+        print(f"capacity: {exc}", file=sys.stderr)
+        return 3
     except (CoringLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

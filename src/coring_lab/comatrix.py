@@ -114,11 +114,9 @@ def coproduct_basis_independence(m: Bimodule, alternative: DualBasis) -> bool:
     if not alternative.verify():
         raise NotProjectiveError("alternative dual basis fails the dual-basis identity")
     data = comatrix_data(m)
-    f = m.field
     other = _comatrix_delta_amb(data.tensor,
                                 zip(alternative.elements, alternative.functional_coords))
-    proj = data.coring.square.projection
-    return Field.equal(f.matmul(proj, data.coring.delta_amb), f.matmul(proj, other))
+    return data.coring.agree_in_square(data.coring.delta_amb, other)
 
 
 class CoringContext:

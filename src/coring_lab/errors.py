@@ -32,13 +32,14 @@ class CoringAxiomError(AxiomError):
     pass
 
 
-class TooLargeToValidateError(CoringAxiomError):
-    """The identity neither holds on representatives nor fits the dense
-    quotient comparison; the axiom status is unknown at this size."""
-
-
 class ContextAxiomError(AxiomError):
     pass
+
+
+class TooLargeToValidateError(CoringLabError):
+    """A capacity limit, not an axiom failure: the carrier is too large for
+    the dense presentation of its tensor square, so a statement that needs
+    the square is left undecided at this size."""
 
 
 class NotProjectiveError(CoringLabError):

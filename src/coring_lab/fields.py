@@ -7,7 +7,8 @@ fields must never be mixed (checked at the public boundaries).
 
 Large integer mat-mats are routed through float64 BLAS when the exact
 result provably fits in 53 bits, which keeps Gaussian elimination on
-relation matrices fast without giving up exactness.
+relation matrices fast without giving up exactness; products whose sums
+could pass 63 bits (large p) run on Python ints.
 """
 
 from __future__ import annotations
@@ -120,13 +121,19 @@ class PrimeField(Field):
         # exactness bound: every dot product stays below 2**53
         return inner * (self.characteristic - 1) ** 2 < 2**53
 
+    def _via_python_ints(self, op, a, b):
+        """op(a, b) mod p on Python ints, for sums that could pass 2**63."""
+        return (op(a.astype(object), b.astype(object)) % self.characteristic).astype(np.int64)
+
     def matmul(self, a, b):
         p = self.characteristic
         inner = a.shape[-1]
         if a.size * b.size > 2**16 and self._via_blas(inner):
             c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
             return c % p
-        return (a @ b) % p
+        if inner * (p - 1) ** 2 < 2**63:
+            return (a @ b) % p
+        return self._via_python_ints(np.matmul, a, b)
 
     def tensordot(self, a, b, axes):
         p = self.characteristic
@@ -137,7 +144,9 @@ class PrimeField(Field):
         if a.size * b.size > 2**18 and self._via_blas(max(inner, 1)):
             c = np.rint(np.tensordot(a.astype(np.float64), b.astype(np.float64), axes))
             return c.astype(np.int64) % p
-        return np.tensordot(a, b, axes) % p
+        if inner * (p - 1) ** 2 < 2**63:
+            return np.tensordot(a, b, axes) % p
+        return self._via_python_ints(lambda x, y: np.tensordot(x, y, axes), a, b)
 
     def kron(self, a, b):
         return np.kron(a, b) % self.characteristic

@@ -144,18 +144,22 @@ def _solve(field: Field, a, b):
 
 
 def _kernel(field: Field, a) -> list[np.ndarray]:
+    """The reduced-echelon basis of the kernel of ``a``."""
+    return list(_echelon_kernel(field, a)[0])
+
+
+def _echelon_kernel(field: Field, a):
+    """From one elimination of ``a``: the kernel basis as rows (row f has 1 at
+    free column f, 0 at the others, and minus column f of the reduced rows at
+    the pivot columns), the free columns, and the nonzero reduced rows."""
     a = field.asarray(a)
     red, pivots = rref(field, a)
     pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(a.shape[1]) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = field.zeros(a.shape[1])
-        v[f] = 1
-        for r, c in pivots:
-            v[c] = -red[r, f]
-        basis.append(field.asarray(v))
-    return basis
+    free_cols = sorted(set(range(a.shape[1])).difference(pivot_cols))
+    basis = field.zeros((len(free_cols), a.shape[1]))
+    basis[range(len(free_cols)), free_cols] = 1
+    basis[:, pivot_cols] = -red[:len(pivots), free_cols].T
+    return field.asarray(basis), free_cols, red[:len(pivots)]
 
 
 @dataclass
@@ -174,48 +178,16 @@ class QuotientPresentation:
     section: np.ndarray  # ambient_dim x quotient_dim
 
     @classmethod
-    def trivial(cls, field: Field, ambient_dim: int) -> "QuotientPresentation":
-        eye = field.eye(ambient_dim)
-        return cls(
-            field=field,
-            ambient_dim=ambient_dim,
-            relation_basis=field.zeros((0, ambient_dim)),
-            quotient_dim=ambient_dim,
-            projection=eye,
-            section=eye.copy(),
-        )
-
-    @classmethod
     def from_relations(cls, field: Field, ambient_dim: int, relations) -> "QuotientPresentation":
-        """Quotient by the row span of ``relations``."""
-        relations = field.asarray(relations)
-        if relations.size == 0:
-            return cls.trivial(field, ambient_dim)
-        red, pivots = rref(field, relations)
-        nrel = len(pivots)
-        rel = red[:nrel]
-        pivot_cols = [c for _, c in pivots]
-        free_cols = [c for c in range(ambient_dim) if c not in pivot_cols]
+        """Quotient by the row span of ``relations``: the projection rows are
+        the reduced-echelon kernel basis of the relations, and the section
+        sends the quotient basis to their free columns."""
+        relations = np.reshape(field.asarray(relations), (-1, ambient_dim))
+        proj, free_cols, rel = _echelon_kernel(field, relations[relations.any(axis=1)])
         q = len(free_cols)
-        proj = field.zeros((q, ambient_dim))
         sect = field.zeros((ambient_dim, q))
-        for t, j in enumerate(free_cols):
-            proj[t, j] = 1
-            for r, c in enumerate(pivot_cols):
-                proj[t, c] = -rel[r, j]
-            sect[j, t] = 1
-        return cls(
-            field=field,
-            ambient_dim=ambient_dim,
-            relation_basis=rel,
-            quotient_dim=q,
-            projection=field.asarray(proj),
-            section=sect,
-        )
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.relation_basis.shape[0] == 0
+        sect[free_cols, range(q)] = 1
+        return cls(field, ambient_dim, rel, q, proj, sect)
 
     def reduces_to_zero(self, vectors) -> bool:
         """True when every column of ``vectors`` lies in the relation span."""

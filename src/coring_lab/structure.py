@@ -21,6 +21,7 @@ from .bimodule import (
     DualBasis,
     IsoSearch,
     SIso,
+    _combination,
     _induced_action,
     _matrix_subspace_coords,
     _memo,
@@ -34,9 +35,10 @@ from .bimodule import (
     one_sided_hom,
     random_bimodule_iso,
     regular_bimodule,
-    restrict_left,
-    restrict_right,
     right_dual,
+    target_bb,
+    target_bs,
+    target_sb,
     tensor_over,
 )
 from .comatrix import ComatrixData, comatrix_data
@@ -148,7 +150,7 @@ def split_extension_check(ring_map: AlgebraMap):
     s_alg = ring_map.target
     b = ring_map.source
     f = b.field
-    s_bb = restrict_left(restrict_right(regular_bimodule(s_alg), ring_map), ring_map)
+    s_bb = target_bb(ring_map)
     homs = hom_bimodule(s_bb, regular_bimodule(b))
     if not homs:
         return None
@@ -156,22 +158,18 @@ def split_extension_check(ring_map: AlgebraMap):
     coeffs = _solve(f, f.asarray(values), b.unit)
     if coeffs is None:
         return None
-    mat = f.zeros((b.dim, s_alg.dim))
-    for c, h in zip(coeffs, homs):
-        mat = mat + c * h.matrix
-    return BimoduleMap(s_bb, regular_bimodule(b), f.asarray(mat))
+    mat = _combination(f, coeffs, [h.matrix for h in homs])
+    return BimoduleMap(s_bb, regular_bimodule(b), mat)
 
 
 def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
     """S_B finitely generated projective and Hom_B(S, B) isomorphic to S as
     (B, S)-bimodules."""
-    s_alg = ring_map.target
-    s_sb = restrict_right(regular_bimodule(s_alg), ring_map)  # S as (S, B)
+    s_sb = target_sb(ring_map)
     if dual_basis(s_sb) is None:
         return IsoSearch("none")
     rdual = right_dual(s_sb)  # (B, S)-bimodule Hom_B(S, B)
-    s_bs = restrict_left(regular_bimodule(s_alg), ring_map)  # S as (B, S)
-    return random_bimodule_iso(rdual, s_bs, seed=seed)
+    return random_bimodule_iso(rdual, target_bs(ring_map), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +241,10 @@ def split_from_separability(m: Bimodule, nu: BimoduleMap) -> BimoduleMap:
     v = ts.lift(f.matmul(nu.matrix, m.left_alg.unit))  # (module, left-dual)
     s_alg = tower.end.algebra
     b = m.left_alg
-    mat = f.zeros((b.dim, s_alg.dim))
-    for beta, endo in enumerate(s_alg.endo_mats):
-        total = f.zeros(b.dim)
-        for i in range(m.dim):
-            for kappa in range(ld.dim):
-                if not np.any(v[i, kappa] != 0):
-                    continue
-                total = total + v[i, kappa] * f.matmul(ld.functional_mats[kappa],
-                                                       f.matmul(endo, f.eye(m.dim)[:, i]))
-        mat[:, beta] = total
-    s_bb = restrict_left(restrict_right(regular_bimodule(s_alg), tower.b_to_s),
-                         tower.b_to_s)
-    witness = BimoduleMap(s_bb, regular_bimodule(b), mat)
+    # s(endo) = sum_{i, kappa} v[i, kappa] psi_kappa(endo(e_i))
+    psi = f.tensordot(v, np.stack(ld.functional_mats), ([1], [0]))  # (i, b, m')
+    mat = f.tensordot(psi, np.stack(s_alg.endo_mats), ([0, 2], [2, 1]))  # (b, beta)
+    witness = BimoduleMap(target_bb(tower.b_to_s), regular_bimodule(b), mat)
     if not Field.equal(f.matmul(mat, s_alg.unit), b.unit):
         raise InternalInconsistencyError("separability witness is not normalized")
     return witness
@@ -426,16 +415,15 @@ def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem) -> FrobeniusSystem:
 
 def faithfully_flat_check(ring_map: AlgebraMap, side: str) -> bool:
     """Finite-dimensional criterion: projective generator on the given side."""
-    s_alg = ring_map.target
     b = ring_map.source
     f = b.field
     if side == "right":
-        module = restrict_right(regular_bimodule(s_alg), ring_map)
+        module = target_sb(ring_map)
         if dual_basis(module) is None:
             return False
         homs = one_sided_hom(module, regular_bimodule(b), "right")
     elif side == "left":
-        module = restrict_left(regular_bimodule(s_alg), ring_map)
+        module = target_bs(ring_map)
         if left_dual_basis(module) is None:
             return False
         homs = one_sided_hom(module, regular_bimodule(b), "left")

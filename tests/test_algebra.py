@@ -3,6 +3,7 @@ import pytest
 
 from coring_lab import GF, QQ
 from coring_lab.algebra import (
+    Algebra,
     AlgebraMap,
     center_basis,
     check_algebra_map,
@@ -13,6 +14,7 @@ from coring_lab.algebra import (
     opposite,
 )
 from coring_lab.errors import AlgebraAxiomError, DimensionMismatchError, FieldMismatchError
+from coring_lab.linalg import _solve
 
 from conftest import dual_numbers, field_algebra
 
@@ -63,6 +65,21 @@ def test_matrix_algebra_delta_rule():
     assert m2.mult(e11, e12).tolist() == e12.tolist()
     assert m2.mult(e12, e11).tolist() == [0, 0, 0, 0]
     assert m2.mult(m2.unit, e12).tolist() == e12.tolist()
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_matrix_algebra_in_a_random_basis_is_accepted(p):
+    f = GF(p)
+    m2 = matrix_algebra(2, f)
+    rng = np.random.default_rng(1)
+    t_inv = None
+    while t_inv is None:
+        t = f.random(rng, (4, 4))  # new basis b'_i = sum_a t[a, i] b_a
+        t_inv = _solve(f, t, f.eye(4))
+    products = f.tensordot(t, f.tensordot(t, m2.structure, ([0], [1])), ([0], [1]))
+    structure = f.tensordot(products, t_inv, ([2], [1]))
+    changed = Algebra(f, structure, f.matmul(t_inv, m2.unit))
+    assert changed.dim == 4
 
 
 def test_opposite_of_field_is_field():

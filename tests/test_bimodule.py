@@ -6,6 +6,7 @@ from coring_lab.algebra import AlgebraMap, check_algebra_map, direct_product, ma
 from coring_lab.bimodule import (
     Bimodule,
     BimoduleMap,
+    _balancing_relations,
     _induced_action,
     _matrix_subspace_coords,
     _on_left_leg,
@@ -114,6 +115,22 @@ def test_tensor_requires_matching_middle_algebra():
         tensor_over(trivial_bimodule(F2, 2), point_module_over_dual_numbers(F2))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_an_action_that_does_not_commute_with_the_middle_does_not_descend(side):
+    kk = direct_product(field_algebra(F2), field_algebra(F2))
+    reg = regular_bimodule(kk)
+    swap = F2.asarray([[0, 1], [1, 0]])  # exchanges the two idempotent lines
+    if side == "left":  # kk as (kk, kk), its first basis element acting by the swap
+        m = Bimodule(kk, kk, np.stack([swap, F2.eye(2)]), reg.right_action, _validate=False)
+        n = reg
+    else:
+        m = reg
+        n = Bimodule(kk, kk, reg.left_action, np.stack([swap, F2.eye(2)], axis=1),
+                     _validate=False)
+    with pytest.raises(BimoduleAxiomError, match=f"{side} action does not descend at basis 0"):
+        tensor_over(m, n)
+
+
 def test_tensor_balancing_holds_in_quotient(rng):
     m = regular_bimodule(matrix_algebra(2, F2))
     ts = tensor_over(m, m)
@@ -172,6 +189,24 @@ def test_leg_helpers_match_kronecker_products(rng):
         s = field.random(rng, (4, 4))
         _check_constraint_core(field, [s], [s], [lambda y: field.matmul(s, y),
                                                  lambda y: field.matmul(y, s)])
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+def test_balancing_relations_match_the_kronecker_construction(field):
+    """Placed entries against m.c (x) n - m (x) c.n built from identities."""
+    reg_m2 = regular_bimodule(matrix_algebra(2, field))
+    point = point_module_over_dual_numbers(field)
+    pairs = [(row_module(field), column_module(field)), (column_module(field), row_module(field)),
+             (reg_m2, reg_m2), (regular_bimodule(dual_numbers(field)), point)]
+    pairs += [(m, right_dual(m)) for m, _ in pairs] + [(right_dual(n), n) for _, n in pairs]
+    for m, n in pairs:
+        assert m.right_alg == n.left_alg
+        dm, dc, dn = m.dim, m.right_alg.dim, n.dim
+        eye_m, eye_n = field.eye(dm), field.eye(dn)
+        r1 = m.right_action[:, :, None, :, None] * eye_n[None, None, :, None, :]
+        r2 = eye_m[:, None, None, :, None] * n.left_action[None, :, :, None, :]
+        kron_rows = field.asarray(r1 - r2).reshape(dm * dc * dn, dm * dn)
+        assert Field.equal(_balancing_relations(m, n), kron_rows)
 
 
 @pytest.mark.parametrize("seed", range(12))

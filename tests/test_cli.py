@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from coring_lab import cli
 from coring_lab.cli import main, report_document, verify_report_witnesses
 from coring_lab.definitions import bundled_path, load
+from coring_lab.errors import DefinitionError, TooLargeToValidateError
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,31 @@ def test_witnesses_reverify_on_reload(name):
         doc = report_document(deffile, bim_name, seed=0)
         round_tripped = json.loads(json.dumps(doc, sort_keys=True))
         assert verify_report_witnesses(deffile, round_tripped)
+
+
+@pytest.mark.parametrize("defect", [
+    lambda gamma: [gamma[0], gamma[1][:-1]],  # ragged rows
+    lambda gamma: [gamma[0]],  # a row short of the (dim A, dim C^2) shape
+    lambda gamma: [gamma[0], ["x"] + gamma[1][1:]],  # a scalar that does not parse
+], ids=["ragged", "wrong-shape", "bad-scalar"])
+def test_malformed_witness_is_a_definition_error(defect):
+    deffile = load(bundled_path("regular-module"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    wit = doc["witnesses"]["comatrix_coseparable"]
+    wit["cointegral"] = defect(wit["cointegral"])
+    with pytest.raises(DefinitionError, match="comatrix_coseparable.cointegral"):
+        verify_report_witnesses(deffile, doc)
+
+
+def test_capacity_limit_exits_three(capsys, monkeypatch):
+    def refuse(*args):
+        raise TooLargeToValidateError("carrier dimension 81 too large")
+
+    monkeypatch.setattr(cli, "report_document", refuse)
+    code, out, err = run_cli(capsys, "analyze", str(bundled_path("matrix2")), "--bimodule", "M")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity: carrier dimension 81 too large")
 
 
 def test_console_script_entry_point():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from coring_lab import GF, QQ, coring as coring_module
-from coring_lab.algebra import AlgebraMap, direct_product, identity_map, matrix_algebra
-from coring_lab.bimodule import BimoduleMap, tensor_over
+from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
+from coring_lab.bimodule import BimoduleMap, _on_right_leg, tensor_over
+from coring_lab.comatrix import comatrix_coring
 from coring_lab.coring import (
     _gamma_constraint_rows,
     Cointegral,
@@ -21,7 +22,13 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from coring_lab.errors import CoringAxiomError, InternalInconsistencyError
+from coring_lab.errors import (
+    AxiomError,
+    CoringAxiomError,
+    InternalInconsistencyError,
+    TooLargeToValidateError,
+)
+from coring_lab.fields import Field
 from coring_lab.linalg import _solve, rref
 from coring_lab.structure import analyze, bimodule_tower
 
@@ -82,6 +89,52 @@ def test_dropped_coproduct_term_fails_validation():
     broken[(0 * 2 + 1) * d + (1 * 2 + 1), 0 * 2 + 1] = 0
     with pytest.raises(CoringAxiomError):
         Coring(good.base, good.carrier, broken, good.counit_mat)
+
+
+@pytest.mark.parametrize("dropped,message", [
+    ((0 * 2 + 0) * 4 + (0 * 2 + 1), "left counit law fails at basis element 1"),  # c_00 (x) c_01
+    ((0 * 2 + 1) * 4 + (1 * 2 + 1), "right counit law fails at basis element 1"),  # c_01 (x) c_11
+], ids=["left", "right"])
+def test_counit_laws_name_the_failing_leg_and_element(dropped, message):
+    good = matrix_coring(2, F2)
+    broken = good.delta_amb.copy()
+    broken[dropped, 0 * 2 + 1] = 0  # one term of Delta(c_01)
+    with pytest.raises(CoringAxiomError, match=message):
+        Coring(good.base, good.carrier, broken, good.counit_mat)
+
+
+def product_of_fields(field, n):
+    """k^n as an algebra: n orthogonal idempotents summing to 1."""
+    c = field.zeros((n, n, n))
+    c[range(n), range(n), range(n)] = 1
+    return Algebra(field, c, field.asarray([1] * n), name=f"k^{n}")
+
+
+def test_right_delta_linearity_of_a_trivial_coring_holds_only_in_the_square():
+    c = trivial_coring(product_of_fields(F2, 3))
+    act = c.carrier.right_mats[0]
+    lhs = F2.matmul(c.delta_amb, act)  # e_0 . e_0 (x) 1
+    rhs = _on_right_leg(F2, act, c.delta_amb, c.dim)  # e_0 (x) e_0
+    assert not Field.equal(lhs, rhs)
+    assert c.agree_in_square(lhs, rhs)
+    assert not c.agree_in_square(lhs, F2.zeros(lhs.shape))
+
+
+def test_square_refuses_a_carrier_above_the_limit_at_construction():
+    # dimension 33 > 32, and right Delta-linearity needs the square
+    with pytest.raises(TooLargeToValidateError) as caught:
+        trivial_coring(product_of_fields(F2, 33))
+    assert caught.traceback[-1].name == "square"
+    assert not isinstance(caught.value, AxiomError)
+
+
+def test_large_carrier_with_exact_representatives_validates_light():
+    c = comatrix_coring(trivial_bimodule(F2, 6))
+    assert (c.dim, c.validation) == (36, "light")
+    with pytest.raises(TooLargeToValidateError) as caught:
+        find_cointegral(c)
+    assert caught.traceback[-1].name == "square"
+    assert not isinstance(caught.value, AxiomError)
 
 
 def test_new_coring_from_quotient_valued_maps():

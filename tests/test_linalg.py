@@ -22,6 +22,21 @@ def test_prime_field_rejects_composite_and_huge():
         PrimeField(2**31 + 11)
 
 
+def test_products_at_the_largest_accepted_prime_are_exact():
+    p = 2**31 - 1
+    big = GF(p)
+    top = np.full((1, 4), p - 1, dtype=np.int64)
+    assert big.matmul(top, top.T).tolist() == [[4]]  # (p - 1)**2 = 1 mod p
+    rng = np.random.default_rng(0)
+    a, b = big.random(rng, (6, 7)), big.random(rng, (7, 3))
+    exact = a.astype(object) @ b.astype(object) % p
+    assert np.array_equal(big.matmul(a, b), exact)
+    a, b = big.random(rng, (3, 4, 5)), big.random(rng, (5, 4, 2))
+    for axes in (0, 1, ([2], [0]), ([1, 2], [1, 0])):
+        exact = np.tensordot(a.astype(object), b.astype(object), axes) % p
+        assert np.array_equal(big.tensordot(a, b, axes), exact), axes
+
+
 def test_scalar_round_trip():
     assert F3.parse_scalar("2 mod 3") == 2
     assert F3.format_scalar(5) == "2 mod 3"
@@ -132,6 +147,31 @@ def test_quotient_presentation_round_trip(field, seed):
         defect = field.matmul(pres.section, pres.projection) - field.eye(n)
         stacked = np.concatenate([pres.relation_basis, field.asarray(defect).T], axis=0)
         assert rank(field, stacked) == pres.relation_basis.shape[0]
+
+
+@pytest.mark.parametrize("field,seed", [(F2, 9), (F3, 10), (QQ, 11)])
+def test_quotient_projection_is_the_kernel_basis_of_the_relations(field, seed):
+    """The projection rows are the kernel basis of the relations, the
+    section picks the free columns, the relation basis is their rref rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        rels = field.random(rng, (int(rng.integers(0, n + 1)), n))
+        pres = QuotientPresentation.from_relations(field, n, rels)
+        kernel = _kernel(field, rels)
+        assert Field.equal(pres.projection, field.asarray(np.reshape(kernel, (-1, n))))
+        if kernel:
+            assert not np.any(field.matmul(rels, pres.projection.T) != 0)
+        red, pivots = rref(field, rels)
+        assert Field.equal(pres.relation_basis, red[:len(pivots)])
+        free = sorted(set(range(n)) - {c for _, c in pivots})
+        assert Field.equal(pres.section, field.eye(n)[:, free])
+        for f, v in zip(free, kernel):  # the kernel vectors entry by entry
+            expected = field.zeros(n)
+            expected[f] = 1
+            for r, c in pivots:
+                expected[c] = -red[r, f]
+            assert Field.equal(v, field.asarray(expected))
 
 
 def test_rref_is_deterministic_first_pivot():

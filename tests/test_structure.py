@@ -18,9 +18,13 @@ from coring_lab.bimodule import (
     regular_bimodule,
     restrict_left,
     right_dual,
+    target_bb,
+    target_bs,
+    target_sb,
     tensor_over,
 )
 from coring_lab.comatrix import comatrix_coring, comatrix_data
+from coring_lab.definitions import bundled_path, load
 from coring_lab.coring import find_frobenius_system, is_cosplit, verify_frobenius_system
 from coring_lab.structure import (
     analyze,
@@ -391,6 +395,19 @@ def test_analyze_runs_each_memoized_body_once_per_module(monkeypatch):
     assert set(per_module.values()) == {1}
     # k^2 is separable and Frobenius, so every transport runs on M itself
     assert {name for name, module in runs if module is m} == {fn.__name__ for fn in MEMOIZED}
+
+
+def test_analyze_builds_each_restriction_of_s_once(monkeypatch):
+    runs = count_memo_bodies(monkeypatch, right_dual, target_sb, target_bs, target_bb)
+    m = load(bundled_path("dual-numbers")).bimodules["M"]
+    analyze(m, seed=0)
+    b_to_s = endomorphism_algebra(m).b_to_s
+    restrictions = Counter(name for name, arg in runs if arg is b_to_s)
+    assert restrictions == {"target_sb": 1, "target_bs": 1, "target_bb": 1}
+    # dual-numbers is not flat on the left, so both flatness sides run
+    s_b = [mod for name, mod in runs if name == "right_dual"
+           and mod.left_alg is b_to_s.target and mod.right_alg is b_to_s.source]
+    assert len(s_b) == 1
 
 
 def test_an_analysed_bimodule_is_freed():
