@@ -27,7 +27,7 @@ from .coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from .definitions import DefinitionFile, _parse_tensor, load
+from .definitions import DefinitionFile, _parse_tensor, _resolve, load
 from .errors import (
     CoringLabError,
     DefinitionError,
@@ -99,32 +99,40 @@ def render_text(doc: dict) -> str:
 
 def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
     """Re-verify the re-checkable witnesses of a serialized report.  A
-    witness of the wrong shape or with a bad scalar raises DefinitionError."""
-    module = deffile.bimodules[doc["subject"]]
+    missing or malformed witness entry, a witness of the wrong shape or with
+    a bad scalar raises DefinitionError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("witnesses"), dict):
+        raise DefinitionError("report must be an object with a 'witnesses' object")
+    module = _resolve(deffile.bimodules, doc.get("subject"), "bimodule", "report subject")
     fld = deffile.field
     tower = bimodule_tower(module)
+    comatrix, sweedler = tower.comatrix.coring, tower.sweedler
     wit = doc["witnesses"]
 
     def parse(key, part, shape):
+        if not isinstance(wit[key], dict) or part not in wit[key]:
+            raise DefinitionError(f"witness {key} has no entry {part!r}")
         return _parse_tensor(fld, wit[key][part], shape, f"witness {key}.{part}")
 
     def gamma(key, part, c):
         return parse(key, part, (c.base.dim, c.dim * c.dim))
 
     ok = True
-    for key, c in (("comatrix", tower.comatrix.coring), ("sweedler", tower.sweedler)):
-        if f"{key}_coseparable" in wit:
-            ci = Cointegral(c, gamma(f"{key}_coseparable", "cointegral", c), normalized=True)
-            ok &= verify_cointegral(ci)
-        if f"{key}_frobenius" in wit:
-            fs = FrobeniusSystem(c, gamma(f"{key}_frobenius", "gamma", c),
-                                 parse(f"{key}_frobenius", "invariant", (c.dim,)))
+    for key, part, c in (("comatrix_coseparable", "cointegral", comatrix),
+                         ("sweedler_coseparable", "cointegral", sweedler),
+                         ("comatrix_cointegral_constructed", "gamma", comatrix),
+                         ("sweedler_cointegral_lift", "gamma", sweedler)):
+        if key in wit:
+            ok &= verify_cointegral(Cointegral(c, gamma(key, part, c), normalized=True))
+    for key, c in (("comatrix_frobenius", comatrix), ("sweedler_frobenius", sweedler),
+                   ("sweedler_frobenius_lift", sweedler)):
+        if key in wit:
+            fs = FrobeniusSystem(c, gamma(key, "gamma", c), parse(key, "invariant", (c.dim,)))
             ok &= verify_frobenius_system(fs)
     if "comatrix_cosplit" in wit:
-        c = tower.comatrix.coring
-        section = parse("comatrix_cosplit", "section", (c.dim, c.base.dim))
-        e = fld.matmul(section, c.base.unit)
-        ok &= bool(np.array_equal(fld.matmul(c.counit_mat, e), c.base.unit))
+        section = parse("comatrix_cosplit", "section", (comatrix.dim, comatrix.base.dim))
+        e = fld.matmul(section, comatrix.base.unit)
+        ok &= bool(np.array_equal(fld.matmul(comatrix.counit_mat, e), comatrix.base.unit))
     return bool(ok)
 
 

@@ -31,7 +31,7 @@ from .bimodule import (
     right_dual,
     tensor_over,
 )
-from .coring import Coring, CoringMorphism, left_dual_ring
+from .coring import Coring, CoringMorphism, _context_delta_amb, left_dual_ring
 from .errors import (
     BimoduleAxiomError,
     ContextAxiomError,
@@ -66,23 +66,6 @@ class ComatrixData:
     tensor: TensorSpace  # presentation of M^* (x)_B M
 
 
-def _comatrix_delta_amb(ts: TensorSpace, pairs):
-    """Representative coproduct n (x) m -> sum_i (n (x) m_i) (x) (n_i (x) m) on
-    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i.
-
-    A dual basis {e_i, e_i^*} of M gives the pairs of the comatrix coring.
-    """
-    f = ts.left_factor.field
-    eye_n, eye_m = f.eye(ts.left_factor.dim), f.eye(ts.right_factor.dim)
-    d = ts.dim
-    delta = f.zeros((d * d, d))
-    for m_vec, n_vec in pairs:
-        first = ts.pure(eye_n, f.asarray(m_vec)[:, None])  # n -> n (x) m_i
-        second = ts.pure(f.asarray(n_vec)[:, None], eye_m)  # m -> n_i (x) m
-        delta = delta + f.matmul(f.kron(first, second), ts.section)
-    return f.asarray(delta)
-
-
 @_memo
 def comatrix_data(m: Bimodule) -> ComatrixData:
     """Build the comatrix coring of a right-projective bimodule."""
@@ -93,7 +76,7 @@ def comatrix_data(m: Bimodule) -> ComatrixData:
         raise NotProjectiveError(
             f"{m!r} admits no dual basis over its right algebra")
     ts = tensor_over(dual, m)
-    delta_amb = _comatrix_delta_amb(ts, zip(db.elements, db.functional_coords))
+    delta_amb = _context_delta_amb(ts, zip(db.elements, db.functional_coords))
     # counit phi (x) m -> phi(m)
     a_dim = m.right_alg.dim
     eval_amb = f.zeros((a_dim, dual.dim * m.dim))
@@ -114,8 +97,8 @@ def coproduct_basis_independence(m: Bimodule, alternative: DualBasis) -> bool:
     if not alternative.verify():
         raise NotProjectiveError("alternative dual basis fails the dual-basis identity")
     data = comatrix_data(m)
-    other = _comatrix_delta_amb(data.tensor,
-                                zip(alternative.elements, alternative.functional_coords))
+    other = _context_delta_amb(data.tensor,
+                               zip(alternative.elements, alternative.functional_coords))
     return data.coring.agree_in_square(data.coring.delta_amb, other)
 
 
@@ -288,7 +271,7 @@ def context_dual_basis(ctx: CoringContext):
 def context_coring(ctx: CoringContext) -> Coring:
     """The coring N (x)_B M with coproduct n (x) m -> n (x) tau(1) (x) m."""
     ts = ctx.tensor_nm
-    return Coring(ctx.a_alg, ts.space, _comatrix_delta_amb(ts, ctx.tau_pairs()),
+    return Coring(ctx.a_alg, ts.space, _context_delta_amb(ts, ctx.tau_pairs()),
                   ctx.sigma.matrix, carrier_tensor=ts)
 
 

@@ -3,11 +3,14 @@ rings, cosplit sections, cointegrals and reduced Frobenius systems.
 
 The coproduct is stored as a matrix ``delta_amb`` from carrier coordinates
 into the *field* tensor square of the carrier; it is one chosen system of
-representatives for the coproduct valued in C (x)_A C.  All maps out of
-the tensor square (counits of squares, cointegrals) are likewise stored on
-the field tensor square together with machine-checked balance, which is
-equivalent to working in the quotient but never materializes the large
-presentations that appear for high-dimensional carriers.
+representatives for the coproduct valued in C (x)_A C.  Cointegrals are
+likewise stored on the field tensor square, where their balance over A is
+checked, and given structure maps, cointegrals and Frobenius systems are
+verified on representatives.  The presentation of C (x)_A C, ``Coring.square``,
+is built when a question needs the quotient: solving for cointegrals and
+Frobenius systems, and deciding whether differing representatives agree
+(``Coring.agree_in_square``, the coassociativity fallback).  Above
+``_SQUARE_DIM_LIMIT`` it is refused with ``TooLargeToValidateError``.
 """
 
 from __future__ import annotations
@@ -209,6 +212,20 @@ class Coring:
             raise CoringAxiomError(f"coassociativity fails at basis element {c}")
 
 
+def _context_delta_amb(ts: TensorSpace, pairs):
+    """Representative coproduct n (x) m -> sum_i (n (x) m_i) (x) (n_i (x) m) on
+    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i: the
+    dual-basis pairs for a comatrix coring, the pair (1, 1) for A (x)_B A."""
+    f = ts.left_factor.field
+    dn, dm = ts.left_factor.dim, ts.right_factor.dim
+    delta = f.zeros((ts.dim * ts.dim, ts.dim))
+    for m_vec, n_vec in pairs:
+        first = ts.pure(f.eye(dn), f.asarray(m_vec)[:, None])  # n -> n (x) m_i
+        second = ts.pure(f.asarray(n_vec)[:, None], f.eye(dm))  # m -> n_i (x) m
+        delta = delta + _on_left_leg(f, first, _on_right_leg(f, second, ts.section, dn), ts.dim)
+    return f.asarray(delta)
+
+
 def new_coring(carrier: Bimodule, coproduct: BimoduleMap, counit: BimoduleMap) -> Coring:
     """Assemble and validate a coring from quotient-valued structure maps.
 
@@ -243,11 +260,7 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
     a = ring_map.target
     f = a.field
     ts = tensor_over(target_sb(ring_map), target_bs(ring_map))
-    unit_col = a.unit[:, None]
-    into_first = f.matmul(ts.projection, f.kron(f.eye(a.dim), unit_col))  # a -> a (x) 1
-    into_second = f.matmul(ts.projection, f.kron(unit_col, f.eye(a.dim)))  # a -> 1 (x) a
-    delta_amb = _on_left_leg(f, into_first, _on_right_leg(f, into_second, ts.section, a.dim),
-                             ts.dim)
+    delta_amb = _context_delta_amb(ts, [(a.unit, a.unit)])  # a (x) b -> a (x) 1 (x) 1 (x) b
     mult_amb = a.structure.reshape(a.dim * a.dim, a.dim).T
     counit_mat = f.matmul(mult_amb, ts.section)
     return Coring(a, ts.space, delta_amb, counit_mat, carrier_tensor=ts)

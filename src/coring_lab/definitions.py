@@ -79,13 +79,21 @@ def _resolve(table: dict, name, kind: str, where: str):
     return table[name]
 
 
+def _entries(doc: dict, section: str):
+    """The (name, spec) pairs of one top-level section, each spec an object."""
+    table = doc.get(section) or {}
+    if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
+        raise DefinitionError(f"{section} must be an object of named objects")
+    return table.items()
+
+
 def loads(text: str) -> DefinitionFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DefinitionError(f"not valid JSON: {exc}")
-    if not isinstance(doc, dict) or "field" not in doc:
-        raise DefinitionError("document must be an object with a 'field' entry")
+    if not isinstance(doc, dict) or not isinstance(doc.get("field"), dict):
+        raise DefinitionError("document must be an object with a 'field' object")
     char = doc["field"].get("characteristic")
     if not isinstance(char, int) or char < 0:
         raise DefinitionError("field.characteristic must be a non-negative integer")
@@ -95,8 +103,10 @@ def loads(text: str) -> DefinitionFile:
         raise DefinitionError(str(exc))
     out = DefinitionFile(fld)
 
-    for name, spec in (doc.get("algebras") or {}).items():
-        dim = len(spec.get("unit", []))
+    for name, spec in _entries(doc, "algebras"):
+        if not isinstance(spec.get("unit"), list):
+            raise DefinitionError(f"algebra {name!r}: unit must be a list")
+        dim = len(spec["unit"])
         structure = _parse_tensor(fld, spec.get("structure"), (dim, dim, dim),
                                   f"algebra {name!r}")
         unit = _parse_tensor(fld, spec.get("unit"), (dim,), f"algebra {name!r} unit")
@@ -105,7 +115,7 @@ def loads(text: str) -> DefinitionFile:
         except CoringLabError as exc:
             raise DefinitionError(f"algebra {name!r}: {exc}")
 
-    for name, spec in (doc.get("algebra_maps") or {}).items():
+    for name, spec in _entries(doc, "algebra_maps"):
         source = _resolve(out.algebras, spec.get("source"), "algebra",
                           f"algebra map {name!r}")
         target = _resolve(out.algebras, spec.get("target"), "algebra",
@@ -117,12 +127,13 @@ def loads(text: str) -> DefinitionFile:
             raise DefinitionError(f"algebra map {name!r} is not a unital algebra map")
         out.algebra_maps[name] = amap
 
-    for name, spec in (doc.get("bimodules") or {}).items():
+    for name, spec in _entries(doc, "bimodules"):
         left = _resolve(out.algebras, spec.get("left"), "algebra", f"bimodule {name!r}")
         right = _resolve(out.algebras, spec.get("right"), "algebra", f"bimodule {name!r}")
         left_action = spec.get("left_action")
-        if not isinstance(left_action, list) or not left_action:
-            raise DefinitionError(f"bimodule {name!r}: missing left_action")
+        if not (isinstance(left_action, list) and left_action
+                and isinstance(left_action[0], list)):
+            raise DefinitionError(f"bimodule {name!r}: left_action must be a list of matrices")
         dim = len(left_action[0])
         lam = _parse_tensor(fld, left_action, (left.dim, dim, dim),
                             f"bimodule {name!r} left action")
@@ -133,10 +144,10 @@ def loads(text: str) -> DefinitionFile:
         except CoringLabError as exc:
             raise DefinitionError(f"bimodule {name!r}: {exc}")
 
-    for name, spec in (doc.get("morita") or {}).items():
+    for name, spec in _entries(doc, "morita"):
         out.morita[name] = _load_morita(out, fld, name, spec)
 
-    for name, spec in (doc.get("contexts") or {}).items():
+    for name, spec in _entries(doc, "contexts"):
         out.contexts[name] = _load_context(out, fld, name, spec)
 
     return out

@@ -25,7 +25,6 @@ from .bimodule import (
     _induced_action,
     _matrix_subspace_coords,
     _memo,
-    _scaling_matrix,
     canonical_s_iso,
     dual_basis,
     hom_bimodule,
@@ -173,15 +172,85 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 
 
 # ---------------------------------------------------------------------------
-# transports along the identification of S with M (x) M^*
+# transports along the identification of S with M (x)_A M^*
+#
+# omega(m (x) phi) = (x -> m.phi(x)) identifies M (x)_A M^* with S, so for the
+# comatrix coring C, C (x)_A C = M^* (x)_B S (x)_B M, and the Sweedler coring
+# of B -> S has square S (x)_B S (x)_B S.  A B-bimodule map f: S -> S (held
+# as its matrix on S coordinates) thus expands on either square as
+#
+#   gamma_f(phi (x) m (x) psi (x) n) = phi(f(omega(m (x) psi)) . n),
+#   gamma~_f((a (x) x) (x) (y (x) b)) = a f(xy) b,
+#
+# and a map gamma on the comatrix square is read back, {e_i, e_i^*} the
+# dual basis, as
+#
+#   f_gamma(x) = sum_{i,j,k} omega(e_i . gamma((e_i^* (x) x(e_j)) (x) (e_j^* (x) e_k)) (x) e_k^*).
+#
+# The dual-basis identity gives f_{gamma_f} = f.  A (pre-)cointegral gamma of
+# C goes to the Sweedler coring as gamma~ of f_gamma: the identity on f.
 # ---------------------------------------------------------------------------
 
 
-def _omega(tower: BimoduleTower, m_vec, phi_coords):
-    """S-coordinates of the endomorphism x -> m . phi(x)."""
+def _omega_table(tower: BimoduleTower):
+    """[s, i, beta]: the S-coordinates of omega(e_i (x) phi_beta), for the
+    field basis e_i of M and the basis functionals phi_beta of M^*."""
+    s_iso = tower.s_iso
+    table = tower.module.field.matmul(s_iso.to_endo, s_iso.tensor.projection)
+    return table.reshape(tower.end.algebra.dim, tower.module.dim, tower.comatrix.dual.dim)
+
+
+def _omega_dual(tower: BimoduleTower):
+    """[s, i, k]: the S-coordinates of omega(e_i (x) e_k^*)."""
+    dual_coords = np.stack(tower.basis.functional_coords)  # (k, beta)
+    return tower.module.field.tensordot(_omega_table(tower), dual_coords, ([2], [1]))
+
+
+def _on_both_legs(f, quad, section):
+    """[t, c1, c2] from [t, x1, y1, x2, y2]: each pair (x, y) of ambient
+    indices read through the tensor section into quotient coordinates."""
+    sec = section.reshape(quad.shape[1], quad.shape[2], section.shape[1])
+    half = f.tensordot(quad, sec, ([1, 2], [0, 1]))  # (t, x2, y2, c1)
+    return f.tensordot(half, sec, ([1, 2], [0, 1])).reshape(quad.shape[0], -1)  # (t, c1 c2)
+
+
+def _comatrix_expansion(tower: BimoduleTower, f_mat):
+    """gamma_f on the field tensor square of the comatrix coring."""
     f = tower.module.field
-    t = tower.s_iso.tensor.pure(m_vec, phi_coords)
-    return f.matmul(tower.s_iso.to_endo, t)
+    values = f.tensordot(f_mat, _omega_table(tower), ([1], [0]))  # (s, i, beta)
+    acted = f.tensordot(values, np.stack(tower.end.algebra.endo_mats),
+                        ([0], [0]))  # (i, beta, m', j): f(omega(e_i (x) phi_beta)) e_j
+    phis = np.stack(tower.comatrix.dual.functional_mats)  # (alpha, a, m')
+    quad = f.tensordot(phis, acted, ([2], [2]))  # (alpha, a, i, beta, j)
+    return _on_both_legs(f, quad.transpose(1, 0, 2, 3, 4), tower.comatrix.tensor.section)
+
+
+def _sweedler_expansion(tower: BimoduleTower, f_mat):
+    """gamma~_f on the field tensor square of the Sweedler coring of B -> S."""
+    f = tower.module.field
+    st = tower.end.algebra.structure  # b_i b_j = sum_k st[i, j, k] b_k
+    f_prod = f.tensordot(st, f_mat, ([2], [1]))  # (x, y, w): f(xy)
+    left = f.tensordot(st, f_prod, ([1], [2]))  # (a, u, x, y): a f(xy)
+    quad = f.tensordot(left, st, ([1], [0]))  # (a, x, y, b, s'): a f(xy) b
+    return _on_both_legs(f, quad.transpose(4, 0, 1, 2, 3),
+                         tower.sweedler.carrier_tensor.section)
+
+
+def _map_of_gamma(tower: BimoduleTower, gamma_amb):
+    """The matrix of f_gamma for a map gamma on the field tensor square of
+    the comatrix coring."""
+    f = tower.module.field
+    m, data, cdim = tower.module, tower.comatrix, tower.comatrix.coring.dim
+    proj = data.tensor.projection.reshape(cdim, data.dual.dim, m.dim)
+    pairs = f.tensordot(proj, np.stack(tower.basis.functional_coords),
+                        ([1], [1]))  # (c, j, i): e_i^* (x) e_j
+    g3 = gamma_amb.reshape(m.right_alg.dim, cdim, cdim)
+    right = f.tensordot(g3, pairs, ([2], [0]))  # (a, c, k, j): gamma(c (x) e_j^* (x) e_k)
+    left = f.tensordot(pairs, np.stack(tower.end.algebra.endo_mats),
+                       ([1], [1]))  # (c, i, s, j): e_i^* (x) s(e_j)
+    values = f.tensordot(right, left, ([1, 3], [0, 3]))  # (a, k, i, s)
+    scaled = f.tensordot(m.right_action, values, ([0, 1], [2, 0]))  # (m', k, s): e_i . gamma
+    return f.tensordot(_omega_dual(tower), scaled, ([1, 2], [0, 1]))
 
 
 def _tilde_invariant(tower: BimoduleTower, e_vec):
@@ -191,22 +260,10 @@ def _tilde_invariant(tower: BimoduleTower, e_vec):
     sum_{j,a} omega(e_j (x) w_a^*) (x) omega(w_a (x) e_j^*).
     """
     f = tower.module.field
-    m = tower.module
-    w = tower.comatrix.tensor.lift(e_vec)  # (dual, module) coefficients
-    ts_s = tower.sweedler.carrier_tensor
-    dual_dim = tower.comatrix.dual.dim
-    eye_m = f.eye(m.dim)
-    eye_d = f.eye(dual_dim)
-    acc = f.zeros(ts_s.dim)
-    for alpha in range(dual_dim):
-        for i in range(m.dim):
-            if not np.any(w[alpha, i] != 0):
-                continue
-            for j in range(m.dim):
-                s1 = _omega(tower, eye_m[:, j], w[alpha, i] * eye_d[:, alpha])
-                s2 = _omega(tower, eye_m[:, i], tower.basis.functional_coords[j])
-                acc = acc + ts_s.pure(s1, s2)
-    return f.asarray(acc)
+    w = tower.comatrix.tensor.lift(e_vec)  # (alpha, i) coefficients of phi_alpha (x) e_i
+    first = f.tensordot(_omega_table(tower), w, ([2], [0]))  # (s1, j, i)
+    pairs = f.tensordot(first, _omega_dual(tower), ([1, 2], [2, 1]))  # (s1, s2)
+    return f.matmul(tower.sweedler.carrier_tensor.projection, pairs.reshape(-1))
 
 
 def lift_cosplit(m: Bimodule, section: BimoduleMap):
@@ -217,18 +274,15 @@ def lift_cosplit(m: Bimodule, section: BimoduleMap):
     e_vec = f.matmul(section.matrix, m.right_alg.unit)
     tilde = _tilde_invariant(tower, e_vec)
     sw = tower.sweedler
-    s_alg = tower.end.algebra
     # the counit of the Sweedler coring is multiplication; its value on the
     # transported invariant must be the identity endomorphism
-    if not Field.equal(f.matmul(sw.counit_mat, tilde), s_alg.unit):
+    if not Field.equal(f.matmul(sw.counit_mat, tilde), sw.base.unit):
         raise InternalInconsistencyError("transported section does not split the counit")
-    for beta in range(s_alg.dim):
-        if not Field.equal(f.matmul(sw.carrier.left_mats[beta], tilde),
-                           f.matmul(sw.carrier.right_mats[beta], tilde)):
-            raise InternalInconsistencyError("transported section is not S-central")
-    cols = np.stack([f.matmul(sw.carrier.left_mats[beta], tilde)
-                     for beta in range(s_alg.dim)], axis=1)
-    return BimoduleMap(regular_bimodule(s_alg), sw.carrier, cols)
+    left = np.stack([f.matmul(x, tilde) for x in sw.carrier.left_mats], axis=1)
+    right = np.stack([f.matmul(x, tilde) for x in sw.carrier.right_mats], axis=1)
+    if not Field.equal(left, right):
+        raise InternalInconsistencyError("transported section is not S-central")
+    return BimoduleMap(regular_bimodule(sw.base), sw.carrier, left)
 
 
 def split_from_separability(m: Bimodule, nu: BimoduleMap) -> BimoduleMap:
@@ -252,89 +306,22 @@ def split_from_separability(m: Bimodule, nu: BimoduleMap) -> BimoduleMap:
 
 def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
     """The constructive cointegral eps o (M^* (x) s (x) M) of a separable
-    bimodule, verified as a full cointegral."""
+    bimodule: gamma_f for f = (B -> S) o s, verified as a full cointegral."""
     tower = bimodule_tower(m)
-    f = m.field
-    witness = split_from_separability(m, nu)
-    data = tower.comatrix
-    dual = data.dual
-    ts = data.tensor
-    dm, dd = m.dim, dual.dim
-    amb = dd * dm
-    eye_m, eye_d = f.eye(dm), f.eye(dd)
-    g_big = f.zeros((m.right_alg.dim, amb * amb))
-    for alpha in range(dd):
-        phi_alpha = dual.functional_mats[alpha]
-        for i in range(dm):
-            for beta in range(dd):
-                s_val = f.matmul(witness.matrix,
-                                 _omega(tower, eye_m[:, i], eye_d[:, beta]))
-                act = m.act_left(s_val)
-                for j in range(dm):
-                    col = (alpha * dm + i) * amb + beta * dm + j
-                    g_big[:, col] = f.matmul(phi_alpha, f.matmul(act, eye_m[:, j]))
-    gamma_amb = f.matmul(g_big, f.kron(ts.section, ts.section))
-    ci = Cointegral(data.coring, gamma_amb, normalized=True)
+    s = split_from_separability(m, nu)
+    f_mat = m.field.matmul(tower.b_to_s.matrix, s.matrix)
+    ci = Cointegral(tower.comatrix.coring, _comatrix_expansion(tower, f_mat), normalized=True)
     if not verify_cointegral(ci):
         raise InternalInconsistencyError("constructed cointegral fails verification")
     return ci
 
 
 def lift_precointegral(m: Bimodule, gamma: Cointegral, verify: bool = True) -> Cointegral:
-    """Transport a pre-cointegral of the comatrix coring to S (x)_B S."""
+    """Transport a pre-cointegral of the comatrix coring to S (x)_B S: the
+    expansion gamma~ of f_gamma."""
     tower = bimodule_tower(m)
-    f = m.field
-    data = tower.comatrix
-    s_alg = tower.end.algebra
-    sdim, mdim, cdim = s_alg.dim, m.dim, data.coring.dim
-    adim = m.right_alg.dim
-    proj = data.tensor.projection
-    g3 = gamma.gamma_amb.reshape(adim, cdim, cdim)
-
-    # coring coordinates of e_i^* (x) (s_beta e_j)
-    e1 = f.zeros((cdim, mdim, sdim, mdim))
-    eye_m = f.eye(mdim)
-    for i in range(mdim):
-        t_i = f.asarray(tower.basis.functional_coords[i])[:, None]
-        block = f.matmul(proj, f.kron(t_i, eye_m))  # (cdim, j) for e_i^* (x) e_j
-        for beta, endo in enumerate(s_alg.endo_mats):
-            e1[:, i, beta, :] = f.matmul(block, endo)
-
-    # g[a, i, beta, delta, k] = sum_j gamma(e_i^* (x) s_beta e_j , e_j^* (x) s_delta e_k)
-    g = f.zeros((adim, mdim, sdim, sdim, mdim))
-    for j in range(mdim):
-        first = e1[:, :, :, j]  # (c1, i, beta)
-        second = e1[:, j, :, :]  # (c2, delta, k)
-        partial = f.tensordot(g3, first, ([1], [0]))  # (a, c2, i, beta)
-        g = g + f.tensordot(partial, second, ([1], [0]))  # (a, i, beta, delta, k)
-
-    # omega(u (x) e_k^*) as a matrix in u, for each k
-    omega_k = []
-    for k in range(mdim):
-        t_k = f.asarray(tower.basis.functional_coords[k])[:, None]
-        block = f.matmul(tower.s_iso.tensor.projection, f.kron(eye_m, t_k))
-        omega_k.append(f.matmul(tower.s_iso.to_endo, block))  # (sdim, u)
-
-    sm = np.stack(s_alg.endo_mats)  # (alpha, m', m)
-    ar = np.stack([m.right_mats[a] for a in range(adim)])  # (a, m', m)
-    gamma3 = f.zeros((sdim, sdim, sdim, sdim))  # (s', alpha, beta, delta)
-    for i in range(mdim):
-        v = f.tensordot(sm[:, :, i], ar, ([1], [2]))  # (alpha, a, m')
-        for k in range(mdim):
-            u = f.tensordot(v, g[:, i, :, :, k], ([1], [0]))  # (alpha, m', beta, delta)
-            gamma3 = gamma3 + f.tensordot(omega_k[k], u, ([1], [1]))
-
-    # fold the middle multiplication: gamma~((s a (x) s b) (x) (s d (x) s e))
-    mid = f.tensordot(s_alg.structure, gamma3, ([2], [2]))  # (beta, delta, s', alpha, eta)
-    quad = mid.transpose(2, 3, 0, 1, 4)  # (s', alpha, beta, delta, eta)
-    ts_s = tower.sweedler.carrier_tensor
-    cs = ts_s.dim
-    pair_block = quad.reshape(sdim, sdim * sdim, sdim * sdim)
-    lift_pairs = ts_s.section  # (s*s, cs)
-    folded = f.tensordot(pair_block, lift_pairs, ([1], [0]))  # (s', (delta eta), cs1)
-    folded = f.tensordot(folded, lift_pairs, ([1], [0]))  # (s', cs1, cs2)
-    gamma_amb = folded.reshape(sdim, cs * cs)
-    ci = Cointegral(tower.sweedler, f.asarray(gamma_amb), normalized=False)
+    f_mat = _map_of_gamma(tower, gamma.gamma_amb)
+    ci = Cointegral(tower.sweedler, _sweedler_expansion(tower, f_mat), normalized=False)
     if verify and not verify_cointegral(ci):
         raise InternalInconsistencyError("transported pre-cointegral fails verification")
     return ci
@@ -366,13 +353,10 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
         raise NotProjectiveError("module is not projective over its left algebra")
     ld = theta.target
     endos = left_endomorphism_algebra(m)
-    eye_m = f.eye(m.dim)
-    cols = []
-    for alpha in range(data.dual.dim):
-        psi = ld.mat_of(f.matmul(theta.matrix, f.eye(data.dual.dim)[:, alpha]))
-        for i in range(m.dim):
-            cols.append(_scaling_matrix(f, m.left_action, 1, eye_m[:, i], psi))
-    coords = _matrix_subspace_coords(f, endos.endo_mats, cols)
+    psis = np.stack([ld.mat_of(col) for col in theta.matrix.T])  # (alpha, b, x)
+    # iota(phi_alpha (x) e_i) = (x -> theta(phi_alpha)(x) . e_i), as (alpha, i, m', x)
+    cols = f.tensordot(psis, m.left_action, ([1], [0])).transpose(0, 2, 3, 1)
+    coords = _matrix_subspace_coords(f, endos.endo_mats, list(cols.reshape(-1, m.dim, m.dim)))
     iota_amb = np.stack(coords, axis=1)
     iota = f.matmul(f.asarray(iota_amb), data.tensor.section)
     if data.coring.dim != endos.dim or _solve(f, iota, f.eye(endos.dim)) is None:
@@ -380,17 +364,14 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
     # right linearity over R = End_B(M) acting by phi (x) m . r = phi (x) r(m)
     for rho, r_mat in enumerate(endos.endo_mats):
         act = data.tensor.induced_map(f.eye(data.dual.dim), r_mat, data.tensor)
-        lhs = f.matmul(iota, act)
-        rhs = f.matmul(endos.right_mult[rho], iota)
-        if not Field.equal(lhs, rhs):
+        if not Field.equal(f.matmul(iota, act), f.matmul(endos.right_mult[rho], iota)):
             raise InternalInconsistencyError(f"iota is not right-linear at endo {rho}")
     # left A-linearity, with a acting on endomorphisms by (a.r)(x) = r(x.a)
     twisted = _induced_action(f, endos.endo_mats,
                               [[f.matmul(r, x) for r in endos.endo_mats] for x in m.right_mats])
     for a_idx in range(m.right_alg.dim):
-        lhs = f.matmul(iota, data.coring.carrier.left_mats[a_idx])
-        rhs = f.matmul(twisted[a_idx].T, iota)
-        if not Field.equal(lhs, rhs):
+        if not Field.equal(f.matmul(iota, data.coring.carrier.left_mats[a_idx]),
+                           f.matmul(twisted[a_idx].T, iota)):
             raise InternalInconsistencyError(f"iota is not left-linear at base {a_idx}")
     return IotaCertificate(iota, endos)
 

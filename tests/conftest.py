@@ -124,3 +124,17 @@ def count_memo_bodies(monkeypatch, *memoized):
                 if value is fn:
                     monkeypatch.setattr(mod, key, spy)
     return runs
+
+
+# definition documents of the wrong shape, each an input error
+MALFORMED_DEFINITIONS = {
+    "field-not-an-object": {"field": 5},
+    "algebras-not-an-object": {"field": {"characteristic": 2}, "algebras": [1]},
+    "algebra-not-an-object": {"field": {"characteristic": 2}, "algebras": {"A": 5}},
+    "unit-not-a-list": {"field": {"characteristic": 2},
+                        "algebras": {"A": {"structure": [[[1]]], "unit": 1}}},
+    "left-action-not-matrices": {
+        "field": {"characteristic": 2}, "algebras": {"A": {"structure": [[[1]]], "unit": [1]}},
+        "bimodules": {"M": {"left": "A", "right": "A", "left_action": [5],
+                            "right_action": [[[1]]]}}},
+}

@@ -11,6 +11,8 @@ from coring_lab.cli import main, report_document, verify_report_witnesses
 from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import DefinitionError, TooLargeToValidateError
 
+from conftest import MALFORMED_DEFINITIONS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -142,6 +144,38 @@ def test_malformed_witness_is_a_definition_error(defect):
     wit["cointegral"] = defect(wit["cointegral"])
     with pytest.raises(DefinitionError, match="comatrix_coseparable.cointegral"):
         verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DEFINITIONS.values(), ids=MALFORMED_DEFINITIONS.keys())
+def test_malformed_definition_file_exits_one(capsys, tmp_path, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [{}, 5], ids=["empty-object", "not-an-object"])
+def test_malformed_witness_entry_is_a_definition_error(entry):
+    deffile = load(bundled_path("regular-module"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    doc["witnesses"]["comatrix_coseparable"] = entry
+    with pytest.raises(DefinitionError, match="comatrix_coseparable"):
+        verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("key", ["comatrix_cointegral_constructed", "sweedler_cointegral_lift",
+                                 "sweedler_frobenius_lift"])
+def test_tampered_transported_witness_fails_reverification(key):
+    deffile = load(bundled_path("product-field"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    fld = deffile.field
+    gamma = doc["witnesses"][key]["gamma"]
+    gamma[0][0] = fld.format_scalar(fld.asarray([fld.parse_scalar(gamma[0][0]) + 1])[0])
+    assert not verify_report_witnesses(deffile, doc)
 
 
 def test_capacity_limit_exits_three(capsys, monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from coring_lab.definitions import BUNDLED_NAMES, bundled_path, load, loads
 from coring_lab.errors import DefinitionError
 
+from conftest import MALFORMED_DEFINITIONS
+
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
 def test_bundled_corpus_loads(name):
@@ -117,3 +119,9 @@ def test_broken_context_is_rejected():
     }
     with pytest.raises(DefinitionError, match="context 'broken'"):
         loads(json.dumps(base))
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DEFINITIONS.values(), ids=MALFORMED_DEFINITIONS.keys())
+def test_malformed_document_is_a_definition_error(doc):
+    with pytest.raises(DefinitionError):
+        loads(json.dumps(doc))

@@ -1,17 +1,22 @@
 import gc
+import itertools
+import json
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from coring_lab import GF, QQ
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
+    _combination,
     canonical_s_iso,
     dual_basis,
     endomorphism_algebra,
+    intertwiners,
     left_dual,
     left_dual_basis,
     left_endomorphism_algebra,
@@ -24,9 +29,11 @@ from coring_lab.bimodule import (
     tensor_over,
 )
 from coring_lab.comatrix import comatrix_coring, comatrix_data
-from coring_lab.definitions import bundled_path, load
+from coring_lab.definitions import bundled_path, load, loads
 from coring_lab.coring import find_frobenius_system, is_cosplit, verify_frobenius_system
 from coring_lab.structure import (
+    _comatrix_expansion,
+    _map_of_gamma,
     analyze,
     bimodule_tower,
     cointegral_from_separability,
@@ -52,6 +59,7 @@ from conftest import (
     row_module,
     trivial_bimodule,
 )
+from random_modules import random_projective_bimodule
 
 F2 = GF(2)
 F3 = GF(3)
@@ -242,6 +250,80 @@ def test_lift_cointegral_product_field_module():
     nu = is_separable_bimodule(m)
     ci = cointegral_from_separability(m, nu)
     lift_cointegral(m, ci)
+
+
+# ------------------------------------------ cointegrals as maps f: S -> S
+
+
+def _corpus_module(label):
+    """'bundled/<file>/<bimodule>/<p>' re-declared over GF(p), 'k^<n>/<p>',
+    or 'recipe/<seed>' from the acceptance generator."""
+    kind, _, rest = label.partition("/")
+    if kind == "bundled":
+        fname, name, char = rest.split("/")
+        doc = json.loads(bundled_path(fname).read_text(encoding="utf-8"))
+        doc["field"]["characteristic"] = int(char)
+        return loads(json.dumps(doc)).bimodules[name]
+    if kind == "recipe":
+        return random_projective_bimodule(int(rest))
+    n, char = kind[2:], rest
+    return trivial_bimodule(GF(int(char)), int(n))
+
+
+BUNDLED_MODULES = ["matrix2/M", "dual-numbers/M", "product-field/M", "morita-rows-cols/cols",
+                   "morita-rows-cols/rows", "regular-module/M"]
+
+
+@pytest.mark.parametrize("label", [f"bundled/{b}/{p}" for b in BUNDLED_MODULES for p in (2, 3)]
+                         + ["recipe/1", "recipe/3", "recipe/6"])
+def test_map_of_the_comatrix_expansion_is_the_map(label):
+    """f_{gamma_f} = f for every B-bimodule map f: S -> S, checked on a basis
+    of those maps and on a random combination of it."""
+    m = _corpus_module(label)
+    f = m.field
+    tower = bimodule_tower(m)
+    s_bb = target_bb(tower.b_to_s)
+    actions = list(s_bb.left_mats) + list(s_bb.right_mats)
+    basis = intertwiners(f, actions, actions)
+    rng = np.random.default_rng(7)
+    for f_mat in basis + [_combination(f, f.random(rng, len(basis)), basis)]:
+        assert np.array_equal(_map_of_gamma(tower, _comatrix_expansion(tower, f_mat)), f_mat)
+
+
+def _sweedler_reference(tower, f_mat):
+    """gamma~_f((a (x) x) (x) (y (x) b)) = a f(xy) b on basis quadruples,
+    read through the section of the Sweedler carrier on both legs."""
+    f = tower.module.field
+    s_alg = tower.end.algebra
+    n = s_alg.dim
+    eye = f.eye(n)
+    quad = f.zeros((n, n * n, n * n))
+    for a, x, y, b in itertools.product(range(n), repeat=4):
+        middle = f.matmul(f_mat, s_alg.mult(eye[:, x], eye[:, y]))
+        quad[:, a * n + x, y * n + b] = s_alg.mult(s_alg.mult(eye[:, a], middle), eye[:, b])
+    sec = tower.sweedler.carrier_tensor.section
+    return np.stack([f.matmul(f.matmul(sec.T, quad[t]), sec).reshape(-1) for t in range(n)])
+
+
+# the separable modules among the bundled ones, k^1, k^2 and the acceptance
+# recipes whose analysis completes (recipes 1, 4 and 11 are not separable)
+SEPARABLE_CORPUS = ([f"bundled/{b}/{p}" for b in BUNDLED_MODULES if b != "dual-numbers/M"
+                     for p in (2, 3)]
+                    + [f"k^{n}/{p}" for n in (1, 2) for p in (2, 3)]
+                    + [f"recipe/{seed}" for seed in (3, 5, 6, 10)])
+
+
+@pytest.mark.parametrize("label", SEPARABLE_CORPUS)
+def test_lifted_constructed_cointegral_is_the_sweedler_expansion(label):
+    """The lift of the cointegral built from a separability splitting is
+    gamma~_f for f = (B -> S) o s, s the split-extension witness."""
+    m = _corpus_module(label)
+    nu = is_separable_bimodule(m)
+    assert nu is not None
+    tower = bimodule_tower(m)
+    lifted = lift_cointegral(m, cointegral_from_separability(m, nu))
+    f_mat = m.field.matmul(tower.b_to_s.matrix, split_from_separability(m, nu).matrix)
+    assert np.array_equal(lifted.gamma_amb, _sweedler_reference(tower, f_mat))
 
 
 # --------------------------------------------------------------- iota and fs
