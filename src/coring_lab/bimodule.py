@@ -652,6 +652,7 @@ class SIso:
     end: EndData
     to_endo: np.ndarray  # tensor coords -> S coords
     from_endo: np.ndarray  # S coords -> tensor coords
+    omega: np.ndarray  # [s, i, alpha]: S coords of omega(e_i (x) phi_alpha)
 
 
 @_memo
@@ -708,17 +709,13 @@ def canonical_s_iso(m: Bimodule) -> SIso:
         rhs = f.matmul(s_alg.right_mult[beta], to_endo)
         if not Field.equal(lhs, rhs):
             raise BimoduleAxiomError(f"product rule (m(x)phi).s fails at s_{beta}")
-    # rule: (m(x)phi)(m'(x)phi') = m.phi(m') (x) phi'
-    t_dual = len(dual.functional_mats)
-    for i, alpha, j, beta in itertools.product(range(m.dim), range(t_dual),
-                                               range(m.dim), range(t_dual)):
-        eye_m, eye_d = f.eye(m.dim), f.eye(t_dual)
-        left = f.matmul(to_endo, ts.pure(eye_m[:, i], eye_d[:, alpha]))
-        right = f.matmul(to_endo, ts.pure(eye_m[:, j], eye_d[:, beta]))
-        product = s_alg.mult(left, right)
-        w = dual.functional_mats[alpha][:, j]  # phi_alpha(e_j) in A
-        u = f.tensordot(w, m.right_action[i], ([0], [0]))  # e_i . w
-        direct = f.matmul(to_endo, ts.pure(u, eye_d[:, beta]))
-        if not Field.equal(f.asarray(product), f.asarray(direct)):
-            raise BimoduleAxiomError("pointwise product rule fails in the identification")
-    return SIso(ts, end, to_endo, from_endo)
+    # rule: (m(x)phi)(m'(x)phi') = m.phi(m') (x) phi', on the table omega
+    omega = f.matmul(to_endo, ts.projection).reshape(s_alg.dim, m.dim, len(dual.functional_mats))
+    left = f.tensordot(omega, s_alg.structure, ([0], [0]))  # (i, alpha, q, r)
+    product = f.tensordot(left, omega, ([2], [0]))  # (i, alpha, r, j, beta)
+    scaled = f.tensordot(np.stack(dual.functional_mats), m.right_action,
+                         ([1], [1]))  # (alpha, j, i, i'): e_i . phi_alpha(e_j)
+    direct = f.tensordot(scaled, omega, ([3], [1]))  # (alpha, j, i, r, beta)
+    if not Field.equal(product, direct.transpose(2, 0, 3, 1, 4)):
+        raise BimoduleAxiomError("pointwise product rule fails in the identification")
+    return SIso(ts, end, to_endo, from_endo, omega)

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .bimodule import BimoduleMap, regular_bimodule, target_bb
 from .comatrix import comatrix_data, context_coring, context_from_morita
 from .coring import (
     Cointegral,
@@ -34,6 +35,7 @@ from .errors import (
     InternalInconsistencyError,
     TooLargeToValidateError,
 )
+from .fields import Field
 from .structure import FLAG_NAMES, analyze, bimodule_tower
 
 _SEED_ENV = "CORING_LAB_SEED"
@@ -129,10 +131,19 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
         if key in wit:
             fs = FrobeniusSystem(c, gamma(key, "gamma", c), parse(key, "invariant", (c.dim,)))
             ok &= verify_frobenius_system(fs)
-    if "comatrix_cosplit" in wit:
-        section = parse("comatrix_cosplit", "section", (comatrix.dim, comatrix.base.dim))
-        e = fld.matmul(section, comatrix.base.unit)
-        ok &= bool(np.array_equal(fld.matmul(comatrix.counit_mat, e), comatrix.base.unit))
+    for key, c in (("comatrix_cosplit", comatrix), ("sweedler_cosplit", sweedler),
+                   ("sweedler_cosplit_lift", sweedler)):
+        if key in wit:
+            section = parse(key, "section", (c.dim, c.base.dim))
+            ok &= (BimoduleMap(regular_bimodule(c.base), c.carrier, section,
+                               _validate=False).commutes_with_actions()
+                   and Field.equal(fld.matmul(c.counit_mat, section), fld.eye(c.base.dim)))
+    if "extension_split" in wit:
+        b, s_bb = tower.b_to_s.source, target_bb(tower.b_to_s)
+        retraction = parse("extension_split", "retraction", (b.dim, s_bb.dim))
+        ok &= (BimoduleMap(s_bb, regular_bimodule(b), retraction,
+                           _validate=False).commutes_with_actions()
+               and Field.equal(fld.matmul(retraction, tower.end.algebra.unit), b.unit))
     return bool(ok)
 
 

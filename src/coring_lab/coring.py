@@ -6,10 +6,12 @@ into the *field* tensor square of the carrier; it is one chosen system of
 representatives for the coproduct valued in C (x)_A C.  Cointegrals are
 likewise stored on the field tensor square, where their balance over A is
 checked, and given structure maps, cointegrals and Frobenius systems are
-verified on representatives.  The presentation of C (x)_A C, ``Coring.square``,
-is built when a question needs the quotient: solving for cointegrals and
-Frobenius systems, and deciding whether differing representatives agree
-(``Coring.agree_in_square``, the coassociativity fallback).  Above
+verified on representatives.  The pre-cointegral identity is written once,
+in ``_precointegral_defect``.  The presentation of C (x)_A C,
+``Coring.square``, is built when a question needs the quotient: the
+pre-cointegral space ``Coring.precointegrals``, inside which cointegrals and
+Frobenius systems are solved, and deciding whether differing representatives
+agree (``Coring.agree_in_square``, the coassociativity fallback).  Above
 ``_SQUARE_DIM_LIMIT`` it is refused with ``TooLargeToValidateError``.
 """
 
@@ -26,7 +28,6 @@ from .bimodule import (
     BimoduleMap,
     TensorSpace,
     _induced_action,
-    _intertwiner_rows,
     _matrix_subspace_coords,
     _on_left_leg,
     _on_right_leg,
@@ -44,7 +45,7 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import _kernel, _solve, rref
+from .linalg import _kernel, _solve
 
 __all__ = [
     "Coring",
@@ -66,7 +67,6 @@ __all__ = [
 
 # carriers above this size keep only the cheap exact checks (light mode)
 _SQUARE_DIM_LIMIT = 32
-_PRECOINTEGRAL_CHUNK = 8
 # find_frobenius_system enumerates central subspaces up to this size, else samples
 _FROBENIUS_ENUMERATION_BUDGET = 2**16
 _FROBENIUS_RANDOM_ATTEMPTS = 64
@@ -76,8 +76,8 @@ class Coring:
     """An A-coring with representative-level structure maps.
 
     The structure maps never change after construction; the tensor-square
-    presentation and the reduced cointegral constraints are built on first
-    use and memoized on the coring.
+    presentation and the pre-cointegral space are built on first use and
+    memoized on the coring.
     """
 
     def __init__(self, base: Algebra, carrier: Bimodule, delta_amb, counit_mat,
@@ -96,7 +96,7 @@ class Coring:
         if self.counit_mat.shape != (base.dim, d):
             raise CoringAxiomError(f"counit matrix has shape {self.counit_mat.shape}")
         self._square: TensorSpace | None = None
-        self._cointegral_echelon: np.ndarray | None = None
+        self._precointegrals: np.ndarray | None = None
         self.validate()
 
     @property
@@ -117,17 +117,22 @@ class Coring:
         return self._square
 
     @property
-    def cointegral_echelon(self):
-        """Reduced echelon rows spanning the linear constraints on a cointegral
-        (``_gamma_constraint_rows``); computed once per coring."""
-        if self._cointegral_echelon is None:
-            red, pivots = rref(self.field, _gamma_constraint_rows(self))
-            self._cointegral_echelon = red[:len(pivots)].copy()
-        return self._cointegral_echelon
-
-    def delta_quot(self):
-        """Coproduct into tensor-square quotient coordinates."""
-        return self.field.matmul(self.square.projection, self.delta_amb)
+    def precointegrals(self):
+        """Basis of the pre-cointegrals, built once per coring: a stack
+        [k, a', (u, v)] of maps on the field tensor square.  They are the
+        A-bimodule maps C (x)_A C -> A, expanded through the square's
+        projection, whose pre-cointegral defect vanishes."""
+        if self._precointegrals is None:
+            f, sq, a = self.field, self.square, self.base
+            homs = intertwiners(f, sq.space.left_mats + sq.space.right_mats,
+                                list(a.left_mult) + list(a.right_mult))
+            gammas = f.zeros((len(homs), a.dim, self.dim * self.dim))
+            for k, hom in enumerate(homs):
+                gammas[k] = f.matmul(hom, sq.projection)
+            coeffs = _kernel(f, _precointegral_defect(self, gammas).T)
+            basis = np.stack(coeffs) if coeffs else f.zeros((0, len(homs)))
+            self._precointegrals = f.tensordot(basis, gammas, ([1], [0]))
+        return self._precointegrals
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -357,10 +362,6 @@ class Cointegral:
     gamma_amb: np.ndarray  # (base.dim, dim**2)
     normalized: bool
 
-    def gamma3(self):
-        d = self.coring.dim
-        return self.gamma_amb.reshape(self.coring.base.dim, d, d)
-
 
 @dataclass
 class FrobeniusSystem:
@@ -403,32 +404,26 @@ def gamma_is_bimodule_map(c: Coring, gamma_amb) -> bool:
     return Field.equal(f.asarray(lhs), f.asarray(rhs))
 
 
-def precointegral_identity_holds(c: Coring, gamma_amb) -> bool:
-    """sum c_1 gamma(c_2 (x) c') == sum gamma(c (x) c'_1) c'_2 on basis pairs.
-
-    Both sides are assembled chunked so that large carriers never create a
-    dim**4 intermediate.
-    """
+def _precointegral_defect(c: Coring, gammas):
+    """[k, (c, m', l)]: the e_m' coordinate of
+    sum c_1 gamma_k(c_2 (x) e_l) - sum gamma_k(c (x) (e_l)_1) (e_l)_2 for the
+    basis elements c and e_l, given a stack [k, a', (u, v)] of maps on the
+    field tensor square.  Each side contracts the stack with one tensor that
+    depends only on the structure maps."""
     f = c.field
     d, da = c.dim, c.base.dim
-    g3 = f.asarray(gamma_amb).reshape(da, d, d)
-    dflat = c.delta_amb  # ((u, v), c)
-    rho, lam = c.carrier.right_action, c.carrier.left_action
-    lhs = f.zeros((d, d, d))  # (c, m', l)
-    for start in range(0, d, _PRECOINTEGRAL_CHUNK):
-        lcols = slice(start, min(start + _PRECOINTEGRAL_CHUNK, d))
-        k = lcols.stop - lcols.start
-        x = f.tensordot(rho, g3[:, :, lcols], ([1], [0]))  # (u, m', v, l)
-        xf = x.transpose(0, 2, 1, 3).reshape(d * d, d * k)  # ((u, v), (m', l))
-        lhs[:, :, lcols] = f.matmul(dflat.T, xf).reshape(d, d, k)
-    rhs = f.zeros((d, d, d))  # (c, m', l)
-    for start in range(0, d, _PRECOINTEGRAL_CHUNK):
-        ccols = slice(start, min(start + _PRECOINTEGRAL_CHUNK, d))
-        k = ccols.stop - ccols.start
-        z = f.tensordot(g3[:, ccols, :], lam, ([0], [0]))  # (c, u, v, m')
-        zf = z.transpose(0, 3, 1, 2).reshape(k * d, d * d)  # ((c, m'), (u, v))
-        rhs[ccols] = f.matmul(zf, dflat).reshape(k, d, d)
-    return Field.equal(f.asarray(lhs), f.asarray(rhs))
+    g4 = gammas.reshape(len(gammas), da, d, d)  # (k, b, v, l)
+    d3 = c.delta_tensor()  # (u, v, c)
+    delta_rho = f.tensordot(d3, c.carrier.right_action, ([0], [0]))  # (v, c, b, m')
+    lam_delta = f.tensordot(c.carrier.left_action, d3, ([1], [1]))  # (b, m', u, l)
+    lhs = f.tensordot(g4, delta_rho, ([1, 2], [2, 0]))  # (k, l, c, m')
+    rhs = f.tensordot(g4, lam_delta, ([1, 3], [0, 2]))  # (k, c, m', l)
+    return f.asarray(lhs.transpose(0, 2, 3, 1) - rhs).reshape(len(gammas), d ** 3)
+
+
+def precointegral_identity_holds(c: Coring, gamma_amb) -> bool:
+    """sum c_1 gamma(c_2 (x) c') == sum gamma(c (x) c'_1) c'_2 on basis pairs."""
+    return not np.any(_precointegral_defect(c, c.field.asarray(gamma_amb)[None]))
 
 
 def gamma_is_normalized(c: Coring, gamma_amb) -> bool:
@@ -472,57 +467,19 @@ def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_constraint_rows(c: Coring):
-    """Linear constraints on a quotient-coordinate gamma: bimodule-map rows
-    and pre-cointegral rows, stacked, zero rows dropped; unknowns are
-    vec(gamma_q), row-major over (base index, tensor-square index).  The
-    deciders read them reduced, through ``Coring.cointegral_echelon``."""
-    f = c.field
-    sq = c.square
-    d, da, q = c.dim, c.base.dim, sq.dim
-    a = c.base
-    # gamma_q (da x q) commutes with the actions of the base on the square and on A
-    rows = _intertwiner_rows(f, sq.space.left_mats + sq.space.right_mats,
-                             list(a.left_mult) + list(a.right_mult))
-    d3 = c.delta_tensor()
-    p2r = sq.projection.reshape(q, d, d)
-    rho, lam = c.carrier.right_action, c.carrier.left_action
-    # LHS coefficient of gamma_q[b, t] at output (c, l, m'):
-    #   sum_{u,v} Delta[u,v,c] rho[u,b,m'] P2[t, v, l]
-    t1 = f.tensordot(d3, rho, ([0], [0]))  # (v, c, b, m')
-    t1 = f.tensordot(t1, p2r, ([0], [1]))  # (c, b, m', t, l)
-    lhs_coeff = t1.transpose(0, 4, 2, 1, 3)  # (c, l, m', b, t)
-    # RHS coefficient: sum_{u,v} Delta[u,v,l] lam[b,v,m'] P2[t, c, u]
-    t2 = f.tensordot(d3, lam, ([1], [1]))  # (u, l, b, m')
-    t2 = f.tensordot(t2, p2r, ([0], [2]))  # (l, b, m', t, c)
-    rhs_coeff = t2.transpose(4, 0, 2, 1, 3)  # (c, l, m', b, t)
-    pre = f.asarray(lhs_coeff - rhs_coeff).reshape(d * d * d, da * q)
-    rows.append(pre)
-    stacked = np.concatenate(rows, axis=0)  # nonzero entries stay nonzero once reduced
-    return f.asarray(stacked[np.any(stacked != 0, axis=1)])
-
-
 def find_cointegral(c: Coring):
     """Exact decision of coseparability on small carriers.
 
-    Solves the full linear system (bimodule-map constraints, pre-cointegral
-    identity, normalization) for gamma in tensor-square coordinates.  The
-    homogeneous part enters as the coring's memoized echelon rows, which
-    span the same row space, so the reduced solution is the same.
+    Solves sum_j x_j (gamma_j o Delta) = eps on representatives over the
+    basis gamma_j of the coring's memoized pre-cointegral space.
     """
     f = c.field
-    sq = c.square
-    da, q = c.base.dim, sq.dim
-    homogeneous = c.cointegral_echelon
-    normalization = f.kron(f.eye(da), c.delta_quot().T)
-    system = np.concatenate([homogeneous, normalization], axis=0)
-    rhs = f.zeros(system.shape[0])
-    rhs[homogeneous.shape[0]:] = c.counit_mat.reshape(-1)
-    sol = _solve(f, f.asarray(system), rhs)
+    gammas = c.precointegrals
+    system = f.tensordot(gammas, c.delta_amb, ([2], [0]))  # (j, a', c): gamma_j o Delta
+    sol = _solve(f, system.reshape(len(gammas), c.counit_mat.size).T, c.counit_mat.reshape(-1))
     if sol is None:
         return None
-    gamma_q = sol.reshape(da, q)
-    ci = Cointegral(c, f.matmul(gamma_q, sq.projection), normalized=True)
+    ci = Cointegral(c, f.tensordot(sol, gammas, ([0], [0])), normalized=True)
     if not verify_cointegral(ci):
         raise CoringAxiomError("solver produced a gamma that fails verification")
     return ci
@@ -533,37 +490,33 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
 
     The defining conditions are linear in gamma for a fixed invariant e, so
     the solver enumerates or samples e over the central subspace and solves
-    exactly for gamma inside the pre-cointegral solution space, the kernel of
-    the coring's memoized ``cointegral_echelon``.
+    gamma(. (x) e) = gamma(e (x) .) = eps exactly for gamma inside the
+    coring's memoized pre-cointegral space.
     An exhausted enumeration is an exact negative; otherwise the dual-ring
     isomorphism criterion is tried before reporting inconclusive.
     """
     f = c.field
-    sq = c.square
-    da, d, q = c.base.dim, c.dim, sq.dim
+    da, d = c.base.dim, c.dim
     centrals = central_subspace(c)
     if not centrals:
         return FrobeniusSearch("none")
-    v_basis = _kernel(f, c.cointegral_echelon)
-    if not v_basis:
+    gammas = c.precointegrals
+    if not len(gammas):
         # gamma would have to be zero, which cannot reproduce the counit
         return FrobeniusSearch("none")
-    vb = np.stack(v_basis, axis=1)
+    g4 = gammas.reshape(len(gammas), da, d, d)
     counit_vec = c.counit_mat.reshape(-1)
 
     def try_invariant(e):
         if np.all(e == 0):
             return None
-        k1 = f.matmul(sq.projection, f.kron(f.eye(d), e[:, None]))  # c -> c (x) e
-        k2 = f.matmul(sq.projection, f.kron(e[:, None], f.eye(d)))  # c -> e (x) c
-        cond = np.concatenate([f.kron(f.eye(da), k1.T), f.kron(f.eye(da), k2.T)], axis=0)
-        reduced = f.matmul(cond, vb)
-        target = np.concatenate([counit_vec, counit_vec])
-        coeffs = _solve(f, f.asarray(reduced), target)
+        cond = np.stack([f.tensordot(g4, e, ([3], [0])),  # (j, a', c): gamma_j(c (x) e)
+                         f.tensordot(g4, e, ([2], [0]))], axis=1)  # gamma_j(e (x) c)
+        coeffs = _solve(f, cond.reshape(len(gammas), -1).T,
+                        np.concatenate([counit_vec, counit_vec]))
         if coeffs is None:
             return None
-        gamma_q = f.tensordot(coeffs, vb, ([0], [1])).reshape(da, q)
-        fs = FrobeniusSystem(c, f.matmul(gamma_q, sq.projection), e)
+        fs = FrobeniusSystem(c, f.tensordot(coeffs, gammas, ([0], [0])), e)
         if not verify_frobenius_system(fs):
             raise CoringAxiomError("Frobenius solver produced a failing system")
         return fs

@@ -192,18 +192,10 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 # ---------------------------------------------------------------------------
 
 
-def _omega_table(tower: BimoduleTower):
-    """[s, i, beta]: the S-coordinates of omega(e_i (x) phi_beta), for the
-    field basis e_i of M and the basis functionals phi_beta of M^*."""
-    s_iso = tower.s_iso
-    table = tower.module.field.matmul(s_iso.to_endo, s_iso.tensor.projection)
-    return table.reshape(tower.end.algebra.dim, tower.module.dim, tower.comatrix.dual.dim)
-
-
 def _omega_dual(tower: BimoduleTower):
     """[s, i, k]: the S-coordinates of omega(e_i (x) e_k^*)."""
     dual_coords = np.stack(tower.basis.functional_coords)  # (k, beta)
-    return tower.module.field.tensordot(_omega_table(tower), dual_coords, ([2], [1]))
+    return tower.module.field.tensordot(tower.s_iso.omega, dual_coords, ([2], [1]))
 
 
 def _on_both_legs(f, quad, section):
@@ -217,7 +209,7 @@ def _on_both_legs(f, quad, section):
 def _comatrix_expansion(tower: BimoduleTower, f_mat):
     """gamma_f on the field tensor square of the comatrix coring."""
     f = tower.module.field
-    values = f.tensordot(f_mat, _omega_table(tower), ([1], [0]))  # (s, i, beta)
+    values = f.tensordot(f_mat, tower.s_iso.omega, ([1], [0]))  # (s, i, beta)
     acted = f.tensordot(values, np.stack(tower.end.algebra.endo_mats),
                         ([0], [0]))  # (i, beta, m', j): f(omega(e_i (x) phi_beta)) e_j
     phis = np.stack(tower.comatrix.dual.functional_mats)  # (alpha, a, m')
@@ -261,7 +253,7 @@ def _tilde_invariant(tower: BimoduleTower, e_vec):
     """
     f = tower.module.field
     w = tower.comatrix.tensor.lift(e_vec)  # (alpha, i) coefficients of phi_alpha (x) e_i
-    first = f.tensordot(_omega_table(tower), w, ([2], [0]))  # (s1, j, i)
+    first = f.tensordot(tower.s_iso.omega, w, ([2], [0]))  # (s1, j, i)
     pairs = f.tensordot(first, _omega_dual(tower), ([1, 2], [2, 1]))  # (s1, s2)
     return f.matmul(tower.sweedler.carrier_tensor.projection, pairs.reshape(-1))
 

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coring_lab import cli
 from coring_lab.cli import main, report_document, verify_report_witnesses
-from coring_lab.definitions import bundled_path, load
+from coring_lab.definitions import _parse_tensor, bundled_path, load
 from coring_lab.errors import DefinitionError, TooLargeToValidateError
+from coring_lab.structure import bimodule_tower
 
 from conftest import MALFORMED_DEFINITIONS
 
@@ -175,6 +177,40 @@ def test_tampered_transported_witness_fails_reverification(key):
     fld = deffile.field
     gamma = doc["witnesses"][key]["gamma"]
     gamma[0][0] = fld.format_scalar(fld.asarray([fld.parse_scalar(gamma[0][0]) + 1])[0])
+    assert not verify_report_witnesses(deffile, doc)
+
+
+def _bump(fld, entries, i, j):
+    entries[i][j] = fld.format_scalar(fld.asarray([fld.parse_scalar(entries[i][j]) + 1])[0])
+
+
+@pytest.mark.parametrize("key", ["comatrix_cosplit", "sweedler_cosplit", "sweedler_cosplit_lift"])
+def test_tampered_cosplit_section_fails_reverification(key):
+    deffile = load(bundled_path("product-field"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    fld = deffile.field
+    tower = bimodule_tower(deffile.bimodules["M"])
+    c = tower.comatrix.coring if key == "comatrix_cosplit" else tower.sweedler
+    section = doc["witnesses"][key]["section"]
+    # move section(a_0) by an element of the kernel of eps: eps o section is
+    # still the identity, so eps(section(1)) = 1, but section is not A-linear
+    row = next(r for r in range(c.dim) if not c.counit_mat[:, r].any())
+    _bump(fld, section, row, 0)
+    tampered = _parse_tensor(fld, section, (c.dim, c.base.dim), key)
+    assert np.array_equal(fld.matmul(c.counit_mat, tampered), fld.eye(c.base.dim))
+    assert not verify_report_witnesses(deffile, doc)
+    _bump(fld, section, row, 0)
+    assert verify_report_witnesses(deffile, doc)
+    _bump(fld, section, 0, 0)  # now eps o section is not the identity
+    assert not verify_report_witnesses(deffile, doc)
+
+
+def test_tampered_split_retraction_fails_reverification():
+    deffile = load(bundled_path("product-field"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    _bump(deffile.field, doc["witnesses"]["extension_split"]["retraction"], 0, 0)
     assert not verify_report_witnesses(deffile, doc)
 
 

@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coring_lab import GF, QQ, coring as coring_module
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
-from coring_lab.bimodule import BimoduleMap, _on_right_leg, tensor_over
+from coring_lab.bimodule import BimoduleMap, _intertwiner_rows, _on_right_leg, tensor_over
 from coring_lab.comatrix import comatrix_coring
 from coring_lab.coring import (
-    _gamma_constraint_rows,
     Cointegral,
     Coring,
     CoringMorphism,
@@ -22,6 +23,7 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
+from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import (
     AxiomError,
     CoringAxiomError,
@@ -29,7 +31,7 @@ from coring_lab.errors import (
     TooLargeToValidateError,
 )
 from coring_lab.fields import Field
-from coring_lab.linalg import _solve, rref
+from coring_lab.linalg import _kernel, _solve, rref
 from coring_lab.structure import analyze, bimodule_tower
 
 from conftest import (
@@ -371,6 +373,48 @@ def test_central_subspace_of_matrix_coring_is_everything():
 
 # ------------------------------------------------ the shared cointegral system
 
+
+def dense_constraint_rows(c):
+    """Oracle: the linear constraints on a quotient-coordinate gamma, written
+    out densely, bimodule-map rows and pre-cointegral rows stacked, zero rows
+    dropped; unknowns are vec(gamma_q), row-major over (base index,
+    tensor-square index)."""
+    f = c.field
+    sq = c.square
+    d, da, q = c.dim, c.base.dim, sq.dim
+    a = c.base
+    # gamma_q (da x q) commutes with the actions of the base on the square and on A
+    rows = _intertwiner_rows(f, sq.space.left_mats + sq.space.right_mats,
+                             list(a.left_mult) + list(a.right_mult))
+    d3 = c.delta_tensor()
+    p2r = sq.projection.reshape(q, d, d)
+    rho, lam = c.carrier.right_action, c.carrier.left_action
+    # LHS coefficient of gamma_q[b, t] at output (c, l, m'):
+    #   sum_{u,v} Delta[u,v,c] rho[u,b,m'] P2[t, v, l]
+    t1 = f.tensordot(d3, rho, ([0], [0]))  # (v, c, b, m')
+    t1 = f.tensordot(t1, p2r, ([0], [1]))  # (c, b, m', t, l)
+    lhs_coeff = t1.transpose(0, 4, 2, 1, 3)  # (c, l, m', b, t)
+    # RHS coefficient: sum_{u,v} Delta[u,v,l] lam[b,v,m'] P2[t, c, u]
+    t2 = f.tensordot(d3, lam, ([1], [1]))  # (u, l, b, m')
+    t2 = f.tensordot(t2, p2r, ([0], [2]))  # (l, b, m', t, c)
+    rhs_coeff = t2.transpose(4, 0, 2, 1, 3)  # (c, l, m', b, t)
+    pre = f.asarray(lhs_coeff - rhs_coeff).reshape(d * d * d, da * q)
+    rows.append(pre)
+    stacked = np.concatenate(rows, axis=0)
+    return f.asarray(stacked[np.any(stacked != 0, axis=1)])
+
+
+def dense_kernel_gammas(c):
+    """The reduced-echelon kernel basis of the oracle rows, expanded to the
+    field tensor square: a stack [k, a', (u, v)]."""
+    f, sq = c.field, c.square
+    basis = _kernel(f, dense_constraint_rows(c))
+    gammas = f.zeros((len(basis), c.base.dim, c.dim * c.dim))
+    for k, v in enumerate(basis):
+        gammas[k] = f.matmul(v.reshape(c.base.dim, sq.dim), sq.projection)
+    return gammas
+
+
 # Sweedler corings S (x)_B S of B -> End_A(M): k^2 (coseparable and
 # Frobenius) over two fields, and recipe module 1, with a 2-dimensional B
 # (neither)
@@ -386,14 +430,24 @@ def sweedler(request):
     return bimodule_tower(SHARED_SYSTEM_MODULES[request.param]()).sweedler
 
 
+def test_precointegrals_span_the_kernel_of_the_dense_system(sweedler):
+    c = sweedler
+    f, sq = c.field, c.square
+    gammas = c.precointegrals
+    assert gammas.shape[1:] == (c.base.dim, c.dim * c.dim)
+    # back to quotient coordinates: gamma_amb @ section = gamma_q
+    ours = np.stack([f.matmul(g, sq.section).reshape(-1) for g in gammas])
+    oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
+    assert ours.shape == oracle.shape
+    assert np.array_equal(rref(f, ours)[0], rref(f, oracle)[0])
+
+
 def test_find_cointegral_matches_the_unreduced_system(sweedler):
     c = sweedler
     f, sq = c.field, c.square
     da, q = c.base.dim, sq.dim
-    homogeneous = _gamma_constraint_rows(c)
-    red, pivots = rref(f, homogeneous)
-    assert np.array_equal(c.cointegral_echelon, red[:len(pivots)])
-    assert len(pivots) < homogeneous.shape[0]
+    homogeneous = dense_constraint_rows(c)
+    assert len(rref(f, homogeneous)[1]) < homogeneous.shape[0]
     normalization = f.kron(f.eye(da), f.matmul(sq.projection, c.delta_amb).T)
     system = np.concatenate([homogeneous, normalization], axis=0)
     rhs = f.zeros(system.shape[0])
@@ -407,8 +461,8 @@ def test_find_cointegral_matches_the_unreduced_system(sweedler):
 
 def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler, monkeypatch):
     reduced = find_frobenius_system(sweedler, seed=0)
-    # the oracle: the same search over the kernel of the raw stacked rows
-    monkeypatch.setattr(Coring, "cointegral_echelon", property(_gamma_constraint_rows))
+    # the oracle: the same search over the kernel of the dense stacked rows
+    monkeypatch.setattr(Coring, "precointegrals", property(dense_kernel_gammas))
     oracle = find_frobenius_system(sweedler, seed=0)
     assert reduced.status == oracle.status
     if oracle.found:
@@ -418,23 +472,38 @@ def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler
 
 def test_analyze_builds_each_cointegral_system_once(monkeypatch):
     built = []
-    original = coring_module._gamma_constraint_rows
+    original = Coring.precointegrals.fget
 
     def counting(c):
-        built.append(c.dim)
+        if c._precointegrals is None:
+            built.append(c.dim)
         return original(c)
 
-    monkeypatch.setattr(coring_module, "_gamma_constraint_rows", counting)
+    monkeypatch.setattr(Coring, "precointegrals", property(counting))
     analyze(trivial_bimodule(F2, 2), seed=0)
     assert built == [4, 16]  # the comatrix coring, then the Sweedler coring
 
 
 def test_trivial_coring_of_the_field_has_an_empty_constraint_system():
     c = trivial_coring(field_algebra(F2))
-    assert _gamma_constraint_rows(c).shape == (0, 1)
-    assert c.cointegral_echelon.shape == (0, 1)
+    assert dense_constraint_rows(c).shape == (0, 1)
+    assert c.precointegrals.shape == (1, 1, 1)  # the pre-cointegral space is k
     assert find_cointegral(c) is not None
     assert find_frobenius_system(c, seed=0).status == "found"
+
+
+def test_deciders_on_the_sweedler_coring_of_matrix2_stay_small():
+    # the dense pre-cointegral block of this carrier (d = 16) peaked at 48.5 MB
+    c = bimodule_tower(load(bundled_path("matrix2")).bimodules["M"]).sweedler
+    c.square
+    tracemalloc.start()
+    try:
+        find_cointegral(c)
+        find_frobenius_system(c, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ------------------------------------------------------------------ morphisms
