@@ -45,6 +45,7 @@ __all__ = [
     "target_bs",
     "target_bb",
     "tensor_over",
+    "context_projection",
     "right_dual",
     "left_dual",
     "dual_basis",
@@ -290,17 +291,18 @@ def _on_right_leg(field: Field, mat, x, left_dim: int):
     return y.transpose(1, 0, 2).reshape(left_dim * mat.shape[0], k)
 
 
-def _balancing_relations(m: Bimodule, n: Bimodule):
-    """Rows (m, c, n) spanning m.c (x) n - m (x) c.n over the middle algebra:
-    the right action on the n' = n diagonal minus the left on the m' = m one."""
-    f = m.field
-    dm, dc, dn = m.dim, m.right_alg.dim, n.dim
-    rels = f.zeros((dm, dc, dn, dm, dn))
+def _balancing_relations(field: Field, rho, lam):
+    """Rows (m, c, n) spanning m.c (x) n - m (x) c.n over the middle algebra,
+    for ``rho`` the right action tensor of the left factor and ``lam`` the
+    left action tensor of the right factor: the right action on the n' = n
+    diagonal minus the left on the m' = m one."""
+    dm, dc, dn = rho.shape[0], rho.shape[1], lam.shape[1]
+    rels = field.zeros((dm, dc, dn, dm, dn))
     for k in range(dn):
-        rels[:, :, k, :, k] = m.right_action
+        rels[:, :, k, :, k] = rho
     for k in range(dm):
-        rels[k, :, :, k, :] -= n.left_action
-    return f.asarray(rels.reshape(dm * dc * dn, dm * dn))
+        rels[k, :, :, k, :] -= lam
+    return field.asarray(rels.reshape(dm * dc * dn, dm * dn))
 
 
 def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
@@ -308,7 +310,16 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
     if m.right_alg != n.left_alg:
         raise FieldMismatchError("middle algebra mismatch in tensor product")
     f = m.field
-    pres = QuotientPresentation.from_relations(f, m.dim * n.dim, _balancing_relations(m, n))
+    pres = QuotientPresentation.from_relations(
+        f, m.dim * n.dim, _balancing_relations(f, m.right_action, n.left_action))
+    return _presented_tensor(m, n, pres)
+
+
+def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> TensorSpace:
+    """M (x)_C N on ``pres``, any presentation of the field tensor M (x) N
+    modulo the balancing relations, with the outer actions induced through
+    its projection."""
+    f = m.field
     proj = pres.projection
     picked = pres.section.any(axis=1)
     free, rest = np.flatnonzero(picked), np.flatnonzero(~picked)
@@ -329,6 +340,30 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
     space = Bimodule(m.left_alg, n.right_alg, lam, rho,
                      name=f"{m.name or 'M'}(x){n.name or 'N'}")
     return TensorSpace(m, n, m.right_alg, pres, space)
+
+
+def context_projection(x: Bimodule, carrier: TensorSpace):
+    """Present X (x)_A C for C = N (x)_B M, the carrier of a context, as
+    (X (x)_A N) (x)_B M, whose relations are balanced over the small B on
+    dim(X (x)_A N) * dim M coordinates, not over A on dim X * dim C.
+
+    Returns the projection of the field tensor X (x) C onto it,
+    x (x) y -> [x (x) n_y] (x) m_y, where n_y (x) m_y is the lift of y
+    through the carrier's section; its kernel is exactly the A-balancing
+    relations of X (x) C.
+    """
+    f = x.field
+    n, m = carrier.left_factor, carrier.right_factor
+    inner = QuotientPresentation.from_relations(
+        f, x.dim * n.dim, _balancing_relations(f, x.right_action, n.left_action))
+    # B acts on X (x)_A N through N: the right action tensor of P kron(I, b) S
+    rho = np.stack([f.matmul(inner.projection, _on_right_leg(f, act, inner.section, x.dim)).T
+                    for act in n.right_mats], axis=1)
+    outer = QuotientPresentation.from_relations(
+        f, inner.quotient_dim * m.dim, _balancing_relations(f, rho, m.left_action))
+    # the transpose of P_outer kron(P_inner, I) kron(I, S_C), one leg at a time
+    through = _on_left_leg(f, inner.projection.T, outer.projection.T, m.dim)
+    return _on_right_leg(f, carrier.section.T, through, x.dim).T
 
 
 class DualModule(Bimodule):

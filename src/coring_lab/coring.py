@@ -11,8 +11,15 @@ in ``_precointegral_defect``.  The presentation of C (x)_A C,
 ``Coring.square``, is built when a question needs the quotient: the
 pre-cointegral space ``Coring.precointegrals``, inside which cointegrals and
 Frobenius systems are solved, and deciding whether differing representatives
-agree (``Coring.agree_in_square``, the coassociativity fallback).  Above
-``_SQUARE_DIM_LIMIT`` it is refused with ``TooLargeToValidateError``.
+agree (``Coring.agree_in_square``, the coassociativity fallback).
+
+The comatrix, Sweedler and context corings carry their carrier as a tensor
+product C = N (x)_B M (``carrier_tensor``).  Their square is reduced as
+(C (x)_A N) (x)_B M, balanced over the small B, and returned in the
+coordinates of the dense A-balanced quotient ``tensor_over(C, C)``, which
+corings without a context still reduce.  Above ``_SQUARE_DIM_LIMIT`` the
+square is refused with ``TooLargeToValidateError``: its bimodule and the
+pre-cointegral system on it grow with the square of the carrier.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from .bimodule import (
     _matrix_subspace_coords,
     _on_left_leg,
     _on_right_leg,
+    _presented_tensor,
+    context_projection,
     intertwiners,
     random_bimodule_iso,
     regular_bimodule,
@@ -45,7 +54,7 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import _kernel, _solve
+from .linalg import QuotientPresentation, _kernel, _solve
 
 __all__ = [
     "Coring",
@@ -105,15 +114,24 @@ class Coring:
 
     @property
     def square(self) -> TensorSpace:
-        """Presentation of C (x)_A C, built once per coring.  This is where
-        the dense size rule lives: above the limit every statement that
-        needs the square stops here with the capacity error."""
+        """Presentation of C (x)_A C, built once per coring.  A carrier
+        C = N (x)_B M is reduced through (C (x)_A N) (x)_B M, other carriers
+        through the dense A-balanced relations; both give the coordinates of
+        ``tensor_over(C, C)``.  This is where the size rule lives: above the
+        limit every statement that needs the square stops here with the
+        capacity error, as the square's bimodule and the pre-cointegral
+        system on it do not scale."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise TooLargeToValidateError(
                     f"carrier dimension {self.dim} too large for a dense tensor-square "
                     f"presentation (limit {_SQUARE_DIM_LIMIT})")
-            self._square = tensor_over(self.carrier, self.carrier)
+            if self.carrier_tensor is None:
+                self._square = tensor_over(self.carrier, self.carrier)
+            else:
+                onto = context_projection(self.carrier, self.carrier_tensor)
+                pres = QuotientPresentation.from_surjection(self.field, onto)
+                self._square = _presented_tensor(self.carrier, self.carrier, pres)
         return self._square
 
     @property
@@ -205,10 +223,13 @@ class Coring:
             return
         # compare in ((C (x) C) (x) C); its kernel is exactly the triple relations
         sq = self.square
-        upper = tensor_over(sq.space, self.carrier)
+        if self.carrier_tensor is None:
+            upper = tensor_over(sq.space, self.carrier).projection
+        else:
+            upper = context_projection(sq.space, self.carrier_tensor)
 
-        def project(t):  # through kron(sq.projection, I) and upper.projection
-            return f.matmul(upper.projection, _on_left_leg(f, sq.projection, t, d))
+        def project(t):  # through kron(sq.projection, I) and upper
+            return f.matmul(upper, _on_left_leg(f, sq.projection, t, d))
 
         lhs = project(f.tensordot(d2, d2, ([2], [0])).reshape(d * d * d, d))
         rhs = project(f.tensordot(d2, d2, ([1], [2])).transpose(0, 2, 3, 1).reshape(d * d * d, d))

@@ -189,6 +189,31 @@ class QuotientPresentation:
         sect[free_cols, range(q)] = 1
         return cls(field, ambient_dim, rel, q, proj, sect)
 
+    @classmethod
+    def from_surjection(cls, field: Field, onto) -> "QuotientPresentation":
+        """The presentation of ambient / ker(onto), for a surjective ``onto``,
+        in the coordinates ``from_relations`` gives for any relations that
+        span that kernel.  Their free columns are the columns of ``onto``
+        outside the span of the later ones, the pivots of its reversed
+        echelon form.  The projection is the one row-equivalent to ``onto``
+        that is the identity on them: that echelon form read backwards in
+        rows and columns.  The reduced relation rows carry the negated
+        projection there."""
+        onto = field.asarray(onto)
+        q, ambient_dim = onto.shape
+        red, pivots = rref(field, onto[:, ::-1])
+        if len(pivots) != q:
+            raise DimensionMismatchError(f"map of rank {len(pivots)} onto {q} coordinates")
+        proj = np.ascontiguousarray(red[::-1, ::-1])
+        free_cols = sorted(ambient_dim - 1 - c for _, c in pivots)
+        rest = sorted(set(range(ambient_dim)).difference(free_cols))
+        rel = field.zeros((len(rest), ambient_dim))
+        rel[range(len(rest)), rest] = 1
+        rel[:, free_cols] = -proj[:, rest].T
+        sect = field.zeros((ambient_dim, q))
+        sect[free_cols, range(q)] = 1
+        return cls(field, ambient_dim, field.asarray(rel), q, proj, sect)
+
     def reduces_to_zero(self, vectors) -> bool:
         """True when every column of ``vectors`` lies in the relation span."""
         cols = self.field.asarray(vectors)

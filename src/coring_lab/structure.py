@@ -63,6 +63,7 @@ __all__ = [
     "AuditEntry",
     "BimoduleTower",
     "bimodule_tower",
+    "dual_evaluation",
     "is_separable_bimodule",
     "is_frobenius_bimodule",
     "split_extension_check",
@@ -117,23 +118,27 @@ def bimodule_tower(m: Bimodule) -> BimoduleTower:
 # ---------------------------------------------------------------------------
 
 
+@_memo
+def dual_evaluation(m: Bimodule):
+    """M (x)_A *M presented, and the matrix of the evaluation
+    m (x) psi -> psi(m) into B on its coordinates."""
+    f = m.field
+    ld = left_dual(m)
+    ts = tensor_over(m, ld)
+    eval_amb = f.zeros((m.left_alg.dim, m.dim * ld.dim))
+    for kappa, psi in enumerate(ld.functional_mats):
+        eval_amb[:, kappa::ld.dim] = psi
+    return ts, f.matmul(eval_amb, ts.section)
+
+
 def is_separable_bimodule(m: Bimodule):
     """A splitting of the evaluation M (x)_A *M -> B, or None; exact.
 
     The splitting is a (B, B)-bimodule map out of B, hence determined by a
     B-central element with evaluation 1.
     """
-    f = m.field
-    ld = left_dual(m)
-    ts = tensor_over(m, ld)
-    # evaluation on the quotient: m (x) psi -> psi(m)
-    eval_amb = f.zeros((m.left_alg.dim, m.dim * ld.dim))
-    for kappa, psi in enumerate(ld.functional_mats):
-        eval_amb[:, kappa::ld.dim] = psi
-    nu = _central_section(ts.space, f.matmul(eval_amb, ts.section))
-    if nu is not None:
-        nu.tensor = ts
-    return nu
+    ts, evaluation = dual_evaluation(m)
+    return _central_section(ts.space, evaluation)
 
 
 def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> IsoSearch:
@@ -282,7 +287,7 @@ def split_from_separability(m: Bimodule, nu: BimoduleMap) -> BimoduleMap:
     splitting, normalized so that s applied to the dual-basis invariant is 1."""
     tower = bimodule_tower(m)
     f = m.field
-    ts = nu.tensor  # tensor_over(M, *M) attached by is_separable_bimodule
+    ts = dual_evaluation(m)[0]
     ld = ts.right_factor
     v = ts.lift(f.matmul(nu.matrix, m.left_alg.unit))  # (module, left-dual)
     s_alg = tower.end.algebra

@@ -206,7 +206,7 @@ def test_balancing_relations_match_the_kronecker_construction(field):
         r1 = m.right_action[:, :, None, :, None] * eye_n[None, None, :, None, :]
         r2 = eye_m[:, None, None, :, None] * n.left_action[None, :, :, None, :]
         kron_rows = field.asarray(r1 - r2).reshape(dm * dc * dn, dm * dn)
-        assert Field.equal(_balancing_relations(m, n), kron_rows)
+        assert Field.equal(_balancing_relations(field, m.right_action, n.left_action), kron_rows)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 
 from coring_lab import cli
 from coring_lab.cli import main, report_document, verify_report_witnesses
-from coring_lab.definitions import _parse_tensor, bundled_path, load
+from coring_lab.definitions import _parse_tensor, bundled_path, load, loads
 from coring_lab.errors import DefinitionError, TooLargeToValidateError
-from coring_lab.structure import bimodule_tower
+from coring_lab.bimodule import right_dual
+from coring_lab.structure import bimodule_tower, dual_evaluation
 
 from conftest import MALFORMED_DEFINITIONS
 
@@ -204,6 +206,68 @@ def test_tampered_cosplit_section_fails_reverification(key):
     assert verify_report_witnesses(deffile, doc)
     _bump(fld, section, 0, 0)  # now eps o section is not the identity
     assert not verify_report_witnesses(deffile, doc)
+
+
+def product_field_with_its_dual():
+    """The bundled product-field file plus D = M^*, an (A, k)-bimodule:
+    the evaluations of M^* (x) *M^* and of D (x) *D have kernels that
+    contain coordinate vectors, and A is not the field."""
+    doc = json.loads(bundled_path("product-field").read_text(encoding="utf-8"))
+    dual = right_dual(load(bundled_path("product-field")).bimodules["M"])
+    doc["bimodules"]["D"] = {"left": "A", "right": "k",
+                             "left_action": dual.left_action.tolist(),
+                             "right_action": dual.right_action.tolist()}
+    return loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("subject,key", [("D", "m_separable"), ("M", "mstar_separable")])
+def test_tampered_separability_splitting_fails_reverification(subject, key):
+    deffile = product_field_with_its_dual()
+    doc = json.loads(json.dumps(report_document(deffile, subject, seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    fld, module = deffile.field, deffile.bimodules[subject]
+    ts, evaluation = dual_evaluation(module if key == "m_separable" else right_dual(module))
+    eye = fld.eye(evaluation.shape[0])
+    splitting = doc["witnesses"][key]["splitting"]
+
+    def evaluated():
+        return fld.matmul(evaluation, _parse_tensor(fld, splitting, (ts.dim, len(eye)), key))
+
+    # move nu(b_0) by an element of the kernel of the evaluation: the
+    # evaluation of nu is still the identity, but nu is not B-linear
+    row = next(r for r in range(ts.dim) if not evaluation[:, r].any())
+    _bump(fld, splitting, row, 0)
+    assert np.array_equal(evaluated(), eye)
+    assert not verify_report_witnesses(deffile, doc)
+    _bump(fld, splitting, row, 0)
+    assert verify_report_witnesses(deffile, doc)
+    row = next(r for r in range(ts.dim) if evaluation[:, r].any())
+    _bump(fld, splitting, row, 0)  # now the evaluation of nu is not the identity
+    assert not np.array_equal(evaluated(), eye)
+    assert not verify_report_witnesses(deffile, doc)
+
+
+# sha256 of `coring-lab analyze --format json` on the bundled bimodules over
+# GF(2).  Reports are byte-identical across changes that do not change the
+# mathematics; a change that moves a witness updates these pins and says why.
+ANALYZE_JSON_SHA256 = {
+    ("matrix2", "M"): "e231be1936c85878113164db8d011cd3bbf4531b63fae1911810af8668f56edd",
+    ("dual-numbers", "M"): "6632f13bf5a631e7735ced40d65790c648b8b9231d617b98ce371b4f064fc2aa",
+    ("product-field", "M"): "6def4dbe83a70e8a54192d4a1bde3d829dfd80b7e5c262a68cd041626e48494b",
+    ("morita-rows-cols", "cols"):
+        "73b7f43424bff5268c4353e2565230004f3f33c6fffeacb145afe0571be5ba8c",
+    ("morita-rows-cols", "rows"):
+        "6351b4f1014082a0a93327ae1b835e0ff350775d4986991f73a3e2bedeff39e0",
+    ("regular-module", "M"): "fd89f50770d378e9ab40cfaeb23198f7970eeef183f4fd95b8a04fc8254cb643",
+}
+
+
+@pytest.mark.parametrize("fname,bimodule", sorted(ANALYZE_JSON_SHA256))
+def test_analyze_json_reports_match_their_pins(capsys, fname, bimodule):
+    code, out, _ = run_cli(capsys, "analyze", str(bundled_path(fname)), "--bimodule", bimodule,
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_JSON_SHA256[fname, bimodule]
 
 
 def test_tampered_split_retraction_fails_reverification():

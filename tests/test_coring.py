@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,15 @@ import pytest
 
 from coring_lab import GF, QQ, coring as coring_module
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
-from coring_lab.bimodule import BimoduleMap, _intertwiner_rows, _on_right_leg, tensor_over
-from coring_lab.comatrix import comatrix_coring
+from coring_lab.bimodule import (
+    BimoduleMap,
+    _intertwiner_rows,
+    _on_left_leg,
+    _on_right_leg,
+    intertwiners,
+    tensor_over,
+)
+from coring_lab.comatrix import comatrix_coring, context_coring, context_from_morita
 from coring_lab.coring import (
     Cointegral,
     Coring,
@@ -23,7 +31,7 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from coring_lab.definitions import bundled_path, load
+from coring_lab.definitions import bundled_path, load, loads
 from coring_lab.errors import (
     AxiomError,
     CoringAxiomError,
@@ -371,6 +379,22 @@ def test_central_subspace_of_matrix_coring_is_everything():
     assert len(central_subspace(matrix_coring(2, F2))) == 4
 
 
+@pytest.mark.parametrize("side", ["c (x) e", "e (x) c"])
+def test_frobenius_search_solves_both_normalizations_together(side, monkeypatch):
+    # one map gamma with exactly one normalization solvable for the invariant
+    # e = c_01: gamma(c (x) c') = eps(c) phi(c') solves gamma(c (x) e) = eps,
+    # its mirror solves gamma(e (x) c) = eps, and neither solves both, as phi,
+    # the coordinate of c_01, is no multiple of eps
+    c = matrix_coring(2, F2)
+    e = phi = F2.eye(4)[1]  # c_01 and its coordinate functional
+    eps = c.counit_mat[0]
+    table = np.outer(eps, phi) if side == "c (x) e" else np.outer(phi, eps)
+    monkeypatch.setattr(Coring, "precointegrals", property(lambda _: table.reshape(1, 1, 16)))
+    one_sided = F2.tensordot(table[None], e, ([2], [0]) if side == "c (x) e" else ([1], [0]))
+    assert np.array_equal(one_sided, c.counit_mat)
+    assert find_frobenius_system(c, seed=0).status == "none"
+
+
 # ------------------------------------------------ the shared cointegral system
 
 
@@ -504,6 +528,136 @@ def test_deciders_on_the_sweedler_coring_of_matrix2_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ------------------------------------------- the square of a context coring
+
+
+def bundled_over(name, char):
+    """A bundled definition file re-declared over characteristic ``char``."""
+    doc = json.loads(bundled_path(name).read_text(encoding="utf-8"))
+    doc["field"]["characteristic"] = char
+    return loads(json.dumps(doc))
+
+
+def context_corings_of(deffile):
+    """The comatrix and Sweedler corings of every bimodule of a definition
+    file, the context corings of its Morita data and the Sweedler corings of
+    its algebra maps."""
+    for m in deffile.bimodules.values():
+        tower = bimodule_tower(m)
+        yield from (tower.comatrix.coring, tower.sweedler)
+    for md in deffile.morita.values():
+        ctx = context_from_morita(md)
+        if ctx is not None:
+            yield context_coring(ctx)
+    for ring_map in deffile.algebra_maps.values():
+        yield sweedler_coring(ring_map)
+
+
+def module_corings(m):
+    tower = bimodule_tower(m)
+    return [tower.comatrix.coring, tower.sweedler]
+
+
+SQUARE_ORACLE_CASES = {
+    **{f"bundled/gf{char}/{name}": (lambda name=name, char=char:
+                                    context_corings_of(bundled_over(name, char)))
+       for char in (2, 3)
+       for name in ("matrix2", "dual-numbers", "product-field", "morita-rows-cols",
+                    "regular-module")},
+    **{f"k^{n}/{f}": (lambda n=n, f=f: module_corings(trivial_bimodule(f, n)))
+       for f in (F2, F3) for n in (1, 2)},
+    **{f"recipe/{i}": (lambda i=i: module_corings(random_projective_bimodule(i)))
+       for i in (1, 3, 6, 7, 11)},
+    "k^2/QQ": lambda: module_corings(trivial_bimodule(QQ, 2)),
+}
+
+
+def same_entries(a, b):
+    return a.dtype == b.dtype and Field.equal(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_ORACLE_CASES))
+def test_context_square_is_the_dense_square(case):
+    checked = 0
+    for c in SQUARE_ORACLE_CASES[case]():
+        assert c.carrier_tensor is not None and c.dim <= 32
+        sq, dense = c.square, tensor_over(c.carrier, c.carrier)
+        assert same_entries(sq.projection, dense.projection)
+        assert same_entries(sq.section, dense.section)
+        assert same_entries(sq.presentation.relation_basis, dense.presentation.relation_basis)
+        assert same_entries(sq.space.left_action, dense.space.left_action)
+        assert same_entries(sq.space.right_action, dense.space.right_action)
+        checked += 1
+    assert checked >= 2
+
+
+def dense_coassociativity_defect(c, delta_amb):
+    """Oracle: (Delta (x) 1) Delta - (1 (x) Delta) Delta on representatives,
+    projected into the triple quotient ((C (x)_A C) (x)_A C) built densely."""
+    f, d = c.field, c.dim
+    dense = tensor_over(c.carrier, c.carrier)
+    upper = tensor_over(dense.space, c.carrier)
+    d3 = delta_amb.reshape(d, d, d)
+    lhs = f.tensordot(d3, d3, ([2], [0])).reshape(d ** 3, d)
+    rhs = f.tensordot(d3, d3, ([1], [2])).transpose(0, 2, 3, 1).reshape(d ** 3, d)
+    return f.matmul(upper.projection, _on_left_leg(f, dense.projection, f.asarray(lhs - rhs), d))
+
+
+def test_tampered_coproduct_fails_in_the_context_cube(monkeypatch):
+    c = bimodule_tower(random_projective_bimodule(1)).sweedler
+    f, d = c.field, c.dim
+    cubes = []
+    original = coring_module.context_projection
+
+    def counting(x, carrier):
+        if x is not carrier.space:  # X = C builds a square; X = C (x)_A C compares
+            cubes.append(x)
+        return original(x, carrier)
+
+    monkeypatch.setattr(coring_module, "context_projection", counting)
+    # the representatives of this coring are not coassociative on the field cube
+    Coring(c.base, c.carrier, c.delta_amb, c.counit_mat, carrier_tensor=c.carrier_tensor)
+    assert len(cubes) == 1
+    # Delta + (pi (x) pi) Delta, for a bimodule endomorphism pi with eps pi = 0,
+    # keeps both counit laws and the bimodule property of the coproduct
+    ends = intertwiners(f, c.carrier.left_mats + c.carrier.right_mats,
+                        c.carrier.left_mats + c.carrier.right_mats)
+    rejected = 0
+    for pi in ends:
+        if np.any(f.matmul(c.counit_mat, pi)):
+            continue
+        twisted = _on_left_leg(f, pi, _on_right_leg(f, pi, c.delta_amb, d), d)
+        tampered = f.asarray(c.delta_amb + twisted)
+        before = len(cubes)
+        if np.any(dense_coassociativity_defect(c, tampered)):
+            rejected += 1
+            with pytest.raises(CoringAxiomError, match="coassociativity fails"):
+                Coring(c.base, c.carrier, tampered, c.counit_mat,
+                       carrier_tensor=c.carrier_tensor)
+        else:
+            Coring(c.base, c.carrier, tampered, c.counit_mat, carrier_tensor=c.carrier_tensor)
+        assert len(cubes) == before + 1
+    assert rejected
+
+
+def test_square_of_the_sweedler_coring_of_recipe_7_stays_small():
+    # the dense build of this square (d = 32, A of dimension 8) reduced an
+    # 8192 x 1024 int64 relation matrix (64 MB) and peaked at 232 MB; the
+    # context presentation peaks at 56 MB, most of it validating the
+    # 128-dimensional square bimodule
+    c = bimodule_tower(random_projective_bimodule(7)).sweedler
+    assert c.dim == 32
+    c._square = None
+    tracemalloc.start()
+    try:
+        c.square
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.square.dim == 128
+    assert peak < 64 * 2**20
 
 
 # ------------------------------------------------------------------ morphisms

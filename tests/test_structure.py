@@ -210,7 +210,6 @@ def test_cointegral_from_half_trace_splitting_over_q():
     one = QQ.eye(2)
     target = half * (ts.pure(one[:, 0], one[:, 0]) + ts.pure(one[:, 1], one[:, 1]))
     nu = BimoduleMap(regular_bimodule(m.left_alg), ts.space, target[:, None])
-    nu.tensor = ts
     ci = cointegral_from_separability(m, nu)
     # frozen oracle: gamma(c_ij (x) c_kl) = delta_jk delta_il / 2
     g3 = ci.gamma_amb.reshape(1, 4, 4)
