@@ -56,6 +56,7 @@ __all__ = [
     "canonical_s_iso",
     "hom_bimodule",
     "random_bimodule_iso",
+    "span_search",
 ]
 
 # random_bimodule_iso enumerates hom spaces up to this size, else samples
@@ -318,7 +319,18 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
 def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> TensorSpace:
     """M (x)_C N on ``pres``, any presentation of the field tensor M (x) N
     modulo the balancing relations, with the outer actions induced through
-    its projection."""
+    its projection.
+
+    The descent check is the only check: with valid factors it implies the
+    bimodule axioms of the result.  Let K_i = kron(lambda_i, I) and
+    K'_j = kron(I, rho_j) on M (x) N.  The left laws of M give
+    K_i K_j = sum_k c_ij^k K_k and sum_i u_i K_i = I, the right laws of N
+    the same for the K'_j, and K_i K'_j = kron(lambda_i, rho_j) = K'_j K_i.
+    The check is P K_i = L_i P and P K'_j = R_j P, with P onto (P S = I).
+    So L_i L_j P = P K_i K_j = sum_k c_ij^k L_k P, hence
+    L_i L_j = sum_k c_ij^k L_k; sum_i u_i L_i P = P gives sum_i u_i L_i = I;
+    L_i R_j P = P K_i K'_j = P K'_j K_i = R_j L_i P gives L_i R_j = R_j L_i;
+    the right laws are the mirror image."""
     f = m.field
     proj = pres.projection
     picked = pres.section.any(axis=1)
@@ -338,7 +350,7 @@ def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> T
     rho = np.stack([induced(_on_right_leg(f, act.T, proj.T, m.dim).T, "right", j)
                     for j, act in enumerate(n.right_mats)], axis=1)
     space = Bimodule(m.left_alg, n.right_alg, lam, rho,
-                     name=f"{m.name or 'M'}(x){n.name or 'N'}")
+                     name=f"{m.name or 'M'}(x){n.name or 'N'}", _validate=False)
     return TensorSpace(m, n, m.right_alg, pres, space)
 
 
@@ -350,17 +362,14 @@ def context_projection(x: Bimodule, carrier: TensorSpace):
     Returns the projection of the field tensor X (x) C onto it,
     x (x) y -> [x (x) n_y] (x) m_y, where n_y (x) m_y is the lift of y
     through the carrier's section; its kernel is exactly the A-balancing
-    relations of X (x) C.
+    relations of X (x) C.  The inner quotient is ``tensor_over(x, n)``, so
+    the right B-action on it passes the descent check of every tensor.
     """
     f = x.field
     n, m = carrier.left_factor, carrier.right_factor
-    inner = QuotientPresentation.from_relations(
-        f, x.dim * n.dim, _balancing_relations(f, x.right_action, n.left_action))
-    # B acts on X (x)_A N through N: the right action tensor of P kron(I, b) S
-    rho = np.stack([f.matmul(inner.projection, _on_right_leg(f, act, inner.section, x.dim)).T
-                    for act in n.right_mats], axis=1)
+    inner = tensor_over(x, n)
     outer = QuotientPresentation.from_relations(
-        f, inner.quotient_dim * m.dim, _balancing_relations(f, rho, m.left_action))
+        f, inner.dim * m.dim, _balancing_relations(f, inner.space.right_action, m.left_action))
     # the transpose of P_outer kron(P_inner, I) kron(I, S_C), one leg at a time
     through = _on_left_leg(f, inner.projection.T, outer.projection.T, m.dim)
     return _on_right_leg(f, carrier.section.T, through, x.dim).T
@@ -631,52 +640,49 @@ class IsoSearch:
 def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0) -> IsoSearch:
     """Search for an invertible bimodule map m -> n.
 
-    Identity first, then exhaustive enumeration over a small finite hom
-    space (exact negative), then seeded random combinations.
+    Identity first, then ``span_search`` over the hom space: exhaustive
+    over a small finite one (exact negative), else seeded random.
     """
     f = m.field
     if m.dim != n.dim:
         return IsoSearch("none")
-    if m.dim == 0:
-        return IsoSearch("found", BimoduleMap(m, n, f.zeros((0, 0)), _validate=False))
+    identity = BimoduleMap(m, n, f.eye(m.dim), _validate=False)
+    if identity.commutes_with_actions():
+        return IsoSearch("found", identity)
     homs = hom_bimodule(m, n)
     if not homs:
         return IsoSearch("none")
     stack = np.stack([h.matrix for h in homs])
-    h = len(homs)
 
     def attempt(mat):
         if _solve(f, mat, f.eye(m.dim)) is not None:
             return BimoduleMap(m, n, mat, _validate=False)
         return None
 
-    try:
-        _matrix_subspace_coords(f, [s for s in stack], [f.eye(m.dim)])
-        candidate = attempt(f.eye(m.dim))
-        if candidate is not None:
-            return IsoSearch("found", candidate)
-    except BimoduleAxiomError:
-        pass
+    status, iso = span_search(f, stack, attempt, _ISO_ENUMERATION_BUDGET, _ISO_RANDOM_ATTEMPTS,
+                              seed)
+    return IsoSearch(status, iso)
 
-    p = f.characteristic
-    if p and p**h <= _ISO_ENUMERATION_BUDGET:
-        for coeffs in itertools.product(range(p), repeat=h):
-            if not any(coeffs):
-                continue
-            mat = f.tensordot(f.asarray(list(coeffs)), stack, ([0], [0]))
-            candidate = attempt(mat)
-            if candidate is not None:
-                return IsoSearch("found", candidate)
-        return IsoSearch("none")
 
-    rng = np.random.default_rng(seed)
-    for _ in range(_ISO_RANDOM_ATTEMPTS):
-        coeffs = f.random(rng, h)
-        mat = f.tensordot(coeffs, stack, ([0], [0]))
-        candidate = attempt(mat)
-        if candidate is not None:
-            return IsoSearch("found", candidate)
-    return IsoSearch("inconclusive")
+def span_search(field: Field, stack, attempt, budget: int, attempts: int, seed: int):
+    """(status, witness) for the first nonzero combination X of the stacked
+    matrices or vectors with ``attempt(X)`` not None.  Over F_p with
+    p**k <= budget every nonzero combination is tried, so failure is the
+    exact negative 'none'; otherwise ``attempts`` seeded random combinations
+    are tried and failure is 'inconclusive'."""
+    k, p = len(stack), field.characteristic
+    if p and p**k <= budget:
+        status = "none"
+        combos = (field.asarray(c) for c in itertools.product(range(p), repeat=k) if any(c))
+    else:
+        status = "inconclusive"
+        rng = np.random.default_rng(seed)
+        combos = (field.random(rng, k) for _ in range(attempts))
+    for coeffs in combos:
+        witness = attempt(field.tensordot(coeffs, stack, ([0], [0])))
+        if witness is not None:
+            return "found", witness
+    return status, None
 
 
 @dataclass

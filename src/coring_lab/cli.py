@@ -18,12 +18,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .bimodule import BimoduleMap, regular_bimodule, right_dual, target_bb
+from .bimodule import right_dual
 from .comatrix import comatrix_data, context_coring, context_from_morita
 from .coring import (
     Cointegral,
     FrobeniusSystem,
     left_dual_ring,
+    splits,
     sweedler_coring,
     verify_cointegral,
     verify_frobenius_system,
@@ -35,8 +36,7 @@ from .errors import (
     InternalInconsistencyError,
     TooLargeToValidateError,
 )
-from .fields import Field
-from .structure import FLAG_NAMES, analyze, bimodule_tower, dual_evaluation
+from .structure import FLAG_NAMES, analyze, bimodule_tower, dual_evaluation, retracts
 
 _SEED_ENV = "CORING_LAB_SEED"
 
@@ -132,28 +132,18 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
             fs = FrobeniusSystem(c, gamma(key, "gamma", c), parse(key, "invariant", (c.dim,)))
             ok &= verify_frobenius_system(fs)
 
-    def splits(alg, space, value_mat, mat):
-        """mat is a bimodule map out of the regular alg with value_mat o mat = id."""
-        return (BimoduleMap(regular_bimodule(alg), space, mat, _validate=False)
-                .commutes_with_actions()
-                and Field.equal(fld.matmul(value_mat, mat), fld.eye(alg.dim)))
-
     for key, c in (("comatrix_cosplit", comatrix), ("sweedler_cosplit", sweedler),
                    ("sweedler_cosplit_lift", sweedler)):
         if key in wit:
-            section = parse(key, "section", (c.dim, c.base.dim))
-            ok &= splits(c.base, c.carrier, c.counit_mat, section)
+            ok &= splits(c.carrier, c.counit_mat, parse(key, "section", (c.dim, c.base.dim)))
     for key, m in (("m_separable", module), ("mstar_separable", right_dual(module))):
         if key in wit:
             ts, evaluation = dual_evaluation(m)
-            splitting = parse(key, "splitting", (ts.dim, m.left_alg.dim))
-            ok &= splits(m.left_alg, ts.space, evaluation, splitting)
+            ok &= splits(ts.space, evaluation,
+                         parse(key, "splitting", (ts.dim, m.left_alg.dim)))
     if "extension_split" in wit:
-        b, s_bb = tower.b_to_s.source, target_bb(tower.b_to_s)
-        retraction = parse("extension_split", "retraction", (b.dim, s_bb.dim))
-        ok &= (BimoduleMap(s_bb, regular_bimodule(b), retraction,
-                           _validate=False).commutes_with_actions()
-               and Field.equal(fld.matmul(retraction, tower.end.algebra.unit), b.unit))
+        shape = (tower.b_to_s.source.dim, tower.b_to_s.target.dim)
+        ok &= retracts(tower.b_to_s, parse("extension_split", "retraction", shape))
     return bool(ok)
 
 

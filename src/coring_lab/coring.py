@@ -24,7 +24,6 @@ pre-cointegral system on it grow with the square of the carrier.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .bimodule import (
     intertwiners,
     random_bimodule_iso,
     regular_bimodule,
+    span_search,
     target_bs,
     target_sb,
     tensor_over,
@@ -67,6 +67,8 @@ __all__ = [
     "sweedler_coring",
     "left_dual_ring",
     "is_cosplit",
+    "central_rows",
+    "splits",
     "central_subspace",
     "find_cointegral",
     "verify_cointegral",
@@ -174,27 +176,19 @@ class Coring:
     def validate(self) -> None:
         f = self.field
         d = self.dim
-        # counit is a bimodule map into the regular bimodule
-        for i in range(self.base.dim):
-            if not Field.equal(f.matmul(self.counit_mat, self.carrier.left_mats[i]),
-                               f.matmul(self.base.left_mult[i], self.counit_mat)):
-                raise CoringAxiomError(f"counit not left-linear at basis {i}")
-            if not Field.equal(f.matmul(self.counit_mat, self.carrier.right_mats[i]),
-                               f.matmul(self.base.right_mult[i], self.counit_mat)):
-                raise CoringAxiomError(f"counit not right-linear at basis {i}")
+        if not BimoduleMap(self.carrier, regular_bimodule(self.base), self.counit_mat,
+                           _validate=False).commutes_with_actions():
+            raise CoringAxiomError("counit is not a bimodule map into the base")
         # counit laws hold on representatives regardless of the section choice:
         # u (x) v -> eps(u) . v and u (x) v -> u . eps(v), one leg at a time
         eye, da = f.eye(d), self.base.dim
         lam = self.carrier.left_action.reshape(da * d, d)  # ((i, v), m')
         rho = self.carrier.right_action.reshape(d * da, d)  # ((u, j), m')
-        left_law = f.matmul(lam.T, _on_left_leg(f, self.counit_mat, self.delta_amb, d))
-        if not Field.equal(left_law, eye):
-            c = int(np.argwhere(left_law != eye)[0][1])
-            raise CoringAxiomError(f"left counit law fails at basis element {c}")
-        right_law = f.matmul(rho.T, _on_right_leg(f, self.counit_mat, self.delta_amb, d))
-        if not Field.equal(right_law, eye):
-            c = int(np.argwhere(right_law != eye)[0][1])
-            raise CoringAxiomError(f"right counit law fails at basis element {c}")
+        for side, act, on_leg in (("left", lam, _on_left_leg), ("right", rho, _on_right_leg)):
+            law = f.matmul(act.T, on_leg(f, self.counit_mat, self.delta_amb, d))
+            if not Field.equal(law, eye):
+                c = int(np.argwhere(law != eye)[0][1])
+                raise CoringAxiomError(f"{side} counit law fails at basis element {c}")
         self._validate_delta_bimodule()
         self._validate_coassociativity()
         self.validation = "full" if d <= _SQUARE_DIM_LIMIT else "light"
@@ -333,31 +327,42 @@ def left_dual_ring(c: Coring) -> Algebra:
     return ring
 
 
+def central_rows(space: Bimodule):
+    """The stacked rows of x -> b.x - x.b over the basis of the algebra
+    acting on both sides of ``space``: x is central iff they vanish on it."""
+    return space.field.asarray(np.concatenate(
+        [left - right for left, right in zip(space.left_mats, space.right_mats)]))
+
+
+def splits(space: Bimodule, value_mat, mat) -> bool:
+    """True when ``mat`` is a bimodule map out of the regular bimodule of the
+    algebra acting on both sides of ``space`` with value_mat o mat = id."""
+    f, alg = space.field, space.left_alg
+    return (BimoduleMap(regular_bimodule(alg), space, mat, _validate=False).commutes_with_actions()
+            and Field.equal(f.matmul(value_mat, mat), f.eye(alg.dim)))
+
+
 def _central_section(space: Bimodule, value_mat):
     """The bimodule map a -> a.e out of the regular bimodule of the algebra
     acting on both sides of ``space``, for a central e with value_mat @ e = 1;
     None when there is no such e.  Decided by one exact solve."""
     f = space.field
     alg = space.left_alg
-    blocks = [space.left_mats[i] - space.right_mats[i] for i in range(alg.dim)]
-    system = np.concatenate(blocks + [value_mat], axis=0)
-    rhs = f.zeros(alg.dim * space.dim + alg.dim)
-    rhs[alg.dim * space.dim:] = alg.unit
-    e = _solve(f, f.asarray(system), rhs)
+    rows = central_rows(space)
+    rhs = f.zeros(len(rows) + alg.dim)
+    rhs[len(rows):] = alg.unit
+    e = _solve(f, np.concatenate([rows, value_mat]), rhs)
     if e is None:
         return None
-    section = np.stack([f.matmul(space.left_mats[i], e) for i in range(alg.dim)], axis=1)
-    sec_map = BimoduleMap(regular_bimodule(alg), space, section)
-    if not Field.equal(f.matmul(value_mat, section), f.eye(alg.dim)):
-        raise InternalInconsistencyError("the solved central element does not have value 1")
-    return sec_map
+    section = np.stack([f.matmul(act, e) for act in space.left_mats], axis=1)
+    if not splits(space, value_mat, section):
+        raise InternalInconsistencyError("the solved central element does not split the map")
+    return BimoduleMap(regular_bimodule(alg), space, section, _validate=False)
 
 
 def central_subspace(c: Coring) -> list[np.ndarray]:
     """Basis of the A-central elements of the carrier."""
-    rows = np.concatenate([c.carrier.left_mats[i] - c.carrier.right_mats[i]
-                           for i in range(c.base.dim)])
-    return _kernel(c.field, c.field.asarray(rows))
+    return _kernel(c.field, central_rows(c.carrier))
 
 
 def is_cosplit(c: Coring):
@@ -469,10 +474,8 @@ def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
     c = fs.coring
     f = c.field
     e = f.asarray(fs.invariant)
-    for i in range(c.base.dim):
-        if not Field.equal(f.matmul(c.carrier.left_mats[i], e),
-                           f.matmul(c.carrier.right_mats[i], e)):
-            return False
+    if np.any(f.matmul(central_rows(c.carrier), e)):
+        return False
     g = fs.gamma_amb
     if not (gamma_is_balanced(c, g) and gamma_is_bimodule_map(c, g)
             and precointegral_identity_holds(c, g)):
@@ -510,11 +513,11 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
     """Search for a reduced Frobenius system (gamma, e).
 
     The defining conditions are linear in gamma for a fixed invariant e, so
-    the solver enumerates or samples e over the central subspace and solves
-    gamma(. (x) e) = gamma(e (x) .) = eps exactly for gamma inside the
-    coring's memoized pre-cointegral space.
-    An exhausted enumeration is an exact negative; otherwise the dual-ring
-    isomorphism criterion is tried before reporting inconclusive.
+    ``span_search`` enumerates or samples e over the central subspace, and
+    gamma(. (x) e) = gamma(e (x) .) = eps is solved exactly for gamma inside
+    the coring's memoized pre-cointegral space.  An exhausted enumeration is
+    an exact negative; after sampling, the dual-ring isomorphism criterion is
+    tried before reporting inconclusive.
     """
     f = c.field
     da, d = c.base.dim, c.dim
@@ -529,8 +532,6 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
     counit_vec = c.counit_mat.reshape(-1)
 
     def try_invariant(e):
-        if np.all(e == 0):
-            return None
         cond = np.stack([f.tensordot(g4, e, ([3], [0])),  # (j, a', c): gamma_j(c (x) e)
                          f.tensordot(g4, e, ([2], [0]))], axis=1)  # gamma_j(e (x) c)
         coeffs = _solve(f, cond.reshape(len(gammas), -1).T,
@@ -542,26 +543,11 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
             raise CoringAxiomError("Frobenius solver produced a failing system")
         return fs
 
-    z = len(centrals)
-    zb = np.stack(centrals, axis=1)
-    p = f.characteristic
-    if p and p**z <= _FROBENIUS_ENUMERATION_BUDGET:
-        for coeffs in itertools.product(range(p), repeat=z):
-            e = f.matmul(zb, f.asarray(list(coeffs)))
-            fs = try_invariant(e)
-            if fs is not None:
-                return FrobeniusSearch("found", fs)
-        return FrobeniusSearch("none")
-
-    rng = np.random.default_rng(seed)
-    for _ in range(_FROBENIUS_RANDOM_ATTEMPTS):
-        e = f.matmul(zb, f.random(rng, z))
-        fs = try_invariant(e)
-        if fs is not None:
-            return FrobeniusSearch("found", fs)
-
-    outcome = _frobenius_via_dual_ring_iso(c, seed)
-    return outcome
+    status, fs = span_search(f, np.stack(centrals), try_invariant,
+                             _FROBENIUS_ENUMERATION_BUDGET, _FROBENIUS_RANDOM_ATTEMPTS, seed)
+    if status != "inconclusive":
+        return FrobeniusSearch(status, fs)
+    return _frobenius_via_dual_ring_iso(c, seed)
 
 
 def _hit_from_right(c: Coring, xi_mat):

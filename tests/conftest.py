@@ -1,5 +1,6 @@
 """Shared builders for small algebras and bimodules used across the suite."""
 
+import json
 import sys
 
 import numpy as np
@@ -7,6 +8,14 @@ import pytest
 
 from coring_lab.algebra import Algebra, matrix_algebra
 from coring_lab.bimodule import Bimodule, _memo
+from coring_lab.definitions import bundled_path, loads
+
+
+def bundled_over(name, char):
+    """A bundled definition file re-declared over characteristic ``char``."""
+    doc = json.loads(bundled_path(name).read_text(encoding="utf-8"))
+    doc["field"]["characteristic"] = char
+    return loads(json.dumps(doc))
 
 
 def field_algebra(field, name="k"):

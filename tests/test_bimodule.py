@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from coring_lab.bimodule import (
     _on_right_leg,
     _scaling_matrix,
     canonical_s_iso,
+    context_projection,
     dual_basis,
     endomorphism_algebra,
     hom_bimodule,
@@ -129,6 +132,17 @@ def test_an_action_that_does_not_commute_with_the_middle_does_not_descend(side):
                      _validate=False)
     with pytest.raises(BimoduleAxiomError, match=f"{side} action does not descend at basis 0"):
         tensor_over(m, n)
+
+
+def test_context_projection_checks_that_the_right_action_of_n_descends():
+    # X (x)_A N is a tensor_over, so B acting on N must pass its descent check
+    kk = direct_product(field_algebra(F2), field_algebra(F2))
+    reg = regular_bimodule(kk)
+    swap = F2.asarray([[0, 1], [1, 0]])
+    n = Bimodule(kk, kk, reg.left_action, np.stack([swap, F2.eye(2)], axis=1), _validate=False)
+    carrier = dataclasses.replace(tensor_over(reg, reg), left_factor=n)
+    with pytest.raises(BimoduleAxiomError, match="right action does not descend at basis 0"):
+        context_projection(reg, carrier)
 
 
 def test_tensor_balancing_holds_in_quotient(rng):

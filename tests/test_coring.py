@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -31,7 +30,7 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from coring_lab.definitions import bundled_path, load, loads
+from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import (
     AxiomError,
     CoringAxiomError,
@@ -43,6 +42,7 @@ from coring_lab.linalg import _kernel, _solve, rref
 from coring_lab.structure import analyze, bimodule_tower
 
 from conftest import (
+    bundled_over,
     dual_numbers,
     field_algebra,
     matrix_coring,
@@ -89,6 +89,14 @@ def test_all_ones_counit_fails_counit_law():
     bad_counit = F2.asarray([[1, 1, 1, 1]])
     with pytest.raises(CoringAxiomError, match="counit law"):
         Coring(field_algebra(F2), carrier, good.delta_amb, bad_counit)
+
+
+def test_counit_that_is_not_a_bimodule_map_is_rejected():
+    kk = direct_product(field_algebra(F2), field_algebra(F2))
+    good = trivial_coring(kk)
+    swap = F2.asarray([[0, 1], [1, 0]])  # exchanges the two idempotents
+    with pytest.raises(CoringAxiomError, match="counit is not a bimodule map"):
+        Coring(kk, good.carrier, good.delta_amb, swap)
 
 
 def test_dropped_coproduct_term_fails_validation():
@@ -533,13 +541,6 @@ def test_deciders_on_the_sweedler_coring_of_matrix2_stay_small():
 # ------------------------------------------- the square of a context coring
 
 
-def bundled_over(name, char):
-    """A bundled definition file re-declared over characteristic ``char``."""
-    doc = json.loads(bundled_path(name).read_text(encoding="utf-8"))
-    doc["field"]["characteristic"] = char
-    return loads(json.dumps(doc))
-
-
 def context_corings_of(deffile):
     """The comatrix and Sweedler corings of every bimodule of a definition
     file, the context corings of its Morita data and the Sweedler corings of
@@ -584,6 +585,7 @@ def test_context_square_is_the_dense_square(case):
     for c in SQUARE_ORACLE_CASES[case]():
         assert c.carrier_tensor is not None and c.dim <= 32
         sq, dense = c.square, tensor_over(c.carrier, c.carrier)
+        sq.space.validate()  # the descent check alone built it
         assert same_entries(sq.projection, dense.projection)
         assert same_entries(sq.section, dense.section)
         assert same_entries(sq.presentation.relation_basis, dense.presentation.relation_basis)

@@ -31,7 +31,10 @@ from coring_lab.bimodule import (
 from coring_lab.comatrix import comatrix_coring, comatrix_data
 from coring_lab.definitions import bundled_path, load, loads
 from coring_lab.coring import find_frobenius_system, is_cosplit, verify_frobenius_system
+from coring_lab.errors import InternalInconsistencyError
 from coring_lab.structure import (
+    FLAG_NAMES,
+    _audit,
     _comatrix_expansion,
     _map_of_gamma,
     analyze,
@@ -419,6 +422,14 @@ def test_williard_for_non_generator_summand():
 
 
 # ------------------------------------------------------------------ analyze
+
+
+@pytest.mark.parametrize("false_flag", ["mstar_separable", "comatrix_cosplit"])
+def test_audit_rejects_a_separable_dual_that_disagrees_with_cosplitness(false_flag):
+    flags = dict.fromkeys(FLAG_NAMES, True)
+    flags[false_flag] = False
+    with pytest.raises(InternalInconsistencyError, match="dual_separable_iff_cosplit"):
+        _audit(flags)
 
 
 def test_analyze_k2_all_flags_true():
