@@ -720,13 +720,10 @@ def canonical_s_iso(m: Bimodule) -> SIso:
     fwd_amb = np.stack(cols, axis=1) if cols else f.zeros((s_alg.dim, 0))
     to_endo = f.matmul(f.asarray(fwd_amb), ts.section)
 
-    from_cols = []
-    for s in s_alg.endo_mats:
-        acc = f.zeros(ts.dim)
-        for i in range(m.dim):
-            acc = acc + ts.pure(s[:, i], db.functional_coords[i])
-        from_cols.append(f.asarray(acc))
-    from_endo = np.stack(from_cols, axis=1)
+    # s -> sum_i s(e_i) (x) e_i^*
+    coords = f.asarray(np.reshape(db.functional_coords, (m.dim, dual.dim)))
+    amb = f.tensordot(np.stack(s_alg.endo_mats), coords, ([2], [0]))  # (s, m', alpha)
+    from_endo = f.matmul(ts.projection, amb.reshape(s_alg.dim, -1).T)
 
     if not Field.equal(f.matmul(to_endo, from_endo), f.eye(s_alg.dim)):
         raise BimoduleAxiomError("canonical identification: S round trip failed")

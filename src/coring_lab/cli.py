@@ -3,8 +3,9 @@ bimodules and emit deterministic reports.
 
 Exit codes: 0 when the requested analysis completed (whatever the flags),
 1 for input problems, 2 when a proven implication failed, which signals an
-implementation bug rather than a mathematical outcome, and 3 when a coring
-is too large for the dense tensor square (a capacity limit, not an answer).
+implementation bug rather than a mathematical outcome, and 3 when a question
+needs the tensor square of a coring too large for it (a capacity limit, not
+an answer).
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ _SEED_ENV = "CORING_LAB_SEED"
 
 
 def _serialize_array(field, arr):
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        return [field.format_scalar(v) for v in arr]
-    return [[field.format_scalar(v) for v in row] for row in arr]
+    """Nested lists of scalar texts; each distinct value is formatted once."""
+    values, inverse = np.unique(np.asarray(arr), return_inverse=True)
+    texts = np.array([field.format_scalar(v) for v in values], dtype=object)
+    return texts[inverse.reshape(np.shape(arr))].tolist()
 
 
 def _flag_text(value) -> str:

@@ -24,14 +24,21 @@ from .bimodule import (
     TensorSpace,
     _matrix_subspace_coords,
     _memo,
-    _scaling_matrix,
     dual_basis,
     left_endomorphism_algebra,
     regular_bimodule,
     right_dual,
     tensor_over,
 )
-from .coring import Coring, CoringMorphism, _context_delta_amb, left_dual_ring
+from .coring import (
+    ContextCoring,
+    Coring,
+    CoringMorphism,
+    _context_delta_amb,
+    _pair_matrices,
+    check_context_diagrams,
+    left_dual_ring,
+)
 from .errors import (
     BimoduleAxiomError,
     ContextAxiomError,
@@ -76,14 +83,10 @@ def comatrix_data(m: Bimodule) -> ComatrixData:
         raise NotProjectiveError(
             f"{m!r} admits no dual basis over its right algebra")
     ts = tensor_over(dual, m)
-    delta_amb = _context_delta_amb(ts, zip(db.elements, db.functional_coords))
     # counit phi (x) m -> phi(m)
-    a_dim = m.right_alg.dim
-    eval_amb = f.zeros((a_dim, dual.dim * m.dim))
-    for alpha, phi in enumerate(dual.functional_mats):
-        eval_amb[:, alpha * m.dim:(alpha + 1) * m.dim] = phi
-    counit_mat = f.matmul(eval_amb, ts.section)
-    coring = Coring(m.right_alg, ts.space, delta_amb, counit_mat, carrier_tensor=ts)
+    eval_amb = np.concatenate([f.zeros((m.right_alg.dim, 0))] + dual.functional_mats, axis=1)
+    coring = ContextCoring(ts, zip(db.elements, db.functional_coords),
+                           f.matmul(f.asarray(eval_amb), ts.section))
     return ComatrixData(coring, dual, db, ts)
 
 
@@ -136,22 +139,7 @@ class CoringContext:
                 for u, v in zip(*np.nonzero(w))]
 
     def validate(self) -> None:
-        f = self.field
-        sig, ts = self.sigma.matrix, self.tensor_nm
-        eye_n, eye_m = f.eye(self.n.dim), f.eye(self.m.dim)
-        # first diagram: n -> sum_i sigma(n (x) m_i) . n_i equals n
-        first = f.zeros((self.n.dim, self.n.dim))
-        # second diagram: m -> sum_i m_i . sigma(n_i (x) m) equals m
-        second = f.zeros((self.m.dim, self.m.dim))
-        for m_vec, n_vec in self.tau_pairs():
-            sig_m = f.matmul(sig, ts.pure(eye_n, m_vec[:, None]))  # sigma(- (x) m_i)
-            first = first + _scaling_matrix(f, self.n.left_action, 1, n_vec, sig_m)
-            sig_n = f.matmul(sig, ts.pure(n_vec[:, None], eye_m))  # sigma(n_i (x) -)
-            second = second + _scaling_matrix(f, self.m.right_action, 0, m_vec, sig_n)
-        if not Field.equal(f.asarray(first), eye_n):
-            raise ContextAxiomError("first context diagram fails")
-        if not Field.equal(f.asarray(second), eye_m):
-            raise ContextAxiomError("second context diagram fails")
+        check_context_diagrams(self.tensor_nm, self.tau_pairs(), self.sigma.matrix)
 
 
 def context_from_bimodule(m: Bimodule) -> CoringContext:
@@ -162,14 +150,11 @@ def context_from_bimodule(m: Bimodule) -> CoringContext:
     ts_nm = data.tensor
     ts_mn = tensor_over(m, dual)
     sigma = BimoduleMap(ts_nm.space, regular_bimodule(m.right_alg), data.coring.counit_mat)
-    # tau(b) = sum_i b.e_i (x) e_i^*
-    tau_cols = []
-    for j in range(m.left_alg.dim):
-        acc = f.zeros(ts_mn.dim)
-        for e_vec, phi in zip(db.elements, db.functional_coords):
-            acc = acc + ts_mn.pure(f.matmul(m.left_mats[j], e_vec), phi)
-        tau_cols.append(acc)
-    tau = BimoduleMap(regular_bimodule(m.left_alg), ts_mn.space, np.stack(tau_cols, axis=1))
+    # tau(b) = sum_i b.e_i (x) e_i^*, on the field tensor M (x) M^*
+    es, phis = _pair_matrices(f, zip(db.elements, db.functional_coords), m.dim, dual.dim)
+    amb = f.tensordot(m.left_action, f.matmul(es, phis.T), ([1], [0]))  # (b, m', phi)
+    tau = BimoduleMap(regular_bimodule(m.left_alg), ts_mn.space,
+                      f.matmul(ts_mn.projection, amb.reshape(m.left_alg.dim, -1).T))
     return CoringContext(dual, m, sigma, tau, ts_nm, ts_mn)
 
 
@@ -186,30 +171,19 @@ class MoritaData:
     tensor_mn: TensorSpace
 
     def validate(self) -> None:
-        f = self.m.field
-        n_dim, m_dim = self.n.dim, self.m.dim
-        eye_n, eye_m = f.eye(n_dim), f.eye(m_dim)
-        sig, tt = self.sigma.matrix, self.tau_tilde.matrix
-        for v in range(n_dim):
-            for u in range(m_dim):
-                s_val = f.matmul(sig, self.tensor_nm.pure(eye_n[:, v], eye_m[:, u]))
-                t_val = f.matmul(tt, self.tensor_mn.pure(eye_m[:, u], eye_n[:, v]))
-                # sigma(n (x) m) n' = n tau~(m (x) n')
-                for w in range(n_dim):
-                    lhs = f.matmul(self.n.act_left(s_val), eye_n[:, w])
-                    t_uw = f.matmul(tt, self.tensor_mn.pure(eye_m[:, u], eye_n[:, w]))
-                    rhs = f.matmul(self.n.act_right(t_uw), eye_n[:, v])
-                    if not Field.equal(f.asarray(lhs), f.asarray(rhs)):
-                        raise ContextAxiomError(
-                            f"Morita associativity (sigma side) fails at ({v},{u},{w})")
-                # tau~(m (x) n) m' = m sigma(n (x) m')
-                for w in range(m_dim):
-                    lhs = f.matmul(self.m.act_left(t_val), eye_m[:, w])
-                    s_vw = f.matmul(sig, self.tensor_nm.pure(eye_n[:, v], eye_m[:, w]))
-                    rhs = f.matmul(self.m.act_right(s_vw), eye_m[:, u])
-                    if not Field.equal(f.asarray(lhs), f.asarray(rhs)):
-                        raise ContextAxiomError(
-                            f"Morita associativity (tau side) fails at ({u},{v},{w})")
+        """sigma(n (x) m) . n' = n . tau~(m (x) n') and
+        tau~(m (x) n) . m' = m . sigma(n (x) m') on all basis triples."""
+        f, n, m = self.m.field, self.n, self.m
+        sig = f.matmul(self.sigma.matrix, self.tensor_nm.projection).reshape(-1, n.dim, m.dim)
+        tt = f.matmul(self.tau_tilde.matrix, self.tensor_mn.projection).reshape(-1, m.dim, n.dim)
+        for side, lhs, rhs in (
+                ("sigma", f.tensordot(sig, n.left_action, ([0], [0])),  # (v, u, w, n')
+                 f.tensordot(tt, n.right_action, ([0], [1])).transpose(2, 0, 1, 3)),
+                ("tau", f.tensordot(tt, m.left_action, ([0], [0])),  # (u, v, w, m')
+                 f.tensordot(sig, m.right_action, ([0], [1])).transpose(2, 0, 1, 3))):
+            if not Field.equal(lhs, rhs):
+                at = ",".join(str(i) for i in np.argwhere(lhs != rhs)[0][:3])
+                raise ContextAxiomError(f"Morita associativity ({side} side) fails at ({at})")
 
 
 def context_from_morita(md: MoritaData):
@@ -254,13 +228,10 @@ def context_dual_basis(ctx: CoringContext):
         f, dual.functional_mats, [sigma_functional(eye_n[:, v]) for v in range(n.dim)])
     chi = BimoduleMap(n, dual, np.stack(chi_cols, axis=1))
     # chi^{-1}(phi) = sum_i phi(m_i) . n_i
-    inv_cols = []
-    for phi in dual.functional_mats:
-        acc = f.zeros(n.dim)
-        for m_vec, n_vec in pairs:
-            acc = acc + f.matmul(n.act_left(f.matmul(phi, m_vec)), n_vec)
-        inv_cols.append(f.asarray(acc))
-    chi_inv = BimoduleMap(dual, n, np.stack(inv_cols, axis=1))
+    ms, ns = _pair_matrices(f, pairs, m.dim, n.dim)
+    values = f.tensordot(np.stack(dual.functional_mats), ms, ([2], [0]))  # (phi, a, i)
+    acting = f.tensordot(n.left_action, ns, ([1], [0]))  # (a, n', i)
+    chi_inv = BimoduleMap(dual, n, f.tensordot(values, acting, ([1, 2], [0, 2])).T)
     if not Field.equal(f.matmul(chi.matrix, chi_inv.matrix), f.eye(dual.dim)):
         raise InternalInconsistencyError("chi o chi^{-1} is not the identity")
     if not Field.equal(f.matmul(chi_inv.matrix, chi.matrix), f.eye(n.dim)):
@@ -270,9 +241,7 @@ def context_dual_basis(ctx: CoringContext):
 
 def context_coring(ctx: CoringContext) -> Coring:
     """The coring N (x)_B M with coproduct n (x) m -> n (x) tau(1) (x) m."""
-    ts = ctx.tensor_nm
-    return Coring(ctx.a_alg, ts.space, _context_delta_amb(ts, ctx.tau_pairs()),
-                  ctx.sigma.matrix, carrier_tensor=ts)
+    return ContextCoring(ctx.tensor_nm, ctx.tau_pairs(), ctx.sigma.matrix)
 
 
 @dataclass
@@ -323,31 +292,26 @@ def left_dual_anti_iso(m: Bimodule) -> AntiIso:
     data = comatrix_data(m)
     ring = left_dual_ring(data.coring)
     endos = left_endomorphism_algebra(m)
-    ts = data.tensor
-    eye_m = f.eye(m.dim)
-    endo_of = []
-    for xi in ring.functional_mats:
-        total = f.zeros((m.dim, m.dim))
-        for e_vec, phi_coords in zip(data.basis.elements, data.basis.functional_coords):
-            # column x: e_i . xi(e_i^* (x) x)
-            embed = ts.pure(f.asarray(phi_coords)[:, None], eye_m)
-            vals = f.matmul(xi, embed)  # (A coords, x)
-            total = total + _scaling_matrix(f, m.right_action, 0, e_vec, vals)
-        endo_of.append(f.asarray(total))
+    # column x of the endomorphism of xi: sum_i e_i . xi(e_i^* (x) x)
+    es, phis = _pair_matrices(f, zip(data.basis.elements, data.basis.functional_coords),
+                              m.dim, data.dual.dim)
+    pure = f.tensordot(data.tensor.projection.reshape(-1, data.dual.dim, m.dim), phis,
+                       ([1], [0]))  # (c, x, i): e_i^* (x) x
+    values = f.tensordot(np.stack(ring.functional_mats), pure, ([2], [0]))  # (xi, a, x, i)
+    scaled = f.tensordot(es, m.right_action, ([0], [0]))  # (i, a, x'): e_i . a
+    endo_of = f.tensordot(values, scaled, ([1, 3], [1, 0])).transpose(0, 2, 1)
     try:
-        cols = _matrix_subspace_coords(f, endos.endo_mats, endo_of)
+        cols = _matrix_subspace_coords(f, endos.endo_mats, list(endo_of))
     except BimoduleAxiomError as exc:
         raise InternalInconsistencyError(f"anti-isomorphism left the endo ring: {exc}")
-    forward = np.stack(cols, axis=1)
-    backward = _solve(f, f.asarray(forward), f.eye(ring.dim))
+    forward = f.asarray(np.stack(cols, axis=1))
+    backward = _solve(f, forward, f.eye(ring.dim))
     if backward is None or ring.dim != endos.dim:
         raise InternalInconsistencyError("left dual ring is not bijective with End")
-    for i in range(ring.dim):
-        for j in range(ring.dim):
-            product = ring.mult(f.eye(ring.dim)[:, i], f.eye(ring.dim)[:, j])
-            lhs = endos.mat_of(f.matmul(forward, product))
-            rhs = f.matmul(endos.mat_of(forward[:, i]), endos.mat_of(forward[:, j]))
-            if not Field.equal(f.asarray(lhs), f.asarray(rhs)):
-                raise InternalInconsistencyError(
-                    f"anti-multiplicativity fails at basis pair ({i}, {j})")
-    return AntiIso(ring, endos, f.asarray(forward), f.asarray(backward))
+    images = f.tensordot(forward.T, np.stack(endos.endo_mats), ([1], [0]))  # (i, x', x)
+    lhs = f.tensordot(ring.structure, images, ([2], [0]))  # (i, j, x', x): image of b_i b_j
+    rhs = f.tensordot(images, images, ([2], [1])).transpose(0, 2, 1, 3)
+    if not Field.equal(lhs, rhs):
+        i, j = (int(v) for v in np.argwhere(lhs != rhs)[0][:2])
+        raise InternalInconsistencyError(f"anti-multiplicativity fails at basis pair ({i}, {j})")
+    return AntiIso(ring, endos, forward, f.asarray(backward))

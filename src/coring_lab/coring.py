@@ -7,24 +7,25 @@ representatives for the coproduct valued in C (x)_A C.  Cointegrals are
 likewise stored on the field tensor square, where their balance over A is
 checked, and given structure maps, cointegrals and Frobenius systems are
 verified on representatives.  The pre-cointegral identity is written once,
-in ``_precointegral_defect``.  The presentation of C (x)_A C,
-``Coring.square``, is built when a question needs the quotient: the
-pre-cointegral space ``Coring.precointegrals``, inside which cointegrals and
-Frobenius systems are solved, and deciding whether differing representatives
-agree (``Coring.agree_in_square``, the coassociativity fallback).
+in ``_precointegral_defect``.
 
-The comatrix, Sweedler and context corings carry their carrier as a tensor
-product C = N (x)_B M (``carrier_tensor``).  Their square is reduced as
-(C (x)_A N) (x)_B M, balanced over the small B, and returned in the
-coordinates of the dense A-balanced quotient ``tensor_over(C, C)``, which
-corings without a context still reduce.  Above ``_SQUARE_DIM_LIMIT`` the
-square is refused with ``TooLargeToValidateError``: its bimodule and the
-pre-cointegral system on it grow with the square of the carrier.
+The comatrix, Sweedler and context corings are ``ContextCoring``s, validated
+through their context; a coproduct from outside is checked by products in
+C (x)_A C.  Representatives are compared there through ``Coring.onto_square``,
+for a carrier C = N (x)_B M the reduction (C (x)_A N) (x)_B M of
+``context_projection``, balanced over the small B, from which ``Coring.square``
+presents C (x)_A C in the coordinates of the dense ``tensor_over(C, C)``.  The
+square is read by the pre-cointegral space ``Coring.precointegrals``, inside
+which cointegrals and Frobenius systems are solved, and by the checks of a
+coproduct from outside; above ``_SQUARE_DIM_LIMIT`` it is refused with
+``TooLargeToValidateError``, as its bimodule and the pre-cointegral system
+on it grow with the square of the carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .bimodule import (
     tensor_over,
 )
 from .errors import (
+    ContextAxiomError,
     CoringAxiomError,
     FieldMismatchError,
     InternalInconsistencyError,
@@ -58,6 +60,7 @@ from .linalg import QuotientPresentation, _kernel, _solve
 
 __all__ = [
     "Coring",
+    "ContextCoring",
     "CoringMorphism",
     "Cointegral",
     "FrobeniusSystem",
@@ -76,7 +79,7 @@ __all__ = [
     "find_frobenius_system",
 ]
 
-# carriers above this size keep only the cheap exact checks (light mode)
+# Coring.square refuses carriers above this size
 _SQUARE_DIM_LIMIT = 32
 # find_frobenius_system enumerates central subspaces up to this size, else samples
 _FROBENIUS_ENUMERATION_BUDGET = 2**16
@@ -91,8 +94,10 @@ class Coring:
     memoized on the coring.
     """
 
-    def __init__(self, base: Algebra, carrier: Bimodule, delta_amb, counit_mat,
-                 carrier_tensor: TensorSpace | None = None):
+    carrier_tensor: TensorSpace | None = None  # N (x)_B M for a ContextCoring
+    validation = "full"  # every coring is checked in full at construction
+
+    def __init__(self, base: Algebra, carrier: Bimodule, delta_amb, counit_mat):
         if carrier.left_alg != base or carrier.right_alg != base:
             raise FieldMismatchError("carrier must be a bimodule over the base on both sides")
         self.base = base
@@ -100,7 +105,6 @@ class Coring:
         self.field = base.field
         self.delta_amb = self.field.asarray(delta_amb)
         self.counit_mat = self.field.asarray(counit_mat)
-        self.carrier_tensor = carrier_tensor
         d = carrier.dim
         if self.delta_amb.shape != (d * d, d):
             raise CoringAxiomError(f"coproduct matrix has shape {self.delta_amb.shape}")
@@ -114,15 +118,22 @@ class Coring:
     def dim(self) -> int:
         return self.carrier.dim
 
+    @cached_property
+    def onto_square(self):
+        """The field tensor square of the carrier onto C (x)_A C, built once:
+        ``context_projection`` for a carrier N (x)_B M, with no size limit."""
+        if self.carrier_tensor is None:
+            return self.square.projection
+        return context_projection(self.carrier, self.carrier_tensor)
+
     @property
     def square(self) -> TensorSpace:
-        """Presentation of C (x)_A C, built once per coring.  A carrier
-        C = N (x)_B M is reduced through (C (x)_A N) (x)_B M, other carriers
-        through the dense A-balanced relations; both give the coordinates of
-        ``tensor_over(C, C)``.  This is where the size rule lives: above the
-        limit every statement that needs the square stops here with the
-        capacity error, as the square's bimodule and the pre-cointegral
-        system on it do not scale."""
+        """Presentation of C (x)_A C, built once per coring: through
+        ``onto_square`` for a carrier N (x)_B M, else through the dense
+        A-balanced relations, both in the coordinates of ``tensor_over(C, C)``.
+        Above the limit it refuses with the capacity error, as its bimodule
+        and the pre-cointegral system on it do not scale.  Its readers are
+        ``precointegrals`` and the checks of a coproduct from outside."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise TooLargeToValidateError(
@@ -131,8 +142,7 @@ class Coring:
             if self.carrier_tensor is None:
                 self._square = tensor_over(self.carrier, self.carrier)
             else:
-                onto = context_projection(self.carrier, self.carrier_tensor)
-                pres = QuotientPresentation.from_surjection(self.field, onto)
+                pres = QuotientPresentation.from_surjection(self.field, self.onto_square)
                 self._square = _presented_tensor(self.carrier, self.carrier, pres)
         return self._square
 
@@ -165,21 +175,25 @@ class Coring:
     def agree_in_square(self, lhs, rhs) -> bool:
         """True when two maps into the field tensor square of the carrier
         agree in C (x)_A C: equal representatives, else equal projections
-        through ``square``."""
+        through ``onto_square``."""
         if Field.equal(lhs, rhs):
             return True
-        proj = self.square.projection
-        return Field.equal(self.field.matmul(proj, lhs), self.field.matmul(proj, rhs))
+        onto = self.onto_square
+        return Field.equal(self.field.matmul(onto, lhs), self.field.matmul(onto, rhs))
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        f = self.field
-        d = self.dim
         if not BimoduleMap(self.carrier, regular_bimodule(self.base), self.counit_mat,
                            _validate=False).commutes_with_actions():
             raise CoringAxiomError("counit is not a bimodule map into the base")
-        # counit laws hold on representatives regardless of the section choice:
+        self._validate_coproduct()
+
+    def _validate_coproduct(self) -> None:
+        """A coproduct from outside: the counit laws on representatives, then
+        Delta A-bilinear and coassociative, compared in C (x)_A C and
+        (C (x)_A C) (x)_A C where representatives differ."""
+        f, d = self.field, self.dim
         # u (x) v -> eps(u) . v and u (x) v -> u . eps(v), one leg at a time
         eye, da = f.eye(d), self.base.dim
         lam = self.carrier.left_action.reshape(da * d, d)  # ((i, v), m')
@@ -189,44 +203,22 @@ class Coring:
             if not Field.equal(law, eye):
                 c = int(np.argwhere(law != eye)[0][1])
                 raise CoringAxiomError(f"{side} counit law fails at basis element {c}")
-        self._validate_delta_bimodule()
-        self._validate_coassociativity()
-        self.validation = "full" if d <= _SQUARE_DIM_LIMIT else "light"
-
-    def _validate_delta_bimodule(self) -> None:
-        f = self.field
         for i in range(self.base.dim):
             for side, act, on_leg in (("left", self.carrier.left_mats[i], _on_left_leg),
                                       ("right", self.carrier.right_mats[i], _on_right_leg)):
                 if not self.agree_in_square(f.matmul(self.delta_amb, act),
-                                            on_leg(f, act, self.delta_amb, self.dim)):
+                                            on_leg(f, act, self.delta_amb, d)):
                     raise CoringAxiomError(f"coproduct not {side}-linear at basis {i}")
-
-    def _validate_coassociativity(self) -> None:
-        f = self.field
-        d = self.dim
-        d2 = self.delta_tensor()
-        chunk = max(1, (1 << 22) // max(d * d * d, 1))
-        for start in range(0, d, chunk):
-            cols = slice(start, min(start + chunk, d))
-            lhs = f.tensordot(d2, d2[:, :, cols], ([2], [0]))  # Delta on the first leg
-            rhs = f.tensordot(d2[:, :, cols], d2, ([1], [2])).transpose(0, 2, 3, 1)
-            if not Field.equal(f.asarray(lhs), f.asarray(rhs)):
-                break
-        else:
+        d3 = self.delta_tensor()
+        lhs = f.tensordot(d3, d3, ([2], [0])).reshape(d ** 3, d)  # Delta on the first leg
+        rhs = f.tensordot(d3, d3, ([1], [2])).transpose(0, 2, 3, 1).reshape(d ** 3, d)
+        if Field.equal(f.asarray(lhs), f.asarray(rhs)):
             return
         # compare in ((C (x) C) (x) C); its kernel is exactly the triple relations
         sq = self.square
-        if self.carrier_tensor is None:
-            upper = tensor_over(sq.space, self.carrier).projection
-        else:
-            upper = context_projection(sq.space, self.carrier_tensor)
-
-        def project(t):  # through kron(sq.projection, I) and upper
-            return f.matmul(upper, _on_left_leg(f, sq.projection, t, d))
-
-        lhs = project(f.tensordot(d2, d2, ([2], [0])).reshape(d * d * d, d))
-        rhs = project(f.tensordot(d2, d2, ([1], [2])).transpose(0, 2, 3, 1).reshape(d * d * d, d))
+        upper = tensor_over(sq.space, self.carrier).projection
+        lhs, rhs = (f.matmul(upper, _on_left_leg(f, sq.projection, f.asarray(t), d))
+                    for t in (lhs, rhs))
         if not Field.equal(lhs, rhs):
             c = int(np.argwhere(lhs != rhs)[0][1])
             raise CoringAxiomError(f"coassociativity fails at basis element {c}")
@@ -244,6 +236,59 @@ def _context_delta_amb(ts: TensorSpace, pairs):
         second = ts.pure(f.asarray(n_vec)[:, None], f.eye(dm))  # m -> n_i (x) m
         delta = delta + _on_left_leg(f, first, _on_right_leg(f, second, ts.section, dn), ts.dim)
     return f.asarray(delta)
+
+
+class ContextCoring(Coring):
+    """The coring C = N (x)_B M of a context (A, B, N, M, sigma, tau) on
+    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i:
+    Delta(n (x) m) = sum_i n (x) m_i (x) n_i (x) m, counit sigma.
+
+    It is validated through its context, with no product in C (x)_A C:
+    sigma is an A-bimodule map, and the two diagrams
+    (``check_context_diagrams``) make C a coring.  By the second diagram,
+    sigma balanced over B and the first, tau(1) is B-central:
+    b tau(1) = sum_ij m_j sigma(n_j (x) b m_i) (x) n_i
+    = sum_j m_j (x) sum_i sigma(n_j b (x) m_i) n_i = sum_j m_j (x) n_j b.
+    So Delta is a well-defined A-bimodule map into
+    C (x)_A C = N (x)_B (M (x)_A N) (x)_B M, where ``delta_amb`` represents
+    it for any section.  Both composites of coassociativity send n (x) m to
+    sum_ij n (x) m_i (x) n_i (x) m_j (x) n_j (x) m, and the counit laws are
+    the two diagrams on the outer legs.
+    """
+
+    def __init__(self, ts: TensorSpace, pairs, counit_mat):
+        self.carrier_tensor = ts
+        self.tau_pairs = list(pairs)
+        super().__init__(ts.space.left_alg, ts.space, _context_delta_amb(ts, self.tau_pairs),
+                         counit_mat)
+
+    def _validate_coproduct(self) -> None:
+        check_context_diagrams(self.carrier_tensor, self.tau_pairs, self.counit_mat)
+
+
+def _pair_matrices(f: Field, pairs, m_dim: int, n_dim: int):
+    """The m_i and the n_i of pairs (m_i, n_i), as the columns of two matrices."""
+    pairs = list(pairs)
+    return tuple(f.asarray(np.reshape([pair[k] for pair in pairs], (len(pairs), dim)).T)
+                 for k, dim in ((0, m_dim), (1, n_dim)))
+
+
+def check_context_diagrams(ts: TensorSpace, pairs, sigma_mat) -> None:
+    """Raise ContextAxiomError unless n = sum_i sigma(n (x) m_i) . n_i and
+    m = sum_i m_i . sigma(n_i (x) m) on the bases of N and M, for
+    ts = N (x)_B M, pairs (m_i, n_i) and sigma given on ts."""
+    n, m = ts.left_factor, ts.right_factor
+    f = n.field
+    ms, ns = _pair_matrices(f, pairs, m.dim, n.dim)
+    sig = f.matmul(f.asarray(sigma_mat), ts.projection).reshape(-1, n.dim, m.dim)
+    # [n, n'] = sum_{a, i} sigma(e_n (x) m_i)_a (e_a . n_i)_n', and the mirror [m, m']
+    first = f.tensordot(f.tensordot(sig, ms, ([2], [0])),  # (a, n, i)
+                        f.tensordot(n.left_action, ns, ([1], [0])), ([0, 2], [0, 2]))
+    second = f.tensordot(f.tensordot(ns, sig, ([0], [1])),  # (i, a, m)
+                         f.tensordot(ms, m.right_action, ([0], [0])), ([0, 1], [0, 1]))
+    for which, law, dim in (("first", first, n.dim), ("second", second, m.dim)):
+        if not Field.equal(law, f.eye(dim)):
+            raise ContextAxiomError(f"{which} context diagram fails")
 
 
 def new_coring(carrier: Bimodule, coproduct: BimoduleMap, counit: BimoduleMap) -> Coring:
@@ -280,10 +325,9 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
     a = ring_map.target
     f = a.field
     ts = tensor_over(target_sb(ring_map), target_bs(ring_map))
-    delta_amb = _context_delta_amb(ts, [(a.unit, a.unit)])  # a (x) b -> a (x) 1 (x) 1 (x) b
     mult_amb = a.structure.reshape(a.dim * a.dim, a.dim).T
-    counit_mat = f.matmul(mult_amb, ts.section)
-    return Coring(a, ts.space, delta_amb, counit_mat, carrier_tensor=ts)
+    # a (x) b -> a (x) 1 (x) 1 (x) b, counit the multiplication
+    return ContextCoring(ts, [(a.unit, a.unit)], f.matmul(mult_amb, ts.section))
 
 
 class CoringMorphism:
@@ -565,20 +609,13 @@ def coring_bimodules_over_dual_ring(c: Coring):
     ldual = left_dual_ring(c)
     r_alg = opposite(ldual)
     mats = ldual.functional_mats
-    n = len(mats)
     # C with its left A-action and the right action c . xi = sum c_1 xi(c_2)
-    rho_c = f.zeros((c.dim, n, c.dim))
-    for beta, xi in enumerate(mats):
-        rho_c[:, beta, :] = _hit_from_right(c, xi).T
-    c_mod = Bimodule(c.base, r_alg, c.carrier.left_action, rho_c,
-                     name="C as (A,R)")
+    rho_c = np.stack([_hit_from_right(c, xi).T for xi in mats], axis=1)
+    c_mod = Bimodule(c.base, r_alg, c.carrier.left_action, rho_c, name="C as (A,R)")
     # R with (a . xi)(x) = xi(x . a) and right multiplication
     lam_r = _induced_action(f, mats, [[f.matmul(xi, x) for xi in mats]
                                       for x in c.carrier.right_mats])
-    rho_r = f.zeros((n, n, n))
-    for j in range(n):
-        rho_r[:, j, :] = r_alg.right_mult[j].T
-    r_mod = Bimodule(c.base, r_alg, lam_r, rho_r, name="R as (A,R)")
+    r_mod = Bimodule(c.base, r_alg, lam_r, r_alg.structure, name="R as (A,R)")
     return c_mod, r_mod, ldual, r_alg
 
 

@@ -37,9 +37,9 @@ class ContextAxiomError(AxiomError):
 
 
 class TooLargeToValidateError(CoringLabError):
-    """A capacity limit, not an axiom failure: the carrier is too large for
-    the dense presentation of its tensor square, so a statement that needs
-    the square is left undecided at this size."""
+    """A capacity limit, not an axiom failure: a statement needs the tensor
+    square of a coring whose carrier is too large for it (the pre-cointegral
+    space, or the checks of a coproduct from outside); it stays undecided."""
 
 
 class NotProjectiveError(CoringLabError):

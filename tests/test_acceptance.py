@@ -92,18 +92,14 @@ def test_criterion_01_coring_axiom_suite():
     for seed in RANDOM_SEEDS:
         module = random_projective_bimodule(seed)
         coring = comatrix_data(module).coring
-        assert coring.validation in {"full", "light"}, seed
+        assert coring.validation == "full", seed
         checked += 1
         end = endomorphism_algebra(module)
         if end.algebra.dim ** 2 > SWEEDLER_VALIDATION_CAP:
             skipped += 1
             continue
-        try:
-            sw = sweedler_coring(end.b_to_s)
-        except TooLargeToValidateError:
-            skipped += 1
-            continue
-        assert sw.validation in {"full", "light"}, seed
+        sw = sweedler_coring(end.b_to_s)
+        assert sw.validation == "full", seed
         checked += 1
     _passed(1, f"coring axioms hold exactly on {checked} constructed corings "
                f"({skipped} endomorphism corings beyond desk scale)")

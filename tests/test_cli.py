@@ -3,19 +3,23 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coring_lab import cli
+from coring_lab import GF, QQ, cli
 from coring_lab.cli import main, report_document, verify_report_witnesses
-from coring_lab.definitions import _parse_tensor, bundled_path, load, loads
+from coring_lab.comatrix import context_from_bimodule, context_iso, left_dual_anti_iso
+from coring_lab.coring import sweedler_coring
+from coring_lab.definitions import DefinitionFile, _parse_tensor, bundled_path, load, loads
 from coring_lab.errors import DefinitionError, TooLargeToValidateError
-from coring_lab.bimodule import right_dual
+from coring_lab.bimodule import endomorphism_algebra, right_dual
 from coring_lab.structure import bimodule_tower, dual_evaluation
 
 from conftest import MALFORMED_DEFINITIONS
+from random_modules import random_projective_bimodule
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +118,64 @@ def test_construct_dual_ring(capsys):
     doc = json.loads(out)
     assert doc["dim"] == 4
     assert doc["unit"] == ["1 mod 2", "0 mod 2", "0 mod 2", "1 mod 2"]
+
+
+def construct_documents(m):
+    """What `coring-lab construct` builds for a bimodule M, in the order of
+    the construction workload of the benchmark: the comatrix coring, the
+    left dual ring, the Sweedler coring of B -> End_A(M), then the context
+    isomorphism and the dual-ring anti-isomorphism."""
+    fld = m.field
+    deffile = DefinitionFile(fld, bimodules={"M": m})
+    ciso = context_iso(context_from_bimodule(m))
+    anti = left_dual_anti_iso(m)
+    return [cli.cmd_construct(deffile, "comatrix", "M"),
+            cli.cmd_construct(deffile, "dual-ring", "M"),
+            cli._coring_document(sweedler_coring(endomorphism_algebra(m).b_to_s), "sweedler",
+                                 "M", fld),
+            {"forward": cli._serialize_array(fld, ciso.forward.matrix),
+             "backward": cli._serialize_array(fld, ciso.backward.matrix)},
+            {"forward": cli._serialize_array(fld, anti.forward),
+             "backward": cli._serialize_array(fld, anti.backward)}]
+
+
+# recipe modules whose Sweedler coring (d = 40) exceeds the square's limit;
+# recorded from the dense product checks with the limit lifted to 100
+CONSTRUCT_PINS = {
+    0: "835a6f1385b2ddf2c670cf035f8d420f4a3da45252404f088688942da516c279",
+    9: "b9dbed9cc94384c2a75a339f0ee69855645549a4fde594a06441866cc18d79dd",
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(CONSTRUCT_PINS))
+def test_construct_documents_of_recipes_beyond_the_square_limit_match_their_pins(recipe):
+    docs = construct_documents(random_projective_bimodule(recipe))
+    comatrix, ring, sweedler, ciso, anti = docs
+    assert (comatrix["carrier_dim"], ring["dim"], sweedler["carrier_dim"]) == (10, 10, 40)
+    assert (len(ciso["forward"]), len(ciso["forward"][0])) == (10, 10)
+    assert (len(anti["forward"]), len(anti["forward"][0])) == (10, 10)
+    assert comatrix["validation"] == sweedler["validation"] == "full"
+    out = "".join(json.dumps(d, indent=1, sort_keys=True) + "\n" for d in docs)
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_PINS[recipe]
+
+
+def per_element_texts(field, arr):
+    arr = np.asarray(arr)
+    if arr.ndim == 1:
+        return [field.format_scalar(v) for v in arr]
+    return [[field.format_scalar(v) for v in row] for row in arr]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2**31 - 1), QQ], ids=str)
+@pytest.mark.parametrize("shape", [(0,), (7,), (0, 3), (3, 0), (1, 1), (4, 6)])
+def test_serialized_arrays_match_the_per_element_texts(field, shape):
+    rng = np.random.default_rng(sum(shape))
+    arr = field.random(rng, shape)
+    if field is QQ and arr.size:
+        arr[np.unravel_index(0, shape)] = Fraction(-3, 7)
+    texts = cli._serialize_array(field, arr)
+    assert texts == per_element_texts(field, arr)
+    assert json.dumps(texts) == json.dumps(per_element_texts(field, arr))
 
 
 def test_construct_unknown_name_exits_one(capsys):

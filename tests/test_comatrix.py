@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,7 @@ from coring_lab.comatrix import (
 from coring_lab.cli import cmd_construct
 from coring_lab.coring import Coring, CoringMorphism, find_cointegral, sweedler_coring
 from coring_lab.definitions import bundled_path, load
-from coring_lab.errors import NotProjectiveError
+from coring_lab.errors import ContextAxiomError, NotProjectiveError
 
 from conftest import (
     column_module,
@@ -222,6 +225,74 @@ def test_morita_zero_maps_are_rejected_as_context():
                             F2.zeros((1, 1)))
     md = MoritaData(cols, rows, sigma, tau_tilde, ts_nm, ts_mn)
     assert context_from_morita(md) is None
+
+
+def morita_failures(md):
+    """Oracle: every (side, basis triple) where a Morita associativity law
+    fails, evaluated one pure tensor at a time."""
+    f, n, m = md.m.field, md.n, md.m
+    eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
+
+    def sigma(v, u):
+        return f.matmul(md.sigma.matrix, md.tensor_nm.pure(eye_n[:, v], eye_m[:, u]))
+
+    def tau(u, v):
+        return f.matmul(md.tau_tilde.matrix, md.tensor_mn.pure(eye_m[:, u], eye_n[:, v]))
+
+    failures = set()
+    for v in range(n.dim):
+        for u in range(m.dim):
+            for w in range(n.dim):  # sigma(n (x) m) n' = n tau~(m (x) n')
+                if not np.array_equal(f.matmul(n.act_left(sigma(v, u)), eye_n[:, w]),
+                                      f.matmul(n.act_right(tau(u, w)), eye_n[:, v])):
+                    failures.add(("sigma", (v, u, w)))
+            for w in range(m.dim):  # tau~(m (x) n) m' = m sigma(n (x) m')
+                if not np.array_equal(f.matmul(m.act_left(tau(u, v)), eye_m[:, w]),
+                                      f.matmul(m.act_right(sigma(v, w)), eye_m[:, u])):
+                    failures.add(("tau", (u, v, w)))
+    return failures
+
+
+def line_point_morita(sigma, tau_tilde):
+    """Morita data on N = k and M = k^2 over GF(3), pairings given on the
+    two-dimensional tensor products: the sigma side asks sigma = tau_tilde,
+    the tau side asks both to vanish off the diagonal pair."""
+    n, m = trivial_bimodule(F3, 1), trivial_bimodule(F3, 2)
+    ts_nm, ts_mn = tensor_over(n, m), tensor_over(m, n)
+    k = regular_bimodule(field_algebra(F3))
+    return MoritaData(n, m, BimoduleMap(ts_nm.space, k, F3.asarray([sigma])),
+                      BimoduleMap(ts_mn.space, k, F3.asarray([tau_tilde])), ts_nm, ts_mn)
+
+
+def named_failure(md):
+    """The (side, basis triple) that MoritaData.validate reports, or None."""
+    try:
+        md.validate()
+    except ContextAxiomError as exc:
+        side, at = re.fullmatch(r"Morita associativity \((\w+) side\) fails at \((.*)\)",
+                                str(exc)).groups()
+        return side, tuple(int(i) for i in at.split(","))
+    return None
+
+
+def test_morita_validation_names_a_failing_triple():
+    md = rows_cols_morita(F3)
+    cases = [md, line_point_morita([1, 0], [1, 0]), line_point_morita([1, 1], [1, 1])]
+    for which in ("sigma", "tau_tilde"):
+        good = getattr(md, which)
+        for k in range(good.matrix.size):
+            bumped = good.matrix.copy()
+            bumped.flat[k] = (bumped.flat[k] + 1) % 3
+            cases.append(replace(md, **{which: BimoduleMap(good.source, good.target, bumped,
+                                                           _validate=False)}))
+    named = []
+    for case in cases:
+        failures, name = morita_failures(case), named_failure(case)
+        assert (name is None) == (not failures)
+        assert name is None or name in failures
+        named.append(name)
+    assert named[0] is None
+    assert {name[0] for name in named if name} == {"sigma", "tau"}
 
 
 def test_trivial_morita_context():

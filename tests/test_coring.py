@@ -10,12 +10,16 @@ from coring_lab.bimodule import (
     _intertwiner_rows,
     _on_left_leg,
     _on_right_leg,
+    context_projection,
+    endomorphism_algebra,
     intertwiners,
+    regular_bimodule,
     tensor_over,
 )
 from coring_lab.comatrix import comatrix_coring, context_coring, context_from_morita
 from coring_lab.coring import (
     Cointegral,
+    ContextCoring,
     Coring,
     CoringMorphism,
     FrobeniusSystem,
@@ -29,15 +33,17 @@ from coring_lab.coring import (
     trivial_coring,
     verify_cointegral,
     verify_frobenius_system,
+    _context_delta_amb,
 )
 from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import (
     AxiomError,
+    ContextAxiomError,
     CoringAxiomError,
     InternalInconsistencyError,
     TooLargeToValidateError,
 )
-from coring_lab.fields import Field
+from coring_lab.fields import Field, PrimeField
 from coring_lab.linalg import _kernel, _solve, rref
 from coring_lab.structure import analyze, bimodule_tower
 
@@ -146,9 +152,9 @@ def test_square_refuses_a_carrier_above_the_limit_at_construction():
     assert not isinstance(caught.value, AxiomError)
 
 
-def test_large_carrier_with_exact_representatives_validates_light():
+def test_large_context_carrier_validates_in_full():
     c = comatrix_coring(trivial_bimodule(F2, 6))
-    assert (c.dim, c.validation) == (36, "light")
+    assert (c.dim, c.validation) == (36, "full")
     with pytest.raises(TooLargeToValidateError) as caught:
         find_cointegral(c)
     assert caught.traceback[-1].name == "square"
@@ -607,20 +613,156 @@ def dense_coassociativity_defect(c, delta_amb):
     return f.matmul(upper.projection, _on_left_leg(f, dense.projection, f.asarray(lhs - rhs), d))
 
 
-def test_tampered_coproduct_fails_in_the_context_cube(monkeypatch):
+def product_checks(c):
+    """Oracle: the product checks of a coring on the carrier of ``c``, as a
+    function of (delta_amb, counit_mat) that names the first axiom failing on
+    them, or returns None.  Delta is compared in the square of ``c`` and in
+    the triple quotient: built densely up to dimension 16, above that
+    reduced through ``context_projection`` (the dense one for d = 32 has a
+    1 GB relation matrix)."""
+    f, d, a = c.field, c.dim, c.base
+    lam, rho = c.carrier.left_action, c.carrier.right_action
+    cube = {}
+
+    def agree(project, lhs, rhs):
+        return Field.equal(lhs, rhs) or Field.equal(project(lhs), project(rhs))
+
+    def in_square(t):
+        return f.matmul(c.square.projection, t)
+
+    def in_cube(t):  # through kron(square projection, I), then the triple quotient
+        sq = c.square
+        if not cube:
+            cube["upper"] = (tensor_over(sq.space, c.carrier).projection if d <= 16
+                             else context_projection(sq.space, c.carrier_tensor))
+        return f.matmul(cube["upper"], _on_left_leg(f, sq.projection, t, d))
+
+    def failure(delta_amb, counit_mat):
+        if not BimoduleMap(c.carrier, regular_bimodule(a), counit_mat,
+                           _validate=False).commutes_with_actions():
+            return "counit bimodule map"
+        d3 = delta_amb.reshape(d, d, d)
+        # sum_{u, v} Delta[u, v, c] eps(e_u) . e_v and e_u . eps(e_v)
+        left = f.tensordot(f.tensordot(d3, counit_mat, ([0], [1])), lam, ([2, 0], [0, 1]))
+        right = f.tensordot(f.tensordot(d3, counit_mat, ([1], [1])), rho, ([0, 2], [0, 1]))
+        if not (Field.equal(left, f.eye(d)) and Field.equal(right, f.eye(d))):
+            return "counit laws"
+        for x, y in zip(c.carrier.left_mats, c.carrier.right_mats):
+            if not agree(in_square, f.matmul(delta_amb, x), _on_left_leg(f, x, delta_amb, d)):
+                return "left Delta-linearity"
+            if not agree(in_square, f.matmul(delta_amb, y), _on_right_leg(f, y, delta_amb, d)):
+                return "right Delta-linearity"
+        lhs = f.tensordot(d3, d3, ([2], [0])).reshape(d ** 3, d)
+        rhs = f.tensordot(d3, d3, ([1], [2])).transpose(0, 2, 3, 1).reshape(d ** 3, d)
+        if not agree(in_cube, f.asarray(lhs), f.asarray(rhs)):
+            return "coassociativity"
+        return None
+
+    return failure
+
+
+DENSE_ORACLE_CASES = {
+    **SQUARE_ORACLE_CASES,
+    **{f"recipe/{i}": (lambda i=i: module_corings(random_projective_bimodule(i)))
+       for i in (0, 9)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_ORACLE_CASES))
+def test_product_checks_accept_every_context_coring(case, monkeypatch):
+    monkeypatch.setattr(coring_module, "_SQUARE_DIM_LIMIT", 40)
+    dims = []
+    for c in DENSE_ORACLE_CASES[case]():
+        assert isinstance(c, ContextCoring)
+        assert product_checks(c)(c.delta_amb, c.counit_mat) is None
+        dims.append(c.dim)
+    assert max(dims) <= 40
+    if case in ("recipe/0", "recipe/9"):
+        assert dims == [10, 40]
+
+
+# small context corings whose pairs and counit are tampered with
+TAMPER_CASES = {
+    "bundled/gf3/matrix2": lambda: context_corings_of(bundled_over("matrix2", 3)),
+    "bundled/gf2/morita-rows-cols": lambda: context_corings_of(
+        bundled_over("morita-rows-cols", 2)),
+    "recipe/1": lambda: module_corings(random_projective_bimodule(1)),
+}
+
+
+def tampered_pairs(c):
+    """The pairs of tau(1) with one coordinate of one vector raised by 1,
+    one pair dropped, and one pair doubled."""
+    f = c.field
+    pairs = c.tau_pairs
+    for i, (m_vec, n_vec) in enumerate(pairs):
+        for j in range(len(m_vec)):
+            yield pairs[:i] + [(f.asarray(m_vec + np.eye(len(m_vec), dtype=int)[j]), n_vec)] \
+                + pairs[i + 1:]
+        for j in range(len(n_vec)):
+            yield pairs[:i] + [(m_vec, f.asarray(n_vec + np.eye(len(n_vec), dtype=int)[j]))] \
+                + pairs[i + 1:]
+    yield pairs[1:]
+    yield pairs + pairs[:1]
+
+
+def tampered_counits(c):
+    """The counit with one entry raised by 1, and with two columns swapped."""
+    f = c.field
+    for k in range(c.counit_mat.size):
+        bump = f.zeros(c.counit_mat.size)
+        bump[k] = 1
+        yield f.asarray(c.counit_mat + bump.reshape(c.counit_mat.shape))
+    if c.dim > 1:
+        yield c.counit_mat[:, [1, 0] + list(range(2, c.dim))]
+
+
+@pytest.mark.parametrize("case", sorted(TAMPER_CASES))
+def test_tampered_contexts_fail_the_context_check_when_the_product_checks_fail(case):
+    failing = 0
+    for c in TAMPER_CASES[case]():
+        ts, checks = c.carrier_tensor, product_checks(c)
+        tampers = [(pairs, c.counit_mat) for pairs in tampered_pairs(c)]
+        tampers += [(c.tau_pairs, counit) for counit in tampered_counits(c)]
+        for pairs, counit in tampers:
+            if checks(_context_delta_amb(ts, pairs), counit) is None:
+                continue
+            failing += 1
+            with pytest.raises(AxiomError):
+                ContextCoring(ts, pairs, counit)
+    assert failing
+
+
+@pytest.mark.parametrize("n_dim,m_dim,failing", [(1, 2, "second"), (2, 1, "first")])
+def test_each_context_diagram_is_checked(n_dim, m_dim, failing):
+    # N = k^n_dim, M = k^m_dim over k; sigma and tau(1) pair the first basis
+    # vectors, so only the diagram on the one-dimensional side holds
+    n, m = trivial_bimodule(F3, n_dim), trivial_bimodule(F3, m_dim)
+    ts = tensor_over(n, m)
+    pairs = [(F3.eye(m_dim)[:, 0], F3.eye(n_dim)[:, 0])]
+    sigma = F3.eye(ts.dim)[:1]
+    with pytest.raises(CoringAxiomError, match="counit law fails"):
+        Coring(ts.space.left_alg, ts.space, _context_delta_amb(ts, pairs), sigma)
+    with pytest.raises(ContextAxiomError, match=f"{failing} context diagram fails"):
+        ContextCoring(ts, pairs, sigma)
+
+
+def test_tampered_coproduct_fails_the_product_checks(monkeypatch):
     c = bimodule_tower(random_projective_bimodule(1)).sweedler
     f, d = c.field, c.dim
     cubes = []
-    original = coring_module.context_projection
+    original = coring_module.tensor_over
 
-    def counting(x, carrier):
-        if x is not carrier.space:  # X = C builds a square; X = C (x)_A C compares
+    def counting(x, y):
+        if x is not c.carrier:  # X = C builds the square; X = C (x)_A C compares
             cubes.append(x)
-        return original(x, carrier)
+        return original(x, y)
 
-    monkeypatch.setattr(coring_module, "context_projection", counting)
-    # the representatives of this coring are not coassociative on the field cube
-    Coring(c.base, c.carrier, c.delta_amb, c.counit_mat, carrier_tensor=c.carrier_tensor)
+    monkeypatch.setattr(coring_module, "tensor_over", counting)
+    # the representatives of this coring are not coassociative on the field
+    # cube, so a coring with its coproduct given from outside compares in the
+    # triple quotient
+    Coring(c.base, c.carrier, c.delta_amb, c.counit_mat)
     assert len(cubes) == 1
     # Delta + (pi (x) pi) Delta, for a bimodule endomorphism pi with eps pi = 0,
     # keeps both counit laws and the bimodule property of the coproduct
@@ -636,12 +778,31 @@ def test_tampered_coproduct_fails_in_the_context_cube(monkeypatch):
         if np.any(dense_coassociativity_defect(c, tampered)):
             rejected += 1
             with pytest.raises(CoringAxiomError, match="coassociativity fails"):
-                Coring(c.base, c.carrier, tampered, c.counit_mat,
-                       carrier_tensor=c.carrier_tensor)
+                Coring(c.base, c.carrier, tampered, c.counit_mat)
         else:
-            Coring(c.base, c.carrier, tampered, c.counit_mat, carrier_tensor=c.carrier_tensor)
+            Coring(c.base, c.carrier, tampered, c.counit_mat)
         assert len(cubes) == before + 1
     assert rejected
+
+
+def test_sweedler_coring_of_k3_reads_no_square_and_no_product_above_d_cubed(monkeypatch):
+    ring_map = endomorphism_algebra(trivial_bimodule(F2, 3)).b_to_s
+    largest = [0]
+    for name in ("matmul", "tensordot"):
+        def recording(self, a, b, *axes, original=getattr(PrimeField, name)):
+            out = original(self, a, b, *axes)
+            largest[0] = max(largest[0], out.size)
+            return out
+
+        monkeypatch.setattr(PrimeField, name, recording)
+
+    def unread(c):
+        raise AssertionError("the square was read")
+
+    monkeypatch.setattr(Coring, "square", property(unread))
+    c = sweedler_coring(ring_map)
+    assert c.dim == 81
+    assert 0 < largest[0] <= c.dim ** 3  # the size of Delta itself
 
 
 def test_square_of_the_sweedler_coring_of_recipe_7_stays_small():
