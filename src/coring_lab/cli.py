@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bimodule import right_dual
-from .comatrix import comatrix_data, context_coring, context_from_morita
+from .comatrix import comatrix_data, context_from_morita
 from .coring import (
     Cointegral,
     FrobeniusSystem,
@@ -184,7 +184,7 @@ def cmd_construct(deffile: DefinitionFile, what: str, name: str) -> dict:
                     f"morita data {name!r} has a non-surjective pairing")
         else:
             raise DefinitionError(f"no context or morita data named {name!r}")
-        return _coring_document(context_coring(ctx), what, name, fld)
+        return _coring_document(ctx, what, name, fld)
     if what == "dual-ring":
         if name not in deffile.bimodules:
             raise DefinitionError(f"no bimodule named {name!r}")

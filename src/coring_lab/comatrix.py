@@ -1,12 +1,14 @@
-"""Comatrix corings and comatrix coring contexts.
+"""Comatrix corings and the corings of contexts.
 
-A bimodule M that is finitely generated projective on the right gives the
-coring M^* (x)_B M; the same data arises from context tuples
-(A, B, N, M, sigma, tau) satisfying two unit/counit diagrams, and from
-Morita data with surjective tau.  This module builds all three, the
-canonical isomorphism between a context coring and the comatrix coring,
-and the anti-isomorphism between the left dual ring and left
-endomorphisms.
+A context (A, B, N, M, sigma, tau) whose two diagrams commute is held as
+its coring N (x)_B M, a ``ContextCoring``: the presented N (x)_B M, the pairs
+(m_i, n_i) with tau(1) = sum_i m_i (x) n_i, and the counit sigma.  A bimodule
+M that is finitely generated projective on the right gives the comatrix
+coring M^* (x)_B M, the context of its dual basis; a context is also read
+from tau given as a map (``context_from_tau``) and from Morita data with
+surjective tau~.  This module builds these, the canonical isomorphism from a
+context coring onto the comatrix coring of its M, and the anti-isomorphism
+between the left dual ring and left endomorphisms.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .bimodule import (
     _memo,
     dual_basis,
     left_endomorphism_algebra,
-    regular_bimodule,
     right_dual,
     tensor_over,
 )
@@ -36,7 +37,6 @@ from .coring import (
     CoringMorphism,
     _context_delta_amb,
     _pair_matrices,
-    check_context_diagrams,
     left_dual_ring,
 )
 from .errors import (
@@ -49,7 +49,6 @@ from .fields import Field
 from .linalg import _solve
 
 __all__ = [
-    "CoringContext",
     "MoritaData",
     "comatrix_coring",
     "comatrix_data",
@@ -57,7 +56,7 @@ __all__ = [
     "context_from_bimodule",
     "context_from_morita",
     "context_dual_basis",
-    "context_coring",
+    "context_from_tau",
     "context_iso",
     "left_dual_anti_iso",
 ]
@@ -105,57 +104,23 @@ def coproduct_basis_independence(m: Bimodule, alternative: DualBasis) -> bool:
     return data.coring.agree_in_square(data.coring.delta_amb, other)
 
 
-class CoringContext:
-    """Context data (A, B, N, M, sigma, tau) with the two defining diagrams
-    machine-checked on basis elements."""
-
-    def __init__(self, n: Bimodule, m: Bimodule, sigma: BimoduleMap, tau: BimoduleMap,
-                 tensor_nm: TensorSpace, tensor_mn: TensorSpace):
-        self.a_alg = m.right_alg
-        self.b_alg = m.left_alg
-        self.n = n
-        self.m = m
-        self.sigma = sigma
-        self.tau = tau
-        self.tensor_nm = tensor_nm
-        self.tensor_mn = tensor_mn
-        self.field = m.field
-        if n.left_alg != self.a_alg or n.right_alg != self.b_alg:
-            raise ContextAxiomError("N must be an (A, B)-bimodule")
-        self.validate()
-
-    def tau_of_unit(self):
-        """tau(1_B) as a (dim M, dim N) matrix of ambient coefficients."""
-        f = self.field
-        t = f.matmul(self.tau.matrix, self.b_alg.unit)
-        return f.matmul(self.tensor_mn.section, t).reshape(self.m.dim, self.n.dim)
-
-    def tau_pairs(self) -> list:
-        """Pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i, one for each
-        nonzero ambient coefficient of tau(1)."""
-        f, w = self.field, self.tau_of_unit()
-        eye_n, eye_m = f.eye(self.n.dim), f.eye(self.m.dim)
-        return [(f.asarray(w[u, v] * eye_m[:, u]), eye_n[:, v])
-                for u, v in zip(*np.nonzero(w))]
-
-    def validate(self) -> None:
-        check_context_diagrams(self.tensor_nm, self.tau_pairs(), self.sigma.matrix)
-
-
-def context_from_bimodule(m: Bimodule) -> CoringContext:
-    """The canonical context (A, B, M^*, M, evaluation, dual-basis tau)."""
-    data = comatrix_data(m)
+def context_from_tau(ts_nm: TensorSpace, ts_mn: TensorSpace, sigma_mat,
+                     tau_mat) -> ContextCoring:
+    """The coring of the context with sigma on ts_nm = N (x)_B M and
+    tau: B -> ts_mn = M (x)_A N, read as the pairs (m_i, n_i) with
+    tau(1) = sum_i m_i (x) n_i, one for each nonzero ambient coefficient."""
+    m, n = ts_mn.left_factor, ts_mn.right_factor
     f = m.field
-    dual, db = data.dual, data.basis
-    ts_nm = data.tensor
-    ts_mn = tensor_over(m, dual)
-    sigma = BimoduleMap(ts_nm.space, regular_bimodule(m.right_alg), data.coring.counit_mat)
-    # tau(b) = sum_i b.e_i (x) e_i^*, on the field tensor M (x) M^*
-    es, phis = _pair_matrices(f, zip(db.elements, db.functional_coords), m.dim, dual.dim)
-    amb = f.tensordot(m.left_action, f.matmul(es, phis.T), ([1], [0]))  # (b, m', phi)
-    tau = BimoduleMap(regular_bimodule(m.left_alg), ts_mn.space,
-                      f.matmul(ts_mn.projection, amb.reshape(m.left_alg.dim, -1).T))
-    return CoringContext(dual, m, sigma, tau, ts_nm, ts_mn)
+    w = f.matmul(ts_mn.section, f.matmul(tau_mat, m.left_alg.unit)).reshape(m.dim, n.dim)
+    eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
+    pairs = [(f.asarray(w[u, v] * eye_m[:, u]), eye_n[:, v]) for u, v in zip(*np.nonzero(w))]
+    return ContextCoring(ts_nm, pairs, sigma_mat)
+
+
+def context_from_bimodule(m: Bimodule) -> ContextCoring:
+    """The canonical context (A, B, M^*, M, evaluation, dual-basis tau): its
+    coring is the comatrix coring itself."""
+    return comatrix_data(m).coring
 
 
 @dataclass
@@ -186,8 +151,9 @@ class MoritaData:
                 raise ContextAxiomError(f"Morita associativity ({side} side) fails at ({at})")
 
 
-def context_from_morita(md: MoritaData):
-    """Invert a surjective tau_tilde into a context; None when not surjective."""
+def context_from_morita(md: MoritaData) -> ContextCoring | None:
+    """The coring of the context with tau the inverse of a surjective
+    tau_tilde; None when tau_tilde is not surjective."""
     md.validate()
     f = md.m.field
     tt = md.tau_tilde.matrix
@@ -199,22 +165,20 @@ def context_from_morita(md: MoritaData):
     if md.tensor_mn.dim != b_dim:
         raise InternalInconsistencyError(
             "surjective Morita pairing is not bijective; this contradicts Morita theory")
-    tau = BimoduleMap(regular_bimodule(md.m.left_alg), md.tensor_mn.space, inverse)
-    return CoringContext(md.n, md.m, md.sigma, tau, md.tensor_nm, md.tensor_mn)
+    return context_from_tau(md.tensor_nm, md.tensor_mn, md.sigma.matrix, inverse)
 
 
-def context_dual_basis(ctx: CoringContext):
-    """The dual basis {m_i, sigma(n_i (x) -)} read off tau(1), plus the
-    mutually inverse maps between N and M^*."""
-    f = ctx.field
-    m, n = ctx.m, ctx.n
+def context_dual_basis(ctx: ContextCoring):
+    """The dual basis {m_i, sigma(n_i (x) -)} read off the pairs of tau(1),
+    plus the mutually inverse maps between N and M^*."""
+    f, ts, pairs = ctx.field, ctx.carrier_tensor, ctx.tau_pairs
+    n, m = ts.left_factor, ts.right_factor
     dual = right_dual(m)
     eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
-    pairs = ctx.tau_pairs()
 
     def sigma_functional(n_vec):
         """sigma(n_vec (x) -) as a value matrix M -> A."""
-        return f.matmul(ctx.sigma.matrix, ctx.tensor_nm.pure(n_vec[:, None], eye_m))
+        return f.matmul(ctx.counit_mat, ts.pure(n_vec[:, None], eye_m))
 
     elements = [m_vec for m_vec, _ in pairs]
     functionals = [sigma_functional(n_vec) for _, n_vec in pairs]
@@ -239,34 +203,28 @@ def context_dual_basis(ctx: CoringContext):
     return db, chi, chi_inv
 
 
-def context_coring(ctx: CoringContext) -> Coring:
-    """The coring N (x)_B M with coproduct n (x) m -> n (x) tau(1) (x) m."""
-    return ContextCoring(ctx.tensor_nm, ctx.tau_pairs(), ctx.sigma.matrix)
-
-
 @dataclass
 class ContextIso:
     forward: CoringMorphism
     backward: CoringMorphism
 
 
-def context_iso(ctx: CoringContext) -> ContextIso:
+def context_iso(ctx: ContextCoring) -> ContextIso:
     """The coring isomorphism N (x)_B M -> M^* (x)_B M from Theorem-style
     transport of chi, verified in both directions."""
-    f = ctx.field
+    f, ts = ctx.field, ctx.carrier_tensor
+    m = ts.right_factor
     _, chi, chi_inv = context_dual_basis(ctx)
-    data = comatrix_data(ctx.m)
-    source = context_coring(ctx)
+    data = comatrix_data(m)
     target = data.coring
-    theta = ctx.tensor_nm.induced_map(chi.matrix, f.eye(ctx.m.dim), data.tensor)
-    theta_inv = data.tensor.induced_map(chi_inv.matrix, f.eye(ctx.m.dim),
-                                        ctx.tensor_nm)
+    theta = ts.induced_map(chi.matrix, f.eye(m.dim), data.tensor)
+    theta_inv = data.tensor.induced_map(chi_inv.matrix, f.eye(m.dim), ts)
     if not Field.equal(f.matmul(theta, theta_inv), f.eye(target.dim)):
         raise InternalInconsistencyError("context iso does not invert (forward)")
-    if not Field.equal(f.matmul(theta_inv, theta), f.eye(source.dim)):
+    if not Field.equal(f.matmul(theta_inv, theta), f.eye(ctx.dim)):
         raise InternalInconsistencyError("context iso does not invert (backward)")
-    forward = CoringMorphism(source, target, theta)
-    backward = CoringMorphism(target, source, theta_inv)
+    forward = CoringMorphism(ctx, target, theta)
+    backward = CoringMorphism(target, ctx, theta_inv)
     return ContextIso(forward, backward)
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraMap, check_algebra_map
 from .bimodule import Bimodule, BimoduleMap, regular_bimodule, tensor_over
-from .comatrix import CoringContext, MoritaData
+from .comatrix import MoritaData, context_from_tau
+from .coring import ContextCoring
 from .errors import CoringLabError, DefinitionError
 from .fields import Field, field_of_characteristic
 
@@ -153,46 +154,46 @@ def loads(text: str) -> DefinitionFile:
     return out
 
 
-def _load_morita(out: DefinitionFile, fld: Field, name: str, spec) -> MoritaData:
-    n = _resolve(out.bimodules, spec.get("n"), "bimodule", f"morita {name!r}")
-    m = _resolve(out.bimodules, spec.get("m"), "bimodule", f"morita {name!r}")
+def _load_pairing(out: DefinitionFile, fld: Field, where: str, spec):
+    """The bimodules n and m of a morita or contexts entry, both tensor
+    presentations N (x)_B M and M (x)_A N, and sigma on the first."""
+    n = _resolve(out.bimodules, spec.get("n"), "bimodule", where)
+    m = _resolve(out.bimodules, spec.get("m"), "bimodule", where)
     ts_nm = tensor_over(n, m)
     ts_mn = tensor_over(m, n)
-    a_alg, b_alg = m.right_alg, m.left_alg
-    sigma_amb = _parse_tensor(fld, spec.get("sigma"), (a_alg.dim, n.dim * m.dim),
-                              f"morita {name!r} sigma")
+    sigma_amb = _parse_tensor(fld, spec.get("sigma"), (m.right_alg.dim, n.dim * m.dim),
+                              f"{where} sigma")
+    return n, m, ts_nm, ts_mn, fld.matmul(sigma_amb, ts_nm.section)
+
+
+def _load_morita(out: DefinitionFile, fld: Field, name: str, spec) -> MoritaData:
+    where = f"morita {name!r}"
+    n, m, ts_nm, ts_mn, sigma_mat = _load_pairing(out, fld, where, spec)
+    b_alg = m.left_alg
     tau_amb = _parse_tensor(fld, spec.get("tau_tilde"), (b_alg.dim, m.dim * n.dim),
-                            f"morita {name!r} tau_tilde")
+                            f"{where} tau_tilde")
     try:
-        sigma = BimoduleMap(ts_nm.space, regular_bimodule(a_alg),
-                            fld.matmul(sigma_amb, ts_nm.section))
+        sigma = BimoduleMap(ts_nm.space, regular_bimodule(m.right_alg), sigma_mat)
         tau_tilde = BimoduleMap(ts_mn.space, regular_bimodule(b_alg),
                                 fld.matmul(tau_amb, ts_mn.section))
         md = MoritaData(n, m, sigma, tau_tilde, ts_nm, ts_mn)
         md.validate()
     except CoringLabError as exc:
-        raise DefinitionError(f"morita {name!r}: {exc}")
+        raise DefinitionError(f"{where}: {exc}")
     return md
 
 
-def _load_context(out: DefinitionFile, fld: Field, name: str, spec) -> CoringContext:
-    n = _resolve(out.bimodules, spec.get("n"), "bimodule", f"context {name!r}")
-    m = _resolve(out.bimodules, spec.get("m"), "bimodule", f"context {name!r}")
-    ts_nm = tensor_over(n, m)
-    ts_mn = tensor_over(m, n)
-    a_alg, b_alg = m.right_alg, m.left_alg
-    sigma_amb = _parse_tensor(fld, spec.get("sigma"), (a_alg.dim, n.dim * m.dim),
-                              f"context {name!r} sigma")
-    tau_amb = _parse_tensor(fld, spec.get("tau"), (m.dim * n.dim, b_alg.dim),
-                            f"context {name!r} tau")
+def _load_context(out: DefinitionFile, fld: Field, name: str, spec) -> ContextCoring:
+    where = f"context {name!r}"
+    n, m, ts_nm, ts_mn, sigma_mat = _load_pairing(out, fld, where, spec)
+    b_alg = m.left_alg
+    tau_amb = _parse_tensor(fld, spec.get("tau"), (m.dim * n.dim, b_alg.dim), f"{where} tau")
     try:
-        sigma = BimoduleMap(ts_nm.space, regular_bimodule(a_alg),
-                            fld.matmul(sigma_amb, ts_nm.section))
         tau = BimoduleMap(regular_bimodule(b_alg), ts_mn.space,
                           fld.matmul(ts_mn.projection, tau_amb))
-        return CoringContext(n, m, sigma, tau, ts_nm, ts_mn)
+        return context_from_tau(ts_nm, ts_mn, sigma_mat, tau.matrix)
     except CoringLabError as exc:
-        raise DefinitionError(f"context {name!r}: {exc}")
+        raise DefinitionError(f"{where}: {exc}")
 
 
 def load(path) -> DefinitionFile:

@@ -48,7 +48,6 @@ from .coring import (
     _central_section,
     find_cointegral,
     find_frobenius_system,
-    gamma_is_normalized,
     is_cosplit,
     splits,
     sweedler_coring,
@@ -73,7 +72,6 @@ __all__ = [
     "frobenius_extension_check",
     "lift_cosplit",
     "cointegral_from_separability",
-    "lift_precointegral",
     "lift_cointegral",
     "iota_from_frobenius",
     "lift_frobenius_system",
@@ -320,23 +318,15 @@ def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
     return ci
 
 
-def lift_precointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
-    """Transport a pre-cointegral of the comatrix coring to S (x)_B S: the
-    expansion gamma~ of f_gamma."""
+def lift_cointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
+    """Transport a cointegral of the comatrix coring to S (x)_B S: the
+    expansion gamma~ of f_gamma, verified as a normalized cointegral."""
     tower = bimodule_tower(m)
     f_mat = _map_of_gamma(tower, gamma.gamma_amb)
-    ci = Cointegral(tower.sweedler, _sweedler_expansion(tower, f_mat), normalized=False)
+    ci = Cointegral(tower.sweedler, _sweedler_expansion(tower, f_mat), normalized=True)
     if not verify_cointegral(ci):
-        raise InternalInconsistencyError("transported pre-cointegral fails verification")
+        raise InternalInconsistencyError("transported cointegral fails verification")
     return ci
-
-
-def lift_cointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
-    """Transport of a full cointegral; additionally checks normalization."""
-    lifted = lift_precointegral(m, gamma)
-    if not gamma_is_normalized(lifted.coring, lifted.gamma_amb):
-        raise InternalInconsistencyError("transported cointegral is not normalized")
-    return Cointegral(lifted.coring, lifted.gamma_amb, normalized=True)
 
 
 @dataclass

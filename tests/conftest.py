@@ -109,6 +109,42 @@ def matrix_coring(n, field):
     return Coring(field_algebra(field), carrier, delta_amb, counit)
 
 
+def canonical_identification_oracle(m):
+    """Present M (x)_A M^* and check, through that presentation, the
+    identification with S = End_A(M) that ``canonical_s_iso`` gives only as
+    its table omega on the pairs e_i (x) phi_alpha: both round trips, the
+    left and right action rules of S, and omega = to_endo @ projection.
+    Returns the presentation and to_endo: tensor coords -> S coords."""
+    from coring_lab.bimodule import _induced_action, canonical_s_iso, dual_basis, tensor_over
+    from coring_lab.fields import Field
+
+    f = m.field
+    iso, db = canonical_s_iso(m), dual_basis(m)
+    dual, s_alg = db.dual, iso.end.algebra
+    ts = tensor_over(m, dual)
+    table = iso.omega.reshape(s_alg.dim, m.dim * dual.dim)
+    to_endo = f.matmul(table, ts.section)
+    # s -> sum_k s(e_k) (x) e_k^*
+    coords = f.asarray(np.reshape(db.functional_coords, (m.dim, dual.dim)))
+    amb = f.tensordot(np.stack(s_alg.endo_mats), coords, ([2], [0]))  # (s, m', alpha)
+    from_endo = f.matmul(ts.projection, amb.reshape(s_alg.dim, -1).T)
+    assert Field.equal(f.matmul(to_endo, from_endo), f.eye(s_alg.dim))
+    assert Field.equal(f.matmul(from_endo, to_endo), f.eye(ts.dim))
+    assert Field.equal(f.matmul(to_endo, ts.projection), table)
+    # the right action of S on M^*, phi -> phi s, in coordinates
+    dual_acts = _induced_action(f, dual.functional_mats,
+                                [[f.matmul(phi, s_mat) for phi in dual.functional_mats]
+                                 for s_mat in s_alg.endo_mats])
+    for beta, s_mat in enumerate(s_alg.endo_mats):
+        # s (m (x) phi) = s(m) (x) phi, and (m (x) phi) s = m (x) phi s
+        left_act = ts.induced_map(s_mat, f.eye(dual.dim), ts)
+        assert Field.equal(f.matmul(to_endo, left_act), f.matmul(s_alg.left_mult[beta], to_endo))
+        right_act = ts.induced_map(f.eye(m.dim), dual_acts[beta].T, ts)
+        assert Field.equal(f.matmul(to_endo, right_act),
+                           f.matmul(s_alg.right_mult[beta], to_endo))
+    return ts, to_endo
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)

@@ -41,6 +41,8 @@ from coring_lab.fields import Field
 from coring_lab.linalg import _kernel
 
 from conftest import (
+    bundled_over,
+    canonical_identification_oracle,
     column_module,
     count_memo_bodies,
     dual_numbers,
@@ -383,37 +385,53 @@ def test_module_as_s_bimodule_validates():
 
 def test_canonical_s_iso_trivial():
     iso = canonical_s_iso(trivial_bimodule(F2, 1))
-    assert iso.to_endo.shape == (1, 1)
-    assert iso.to_endo[0, 0] == 1
+    assert iso.omega.shape == (1, 1, 1)
+    assert iso.omega[0, 0, 0] == 1
+
+
+def omega_of(m, i, j):
+    """S coordinates of omega(e_i (x) e_j^*), e_j^* from the dual basis."""
+    iso = canonical_s_iso(m)
+    return m.field.matmul(iso.omega[:, i, :], dual_basis(m).functional_coords[j])
 
 
 def test_canonical_s_iso_on_k2_round_trips_matrix_units():
     m = trivial_bimodule(F2, 2)
-    iso = canonical_s_iso(m)
-    s = iso.end.algebra
+    s = canonical_s_iso(m).end.algebra
     f = m.field
     # E_ij corresponds to e_i (x) e_j*
     for i in range(2):
         for j in range(2):
-            e = f.eye(2)
-            t = iso.tensor.pure(e[:, i], dual_basis(m).functional_coords[j])
-            endo = s.mat_of(f.matmul(iso.to_endo, t))
             expected = f.zeros((2, 2))
             expected[i, j] = 1
-            assert np.array_equal(endo, expected)
+            assert np.array_equal(s.mat_of(omega_of(m, i, j)), expected)
 
 
 def test_canonical_s_iso_product_rule_zero_case():
     # (e1 (x) e1*) (e2 (x) e2*) = e1 . e1*(e2) (x) e2* = 0
     m = trivial_bimodule(F2, 2)
-    iso = canonical_s_iso(m)
-    f = m.field
-    db = dual_basis(m)
-    t1 = iso.tensor.pure(f.eye(2)[:, 0], db.functional_coords[0])
-    t2 = iso.tensor.pure(f.eye(2)[:, 1], db.functional_coords[1])
-    s = iso.end.algebra
-    product = s.mult(f.matmul(iso.to_endo, t1), f.matmul(iso.to_endo, t2))
-    assert np.all(product == 0)
+    s = canonical_s_iso(m).end.algebra
+    assert np.all(s.mult(omega_of(m, 0, 0), omega_of(m, 1, 1)) == 0)
+
+
+# the modules of the analyze-fp benchmark workload at seed 0
+ANALYZE_FP_MODULES = {
+    **{f"bundled/gf{char}/{name}/{mod}": (lambda name=name, mod=mod, char=char:
+                                          bundled_over(name, char).bimodules[mod])
+       for char in (2, 3)
+       for name, mods in (("matrix2", ["M"]), ("dual-numbers", ["M"]),
+                          ("product-field", ["M"]), ("morita-rows-cols", ["cols", "rows"]),
+                          ("regular-module", ["M"]))
+       for mod in mods},
+    **{f"ladder/gf{f.characteristic}/k^{n}": (lambda f=f, n=n: trivial_bimodule(f, n))
+       for f in (F2, F3) for n in (1, 2, 3, 4)},
+    **{f"recipe/{i}": (lambda i=i: random_projective_bimodule(i)) for i in range(12)},
+}
+
+
+@pytest.mark.parametrize("case", ANALYZE_FP_MODULES)
+def test_canonical_identification_oracle(case):
+    canonical_identification_oracle(ANALYZE_FP_MODULES[case]())
 
 
 def test_canonical_iso_dimension_identity():

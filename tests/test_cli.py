@@ -9,9 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ, cli
+from coring_lab import GF, QQ, bimodule, cli, coring
 from coring_lab.cli import main, report_document, verify_report_witnesses
-from coring_lab.comatrix import context_from_bimodule, context_iso, left_dual_anti_iso
+from coring_lab.comatrix import (
+    comatrix_data,
+    context_from_bimodule,
+    context_iso,
+    left_dual_anti_iso,
+)
 from coring_lab.coring import sweedler_coring
 from coring_lab.definitions import DefinitionFile, _parse_tensor, bundled_path, load, loads
 from coring_lab.errors import DefinitionError, TooLargeToValidateError
@@ -157,6 +162,70 @@ def test_construct_documents_of_recipes_beyond_the_square_limit_match_their_pins
     assert comatrix["validation"] == sweedler["validation"] == "full"
     out = "".join(json.dumps(d, indent=1, sort_keys=True) + "\n" for d in docs)
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_PINS[recipe]
+
+
+def count_context_checks(monkeypatch):
+    """Record every call of the context-diagram check."""
+    calls = []
+    check = coring.check_context_diagrams
+
+    def counting(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(coring, "check_context_diagrams", counting)
+    return calls
+
+
+def canonical_context_file():
+    """matrix2 with the canonical context of M = k^2 as a contexts entry."""
+    doc = json.loads(bundled_path("matrix2").read_text())
+    doc["bimodules"]["Mstar"] = {"left": "k", "right": "k",
+                                 "left_action": [[[1, 0], [0, 1]]],
+                                 "right_action": [[[1, 0]], [[0, 1]]]}
+    doc["contexts"] = {"canonical": {"n": "Mstar", "m": "M", "sigma": [[1, 0, 0, 1]],
+                                     "tau": [[1], [0], [0], [1]]}}
+    return json.dumps(doc)
+
+
+def test_each_context_is_checked_once(monkeypatch):
+    calls = count_context_checks(monkeypatch)
+    deffile = loads(canonical_context_file())
+    assert cli.cmd_construct(deffile, "context-coring", "canonical")["carrier_dim"] == 4
+    assert len(calls) == 1  # at load time; construct reads the loaded coring
+
+    deffile = load(bundled_path("morita-rows-cols"))
+    assert len(calls) == 1
+    cli.cmd_construct(deffile, "context-coring", "rows-cols")
+    assert len(calls) == 2
+
+    m = load(bundled_path("matrix2")).bimodules["M"]
+    coring_of_m = comatrix_data(m).coring
+    assert len(calls) == 3
+    assert context_from_bimodule(m) is coring_of_m
+    context_iso(context_from_bimodule(m))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("case", ["bundled/gf2/matrix2/M", "recipe/1"])
+def test_m_tensor_its_dual_is_never_presented(case, monkeypatch):
+    m = (load(bundled_path("matrix2")).bimodules["M"] if case.startswith("bundled")
+         else random_projective_bimodule(1))
+    presented = []
+    tensor_over = bimodule.tensor_over
+
+    def recording(x, y):
+        presented.append((x, y))
+        return tensor_over(x, y)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "coring_lab" and getattr(mod, "tensor_over", None) is tensor_over:
+            monkeypatch.setattr(mod, "tensor_over", recording)
+    report_document(DefinitionFile(m.field, bimodules={"M": m}), "M", 0)
+    construct_documents(m)
+    dual = right_dual(m)
+    assert any(x is dual and y is m for x, y in presented)  # M^* (x)_B M is presented
+    assert not any(x is m and y is dual for x, y in presented)
 
 
 def per_element_texts(field, arr):

@@ -18,11 +18,9 @@ from coring_lab.bimodule import (
 )
 from coring_lab.linalg import _kernel
 from coring_lab.comatrix import (
-    CoringContext,
     MoritaData,
     comatrix_coring,
     comatrix_data,
-    context_coring,
     context_dual_basis,
     context_from_bimodule,
     context_from_morita,
@@ -31,7 +29,14 @@ from coring_lab.comatrix import (
     left_dual_anti_iso,
 )
 from coring_lab.cli import cmd_construct
-from coring_lab.coring import Coring, CoringMorphism, find_cointegral, sweedler_coring
+from coring_lab.coring import (
+    ContextCoring,
+    Coring,
+    CoringMorphism,
+    _pair_matrices,
+    find_cointegral,
+    sweedler_coring,
+)
 from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import ContextAxiomError, NotProjectiveError
 
@@ -83,22 +88,27 @@ def test_comatrix_of_k2_is_the_matrix_coring():
     assert np.array_equal(built.counit_mat, oracle.counit_mat)
 
 
+def tau_of_unit(ctx):
+    """tau(1) = sum_i m_i (x) n_i of a context coring, as the (dim M, dim N)
+    matrix of its ambient coefficients."""
+    ts = ctx.carrier_tensor
+    ms, ns = _pair_matrices(ctx.field, ctx.tau_pairs, ts.right_factor.dim, ts.left_factor.dim)
+    return ctx.field.matmul(ms, ns.T)
+
+
 def test_context_with_non_unit_tau_coefficients():
     # (2 sigma, 2 tau) is again a context over GF(3), since 2 * 2 = 1; its
     # tau(1) has coefficient 2, which every use of tau(1) must carry
     m = trivial_bimodule(F3, 2)
-    ctx = context_from_bimodule(m)
-    sigma, tau = ctx.sigma, ctx.tau
-    scaled = CoringContext(ctx.n, m, BimoduleMap(sigma.source, sigma.target, 2 * sigma.matrix),
-                           BimoduleMap(tau.source, tau.target, 2 * tau.matrix),
-                           ctx.tensor_nm, ctx.tensor_mn)
-    assert np.array_equal(scaled.tau_of_unit(), 2 * F3.eye(2))
+    oracle = comatrix_coring(m)
+    scaled = ContextCoring(oracle.carrier_tensor,
+                           [(F3.asarray(2 * m_vec), n_vec) for m_vec, n_vec in oracle.tau_pairs],
+                           F3.asarray(2 * oracle.counit_mat))
+    assert np.array_equal(tau_of_unit(scaled), 2 * F3.eye(2))
     db, _, _ = context_dual_basis(scaled)
     assert db.verify()
-    built = context_coring(scaled)
-    oracle = comatrix_coring(m)
-    assert np.array_equal(built.delta_amb, F3.asarray(2 * oracle.delta_amb))
-    assert np.array_equal(built.counit_mat, F3.asarray(2 * oracle.counit_mat))
+    assert np.array_equal(scaled.delta_amb, F3.asarray(2 * oracle.delta_amb))
+    assert np.array_equal(scaled.counit_mat, F3.asarray(2 * oracle.counit_mat))
     context_iso(scaled)  # both coring morphisms are verified
 
 
@@ -164,23 +174,23 @@ def test_basis_independence_rejects_corrupted_basis():
 def test_context_from_regular_module():
     a = dual_numbers(F2)
     ctx = context_from_bimodule(regular_bimodule(a))
-    w = ctx.tau_of_unit()
-    # tau(1) = 1 (x) identity-functional
-    assert np.any(w != 0)
+    # tau(1) = sum_i e_i (x) e_i^*, the dual basis read back from its pairs
+    assert np.any(tau_of_unit(ctx) != 0)
+    assert context_dual_basis(ctx)[0].verify()
 
 
 def test_context_from_k2_tau_is_the_identity_pairing():
     m = trivial_bimodule(F2, 2)
     ctx = context_from_bimodule(m)
-    assert np.array_equal(ctx.tau_of_unit(), F2.eye(2))
+    assert np.array_equal(tau_of_unit(ctx), F2.eye(2))
 
 
 def test_context_from_point_module_kills_x():
     m = point_module_over_dual_numbers(F2)
     ctx = context_from_bimodule(m)
-    # tau(x) = x.e (x) e^* = 0
-    x_col = ctx.tau.matrix[:, 1]
-    assert np.all(x_col == 0)
+    # tau(x) = sum_i x.m_i (x) n_i = x.e (x) e^* = 0
+    assert ctx.tau_pairs
+    assert all(not np.any(F2.matmul(m.left_mats[1], m_vec)) for m_vec, _ in ctx.tau_pairs)
 
 
 def rows_cols_morita(field):
@@ -207,9 +217,8 @@ def rows_cols_morita(field):
 
 def test_morita_rows_cols_gives_a_context():
     md = rows_cols_morita(F2)
-    ctx = context_from_morita(md)
-    assert ctx is not None
-    c = context_coring(ctx)
+    c = context_from_morita(md)
+    assert c is not None
     assert c.dim == 4
     # the counit sigma is bijective onto M_2
     assert _kernel(F2, c.counit_mat) == []
@@ -302,7 +311,7 @@ def test_trivial_morita_context():
     md = MoritaData(k, k, mult, mult, ts, ts)
     ctx = context_from_morita(md)
     assert ctx is not None
-    assert np.array_equal(ctx.tau.matrix, F2.eye(1))
+    assert np.array_equal(tau_of_unit(ctx), F2.eye(1))
 
 
 # -------------------------------------------------- Theorem-style round trip
@@ -346,30 +355,7 @@ def test_context_iso_for_morita_context_verifies_both_ways():
 
 def test_context_coring_of_canonical_context_matches_comatrix():
     m = trivial_bimodule(F3, 2)
-    ctx = context_from_bimodule(m)
-    built = context_coring(ctx)
-    oracle = comatrix_coring(m)
-    assert np.array_equal(built.delta_amb, oracle.delta_amb)
-    assert np.array_equal(built.counit_mat, oracle.counit_mat)
-
-
-def test_context_with_non_unit_tau_coefficients():
-    # (2 sigma, 2 tau) is again a context over GF(3), since 2 * 2 = 1; its
-    # tau(1) has coefficient 2, which every use of tau(1) must carry
-    m = trivial_bimodule(F3, 2)
-    ctx = context_from_bimodule(m)
-    sigma, tau = ctx.sigma, ctx.tau
-    scaled = CoringContext(ctx.n, m, BimoduleMap(sigma.source, sigma.target, 2 * sigma.matrix),
-                           BimoduleMap(tau.source, tau.target, 2 * tau.matrix),
-                           ctx.tensor_nm, ctx.tensor_mn)
-    assert np.array_equal(scaled.tau_of_unit(), 2 * F3.eye(2))
-    db, _, _ = context_dual_basis(scaled)
-    assert db.verify()
-    built = context_coring(scaled)
-    oracle = comatrix_coring(m)
-    assert np.array_equal(built.delta_amb, F3.asarray(2 * oracle.delta_amb))
-    assert np.array_equal(built.counit_mat, F3.asarray(2 * oracle.counit_mat))
-    context_iso(scaled)  # both coring morphisms are verified
+    assert context_from_bimodule(m) is comatrix_data(m).coring
 
 
 # ------------------------------------------------------ Sweedler consistency
@@ -470,4 +456,4 @@ def test_construct_sequence_builds_and_validates_the_comatrix_coring_once(monkey
     assert [name for name, _ in runs] == ["comatrix_data"]
     coring = comatrix_coring(m)
     assert sum(c is coring for c in validated) == 1
-    assert len(validated) == 2  # the comatrix coring and the context coring
+    assert len(validated) == 1  # the canonical context is the comatrix coring

@@ -16,7 +16,7 @@ from coring_lab.bimodule import (
     regular_bimodule,
     tensor_over,
 )
-from coring_lab.comatrix import comatrix_coring, context_coring, context_from_morita
+from coring_lab.comatrix import comatrix_coring, context_from_morita
 from coring_lab.coring import (
     Cointegral,
     ContextCoring,
@@ -557,7 +557,7 @@ def context_corings_of(deffile):
     for md in deffile.morita.values():
         ctx = context_from_morita(md)
         if ctx is not None:
-            yield context_coring(ctx)
+            yield ctx
     for ring_map in deffile.algebra_maps.values():
         yield sweedler_coring(ring_map)
 

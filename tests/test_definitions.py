@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from coring_lab.definitions import BUNDLED_NAMES, bundled_path, load, loads
@@ -77,11 +78,11 @@ def test_rational_file_with_string_scalars():
 def test_morita_surjectivity_data_round_trip():
     deffile = load(bundled_path("morita-rows-cols"))
     md = deffile.morita["rows-cols"]
-    from coring_lab.comatrix import context_coring, context_from_morita
+    from coring_lab.comatrix import context_from_morita
 
     ctx = context_from_morita(md)
     assert ctx is not None
-    assert context_coring(ctx).dim == 4
+    assert ctx.dim == 4
 
 
 def test_context_entry_parses_and_validates():
@@ -101,6 +102,29 @@ def test_context_entry_parses_and_validates():
     }
     deffile = loads(json.dumps(base))
     assert "canonical" in deffile.contexts
+
+
+def test_context_entry_carries_the_coefficients_of_tau():
+    # over GF(3), (2 sigma, 2 tau) is a context as (sigma, tau) is, since
+    # 2 * 2 = 1; the pairs read off tau(1) must carry its coefficient 2
+    def context(scale):
+        base = json.loads(bundled_path("matrix2").read_text())
+        base["field"]["characteristic"] = 3
+        base["bimodules"]["Mstar"] = {
+            "left": "k", "right": "k",
+            "left_action": [[[1, 0], [0, 1]]],
+            "right_action": [[[1, 0]], [[0, 1]]],
+        }
+        base["contexts"] = {"c": {"n": "Mstar", "m": "M", "sigma": [[scale, 0, 0, scale]],
+                                  "tau": [[scale], [0], [0], [scale]]}}
+        return loads(json.dumps(base)).contexts["c"]
+
+    plain, scaled = context(1), context(2)
+    f = scaled.field
+    assert [f.asarray(2 * m_vec).tolist() for m_vec, _ in plain.tau_pairs] \
+        == [m_vec.tolist() for m_vec, _ in scaled.tau_pairs]
+    assert np.array_equal(scaled.delta_amb, f.asarray(2 * plain.delta_amb))
+    assert np.array_equal(scaled.counit_mat, f.asarray(2 * plain.counit_mat))
 
 
 def test_broken_context_is_rejected():
