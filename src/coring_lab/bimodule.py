@@ -65,9 +65,9 @@ _ISO_RANDOM_ATTEMPTS = 32
 
 
 def _memo(fn):
-    """Memoize ``fn(m)``, a ``None`` result too, on the bimodule or algebra
-    map ``m`` itself: the value lives exactly as long as ``m``, so a process
-    that analyses many modules keeps none of them alive."""
+    """Memoize ``fn(m)``, a ``None`` result too, on the bimodule, algebra
+    map or coring ``m`` itself: the value lives exactly as long as ``m``, so
+    a process that analyses many modules keeps none of them alive."""
 
     @functools.wraps(fn)
     def memoized(m):
@@ -473,14 +473,6 @@ def left_dual(m: Bimodule) -> DualModule:
     return DualModule(a_alg, b_alg, lam, rho, m, mats, name=f"*{m.name or 'M'}")
 
 
-def _scaling_matrix(field: Field, action, axis: int, e, values):
-    """Matrix of x -> e . w(x) (``action`` a right action tensor, ``axis`` 0)
-    or x -> w(x) . e (a left action tensor, ``axis`` 1), where the algebra
-    element w(x) is given columnwise in ``values``."""
-    act = field.tensordot(field.asarray(e), action, ([0], [axis]))  # (algebra, m')
-    return field.matmul(act.T, field.asarray(values))
-
-
 @dataclass
 class DualBasis:
     """Vectors e_i with functionals phi_i witnessing x = sum e_i . phi_i(x)."""
@@ -495,11 +487,14 @@ class DualBasis:
         return [self.dual.mat_of(c) for c in self.functional_coords]
 
     def verify(self) -> bool:
-        f = self.module.field
-        total = f.zeros((self.module.dim, self.module.dim))
-        for e, phi in zip(self.elements, self.functional_mats):
-            total = total + _scaling_matrix(f, self.module.right_action, 0, e, phi)
-        return Field.equal(f.asarray(total), f.eye(self.module.dim))
+        """The dual-basis identity sum_k e_k . phi_k(x) = x on the basis."""
+        m, f = self.module, self.module.field
+        if not self.elements:
+            return m.dim == 0
+        acts = f.tensordot(f.asarray(np.stack(self.elements)), m.right_action,
+                           ([1], [0]))  # (k, a, m'): e_k . a
+        total = f.tensordot(acts, np.stack(self.functional_mats), ([0, 1], [0, 1]))  # (m', x)
+        return Field.equal(total, f.eye(m.dim))
 
 
 @_memo
@@ -609,7 +604,8 @@ def hom_bimodule(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:
 
 
 def one_sided_hom(m: Bimodule, n: Bimodule, side: str) -> list:
-    """Basis matrices of maps linear over one side only ('left' or 'right')."""
+    """Basis matrices of maps linear over one side only ('left' or 'right').
+    No library function calls it; ``bench/tracing.py`` rebinds it by name."""
     if side == "right":
         if m.right_alg != n.right_alg:
             raise FieldMismatchError("right algebras differ")
@@ -720,11 +716,12 @@ def canonical_s_iso(m: Bimodule) -> SIso:
     end = endomorphism_algebra(m)
     s_alg = end.algebra
 
-    # pair (e_i, phi_alpha) -> endo x -> e_i . phi_alpha(x)
-    eye = f.eye(m.dim)
-    endos = [_scaling_matrix(f, m.right_action, 0, eye[:, i], phi)
-             for i in range(m.dim) for phi in dual.functional_mats]
-    cols = _matrix_subspace_coords(f, s_alg.endo_mats, endos)
+    # the pairing tensor e_i . phi_alpha(x), read both as the endos of the
+    # pairs (e_i, phi_alpha) and in the product rule below
+    scaled = f.tensordot(np.stack(dual.functional_mats), m.right_action,
+                         ([1], [1]))  # (alpha, j, i, i'): e_i . phi_alpha(e_j)
+    endos = scaled.transpose(2, 0, 3, 1).reshape(m.dim * dual.dim, m.dim, m.dim)
+    cols = _matrix_subspace_coords(f, s_alg.endo_mats, list(endos))
     table = np.stack(cols, axis=1) if cols else f.zeros((s_alg.dim, 0))
     omega = f.asarray(table).reshape(s_alg.dim, m.dim, dual.dim)
 
@@ -736,8 +733,6 @@ def canonical_s_iso(m: Bimodule) -> SIso:
     # rule: (m(x)phi)(m'(x)phi') = m.phi(m') (x) phi', on the table omega
     left = f.tensordot(omega, s_alg.structure, ([0], [0]))  # (i, alpha, q, r)
     product = f.tensordot(left, omega, ([2], [0]))  # (i, alpha, r, j, beta)
-    scaled = f.tensordot(np.stack(dual.functional_mats), m.right_action,
-                         ([1], [1]))  # (alpha, j, i, i'): e_i . phi_alpha(e_j)
     direct = f.tensordot(scaled, omega, ([3], [1]))  # (alpha, j, i, r, beta)
     if not Field.equal(product, direct.transpose(2, 0, 3, 1, 4)):
         raise BimoduleAxiomError("pointwise product rule fails in the identification")

@@ -126,7 +126,7 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
                          ("comatrix_cointegral_constructed", "gamma", comatrix),
                          ("sweedler_cointegral_lift", "gamma", sweedler)):
         if key in wit:
-            ok &= verify_cointegral(Cointegral(c, gamma(key, part, c), normalized=True))
+            ok &= verify_cointegral(Cointegral(c, gamma(key, part, c)))
     for key, c in (("comatrix_frobenius", comatrix), ("sweedler_frobenius", sweedler),
                    ("sweedler_frobenius_lift", sweedler)):
         if key in wit:

@@ -169,28 +169,19 @@ def context_from_morita(md: MoritaData) -> ContextCoring | None:
 
 
 def context_dual_basis(ctx: ContextCoring):
-    """The dual basis {m_i, sigma(n_i (x) -)} read off the pairs of tau(1),
-    plus the mutually inverse maps between N and M^*."""
+    """chi: N -> M^*, n -> sigma(n (x) -), solved once on the basis of N, its
+    inverse, and the dual basis {m_i, chi(n_i)} read off the pairs of tau(1)."""
     f, ts, pairs = ctx.field, ctx.carrier_tensor, ctx.tau_pairs
     n, m = ts.left_factor, ts.right_factor
     dual = right_dual(m)
     eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
-
-    def sigma_functional(n_vec):
-        """sigma(n_vec (x) -) as a value matrix M -> A."""
-        return f.matmul(ctx.counit_mat, ts.pure(n_vec[:, None], eye_m))
-
-    elements = [m_vec for m_vec, _ in pairs]
-    functionals = [sigma_functional(n_vec) for _, n_vec in pairs]
-    coords = _matrix_subspace_coords(f, dual.functional_mats, functionals) \
-        if functionals else []
-    db = DualBasis(m, dual, elements, coords)
+    # sigma(e_v (x) -) as value matrices M -> A
+    sigmas = [f.matmul(ctx.counit_mat, ts.pure(eye_n[:, v:v + 1], eye_m)) for v in range(n.dim)]
+    chi = BimoduleMap(n, dual, np.stack(_matrix_subspace_coords(f, dual.functional_mats, sigmas),
+                                        axis=1))
+    db = DualBasis(m, dual, [m_vec for m_vec, _ in pairs], [chi(n_vec) for _, n_vec in pairs])
     if not db.verify():
         raise ContextAxiomError("context does not produce a valid dual basis")
-
-    chi_cols = _matrix_subspace_coords(
-        f, dual.functional_mats, [sigma_functional(eye_n[:, v]) for v in range(n.dim)])
-    chi = BimoduleMap(n, dual, np.stack(chi_cols, axis=1))
     # chi^{-1}(phi) = sum_i phi(m_i) . n_i
     ms, ns = _pair_matrices(f, pairs, m.dim, n.dim)
     values = f.tensordot(np.stack(dual.functional_mats), ms, ([2], [0]))  # (phi, a, i)

@@ -36,11 +36,13 @@ from .bimodule import (
     TensorSpace,
     _induced_action,
     _matrix_subspace_coords,
+    _memo,
     _on_left_leg,
     _on_right_leg,
     _presented_tensor,
     context_projection,
     intertwiners,
+    left_dual,
     random_bimodule_iso,
     regular_bimodule,
     span_search,
@@ -90,8 +92,8 @@ class Coring:
     """An A-coring with representative-level structure maps.
 
     The structure maps never change after construction; the tensor-square
-    presentation and the pre-cointegral space are built on first use and
-    memoized on the coring.
+    presentation, the pre-cointegral space and the left dual ring are built
+    on first use and memoized on the coring.
     """
 
     carrier_tensor: TensorSpace | None = None  # N (x)_B M for a ContextCoring
@@ -112,6 +114,7 @@ class Coring:
             raise CoringAxiomError(f"counit matrix has shape {self.counit_mat.shape}")
         self._square: TensorSpace | None = None
         self._precointegrals: np.ndarray | None = None
+        self._memo: dict = {}  # values of the ``bimodule._memo`` functions of this coring
         self.validate()
 
     @property
@@ -356,10 +359,12 @@ class CoringMorphism:
             raise CoringAxiomError("morphism does not intertwine the coproducts")
 
 
+@_memo
 def left_dual_ring(c: Coring) -> Algebra:
-    """Left-linear functionals C -> A with convolution-style product."""
+    """Left-linear functionals C -> A, those of ``left_dual(c.carrier)``,
+    with convolution-style product; built once per coring."""
     f = c.field
-    mats = intertwiners(f, c.carrier.left_mats, c.base.left_mult)
+    mats = left_dual(c.carrier).functional_mats
     if not mats:
         raise CoringAxiomError("left dual ring is zero; the counit cannot exist")
     # (xi eta)(e_c) = sum_{u,v} Delta-rep[u,v,c] xi(e_u . eta(e_v)) = xi(hit(eta) e_c)
@@ -425,12 +430,10 @@ def is_cosplit(c: Coring):
 @dataclass
 class Cointegral:
     """A map gamma on the field tensor square of the carrier, balanced over
-    the base, satisfying the pre-cointegral identity; ``normalized`` records
-    whether gamma o Delta = eps was verified as well."""
+    the base, satisfying the pre-cointegral identity and gamma o Delta = eps."""
 
     coring: Coring
     gamma_amb: np.ndarray  # (base.dim, dim**2)
-    normalized: bool
 
 
 @dataclass
@@ -503,13 +506,10 @@ def gamma_is_normalized(c: Coring, gamma_amb) -> bool:
 
 
 def verify_cointegral(ci: Cointegral) -> bool:
+    """Balance, A-bilinearity, the pre-cointegral identity and gamma o Delta = eps."""
     c, g = ci.coring, ci.gamma_amb
-    if not (gamma_is_balanced(c, g) and gamma_is_bimodule_map(c, g)
-            and precointegral_identity_holds(c, g)):
-        return False
-    if ci.normalized and not gamma_is_normalized(c, g):
-        return False
-    return True
+    return (gamma_is_balanced(c, g) and gamma_is_bimodule_map(c, g)
+            and precointegral_identity_holds(c, g) and gamma_is_normalized(c, g))
 
 
 def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
@@ -547,7 +547,7 @@ def find_cointegral(c: Coring):
     sol = _solve(f, system.reshape(len(gammas), c.counit_mat.size).T, c.counit_mat.reshape(-1))
     if sol is None:
         return None
-    ci = Cointegral(c, f.tensordot(sol, gammas, ([0], [0])), normalized=True)
+    ci = Cointegral(c, f.tensordot(sol, gammas, ([0], [0])))
     if not verify_cointegral(ci):
         raise CoringAxiomError("solver produced a gamma that fails verification")
     return ci
@@ -605,17 +605,15 @@ def _hit_from_right(c: Coring, xi_mat):
 
 def coring_bimodules_over_dual_ring(c: Coring):
     """C and R = (*C)^op as (A, R)-bimodules, for the Frobenius criterion."""
-    f = c.field
     ldual = left_dual_ring(c)
     r_alg = opposite(ldual)
-    mats = ldual.functional_mats
     # C with its left A-action and the right action c . xi = sum c_1 xi(c_2)
-    rho_c = np.stack([_hit_from_right(c, xi).T for xi in mats], axis=1)
+    rho_c = np.stack([_hit_from_right(c, xi).T for xi in ldual.functional_mats], axis=1)
     c_mod = Bimodule(c.base, r_alg, c.carrier.left_action, rho_c, name="C as (A,R)")
-    # R with (a . xi)(x) = xi(x . a) and right multiplication
-    lam_r = _induced_action(f, mats, [[f.matmul(xi, x) for xi in mats]
-                                      for x in c.carrier.right_mats])
-    r_mod = Bimodule(c.base, r_alg, lam_r, r_alg.structure, name="R as (A,R)")
+    # R with (a . xi)(x) = xi(x . a), the left action of the left dual, and
+    # right multiplication
+    r_mod = Bimodule(c.base, r_alg, left_dual(c.carrier).left_action, r_alg.structure,
+                     name="R as (A,R)")
     return c_mod, r_mod, ldual, r_alg
 
 

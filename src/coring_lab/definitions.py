@@ -1,7 +1,8 @@
 """Definition files: named algebras, algebra maps, bimodules, Morita data
 and contexts in one JSON document.
 
-Schema (all scalars are integers or strings like "3/7" or "2 mod 5"):
+Schema (scalars are integers or strings like "3/7" or "2 mod 5", the
+characteristic an integer; a JSON true or false is neither):
 
     {
       "field": {"characteristic": 2},
@@ -65,7 +66,7 @@ def _parse_tensor(fld: Field, data, shape, where: str):
     flat = arr.reshape(-1)
     out = fld.zeros(arr.shape).reshape(-1)
     for i, v in enumerate(flat):
-        if not isinstance(v, (int, str)):
+        if type(v) not in (int, str):  # bool is an int subclass
             raise DefinitionError(f"{where}: scalar {v!r} must be an int or string")
         try:
             out[i] = fld.parse_scalar(v)
@@ -96,7 +97,7 @@ def loads(text: str) -> DefinitionFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("field"), dict):
         raise DefinitionError("document must be an object with a 'field' object")
     char = doc["field"].get("characteristic")
-    if not isinstance(char, int) or char < 0:
+    if type(char) is not int or char < 0:
         raise DefinitionError("field.characteristic must be a non-negative integer")
     try:
         fld = field_of_characteristic(char)

@@ -6,6 +6,9 @@ condition, and the aggregate analyzer with its implication audit.
 
 All deciders are exact linear algebra except the isomorphism searches,
 which report an explicit inconclusive status instead of guessing.
+
+Modules of maps into an algebra (Hom_B(S, B), Hom_S(M, S), M^*) are read
+from the memoized one-sided duals of ``bimodule``, never solved for again.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     DualBasis,
+    DualModule,
     IsoSearch,
     SIso,
     _combination,
@@ -31,9 +35,9 @@ from .bimodule import (
     left_dual,
     left_dual_basis,
     left_endomorphism_algebra,
-    one_sided_hom,
     random_bimodule_iso,
     regular_bimodule,
+    restrict_right,
     right_dual,
     target_bb,
     target_bs,
@@ -312,7 +316,7 @@ def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
     tower = bimodule_tower(m)
     s = split_from_separability(m, nu)
     f_mat = m.field.matmul(tower.b_to_s.matrix, s.matrix)
-    ci = Cointegral(tower.comatrix.coring, _comatrix_expansion(tower, f_mat), normalized=True)
+    ci = Cointegral(tower.comatrix.coring, _comatrix_expansion(tower, f_mat))
     if not verify_cointegral(ci):
         raise InternalInconsistencyError("constructed cointegral fails verification")
     return ci
@@ -323,7 +327,7 @@ def lift_cointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
     expansion gamma~ of f_gamma, verified as a normalized cointegral."""
     tower = bimodule_tower(m)
     f_mat = _map_of_gamma(tower, gamma.gamma_amb)
-    ci = Cointegral(tower.sweedler, _sweedler_expansion(tower, f_mat), normalized=True)
+    ci = Cointegral(tower.sweedler, _sweedler_expansion(tower, f_mat))
     if not verify_cointegral(ci):
         raise InternalInconsistencyError("transported cointegral fails verification")
     return ci
@@ -382,59 +386,39 @@ def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem) -> FrobeniusSystem:
 
 
 # ---------------------------------------------------------------------------
-# flatness and the Williard condition
+# flatness and the Williard condition, on the memoized one-sided duals
 # ---------------------------------------------------------------------------
 
 
-def faithfully_flat_check(ring_map: AlgebraMap, side: str) -> bool:
-    """Finite-dimensional criterion: projective generator on the given side."""
-    b = ring_map.source
-    f = b.field
-    if side == "right":
-        module = target_sb(ring_map)
-        if dual_basis(module) is None:
-            return False
-        homs = one_sided_hom(module, regular_bimodule(b), "right")
-    elif side == "left":
-        module = target_bs(ring_map)
-        if left_dual_basis(module) is None:
-            return False
-        homs = one_sided_hom(module, regular_bimodule(b), "left")
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not homs:
-        return False
-    images = np.concatenate([h for h in homs], axis=1)
-    return rank(f, f.asarray(images)) == b.dim
-
-
-def _module_is_right_generator(m: Bimodule) -> bool:
-    """Trace ideal of the right module equals the whole right algebra."""
-    f = m.field
-    dual = right_dual(m)
+def _generates(dual: DualModule, alg: Algebra) -> bool:
+    """True when the values of the functionals of ``dual`` span ``alg``: the
+    trace ideal of the module is the whole algebra."""
     if not dual.functional_mats:
         return False
-    images = np.concatenate([f.asarray(phi) for phi in dual.functional_mats], axis=1)
-    return rank(f, images) == m.right_alg.dim
+    return rank(alg.field, np.concatenate(dual.functional_mats, axis=1)) == alg.dim
+
+
+def faithfully_flat_check(ring_map: AlgebraMap, side: str) -> bool:
+    """Finite-dimensional criterion: S a projective generator over B on the
+    given side, that is a dual basis there and the values of that side's
+    dual spanning B."""
+    if side == "right":
+        module, basis, dual = target_sb(ring_map), dual_basis, right_dual
+    elif side == "left":
+        module, basis, dual = target_bs(ring_map), left_dual_basis, left_dual
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return basis(module) is not None and _generates(dual(module), ring_map.source)
 
 
 def williard_check(m: Bimodule, seed: int = 0) -> IsoSearch:
-    """Hom over S from M into S compared with the right dual over A, as
-    (A, B)-bimodules; a generator module short-circuits to found."""
+    """Hom_S(M, S) compared with the right dual over A, as (A, B)-bimodules;
+    a generator module short-circuits to found.  Hom_S(M, S) is ``left_dual``
+    of M as an (S, A)-bimodule, B acting through B -> S: (a.g.b)(x) = g(x.a) b."""
     tower = bimodule_tower(m)
-    f = m.field
-    if _module_is_right_generator(m):
+    if _generates(right_dual(m), m.right_alg):
         return IsoSearch("found", None)
-    s_alg = tower.end.algebra
-    m_sa = tower.end.module_as_s_bimodule
-    mats = one_sided_hom(m_sa, regular_bimodule(s_alg), "left")
-    a_alg, b_alg = m.right_alg, m.left_alg
-    # b acts on Hom_S(M, S) through right multiplication by its image in S
-    b_imgs = [s_alg.right_mult_matrix(col) for col in tower.b_to_s.matrix.T]
-    acts = _induced_action(f, mats, [[f.matmul(g, x) for g in mats] for x in m.right_mats]
-                           + [[f.matmul(y, g) for g in mats] for y in b_imgs])
-    lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
-    hom_s = Bimodule(a_alg, b_alg, lam, rho, name="Hom_S(M,S)")
+    hom_s = restrict_right(left_dual(tower.end.module_as_s_bimodule), tower.b_to_s)
     return random_bimodule_iso(hom_s, right_dual(m), seed=seed)
 
 

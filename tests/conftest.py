@@ -80,6 +80,17 @@ def point_module_over_dual_numbers(field):
     return Bimodule(b, a, lam, rho, name="k over dual numbers")
 
 
+def non_generator_summand(field):
+    """k as a right k x k-module through the first factor: a projective
+    summand P1 of the regular module that does not generate."""
+    from coring_lab.algebra import direct_product
+
+    k = field_algebra(field)
+    rho = field.zeros((1, 2, 1))
+    rho[0, 0, 0] = 1
+    return Bimodule(k, direct_product(k, k), field.eye(1)[None, :, :], rho, name="P1")
+
+
 def upper_triangular_2(field, name="T2"):
     # basis {E11, E12, E22}
     c = field.zeros((3, 3, 3))
@@ -182,4 +193,9 @@ MALFORMED_DEFINITIONS = {
         "field": {"characteristic": 2}, "algebras": {"A": {"structure": [[[1]]], "unit": [1]}},
         "bimodules": {"M": {"left": "A", "right": "A", "left_action": [5],
                             "right_action": [[[1]]]}}},
+    # JSON booleans are not integers, although Python's bool is an int
+    "characteristic-false": {"field": {"characteristic": False}},
+    "characteristic-true": {"field": {"characteristic": True}},
+    "boolean-scalar": {"field": {"characteristic": 2},
+                       "algebras": {"A": {"structure": [[[True]]], "unit": [1]}}},
 }

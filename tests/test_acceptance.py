@@ -212,8 +212,7 @@ def test_criterion_06_cointegral_chain():
         assert verify_cointegral(constructed), label
         solved = find_cointegral(tower.comatrix.coring)
         assert solved is not None and verify_cointegral(solved), label
-        lifted = lift_cointegral(module, constructed)
-        assert lifted.normalized, label
+        lift_cointegral(module, constructed)  # raises unless it verifies
     assert separable_count >= 4
     _passed(6, f"cointegral construction, solver and transport verified on "
                f"{separable_count} separable instances")

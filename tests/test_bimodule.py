@@ -13,7 +13,6 @@ from coring_lab.bimodule import (
     _matrix_subspace_coords,
     _on_left_leg,
     _on_right_leg,
-    _scaling_matrix,
     canonical_s_iso,
     context_projection,
     dual_basis,
@@ -252,12 +251,6 @@ def test_leg_wise_tensor_actions_match_kronecker_products(seed, rng):
         f, m.right_mats, a_alg.right_mult,
         [lambda y, x=x: f.matmul(x, y) for x in a_alg.left_mult]
         + [lambda y, x=x: f.matmul(y, x) for x in m.left_mats])
-    # the scaling helper on both sides: act.T @ values, act from the action matrices
-    e = f.random(rng, m.dim)
-    for action, axis, mats in ((m.right_action, 0, m.right_mats), (m.left_action, 1, m.left_mats)):
-        values = f.random(rng, (len(mats), m.dim))
-        act_t = np.stack([f.matmul(x, e) for x in mats], axis=1)
-        assert Field.equal(_scaling_matrix(f, action, axis, e, values), f.matmul(act_t, values))
 
 
 # --------------------------------------------------------------------- duals
@@ -316,6 +309,28 @@ def test_dual_basis_of_trivial_module_is_coordinatewise():
     mats = db.functional_mats
     assert np.array_equal(mats[0], [[1, 0]])
     assert np.array_equal(mats[1], [[0, 1]])
+
+
+@pytest.mark.parametrize("key", ["dual-numbers/2", "matrix2/3", "morita-rows-cols/2",
+                                 "regular-module/0"])
+def test_dual_basis_identity_matches_the_sum_over_pairs(key):
+    """DualBasis.verify against sum_k e_k . phi_k(x) formed pair by pair, on
+    the dual basis of each bundled module and on a tampered copy."""
+    name, char = key.split("/")
+    for m in bundled_over(name, int(char)).bimodules.values():
+        db = dual_basis(m)
+        if db is None:
+            continue
+        f = m.field
+        shifted = [f.asarray(c + f.asarray(np.eye(len(c), dtype=int)[0]))
+                   for c in db.functional_coords]
+        for basis in (db, dataclasses.replace(db, functional_coords=shifted)):
+            total = f.zeros((m.dim, m.dim))
+            for e, phi in zip(basis.elements, basis.functional_mats):
+                act = f.tensordot(f.asarray(e), m.right_action, ([0], [0]))  # (a, m')
+                total = f.asarray(total + f.matmul(act.T, phi))
+            assert basis.verify() == Field.equal(total, f.eye(m.dim))
+            assert basis.verify() == (basis is db)
 
 
 def test_point_module_is_projective_over_the_field_side():

@@ -271,7 +271,8 @@ def test_witnesses_reverify_on_reload(name):
     lambda gamma: [gamma[0], gamma[1][:-1]],  # ragged rows
     lambda gamma: [gamma[0]],  # a row short of the (dim A, dim C^2) shape
     lambda gamma: [gamma[0], ["x"] + gamma[1][1:]],  # a scalar that does not parse
-], ids=["ragged", "wrong-shape", "bad-scalar"])
+    lambda gamma: [gamma[0], [True] + gamma[1][1:]],  # a JSON true, not an integer
+], ids=["ragged", "wrong-shape", "bad-scalar", "boolean-scalar"])
 def test_malformed_witness_is_a_definition_error(defect):
     deffile = load(bundled_path("regular-module"))
     doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))

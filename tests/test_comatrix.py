@@ -10,6 +10,7 @@ from coring_lab.bimodule import (
     Bimodule,
     BimoduleMap,
     DualBasis,
+    _induced_action,
     _matrix_subspace_coords,
     dual_basis,
     regular_bimodule,
@@ -34,11 +35,14 @@ from coring_lab.coring import (
     Coring,
     CoringMorphism,
     _pair_matrices,
+    coring_bimodules_over_dual_ring,
     find_cointegral,
+    left_dual_ring,
     sweedler_coring,
 )
 from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import ContextAxiomError, NotProjectiveError
+from coring_lab.fields import Field
 
 from conftest import (
     column_module,
@@ -435,6 +439,33 @@ def test_twisted_point_module_comatrix_coring_has_no_cointegral():
     c = comatrix_coring(m)
     assert c.dim == 2
     assert find_cointegral(c) is None
+
+
+@pytest.mark.parametrize("name", ["dual-numbers", "matrix2", "morita-rows-cols",
+                                  "product-field", "regular-module"])
+def test_construct_sequence_builds_the_left_dual_ring_once_per_coring(monkeypatch, name):
+    runs = count_memo_bodies(monkeypatch, left_dual_ring)
+    deffile = load(bundled_path(name))
+    for bim, m in deffile.bimodules.items():
+        cmd_construct(deffile, "dual-ring", bim)
+        left_dual_anti_iso(m)
+    assert [c for _, c in runs] == [comatrix_coring(m) for m in deffile.bimodules.values()]
+
+
+def test_left_dual_ring_is_memoized_on_the_coring():
+    c = matrix_coring(2, F3)
+    assert left_dual_ring(c) is left_dual_ring(c)
+
+
+def test_dual_ring_module_r_has_the_left_action_of_the_left_dual():
+    """R's left A-action (a . xi)(x) = xi(x . a), read from the memoized left
+    dual of the carrier, against the action solved for by hand."""
+    c = matrix_coring(2, F3)
+    _, r_mod, ldual, _ = coring_bimodules_over_dual_ring(c)
+    mats = ldual.functional_mats
+    oracle = _induced_action(F3, mats, [[F3.matmul(xi, x) for xi in mats]
+                                        for x in c.carrier.right_mats])
+    assert Field.equal(r_mod.left_action, oracle)
 
 
 def test_construct_sequence_builds_and_validates_the_comatrix_coring_once(monkeypatch):

@@ -26,9 +26,13 @@ from coring_lab.coring import (
     central_subspace,
     find_cointegral,
     find_frobenius_system,
+    gamma_is_balanced,
+    gamma_is_bimodule_map,
+    gamma_is_normalized,
     is_cosplit,
     left_dual_ring,
     new_coring,
+    precointegral_identity_holds,
     sweedler_coring,
     trivial_coring,
     verify_cointegral,
@@ -280,15 +284,18 @@ def test_sweedler_of_dual_number_inclusion_is_not_cosplit():
 def test_delta_pairing_is_a_precointegral_but_not_normalized_over_f2():
     c = matrix_coring(2, F2)
     gamma = delta_entry(F2, 2, lambda i, j, k, l: 1 if (j == k and i == l) else 0)
-    assert verify_cointegral(Cointegral(c, gamma, normalized=False))
+    assert gamma_is_balanced(c, gamma)
+    assert gamma_is_bimodule_map(c, gamma)
+    assert precointegral_identity_holds(c, gamma)
     # sum_w gamma(c_iw (x) c_wj) = 2 delta_ij = 0 in characteristic two
-    assert not verify_cointegral(Cointegral(c, gamma, normalized=True))
+    assert not gamma_is_normalized(c, gamma)
+    assert not verify_cointegral(Cointegral(c, gamma))
 
 
 def test_corner_cointegral_is_normalized_over_f2():
     c = matrix_coring(2, F2)
     gamma = delta_entry(F2, 2, lambda i, j, k, l: 1 if (j == 0 and k == 0 and i == l) else 0)
-    assert verify_cointegral(Cointegral(c, gamma, normalized=True))
+    assert verify_cointegral(Cointegral(c, gamma))
 
 
 def test_halved_delta_pairing_is_a_cointegral_over_q():
@@ -297,12 +304,12 @@ def test_halved_delta_pairing_is_a_cointegral_over_q():
     c = matrix_coring(2, QQ)
     gamma = delta_entry(QQ, 2, lambda i, j, k, l: Fraction(1, 2)
                         if (j == k and i == l) else Fraction(0))
-    assert verify_cointegral(Cointegral(c, gamma, normalized=True))
+    assert verify_cointegral(Cointegral(c, gamma))
 
 
 def test_find_cointegral_trivial_coring():
     ci = find_cointegral(trivial_coring(field_algebra(F2)))
-    assert ci is not None and ci.normalized
+    assert ci is not None
 
 
 def test_find_cointegral_matrix_coring():

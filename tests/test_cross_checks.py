@@ -68,7 +68,7 @@ def test_williard_direct_route_agrees_with_generator_shortcut(monkeypatch):
 
     m = trivial_bimodule(F2, 2)
     assert williard_check(m, seed=0).found  # shortcut fires
-    monkeypatch.setattr(st, "_module_is_right_generator", lambda _: False)
+    monkeypatch.setattr(st, "_generates", lambda *_: False)
     direct = st.williard_check(m, seed=0)
     assert direct.found
     assert direct.map is not None

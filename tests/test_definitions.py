@@ -149,3 +149,13 @@ def test_broken_context_is_rejected():
 def test_malformed_document_is_a_definition_error(doc):
     with pytest.raises(DefinitionError):
         loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, message", [
+    ("characteristic-false", "must be a non-negative integer"),
+    ("characteristic-true", "must be a non-negative integer"),
+    ("boolean-scalar", "scalar True must be an int or string"),
+])
+def test_json_booleans_are_rejected_as_numbers(key, message):
+    with pytest.raises(DefinitionError, match=message):
+        loads(json.dumps(MALFORMED_DEFINITIONS[key]))

@@ -6,7 +6,9 @@ hom space is small enough to enumerate, so the random route of
 ``random_bimodule_iso`` never run.  These tests force each route by
 lowering the budget and attempt constants, and pin the status and the
 sha256 of the witness entries of every outcome.  The pins were recorded
-before both searches were folded into ``bimodule.span_search``.
+before both searches were folded into ``bimodule.span_search``.  The direct
+route of ``williard_check``, past its generator shortcut, is checked against
+a hand-built Hom_S(M, S) on every module here.
 """
 
 import functools
@@ -16,19 +18,31 @@ import json
 import pytest
 
 from coring_lab import GF, QQ, bimodule as bimodule_module, coring as coring_module
+from coring_lab import structure as structure_module
 from coring_lab.bimodule import (
     Bimodule,
+    _induced_action,
     left_dual,
+    one_sided_hom,
     random_bimodule_iso,
+    regular_bimodule,
     right_dual,
     target_bs,
     target_sb,
 )
 from coring_lab.cli import _serialize_array
 from coring_lab.coring import central_subspace, find_frobenius_system
+from coring_lab.fields import Field
 from coring_lab.structure import bimodule_tower
 
-from conftest import bundled_over, dual_numbers, field_algebra, matrix_coring, trivial_bimodule
+from conftest import (
+    bundled_over,
+    dual_numbers,
+    field_algebra,
+    matrix_coring,
+    non_generator_summand,
+    trivial_bimodule,
+)
 from random_modules import random_projective_bimodule
 
 FIELDS = {"gf2": GF(2), "gf3": GF(3), "QQ": QQ}
@@ -158,6 +172,41 @@ def test_iso_random_route(monkeypatch, field_key):
     assert {sk: iso_outcome(sk[1], sk[0]) for sk in expected} == expected
     assert len(calls) == len(expected)  # every pinned search passed the identity try
     assert {outcome[0] for outcome in expected.values()} == {"found", "inconclusive"}
+
+
+def hand_built_hom_s(m):
+    """Hom_S(M, S) for S = End_A(M), solved for directly as the reference of
+    the left-dual route: the left S-linear maps M -> S, with
+    (a.g)(x) = g(x.a) and b acting by right multiplication with its image in S."""
+    tower = bimodule_tower(m)
+    f, s_alg = m.field, tower.end.algebra
+    mats = one_sided_hom(tower.end.module_as_s_bimodule, regular_bimodule(s_alg), "left")
+    b_imgs = [s_alg.right_mult_matrix(col) for col in tower.b_to_s.matrix.T]
+    acts = _induced_action(f, mats, [[f.matmul(g, x) for g in mats] for x in m.right_mats]
+                           + [[f.matmul(y, g) for g in mats] for y in b_imgs])
+    a_dim = m.right_alg.dim
+    return Bimodule(m.right_alg, m.left_alg, acts[:a_dim], acts[a_dim:].transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("key", ["P1", *MODULES])
+def test_williard_direct_route_matches_the_hand_built_hom_space(monkeypatch, key):
+    """The direct route of williard_check, forced past the generator
+    shortcut, searches from a Hom_S(M, S) with the action tensors of the
+    hand-built one, and ends with the same status and map."""
+    m = non_generator_summand(GF(2)) if key == "P1" else module(key)
+    monkeypatch.setattr(structure_module, "_generates", lambda *_: False)
+    searched_from = counting(monkeypatch, structure_module, "random_bimodule_iso")
+    got = structure_module.williard_check(m, seed=0)
+    oracle = hand_built_hom_s(m)
+    [(hom_s, dual)] = [call[:2] for call in searched_from]
+    assert dual is right_dual(m)
+    assert Field.equal(hom_s.left_action, oracle.left_action)
+    assert Field.equal(hom_s.right_action, oracle.right_action)
+    want = random_bimodule_iso(oracle, right_dual(m), seed=0)
+    assert got.status == want.status
+    assert (got.map is None) == (want.map is None)
+    if want.map is not None:
+        assert Field.equal(got.map.matrix, want.map.matrix)
 
 
 # "route/seed/key": (status, sha256 prefix of the witness entries or None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ
+from coring_lab import GF, QQ, bimodule as bimodule_module
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
@@ -57,6 +57,7 @@ from conftest import (
     count_memo_bodies,
     dual_numbers,
     field_algebra,
+    non_generator_summand,
     point_module_over_dual_numbers,
     row_module,
     trivial_bimodule,
@@ -226,23 +227,21 @@ def test_cointegral_from_half_trace_splitting_over_q():
 def test_cointegral_from_solver_splitting_f2():
     m = trivial_bimodule(F2, 2)
     nu = is_separable_bimodule(m)
-    ci = cointegral_from_separability(m, nu)  # verified internally
-    assert ci.normalized
+    cointegral_from_separability(m, nu)  # raises unless it verifies
 
 
 def test_lift_cointegral_trivial_module():
     m = trivial_bimodule(F2, 1)
     nu = is_separable_bimodule(m)
     ci = cointegral_from_separability(m, nu)
-    lifted = lift_cointegral(m, ci)
-    assert lifted.normalized
+    lift_cointegral(m, ci)  # raises unless it verifies
 
 
 def test_lift_cointegral_k2_over_f3():
     m = trivial_bimodule(F3, 2)
     nu = is_separable_bimodule(m)
     ci = cointegral_from_separability(m, nu)
-    assert lift_cointegral(m, ci).normalized
+    lift_cointegral(m, ci)  # raises unless it verifies
 
 
 def test_lift_cointegral_product_field_module():
@@ -407,16 +406,28 @@ def test_williard_generator_fast_path():
 
 
 def test_williard_for_non_generator_summand():
-    from coring_lab.bimodule import Bimodule
-
-    k = field_algebra(F2)
-    kk = direct_product(k, k)
-    lam = F2.eye(1)[None, :, :]
-    rho = F2.zeros((1, 2, 1))
-    rho[0, 0, 0] = 1
-    p1 = Bimodule(k, kk, lam, rho, name="P1")
-    result = williard_check(p1, seed=0)
+    result = williard_check(non_generator_summand(F2), seed=0)
     assert result.status == "found"
+
+
+def test_faithful_flatness_reads_the_memoized_duals(monkeypatch):
+    """Once the dual bases of S on both sides are built, neither side of
+    the flatness check solves another system of maps."""
+    checks = []
+    for name in ("dual-numbers", "matrix2", "morita-rows-cols", "product-field",
+                 "regular-module"):
+        for m in load(bundled_path(name)).bimodules.values():
+            b_to_s = bimodule_tower(m).b_to_s
+            dual_basis(target_sb(b_to_s))
+            left_dual_basis(target_bs(b_to_s))
+            checks.append(b_to_s)
+
+    def refuse(*args):
+        raise AssertionError("faithfully_flat_check solved for maps again")
+
+    monkeypatch.setattr(bimodule_module, "intertwiners", refuse)
+    flat = [faithfully_flat_check(b_to_s, side) for b_to_s in checks for side in ("left", "right")]
+    assert any(flat) and not all(flat)
 
 
 # ------------------------------------------------------------------ analyze

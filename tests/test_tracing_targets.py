@@ -1,20 +1,30 @@
-"""The names ``bench/tracing.py`` reaches into the library for still exist.
+"""The names ``bench/tracing.py`` reaches into the library for still exist,
+and the traced worker runs.
 
 The tracer rebinds library functions by name and reads attributes of
 ``Coring`` from outside the library, so a rename would break
-``bench/run.py --trace 1`` without failing a library test.  This test reads
-the tracer's source, and neither imports nor changes it.
+``bench/run.py --trace 1`` without failing a library test.  The first tests
+read the tracer's source, and neither import nor change it.  A rebinding can
+also break only when it is called, so the last test runs
+``bench/worker.py --trace 1`` in a subprocess on one case of each workload.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from coring_lab import GF, algebra, bimodule, cli, comatrix, coring, definitions, linalg
 from coring_lab import structure
 
 from conftest import matrix_coring
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 MODULES = {m.__name__.rsplit(".", 1)[1]: m
            for m in (algebra, bimodule, cli, comatrix, coring, definitions, linalg, structure)}
 CORING_READS = ("square", "_square", "validation")
@@ -73,3 +83,32 @@ def test_the_coring_attributes_the_tracer_reads_exist():
     c = matrix_coring(2, GF(2))
     assert "_square" in vars(c)
     assert c.validation == "full"
+
+
+def _metric_names():
+    sys.path.insert(0, str(TRACING.parent))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(TRACING.parent))
+    return tracing.metric_names()
+
+
+@pytest.mark.parametrize("workload", ["analyze-fp", "construct-fp"])
+def test_traced_worker_runs_a_case_and_reports_every_metric(tmp_path, workload):
+    requests = [{"op": "case", "id": "bundled/gf2/matrix2/M", "cap": 60, "check": False},
+                {"op": "spans", "path": str(tmp_path / "spans.jsonl.gz")}]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), "--root", str(ROOT),
+         "--workload", workload, "--seed", "0", "--trace", "1"],
+        input="".join(json.dumps(r) + "\n" for r in requests), capture_output=True,
+        text=True, env=env, timeout=300, check=True)
+    ready, case, spans = (json.loads(line) for line in proc.stdout.splitlines())
+    assert ready["ready"]
+    assert case["status"] == "ok", case
+    assert set(_metric_names()) <= set(spans["metrics"])
+    # the rebound Williard check and left dual ring ran, and were timed, in the case
+    touched = {"analyze-fp": "structure.decider.williard.s", "construct-fp": "coring.dual_ring.s"}
+    assert spans["metrics"][touched[workload]] > 0
+    assert (tmp_path / "spans.jsonl.gz").is_file()
