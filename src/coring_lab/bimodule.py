@@ -28,7 +28,7 @@ from .errors import (
     NotProjectiveError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _kernel, _solve
+from .linalg import QuotientPresentation, _solve, _successive_kernel
 
 __all__ = [
     "Bimodule",
@@ -415,20 +415,41 @@ def _matrix_subspace_coords(field: Field, basis_mats, targets):
     return [sol[:, i] for i in range(sol.shape[1])]
 
 
-def _intertwiner_rows(field: Field, src_mats, tgt_mats) -> list:
-    """One block of rows per pair (s, t): the linear conditions
-    X @ s == t @ X on vec(X), row-major over X's (target, source) shape."""
-    return [field.kron(field.eye(t.shape[0]), s.T) - field.kron(t, field.eye(s.shape[0]))
-            for s, t in zip(src_mats, tgt_mats)]
-
-
 def intertwiners(field: Field, src_mats, tgt_mats) -> list:
     """Basis of the matrices X with X @ s_k == t_k @ X for every k, each of
-    shape (target dim, source dim); the basis is the reduced-echelon kernel
-    basis, so it does not depend on the order of the pairs."""
-    rows = _intertwiner_rows(field, src_mats, tgt_mats)
-    shape = (tgt_mats[0].shape[0], src_mats[0].shape[0])
-    return [v.reshape(shape) for v in _kernel(field, np.concatenate(rows, axis=0))]
+    shape (target dim, source dim): the reduced-echelon kernel basis of these
+    conditions on vec(X), row-major, which does not depend on the order of
+    the pairs (``linalg._successive_kernel``).  No system is stacked: k^n,
+    n = dim vec(X), is restricted by the defect X @ s - t @ X of its current
+    basis, pair by pair, for n // rank output rows of X at a time, so a block
+    never has more entries than one output row over all of k^n."""
+    n_t, n_s = tgt_mats[0].shape[0], src_mats[0].shape[0]
+    n = n_t * n_s
+    coords = np.arange(n).reshape(n_t, n_s)  # of vec(X), by rows of X
+
+    def block(columns, s, t, start, stop):
+        """The defect of the current basis at the output rows start..stop-1."""
+        x = columns(coords[start:stop].reshape(-1)).reshape(-1, stop - start, n_s)
+        r, t_rows = len(x), t[start:stop]
+        t_term = field.matmul(t_rows[:, start:stop], x.transpose(1, 0, 2).reshape(stop - start, -1))
+        defect = (field.matmul(x.reshape(-1, n_s), s).reshape(x.shape)
+                  - t_term.reshape(stop - start, r, n_s).transpose(1, 0, 2))
+        for a in itertools.chain(range(start), range(stop, n_t)):
+            if t_rows[:, a].any():  # the terms t[i, a] X[a] from rows outside the block
+                defect = field.asarray(
+                    defect - t_rows[:, a][None, :, None] * columns(coords[a])[:, None, :])
+        return field.asarray(defect).reshape(r, -1)
+
+    def equations(columns, rank):
+        for s, t in zip(src_mats, tgt_mats):
+            start = 0
+            while start < n_t and rank():
+                stop = min(n_t, start + n // rank())
+                yield block(columns, s, t, start, stop)
+                start = stop
+
+    shape = (n_t, n_s)
+    return [v.reshape(shape) for v in _successive_kernel(field, n, equations)[0]]
 
 
 def _induced_action(field: Field, basis_mats, images):

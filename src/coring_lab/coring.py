@@ -7,7 +7,7 @@ representatives for the coproduct valued in C (x)_A C.  Cointegrals are
 likewise stored on the field tensor square, where their balance over A is
 checked, and given structure maps, cointegrals and Frobenius systems are
 verified on representatives.  The pre-cointegral identity is written once,
-in ``_precointegral_defect``.
+in ``_precointegral_defect``, as blocks of equations.
 
 The comatrix, Sweedler and context corings are ``ContextCoring``s, validated
 through their context; a coproduct from outside is checked by products in
@@ -58,7 +58,7 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _kernel, _solve
+from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel
 
 __all__ = [
     "Coring",
@@ -154,7 +154,10 @@ class Coring:
         """Basis of the pre-cointegrals, built once per coring: a stack
         [k, a', (u, v)] of maps on the field tensor square.  They are the
         A-bimodule maps C (x)_A C -> A, expanded through the square's
-        projection, whose pre-cointegral defect vanishes."""
+        projection, whose pre-cointegral defect vanishes: their coefficients
+        over the bimodule maps are the kernel basis of that defect, solved
+        one block of ``_precointegral_defect`` at a time by successive
+        restriction."""
         if self._precointegrals is None:
             f, sq, a = self.field, self.square, self.base
             homs = intertwiners(f, sq.space.left_mats + sq.space.right_mats,
@@ -162,8 +165,9 @@ class Coring:
             gammas = f.zeros((len(homs), a.dim, self.dim * self.dim))
             for k, hom in enumerate(homs):
                 gammas[k] = f.matmul(hom, sq.projection)
-            coeffs = _kernel(f, _precointegral_defect(self, gammas).T)
-            basis = np.stack(coeffs) if coeffs else f.zeros((0, len(homs)))
+            every = np.arange(len(homs))
+            basis, _ = _successive_kernel(f, len(homs), lambda columns, rank: (
+                f.matmul(columns(every), block) for block in _precointegral_defect(self, gammas)))
             self._precointegrals = f.tensordot(basis, gammas, ([1], [0]))
         return self._precointegrals
 
@@ -478,25 +482,34 @@ def gamma_is_bimodule_map(c: Coring, gamma_amb) -> bool:
 
 
 def _precointegral_defect(c: Coring, gammas):
-    """[k, (c, m', l)]: the e_m' coordinate of
+    """Blocks [k, (c, m', l)] of the e_m' coordinate of
     sum c_1 gamma_k(c_2 (x) e_l) - sum gamma_k(c (x) (e_l)_1) (e_l)_2 for the
     basis elements c and e_l, given a stack [k, a', (u, v)] of maps on the
-    field tensor square.  Each side contracts the stack with one tensor that
-    depends only on the structure maps."""
+    field tensor square.  Each side contracts the stack with a tensor that
+    depends only on the structure maps.  A block covers dim A consecutive
+    basis elements c, so it has as many entries as the stack."""
     f = c.field
     d, da = c.dim, c.base.dim
     g4 = gammas.reshape(len(gammas), da, d, d)  # (k, b, v, l)
     d3 = c.delta_tensor()  # (u, v, c)
-    delta_rho = f.tensordot(d3, c.carrier.right_action, ([0], [0]))  # (v, c, b, m')
-    lam_delta = f.tensordot(c.carrier.left_action, d3, ([1], [1]))  # (b, m', u, l)
-    lhs = f.tensordot(g4, delta_rho, ([1, 2], [2, 0]))  # (k, l, c, m')
-    rhs = f.tensordot(g4, lam_delta, ([1, 3], [0, 2]))  # (k, c, m', l)
-    return f.asarray(lhs.transpose(0, 2, 3, 1) - rhs).reshape(len(gammas), d ** 3)
+    # (b, u, m', l), stored in the order of its contraction below
+    lam_delta = np.ascontiguousarray(
+        f.tensordot(c.carrier.left_action, d3, ([1], [1])).transpose(0, 2, 1, 3))
+
+    def block(cs):
+        delta_rho = f.tensordot(d3[:, :, cs], c.carrier.right_action, ([0], [0]))  # (v, c, b, m')
+        lhs = f.tensordot(g4, delta_rho, ([1, 2], [2, 0])).transpose(0, 2, 3, 1)  # (k, c, m', l)
+        lhs -= f.tensordot(g4[:, :, cs], lam_delta, ([1, 3], [0, 1]))
+        return f.asarray(lhs).reshape(len(g4), -1)
+
+    for start in range(0, d, da):
+        yield block(slice(start, start + da))
 
 
 def precointegral_identity_holds(c: Coring, gamma_amb) -> bool:
     """sum c_1 gamma(c_2 (x) c') == sum gamma(c (x) c'_1) c'_2 on basis pairs."""
-    return not np.any(_precointegral_defect(c, c.field.asarray(gamma_amb)[None]))
+    return not any(np.any(block) for block in
+                   _precointegral_defect(c, c.field.asarray(gamma_amb)[None]))
 
 
 def gamma_is_normalized(c: Coring, gamma_amb) -> bool:

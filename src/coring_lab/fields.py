@@ -121,6 +121,13 @@ class PrimeField(Field):
         # exactness bound: every dot product stays below 2**53
         return inner * (self.characteristic - 1) ** 2 < 2**53
 
+    def _from_floats(self, c):
+        """The exact float64 result of a BLAS product, reduced into [0, p)
+        with one integer copy."""
+        out = np.rint(c, out=c).astype(np.int64)
+        out %= self.characteristic
+        return out
+
     def _via_python_ints(self, op, a, b):
         """op(a, b) mod p on Python ints, for sums that could pass 2**63."""
         return (op(a.astype(object), b.astype(object)) % self.characteristic).astype(np.int64)
@@ -129,8 +136,7 @@ class PrimeField(Field):
         p = self.characteristic
         inner = a.shape[-1]
         if a.size * b.size > 2**16 and self._via_blas(inner):
-            c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-            return c % p
+            return self._from_floats(a.astype(np.float64) @ b.astype(np.float64))
         if inner * (p - 1) ** 2 < 2**63:
             return (a @ b) % p
         return self._via_python_ints(np.matmul, a, b)
@@ -142,8 +148,8 @@ class PrimeField(Field):
         else:
             inner = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])]))
         if a.size * b.size > 2**18 and self._via_blas(max(inner, 1)):
-            c = np.rint(np.tensordot(a.astype(np.float64), b.astype(np.float64), axes))
-            return c.astype(np.int64) % p
+            return self._from_floats(np.tensordot(a.astype(np.float64), b.astype(np.float64),
+                                                  axes))
         if inner * (p - 1) ** 2 < 2**63:
             return np.tensordot(a, b, axes) % p
         return self._via_python_ints(lambda x, y: np.tensordot(x, y, axes), a, b)

@@ -1,5 +1,6 @@
 """Dense exact linear algebra: reduced echelon form, solving, kernels,
-and quotient presentations.
+and quotient presentations.  Every homogeneous system is solved by
+successive restriction (``_successive_kernel``), whole or in blocks.
 
 Conventions used throughout the package:
 
@@ -35,8 +36,7 @@ def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
     for col in range(ncols):
         if row == nrows:
             break
-        colvals = a[row:, col]
-        nz = np.flatnonzero(colvals)
+        nz = a[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
@@ -45,10 +45,13 @@ def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
         inv = field.inv_scalar(a[row, col])
         if inv != 1:
             a[row] = field.asarray(a[row] * inv)
-        others = np.flatnonzero(a[:, col])
+        others = a[:, col].nonzero()[0]
         others = others[others != row]
         if others.size:
-            a[others] = field.asarray(a[others] - np.outer(a[others, col], a[row]))
+            block = a[others]
+            block -= np.outer(block[:, col], a[row])
+            block %= field.characteristic
+            a[others] = block
         pivots.append((row, col))
         row += 1
     return a, pivots
@@ -144,22 +147,63 @@ def _solve(field: Field, a, b):
 
 
 def _kernel(field: Field, a) -> list[np.ndarray]:
-    """The reduced-echelon basis of the kernel of ``a``."""
-    return list(_echelon_kernel(field, a)[0])
-
-
-def _echelon_kernel(field: Field, a):
-    """From one elimination of ``a``: the kernel basis as rows (row f has 1 at
-    free column f, 0 at the others, and minus column f of the reduced rows at
-    the pivot columns), the free columns, and the nonzero reduced rows."""
+    """The reduced-echelon basis of the kernel of ``a``: one restriction of
+    k^n, whose identity basis has the defect ``a.T``."""
     a = field.asarray(a)
-    red, pivots = rref(field, a)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = sorted(set(range(a.shape[1])).difference(pivot_cols))
-    basis = field.zeros((len(free_cols), a.shape[1]))
-    basis[range(len(free_cols)), free_cols] = 1
-    basis[:, pivot_cols] = -red[:len(pivots), free_cols].T
-    return field.asarray(basis), free_cols, red[:len(pivots)]
+    return list(_successive_kernel(field, a.shape[1], lambda columns, rank: [a.T])[0])
+
+
+def _successive_kernel(field: Field, n: int, equations):
+    """The reduced-echelon kernel basis, as rows, and its free columns, of a
+    homogeneous system on k^n given in blocks, by successive restriction.
+
+    The candidate space starts as k^n, held by a basis that is the identity on
+    its free coordinates: row k is 1 at ``free[k]``, 0 at the other free ones
+    and ``coeffs[k]`` at the coordinates ``rest``.  ``equations(columns,
+    rank)`` yields each block as the defect of the current basis, ``rank()``
+    rows of equation values, computed from ``columns(cols)``, the basis at the
+    coordinates ``cols``.  One elimination of its transpose restricts the space
+    to the combinations of zero defect; a zero block is skipped.
+
+    The pivots drop the rows of the first free coordinates and rewrite each
+    kept row by earlier ones, so a row's last nonzero entry stays at its free
+    coordinate: the basis is in reversed reduced echelon form.  That form is
+    unique for the space, as a coordinate is free exactly when some vector of
+    the space has its last nonzero entry there.  So the basis is the one
+    ``rref`` gives for the stacked system, in any order of the blocks."""
+    free, rest = np.arange(n), np.arange(0)
+    coeffs = field.zeros((n, 0))
+    at = np.arange(n)  # k >= 0 at free[k], -1 - j at rest[j]
+
+    def columns(cols):
+        k = at[cols]
+        is_free = k >= 0
+        out = field.zeros((len(free), len(k)))
+        out[k[is_free], np.flatnonzero(is_free)] = 1
+        out[:, ~is_free] = coeffs[:, -1 - k[~is_free]]
+        return out
+
+    for defect in equations(columns, lambda: len(free)):
+        if not defect.any():
+            continue
+        red, pivots = rref(field, defect.T)
+        piv = [c for _, c in pivots]
+        kept = np.ones(len(free), dtype=bool)
+        kept[piv] = False
+        mix = red[:len(piv), kept].T  # kept row g loses sum_p mix[g, p] * row piv[p]
+        # the update is the peak of memory: it runs without the block, its
+        # elimination or a second copy of the rewritten rows
+        del defect, red
+        lost = field.matmul(mix, coeffs[piv])
+        coeffs = np.concatenate([np.subtract(coeffs[kept], lost, out=lost), -mix], axis=1)
+        del lost
+        coeffs = field.asarray(coeffs)
+        free, rest = free[kept], np.concatenate([rest, free[piv]])
+        at[free], at[rest] = np.arange(len(free)), -1 - np.arange(len(rest))
+    basis = field.zeros((len(free), n))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, rest] = coeffs
+    return field.asarray(basis), free
 
 
 @dataclass
@@ -172,7 +216,6 @@ class QuotientPresentation:
 
     field: Field
     ambient_dim: int
-    relation_basis: np.ndarray  # reduced echelon rows spanning the killed subspace
     quotient_dim: int
     projection: np.ndarray  # quotient_dim x ambient_dim
     section: np.ndarray  # ambient_dim x quotient_dim
@@ -183,11 +226,13 @@ class QuotientPresentation:
         the reduced-echelon kernel basis of the relations, and the section
         sends the quotient basis to their free columns."""
         relations = np.reshape(field.asarray(relations), (-1, ambient_dim))
-        proj, free_cols, rel = _echelon_kernel(field, relations[relations.any(axis=1)])
+        relations = relations[relations.any(axis=1)]
+        proj, free_cols = _successive_kernel(field, ambient_dim,
+                                             lambda columns, rank: [relations.T])
         q = len(free_cols)
         sect = field.zeros((ambient_dim, q))
         sect[free_cols, range(q)] = 1
-        return cls(field, ambient_dim, rel, q, proj, sect)
+        return cls(field, ambient_dim, q, proj, sect)
 
     @classmethod
     def from_surjection(cls, field: Field, onto) -> "QuotientPresentation":
@@ -197,8 +242,7 @@ class QuotientPresentation:
         outside the span of the later ones, the pivots of its reversed
         echelon form.  The projection is the one row-equivalent to ``onto``
         that is the identity on them: that echelon form read backwards in
-        rows and columns.  The reduced relation rows carry the negated
-        projection there."""
+        rows and columns."""
         onto = field.asarray(onto)
         q, ambient_dim = onto.shape
         red, pivots = rref(field, onto[:, ::-1])
@@ -206,13 +250,23 @@ class QuotientPresentation:
             raise DimensionMismatchError(f"map of rank {len(pivots)} onto {q} coordinates")
         proj = np.ascontiguousarray(red[::-1, ::-1])
         free_cols = sorted(ambient_dim - 1 - c for _, c in pivots)
-        rest = sorted(set(range(ambient_dim)).difference(free_cols))
-        rel = field.zeros((len(rest), ambient_dim))
-        rel[range(len(rest)), rest] = 1
-        rel[:, free_cols] = -proj[:, rest].T
         sect = field.zeros((ambient_dim, q))
         sect[free_cols, range(q)] = 1
-        return cls(field, ambient_dim, field.asarray(rel), q, proj, sect)
+        return cls(field, ambient_dim, q, proj, sect)
+
+    @property
+    def relation_basis(self) -> np.ndarray:
+        """The reduced echelon rows spanning the kernel of the projection,
+        computed on demand: the row of a non-free column p is 1 at p, 0 at the
+        other non-free columns and minus column p of the projection at the
+        free columns (where the section has its ones)."""
+        f, proj = self.field, self.projection
+        free_cols = np.flatnonzero((self.section != 0).any(axis=1))
+        rest = np.setdiff1d(np.arange(self.ambient_dim), free_cols)
+        rel = f.zeros((len(rest), self.ambient_dim))
+        rel[np.arange(len(rest)), rest] = 1
+        rel[:, free_cols] = -proj[:, rest].T
+        return f.asarray(rel)
 
     def reduces_to_zero(self, vectors) -> bool:
         """True when every column of ``vectors`` lies in the relation span."""

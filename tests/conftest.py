@@ -9,6 +9,7 @@ import pytest
 from coring_lab.algebra import Algebra, matrix_algebra
 from coring_lab.bimodule import Bimodule, _memo
 from coring_lab.definitions import bundled_path, loads
+from coring_lab.linalg import rref
 
 
 def bundled_over(name, char):
@@ -29,6 +30,31 @@ def dual_numbers(field, name="k[x]/(x^2)"):
     c[0, 1, 1] = 1
     c[1, 0, 1] = 1
     return Algebra(field, c, [1, 0], name=name)
+
+
+def intertwiner_rows(field, src_mats, tgt_mats) -> list:
+    """Oracle rows of ``bimodule.intertwiners``: one Kronecker block per pair
+    (s, t), the linear conditions X @ s == t @ X on vec(X), row-major over
+    X's (target, source) shape."""
+    return [field.kron(field.eye(t.shape[0]), s.T) - field.kron(t, field.eye(s.shape[0]))
+            for s, t in zip(src_mats, tgt_mats)]
+
+
+def kronecker_intertwiners(field, src_mats, tgt_mats) -> list:
+    """Oracle of ``bimodule.intertwiners``: the kernel of the stacked
+    Kronecker rows, read off one ``rref``.  Basis vector f is 1 at free
+    column f, 0 at the other free columns and minus column f of the reduced
+    rows at the pivot columns."""
+    rows = np.concatenate(intertwiner_rows(field, src_mats, tgt_mats))
+    red, pivots = rref(field, rows)
+    n = rows.shape[1]
+    pivot_cols = [c for _, c in pivots]
+    free = [c for c in range(n) if c not in pivot_cols]
+    basis = field.zeros((len(free), n))
+    basis[range(len(free)), free] = 1
+    basis[:, pivot_cols] = -red[:len(pivots), free].T
+    shape = (tgt_mats[0].shape[0], src_mats[0].shape[0])
+    return [v.reshape(shape) for v in field.asarray(basis)]
 
 
 def trivial_bimodule(field, n, name=None):

@@ -36,8 +36,9 @@ from coring_lab.errors import (
     FieldMismatchError,
     NotProjectiveError,
 )
-from coring_lab.fields import Field
-from coring_lab.linalg import _kernel
+from coring_lab.fields import Field, PrimeField
+from coring_lab.linalg import _kernel, _solve
+from coring_lab.structure import bimodule_tower
 
 from conftest import (
     bundled_over,
@@ -46,6 +47,8 @@ from conftest import (
     count_memo_bodies,
     dual_numbers,
     field_algebra,
+    intertwiner_rows,
+    kronecker_intertwiners,
     point_module_over_dual_numbers,
     row_module,
     trivial_bimodule,
@@ -175,8 +178,7 @@ def _check_constraint_core(field, src, tgt, operators):
     """intertwiners against the kernel of the explicit Kronecker system, and
     _induced_action of the given maps on that space against one
     _matrix_subspace_coords solve per operator."""
-    rows = np.concatenate([field.kron(field.eye(t.shape[0]), s.T)
-                           - field.kron(t, field.eye(s.shape[0])) for s, t in zip(src, tgt)])
+    rows = np.concatenate(intertwiner_rows(field, src, tgt))
     mats = intertwiners(field, src, tgt)
     expected = _kernel(field, rows)
     assert len(mats) == len(expected)
@@ -190,6 +192,113 @@ def _check_constraint_core(field, src, tgt, operators):
     for k, imgs in enumerate(images):
         for alpha, coords in enumerate(_matrix_subspace_coords(field, mats, imgs)):
             assert Field.equal(acts[k, alpha], coords)
+
+
+ORACLE_FIELDS = [F2, F3, GF(2**31 - 1), QQ]
+
+
+def assert_intertwiners_match_the_oracle(field, src, tgt):
+    """intertwiners against the Kronecker oracle, entry for entry and in
+    dtype, in the given order of the pairs, reversed and shuffled."""
+    oracle = kronecker_intertwiners(field, src, tgt)
+    order = np.random.default_rng(len(src)).permutation(len(src))
+    for perm in (range(len(src)), range(len(src))[::-1], order):
+        ours = intertwiners(field, [src[i] for i in perm], [tgt[i] for i in perm])
+        assert len(ours) == len(oracle)
+        for x, y in zip(ours, oracle):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+    return oracle
+
+
+def _invertible(field, rng, n):
+    while True:
+        q = field.random(rng, (n, n))
+        q_inv = _solve(field, q, field.eye(n))
+        if q_inv is not None:
+            return q, q_inv
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_intertwiners_match_the_kronecker_oracle_on_random_pairs(field):
+    rng = np.random.default_rng(field.characteristic % 1000)
+    nonzero = 0
+    for _ in range(12):
+        ns, nt, count = (int(v) for v in rng.integers(1, 5, size=3))
+        s = [field.random(rng, (ns, ns)) for _ in range(count)]
+        # generic pairs, the commutant of s, conjugates of s, and s beside
+        # another family, whose spaces are 0, at least 1 and at least ns^2
+        # dimensional
+        q, q_inv = _invertible(field, rng, ns)
+        u = [field.random(rng, (nt, nt)) for _ in range(count)]
+        beside = [field.zeros((ns + nt, ns + nt)) for _ in range(count)]
+        for b, si, ui in zip(beside, s, u):
+            b[:ns, :ns], b[ns:, ns:] = si, ui
+        for tgt in (u if nt == ns else [field.random(rng, (ns, ns)) for _ in s], s,
+                    [field.matmul(q, field.matmul(si, q_inv)) for si in s], beside):
+            nonzero += len(assert_intertwiners_match_the_oracle(field, s, tgt))
+    assert nonzero
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("ns,nt", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 3), (3, 1)])
+def test_intertwiners_match_the_kronecker_oracle_on_small_sides(field, ns, nt):
+    rng = np.random.default_rng(ns * 10 + nt)
+    for count in (1, 3):
+        src = [field.random(rng, (ns, ns)) for _ in range(count)]
+        tgt = [field.random(rng, (nt, nt)) for _ in range(count)]
+        assert_intertwiners_match_the_oracle(field, src, tgt)
+        # scalars act alike on both sides: then every X intertwines
+        scalars = [field.asarray(field.random(rng, ())) for _ in range(count)]
+        found = assert_intertwiners_match_the_oracle(
+            field, [c * field.eye(ns) for c in scalars], [c * field.eye(nt) for c in scalars])
+        assert len(found) == ns * nt
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_intertwiners_match_the_kronecker_oracle_after_an_identity_pair(field):
+    """A first pair (I, I), the action of a unit, has no defect; the pairs
+    after it restrict as they do without it."""
+    for name in ("matrix2", "dual-numbers", "product-field"):
+        m = bundled_over(name, field.characteristic).bimodules["M"]
+        a = m.right_alg
+        for src, tgt in ((m.right_mats, list(a.right_mult)),
+                         (m.left_mats + m.right_mats, m.left_mats + m.right_mats)):
+            with_unit = assert_intertwiners_match_the_oracle(
+                field, [field.eye(src[0].shape[0])] + src, [field.eye(tgt[0].shape[0])] + tgt)
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(with_unit, intertwiners(field, src, tgt), strict=True))
+
+
+# the two largest stacked systems of the benchmark corpus: the pre-cointegral
+# bimodule maps of the Sweedler corings of k^2 and of recipe module 6
+LARGEST_SYSTEMS = {
+    "k^2/GF(2)": (lambda: trivial_bimodule(F2, 2), (2048, 256)),
+    "recipe/6": (lambda: random_projective_bimodule(6), (1700, 170)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGEST_SYSTEMS))
+def test_intertwiners_match_the_kronecker_oracle_on_the_largest_corpus_systems(case):
+    build, shape = LARGEST_SYSTEMS[case]
+    c = bimodule_tower(build()).sweedler
+    src = c.square.space.left_mats + c.square.space.right_mats
+    tgt = list(c.base.left_mult) + list(c.base.right_mult)
+    assert np.concatenate(intertwiner_rows(c.field, src, tgt)).shape == shape
+    assert assert_intertwiners_match_the_oracle(c.field, src, tgt)
+
+
+def test_intertwiners_build_no_kronecker_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kron called")
+
+    c = bimodule_tower(trivial_bimodule(F3, 2)).sweedler
+    src = c.square.space.left_mats + c.square.space.right_mats
+    tgt = list(c.base.left_mult) + list(c.base.right_mult)
+    monkeypatch.setattr(PrimeField, "kron", refuse)
+    assert len(intertwiners(F3, src, tgt)) == 16
+    m = bundled_over("matrix2", 3).bimodules["M"]
+    assert intertwiners(F3, m.left_mats + m.right_mats, m.left_mats + m.right_mats)
 
 
 def test_leg_helpers_match_kronecker_products(rng):

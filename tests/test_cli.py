@@ -402,6 +402,26 @@ def test_analyze_json_reports_match_their_pins(capsys, fname, bimodule):
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_JSON_SHA256[fname, bimodule]
 
 
+# recipe module 7 was first decided when the intertwiner systems were solved
+# by successive restriction: its flags are those of the dense oracle (the
+# stacked solver with no time cap) and its report has that solver's bytes
+RECIPE_7_FALSE_FLAGS = {"m_separable", "comatrix_coseparable", "extension_split",
+                        "sweedler_coseparable"}
+RECIPE_7_SHA256 = "fe44d13965e9745fa32e4fcb4d17a0d5555acec509d4764b8c677eb00a4ee6b1"
+
+
+def test_first_decision_of_recipe_7_matches_the_dense_oracle():
+    m = random_projective_bimodule(7)
+    deffile = DefinitionFile(m.field, bimodules={"M": m})
+    out = json.dumps(report_document(deffile, "M", seed=0), indent=1, sort_keys=True)
+    doc = json.loads(out)
+    assert len(doc["flags"]) == 13
+    assert doc["flags"] == {flag: "false" if flag in RECIPE_7_FALSE_FLAGS else "true"
+                            for flag in doc["flags"]}
+    assert verify_report_witnesses(deffile, doc)
+    assert hashlib.sha256(out.encode()).hexdigest() == RECIPE_7_SHA256
+
+
 def test_tampered_split_retraction_fails_reverification():
     deffile = load(bundled_path("product-field"))
     doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))

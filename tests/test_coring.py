@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,6 @@ from coring_lab import GF, QQ, coring as coring_module
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
-    _intertwiner_rows,
     _on_left_leg,
     _on_right_leg,
     context_projection,
@@ -55,6 +59,7 @@ from conftest import (
     bundled_over,
     dual_numbers,
     field_algebra,
+    intertwiner_rows,
     matrix_coring,
     trivial_bimodule,
     upper_triangular_2,
@@ -429,7 +434,7 @@ def dense_constraint_rows(c):
     d, da, q = c.dim, c.base.dim, sq.dim
     a = c.base
     # gamma_q (da x q) commutes with the actions of the base on the square and on A
-    rows = _intertwiner_rows(f, sq.space.left_mats + sq.space.right_mats,
+    rows = intertwiner_rows(f, sq.space.left_mats + sq.space.right_mats,
                              list(a.left_mult) + list(a.right_mult))
     d3 = c.delta_tensor()
     p2r = sq.projection.reshape(q, d, d)
@@ -828,6 +833,45 @@ def test_square_of_the_sweedler_coring_of_recipe_7_stays_small():
         tracemalloc.stop()
     assert c.square.dim == 128
     assert peak < 64 * 2**20
+
+
+def test_precointegrals_of_the_sweedler_coring_of_recipe_7_stay_small():
+    # the stacked Kronecker system of these maps was 16,384 x 1,024; solved by
+    # successive restriction in blocks of bounded size they peak near 9 MB
+    c = bimodule_tower(random_projective_bimodule(7)).sweedler
+    c.square
+    tracemalloc.start()
+    try:
+        gammas = c.precointegrals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gammas.shape == (4, 8, 32 * 32)
+    assert peak < 16 * 2**20
+
+
+def test_the_benchmark_worker_decides_recipe_7_in_bounded_memory():
+    """One case of ``bench/worker.py`` in a subprocess, the way the benchmark
+    runs it: recipe module 7, which the stacked system kept from a decision
+    within its time cap, is decided, its witnesses re-verify and the worker's
+    peak resident memory stays at most 70 MB.  The worker is started from a
+    small launcher process, as the benchmark client starts it: on Linux the
+    peak RSS a process reports starts from that of the process it was forked
+    from."""
+    root = Path(__file__).resolve().parents[1]
+    request = {"op": "case", "id": "recipe/7", "cap": 10.0, "check": True}
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, str(root / "bench" / "worker.py"),
+         "--root", str(root), "--workload", "analyze-fp", "--seed", "0"],
+        input=json.dumps(request) + "\n", capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    ready, reply = (json.loads(line) for line in proc.stdout.splitlines())
+    assert ready["ready"]
+    assert reply["status"] == "ok", reply
+    assert reply["witnesses_ok"]
+    assert reply["rss_kb"] <= 70 * 1024
 
 
 # ------------------------------------------------------------------ morphisms

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,13 @@ def test_quotient_projection_is_the_kernel_basis_of_the_relations(field, seed):
             for r, c in pivots:
                 expected[c] = -red[r, f]
             assert Field.equal(v, field.asarray(expected))
+
+
+def test_a_presentation_holds_no_relation_rows():
+    """The relation rows are derived from the projection when read: a
+    presentation of a large square holds only its projection and section."""
+    assert [f.name for f in dataclasses.fields(QuotientPresentation)] == [
+        "field", "ambient_dim", "quotient_dim", "projection", "section"]
 
 
 def test_rref_is_deterministic_first_pivot():
