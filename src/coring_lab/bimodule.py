@@ -428,7 +428,8 @@ def intertwiners(field: Field, src_mats, tgt_mats) -> list:
     coords = np.arange(n).reshape(n_t, n_s)  # of vec(X), by rows of X
 
     def block(columns, s, t, start, stop):
-        """The defect of the current basis at the output rows start..stop-1."""
+        """The defect of the current basis at the output rows start..stop-1;
+        a function, so that no array of a block outlives its yield."""
         x = columns(coords[start:stop].reshape(-1)).reshape(-1, stop - start, n_s)
         r, t_rows = len(x), t[start:stop]
         t_term = field.matmul(t_rows[:, start:stop], x.transpose(1, 0, 2).reshape(stop - start, -1))

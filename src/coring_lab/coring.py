@@ -496,7 +496,7 @@ def _precointegral_defect(c: Coring, gammas):
     lam_delta = np.ascontiguousarray(
         f.tensordot(c.carrier.left_action, d3, ([1], [1])).transpose(0, 2, 1, 3))
 
-    def block(cs):
+    def block(cs):  # a function, so that no array of a block outlives its yield
         delta_rho = f.tensordot(d3[:, :, cs], c.carrier.right_action, ([0], [0]))  # (v, c, b, m')
         lhs = f.tensordot(g4, delta_rho, ([1, 2], [2, 0])).transpose(0, 2, 3, 1)  # (k, c, m', l)
         lhs -= f.tensordot(g4[:, :, cs], lam_delta, ([1, 3], [0, 1]))
