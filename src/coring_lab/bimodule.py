@@ -28,7 +28,7 @@ from .errors import (
     NotProjectiveError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _solve, _successive_kernel
+from .linalg import QuotientPresentation, _solve, _successive_kernel, rank
 
 __all__ = [
     "Bimodule",
@@ -224,7 +224,7 @@ class BimoduleMap:
     def is_invertible(self) -> bool:
         if self.source.dim != self.target.dim:
             return False
-        return _solve(self.field, self.matrix, self.field.eye(self.source.dim)) is not None
+        return rank(self.field, self.matrix) == self.source.dim
 
     def inverse(self) -> "BimoduleMap":
         inv = _solve(self.field, self.matrix, self.field.eye(self.target.dim))
@@ -673,7 +673,7 @@ def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0) -> IsoSearch:
     stack = np.stack([h.matrix for h in homs])
 
     def attempt(mat):
-        if _solve(f, mat, f.eye(m.dim)) is not None:
+        if rank(f, mat) == m.dim:
             return BimoduleMap(m, n, mat, _validate=False)
         return None
 

@@ -224,16 +224,20 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def _usage_error(message):
+    raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coring-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_seed = int(os.environ.get(_SEED_ENV, "0"))
-
     p_analyze = sub.add_parser("analyze", help="run all deciders on one bimodule")
     p_analyze.add_argument("file")
     p_analyze.add_argument("--bimodule", required=True)
-    p_analyze.add_argument("--seed", type=int, default=default_seed)
+    # a string default is parsed like the option, and only when it is used
+    p_analyze.add_argument("--seed", type=int, default=os.environ.get(_SEED_ENV, "0"),
+                           help=f"default: ${_SEED_ENV}, else 0")
     p_analyze.add_argument("--format", choices=["text", "json"], default="text")
 
     p_construct = sub.add_parser("construct", help="build a coring or dual ring")
@@ -245,13 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="load and validate a definition file")
     p_validate.add_argument("file")
+    # a usage error is an input error, which main reports and exits 1 on
+    for p in (parser, p_analyze, p_construct, p_validate):
+        p.error = _usage_error
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         deffile = load(args.file)
         if args.command == "analyze":
             if args.bimodule not in deffile.bimodules:
@@ -268,7 +275,7 @@ def main(argv=None) -> int:
     except TooLargeToValidateError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
-    except (CoringLabError, OSError) as exc:
+    except (CoringLabError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)

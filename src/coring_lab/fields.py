@@ -1,7 +1,8 @@
 """Exact scalar arithmetic over prime fields F_p and the rationals.
 
 Arrays are plain numpy ndarrays: int64 entries reduced into [0, p) for a
-prime field, Fraction objects for the rationals.  A Field instance owns
+prime field; for the rationals, object arrays of Python ints for integral
+values and Fraction objects for the others.  A Field instance owns
 construction, reduction, inversion and products; arrays from different
 fields must never be mixed (checked at the public boundaries).
 
@@ -58,6 +59,9 @@ class Field:
         raise NotImplementedError
 
     def eye(self, n):
+        raise NotImplementedError
+
+    def inv_scalar(self, x):
         raise NotImplementedError
 
     def matmul(self, a, b):
@@ -216,11 +220,17 @@ def _box_scaled(ints, denom: int):
     return out.reshape(ints.shape)
 
 
-class RationalField(Field):
-    """The rationals, elements stored as Fraction objects in object arrays.
+def _int_if_integral(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
 
-    Products of all-integer arrays are routed through int64 (exact for the
-    sizes this package handles) and boxed back into object arrays.
+
+class RationalField(Field):
+    """The rationals.  The values it creates (zeros, identities, parsed
+    scalars, inverses) are Python ints when integral, so Fraction arithmetic
+    runs only on entries that really are fractional; every consumer accepts
+    ints and Fractions alike.  Products of arrays with a small common
+    denominator run through int64 (exact for the sizes this package handles)
+    and are boxed back into object arrays.
     """
 
     characteristic = 0
@@ -253,15 +263,13 @@ class RationalField(Field):
         return flat.reshape(arr.shape)
 
     def zeros(self, shape):
-        arr = np.empty(shape, dtype=object)
-        arr.fill(Fraction(0))
-        return arr
+        return np.zeros(shape, dtype=object)
 
     def eye(self, n):
-        arr = self.zeros((n, n))
-        for i in range(n):
-            arr[i, i] = Fraction(1)
-        return arr
+        return np.eye(n, dtype=object)
+
+    def inv_scalar(self, x):
+        return _int_if_integral(1 / Fraction(x))
 
     @staticmethod
     def _fast_binary(a, b, op):
@@ -295,8 +303,8 @@ class RationalField(Field):
 
     def parse_scalar(self, text):
         if isinstance(text, int):
-            return Fraction(text)
-        return Fraction(str(text).strip())
+            return int(text)
+        return _int_if_integral(Fraction(str(text).strip()))
 
     def format_scalar(self, x) -> str:
         return str(Fraction(x))

@@ -21,14 +21,12 @@ from .fields import Field
 
 
 def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form, by one pivot loop for every field.
 
     Returns the reduced array and the list of (row, col) pivot positions.
-    Rational matrices go through ``_rref_rational_integer``; the loop below
-    serves the prime fields.
+    The only field-dependent step is the reduction of the eliminated rows
+    mod p; over QQ they are exact already.
     """
-    if field.characteristic == 0:
-        return _rref_rational_integer(field, field.asarray(a))
     a = field.asarray(a).copy()
     nrows, ncols = a.shape
     pivots: list[tuple[int, int]] = []
@@ -50,72 +48,12 @@ def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
         if others.size:
             block = a[others]
             block -= np.outer(block[:, col], a[row])
-            block %= field.characteristic
+            if field.characteristic:
+                block %= field.characteristic
             a[others] = block
         pivots.append((row, col))
         row += 1
     return a, pivots
-
-
-def _rref_rational_integer(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Exact RREF over the rationals through integer cross-multiplication.
-
-    Rows are scaled to integers, elimination multiplies rows through instead
-    of dividing (arbitrary-precision ints, no overflow), updated rows are
-    reduced by their gcd, and pivots are normalized to 1 only at the end,
-    which avoids per-operation Fraction overhead.
-    """
-    from fractions import Fraction
-    from math import gcd
-
-    nrows, ncols = a.shape
-    work = np.empty((nrows, ncols), dtype=object)
-    for i in range(nrows):
-        lcm = 1
-        for v in a[i]:
-            d = v.denominator if isinstance(v, Fraction) else 1
-            if lcm % d:
-                lcm = lcm * d // gcd(lcm, d)
-        for j, v in enumerate(a[i]):
-            work[i, j] = (v.numerator * (lcm // v.denominator)
-                          if isinstance(v, Fraction) else int(v) * lcm)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        nz = np.flatnonzero(work[row:, col])
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            work[[row, piv]] = work[[piv, row]]
-        pivot_row = work[row]
-        pval = pivot_row[col]
-        others = np.flatnonzero(work[:, col])
-        others = others[others != row]
-        if others.size:
-            factors = work[others, col]
-            work[others] = work[others] * pval - np.outer(factors, pivot_row)
-            for r in others:
-                g = 0
-                for v in work[r]:
-                    g = gcd(g, v if v >= 0 else -v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    work[r] = work[r] // g
-        pivots.append((row, col))
-        row += 1
-    for r, c in pivots:
-        pval = work[r, c]
-        if pval != 1:
-            row_vals = work[r]
-            for j in range(ncols):
-                v = row_vals[j]
-                if v:
-                    row_vals[j] = Fraction(v, pval)
-    return field.asarray(work), pivots
 
 
 def rank(field: Field, a) -> int:

@@ -357,7 +357,7 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
     coords = _matrix_subspace_coords(f, endos.endo_mats, list(cols.reshape(-1, m.dim, m.dim)))
     iota_amb = np.stack(coords, axis=1)
     iota = f.matmul(f.asarray(iota_amb), data.tensor.section)
-    if data.coring.dim != endos.dim or _solve(f, iota, f.eye(endos.dim)) is None:
+    if data.coring.dim != endos.dim or rank(f, iota) != endos.dim:
         raise InternalInconsistencyError("iota is not bijective")
     # right linearity over R = End_B(M) acting by phi (x) m . r = phi (x) r(m)
     for rho, r_mat in enumerate(endos.endo_mats):

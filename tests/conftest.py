@@ -1,7 +1,9 @@
 """Shared builders for small algebras and bimodules used across the suite."""
 
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +14,17 @@ from coring_lab.definitions import bundled_path, loads
 from coring_lab.linalg import rref
 
 
-def bundled_over(name, char):
-    """A bundled definition file re-declared over characteristic ``char``."""
+def bundled_text_over(name, char):
+    """The text of a bundled definition file re-declared over characteristic
+    ``char``."""
     doc = json.loads(bundled_path(name).read_text(encoding="utf-8"))
     doc["field"]["characteristic"] = char
-    return loads(json.dumps(doc))
+    return json.dumps(doc)
+
+
+def bundled_over(name, char):
+    """A bundled definition file re-declared over characteristic ``char``."""
+    return loads(bundled_text_over(name, char))
 
 
 def field_algebra(field, name="k"):
@@ -38,6 +46,45 @@ def intertwiner_rows(field, src_mats, tgt_mats) -> list:
     X's (target, source) shape."""
     return [field.kron(field.eye(t.shape[0]), s.T) - field.kron(t, field.eye(s.shape[0]))
             for s, t in zip(src_mats, tgt_mats)]
+
+
+def fraction_free_rref(a):
+    """Oracle of ``rref`` over QQ: fraction-free elimination (Bareiss,
+    Math. Comp. 1968) on Python ints.  Each row is scaled to integers by the
+    lcm of its denominators, elimination multiplies rows through instead of
+    dividing, each updated row is divided by the gcd of its entries, and the
+    pivots are normalized to 1 only at the end.  Returns the reduced array
+    and the (row, col) pivots."""
+    a = np.asarray(a, dtype=object)
+    nrows, ncols = a.shape
+    work = np.empty((nrows, ncols), dtype=object)
+    for i in range(nrows):
+        values = [Fraction(v) for v in a[i]]
+        scale = math.lcm(*(v.denominator for v in values))
+        work[i] = [int(v * scale) for v in values]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        nz = np.flatnonzero(work[row:, col])
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        work[[row, piv]] = work[[piv, row]]
+        others = np.flatnonzero(work[:, col])
+        others = others[others != row]
+        if others.size:
+            work[others] = (work[others] * work[row, col]
+                            - np.outer(work[others, col], work[row]))
+            for r in others:
+                g = math.gcd(*work[r])
+                if g > 1:
+                    work[r] = work[r] // g
+        pivots.append((row, col))
+    for r, c in pivots:
+        work[r] = [Fraction(v, work[r, c]) for v in work[r]]
+    return work, pivots
 
 
 def kronecker_intertwiners(field, src_mats, tgt_mats) -> list:

@@ -23,7 +23,7 @@ from coring_lab.errors import DefinitionError, TooLargeToValidateError
 from coring_lab.bimodule import endomorphism_algebra, right_dual
 from coring_lab.structure import bimodule_tower, dual_evaluation
 
-from conftest import MALFORMED_DEFINITIONS
+from conftest import MALFORMED_DEFINITIONS, bundled_text_over
 from random_modules import random_projective_bimodule
 
 
@@ -91,6 +91,45 @@ def test_seed_env_variable_is_default(capsys, monkeypatch):
                              "--bimodule", "M", "--format", "json")
     assert code == 0
     assert json.loads(out)["seed"] == 5
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_usage_errors_exit_one_with_one_error_line(capsys):
+    path = str(bundled_path("matrix2"))
+    for argv in (["analyze", path], ["analyze", path, "--bimodule", "M", "--seed", "x"],
+                 ["construct", path, "--what", "nothing", "--name", "M"], ["unknown"], []):
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(code, out, err)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert err == "error: the following arguments are required: --bimodule\n"
+
+
+def test_a_bad_seed_variable_is_an_input_error_of_analyze(capsys, monkeypatch):
+    monkeypatch.setenv("CORING_LAB_SEED", "x")
+    path = str(bundled_path("matrix2"))
+    code, out, err = run_cli(capsys, "analyze", path, "--bimodule", "M")
+    assert_one_error_line(code, out, err)
+    assert "invalid int value: 'x'" in err
+    # an explicit seed overrides the variable, and the other commands take none
+    code, out, _ = run_cli(capsys, "analyze", path, "--bimodule", "M", "--seed", "3",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == 3
+    code, out, _ = run_cli(capsys, "validate", path)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, _, _ = run_cli(capsys, "construct", path, "--what", "comatrix", "--name", "M")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: coring-lab" in capsys.readouterr().out
 
 
 def test_construct_comatrix(capsys):
@@ -245,6 +284,11 @@ def test_serialized_arrays_match_the_per_element_texts(field, shape):
     texts = cli._serialize_array(field, arr)
     assert texts == per_element_texts(field, arr)
     assert json.dumps(texts) == json.dumps(per_element_texts(field, arr))
+    if field is QQ:  # Fractions of the same values, apart or mixed with the ints
+        fractions = np.array([Fraction(v) for v in arr.reshape(-1)], dtype=object).reshape(shape)
+        mixed = np.where(rng.random(shape) < 0.5, arr, fractions)
+        for other in (fractions, mixed):
+            assert cli._serialize_array(field, other) == texts
 
 
 def test_construct_unknown_name_exits_one(capsys):
@@ -400,6 +444,32 @@ def test_analyze_json_reports_match_their_pins(capsys, fname, bimodule):
                            "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_JSON_SHA256[fname, bimodule]
+
+
+# the same reports with the bundled files re-declared over QQ, where integral
+# values are Python ints and the others Fractions: the bytes do not depend on
+# that representation
+ANALYZE_QQ_JSON_SHA256 = {
+    ("matrix2", "M"): "d580d794bfa22ae7e9d0cd74fc292491c4f3cb37caacda9871278f1984c85b94",
+    ("dual-numbers", "M"): "eecde8c549eab66641150b125dade6c49dad3526b0012c6b1ba82ef14ee2363b",
+    ("product-field", "M"): "c1e6e5f2c01522982e6c8309c9ae208bac01f266930bbad9f140c06673ed404a",
+    ("morita-rows-cols", "cols"):
+        "db34668ddcf3b18bee3ca475481e2d35f8fc636e638dd6e0af60f1c6eaa05197",
+    ("morita-rows-cols", "rows"):
+        "10d664e649d1e184b688dfb57a7105d332cd4315b89d66b61fca3577d3c5b214",
+    ("regular-module", "M"): "4243b05ccd87eccf5b881228ee2a772f095b91641a624d613854db806a8634f2",
+}
+
+
+@pytest.mark.parametrize("fname,bimodule", sorted(ANALYZE_QQ_JSON_SHA256))
+def test_analyze_json_reports_over_q_match_their_pins(capsys, tmp_path, fname, bimodule):
+    path = tmp_path / f"{fname}.json"
+    path.write_text(bundled_text_over(fname, 0), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--bimodule", bimodule,
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["field"] == {"characteristic": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_QQ_JSON_SHA256[fname, bimodule]
 
 
 # recipe module 7 was first decided when the intertwiner systems were solved

@@ -10,7 +10,7 @@ from coring_lab.errors import DimensionMismatchError, FieldMismatchError
 from coring_lab.fields import Field, PrimeField
 from coring_lab.linalg import QuotientPresentation, _kernel, _solve, rank, rref
 
-from conftest import field_algebra
+from conftest import field_algebra, fraction_free_rref
 
 F2 = GF(2)
 F3 = GF(3)
@@ -193,3 +193,70 @@ def test_rref_over_q_with_fractional_pivots():
     red, pivots = rref(QQ, [[Fraction(1, 2), 1, 1], [0, 3, 1]])
     assert pivots == [(0, 0), (1, 1)]
     assert red.tolist() == [[1, 0, Fraction(4, 3)], [0, 1, Fraction(1, 3)]]
+
+
+def rational_matrix(rng, shape, denominators=(1, 2, 3, 5, 7)):
+    """Random rationals with small numerators and the given denominators;
+    every entry a Fraction, integral ones included."""
+    nums = rng.integers(-6, 7, size=shape).reshape(-1)
+    dens = rng.choice(denominators, size=shape).reshape(-1)
+    arr = np.empty(len(nums), dtype=object)
+    arr[:] = [Fraction(int(n), int(d)) for n, d in zip(nums, dens)]
+    return arr.reshape(shape)
+
+
+def with_zero_and_duplicated_rows(rng):
+    a = rational_matrix(rng, (4, 6))
+    rows = np.concatenate([a, QQ.zeros((2, 6)), a[[1, 3]], 3 * a[[0]]])
+    return rows[rng.permutation(len(rows))]
+
+
+def integral_as_ints(a):
+    """The same matrix with its integral entries held as Python ints."""
+    out = np.empty(a.shape, dtype=object)
+    out.reshape(-1)[:] = [v.numerator if v.denominator == 1 else v for v in a.reshape(-1)]
+    return out
+
+
+RREF_ORACLE_CASES = {
+    "fractional-5x5": lambda rng: rational_matrix(rng, (5, 5)),
+    "fractional-4x7": lambda rng: rational_matrix(rng, (4, 7)),
+    "fractional-8x3": lambda rng: rational_matrix(rng, (8, 3)),
+    "zero-and-duplicated-rows": with_zero_and_duplicated_rows,
+    "rank-2-product-6x5": lambda rng: QQ.matmul(rational_matrix(rng, (6, 2)),
+                                                rational_matrix(rng, (2, 5))),
+    "rank-3-product-7x7": lambda rng: QQ.matmul(rational_matrix(rng, (7, 3)),
+                                                rational_matrix(rng, (3, 7))),
+    "integral-entries-as-fractions": lambda rng: rational_matrix(rng, (5, 6), (1, 1, 1, 2)),
+    "integral-entries-as-ints":
+        lambda rng: integral_as_ints(rational_matrix(rng, (5, 6), (1, 1, 1, 2))),
+    "0x4": lambda rng: QQ.zeros((0, 4)),
+    "4x0": lambda rng: QQ.zeros((4, 0)),
+    "0x0": lambda rng: QQ.zeros((0, 0)),
+    "zero-3x3": lambda rng: QQ.zeros((3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RREF_ORACLE_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rref_over_q_matches_the_fraction_free_oracle(case, seed):
+    a = RREF_ORACLE_CASES[case](np.random.default_rng(seed))
+    expected, expected_pivots = fraction_free_rref(a)
+    red, pivots = rref(QQ, a)
+    assert pivots == expected_pivots
+    assert red.shape == a.shape and red.dtype == object
+    assert Field.equal(red, expected)
+    assert all(type(v) in (int, Fraction) for v in red.reshape(-1))
+
+
+def test_the_rationals_create_integral_values_as_ints():
+    assert {type(v) for v in QQ.zeros((2, 3)).reshape(-1)} == {int}
+    assert {type(v) for v in QQ.eye(3).reshape(-1)} == {int}
+    assert type(QQ.parse_scalar("4/2")) is int and QQ.parse_scalar("4/2") == 2
+    assert type(QQ.parse_scalar(-3)) is int
+    assert QQ.parse_scalar("-3/6") == Fraction(-1, 2)
+    assert type(QQ.inv_scalar(Fraction(1, 3))) is int and QQ.inv_scalar(Fraction(1, 3)) == 3
+    assert type(QQ.inv_scalar(-1)) is int and QQ.inv_scalar(-1) == -1
+    assert QQ.inv_scalar(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv_scalar(0)
