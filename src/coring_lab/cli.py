@@ -228,6 +228,17 @@ def _usage_error(message):
     raise argparse.ArgumentError(None, message)
 
 
+def _seed(text: str) -> int:
+    """A seed of the random searches, which take non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coring-lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("file")
     p_analyze.add_argument("--bimodule", required=True)
     # a string default is parsed like the option, and only when it is used
-    p_analyze.add_argument("--seed", type=int, default=os.environ.get(_SEED_ENV, "0"),
+    p_analyze.add_argument("--seed", type=_seed, default=os.environ.get(_SEED_ENV, "0"),
                            help=f"default: ${_SEED_ENV}, else 0")
     p_analyze.add_argument("--format", choices=["text", "json"], default="text")
 

@@ -1,12 +1,12 @@
 """Comatrix corings and the corings of contexts.
 
 A context (A, B, N, M, sigma, tau) whose two diagrams commute is held as
-its coring N (x)_B M, a ``ContextCoring``: the presented N (x)_B M, the pairs
-(m_i, n_i) with tau(1) = sum_i m_i (x) n_i, and the counit sigma.  A bimodule
-M that is finitely generated projective on the right gives the comatrix
-coring M^* (x)_B M, the context of its dual basis; a context is also read
-from tau given as a map (``context_from_tau``) and from Morita data with
-surjective tau~.  This module builds these, the canonical isomorphism from a
+its ``Coring`` N (x)_B M: the presented N (x)_B M, the pairs (m_i, n_i) with
+tau(1) = sum_i m_i (x) n_i, and the counit sigma.  A bimodule M that is
+finitely generated projective on the right gives the comatrix coring
+M^* (x)_B M, the context of its dual basis; a context is also read from tau
+given as a map (``context_from_tau``) and from Morita data with surjective
+tau~.  This module builds these, the canonical isomorphism from a
 context coring onto the comatrix coring of its M, and the anti-isomorphism
 between the left dual ring and left endomorphisms.
 """
@@ -32,7 +32,6 @@ from .bimodule import (
     tensor_over,
 )
 from .coring import (
-    ContextCoring,
     Coring,
     CoringMorphism,
     _context_delta_amb,
@@ -69,7 +68,6 @@ class ComatrixData:
     coring: Coring
     dual: DualModule
     basis: DualBasis
-    tensor: TensorSpace  # presentation of M^* (x)_B M
 
 
 @_memo
@@ -84,9 +82,9 @@ def comatrix_data(m: Bimodule) -> ComatrixData:
     ts = tensor_over(dual, m)
     # counit phi (x) m -> phi(m)
     eval_amb = np.concatenate([f.zeros((m.right_alg.dim, 0))] + dual.functional_mats, axis=1)
-    coring = ContextCoring(ts, zip(db.elements, db.functional_coords),
-                           f.matmul(f.asarray(eval_amb), ts.section))
-    return ComatrixData(coring, dual, db, ts)
+    coring = Coring(ts, zip(db.elements, db.functional_coords),
+                    f.matmul(f.asarray(eval_amb), ts.section))
+    return ComatrixData(coring, dual, db)
 
 
 def comatrix_coring(m: Bimodule) -> Coring:
@@ -99,13 +97,13 @@ def coproduct_basis_independence(m: Bimodule, alternative: DualBasis) -> bool:
     if not alternative.verify():
         raise NotProjectiveError("alternative dual basis fails the dual-basis identity")
     data = comatrix_data(m)
-    other = _context_delta_amb(data.tensor,
+    other = _context_delta_amb(data.coring.carrier_tensor,
                                zip(alternative.elements, alternative.functional_coords))
     return data.coring.agree_in_square(data.coring.delta_amb, other)
 
 
 def context_from_tau(ts_nm: TensorSpace, ts_mn: TensorSpace, sigma_mat,
-                     tau_mat) -> ContextCoring:
+                     tau_mat) -> Coring:
     """The coring of the context with sigma on ts_nm = N (x)_B M and
     tau: B -> ts_mn = M (x)_A N, read as the pairs (m_i, n_i) with
     tau(1) = sum_i m_i (x) n_i, one for each nonzero ambient coefficient."""
@@ -114,10 +112,10 @@ def context_from_tau(ts_nm: TensorSpace, ts_mn: TensorSpace, sigma_mat,
     w = f.matmul(ts_mn.section, f.matmul(tau_mat, m.left_alg.unit)).reshape(m.dim, n.dim)
     eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
     pairs = [(f.asarray(w[u, v] * eye_m[:, u]), eye_n[:, v]) for u, v in zip(*np.nonzero(w))]
-    return ContextCoring(ts_nm, pairs, sigma_mat)
+    return Coring(ts_nm, pairs, sigma_mat)
 
 
-def context_from_bimodule(m: Bimodule) -> ContextCoring:
+def context_from_bimodule(m: Bimodule) -> Coring:
     """The canonical context (A, B, M^*, M, evaluation, dual-basis tau): its
     coring is the comatrix coring itself."""
     return comatrix_data(m).coring
@@ -151,7 +149,7 @@ class MoritaData:
                 raise ContextAxiomError(f"Morita associativity ({side} side) fails at ({at})")
 
 
-def context_from_morita(md: MoritaData) -> ContextCoring | None:
+def context_from_morita(md: MoritaData) -> Coring | None:
     """The coring of the context with tau the inverse of a surjective
     tau_tilde; None when tau_tilde is not surjective."""
     md.validate()
@@ -168,7 +166,7 @@ def context_from_morita(md: MoritaData) -> ContextCoring | None:
     return context_from_tau(md.tensor_nm, md.tensor_mn, md.sigma.matrix, inverse)
 
 
-def context_dual_basis(ctx: ContextCoring):
+def context_dual_basis(ctx: Coring):
     """chi: N -> M^*, n -> sigma(n (x) -), solved once on the basis of N, its
     inverse, and the dual basis {m_i, chi(n_i)} read off the pairs of tau(1)."""
     f, ts, pairs = ctx.field, ctx.carrier_tensor, ctx.tau_pairs
@@ -200,16 +198,16 @@ class ContextIso:
     backward: CoringMorphism
 
 
-def context_iso(ctx: ContextCoring) -> ContextIso:
+def context_iso(ctx: Coring) -> ContextIso:
     """The coring isomorphism N (x)_B M -> M^* (x)_B M from Theorem-style
     transport of chi, verified in both directions."""
     f, ts = ctx.field, ctx.carrier_tensor
     m = ts.right_factor
     _, chi, chi_inv = context_dual_basis(ctx)
-    data = comatrix_data(m)
-    target = data.coring
-    theta = ts.induced_map(chi.matrix, f.eye(m.dim), data.tensor)
-    theta_inv = data.tensor.induced_map(chi_inv.matrix, f.eye(m.dim), ts)
+    target = comatrix_coring(m)
+    target_ts = target.carrier_tensor
+    theta = ts.induced_map(chi.matrix, f.eye(m.dim), target_ts)
+    theta_inv = target_ts.induced_map(chi_inv.matrix, f.eye(m.dim), ts)
     if not Field.equal(f.matmul(theta, theta_inv), f.eye(target.dim)):
         raise InternalInconsistencyError("context iso does not invert (forward)")
     if not Field.equal(f.matmul(theta_inv, theta), f.eye(ctx.dim)):
@@ -244,8 +242,8 @@ def left_dual_anti_iso(m: Bimodule) -> AntiIso:
     # column x of the endomorphism of xi: sum_i e_i . xi(e_i^* (x) x)
     es, phis = _pair_matrices(f, zip(data.basis.elements, data.basis.functional_coords),
                               m.dim, data.dual.dim)
-    pure = f.tensordot(data.tensor.projection.reshape(-1, data.dual.dim, m.dim), phis,
-                       ([1], [0]))  # (c, x, i): e_i^* (x) x
+    proj = data.coring.carrier_tensor.projection.reshape(-1, data.dual.dim, m.dim)
+    pure = f.tensordot(proj, phis, ([1], [0]))  # (c, x, i): e_i^* (x) x
     values = f.tensordot(np.stack(ring.functional_mats), pure, ([2], [0]))  # (xi, a, x, i)
     scaled = f.tensordot(es, m.right_action, ([0], [0]))  # (i, a, x'): e_i . a
     endo_of = f.tensordot(values, scaled, ([1, 3], [1, 0])).transpose(0, 2, 1)

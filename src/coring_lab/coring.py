@@ -1,23 +1,25 @@
 """Corings over an algebra: validated axioms, Sweedler corings, left dual
 rings, cosplit sections, cointegrals and reduced Frobenius systems.
 
-The coproduct is stored as a matrix ``delta_amb`` from carrier coordinates
-into the *field* tensor square of the carrier; it is one chosen system of
-representatives for the coproduct valued in C (x)_A C.  Cointegrals are
-likewise stored on the field tensor square, where their balance over A is
-checked, and given structure maps, cointegrals and Frobenius systems are
-verified on representatives.  The pre-cointegral identity is written once,
-in ``_precointegral_defect``, as blocks of equations.
+Every coring is the coring N (x)_B M of a context (A, B, N, M, sigma, tau):
+the comatrix, Sweedler and context corings alike.  It is built from the
+presented N (x)_B M, the pairs (m_i, n_i) of tau(1) and the counit sigma,
+and validated through its context, with no product in C (x)_A C.  The
+coproduct is represented by a matrix ``delta_amb`` from carrier coordinates
+into the *field* tensor square of the carrier, one chosen system of
+representatives for the coproduct valued in C (x)_A C, built from the pairs
+on first read.  Cointegrals are likewise stored on the field tensor square,
+where their balance over A is checked, and given structure maps, cointegrals
+and Frobenius systems are verified on representatives.  The pre-cointegral
+identity is written once, in ``_precointegral_defect``, as blocks of
+equations.
 
-The comatrix, Sweedler and context corings are ``ContextCoring``s, validated
-through their context; a coproduct from outside is checked by products in
-C (x)_A C.  Representatives are compared there through ``Coring.onto_square``,
-for a carrier C = N (x)_B M the reduction (C (x)_A N) (x)_B M of
-``context_projection``, balanced over the small B, from which ``Coring.square``
-presents C (x)_A C in the coordinates of the dense ``tensor_over(C, C)``.  The
-square is read by the pre-cointegral space ``Coring.precointegrals``, inside
-which cointegrals and Frobenius systems are solved, and by the checks of a
-coproduct from outside; above ``_SQUARE_DIM_LIMIT`` it is refused with
+Representatives are compared in C (x)_A C through ``Coring.onto_square``,
+the reduction (C (x)_A N) (x)_B M of ``context_projection``, balanced over
+the small B, from which ``Coring.square`` presents C (x)_A C in the
+coordinates of the dense ``tensor_over(C, C)``.  The square is read by the
+pre-cointegral space ``Coring.precointegrals``, inside which cointegrals and
+Frobenius systems are solved; above ``_SQUARE_DIM_LIMIT`` it is refused with
 ``TooLargeToValidateError``, as its bimodule and the pre-cointegral system
 on it grow with the square of the carrier.
 """
@@ -62,13 +64,10 @@ from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel
 
 __all__ = [
     "Coring",
-    "ContextCoring",
     "CoringMorphism",
     "Cointegral",
     "FrobeniusSystem",
     "FrobeniusSearch",
-    "new_coring",
-    "trivial_coring",
     "sweedler_coring",
     "left_dual_ring",
     "is_cosplit",
@@ -89,28 +88,37 @@ _FROBENIUS_RANDOM_ATTEMPTS = 64
 
 
 class Coring:
-    """An A-coring with representative-level structure maps.
+    """The coring C = N (x)_B M of a context (A, B, N, M, sigma, tau) on
+    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i:
+    Delta(n (x) m) = sum_i n (x) m_i (x) n_i (x) m, counit sigma.
 
-    The structure maps never change after construction; the tensor-square
-    presentation, the pre-cointegral space and the left dual ring are built
-    on first use and memoized on the coring.
+    It is validated through its context, with no product in C (x)_A C:
+    sigma is an A-bimodule map, and the two diagrams
+    (``check_context_diagrams``) make C a coring.  By the second diagram,
+    sigma balanced over B and the first, tau(1) is B-central:
+    b tau(1) = sum_ij m_j sigma(n_j (x) b m_i) (x) n_i
+    = sum_j m_j (x) sum_i sigma(n_j b (x) m_i) n_i = sum_j m_j (x) n_j b.
+    So Delta is a well-defined A-bimodule map into
+    C (x)_A C = N (x)_B (M (x)_A N) (x)_B M, where ``delta_amb`` represents
+    it for any section.  Both composites of coassociativity send n (x) m to
+    sum_ij n (x) m_i (x) n_i (x) m_j (x) n_j (x) m, and the counit laws are
+    the two diagrams on the outer legs.
+
+    The structure maps never change after construction; the representative
+    coproduct, the tensor-square presentation, the pre-cointegral space and
+    the left dual ring are built on first use and memoized on the coring.
     """
 
-    carrier_tensor: TensorSpace | None = None  # N (x)_B M for a ContextCoring
     validation = "full"  # every coring is checked in full at construction
 
-    def __init__(self, base: Algebra, carrier: Bimodule, delta_amb, counit_mat):
-        if carrier.left_alg != base or carrier.right_alg != base:
-            raise FieldMismatchError("carrier must be a bimodule over the base on both sides")
-        self.base = base
-        self.carrier = carrier
-        self.field = base.field
-        self.delta_amb = self.field.asarray(delta_amb)
+    def __init__(self, ts: TensorSpace, pairs, counit_mat):
+        self.carrier_tensor = ts
+        self.tau_pairs = list(pairs)
+        self.carrier = ts.space
+        self.base = ts.space.left_alg
+        self.field = self.base.field
         self.counit_mat = self.field.asarray(counit_mat)
-        d = carrier.dim
-        if self.delta_amb.shape != (d * d, d):
-            raise CoringAxiomError(f"coproduct matrix has shape {self.delta_amb.shape}")
-        if self.counit_mat.shape != (base.dim, d):
+        if self.counit_mat.shape != (self.base.dim, self.dim):
             raise CoringAxiomError(f"counit matrix has shape {self.counit_mat.shape}")
         self._square: TensorSpace | None = None
         self._precointegrals: np.ndarray | None = None
@@ -122,31 +130,30 @@ class Coring:
         return self.carrier.dim
 
     @cached_property
+    def delta_amb(self):
+        """The representative coproduct, built from the pairs on first read."""
+        return _context_delta_amb(self.carrier_tensor, self.tau_pairs)
+
+    @cached_property
     def onto_square(self):
-        """The field tensor square of the carrier onto C (x)_A C, built once:
-        ``context_projection`` for a carrier N (x)_B M, with no size limit."""
-        if self.carrier_tensor is None:
-            return self.square.projection
+        """The field tensor square of the carrier onto C (x)_A C, built once
+        by ``context_projection``, with no size limit."""
         return context_projection(self.carrier, self.carrier_tensor)
 
     @property
     def square(self) -> TensorSpace:
-        """Presentation of C (x)_A C, built once per coring: through
-        ``onto_square`` for a carrier N (x)_B M, else through the dense
-        A-balanced relations, both in the coordinates of ``tensor_over(C, C)``.
-        Above the limit it refuses with the capacity error, as its bimodule
-        and the pre-cointegral system on it do not scale.  Its readers are
-        ``precointegrals`` and the checks of a coproduct from outside."""
+        """Presentation of C (x)_A C through ``onto_square``, built once per
+        coring, in the coordinates of ``tensor_over(C, C)``.  Above the limit
+        it refuses with the capacity error, as its bimodule and the
+        pre-cointegral system on it do not scale.  Its reader is
+        ``precointegrals``."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise TooLargeToValidateError(
                     f"carrier dimension {self.dim} too large for a dense tensor-square "
                     f"presentation (limit {_SQUARE_DIM_LIMIT})")
-            if self.carrier_tensor is None:
-                self._square = tensor_over(self.carrier, self.carrier)
-            else:
-                pres = QuotientPresentation.from_surjection(self.field, self.onto_square)
-                self._square = _presented_tensor(self.carrier, self.carrier, pres)
+            pres = QuotientPresentation.from_surjection(self.field, self.onto_square)
+            self._square = _presented_tensor(self.carrier, self.carrier, pres)
         return self._square
 
     @property
@@ -194,41 +201,7 @@ class Coring:
         if not BimoduleMap(self.carrier, regular_bimodule(self.base), self.counit_mat,
                            _validate=False).commutes_with_actions():
             raise CoringAxiomError("counit is not a bimodule map into the base")
-        self._validate_coproduct()
-
-    def _validate_coproduct(self) -> None:
-        """A coproduct from outside: the counit laws on representatives, then
-        Delta A-bilinear and coassociative, compared in C (x)_A C and
-        (C (x)_A C) (x)_A C where representatives differ."""
-        f, d = self.field, self.dim
-        # u (x) v -> eps(u) . v and u (x) v -> u . eps(v), one leg at a time
-        eye, da = f.eye(d), self.base.dim
-        lam = self.carrier.left_action.reshape(da * d, d)  # ((i, v), m')
-        rho = self.carrier.right_action.reshape(d * da, d)  # ((u, j), m')
-        for side, act, on_leg in (("left", lam, _on_left_leg), ("right", rho, _on_right_leg)):
-            law = f.matmul(act.T, on_leg(f, self.counit_mat, self.delta_amb, d))
-            if not Field.equal(law, eye):
-                c = int(np.argwhere(law != eye)[0][1])
-                raise CoringAxiomError(f"{side} counit law fails at basis element {c}")
-        for i in range(self.base.dim):
-            for side, act, on_leg in (("left", self.carrier.left_mats[i], _on_left_leg),
-                                      ("right", self.carrier.right_mats[i], _on_right_leg)):
-                if not self.agree_in_square(f.matmul(self.delta_amb, act),
-                                            on_leg(f, act, self.delta_amb, d)):
-                    raise CoringAxiomError(f"coproduct not {side}-linear at basis {i}")
-        d3 = self.delta_tensor()
-        lhs = f.tensordot(d3, d3, ([2], [0])).reshape(d ** 3, d)  # Delta on the first leg
-        rhs = f.tensordot(d3, d3, ([1], [2])).transpose(0, 2, 3, 1).reshape(d ** 3, d)
-        if Field.equal(f.asarray(lhs), f.asarray(rhs)):
-            return
-        # compare in ((C (x) C) (x) C); its kernel is exactly the triple relations
-        sq = self.square
-        upper = tensor_over(sq.space, self.carrier).projection
-        lhs, rhs = (f.matmul(upper, _on_left_leg(f, sq.projection, f.asarray(t), d))
-                    for t in (lhs, rhs))
-        if not Field.equal(lhs, rhs):
-            c = int(np.argwhere(lhs != rhs)[0][1])
-            raise CoringAxiomError(f"coassociativity fails at basis element {c}")
+        check_context_diagrams(self.carrier_tensor, self.tau_pairs, self.counit_mat)
 
 
 def _context_delta_amb(ts: TensorSpace, pairs):
@@ -243,34 +216,6 @@ def _context_delta_amb(ts: TensorSpace, pairs):
         second = ts.pure(f.asarray(n_vec)[:, None], f.eye(dm))  # m -> n_i (x) m
         delta = delta + _on_left_leg(f, first, _on_right_leg(f, second, ts.section, dn), ts.dim)
     return f.asarray(delta)
-
-
-class ContextCoring(Coring):
-    """The coring C = N (x)_B M of a context (A, B, N, M, sigma, tau) on
-    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i:
-    Delta(n (x) m) = sum_i n (x) m_i (x) n_i (x) m, counit sigma.
-
-    It is validated through its context, with no product in C (x)_A C:
-    sigma is an A-bimodule map, and the two diagrams
-    (``check_context_diagrams``) make C a coring.  By the second diagram,
-    sigma balanced over B and the first, tau(1) is B-central:
-    b tau(1) = sum_ij m_j sigma(n_j (x) b m_i) (x) n_i
-    = sum_j m_j (x) sum_i sigma(n_j b (x) m_i) n_i = sum_j m_j (x) n_j b.
-    So Delta is a well-defined A-bimodule map into
-    C (x)_A C = N (x)_B (M (x)_A N) (x)_B M, where ``delta_amb`` represents
-    it for any section.  Both composites of coassociativity send n (x) m to
-    sum_ij n (x) m_i (x) n_i (x) m_j (x) n_j (x) m, and the counit laws are
-    the two diagrams on the outer legs.
-    """
-
-    def __init__(self, ts: TensorSpace, pairs, counit_mat):
-        self.carrier_tensor = ts
-        self.tau_pairs = list(pairs)
-        super().__init__(ts.space.left_alg, ts.space, _context_delta_amb(ts, self.tau_pairs),
-                         counit_mat)
-
-    def _validate_coproduct(self) -> None:
-        check_context_diagrams(self.carrier_tensor, self.tau_pairs, self.counit_mat)
 
 
 def _pair_matrices(f: Field, pairs, m_dim: int, n_dim: int):
@@ -298,33 +243,6 @@ def check_context_diagrams(ts: TensorSpace, pairs, sigma_mat) -> None:
             raise ContextAxiomError(f"{which} context diagram fails")
 
 
-def new_coring(carrier: Bimodule, coproduct: BimoduleMap, counit: BimoduleMap) -> Coring:
-    """Assemble and validate a coring from quotient-valued structure maps.
-
-    ``coproduct`` must land in tensor_over(carrier, carrier).space and
-    ``counit`` in the regular bimodule of the base.
-    """
-    base = carrier.left_alg
-    ts = tensor_over(carrier, carrier)
-    if coproduct.matrix.shape != (ts.dim, carrier.dim):
-        raise CoringAxiomError("coproduct does not land in the tensor square")
-    if counit.matrix.shape != (base.dim, carrier.dim):
-        raise CoringAxiomError("counit does not land in the base algebra")
-    f = base.field
-    delta_amb = f.matmul(ts.section, coproduct.matrix)
-    coring = Coring(base, carrier, delta_amb, counit.matrix)
-    coring._square = ts
-    return coring
-
-
-def trivial_coring(a: Algebra) -> Coring:
-    """A itself with coproduct a -> a (x) 1 and counit the identity."""
-    f = a.field
-    reg = regular_bimodule(a)
-    delta_amb = f.kron(f.eye(a.dim), a.unit[:, None])
-    return Coring(a, reg, delta_amb, f.eye(a.dim))
-
-
 def sweedler_coring(ring_map: AlgebraMap) -> Coring:
     """The canonical coring A (x)_B A of a ring map B -> A."""
     if not check_algebra_map(ring_map):
@@ -334,7 +252,7 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
     ts = tensor_over(target_sb(ring_map), target_bs(ring_map))
     mult_amb = a.structure.reshape(a.dim * a.dim, a.dim).T
     # a (x) b -> a (x) 1 (x) 1 (x) b, counit the multiplication
-    return ContextCoring(ts, [(a.unit, a.unit)], f.matmul(mult_amb, ts.section))
+    return Coring(ts, [(a.unit, a.unit)], f.matmul(mult_amb, ts.section))
 
 
 class CoringMorphism:

@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import Algebra, AlgebraMap, check_algebra_map
 from .bimodule import Bimodule, BimoduleMap, regular_bimodule, tensor_over
 from .comatrix import MoritaData, context_from_tau
-from .coring import ContextCoring
+from .coring import Coring
 from .errors import CoringLabError, DefinitionError
 from .fields import Field, field_of_characteristic
 
@@ -184,7 +184,7 @@ def _load_morita(out: DefinitionFile, fld: Field, name: str, spec) -> MoritaData
     return md
 
 
-def _load_context(out: DefinitionFile, fld: Field, name: str, spec) -> ContextCoring:
+def _load_context(out: DefinitionFile, fld: Field, name: str, spec) -> Coring:
     where = f"context {name!r}"
     n, m, ts_nm, ts_mn, sigma_mat = _load_pairing(out, fld, where, spec)
     b_alg = m.left_alg

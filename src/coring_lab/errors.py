@@ -39,7 +39,7 @@ class ContextAxiomError(AxiomError):
 class TooLargeToValidateError(CoringLabError):
     """A capacity limit, not an axiom failure: a statement needs the tensor
     square of a coring whose carrier is too large for it (the pre-cointegral
-    space, or the checks of a coproduct from outside); it stays undecided."""
+    space); it stays undecided."""
 
 
 class NotProjectiveError(CoringLabError):

@@ -232,7 +232,8 @@ def _comatrix_expansion(tower: BimoduleTower, f_mat):
                         ([0], [0]))  # (i, beta, m', j): f(omega(e_i (x) phi_beta)) e_j
     phis = np.stack(tower.comatrix.dual.functional_mats)  # (alpha, a, m')
     quad = f.tensordot(phis, acted, ([2], [2]))  # (alpha, a, i, beta, j)
-    return _on_both_legs(f, quad.transpose(1, 0, 2, 3, 4), tower.comatrix.tensor.section)
+    return _on_both_legs(f, quad.transpose(1, 0, 2, 3, 4),
+                         tower.comatrix.coring.carrier_tensor.section)
 
 
 def _sweedler_expansion(tower: BimoduleTower, f_mat):
@@ -251,7 +252,7 @@ def _map_of_gamma(tower: BimoduleTower, gamma_amb):
     the comatrix coring."""
     f = tower.module.field
     m, data, cdim = tower.module, tower.comatrix, tower.comatrix.coring.dim
-    proj = data.tensor.projection.reshape(cdim, data.dual.dim, m.dim)
+    proj = data.coring.carrier_tensor.projection.reshape(cdim, data.dual.dim, m.dim)
     pairs = f.tensordot(proj, np.stack(tower.basis.functional_coords),
                         ([1], [1]))  # (c, j, i): e_i^* (x) e_j
     g3 = gamma_amb.reshape(m.right_alg.dim, cdim, cdim)
@@ -270,7 +271,8 @@ def _tilde_invariant(tower: BimoduleTower, e_vec):
     sum_{j,a} omega(e_j (x) w_a^*) (x) omega(w_a (x) e_j^*).
     """
     f = tower.module.field
-    w = tower.comatrix.tensor.lift(e_vec)  # (alpha, i) coefficients of phi_alpha (x) e_i
+    # (alpha, i) coefficients of phi_alpha (x) e_i
+    w = tower.comatrix.coring.carrier_tensor.lift(e_vec)
     first = f.tensordot(tower.s_iso.omega, w, ([2], [0]))  # (s1, j, i)
     pairs = f.tensordot(first, _omega_dual(tower), ([1, 2], [2, 1]))  # (s1, s2)
     return f.matmul(tower.sweedler.carrier_tensor.projection, pairs.reshape(-1))
@@ -346,6 +348,7 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
     """iota(phi (x) m)(x) = theta(phi)(x) . m, verified bijective,
     right-linear over the dual ring action and left A-linear."""
     data = bimodule_tower(m).comatrix
+    ts = data.coring.carrier_tensor
     f = m.field
     if left_dual_basis(m) is None:
         raise NotProjectiveError("module is not projective over its left algebra")
@@ -356,12 +359,12 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
     cols = f.tensordot(psis, m.left_action, ([1], [0])).transpose(0, 2, 3, 1)
     coords = _matrix_subspace_coords(f, endos.endo_mats, list(cols.reshape(-1, m.dim, m.dim)))
     iota_amb = np.stack(coords, axis=1)
-    iota = f.matmul(f.asarray(iota_amb), data.tensor.section)
+    iota = f.matmul(f.asarray(iota_amb), ts.section)
     if data.coring.dim != endos.dim or rank(f, iota) != endos.dim:
         raise InternalInconsistencyError("iota is not bijective")
     # right linearity over R = End_B(M) acting by phi (x) m . r = phi (x) r(m)
     for rho, r_mat in enumerate(endos.endo_mats):
-        act = data.tensor.induced_map(f.eye(data.dual.dim), r_mat, data.tensor)
+        act = ts.induced_map(f.eye(data.dual.dim), r_mat, ts)
         if not Field.equal(f.matmul(iota, act), f.matmul(endos.right_mult[rho], iota)):
             raise InternalInconsistencyError(f"iota is not right-linear at endo {rho}")
     # left A-linearity, with a acting on endomorphisms by (a.r)(x) = r(x.a)

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coring_lab.algebra import Algebra, matrix_algebra
-from coring_lab.bimodule import Bimodule, _memo
+from coring_lab.algebra import Algebra, identity_map, matrix_algebra
+from coring_lab.bimodule import Bimodule, _memo, tensor_over
+from coring_lab.coring import Coring, sweedler_coring
 from coring_lab.definitions import bundled_path, loads
 from coring_lab.linalg import rref
 
@@ -174,14 +175,12 @@ def upper_triangular_2(field, name="T2"):
     return Algebra(field, c, [1, 0, 1], name=name)
 
 
-def matrix_coring(n, field):
-    """Hand-built n x n matrix coring over the field: an oracle independent
-    of the comatrix constructor.  Basis c_ij at flat index i*n + j with
-    Delta(c_ij) = sum_l c_il (x) c_lj and eps(c_ij) = delta_ij."""
-    from coring_lab.coring import Coring
-
+def matrix_coring_arrays(n, field):
+    """Hand-built structure maps of the n x n matrix coring over the field,
+    oracle data independent of every constructor: basis c_ij at flat index
+    i*n + j with Delta(c_ij) = sum_l c_il (x) c_lj and eps(c_ij) = delta_ij,
+    as (delta_amb, counit)."""
     d = n * n
-    carrier = trivial_bimodule(field, d, name=f"c[{n}x{n}]")
     delta_amb = field.zeros((d * d, d))
     for i in range(n):
         for j in range(n):
@@ -190,7 +189,28 @@ def matrix_coring(n, field):
     counit = field.zeros((1, d))
     for i in range(n):
         counit[0, i * n + i] = 1
-    return Coring(field_algebra(field), carrier, delta_amb, counit)
+    return delta_amb, counit
+
+
+def matrix_coring(n, field):
+    """The n x n matrix coring over the field: the context coring of
+    k^n (x)_k k^n with tau(1) = sum_i e_i (x) e_i and sigma the standard
+    pairing, both written out here, so it is independent of the dual-basis
+    solver.  Its basis e_i (x) e_j is c_ij at flat index i*n + j."""
+    k_n = trivial_bimodule(field, n)
+    ts = tensor_over(k_n, k_n)
+    eye = field.eye(n)
+    pairing = field.zeros((1, n * n))
+    for i in range(n):
+        pairing[0, i * n + i] = 1
+    return Coring(ts, [(eye[:, i], eye[:, i]) for i in range(n)],
+                  field.matmul(pairing, ts.section))
+
+
+def trivial_coring(a):
+    """A as a coring: the Sweedler coring A (x)_A A of the identity, with
+    counit the multiplication onto A."""
+    return sweedler_coring(identity_map(a))
 
 
 def canonical_identification_oracle(m):

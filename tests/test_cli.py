@@ -124,6 +124,21 @@ def test_a_bad_seed_variable_is_an_input_error_of_analyze(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("field", [2, 0], ids=["GF(2)", "QQ"])
+def test_a_negative_seed_is_a_usage_error(capsys, monkeypatch, tmp_path, field):
+    # the random searches take non-negative seeds only; over QQ a negative
+    # one reached them and ended in a traceback, over GF(2) it was accepted
+    path = tmp_path / "matrix2.json"
+    path.write_text(bundled_text_over("matrix2", field), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--bimodule", "M", "--seed", "-1")
+    assert_one_error_line(code, out, err)
+    assert "seed must be non-negative" in err
+    monkeypatch.setenv("CORING_LAB_SEED", "-1")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--bimodule", "M")
+    assert_one_error_line(code, out, err)
+    assert "seed must be non-negative" in err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -490,6 +505,28 @@ def test_first_decision_of_recipe_7_matches_the_dense_oracle():
                             for flag in doc["flags"]}
     assert verify_report_witnesses(deffile, doc)
     assert hashlib.sha256(out.encode()).hexdigest() == RECIPE_7_SHA256
+
+
+# recipe modules 0 and 9 stop at the square's limit on their Sweedler
+# coring (d = 40); with the limit lifted to 40 their flags are those the
+# dense oracle recorded, pinned before they are first decided
+DENSE_ORACLE_FALSE_FLAGS = {
+    0: set(),
+    9: {"m_frobenius", "comatrix_frobenius", "extension_frobenius", "sweedler_frobenius",
+        "b_s_faithfully_flat"},
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(DENSE_ORACLE_FALSE_FLAGS))
+def test_recipes_beyond_the_square_limit_match_the_dense_oracle(monkeypatch, recipe):
+    monkeypatch.setattr(coring, "_SQUARE_DIM_LIMIT", 40)
+    m = random_projective_bimodule(recipe)
+    deffile = DefinitionFile(m.field, bimodules={"M": m})
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0), indent=1, sort_keys=True))
+    assert len(doc["flags"]) == 13
+    assert doc["flags"] == {flag: "false" if flag in DENSE_ORACLE_FALSE_FLAGS[recipe] else "true"
+                            for flag in doc["flags"]}
+    assert verify_report_witnesses(deffile, doc)
 
 
 def test_tampered_split_retraction_fails_reverification():

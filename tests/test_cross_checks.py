@@ -15,7 +15,6 @@ from coring_lab.coring import (
     coring_bimodules_over_dual_ring,
     find_frobenius_system,
     sweedler_coring,
-    trivial_coring,
     verify_frobenius_system,
 )
 from coring_lab.structure import williard_check
@@ -25,6 +24,7 @@ from conftest import (
     field_algebra,
     matrix_coring,
     trivial_bimodule,
+    trivial_coring,
     upper_triangular_2,
 )
 
