@@ -226,12 +226,6 @@ class BimoduleMap:
             return False
         return rank(self.field, self.matrix) == self.source.dim
 
-    def inverse(self) -> "BimoduleMap":
-        inv = _solve(self.field, self.matrix, self.field.eye(self.target.dim))
-        if inv is None:
-            raise DimensionMismatchError("map is not invertible")
-        return BimoduleMap(self.target, self.source, inv, _validate=False)
-
     def __repr__(self):
         return f"BimoduleMap({self.source!r} -> {self.target!r})"
 

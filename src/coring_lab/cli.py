@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bimodule import right_dual
+from .bimodule import BimoduleMap, left_dual, right_dual, target_bs, target_sb
 from .comatrix import comatrix_data, context_from_morita
 from .coring import (
     Cointegral,
@@ -35,9 +35,11 @@ from .errors import (
     CoringLabError,
     DefinitionError,
     InternalInconsistencyError,
+    NotProjectiveError,
     TooLargeToValidateError,
 )
-from .structure import FLAG_NAMES, analyze, bimodule_tower, dual_evaluation, retracts
+from .structure import (FLAG_NAMES, analyze, bimodule_tower, dual_evaluation, hom_to_s,
+                        iota_from_frobenius, retracts)
 
 _SEED_ENV = "CORING_LAB_SEED"
 
@@ -50,11 +52,7 @@ def _serialize_array(field, arr):
 
 
 def _flag_text(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return "inconclusive"
+    return {True: "true", False: "false"}.get(value, "inconclusive")
 
 
 def report_document(deffile: DefinitionFile, name: str, seed: int) -> dict:
@@ -101,51 +99,79 @@ def render_text(doc: dict) -> str:
 
 
 def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
-    """Re-verify the re-checkable witnesses of a serialized report.  A
-    missing or malformed witness entry, a witness of the wrong shape or with
-    a bad scalar raises DefinitionError."""
+    """Re-verify every witness of a serialized report, False when one fails
+    its check.  A missing or malformed witness entry, a witness of the wrong
+    shape or with a bad scalar, or a witness key with no check raises
+    DefinitionError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("witnesses"), dict):
         raise DefinitionError("report must be an object with a 'witnesses' object")
     module = _resolve(deffile.bimodules, doc.get("subject"), "bimodule", "report subject")
     fld = deffile.field
     tower = bimodule_tower(module)
-    comatrix, sweedler = tower.comatrix.coring, tower.sweedler
+    comatrix, sweedler, b_to_s = tower.comatrix.coring, tower.sweedler, tower.b_to_s
     wit = doc["witnesses"]
 
     def parse(key, part, shape):
-        if not isinstance(wit[key], dict) or part not in wit[key]:
+        if not isinstance(wit.get(key), dict) or part not in wit[key]:
             raise DefinitionError(f"witness {key} has no entry {part!r}")
         return _parse_tensor(fld, wit[key][part], shape, f"witness {key}.{part}")
 
-    def gamma(key, part, c):
-        return parse(key, part, (c.base.dim, c.dim * c.dim))
+    def cointegral(key, c, part="cointegral"):
+        return verify_cointegral(Cointegral(c, parse(key, part, (c.base.dim, c.dim * c.dim))))
 
-    ok = True
-    for key, part, c in (("comatrix_coseparable", "cointegral", comatrix),
-                         ("sweedler_coseparable", "cointegral", sweedler),
-                         ("comatrix_cointegral_constructed", "gamma", comatrix),
-                         ("sweedler_cointegral_lift", "gamma", sweedler)):
-        if key in wit:
-            ok &= verify_cointegral(Cointegral(c, gamma(key, part, c)))
-    for key, c in (("comatrix_frobenius", comatrix), ("sweedler_frobenius", sweedler),
-                   ("sweedler_frobenius_lift", sweedler)):
-        if key in wit:
-            fs = FrobeniusSystem(c, gamma(key, "gamma", c), parse(key, "invariant", (c.dim,)))
-            ok &= verify_frobenius_system(fs)
+    def frobenius(key, c):
+        return verify_frobenius_system(FrobeniusSystem(
+            c, parse(key, "gamma", (c.base.dim, c.dim * c.dim)),
+            parse(key, "invariant", (c.dim,))))
 
-    for key, c in (("comatrix_cosplit", comatrix), ("sweedler_cosplit", sweedler),
-                   ("sweedler_cosplit_lift", sweedler)):
-        if key in wit:
-            ok &= splits(c.carrier, c.counit_mat, parse(key, "section", (c.dim, c.base.dim)))
-    for key, m in (("m_separable", module), ("mstar_separable", right_dual(module))):
-        if key in wit:
-            ts, evaluation = dual_evaluation(m)
-            ok &= splits(ts.space, evaluation,
-                         parse(key, "splitting", (ts.dim, m.left_alg.dim)))
-    if "extension_split" in wit:
-        shape = (tower.b_to_s.source.dim, tower.b_to_s.target.dim)
-        ok &= retracts(tower.b_to_s, parse("extension_split", "retraction", shape))
-    return bool(ok)
+    def section(key, c):
+        return splits(c.carrier, c.counit_mat, parse(key, "section", (c.dim, c.base.dim)))
+
+    def splitting(key, m):
+        ts, evaluation = dual_evaluation(m)
+        return splits(ts.space, evaluation, parse(key, "splitting", (ts.dim, m.left_alg.dim)))
+
+    def iso(key, part, source, target):  # the map when it is an isomorphism, else None
+        found = BimoduleMap(source, target, parse(key, part, (target.dim, source.dim)),
+                            _validate=False)
+        return found if found.is_invertible() and found.commutes_with_actions() else None
+
+    def theta():
+        return iso("m_frobenius", "theta", right_dual(module), left_dual(module))
+
+    def iota(key):  # re-derived from a theta that passes its check
+        expected, frob = parse(key, "matrix", (comatrix.dim, comatrix.dim)), theta()
+        try:
+            return frob is not None and np.array_equal(
+                iota_from_frobenius(module, frob).matrix, expected)
+        except (InternalInconsistencyError, NotProjectiveError):
+            return False
+
+    checks = {
+        "m_separable": lambda k: splitting(k, module),
+        "mstar_separable": lambda k: splitting(k, right_dual(module)),
+        "m_frobenius": lambda k: theta() is not None,
+        "comatrix_cosplit": lambda k: section(k, comatrix),
+        "comatrix_coseparable": lambda k: cointegral(k, comatrix),
+        "comatrix_frobenius": lambda k: frobenius(k, comatrix),
+        "extension_split": lambda k: retracts(
+            b_to_s, parse(k, "retraction", (b_to_s.source.dim, b_to_s.target.dim))),
+        "extension_frobenius": lambda k: iso(k, "iso", right_dual(target_sb(b_to_s)),
+                                             target_bs(b_to_s)) is not None,
+        "sweedler_cosplit": lambda k: section(k, sweedler),
+        "sweedler_coseparable": lambda k: cointegral(k, sweedler),
+        "sweedler_frobenius": lambda k: frobenius(k, sweedler),
+        "williard": lambda k: iso(k, "iso", hom_to_s(tower), right_dual(module)) is not None,
+        "sweedler_cosplit_lift": lambda k: section(k, sweedler),
+        "comatrix_cointegral_constructed": lambda k: cointegral(k, comatrix, "gamma"),
+        "sweedler_cointegral_lift": lambda k: cointegral(k, sweedler, "gamma"),
+        "iota": iota,
+        "sweedler_frobenius_lift": lambda k: frobenius(k, sweedler),
+    }
+    unchecked = sorted(set(wit) - set(checks))
+    if unchecked:
+        raise DefinitionError(f"witness {unchecked[0]} has no check")
+    return all([checks[key](key) for key in wit])
 
 
 def _coring_document(coring, what: str, name: str, field) -> dict:
@@ -228,17 +254,6 @@ def _usage_error(message):
     raise argparse.ArgumentError(None, message)
 
 
-def _seed(text: str) -> int:
-    """A seed of the random searches, which take non-negative integers."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coring-lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -247,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("file")
     p_analyze.add_argument("--bimodule", required=True)
     # a string default is parsed like the option, and only when it is used
-    p_analyze.add_argument("--seed", type=_seed, default=os.environ.get(_SEED_ENV, "0"),
+    p_analyze.add_argument("--seed", type=int, default=os.environ.get(_SEED_ENV, "0"),
                            help=f"default: ${_SEED_ENV}, else 0")
     p_analyze.add_argument("--format", choices=["text", "json"], default="text")
 

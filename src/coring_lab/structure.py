@@ -48,6 +48,7 @@ from .comatrix import ComatrixData, comatrix_data
 from .coring import (
     Cointegral,
     Coring,
+    FrobeniusSearch,
     FrobeniusSystem,
     _central_section,
     find_cointegral,
@@ -58,7 +59,7 @@ from .coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from .errors import InternalInconsistencyError, NotProjectiveError
+from .errors import CoringLabError, InternalInconsistencyError, NotProjectiveError
 from .fields import Field
 from .linalg import _solve, rank
 
@@ -80,6 +81,7 @@ __all__ = [
     "iota_from_frobenius",
     "lift_frobenius_system",
     "faithfully_flat_check",
+    "hom_to_s",
     "williard_check",
     "analyze",
 ]
@@ -414,38 +416,54 @@ def faithfully_flat_check(ring_map: AlgebraMap, side: str) -> bool:
     return basis(module) is not None and _generates(dual(module), ring_map.source)
 
 
+def hom_to_s(tower: BimoduleTower) -> Bimodule:
+    """Hom_S(M, S) as an (A, B)-bimodule: ``left_dual`` of M as an
+    (S, A)-bimodule, B acting through B -> S: (a.g.b)(x) = g(x.a) b."""
+    return restrict_right(left_dual(tower.end.module_as_s_bimodule), tower.b_to_s)
+
+
 def williard_check(m: Bimodule, seed: int = 0) -> IsoSearch:
     """Hom_S(M, S) compared with the right dual over A, as (A, B)-bimodules;
-    a generator module short-circuits to found.  Hom_S(M, S) is ``left_dual``
-    of M as an (S, A)-bimodule, B acting through B -> S: (a.g.b)(x) = g(x.a) b."""
+    a generator module short-circuits to found."""
     tower = bimodule_tower(m)
     if _generates(right_dual(m), m.right_alg):
         return IsoSearch("found", None)
-    hom_s = restrict_right(left_dual(tower.end.module_as_s_bimodule), tower.b_to_s)
-    return random_bimodule_iso(hom_s, right_dual(m), seed=seed)
+    return random_bimodule_iso(hom_to_s(tower), right_dual(m), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # the aggregate analyzer
 # ---------------------------------------------------------------------------
 
-INCONCLUSIVE = "inconclusive"
+# One row per flag: (name, decider on the tower and the seed, witness parts
+# of a positive result as (part, attribute) pairs).  A decider is named
+# inside its lambda, so it is looked up in this module when it runs.
+_FLAGS = (
+    ("m_separable", lambda t, seed: is_separable_bimodule(t.module), [("splitting", "matrix")]),
+    ("mstar_separable", lambda t, seed: is_separable_bimodule(right_dual(t.module)),
+     [("splitting", "matrix")]),
+    ("m_frobenius", lambda t, seed: is_frobenius_bimodule(t.module, seed=seed),
+     [("theta", "matrix")]),
+    ("comatrix_cosplit", lambda t, seed: is_cosplit(t.comatrix.coring), [("section", "matrix")]),
+    ("comatrix_coseparable", lambda t, seed: find_cointegral(t.comatrix.coring),
+     [("cointegral", "gamma_amb")]),
+    ("comatrix_frobenius", lambda t, seed: find_frobenius_system(t.comatrix.coring, seed=seed),
+     [("gamma", "gamma_amb"), ("invariant", "invariant")]),
+    ("extension_split", lambda t, seed: split_extension_check(t.b_to_s),
+     [("retraction", "matrix")]),
+    ("extension_frobenius", lambda t, seed: frobenius_extension_check(t.b_to_s, seed=seed),
+     [("iso", "matrix")]),
+    ("sweedler_cosplit", lambda t, seed: is_cosplit(t.sweedler), [("section", "matrix")]),
+    ("sweedler_coseparable", lambda t, seed: find_cointegral(t.sweedler),
+     [("cointegral", "gamma_amb")]),
+    ("sweedler_frobenius", lambda t, seed: find_frobenius_system(t.sweedler, seed=seed),
+     [("gamma", "gamma_amb"), ("invariant", "invariant")]),
+    ("b_s_faithfully_flat", lambda t, seed: (faithfully_flat_check(t.b_to_s, "left")
+                                             or faithfully_flat_check(t.b_to_s, "right")), []),
+    ("williard", lambda t, seed: williard_check(t.module, seed=seed), [("iso", "matrix")]),
+)
 
-FLAG_NAMES = [
-    "m_separable",
-    "mstar_separable",
-    "m_frobenius",
-    "comatrix_cosplit",
-    "comatrix_coseparable",
-    "comatrix_frobenius",
-    "extension_split",
-    "extension_frobenius",
-    "sweedler_cosplit",
-    "sweedler_coseparable",
-    "sweedler_frobenius",
-    "b_s_faithfully_flat",
-    "williard",
-]
+FLAG_NAMES = [name for name, _, _ in _FLAGS]
 
 
 @dataclass
@@ -464,68 +482,69 @@ class AnalysisReport:
     witnesses: dict = dc_field(default_factory=dict)
     implication_audit: list = dc_field(default_factory=list)
 
-    def flag(self, name):
-        return self.flags[name]
+
+_FOUND = {"found": True, "none": False}
 
 
-def _tri(search):
-    return {"found": True, "none": False}.get(search.status, None)
+def _read(result):
+    """(flag value, witness) of a decider's result: a search's status gives
+    True, False or None (inconclusive), and its map or system is the
+    witness; a bool stands as it is, with no witness; any other result is
+    True, and its own witness, when it is not None."""
+    if isinstance(result, IsoSearch):
+        return _FOUND.get(result.status), result.map
+    if isinstance(result, FrobeniusSearch):
+        return _FOUND.get(result.status), result.system
+    if isinstance(result, bool):
+        return result, None
+    return result is not None, result
 
 
-_IMPLICATIONS = [
-    ("cosplit_descends_to_sweedler", ["comatrix_cosplit"], "sweedler_cosplit"),
-    ("coseparable_from_separable", ["m_separable"], "comatrix_coseparable"),
-    ("coseparable_descends_to_sweedler", ["comatrix_coseparable"], "sweedler_coseparable"),
-    ("frobenius_from_bimodule", ["m_frobenius"], "comatrix_frobenius"),
-    ("frobenius_descends_to_sweedler", ["comatrix_frobenius"], "sweedler_frobenius"),
-    ("endomorphism_ring_theorem", ["m_frobenius"], "extension_frobenius"),
-    ("split_descends_to_sweedler_cosplit", ["extension_split"], "sweedler_coseparable"),
-]
-
-_EQUIVALENCES = [
-    ("dual_separable_iff_cosplit", "mstar_separable", "comatrix_cosplit", []),
-    ("sugano_split_extension", "m_separable", "extension_split", []),
-    ("ff_separable_iff_comatrix_coseparable", "m_separable", "comatrix_coseparable",
-     ["b_s_faithfully_flat"]),
-    ("ff_separable_iff_sweedler_coseparable", "m_separable", "sweedler_coseparable",
-     ["b_s_faithfully_flat"]),
-    ("ff_williard_frobenius_iff_comatrix", "m_frobenius", "comatrix_frobenius",
-     ["b_s_faithfully_flat", "williard"]),
-    ("ff_williard_frobenius_iff_sweedler", "m_frobenius", "sweedler_frobenius",
-     ["b_s_faithfully_flat", "williard"]),
+# (rule, kind, hypotheses, conclusion).  An implication holds when all its
+# hypotheses and its conclusion do; an equivalence says that, when every
+# hypothesis after the first holds, the first and the conclusion agree.
+_RULES = [
+    ("cosplit_descends_to_sweedler", "implication", ["comatrix_cosplit"], "sweedler_cosplit"),
+    ("coseparable_from_separable", "implication", ["m_separable"], "comatrix_coseparable"),
+    ("coseparable_descends_to_sweedler", "implication", ["comatrix_coseparable"],
+     "sweedler_coseparable"),
+    ("frobenius_from_bimodule", "implication", ["m_frobenius"], "comatrix_frobenius"),
+    ("frobenius_descends_to_sweedler", "implication", ["comatrix_frobenius"],
+     "sweedler_frobenius"),
+    ("endomorphism_ring_theorem", "implication", ["m_frobenius"], "extension_frobenius"),
+    ("split_descends_to_sweedler_cosplit", "implication", ["extension_split"],
+     "sweedler_coseparable"),
+    ("dual_separable_iff_cosplit", "equivalence", ["mstar_separable"], "comatrix_cosplit"),
+    ("sugano_split_extension", "equivalence", ["m_separable"], "extension_split"),
+    ("ff_separable_iff_comatrix_coseparable", "equivalence",
+     ["m_separable", "b_s_faithfully_flat"], "comatrix_coseparable"),
+    ("ff_separable_iff_sweedler_coseparable", "equivalence",
+     ["m_separable", "b_s_faithfully_flat"], "sweedler_coseparable"),
+    ("ff_williard_frobenius_iff_comatrix", "equivalence",
+     ["m_frobenius", "b_s_faithfully_flat", "williard"], "comatrix_frobenius"),
+    ("ff_williard_frobenius_iff_sweedler", "equivalence",
+     ["m_frobenius", "b_s_faithfully_flat", "williard"], "sweedler_frobenius"),
 ]
 
 
 def _audit(flags: dict) -> list:
     entries = []
-    for rule, hyps, concl in _IMPLICATIONS:
-        values = [flags[h] for h in hyps] + [flags[concl]]
-        if any(v is None for v in values):
-            entries.append(AuditEntry(rule, hyps, concl, "implication",
-                                      "skipped_inconclusive"))
-            continue
-        if all(flags[h] for h in hyps):
-            if not flags[concl]:
-                raise InternalInconsistencyError(
-                    f"proven implication {rule} violated: {hyps} -> {concl}")
-            entries.append(AuditEntry(rule, hyps, concl, "implication", "holds"))
-        else:
-            entries.append(AuditEntry(rule, hyps, concl, "implication", "vacuous"))
-    for rule, left, right, extra in _EQUIVALENCES:
-        values = [flags[left], flags[right]] + [flags[h] for h in extra]
-        if any(v is None for v in values):
-            entries.append(AuditEntry(rule, [left] + extra, right, "equivalence",
-                                      "skipped_inconclusive"))
-            continue
-        if not all(flags[h] for h in extra):
-            entries.append(AuditEntry(rule, [left] + extra, right, "equivalence",
-                                      "vacuous"))
-            continue
-        if flags[left] != flags[right]:
+    for rule, kind, hyps, concl in _RULES:
+        conditions = hyps if kind == "implication" else hyps[1:]
+        if any(flags[n] is None for n in hyps + [concl]):
+            status = "skipped_inconclusive"
+        elif not all(flags[h] for h in conditions):
+            status = "vacuous"
+        elif kind == "implication" and not flags[concl]:
             raise InternalInconsistencyError(
-                f"proven equivalence {rule} violated: {left}={flags[left]} "
-                f"but {right}={flags[right]}")
-        entries.append(AuditEntry(rule, [left] + extra, right, "equivalence", "holds"))
+                f"proven implication {rule} violated: {hyps} -> {concl}")
+        elif kind == "equivalence" and flags[hyps[0]] != flags[concl]:
+            raise InternalInconsistencyError(
+                f"proven equivalence {rule} violated: {hyps[0]}={flags[hyps[0]]} "
+                f"but {concl}={flags[concl]}")
+        else:
+            status = "holds"
+        entries.append(AuditEntry(rule, list(hyps), concl, kind, status))
     return entries
 
 
@@ -535,87 +554,29 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
     Exact deciders yield True/False; randomized isomorphism searches may
     yield None, shown as 'inconclusive' and excluded from the audit.
     """
+    if seed < 0:
+        raise CoringLabError(f"seed must be non-negative, got {seed}")
     tower = bimodule_tower(m)
-    flags: dict = {}
-    witnesses: dict = {}
-
-    nu = is_separable_bimodule(m)
-    flags["m_separable"] = nu is not None
-    if nu is not None:
-        witnesses["m_separable"] = {"splitting": nu.matrix}
-
-    nu_star = is_separable_bimodule(right_dual(m))
-    flags["mstar_separable"] = nu_star is not None
-    if nu_star is not None:
-        witnesses["mstar_separable"] = {"splitting": nu_star.matrix}
-    section = is_cosplit(tower.comatrix.coring)
-    flags["comatrix_cosplit"] = section is not None
-    if section is not None:
-        witnesses["comatrix_cosplit"] = {"section": section.matrix}
-
-    frob = is_frobenius_bimodule(m, seed=seed)
-    flags["m_frobenius"] = _tri(frob)
-    if frob.found:
-        witnesses["m_frobenius"] = {"theta": frob.map.matrix}
-
-    ci = find_cointegral(tower.comatrix.coring)
-    flags["comatrix_coseparable"] = ci is not None
-    if ci is not None:
-        witnesses["comatrix_coseparable"] = {"cointegral": ci.gamma_amb}
-
-    cfs = find_frobenius_system(tower.comatrix.coring, seed=seed)
-    flags["comatrix_frobenius"] = _tri(cfs)
-    if cfs.found:
-        witnesses["comatrix_frobenius"] = {
-            "gamma": cfs.system.gamma_amb, "invariant": cfs.system.invariant}
-
-    split = split_extension_check(tower.b_to_s)
-    flags["extension_split"] = split is not None
-    if split is not None:
-        witnesses["extension_split"] = {"retraction": split.matrix}
-
-    ext_frob = frobenius_extension_check(tower.b_to_s, seed=seed)
-    flags["extension_frobenius"] = _tri(ext_frob)
-    if ext_frob.found and ext_frob.map is not None:
-        witnesses["extension_frobenius"] = {"iso": ext_frob.map.matrix}
-
-    sw_section = is_cosplit(tower.sweedler)
-    flags["sweedler_cosplit"] = sw_section is not None
-    if sw_section is not None:
-        witnesses["sweedler_cosplit"] = {"section": sw_section.matrix}
-
-    sw_ci = find_cointegral(tower.sweedler)
-    flags["sweedler_coseparable"] = sw_ci is not None
-    if sw_ci is not None:
-        witnesses["sweedler_coseparable"] = {"cointegral": sw_ci.gamma_amb}
-
-    sw_fs = find_frobenius_system(tower.sweedler, seed=seed)
-    flags["sweedler_frobenius"] = _tri(sw_fs)
-    if sw_fs.found:
-        witnesses["sweedler_frobenius"] = {
-            "gamma": sw_fs.system.gamma_amb, "invariant": sw_fs.system.invariant}
-
-    flags["b_s_faithfully_flat"] = (faithfully_flat_check(tower.b_to_s, "left")
-                                    or faithfully_flat_check(tower.b_to_s, "right"))
-
-    will = williard_check(m, seed=seed)
-    flags["williard"] = _tri(will)
-    if will.found and will.map is not None:
-        witnesses["williard"] = {"iso": will.map.matrix}
+    results, flags, witnesses = {}, {}, {}
+    for name, decide, parts in _FLAGS:
+        results[name] = decide(tower, seed)
+        flags[name], witness = _read(results[name])
+        if witness is not None:
+            witnesses[name] = {part: getattr(witness, attr) for part, attr in parts}
 
     # witness-level transports for the forward theorems
+    section, nu = results["comatrix_cosplit"], results["m_separable"]
     if section is not None:
-        lifted = lift_cosplit(m, section)
-        witnesses["sweedler_cosplit_lift"] = {"section": lifted.matrix}
+        witnesses["sweedler_cosplit_lift"] = {"section": lift_cosplit(m, section).matrix}
     if nu is not None:
         constructed = cointegral_from_separability(m, nu)
         witnesses["comatrix_cointegral_constructed"] = {"gamma": constructed.gamma_amb}
-        lifted_ci = lift_cointegral(m, constructed)
-        witnesses["sweedler_cointegral_lift"] = {"gamma": lifted_ci.gamma_amb}
-    if frob.found and cfs.found:
-        iota = iota_from_frobenius(m, frob.map)
+        witnesses["sweedler_cointegral_lift"] = {
+            "gamma": lift_cointegral(m, constructed).gamma_amb}
+    if flags["m_frobenius"] and flags["comatrix_frobenius"]:
+        iota = iota_from_frobenius(m, results["m_frobenius"].map)
         witnesses["iota"] = {"matrix": iota.matrix}
-        lifted_fs = lift_frobenius_system(m, cfs.system)
+        lifted_fs = lift_frobenius_system(m, results["comatrix_frobenius"].system)
         witnesses["sweedler_frobenius_lift"] = {
             "gamma": lifted_fs.gamma_amb, "invariant": lifted_fs.invariant}
 

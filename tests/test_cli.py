@@ -20,10 +20,11 @@ from coring_lab.comatrix import (
 from coring_lab.coring import sweedler_coring
 from coring_lab.definitions import DefinitionFile, _parse_tensor, bundled_path, load, loads
 from coring_lab.errors import DefinitionError, TooLargeToValidateError
+from coring_lab.linalg import rank
 from coring_lab.bimodule import endomorphism_algebra, right_dual
 from coring_lab.structure import bimodule_tower, dual_evaluation
 
-from conftest import MALFORMED_DEFINITIONS, bundled_text_over
+from conftest import MALFORMED_DEFINITIONS, bundled_text_over, non_generator_summand
 from random_modules import random_projective_bimodule
 
 
@@ -436,6 +437,59 @@ def test_tampered_separability_splitting_fails_reverification(subject, key):
     _bump(fld, splitting, row, 0)  # now the evaluation of nu is not the identity
     assert not np.array_equal(evaluated(), eye)
     assert not verify_report_witnesses(deffile, doc)
+
+
+def _frobenius_report():
+    deffile = load(bundled_path("product-field"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    return deffile, doc
+
+
+@pytest.mark.parametrize("key,part", [("m_frobenius", "theta"), ("extension_frobenius", "iso")])
+def test_tampered_frobenius_isomorphism_fails_reverification(key, part):
+    deffile, doc = _frobenius_report()
+    fld = deffile.field
+    del doc["witnesses"]["iota"]  # which reads theta too
+    entries = doc["witnesses"][key][part]
+    # an invertible map that is not a bimodule map, then the zero map, a
+    # bimodule map that is not invertible
+    _bump(fld, entries, 0, 1)
+    assert rank(fld, _parse_tensor(fld, entries, (2, 2), key)) == 2
+    assert not verify_report_witnesses(deffile, doc)
+    _bump(fld, entries, 0, 1)
+    assert verify_report_witnesses(deffile, doc)
+    _bump(fld, entries, 0, 0)
+    _bump(fld, entries, 1, 1)
+    assert not verify_report_witnesses(deffile, doc)
+
+
+def test_tampered_williard_isomorphism_fails_reverification():
+    m = non_generator_summand(GF(2))
+    deffile = DefinitionFile(m.field, bimodules={"P1": m})
+    doc = json.loads(json.dumps(report_document(deffile, "P1", seed=0)))
+    assert doc["witnesses"]["williard"] == {"iso": [["1 mod 2"]]}
+    assert verify_report_witnesses(deffile, doc)
+    _bump(deffile.field, doc["witnesses"]["williard"]["iso"], 0, 0)  # the zero map
+    assert not verify_report_witnesses(deffile, doc)
+
+
+def test_tampered_iota_fails_reverification_and_needs_theta():
+    deffile, doc = _frobenius_report()
+    _bump(deffile.field, doc["witnesses"]["iota"]["matrix"], 0, 0)
+    assert not verify_report_witnesses(deffile, doc)
+    _bump(deffile.field, doc["witnesses"]["iota"]["matrix"], 0, 0)
+    # iota is re-derived from theta, so its check needs the theta entry
+    del doc["witnesses"]["m_frobenius"]
+    with pytest.raises(DefinitionError, match="m_frobenius"):
+        verify_report_witnesses(deffile, doc)
+
+
+def test_a_witness_with_no_check_is_a_definition_error():
+    deffile, doc = _frobenius_report()
+    doc["witnesses"]["b_s_faithfully_flat"] = {"proof": [["1 mod 2"]]}
+    with pytest.raises(DefinitionError, match="b_s_faithfully_flat has no check"):
+        verify_report_witnesses(deffile, doc)
 
 
 # sha256 of `coring-lab analyze --format json` on the bundled bimodules over

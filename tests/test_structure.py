@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +32,7 @@ from coring_lab.bimodule import (
 from coring_lab.comatrix import comatrix_coring, comatrix_data
 from coring_lab.definitions import bundled_path, load, loads
 from coring_lab.coring import find_frobenius_system, is_cosplit, verify_frobenius_system
-from coring_lab.errors import InternalInconsistencyError
+from coring_lab.errors import CoringLabError, InternalInconsistencyError
 from coring_lab.structure import (
     FLAG_NAMES,
     _audit,
@@ -54,6 +55,7 @@ from coring_lab.structure import (
 )
 
 from conftest import (
+    bundled_over,
     count_memo_bodies,
     dual_numbers,
     field_algebra,
@@ -439,6 +441,40 @@ def test_audit_rejects_a_separable_dual_that_disagrees_with_cosplitness(false_fl
     flags[false_flag] = False
     with pytest.raises(InternalInconsistencyError, match="dual_separable_iff_cosplit"):
         _audit(flags)
+
+
+def test_audit_names_the_violated_rule_and_its_flags():
+    flags = dict.fromkeys(FLAG_NAMES, True)
+    flags["sweedler_cosplit"] = False
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "proven implication cosplit_descends_to_sweedler violated: "
+            "['comatrix_cosplit'] -> sweedler_cosplit")):
+        _audit(flags)
+    flags = {**dict.fromkeys(FLAG_NAMES), "m_separable": False, "extension_split": True}
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "proven equivalence sugano_split_extension violated: "
+            "m_separable=False but extension_split=True")):
+        _audit(flags)
+    flags = {**dict.fromkeys(FLAG_NAMES, True), "m_frobenius": None,
+             "b_s_faithfully_flat": False}
+    entries = {e.rule: (e.kind, e.hypotheses, e.conclusion, e.status) for e in _audit(flags)}
+    assert len(entries) == 13
+    assert entries["frobenius_from_bimodule"] == (
+        "implication", ["m_frobenius"], "comatrix_frobenius", "skipped_inconclusive")
+    assert entries["sugano_split_extension"] == (
+        "equivalence", ["m_separable"], "extension_split", "holds")
+    assert entries["ff_separable_iff_sweedler_coseparable"] == (
+        "equivalence", ["m_separable", "b_s_faithfully_flat"], "sweedler_coseparable", "vacuous")
+
+
+@pytest.mark.parametrize("char", [2, 0], ids=["GF(2)", "QQ"])
+def test_analyze_rejects_a_negative_seed(char):
+    # both fields: over QQ the searches draw from numpy's generator, which
+    # refuses a negative seed, and over GF(2) they may enumerate and never draw
+    m = bundled_over("matrix2", char).bimodules["M"]
+    with pytest.raises(CoringLabError, match="seed must be non-negative"):
+        analyze(m, seed=-1)
+    assert analyze(m, seed=0).flags == analyze(m, seed=1).flags
 
 
 def test_analyze_k2_all_flags_true():

@@ -85,13 +85,18 @@ def test_the_coring_attributes_the_tracer_reads_exist():
     assert c.validation == "full"
 
 
-def _metric_names():
+def _tracing():
     sys.path.insert(0, str(TRACING.parent))
     try:
         import tracing
     finally:
         sys.path.remove(str(TRACING.parent))
-    return tracing.metric_names()
+    return tracing
+
+
+def test_the_tracer_names_the_flags_of_the_flag_table():
+    # the tracer keeps its own copy of the flag list, one span per flag
+    assert _tracing().FLAGS == tuple(structure.FLAG_NAMES)
 
 
 @pytest.mark.parametrize("workload", ["analyze-fp", "construct-fp"])
@@ -107,7 +112,7 @@ def test_traced_worker_runs_a_case_and_reports_every_metric(tmp_path, workload):
     ready, case, spans = (json.loads(line) for line in proc.stdout.splitlines())
     assert ready["ready"]
     assert case["status"] == "ok", case
-    assert set(_metric_names()) <= set(spans["metrics"])
+    assert set(_tracing().metric_names()) <= set(spans["metrics"])
     # the rebound Williard check and left dual ring ran, and were timed, in the case
     touched = {"analyze-fp": "structure.decider.williard.s", "construct-fp": "coring.dual_ring.s"}
     assert spans["metrics"][touched[workload]] > 0
