@@ -704,6 +704,7 @@ class SIso:
 
     end: EndData
     omega: np.ndarray  # [s, i, alpha]: S coords of omega(e_i (x) phi_alpha)
+    amb: np.ndarray  # [s, i, alpha]: sum_k s(e_k) (x) e_k^*, with omega(amb(s)) = s
 
 
 @_memo
@@ -752,4 +753,4 @@ def canonical_s_iso(m: Bimodule) -> SIso:
     direct = f.tensordot(scaled, omega, ([3], [1]))  # (alpha, j, i, r, beta)
     if not Field.equal(product, direct.transpose(2, 0, 3, 1, 4)):
         raise BimoduleAxiomError("pointwise product rule fails in the identification")
-    return SIso(end, omega)
+    return SIso(end, omega, amb)

@@ -11,6 +11,7 @@ an answer).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -136,6 +137,7 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
                             _validate=False)
         return found if found.is_invertible() and found.commutes_with_actions() else None
 
+    @functools.cache  # checked once for both m_frobenius and iota
     def theta():
         return iso("m_frobenius", "theta", right_dual(module), left_dual(module))
 

@@ -26,12 +26,15 @@ from .bimodule import (
     TensorSpace,
     _matrix_subspace_coords,
     _memo,
+    canonical_s_iso,
     dual_basis,
     left_endomorphism_algebra,
     right_dual,
+    target_bb,
     tensor_over,
 )
 from .coring import (
+    ContextMiddle,
     Coring,
     CoringMorphism,
     _context_delta_amb,
@@ -83,8 +86,16 @@ def comatrix_data(m: Bimodule) -> ComatrixData:
     # counit phi (x) m -> phi(m)
     eval_amb = np.concatenate([f.zeros((m.right_alg.dim, 0))] + dual.functional_mats, axis=1)
     coring = Coring(ts, zip(db.elements, db.functional_coords),
-                    f.matmul(f.asarray(eval_amb), ts.section))
+                    f.matmul(f.asarray(eval_amb), ts.section), lambda: _endomorphism_middle(m))
     return ComatrixData(coring, dual, db)
+
+
+def _endomorphism_middle(m: Bimodule) -> ContextMiddle:
+    """P = M (x)_A M^* of the comatrix coring as S = End_A(M), through
+    omega(m (x) phi) = m.phi(-): P acts on M by evaluation and on M^* by
+    precomposition, and M (x)_A M^* is never presented."""
+    iso = canonical_s_iso(m)
+    return ContextMiddle(target_bb(iso.end.b_to_s), iso.omega.transpose(1, 2, 0), iso.amb)
 
 
 def comatrix_coring(m: Bimodule) -> Coring:

@@ -12,16 +12,21 @@ on first read.  Cointegrals are likewise stored on the field tensor square,
 where their balance over A is checked, and given structure maps, cointegrals
 and Frobenius systems are verified on representatives.  The pre-cointegral
 identity is written once, in ``_precointegral_defect``, as blocks of
-equations.
+equations, and every found gamma is checked with it.
+
+The pre-cointegral space ``Coring.precointegrals``, inside which
+cointegrals and Frobenius systems are solved, is solved in f-coordinates:
+on the (B, B)-bimodule maps f of P = M (x)_A N (``ContextMiddle``), whose
+expansions gamma_f are the A-bimodule maps C (x)_A C -> A.  Only the
+solutions are expanded to the field tensor square, and above
+``_SQUARE_DIM_LIMIT`` the space is refused with
+``TooLargeToValidateError``, as these expansions and their defect check
+grow with the cube of the carrier.
 
 Representatives are compared in C (x)_A C through ``Coring.onto_square``,
 the reduction (C (x)_A N) (x)_B M of ``context_projection``, balanced over
-the small B, from which ``Coring.square`` presents C (x)_A C in the
-coordinates of the dense ``tensor_over(C, C)``.  The square is read by the
-pre-cointegral space ``Coring.precointegrals``, inside which cointegrals and
-Frobenius systems are solved; above ``_SQUARE_DIM_LIMIT`` it is refused with
-``TooLargeToValidateError``, as its bimodule and the pre-cointegral system
-on it grow with the square of the carrier.
+the small B.  ``Coring.square`` presents C (x)_A C from it in the
+coordinates of the dense ``tensor_over(C, C)``; no library code reads it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .bimodule import (
     random_bimodule_iso,
     regular_bimodule,
     span_search,
+    target_bb,
     target_bs,
     target_sb,
     tensor_over,
@@ -60,10 +66,11 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel
+from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel, rref
 
 __all__ = [
     "Coring",
+    "ContextMiddle",
     "CoringMorphism",
     "Cointegral",
     "FrobeniusSystem",
@@ -80,11 +87,49 @@ __all__ = [
     "find_frobenius_system",
 ]
 
-# Coring.square refuses carriers above this size
+# Coring.precointegrals (and Coring.square) refuse carriers above this size:
+# the expansions of the solutions on the field tensor square and their
+# pre-cointegral defect check (dim A * d**3 entries) do not scale past it
 _SQUARE_DIM_LIMIT = 32
 # find_frobenius_system enumerates central subspaces up to this size, else samples
 _FROBENIUS_ENUMERATION_BUDGET = 2**16
 _FROBENIUS_RANDOM_ATTEMPTS = 64
+
+
+def _too_large(dim: int) -> TooLargeToValidateError:
+    return TooLargeToValidateError(
+        f"carrier dimension {dim} too large for a dense tensor-square "
+        f"presentation (limit {_SQUARE_DIM_LIMIT})")
+
+
+@dataclass
+class ContextMiddle:
+    """P = M (x)_A N for a context coring C = N (x)_B M, the middle of
+    C (x)_A C = N (x)_B P (x)_B M, in coordinates the constructor chooses:
+    ``space``, P as a (B, B)-bimodule, ``of_pair`` [m, n, q], the
+    P-coordinates of e_m (x) e_n, and ``lift`` [q, m, n], a representative
+    of each basis element of P in the field tensor M (x) N."""
+
+    space: Bimodule
+    of_pair: np.ndarray
+    lift: np.ndarray
+
+
+def _tensor_middle(ts: TensorSpace) -> ContextMiddle:
+    """P presented as ``tensor_over(M, N)`` for ts = N (x)_B M."""
+    m, n = ts.right_factor, ts.left_factor
+    p = tensor_over(m, n)
+    return ContextMiddle(p.space, p.projection.T.reshape(m.dim, n.dim, p.dim),
+                         p.section.T.reshape(p.dim, m.dim, n.dim))
+
+
+@_memo
+def _endomorphisms(space: Bimodule):
+    """The intertwiner basis of End_{B-B}(P) for P a (B, B)-bimodule,
+    stacked, built once per bimodule: the comatrix and the Sweedler coring
+    of one analysis share P = S = End_A(M)."""
+    acts = space.left_mats + space.right_mats
+    return np.stack(intertwiners(space.field, acts, acts))
 
 
 class Coring:
@@ -104,14 +149,18 @@ class Coring:
     sum_ij n (x) m_i (x) n_i (x) m_j (x) n_j (x) m, and the counit laws are
     the two diagrams on the outer legs.
 
+    ``middle``, a function of no arguments, gives P = M (x)_A N as a
+    ``ContextMiddle``; by default it presents ``tensor_over(M, N)``.  It is
+    called on the first read of ``precointegrals`` only.
+
     The structure maps never change after construction; the representative
-    coproduct, the tensor-square presentation, the pre-cointegral space and
-    the left dual ring are built on first use and memoized on the coring.
+    coproduct, the tensor-square presentation, P, the pre-cointegral space
+    and the left dual ring are built on first use and memoized on the coring.
     """
 
     validation = "full"  # every coring is checked in full at construction
 
-    def __init__(self, ts: TensorSpace, pairs, counit_mat):
+    def __init__(self, ts: TensorSpace, pairs, counit_mat, middle=None):
         self.carrier_tensor = ts
         self.tau_pairs = list(pairs)
         self.carrier = ts.space
@@ -120,6 +169,7 @@ class Coring:
         self.counit_mat = self.field.asarray(counit_mat)
         if self.counit_mat.shape != (self.base.dim, self.dim):
             raise CoringAxiomError(f"counit matrix has shape {self.counit_mat.shape}")
+        self._middle_of = middle or (lambda: _tensor_middle(ts))
         self._square: TensorSpace | None = None
         self._precointegrals: np.ndarray | None = None
         self._memo: dict = {}  # values of the ``bimodule._memo`` functions of this coring
@@ -143,39 +193,113 @@ class Coring:
     @property
     def square(self) -> TensorSpace:
         """Presentation of C (x)_A C through ``onto_square``, built once per
-        coring, in the coordinates of ``tensor_over(C, C)``.  Above the limit
-        it refuses with the capacity error, as its bimodule and the
-        pre-cointegral system on it do not scale.  Its reader is
-        ``precointegrals``."""
+        coring, in the coordinates of ``tensor_over(C, C)``; no library code
+        reads it.  Above the limit it refuses with the capacity error."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
-                raise TooLargeToValidateError(
-                    f"carrier dimension {self.dim} too large for a dense tensor-square "
-                    f"presentation (limit {_SQUARE_DIM_LIMIT})")
+                raise _too_large(self.dim)
             pres = QuotientPresentation.from_surjection(self.field, self.onto_square)
             self._square = _presented_tensor(self.carrier, self.carrier, pres)
         return self._square
 
+    @cached_property
+    def middle(self) -> ContextMiddle:
+        """P = M (x)_A N, from the function given to the constructor."""
+        return self._middle_of()
+
+    @cached_property
+    def sigma_pairs(self):
+        """[a', n, m]: sigma(e_n (x) e_m)."""
+        ts = self.carrier_tensor
+        return self.field.matmul(self.counit_mat, ts.projection).reshape(
+            self.base.dim, ts.left_factor.dim, ts.right_factor.dim)
+
+    @cached_property
+    def middle_actions(self):
+        """[q, m, m'] and [n, q, n']: the actions (m (x) n).m' = m.sigma(n (x) m')
+        of P on M and n'.(m (x) n) = sigma(n' (x) m).n on N, read through the
+        lift of each basis element of P; both are balanced over A."""
+        f, mid, ts = self.field, self.middle, self.carrier_tensor
+        sig = self.sigma_pairs
+        on_m = f.tensordot(f.tensordot(mid.lift, sig, ([2], [1])),  # (q, m, a', m')
+                           ts.right_factor.right_action, ([1, 2], [0, 1]))
+        on_n = f.tensordot(f.tensordot(sig, mid.lift, ([2], [1])),  # (a', n', q, n)
+                           ts.left_factor.left_action, ([0, 3], [0, 1]))
+        return on_m, on_n
+
+    def expand(self, f_mats):
+        """The maps gamma_f(n (x) m (x) n' (x) m') = sigma(n (x) f(m (x) n').m')
+        on the field tensor square of the carrier, as a stack [k, a', (u, v)],
+        for a stack ``f_mats`` [k, q', q] of matrices on P."""
+        f, ts = self.field, self.carrier_tensor
+        sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, self.dim)
+        on_m = self.middle_actions[0]
+        values = f.tensordot(self.middle.of_pair, f_mats, ([2], [2]))  # (m, n', k, q')
+        acted = f.tensordot(values, on_m, ([3], [0]))  # (m, n', k, m', m''): f(m (x) n').m'
+        right = f.tensordot(acted, sec, ([1, 3], [0, 1]))  # (m, k, m'', v)
+        full = f.tensordot(self.sigma_pairs, right, ([2], [2]))  # (a', n, m, k, v)
+        both = f.tensordot(full, sec, ([1, 2], [0, 1]))  # (a', k, v, u)
+        return f.asarray(both.transpose(1, 0, 3, 2)).reshape(
+            len(f_mats), self.base.dim, self.dim * self.dim)
+
     @property
     def precointegrals(self):
         """Basis of the pre-cointegrals, built once per coring: a stack
-        [k, a', (u, v)] of maps on the field tensor square.  They are the
-        A-bimodule maps C (x)_A C -> A, expanded through the square's
-        projection, whose pre-cointegral defect vanishes: their coefficients
-        over the bimodule maps are the kernel basis of that defect, solved
-        one block of ``_precointegral_defect`` at a time by successive
-        restriction."""
+        [k, a', (u, v)] of maps on the field tensor square, the A-bimodule
+        maps gamma: C (x)_A C -> A with
+        sum c_1 gamma(c_2 (x) c') = sum gamma(c (x) c'_1) c'_2.
+
+        They are solved in f-coordinates.  C (x)_A C = N (x)_B P (x)_B M,
+        and P = M (x)_A N acts on M and on N (``middle_actions``).  Each f in
+        End_{B-B}(P) gives gamma_f(n (x) p (x) m') = sigma(n (x) f(p).m'),
+        an A-bimodule map, balanced over B as f is B-linear and sigma
+        B-balanced.  Each gamma gives
+        f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j, B-linear as
+        tau(1) is B-central.  The two are inverse.  By the A-linearity of
+        gamma and the two diagrams,
+        gamma_{f_gamma}(n (x) p (x) m')
+        = gamma(sum_i sigma(n (x) m_i).n_i (x) p (x) sum_j m_j.sigma(n_j (x) m'))
+        = gamma(n (x) p (x) m'); for f(p) = sum_k x_k (x) y_k the first
+        diagram on y_k and then the second on x_k give
+        f_{gamma_f}(p) = sum_ijk m_i (x) sigma(n_i (x) x_k) sigma(y_k (x) m_j).n_j
+        = sum_ik m_i.sigma(n_i (x) x_k) (x) y_k = f(p).
+
+        On c = n (x) m and c' = n' (x) m', with p = m (x) n', the second
+        diagram gives sum c_1 gamma_f(c_2 (x) c')
+        = sum_i n (x) m_i.sigma(n_i (x) f(p).m') = n (x) f(p).m', and the
+        first gives sum gamma_f(c (x) c'_1) c'_2
+        = sum_j sigma(n (x) f(p).m_j).n_j (x) m' = n.f(p) (x) m'.  So gamma_f
+        is a pre-cointegral iff n (x) f(p).m' = n.f(p) (x) m' in C on basis
+        elements n, p, m': iff f maps P into the x with n (x) x.m' = n.x (x) m'.
+        For a Sweedler coring that is 1 (x) f(x) = f(x) (x) 1 in S (x)_B S.
+
+        That condition is solved on the intertwiner basis of End_{B-B}(P)
+        by ``linalg._successive_kernel``, and only its r solutions are
+        expanded (``expand``).  The basis is the reversed reduced echelon
+        form of the expansions, which is unique for the space.  It is also
+        the basis a solve in the coordinates of the presented square gives:
+        the square's projection is the identity on its free columns and each
+        of its rows is zero after its own free column, so a map keeps its
+        last nonzero entry, and its entries at free columns, through it."""
         if self._precointegrals is None:
-            f, sq, a = self.field, self.square, self.base
-            homs = intertwiners(f, sq.space.left_mats + sq.space.right_mats,
-                                list(a.left_mult) + list(a.right_mult))
-            gammas = f.zeros((len(homs), a.dim, self.dim * self.dim))
-            for k, hom in enumerate(homs):
-                gammas[k] = f.matmul(hom, sq.projection)
-            every = np.arange(len(homs))
-            basis, _ = _successive_kernel(f, len(homs), lambda columns, rank: (
-                f.matmul(columns(every), block) for block in _precointegral_defect(self, gammas)))
-            self._precointegrals = f.tensordot(basis, gammas, ([1], [0]))
+            if self.dim > _SQUARE_DIM_LIMIT:
+                raise _too_large(self.dim)
+            f, ts, a, space = self.field, self.carrier_tensor, self.base, self.middle.space
+            on_m, on_n = self.middle_actions
+            proj = ts.projection.reshape(self.dim, ts.left_factor.dim, ts.right_factor.dim)
+            # [q, n, m', c]: n (x) e_q.m' - n.e_q (x) m' in C
+            defect = f.asarray(f.tensordot(on_m, proj, ([2], [2])).transpose(0, 3, 1, 2)
+                               - f.tensordot(on_n, proj, ([2], [1])).transpose(1, 0, 3, 2))
+            red, pivots = rref(f, defect.reshape(space.dim, -1).T)
+            rows = red[:len(pivots)]  # f is a solution iff rows @ f = 0
+            homs = _endomorphisms(space)  # (j, q', q)
+            system = f.tensordot(homs, rows, ([1], [1])).reshape(len(homs), -1)
+            coeffs, _ = _successive_kernel(f, len(homs), lambda columns, rank: [system])
+            gammas = self.expand(f.tensordot(coeffs, homs, ([1], [0])))
+            red, pivots = rref(f, gammas.reshape(len(gammas), a.dim * self.dim**2)[:, ::-1])
+            if len(pivots) != len(gammas):
+                raise InternalInconsistencyError("f -> gamma_f is not injective")
+            self._precointegrals = np.ascontiguousarray(red[::-1, ::-1]).reshape(gammas.shape)
         return self._precointegrals
 
     # -- evaluation helpers -------------------------------------------------
@@ -251,8 +375,13 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
     f = a.field
     ts = tensor_over(target_sb(ring_map), target_bs(ring_map))
     mult_amb = a.structure.reshape(a.dim * a.dim, a.dim).T
+
+    def middle():  # P = S (x)_S S is S, a (B, B)-bimodule, with x = x (x) 1
+        return ContextMiddle(target_bb(ring_map), a.structure,
+                             f.asarray(f.eye(a.dim)[:, :, None] * a.unit[None, None, :]))
+
     # a (x) b -> a (x) 1 (x) 1 (x) b, counit the multiplication
-    return Coring(ts, [(a.unit, a.unit)], f.matmul(mult_amb, ts.section))
+    return Coring(ts, [(a.unit, a.unit)], f.matmul(mult_amb, ts.section), middle)
 
 
 class CoringMorphism:

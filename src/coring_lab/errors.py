@@ -37,9 +37,9 @@ class ContextAxiomError(AxiomError):
 
 
 class TooLargeToValidateError(CoringLabError):
-    """A capacity limit, not an axiom failure: a statement needs the tensor
-    square of a coring whose carrier is too large for it (the pre-cointegral
-    space); it stays undecided."""
+    """A capacity limit, not an axiom failure: a statement needs the
+    pre-cointegral space of a coring whose carrier is too large for the
+    expansions on its field tensor square; it stays undecided."""
 
 
 class NotProjectiveError(CoringLabError):

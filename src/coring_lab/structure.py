@@ -202,8 +202,9 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 #   gamma_f(phi (x) m (x) psi (x) n) = phi(f(omega(m (x) psi)) . n),
 #   gamma~_f((a (x) x) (x) (y (x) b)) = a f(xy) b,
 #
-# and a map gamma on the comatrix square is read back, {e_i, e_i^*} the
-# dual basis, as
+# both ``Coring.expand`` of a coring whose P = M (x)_A N is S in these
+# coordinates, and a map gamma on the comatrix square is read back,
+# {e_i, e_i^*} the dual basis, as
 #
 #   f_gamma(x) = sum_{i,j,k} omega(e_i . gamma((e_i^* (x) x(e_j)) (x) (e_j^* (x) e_k)) (x) e_k^*).
 #
@@ -218,35 +219,14 @@ def _omega_dual(tower: BimoduleTower):
     return tower.module.field.tensordot(tower.s_iso.omega, dual_coords, ([2], [1]))
 
 
-def _on_both_legs(f, quad, section):
-    """[t, c1, c2] from [t, x1, y1, x2, y2]: each pair (x, y) of ambient
-    indices read through the tensor section into quotient coordinates."""
-    sec = section.reshape(quad.shape[1], quad.shape[2], section.shape[1])
-    half = f.tensordot(quad, sec, ([1, 2], [0, 1]))  # (t, x2, y2, c1)
-    return f.tensordot(half, sec, ([1, 2], [0, 1])).reshape(quad.shape[0], -1)  # (t, c1 c2)
-
-
 def _comatrix_expansion(tower: BimoduleTower, f_mat):
     """gamma_f on the field tensor square of the comatrix coring."""
-    f = tower.module.field
-    values = f.tensordot(f_mat, tower.s_iso.omega, ([1], [0]))  # (s, i, beta)
-    acted = f.tensordot(values, np.stack(tower.end.algebra.endo_mats),
-                        ([0], [0]))  # (i, beta, m', j): f(omega(e_i (x) phi_beta)) e_j
-    phis = np.stack(tower.comatrix.dual.functional_mats)  # (alpha, a, m')
-    quad = f.tensordot(phis, acted, ([2], [2]))  # (alpha, a, i, beta, j)
-    return _on_both_legs(f, quad.transpose(1, 0, 2, 3, 4),
-                         tower.comatrix.coring.carrier_tensor.section)
+    return tower.comatrix.coring.expand(f_mat[None])[0]
 
 
 def _sweedler_expansion(tower: BimoduleTower, f_mat):
     """gamma~_f on the field tensor square of the Sweedler coring of B -> S."""
-    f = tower.module.field
-    st = tower.end.algebra.structure  # b_i b_j = sum_k st[i, j, k] b_k
-    f_prod = f.tensordot(st, f_mat, ([2], [1]))  # (x, y, w): f(xy)
-    left = f.tensordot(st, f_prod, ([1], [2]))  # (a, u, x, y): a f(xy)
-    quad = f.tensordot(left, st, ([1], [0]))  # (a, x, y, b, s'): a f(xy) b
-    return _on_both_legs(f, quad.transpose(4, 0, 1, 2, 3),
-                         tower.sweedler.carrier_tensor.section)
+    return tower.sweedler.expand(f_mat[None])[0]
 
 
 def _map_of_gamma(tower: BimoduleTower, gamma_amb):
@@ -343,7 +323,6 @@ class IotaCertificate:
     from a Frobenius isomorphism of duals, with its linearity checks."""
 
     matrix: np.ndarray  # coring coords -> left-endomorphism coords
-    endos: Algebra
 
 
 def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
@@ -376,7 +355,7 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
         if not Field.equal(f.matmul(iota, data.coring.carrier.left_mats[a_idx]),
                            f.matmul(twisted[a_idx].T, iota)):
             raise InternalInconsistencyError(f"iota is not left-linear at base {a_idx}")
-    return IotaCertificate(iota, endos)
+    return IotaCertificate(iota)
 
 
 def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem) -> FrobeniusSystem:

@@ -485,6 +485,23 @@ def test_tampered_iota_fails_reverification_and_needs_theta():
         verify_report_witnesses(deffile, doc)
 
 
+def test_theta_is_checked_once_for_both_entries_that_read_it(monkeypatch):
+    deffile, doc = _frobenius_report()
+    assert {"m_frobenius", "iota"} <= set(doc["witnesses"])
+    module = deffile.bimodules["M"]
+    checked = []
+    original = bimodule.BimoduleMap.is_invertible
+
+    def counting(self):
+        if self.source is right_dual(module):
+            checked.append(self.target)
+        return original(self)
+
+    monkeypatch.setattr(bimodule.BimoduleMap, "is_invertible", counting)
+    assert verify_report_witnesses(deffile, doc)
+    assert checked == [bimodule.left_dual(module)]
+
+
 def test_a_witness_with_no_check_is_a_definition_error():
     deffile, doc = _frobenius_report()
     doc["witnesses"]["b_s_faithfully_flat"] = {"proof": [["1 mod 2"]]}

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ, coring as coring_module
+from coring_lab import GF, QQ, comatrix as comatrix_module, coring as coring_module
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
@@ -40,6 +40,7 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
     _context_delta_amb,
+    _precointegral_defect,
 )
 from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import (
@@ -50,7 +51,7 @@ from coring_lab.errors import (
     TooLargeToValidateError,
 )
 from coring_lab.fields import Field, PrimeField
-from coring_lab.linalg import _kernel, _solve, rref
+from coring_lab.linalg import _kernel, _solve, _successive_kernel, rref
 from coring_lab.structure import analyze, bimodule_tower
 
 from conftest import (
@@ -164,7 +165,7 @@ def test_large_context_carrier_validates_in_full():
     assert (c.dim, c.validation) == (36, "full")
     with pytest.raises(TooLargeToValidateError) as caught:
         find_cointegral(c)
-    assert caught.traceback[-1].name == "square"
+    assert caught.traceback[-1].name == "precointegrals"
     assert not isinstance(caught.value, AxiomError)
 
 
@@ -539,6 +540,94 @@ def test_deciders_on_the_sweedler_coring_of_matrix2_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def square_path_precointegrals(c):
+    """Oracle: the pre-cointegral basis solved on the presented square: the
+    A-bimodule maps C (x)_A C -> A from ``intertwiners`` on the square's
+    bimodule, expanded through its projection and cut down to the kernel of
+    their ``_precointegral_defect`` blocks by successive restriction."""
+    f, sq, a = c.field, c.square, c.base
+    homs = intertwiners(f, sq.space.left_mats + sq.space.right_mats,
+                        list(a.left_mult) + list(a.right_mult))
+    gammas = f.asarray(np.stack([f.matmul(hom, sq.projection) for hom in homs]))
+    every = np.arange(len(homs))
+    basis, _ = _successive_kernel(f, len(homs), lambda columns, rank: (
+        f.matmul(columns(every), block) for block in _precointegral_defect(c, gammas)))
+    return f.tensordot(basis, gammas, ([1], [0]))
+
+
+def morita_corings(name, char):
+    return [ctx for md in bundled_over(name, char).morita.values()
+            if (ctx := context_from_morita(md)) is not None]
+
+
+# both corings of each shared module and of a module over QQ, and context corings
+# whose P = M (x)_A N is presented by ``tensor_over``
+PRECOINTEGRAL_ORACLE_CASES = {
+    **{name: (lambda make=make: module_corings(make()))
+       for name, make in SHARED_SYSTEM_MODULES.items()},
+    "matrix2/QQ": lambda: module_corings(bundled_over("matrix2", 0).bimodules["M"]),
+    "morita-rows-cols/GF(2)": lambda: morita_corings("morita-rows-cols", 2),
+    "matrix/GF(3)": lambda: [matrix_coring(2, F3), matrix_coring(3, F3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECOINTEGRAL_ORACLE_CASES))
+def test_precointegrals_of_every_kind_of_coring_are_the_dense_kernel_basis(case):
+    corings = PRECOINTEGRAL_ORACLE_CASES[case]()
+    assert corings
+    for c in corings:
+        f, sq = c.field, c.square
+        ours = c.precointegrals
+        oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
+        rows = np.stack([f.matmul(g, sq.section).reshape(-1) for g in ours])
+        assert np.array_equal(rref(f, rows)[0], rref(f, oracle)[0])
+        # the reversed echelon form is unique: the very basis of the dense solve
+        assert same_entries(ours, f.asarray(dense_kernel_gammas(c)))
+
+
+@pytest.mark.parametrize("recipe", [0, 7, 9])
+def test_precointegrals_beyond_the_dense_oracle_are_the_square_path_basis(recipe, monkeypatch):
+    # d = 40 for the Sweedler corings of recipes 0 and 9: the dense rows would
+    # be 64,000 x 1,664, so the oracle is the solve on the presented square
+    monkeypatch.setattr(coring_module, "_SQUARE_DIM_LIMIT", 40)
+    corings = module_corings(random_projective_bimodule(recipe))
+    assert max(c.dim for c in corings) == (32 if recipe == 7 else 40)
+    for c in corings:
+        assert same_entries(c.precointegrals, square_path_precointegrals(c))
+        assert len(c.precointegrals) == (4 if recipe == 7 else 6)
+
+
+def test_precointegrals_read_neither_the_square_nor_its_projection(monkeypatch):
+    def unread(c):
+        raise AssertionError("the square was read")
+
+    monkeypatch.setattr(Coring, "square", property(unread))
+    monkeypatch.setattr(Coring, "onto_square", property(unread))
+    modules = [load(bundled_path("matrix2")).bimodules["M"], random_projective_bimodule(7)]
+    corings = [c for m in modules for c in module_corings(m)]
+    assert [len(c.precointegrals) for c in corings] == [4, 4, 4, 4]
+    # coseparable and Frobenius as the dense oracle records them for recipe 7
+    assert [find_cointegral(c) is not None for c in corings] == [True, True, False, False]
+    assert [find_frobenius_system(c, seed=0).status for c in corings] == ["found"] * 4
+
+
+def test_the_comatrix_coring_reads_its_endomorphism_ring_only_for_its_precointegrals(
+        monkeypatch):
+    called = []
+    original = comatrix_module.canonical_s_iso
+
+    def recording(m):
+        called.append(m)
+        return original(m)
+
+    monkeypatch.setattr(comatrix_module, "canonical_s_iso", recording)
+    m = trivial_bimodule(F2, 2)
+    c = comatrix_coring(m)
+    assert not called
+    assert len(c.precointegrals) == 4
+    assert called == [m]
 
 
 # ------------------------------------------- the square of a context coring
