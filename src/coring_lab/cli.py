@@ -4,8 +4,9 @@ bimodules and emit deterministic reports.
 Exit codes: 0 when the requested analysis completed (whatever the flags),
 1 for input problems, 2 when a proven implication failed, which signals an
 implementation bug rather than a mathematical outcome, and 3 when a question
-needs the tensor square of a coring too large for it (a capacity limit, not
-an answer).
+needs the pre-cointegral space of a coring whose carrier is too large for
+the expansions of its solutions on the field tensor square (a capacity
+limit, not an answer).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
         expected, frob = parse(key, "matrix", (comatrix.dim, comatrix.dim)), theta()
         try:
             return frob is not None and np.array_equal(
-                iota_from_frobenius(module, frob).matrix, expected)
+                iota_from_frobenius(module, frob), expected)
         except (InternalInconsistencyError, NotProjectiveError):
             return False
 

@@ -8,20 +8,22 @@ and validated through its context, with no product in C (x)_A C.  The
 coproduct is represented by a matrix ``delta_amb`` from carrier coordinates
 into the *field* tensor square of the carrier, one chosen system of
 representatives for the coproduct valued in C (x)_A C, built from the pairs
-on first read.  Cointegrals are likewise stored on the field tensor square,
-where their balance over A is checked, and given structure maps, cointegrals
-and Frobenius systems are verified on representatives.  The pre-cointegral
-identity is written once, in ``_precointegral_defect``, as blocks of
-equations, and every found gamma is checked with it.
+on first read by the few readers that need it: ``construct``, coring
+morphisms, the basis-independence check and the left dual ring.
 
-The pre-cointegral space ``Coring.precointegrals``, inside which
-cointegrals and Frobenius systems are solved, is solved in f-coordinates:
-on the (B, B)-bimodule maps f of P = M (x)_A N (``ContextMiddle``), whose
-expansions gamma_f are the A-bimodule maps C (x)_A C -> A.  Only the
-solutions are expanded to the field tensor square, and above
+Maps gamma: C (x)_A C -> A (cointegrals, the gamma of Frobenius systems)
+are stored on the field tensor square, and every condition on them is
+written once, in f-coordinates.  C (x)_A C = N (x)_B P (x)_B M for
+P = M (x)_A N (``ContextMiddle``), and the A-bimodule maps gamma are the
+expansions gamma_f (``Coring.expand``) of the (B, B)-bimodule maps f of P,
+read back by ``Coring.f_of``.  The pre-cointegral identity is the rows
+``Coring.precointegral_rows`` on f, and gamma o Delta = eps is
+``Coring.after_delta``.  The pre-cointegral space ``Coring.precointegrals``
+is solved on them, and every gamma is checked on them
+(``verify_cointegral``, ``verify_frobenius_system``).  Above
 ``_SQUARE_DIM_LIMIT`` the space is refused with
-``TooLargeToValidateError``, as these expansions and their defect check
-grow with the cube of the carrier.
+``TooLargeToValidateError``, as the expansions of its solutions live on the
+field tensor square.
 
 Representatives are compared in C (x)_A C through ``Coring.onto_square``,
 the reduction (C (x)_A N) (x)_B M of ``context_projection``, balanced over
@@ -88,8 +90,8 @@ __all__ = [
 ]
 
 # Coring.precointegrals (and Coring.square) refuse carriers above this size:
-# the expansions of the solutions on the field tensor square and their
-# pre-cointegral defect check (dim A * d**3 entries) do not scale past it
+# the expansions of the solutions on the field tensor square (dim A * d**2
+# entries each) do not scale past it
 _SQUARE_DIM_LIMIT = 32
 # find_frobenius_system enumerates central subspaces up to this size, else samples
 _FROBENIUS_ENUMERATION_BUDGET = 2**16
@@ -154,8 +156,9 @@ class Coring:
     called on the first read of ``precointegrals`` only.
 
     The structure maps never change after construction; the representative
-    coproduct, the tensor-square presentation, P, the pre-cointegral space
-    and the left dual ring are built on first use and memoized on the coring.
+    coproduct, the tensor-square presentation, P, the pre-cointegral rows
+    and space and the left dual ring are built on first use and memoized on
+    the coring.
     """
 
     validation = "full"  # every coring is checked in full at construction
@@ -230,7 +233,8 @@ class Coring:
     def expand(self, f_mats):
         """The maps gamma_f(n (x) m (x) n' (x) m') = sigma(n (x) f(m (x) n').m')
         on the field tensor square of the carrier, as a stack [k, a', (u, v)],
-        for a stack ``f_mats`` [k, q', q] of matrices on P."""
+        for a stack ``f_mats`` [k, q', q] of matrices on P; ``f_of`` inverts
+        it on End_{B-B}(P)."""
         f, ts = self.field, self.carrier_tensor
         sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, self.dim)
         on_m = self.middle_actions[0]
@@ -241,6 +245,65 @@ class Coring:
         both = f.tensordot(full, sec, ([1, 2], [0, 1]))  # (a', k, v, u)
         return f.asarray(both.transpose(1, 0, 3, 2)).reshape(
             len(f_mats), self.base.dim, self.dim * self.dim)
+
+    @cached_property
+    def _readers(self):
+        """What ``f_of`` and ``after_delta`` contract with, built once per
+        coring: [u, v, q, i, j], the representative (n_i (x) x) (x) (y (x) m_j)
+        on the field tensor square for the lift x (x) y of e_q; [i, q', a', j],
+        the P-coordinates of m_i (x) a'.n_j; t = tau(1) in P; and
+        [q', a', n, m], sigma(n (x) e_q'.m)."""
+        f, ts, mid = self.field, self.carrier_tensor, self.middle
+        n, m = ts.left_factor, ts.right_factor
+        ms, ns = _pair_matrices(f, self.tau_pairs, m.dim, n.dim)
+        proj = ts.projection.reshape(self.dim, n.dim, m.dim)
+        left = f.tensordot(proj, ns, ([1], [0]))  # (u, m, i): n_i (x) e_m
+        right = f.tensordot(proj, ms, ([2], [0]))  # (v, n, j): e_n (x) m_j
+        reps = f.tensordot(f.tensordot(left, mid.lift, ([1], [1])), right,
+                           ([3], [1])).transpose(0, 3, 2, 1, 4)
+        acted = f.tensordot(n.left_action, ns, ([1], [0]))  # (a', n', j): a'.n_j
+        onto = f.tensordot(f.tensordot(ms, mid.of_pair, ([0], [0])), acted, ([1], [1]))
+        t = f.tensordot(f.tensordot(mid.of_pair, ms, ([0], [0])), ns, ([0, 2], [0, 1]))
+        on_sigma = f.tensordot(self.middle_actions[0], self.sigma_pairs,
+                               ([2], [2])).transpose(0, 2, 3, 1)
+        return np.ascontiguousarray(reps), onto, t, np.ascontiguousarray(on_sigma)
+
+    def f_of(self, gammas):
+        """The maps f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j
+        on P, as a stack [k, q', q], for a stack ``gammas`` [k, a', (u, v)]
+        of maps on the field tensor square: each basis element of P is read
+        through its lift, and each value through ``of_pair``."""
+        f = self.field
+        reps, onto, _, _ = self._readers
+        g4 = f.asarray(gammas).reshape(len(gammas), self.base.dim, self.dim, self.dim)
+        values = f.tensordot(g4, reps, ([2, 3], [0, 1]))  # (k, a', q, i, j)
+        return f.asarray(f.tensordot(values, onto, ([1, 3, 4], [2, 0, 3])).transpose(0, 2, 1))
+
+    def after_delta(self, f_mats):
+        """gamma_f o Delta for a stack ``f_mats`` [k, q', q] of matrices on P,
+        as a stack [k, a', n, m] on the basis elements n (x) m of C: as
+        Delta(n (x) m) = sum_i n (x) (m_i (x) n_i) (x) m, it is
+        sigma(n (x) f(t).m) for t = tau(1) in P.  It equals ``sigma_pairs``
+        iff gamma_f o Delta = eps, as the n (x) m span C."""
+        f = self.field
+        _, _, t, on_sigma = self._readers
+        return f.asarray(f.tensordot(f.tensordot(f.asarray(f_mats), t, ([2], [0])), on_sigma,
+                                     ([1], [0])))
+
+    @cached_property
+    def precointegral_rows(self):
+        """The rows W with W @ f = 0 iff f maps P into the x with
+        n (x) x.m' = n.x (x) m' in C for all basis elements n, m': for f in
+        End_{B-B}(P), iff gamma_f is a pre-cointegral (``precointegrals``).
+        The reduced echelon form of the defect, built once per coring."""
+        f, ts = self.field, self.carrier_tensor
+        on_m, on_n = self.middle_actions
+        proj = ts.projection.reshape(self.dim, ts.left_factor.dim, ts.right_factor.dim)
+        # [q, n, m', c]: n (x) e_q.m' - n.e_q (x) m' in C
+        defect = f.asarray(f.tensordot(on_m, proj, ([2], [2])).transpose(0, 3, 1, 2)
+                           - f.tensordot(on_n, proj, ([2], [1])).transpose(1, 0, 3, 2))
+        red, pivots = rref(f, defect.reshape(self.middle.space.dim, -1).T)
+        return red[:len(pivots)]
 
     @property
     def precointegrals(self):
@@ -273,27 +336,21 @@ class Coring:
         elements n, p, m': iff f maps P into the x with n (x) x.m' = n.x (x) m'.
         For a Sweedler coring that is 1 (x) f(x) = f(x) (x) 1 in S (x)_B S.
 
-        That condition is solved on the intertwiner basis of End_{B-B}(P)
-        by ``linalg._successive_kernel``, and only its r solutions are
-        expanded (``expand``).  The basis is the reversed reduced echelon
-        form of the expansions, which is unique for the space.  It is also
-        the basis a solve in the coordinates of the presented square gives:
-        the square's projection is the identity on its free columns and each
-        of its rows is zero after its own free column, so a map keeps its
-        last nonzero entry, and its entries at free columns, through it."""
+        That condition, ``precointegral_rows``, is solved on the intertwiner
+        basis of End_{B-B}(P) by ``linalg._successive_kernel``, and only its
+        r solutions are expanded (``expand``).  The basis is the reversed
+        reduced echelon form of the expansions, which is unique for the
+        space.  It is also the basis a solve in the coordinates of the
+        presented square gives: the square's projection is the identity on
+        its free columns and each of its rows is zero after its own free
+        column, so a map keeps its last nonzero entry, and its entries at
+        free columns, through it."""
         if self._precointegrals is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise _too_large(self.dim)
-            f, ts, a, space = self.field, self.carrier_tensor, self.base, self.middle.space
-            on_m, on_n = self.middle_actions
-            proj = ts.projection.reshape(self.dim, ts.left_factor.dim, ts.right_factor.dim)
-            # [q, n, m', c]: n (x) e_q.m' - n.e_q (x) m' in C
-            defect = f.asarray(f.tensordot(on_m, proj, ([2], [2])).transpose(0, 3, 1, 2)
-                               - f.tensordot(on_n, proj, ([2], [1])).transpose(1, 0, 3, 2))
-            red, pivots = rref(f, defect.reshape(space.dim, -1).T)
-            rows = red[:len(pivots)]  # f is a solution iff rows @ f = 0
-            homs = _endomorphisms(space)  # (j, q', q)
-            system = f.tensordot(homs, rows, ([1], [1])).reshape(len(homs), -1)
+            f, a = self.field, self.base
+            homs = _endomorphisms(self.middle.space)  # (j, q', q)
+            system = f.tensordot(homs, self.precointegral_rows, ([1], [1])).reshape(len(homs), -1)
             coeffs, _ = _successive_kernel(f, len(homs), lambda columns, rank: [system])
             gammas = self.expand(f.tensordot(coeffs, homs, ([1], [0])))
             red, pivots = rref(f, gammas.reshape(len(gammas), a.dim * self.dim**2)[:, ::-1])
@@ -303,12 +360,6 @@ class Coring:
         return self._precointegrals
 
     # -- evaluation helpers -------------------------------------------------
-
-    def delta_tensor(self):
-        """delta_amb reshaped so that [u, v, c] is the (e_u, e_v) coefficient
-        of the chosen representative of Delta(e_c)."""
-        d = self.dim
-        return self.delta_amb.reshape(d, d, d)
 
     def agree_in_square(self, lhs, rhs) -> bool:
         """True when two maps into the field tensor square of the carrier
@@ -504,87 +555,55 @@ class FrobeniusSearch:
         return self.status == "found"
 
 
-def gamma_is_balanced(c: Coring, gamma_amb) -> bool:
-    """gamma(x.a (x) y) == gamma(x (x) a.y) on all basis triples."""
+def _map_of_precointegral(c: Coring, gamma_amb):
+    """f_gamma when a map gamma on the field tensor square is a
+    pre-cointegral, else None: f = f_gamma (``Coring.f_of``) must
+    (1) commute with the actions of B on P, (2) expand to gamma exactly and
+    (3) be annihilated by ``Coring.precointegral_rows``.
+
+    (1) and (2) hold iff gamma is balanced over A and A-bilinear.  If they
+    hold, gamma is gamma_f for a B-bimodule map f, which is well defined
+    and A-bilinear on C (x)_A C = N (x)_B P (x)_B M (``precointegrals``),
+    so gamma is balanced and A-bilinear on the field tensor square.
+    Conversely such a gamma factors through an A-bimodule map
+    C (x)_A C -> A, which is gamma_g for the B-bimodule map g read off it by
+    the bijection of ``precointegrals``; ``f_of`` reads g on representatives
+    of n_i (x) p (x) m_j, so f = g, which gives (1), and gamma_f = gamma,
+    which gives (2).  Given (1) and (2), (3) is the pre-cointegral identity
+    by ``precointegrals``."""
     f = c.field
-    g3 = f.asarray(gamma_amb).reshape(c.base.dim, c.dim, c.dim)
-    lhs = f.tensordot(c.carrier.right_action, g3, ([2], [1]))  # (u, i, a', v)
-    rhs = f.tensordot(c.carrier.left_action, g3, ([2], [2])).transpose(3, 0, 2, 1)
-    return Field.equal(f.asarray(lhs), f.asarray(rhs))
-
-
-def gamma_is_bimodule_map(c: Coring, gamma_amb) -> bool:
-    """gamma(a.x (x) y) == a.gamma(x (x) y) and the right-sided mirror."""
-    f = c.field
-    a = c.base
-    g3 = f.asarray(gamma_amb).reshape(a.dim, c.dim, c.dim)
-    lhs = f.tensordot(c.carrier.left_action, g3, ([2], [1]))  # (i, u, a', v)
-    rhs = f.tensordot(a.left_mult, g3, ([2], [0])).transpose(0, 2, 1, 3)
-    if not Field.equal(f.asarray(lhs), f.asarray(rhs)):
-        return False
-    lhs = f.tensordot(c.carrier.right_action, g3, ([2], [2]))  # (v, i, a', u)
-    lhs = lhs.transpose(1, 3, 2, 0)  # (i, u, a', v)
-    rhs = f.tensordot(a.right_mult, g3, ([2], [0])).transpose(0, 2, 1, 3)
-    return Field.equal(f.asarray(lhs), f.asarray(rhs))
-
-
-def _precointegral_defect(c: Coring, gammas):
-    """Blocks [k, (c, m', l)] of the e_m' coordinate of
-    sum c_1 gamma_k(c_2 (x) e_l) - sum gamma_k(c (x) (e_l)_1) (e_l)_2 for the
-    basis elements c and e_l, given a stack [k, a', (u, v)] of maps on the
-    field tensor square.  Each side contracts the stack with a tensor that
-    depends only on the structure maps.  A block covers dim A consecutive
-    basis elements c, so it has as many entries as the stack."""
-    f = c.field
-    d, da = c.dim, c.base.dim
-    g4 = gammas.reshape(len(gammas), da, d, d)  # (k, b, v, l)
-    d3 = c.delta_tensor()  # (u, v, c)
-    # (b, u, m', l), stored in the order of its contraction below
-    lam_delta = np.ascontiguousarray(
-        f.tensordot(c.carrier.left_action, d3, ([1], [1])).transpose(0, 2, 1, 3))
-
-    def block(cs):  # a function, so that no array of a block outlives its yield
-        delta_rho = f.tensordot(d3[:, :, cs], c.carrier.right_action, ([0], [0]))  # (v, c, b, m')
-        lhs = f.tensordot(g4, delta_rho, ([1, 2], [2, 0])).transpose(0, 2, 3, 1)  # (k, c, m', l)
-        lhs -= f.tensordot(g4[:, :, cs], lam_delta, ([1, 3], [0, 1]))
-        return f.asarray(lhs).reshape(len(g4), -1)
-
-    for start in range(0, d, da):
-        yield block(slice(start, start + da))
-
-
-def precointegral_identity_holds(c: Coring, gamma_amb) -> bool:
-    """sum c_1 gamma(c_2 (x) c') == sum gamma(c (x) c'_1) c'_2 on basis pairs."""
-    return not any(np.any(block) for block in
-                   _precointegral_defect(c, c.field.asarray(gamma_amb)[None]))
-
-
-def gamma_is_normalized(c: Coring, gamma_amb) -> bool:
-    """gamma o Delta == eps, evaluated on the chosen representatives."""
-    f = c.field
-    return Field.equal(f.matmul(f.asarray(gamma_amb), c.delta_amb), c.counit_mat)
+    gamma = f.asarray(gamma_amb)
+    f_mat = c.f_of(gamma[None])[0]
+    space = c.middle.space
+    if not (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
+            and Field.equal(c.expand(f_mat[None])[0], gamma)
+            and not np.any(f.matmul(c.precointegral_rows, f_mat))):
+        return None
+    return f_mat
 
 
 def verify_cointegral(ci: Cointegral) -> bool:
-    """Balance, A-bilinearity, the pre-cointegral identity and gamma o Delta = eps."""
-    c, g = ci.coring, ci.gamma_amb
-    return (gamma_is_balanced(c, g) and gamma_is_bimodule_map(c, g)
-            and precointegral_identity_holds(c, g) and gamma_is_normalized(c, g))
+    """Balance, A-bilinearity, the pre-cointegral identity and
+    gamma o Delta = eps, checked in f-coordinates: the three conditions of
+    ``_map_of_precointegral`` on f = f_gamma, and (4) gamma_f o Delta = eps
+    by ``Coring.after_delta``, which is gamma o Delta = eps as gamma = gamma_f."""
+    c = ci.coring
+    f_mat = _map_of_precointegral(c, ci.gamma_amb)
+    return f_mat is not None and Field.equal(c.after_delta(f_mat[None])[0], c.sigma_pairs)
 
 
 def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
-    """Invariance of e, the pre-cointegral identity, and the two
-    gamma(c (x) e) = gamma(e (x) c) = eps(c) normalizations."""
+    """Invariance of e, gamma a pre-cointegral (``_map_of_precointegral``),
+    and the two gamma(c (x) e) = gamma(e (x) c) = eps(c) normalizations,
+    read on the field tensor square."""
     c = fs.coring
     f = c.field
     e = f.asarray(fs.invariant)
     if np.any(f.matmul(central_rows(c.carrier), e)):
         return False
-    g = fs.gamma_amb
-    if not (gamma_is_balanced(c, g) and gamma_is_bimodule_map(c, g)
-            and precointegral_identity_holds(c, g)):
+    if _map_of_precointegral(c, fs.gamma_amb) is None:
         return False
-    g3 = f.asarray(g).reshape(c.base.dim, c.dim, c.dim)
+    g3 = f.asarray(fs.gamma_amb).reshape(c.base.dim, c.dim, c.dim)
     if not Field.equal(f.tensordot(g3, e, ([2], [0])), c.counit_mat):
         return False
     return Field.equal(f.tensordot(g3, e, ([1], [0])), c.counit_mat)
@@ -598,13 +617,14 @@ def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
 def find_cointegral(c: Coring):
     """Exact decision of coseparability on small carriers.
 
-    Solves sum_j x_j (gamma_j o Delta) = eps on representatives over the
-    basis gamma_j of the coring's memoized pre-cointegral space.
+    Solves sum_j x_j (gamma_j o Delta) = eps over the basis gamma_j of the
+    coring's memoized pre-cointegral space, in f-coordinates: on the maps
+    f_j of the gamma_j, by ``Coring.after_delta``.
     """
     f = c.field
     gammas = c.precointegrals
-    system = f.tensordot(gammas, c.delta_amb, ([2], [0]))  # (j, a', c): gamma_j o Delta
-    sol = _solve(f, system.reshape(len(gammas), c.counit_mat.size).T, c.counit_mat.reshape(-1))
+    system = c.after_delta(c.f_of(gammas))  # (j, a', n, m): gamma_j o Delta
+    sol = _solve(f, system.reshape(len(gammas), -1).T, c.sigma_pairs.reshape(-1))
     if sol is None:
         return None
     ci = Cointegral(c, f.tensordot(sol, gammas, ([0], [0])))

@@ -39,7 +39,8 @@ class ContextAxiomError(AxiomError):
 class TooLargeToValidateError(CoringLabError):
     """A capacity limit, not an axiom failure: a statement needs the
     pre-cointegral space of a coring whose carrier is too large for the
-    expansions on its field tensor square; it stays undecided."""
+    expansions of its solutions on the field tensor square (dim A * d**2
+    entries each); it stays undecided."""
 
 
 class NotProjectiveError(CoringLabError):

@@ -196,20 +196,16 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 #
 # omega(m (x) phi) = (x -> m.phi(x)) identifies M (x)_A M^* with S, so for the
 # comatrix coring C, C (x)_A C = M^* (x)_B S (x)_B M, and the Sweedler coring
-# of B -> S has square S (x)_B S (x)_B S.  A B-bimodule map f: S -> S (held
-# as its matrix on S coordinates) thus expands on either square as
+# of B -> S has square S (x)_B S (x)_B S.  Both corings hold P = M (x)_A N as
+# S in the same coordinates (``Coring.middle``), so a B-bimodule map f: S -> S
+# expands on either square (``Coring.expand``) as
 #
 #   gamma_f(phi (x) m (x) psi (x) n) = phi(f(omega(m (x) psi)) . n),
 #   gamma~_f((a (x) x) (x) (y (x) b)) = a f(xy) b,
 #
-# both ``Coring.expand`` of a coring whose P = M (x)_A N is S in these
-# coordinates, and a map gamma on the comatrix square is read back,
-# {e_i, e_i^*} the dual basis, as
-#
-#   f_gamma(x) = sum_{i,j,k} omega(e_i . gamma((e_i^* (x) x(e_j)) (x) (e_j^* (x) e_k)) (x) e_k^*).
-#
-# The dual-basis identity gives f_{gamma_f} = f.  A (pre-)cointegral gamma of
-# C goes to the Sweedler coring as gamma~ of f_gamma: the identity on f.
+# and ``Coring.f_of`` of the comatrix coring reads f back from gamma_f.  A
+# (pre-)cointegral gamma of C goes to the Sweedler coring as gamma~ of
+# f_gamma: the transport is the identity on f.
 # ---------------------------------------------------------------------------
 
 
@@ -217,33 +213,6 @@ def _omega_dual(tower: BimoduleTower):
     """[s, i, k]: the S-coordinates of omega(e_i (x) e_k^*)."""
     dual_coords = np.stack(tower.basis.functional_coords)  # (k, beta)
     return tower.module.field.tensordot(tower.s_iso.omega, dual_coords, ([2], [1]))
-
-
-def _comatrix_expansion(tower: BimoduleTower, f_mat):
-    """gamma_f on the field tensor square of the comatrix coring."""
-    return tower.comatrix.coring.expand(f_mat[None])[0]
-
-
-def _sweedler_expansion(tower: BimoduleTower, f_mat):
-    """gamma~_f on the field tensor square of the Sweedler coring of B -> S."""
-    return tower.sweedler.expand(f_mat[None])[0]
-
-
-def _map_of_gamma(tower: BimoduleTower, gamma_amb):
-    """The matrix of f_gamma for a map gamma on the field tensor square of
-    the comatrix coring."""
-    f = tower.module.field
-    m, data, cdim = tower.module, tower.comatrix, tower.comatrix.coring.dim
-    proj = data.coring.carrier_tensor.projection.reshape(cdim, data.dual.dim, m.dim)
-    pairs = f.tensordot(proj, np.stack(tower.basis.functional_coords),
-                        ([1], [1]))  # (c, j, i): e_i^* (x) e_j
-    g3 = gamma_amb.reshape(m.right_alg.dim, cdim, cdim)
-    right = f.tensordot(g3, pairs, ([2], [0]))  # (a, c, k, j): gamma(c (x) e_j^* (x) e_k)
-    left = f.tensordot(pairs, np.stack(tower.end.algebra.endo_mats),
-                       ([1], [1]))  # (c, i, s, j): e_i^* (x) s(e_j)
-    values = f.tensordot(right, left, ([1, 3], [0, 3]))  # (a, k, i, s)
-    scaled = f.tensordot(m.right_action, values, ([0, 1], [2, 0]))  # (m', k, s): e_i . gamma
-    return f.tensordot(_omega_dual(tower), scaled, ([1, 2], [0, 1]))
 
 
 def _tilde_invariant(tower: BimoduleTower, e_vec):
@@ -300,7 +269,7 @@ def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
     tower = bimodule_tower(m)
     s = split_from_separability(m, nu)
     f_mat = m.field.matmul(tower.b_to_s.matrix, s.matrix)
-    ci = Cointegral(tower.comatrix.coring, _comatrix_expansion(tower, f_mat))
+    ci = Cointegral(tower.comatrix.coring, tower.comatrix.coring.expand(f_mat[None])[0])
     if not verify_cointegral(ci):
         raise InternalInconsistencyError("constructed cointegral fails verification")
     return ci
@@ -310,24 +279,19 @@ def lift_cointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
     """Transport a cointegral of the comatrix coring to S (x)_B S: the
     expansion gamma~ of f_gamma, verified as a normalized cointegral."""
     tower = bimodule_tower(m)
-    f_mat = _map_of_gamma(tower, gamma.gamma_amb)
-    ci = Cointegral(tower.sweedler, _sweedler_expansion(tower, f_mat))
+    gamma_amb = tower.sweedler.expand(tower.comatrix.coring.f_of(gamma.gamma_amb[None]))[0]
+    ci = Cointegral(tower.sweedler, gamma_amb)
     if not verify_cointegral(ci):
         raise InternalInconsistencyError("transported cointegral fails verification")
     return ci
 
 
-@dataclass
-class IotaCertificate:
-    """The bijection from the comatrix coring onto left endomorphisms built
-    from a Frobenius isomorphism of duals, with its linearity checks."""
-
-    matrix: np.ndarray  # coring coords -> left-endomorphism coords
-
-
-def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
-    """iota(phi (x) m)(x) = theta(phi)(x) . m, verified bijective,
-    right-linear over the dual ring action and left A-linear."""
+def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> np.ndarray:
+    """The matrix, from coring coordinates to left-endomorphism coordinates,
+    of iota(phi (x) m)(x) = theta(phi)(x) . m, the bijection from the
+    comatrix coring onto left endomorphisms built from a Frobenius
+    isomorphism of duals; verified bijective, right-linear over the dual
+    ring action and left A-linear."""
     data = bimodule_tower(m).comatrix
     ts = data.coring.carrier_tensor
     f = m.field
@@ -355,15 +319,15 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> IotaCertificate:
         if not Field.equal(f.matmul(iota, data.coring.carrier.left_mats[a_idx]),
                            f.matmul(twisted[a_idx].T, iota)):
             raise InternalInconsistencyError(f"iota is not left-linear at base {a_idx}")
-    return IotaCertificate(iota)
+    return iota
 
 
 def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem) -> FrobeniusSystem:
     """Transport a reduced Frobenius system of the comatrix coring to the
     Sweedler coring of B -> S; fully re-verified."""
     tower = bimodule_tower(m)
-    gamma = _sweedler_expansion(tower, _map_of_gamma(tower, fs.gamma_amb))
-    lifted = FrobeniusSystem(tower.sweedler, gamma, _tilde_invariant(tower, fs.invariant))
+    gamma_amb = tower.sweedler.expand(tower.comatrix.coring.f_of(fs.gamma_amb[None]))[0]
+    lifted = FrobeniusSystem(tower.sweedler, gamma_amb, _tilde_invariant(tower, fs.invariant))
     if not verify_frobenius_system(lifted):
         raise InternalInconsistencyError("transported Frobenius system fails verification")
     return lifted
@@ -553,8 +517,7 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
         witnesses["sweedler_cointegral_lift"] = {
             "gamma": lift_cointegral(m, constructed).gamma_amb}
     if flags["m_frobenius"] and flags["comatrix_frobenius"]:
-        iota = iota_from_frobenius(m, results["m_frobenius"].map)
-        witnesses["iota"] = {"matrix": iota.matrix}
+        witnesses["iota"] = {"matrix": iota_from_frobenius(m, results["m_frobenius"].map)}
         lifted_fs = lift_frobenius_system(m, results["comatrix_frobenius"].system)
         witnesses["sweedler_frobenius_lift"] = {
             "gamma": lifted_fs.gamma_amb, "invariant": lifted_fs.invariant}

@@ -363,14 +363,20 @@ def test_malformed_witness_entry_is_a_definition_error(entry):
 
 
 @pytest.mark.parametrize("key", ["comatrix_cointegral_constructed", "sweedler_cointegral_lift",
-                                 "sweedler_frobenius_lift"])
+                                 "sweedler_frobenius_lift", "comatrix_coseparable.cointegral",
+                                 "sweedler_coseparable.cointegral", "comatrix_frobenius.gamma",
+                                 "comatrix_frobenius.invariant", "sweedler_frobenius.gamma",
+                                 "sweedler_frobenius.invariant"])
 def test_tampered_transported_witness_fails_reverification(key):
+    # "key.part" names a witness entry other than "gamma"; the solved ones
+    # are checked in f-coordinates as the transported ones are
     deffile = load(bundled_path("product-field"))
     doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
     assert verify_report_witnesses(deffile, doc)
     fld = deffile.field
-    gamma = doc["witnesses"][key]["gamma"]
-    gamma[0][0] = fld.format_scalar(fld.asarray([fld.parse_scalar(gamma[0][0]) + 1])[0])
+    key, _, part = key.partition(".")
+    entries = doc["witnesses"][key][part or "gamma"]
+    _bump(fld, entries if isinstance(entries[0], list) else [entries], 0, 0)
     assert not verify_report_witnesses(deffile, doc)
 
 

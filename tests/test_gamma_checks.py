@@ -1,0 +1,111 @@
+"""The checks of a map gamma: C (x)_A C -> A in f-coordinates
+(``coring.verify_cointegral``, ``coring.verify_frobenius_system``) give the
+verdicts of the dense oracle of ``gamma_oracle`` on the field tensor square.
+
+The corings are the comatrix and Sweedler corings of the modules of the
+analyze-fp benchmark workload at seed 0 with carriers up to dimension 32, and
+of the bundled files over QQ.  The candidates are the found cointegrals and
+Frobenius systems, one-entry tampers of them, the expansions of a basis of
+End_{B-B}(P) and of one map of P that is not B-linear.
+"""
+
+import numpy as np
+import pytest
+
+from coring_lab import GF
+from coring_lab.coring import (
+    Cointegral,
+    FrobeniusSystem,
+    _endomorphisms,
+    _map_of_precointegral,
+    find_cointegral,
+    find_frobenius_system,
+    verify_cointegral,
+    verify_frobenius_system,
+)
+from coring_lab.structure import analyze, bimodule_tower
+
+from conftest import bundled_over, trivial_bimodule
+from gamma_oracle import is_cointegral, is_frobenius_system, is_precointegral, map_of_gamma
+from random_modules import random_projective_bimodule
+
+F2, F3 = GF(2), GF(3)
+BUNDLED = [("matrix2", "M"), ("dual-numbers", "M"), ("product-field", "M"),
+           ("morita-rows-cols", "cols"), ("morita-rows-cols", "rows"), ("regular-module", "M")]
+
+# the modules of the analyze-fp benchmark workload at seed 0, and the bundled
+# modules over QQ
+MODULES = {
+    **{f"bundled/{char}/{name}/{mod}": (lambda name=name, mod=mod, char=char:
+                                        bundled_over(name, char).bimodules[mod])
+       for char in (2, 3, 0) for name, mod in BUNDLED},
+    **{f"ladder/{f.characteristic}/k^{n}": (lambda f=f, n=n: trivial_bimodule(f, n))
+       for f in (F2, F3) for n in (1, 2, 3, 4)},
+    **{f"recipe/{i}": (lambda i=i: random_projective_bimodule(i)) for i in range(12)},
+}
+
+
+def bump(field, gamma, index):
+    """gamma with the entry at flat ``index`` raised by one."""
+    tampered = gamma.copy()
+    tampered.reshape(-1)[index] = field.asarray([tampered.reshape(-1)[index] + 1])[0]
+    return field.asarray(tampered)
+
+
+def candidates(c, expansions):
+    """(gamma, invariant or None) pairs: the found witnesses, a tamper of each
+    at its first entry, its last and one chosen at random, the given
+    expansions and the expansion of a map of P that is not B-linear."""
+    f = c.field
+    rng = np.random.default_rng(c.dim)
+    found = []
+    ci = find_cointegral(c)
+    if ci is not None:
+        found.append((ci.gamma_amb, None))
+    search = find_frobenius_system(c, seed=0)
+    if search.found:
+        found.append((search.system.gamma_amb, search.system.invariant))
+    out = list(found)
+    for gamma, e in found:
+        for index in (0, gamma.size - 1, int(rng.integers(gamma.size))):
+            out.append((bump(f, gamma, index), e))
+    q = c.middle.space.dim
+    arbitrary = c.expand(f.asarray(rng.integers(0, 5, size=(1, q, q))))
+    return out + [(gamma, None) for gamma in np.concatenate([expansions, arbitrary])]
+
+
+@pytest.mark.parametrize("case", sorted(MODULES))
+def test_f_coordinate_checks_give_the_dense_verdicts(case):
+    tower = bimodule_tower(MODULES[case]())
+    rejected = 0
+    for c in (tower.comatrix.coring, tower.sweedler):
+        if c.dim > 32:
+            continue
+        # f_of inverts the expansion on End_{B-B}(P), and on the comatrix
+        # coring it is the map read through omega and the dual basis
+        homs = _endomorphisms(c.middle.space)
+        expansions = c.expand(homs)
+        assert np.array_equal(c.f_of(expansions), homs)
+        if c is tower.comatrix.coring:
+            assert all(np.array_equal(map_of_gamma(tower, g), h)
+                       for g, h in zip(expansions, homs))
+        for gamma, e in candidates(c, expansions):
+            dense = is_cointegral(c, gamma)
+            assert verify_cointegral(Cointegral(c, gamma)) == dense
+            assert (_map_of_precointegral(c, gamma) is not None) == is_precointegral(c, gamma)
+            if e is not None:
+                assert (verify_frobenius_system(FrobeniusSystem(c, gamma, e))
+                        == is_frobenius_system(c, gamma, e))
+            rejected += not dense
+    assert rejected
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_analyze_never_builds_the_representative_coproduct(char):
+    for name, mod in BUNDLED:
+        m = bundled_over(name, char).bimodules[mod]
+        analyze(m, seed=0)
+        tower = bimodule_tower(m)
+        for c in (tower.comatrix.coring, tower.sweedler):
+            assert "delta_amb" not in c.__dict__, (name, mod)
+
