@@ -4,9 +4,8 @@ bimodules and emit deterministic reports.
 Exit codes: 0 when the requested analysis completed (whatever the flags),
 1 for input problems, 2 when a proven implication failed, which signals an
 implementation bug rather than a mathematical outcome, and 3 when a question
-needs the pre-cointegral space of a coring whose carrier is too large for
-the expansions of its solutions on the field tensor square (a capacity
-limit, not an answer).
+needs the pre-cointegral space of a coring whose carrier has dimension above
+32 (a capacity limit kept for the benchmark, not an answer).
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .comatrix import comatrix_data, context_from_morita
 from .coring import (
     Cointegral,
     FrobeniusSystem,
+    f_of_gamma,
     left_dual_ring,
     splits,
     sweedler_coring,
@@ -119,12 +119,13 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
         return _parse_tensor(fld, wit[key][part], shape, f"witness {key}.{part}")
 
     def cointegral(key, c, part="cointegral"):
-        return verify_cointegral(Cointegral(c, parse(key, part, (c.base.dim, c.dim * c.dim))))
+        f_mat = f_of_gamma(c, parse(key, part, (c.base.dim, c.dim * c.dim)))
+        return f_mat is not None and verify_cointegral(Cointegral(c, f_mat))
 
     def frobenius(key, c):
-        return verify_frobenius_system(FrobeniusSystem(
-            c, parse(key, "gamma", (c.base.dim, c.dim * c.dim)),
-            parse(key, "invariant", (c.dim,))))
+        f_mat = f_of_gamma(c, parse(key, "gamma", (c.base.dim, c.dim * c.dim)))
+        e = parse(key, "invariant", (c.dim,))
+        return f_mat is not None and verify_frobenius_system(FrobeniusSystem(c, f_mat, e))
 
     def section(key, c):
         return splits(c.carrier, c.counit_mat, parse(key, "section", (c.dim, c.base.dim)))

@@ -9,21 +9,18 @@ coproduct is represented by a matrix ``delta_amb`` from carrier coordinates
 into the *field* tensor square of the carrier, one chosen system of
 representatives for the coproduct valued in C (x)_A C, built from the pairs
 on first read by the few readers that need it: ``construct``, coring
-morphisms, the basis-independence check and the left dual ring.
+morphisms and the left dual ring.
 
-Maps gamma: C (x)_A C -> A (cointegrals, the gamma of Frobenius systems)
-are stored on the field tensor square, and every condition on them is
-written once, in f-coordinates.  C (x)_A C = N (x)_B P (x)_B M for
-P = M (x)_A N (``ContextMiddle``), and the A-bimodule maps gamma are the
-expansions gamma_f (``Coring.expand``) of the (B, B)-bimodule maps f of P,
-read back by ``Coring.f_of``.  The pre-cointegral identity is the rows
-``Coring.precointegral_rows`` on f, and gamma o Delta = eps is
-``Coring.after_delta``.  The pre-cointegral space ``Coring.precointegrals``
-is solved on them, and every gamma is checked on them
-(``verify_cointegral``, ``verify_frobenius_system``).  Above
-``_SQUARE_DIM_LIMIT`` the space is refused with
-``TooLargeToValidateError``, as the expansions of its solutions live on the
-field tensor square.
+Maps gamma: C (x)_A C -> A are held as maps f of P: C (x)_A C =
+N (x)_B P (x)_B M for P = M (x)_A N (``ContextMiddle``), and the A-bimodule
+maps gamma are the gamma_f of the (B, B)-bimodule maps f of P.  Every
+condition on gamma is written on f: ``Coring.precointegral_rows``,
+``Coring.after_delta`` (gamma o Delta = eps) and ``Coring.normalizations``
+(of Frobenius systems).  ``Coring.precointegrals`` is a basis of such f,
+``Cointegral`` and ``FrobeniusSystem`` hold f, and their ``gamma_amb``
+expands it onto the field tensor square (``Coring.expand``) for a report.
+A gamma from outside enters through ``f_of_gamma`` (``Coring.f_of``).
+Above ``_SQUARE_DIM_LIMIT`` the space is refused (TooLargeToValidateError).
 
 Representatives are compared in C (x)_A C through ``Coring.onto_square``,
 the reduction (C (x)_A N) (x)_B M of ``context_projection``, balanced over
@@ -84,14 +81,15 @@ __all__ = [
     "splits",
     "central_subspace",
     "find_cointegral",
+    "f_of_gamma",
     "verify_cointegral",
     "verify_frobenius_system",
     "find_frobenius_system",
 ]
 
-# Coring.precointegrals (and Coring.square) refuse carriers above this size:
-# the expansions of the solutions on the field tensor square (dim A * d**2
-# entries each) do not scale past it
+# Coring.precointegrals (and Coring.square) refuse carriers above this size.
+# No dense array is behind it; lifting it decides recipes 0, 9 and k^3, whose
+# 0.2-0.8 s would move the analyze-fp p90 with no case slower (ROADMAP item 1).
 _SQUARE_DIM_LIMIT = 32
 # find_frobenius_system enumerates central subspaces up to this size, else samples
 _FROBENIUS_ENUMERATION_BUDGET = 2**16
@@ -153,7 +151,7 @@ class Coring:
 
     ``middle``, a function of no arguments, gives P = M (x)_A N as a
     ``ContextMiddle``; by default it presents ``tensor_over(M, N)``.  It is
-    called on the first read of ``precointegrals`` only.
+    called on the first read of P, by ``precointegrals`` or a check on f.
 
     The structure maps never change after construction; the representative
     coproduct, the tensor-square presentation, P, the pre-cointegral rows
@@ -233,26 +231,21 @@ class Coring:
     def expand(self, f_mats):
         """The maps gamma_f(n (x) m (x) n' (x) m') = sigma(n (x) f(m (x) n').m')
         on the field tensor square of the carrier, as a stack [k, a', (u, v)],
-        for a stack ``f_mats`` [k, q', q] of matrices on P; ``f_of`` inverts
-        it on End_{B-B}(P)."""
+        for a stack ``f_mats`` [k, q', q] of matrices on P: the form a report
+        writes.  ``f_of`` inverts it on End_{B-B}(P)."""
         f, ts = self.field, self.carrier_tensor
         sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, self.dim)
-        on_m = self.middle_actions[0]
-        values = f.tensordot(self.middle.of_pair, f_mats, ([2], [2]))  # (m, n', k, q')
-        acted = f.tensordot(values, on_m, ([3], [0]))  # (m, n', k, m', m''): f(m (x) n').m'
-        right = f.tensordot(acted, sec, ([1, 3], [0, 1]))  # (m, k, m'', v)
-        full = f.tensordot(self.sigma_pairs, right, ([2], [2]))  # (a', n, m, k, v)
-        both = f.tensordot(full, sec, ([1, 2], [0, 1]))  # (a', k, v, u)
-        return f.asarray(both.transpose(1, 0, 3, 2)).reshape(
+        values = f.tensordot(f.tensordot(f.asarray(f_mats), self._on_sigma, ([1], [0])),
+                             self.middle.of_pair, ([1], [2]))  # (k, a', n, m', m, n')
+        left = f.tensordot(values, sec, ([2, 4], [0, 1]))  # (k, a', m', n', u)
+        return f.asarray(f.tensordot(left, sec, ([3, 2], [0, 1]))).reshape(
             len(f_mats), self.base.dim, self.dim * self.dim)
 
     @cached_property
-    def _readers(self):
-        """What ``f_of`` and ``after_delta`` contract with, built once per
-        coring: [u, v, q, i, j], the representative (n_i (x) x) (x) (y (x) m_j)
-        on the field tensor square for the lift x (x) y of e_q; [i, q', a', j],
-        the P-coordinates of m_i (x) a'.n_j; t = tau(1) in P; and
-        [q', a', n, m], sigma(n (x) e_q'.m)."""
+    def _f_readers(self):
+        """What ``f_of`` contracts with, built on its first call: [u, v, q, i, j],
+        (n_i (x) x) (x) (y (x) m_j) on the field tensor square for the lift
+        x (x) y of e_q, and [i, q', a', j], the P-coordinates of m_i (x) a'.n_j."""
         f, ts, mid = self.field, self.carrier_tensor, self.middle
         n, m = ts.left_factor, ts.right_factor
         ms, ns = _pair_matrices(f, self.tau_pairs, m.dim, n.dim)
@@ -263,10 +256,7 @@ class Coring:
                            ([3], [1])).transpose(0, 3, 2, 1, 4)
         acted = f.tensordot(n.left_action, ns, ([1], [0]))  # (a', n', j): a'.n_j
         onto = f.tensordot(f.tensordot(ms, mid.of_pair, ([0], [0])), acted, ([1], [1]))
-        t = f.tensordot(f.tensordot(mid.of_pair, ms, ([0], [0])), ns, ([0, 2], [0, 1]))
-        on_sigma = f.tensordot(self.middle_actions[0], self.sigma_pairs,
-                               ([2], [2])).transpose(0, 2, 3, 1)
-        return np.ascontiguousarray(reps), onto, t, np.ascontiguousarray(on_sigma)
+        return np.ascontiguousarray(reps), onto
 
     def f_of(self, gammas):
         """The maps f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j
@@ -274,10 +264,23 @@ class Coring:
         of maps on the field tensor square: each basis element of P is read
         through its lift, and each value through ``of_pair``."""
         f = self.field
-        reps, onto, _, _ = self._readers
+        reps, onto = self._f_readers
         g4 = f.asarray(gammas).reshape(len(gammas), self.base.dim, self.dim, self.dim)
         values = f.tensordot(g4, reps, ([2, 3], [0, 1]))  # (k, a', q, i, j)
         return f.asarray(f.tensordot(values, onto, ([1, 3, 4], [2, 0, 3])).transpose(0, 2, 1))
+
+    def middle_element(self, pairs):
+        """sum_i m_i (x) n_i in P for pairs (m_i, n_i); tau(1) for the coring's."""
+        f, ts = self.field, self.carrier_tensor
+        ms, ns = _pair_matrices(f, pairs, ts.right_factor.dim, ts.left_factor.dim)
+        return f.tensordot(f.tensordot(self.middle.of_pair, ms, ([0], [0])), ns,
+                           ([0, 2], [0, 1]))
+
+    @cached_property
+    def _on_sigma(self):
+        """[q', a', n, m]: sigma(n (x) e_q'.m), built once per coring."""
+        on = self.field.tensordot(self.middle_actions[0], self.sigma_pairs, ([2], [2]))
+        return np.ascontiguousarray(on.transpose(0, 2, 3, 1))
 
     def after_delta(self, f_mats):
         """gamma_f o Delta for a stack ``f_mats`` [k, q', q] of matrices on P,
@@ -285,10 +288,26 @@ class Coring:
         Delta(n (x) m) = sum_i n (x) (m_i (x) n_i) (x) m, it is
         sigma(n (x) f(t).m) for t = tau(1) in P.  It equals ``sigma_pairs``
         iff gamma_f o Delta = eps, as the n (x) m span C."""
-        f = self.field
-        _, _, t, on_sigma = self._readers
-        return f.asarray(f.tensordot(f.tensordot(f.asarray(f_mats), t, ([2], [0])), on_sigma,
-                                     ([1], [0])))
+        f, t = self.field, self.middle_element(self.tau_pairs)
+        return f.tensordot(f.tensordot(f.asarray(f_mats), t, ([2], [0])), self._on_sigma,
+                           ([1], [0]))
+
+    def normalizations(self, f_mats, invariants):
+        """[k, j, 2, a', n, m]: gamma_f(n (x) m (x) e) and gamma_f(e (x) n (x) m)
+        for f in a stack ``f_mats`` [j, q', q] of maps of P and e in a stack
+        ``invariants`` [k, c].  For e = sum E[n', m'] n' (x) m' they are
+        sum E[n', m'] sigma(n (x) f(m (x) n').m') and sum E[n', m']
+        sigma(n' (x) f(m' (x) n).m), linear in f and in e; both equal
+        ``sigma_pairs`` iff gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c)."""
+        f, ts, of_pair = self.field, self.carrier_tensor, self.middle.of_pair
+        lifts = f.tensordot(f.asarray(invariants), ts.section, ([1], [1])).reshape(
+            len(invariants), ts.left_factor.dim, ts.right_factor.dim)  # (k, n', m')
+        valued = f.tensordot(f.asarray(f_mats), self._on_sigma, ([1], [0]))  # (j, q, a', n, m)
+        right = f.tensordot(f.tensordot(lifts, of_pair, ([1], [1])),  # (k, m', m, q)
+                            valued, ([1, 3], [4, 1])).transpose(0, 2, 3, 4, 1)
+        left = f.tensordot(f.tensordot(lifts, of_pair, ([2], [0])),  # (k, n', n, q)
+                           valued, ([1, 3], [3, 1])).transpose(0, 2, 3, 1, 4)
+        return f.asarray(np.stack([right, left], axis=2))
 
     @cached_property
     def precointegral_rows(self):
@@ -308,18 +327,17 @@ class Coring:
     @property
     def precointegrals(self):
         """Basis of the pre-cointegrals, built once per coring: a stack
-        [k, a', (u, v)] of maps on the field tensor square, the A-bimodule
-        maps gamma: C (x)_A C -> A with
+        [k, q', q] of the maps f of P whose gamma_f are the A-bimodule maps
+        gamma: C (x)_A C -> A with
         sum c_1 gamma(c_2 (x) c') = sum gamma(c (x) c'_1) c'_2.
 
-        They are solved in f-coordinates.  C (x)_A C = N (x)_B P (x)_B M,
-        and P = M (x)_A N acts on M and on N (``middle_actions``).  Each f in
-        End_{B-B}(P) gives gamma_f(n (x) p (x) m') = sigma(n (x) f(p).m'),
-        an A-bimodule map, balanced over B as f is B-linear and sigma
-        B-balanced.  Each gamma gives
-        f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j, B-linear as
-        tau(1) is B-central.  The two are inverse.  By the A-linearity of
-        gamma and the two diagrams,
+        C (x)_A C = N (x)_B P (x)_B M, and P = M (x)_A N acts on M and on N
+        (``middle_actions``).  Each f in End_{B-B}(P) gives
+        gamma_f(n (x) p (x) m') = sigma(n (x) f(p).m'), an A-bimodule map,
+        balanced over B as f is B-linear and sigma B-balanced.  Each gamma
+        gives f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j,
+        B-linear as tau(1) is B-central.  The two are inverse.  By the
+        A-linearity of gamma and the two diagrams,
         gamma_{f_gamma}(n (x) p (x) m')
         = gamma(sum_i sigma(n (x) m_i).n_i (x) p (x) sum_j m_j.sigma(n_j (x) m'))
         = gamma(n (x) p (x) m'); for f(p) = sum_k x_k (x) y_k the first
@@ -337,26 +355,18 @@ class Coring:
         For a Sweedler coring that is 1 (x) f(x) = f(x) (x) 1 in S (x)_B S.
 
         That condition, ``precointegral_rows``, is solved on the intertwiner
-        basis of End_{B-B}(P) by ``linalg._successive_kernel``, and only its
-        r solutions are expanded (``expand``).  The basis is the reversed
-        reduced echelon form of the expansions, which is unique for the
-        space.  It is also the basis a solve in the coordinates of the
-        presented square gives: the square's projection is the identity on
-        its free columns and each of its rows is zero after its own free
-        column, so a map keeps its last nonzero entry, and its entries at
-        free columns, through it."""
+        basis of End_{B-B}(P) by ``linalg._successive_kernel``.  Each
+        intertwiner is 1 at its own free entry, 0 at the other free entries
+        and 0 after its own, so the kernel rows combine them into the reversed
+        reduced echelon form in the entries of f, which is unique."""
         if self._precointegrals is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise _too_large(self.dim)
-            f, a = self.field, self.base
+            f = self.field
             homs = _endomorphisms(self.middle.space)  # (j, q', q)
             system = f.tensordot(homs, self.precointegral_rows, ([1], [1])).reshape(len(homs), -1)
             coeffs, _ = _successive_kernel(f, len(homs), lambda columns, rank: [system])
-            gammas = self.expand(f.tensordot(coeffs, homs, ([1], [0])))
-            red, pivots = rref(f, gammas.reshape(len(gammas), a.dim * self.dim**2)[:, ::-1])
-            if len(pivots) != len(gammas):
-                raise InternalInconsistencyError("f -> gamma_f is not injective")
-            self._precointegrals = np.ascontiguousarray(red[::-1, ::-1]).reshape(gammas.shape)
+            self._precointegrals = f.asarray(f.tensordot(coeffs, homs, ([1], [0])))
         return self._precointegrals
 
     # -- evaluation helpers -------------------------------------------------
@@ -530,19 +540,25 @@ def is_cosplit(c: Coring):
 
 
 @dataclass
-class Cointegral:
-    """A map gamma on the field tensor square of the carrier, balanced over
-    the base, satisfying the pre-cointegral identity and gamma o Delta = eps."""
+class _MapOfP:
+    """A map gamma_f: C (x)_A C -> A held as its map f of P; ``gamma_amb``
+    is gamma_f on the field tensor square, (base.dim, dim**2), for a report."""
 
     coring: Coring
-    gamma_amb: np.ndarray  # (base.dim, dim**2)
+    f_mat: np.ndarray  # (q, q), q = dim P
+    gamma_amb = property(lambda self: self.coring.expand(self.f_mat[None])[0])
 
 
 @dataclass
-class FrobeniusSystem:
-    coring: Coring
-    gamma_amb: np.ndarray
-    invariant: np.ndarray  # central element of the carrier
+class Cointegral(_MapOfP):
+    """A pre-cointegral gamma_f with gamma_f o Delta = eps."""
+
+
+@dataclass
+class FrobeniusSystem(_MapOfP):
+    """A pre-cointegral gamma_f and a central e: gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c)."""
+
+    invariant: np.ndarray
 
 
 @dataclass
@@ -555,58 +571,45 @@ class FrobeniusSearch:
         return self.status == "found"
 
 
-def _map_of_precointegral(c: Coring, gamma_amb):
-    """f_gamma when a map gamma on the field tensor square is a
-    pre-cointegral, else None: f = f_gamma (``Coring.f_of``) must
-    (1) commute with the actions of B on P, (2) expand to gamma exactly and
-    (3) be annihilated by ``Coring.precointegral_rows``.
-
-    (1) and (2) hold iff gamma is balanced over A and A-bilinear.  If they
-    hold, gamma is gamma_f for a B-bimodule map f, which is well defined
-    and A-bilinear on C (x)_A C = N (x)_B P (x)_B M (``precointegrals``),
-    so gamma is balanced and A-bilinear on the field tensor square.
-    Conversely such a gamma factors through an A-bimodule map
-    C (x)_A C -> A, which is gamma_g for the B-bimodule map g read off it by
-    the bijection of ``precointegrals``; ``f_of`` reads g on representatives
-    of n_i (x) p (x) m_j, so f = g, which gives (1), and gamma_f = gamma,
-    which gives (2).  Given (1) and (2), (3) is the pre-cointegral identity
-    by ``precointegrals``."""
-    f = c.field
-    gamma = f.asarray(gamma_amb)
+def f_of_gamma(c: Coring, gamma_amb):
+    """The f of a map gamma on the field tensor square of the carrier, or
+    None when gamma is no gamma_f; a gamma from outside the library enters
+    here.  f = f_gamma (``Coring.f_of``) must (1) commute with the actions of
+    B on P and (2) expand to gamma exactly.  Both hold iff gamma is balanced
+    over A and A-bilinear: gamma_f of a B-bimodule map f is well defined on
+    C (x)_A C = N (x)_B P (x)_B M, and such a gamma is gamma_g for the g of
+    the bijection of ``precointegrals``, which ``f_of`` reads, so f = g."""
+    gamma = c.field.asarray(gamma_amb)
     f_mat = c.f_of(gamma[None])[0]
     space = c.middle.space
-    if not (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
-            and Field.equal(c.expand(f_mat[None])[0], gamma)
-            and not np.any(f.matmul(c.precointegral_rows, f_mat))):
-        return None
-    return f_mat
+    return f_mat if (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
+                     and Field.equal(c.expand(f_mat[None])[0], gamma)) else None
+
+
+def _is_precointegral(c: Coring, f_mat) -> bool:
+    """True when gamma_f is a pre-cointegral (``precointegrals``): f (1)
+    commutes with the actions of B on P and (3) is annihilated by the rows."""
+    space = c.middle.space
+    return (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
+            and not np.any(c.field.matmul(c.precointegral_rows, f_mat)))
 
 
 def verify_cointegral(ci: Cointegral) -> bool:
-    """Balance, A-bilinearity, the pre-cointegral identity and
-    gamma o Delta = eps, checked in f-coordinates: the three conditions of
-    ``_map_of_precointegral`` on f = f_gamma, and (4) gamma_f o Delta = eps
-    by ``Coring.after_delta``, which is gamma o Delta = eps as gamma = gamma_f."""
+    """gamma_f a pre-cointegral (``_is_precointegral``) and (4)
+    gamma_f o Delta = eps (``Coring.after_delta``), checked on f."""
     c = ci.coring
-    f_mat = _map_of_precointegral(c, ci.gamma_amb)
-    return f_mat is not None and Field.equal(c.after_delta(f_mat[None])[0], c.sigma_pairs)
+    return (_is_precointegral(c, ci.f_mat)
+            and Field.equal(c.after_delta(ci.f_mat[None])[0], c.sigma_pairs))
 
 
 def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
-    """Invariance of e, gamma a pre-cointegral (``_map_of_precointegral``),
-    and the two gamma(c (x) e) = gamma(e (x) c) = eps(c) normalizations,
-    read on the field tensor square."""
-    c = fs.coring
-    f = c.field
-    e = f.asarray(fs.invariant)
-    if np.any(f.matmul(central_rows(c.carrier), e)):
+    """Invariance of e, gamma_f a pre-cointegral (``_is_precointegral``) and
+    gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c) (``Coring.normalizations``)."""
+    c, e = fs.coring, fs.coring.field.asarray(fs.invariant)
+    if np.any(c.field.matmul(central_rows(c.carrier), e)) or not _is_precointegral(c, fs.f_mat):
         return False
-    if _map_of_precointegral(c, fs.gamma_amb) is None:
-        return False
-    g3 = f.asarray(fs.gamma_amb).reshape(c.base.dim, c.dim, c.dim)
-    if not Field.equal(f.tensordot(g3, e, ([2], [0])), c.counit_mat):
-        return False
-    return Field.equal(f.tensordot(g3, e, ([1], [0])), c.counit_mat)
+    both = c.normalizations(fs.f_mat[None], e[None])[0, 0]
+    return all(Field.equal(side, c.sigma_pairs) for side in both)
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +620,16 @@ def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
 def find_cointegral(c: Coring):
     """Exact decision of coseparability on small carriers.
 
-    Solves sum_j x_j (gamma_j o Delta) = eps over the basis gamma_j of the
-    coring's memoized pre-cointegral space, in f-coordinates: on the maps
-    f_j of the gamma_j, by ``Coring.after_delta``.
+    Solves sum_j x_j (gamma_j o Delta) = eps over the basis f_j of the
+    coring's memoized pre-cointegral space, by ``Coring.after_delta``.
     """
     f = c.field
-    gammas = c.precointegrals
-    system = c.after_delta(c.f_of(gammas))  # (j, a', n, m): gamma_j o Delta
-    sol = _solve(f, system.reshape(len(gammas), -1).T, c.sigma_pairs.reshape(-1))
+    basis = c.precointegrals
+    system = c.after_delta(basis)  # (j, a', n, m): gamma_j o Delta
+    sol = _solve(f, system.reshape(len(basis), -1).T, c.sigma_pairs.reshape(-1))
     if sol is None:
         return None
-    ci = Cointegral(c, f.tensordot(sol, gammas, ([0], [0])))
+    ci = Cointegral(c, f.tensordot(sol, basis, ([0], [0])))
     if not verify_cointegral(ci):
         raise CoringAxiomError("solver produced a gamma that fails verification")
     return ci
@@ -639,35 +641,34 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
     The defining conditions are linear in gamma for a fixed invariant e, so
     ``span_search`` enumerates or samples e over the central subspace, and
     gamma(. (x) e) = gamma(e (x) .) = eps is solved exactly for gamma inside
-    the coring's memoized pre-cointegral space.  An exhausted enumeration is
-    an exact negative; after sampling, the dual-ring isomorphism criterion is
-    tried before reporting inconclusive.
+    the coring's memoized pre-cointegral space; as they are linear in e,
+    they are computed once on the central basis.  An exhausted enumeration
+    is an exact negative; after sampling, the dual-ring isomorphism
+    criterion is tried before reporting inconclusive.
     """
     f = c.field
-    da, d = c.base.dim, c.dim
     centrals = central_subspace(c)
     if not centrals:
         return FrobeniusSearch("none")
-    gammas = c.precointegrals
-    if not len(gammas):
+    basis = c.precointegrals
+    if not len(basis):
         # gamma would have to be zero, which cannot reproduce the counit
         return FrobeniusSearch("none")
-    g4 = gammas.reshape(len(gammas), da, d, d)
-    counit_vec = c.counit_mat.reshape(-1)
+    invariants = np.stack(centrals)
+    norms = c.normalizations(basis, invariants)  # (k, j, 2, a', n, m)
+    rows = np.concatenate([invariants, norms.reshape(len(invariants), -1)], axis=1)
+    counit_twice = np.concatenate([c.sigma_pairs.reshape(-1)] * 2)
 
-    def try_invariant(e):
-        cond = np.stack([f.tensordot(g4, e, ([3], [0])),  # (j, a', c): gamma_j(c (x) e)
-                         f.tensordot(g4, e, ([2], [0]))], axis=1)  # gamma_j(e (x) c)
-        coeffs = _solve(f, cond.reshape(len(gammas), -1).T,
-                        np.concatenate([counit_vec, counit_vec]))
+    def try_invariant(row):
+        coeffs = _solve(f, row[c.dim:].reshape(len(basis), -1).T, counit_twice)
         if coeffs is None:
             return None
-        fs = FrobeniusSystem(c, f.tensordot(coeffs, gammas, ([0], [0])), e)
+        fs = FrobeniusSystem(c, f.tensordot(coeffs, basis, ([0], [0])), row[:c.dim])
         if not verify_frobenius_system(fs):
             raise CoringAxiomError("Frobenius solver produced a failing system")
         return fs
 
-    status, fs = span_search(f, np.stack(centrals), try_invariant,
+    status, fs = span_search(f, rows, try_invariant,
                              _FROBENIUS_ENUMERATION_BUDGET, _FROBENIUS_RANDOM_ATTEMPTS, seed)
     if status != "inconclusive":
         return FrobeniusSearch(status, fs)
@@ -711,8 +712,8 @@ def _frobenius_via_dual_ring_iso(c: Coring, seed: int) -> FrobeniusSearch:
     phi = search.map.matrix
     mats = np.stack([f.asarray(m) for m in ldual.functional_mats])
     g3 = f.tensordot(phi, mats, ([0], [0])).transpose(1, 2, 0)  # (a', u, v)
-    e = _solve(f, phi, ldual.unit)
-    fs = FrobeniusSystem(c, g3.reshape(c.base.dim, c.dim * c.dim), e)
-    if verify_frobenius_system(fs):
+    f_mat = f_of_gamma(c, g3.reshape(c.base.dim, c.dim * c.dim))
+    if f_mat is not None and verify_frobenius_system(
+            fs := FrobeniusSystem(c, f_mat, _solve(f, phi, ldual.unit))):
         return FrobeniusSearch("found", fs)
     return FrobeniusSearch("inconclusive")

@@ -38,9 +38,9 @@ class ContextAxiomError(AxiomError):
 
 class TooLargeToValidateError(CoringLabError):
     """A capacity limit, not an axiom failure: a statement needs the
-    pre-cointegral space of a coring whose carrier is too large for the
-    expansions of its solutions on the field tensor square (dim A * d**2
-    entries each); it stays undecided."""
+    pre-cointegral space of a coring whose carrier has dimension above 32;
+    it stays undecided.  The solve needs no dense array; the limit is kept
+    for the benchmark (``coring._SQUARE_DIM_LIMIT``)."""
 
 
 class NotProjectiveError(CoringLabError):

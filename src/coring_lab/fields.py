@@ -15,7 +15,7 @@ could pass 63 bits (large p) run on Python ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -147,10 +147,9 @@ class PrimeField(Field):
 
     def tensordot(self, a, b, axes):
         p = self.characteristic
-        if isinstance(axes, int):
-            inner = int(np.prod(a.shape[-axes:])) if axes else 1
-        else:
-            inner = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axes[0])]))
+        first = range(a.ndim - axes, a.ndim) if isinstance(axes, int) else axes[0]
+        inner = (a.shape[first] if isinstance(first, (int, np.integer))
+                 else prod(a.shape[ax] for ax in first))
         if a.size * b.size > 2**18 and self._via_blas(max(inner, 1)):
             return self._from_floats(np.tensordot(a.astype(np.float64), b.astype(np.float64),
                                                   axes))

@@ -197,22 +197,17 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 # omega(m (x) phi) = (x -> m.phi(x)) identifies M (x)_A M^* with S, so for the
 # comatrix coring C, C (x)_A C = M^* (x)_B S (x)_B M, and the Sweedler coring
 # of B -> S has square S (x)_B S (x)_B S.  Both corings hold P = M (x)_A N as
-# S in the same coordinates (``Coring.middle``), so a B-bimodule map f: S -> S
-# expands on either square (``Coring.expand``) as
+# S in the same coordinates (``Coring.middle``), and a B-bimodule map f: S -> S
+# is the map
 #
 #   gamma_f(phi (x) m (x) psi (x) n) = phi(f(omega(m (x) psi)) . n),
-#   gamma~_f((a (x) x) (x) (y (x) b)) = a f(xy) b,
+#   gamma~_f((a (x) x) (x) (y (x) b)) = a f(xy) b
 #
-# and ``Coring.f_of`` of the comatrix coring reads f back from gamma_f.  A
-# (pre-)cointegral gamma of C goes to the Sweedler coring as gamma~ of
-# f_gamma: the transport is the identity on f.
+# on either square.  Cointegrals and Frobenius systems hold f, so a
+# (pre-)cointegral of C goes to the Sweedler coring as the same f: the
+# transport is the identity on f, and only the invariant of a Frobenius
+# system is moved (``_tilde_invariant``).
 # ---------------------------------------------------------------------------
-
-
-def _omega_dual(tower: BimoduleTower):
-    """[s, i, k]: the S-coordinates of omega(e_i (x) e_k^*)."""
-    dual_coords = np.stack(tower.basis.functional_coords)  # (k, beta)
-    return tower.module.field.tensordot(tower.s_iso.omega, dual_coords, ([2], [1]))
 
 
 def _tilde_invariant(tower: BimoduleTower, e_vec):
@@ -225,8 +220,18 @@ def _tilde_invariant(tower: BimoduleTower, e_vec):
     # (alpha, i) coefficients of phi_alpha (x) e_i
     w = tower.comatrix.coring.carrier_tensor.lift(e_vec)
     first = f.tensordot(tower.s_iso.omega, w, ([2], [0]))  # (s1, j, i)
-    pairs = f.tensordot(first, _omega_dual(tower), ([1, 2], [2, 1]))  # (s1, s2)
+    # (s2, i, k): omega(e_i (x) e_k^*)
+    omega_dual = f.tensordot(tower.s_iso.omega, np.stack(tower.basis.functional_coords),
+                             ([2], [1]))
+    pairs = f.tensordot(first, omega_dual, ([1, 2], [2, 1]))  # (s1, s2)
     return f.matmul(tower.sweedler.carrier_tensor.projection, pairs.reshape(-1))
+
+
+def _verified(witness, check, what: str):
+    """``witness`` when ``check`` accepts it; else a theorem failed."""
+    if not check(witness):
+        raise InternalInconsistencyError(f"{what} fails verification")
+    return witness
 
 
 def lift_cosplit(m: Bimodule, section: BimoduleMap):
@@ -267,23 +272,16 @@ def cointegral_from_separability(m: Bimodule, nu: BimoduleMap) -> Cointegral:
     """The constructive cointegral eps o (M^* (x) s (x) M) of a separable
     bimodule: gamma_f for f = (B -> S) o s, verified as a full cointegral."""
     tower = bimodule_tower(m)
-    s = split_from_separability(m, nu)
-    f_mat = m.field.matmul(tower.b_to_s.matrix, s.matrix)
-    ci = Cointegral(tower.comatrix.coring, tower.comatrix.coring.expand(f_mat[None])[0])
-    if not verify_cointegral(ci):
-        raise InternalInconsistencyError("constructed cointegral fails verification")
-    return ci
+    f_mat = m.field.matmul(tower.b_to_s.matrix, split_from_separability(m, nu).matrix)
+    return _verified(Cointegral(tower.comatrix.coring, f_mat), verify_cointegral,
+                     "constructed cointegral")
 
 
-def lift_cointegral(m: Bimodule, gamma: Cointegral) -> Cointegral:
-    """Transport a cointegral of the comatrix coring to S (x)_B S: the
-    expansion gamma~ of f_gamma, verified as a normalized cointegral."""
-    tower = bimodule_tower(m)
-    gamma_amb = tower.sweedler.expand(tower.comatrix.coring.f_of(gamma.gamma_amb[None]))[0]
-    ci = Cointegral(tower.sweedler, gamma_amb)
-    if not verify_cointegral(ci):
-        raise InternalInconsistencyError("transported cointegral fails verification")
-    return ci
+def lift_cointegral(m: Bimodule, ci: Cointegral) -> Cointegral:
+    """Transport a cointegral of the comatrix coring to S (x)_B S: gamma~_f
+    for its f, verified as a normalized cointegral."""
+    return _verified(Cointegral(bimodule_tower(m).sweedler, ci.f_mat), verify_cointegral,
+                     "transported cointegral")
 
 
 def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> np.ndarray:
@@ -326,11 +324,8 @@ def lift_frobenius_system(m: Bimodule, fs: FrobeniusSystem) -> FrobeniusSystem:
     """Transport a reduced Frobenius system of the comatrix coring to the
     Sweedler coring of B -> S; fully re-verified."""
     tower = bimodule_tower(m)
-    gamma_amb = tower.sweedler.expand(tower.comatrix.coring.f_of(fs.gamma_amb[None]))[0]
-    lifted = FrobeniusSystem(tower.sweedler, gamma_amb, _tilde_invariant(tower, fs.invariant))
-    if not verify_frobenius_system(lifted):
-        raise InternalInconsistencyError("transported Frobenius system fails verification")
-    return lifted
+    lifted = FrobeniusSystem(tower.sweedler, fs.f_mat, _tilde_invariant(tower, fs.invariant))
+    return _verified(lifted, verify_frobenius_system, "transported Frobenius system")
 
 
 # ---------------------------------------------------------------------------

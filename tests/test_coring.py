@@ -28,6 +28,7 @@ from coring_lab.coring import (
     CoringMorphism,
     FrobeniusSystem,
     central_subspace,
+    f_of_gamma,
     find_cointegral,
     find_frobenius_system,
     is_cosplit,
@@ -84,6 +85,14 @@ def delta_entry(field, n, table):
                 for l in range(n):
                     g[0, (i * n + j) * d + (k * n + l)] = table(i, j, k, l)
     return g
+
+
+def on_p(c, gamma):
+    """The f of a gamma given on the field tensor square, which must be the
+    gamma_f of a (B, B)-bimodule map f of P."""
+    f_mat = f_of_gamma(c, gamma)
+    assert f_mat is not None
+    return f_mat
 
 
 # ----------------------------------------------------------------- validation
@@ -283,13 +292,13 @@ def test_delta_pairing_is_a_precointegral_but_not_normalized_over_f2():
     assert precointegral_identity_holds(c, gamma)
     # sum_w gamma(c_iw (x) c_wj) = 2 delta_ij = 0 in characteristic two
     assert not gamma_is_normalized(c, gamma)
-    assert not verify_cointegral(Cointegral(c, gamma))
+    assert not verify_cointegral(Cointegral(c, on_p(c, gamma)))
 
 
 def test_corner_cointegral_is_normalized_over_f2():
     c = matrix_coring(2, F2)
     gamma = delta_entry(F2, 2, lambda i, j, k, l: 1 if (j == 0 and k == 0 and i == l) else 0)
-    assert verify_cointegral(Cointegral(c, gamma))
+    assert verify_cointegral(Cointegral(c, on_p(c, gamma)))
 
 
 def test_halved_delta_pairing_is_a_cointegral_over_q():
@@ -298,7 +307,7 @@ def test_halved_delta_pairing_is_a_cointegral_over_q():
     c = matrix_coring(2, QQ)
     gamma = delta_entry(QQ, 2, lambda i, j, k, l: Fraction(1, 2)
                         if (j == k and i == l) else Fraction(0))
-    assert verify_cointegral(Cointegral(c, gamma))
+    assert verify_cointegral(Cointegral(c, on_p(c, gamma)))
 
 
 def test_find_cointegral_trivial_coring():
@@ -336,10 +345,10 @@ def test_verify_frobenius_system_matrix_coring():
     gamma = delta_entry(F2, 2, lambda i, j, k, l: 1 if (j == k and i == l) else 0)
     trace = F2.zeros(4)
     trace[0] = trace[3] = 1
-    assert verify_frobenius_system(FrobeniusSystem(c, gamma, trace))
+    assert verify_frobenius_system(FrobeniusSystem(c, on_p(c, gamma), trace))
     corner = F2.zeros(4)
     corner[0] = 1
-    assert not verify_frobenius_system(FrobeniusSystem(c, gamma, corner))
+    assert not verify_frobenius_system(FrobeniusSystem(c, on_p(c, gamma), corner))
 
 
 def test_trivial_coring_frobenius_system():
@@ -404,7 +413,9 @@ def test_frobenius_search_solves_both_normalizations_together(side, monkeypatch)
     e = phi = F2.eye(4)[1]  # c_01 and its coordinate functional
     eps = c.counit_mat[0]
     table = np.outer(eps, phi) if side == "c (x) e" else np.outer(phi, eps)
-    monkeypatch.setattr(Coring, "precointegrals", property(lambda _: table.reshape(1, 1, 16)))
+    monkeypatch.setattr(Coring, "precointegrals",
+                        property(lambda c: c.f_of(table.reshape(1, 1, 16))))
+    assert np.array_equal(c.expand(c.precointegrals), table.reshape(1, 1, 16))  # a gamma_f
     one_sided = F2.tensordot(table[None], e, ([2], [0]) if side == "c (x) e" else ([1], [0]))
     assert np.array_equal(one_sided, c.counit_mat)
     assert find_frobenius_system(c, seed=0).status == "none"
@@ -472,8 +483,9 @@ def sweedler(request):
 def test_precointegrals_span_the_kernel_of_the_dense_system(sweedler):
     c = sweedler
     f, sq = c.field, c.square
-    gammas = c.precointegrals
-    assert gammas.shape[1:] == (c.base.dim, c.dim * c.dim)
+    q = c.middle.space.dim
+    assert c.precointegrals.shape[1:] == (q, q)
+    gammas = c.expand(c.precointegrals)
     # back to quotient coordinates: gamma_amb @ section = gamma_q
     ours = np.stack([f.matmul(g, sq.section).reshape(-1) for g in gammas])
     oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
@@ -501,7 +513,8 @@ def test_find_cointegral_matches_the_unreduced_system(sweedler):
 def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler, monkeypatch):
     reduced = find_frobenius_system(sweedler, seed=0)
     # the oracle: the same search over the kernel of the dense stacked rows
-    monkeypatch.setattr(Coring, "precointegrals", property(dense_kernel_gammas))
+    monkeypatch.setattr(Coring, "precointegrals",
+                        property(lambda c: c.f_of(dense_kernel_gammas(c))))
     oracle = find_frobenius_system(sweedler, seed=0)
     assert reduced.status == oracle.status
     if oracle.found:
@@ -545,6 +558,15 @@ def test_deciders_on_the_sweedler_coring_of_matrix2_stay_small():
     assert peak < 32 * 2**20
 
 
+def in_reversed_echelon_form(field, maps):
+    """True when a stack of maps, each read as the row of its entries, is
+    the reversed reduced echelon form of its span: ``rref`` of the rows with
+    their columns reversed, reversed back."""
+    rows = maps.reshape(len(maps), -1)
+    red, pivots = rref(field, rows[:, ::-1])
+    return len(pivots) == len(rows) and same_entries(red[:len(pivots)][::-1, ::-1], rows)
+
+
 def square_path_precointegrals(c):
     """Oracle: the pre-cointegral basis solved on the presented square: the
     A-bimodule maps C (x)_A C -> A from ``intertwiners`` on the square's
@@ -582,12 +604,12 @@ def test_precointegrals_of_every_kind_of_coring_are_the_dense_kernel_basis(case)
     assert corings
     for c in corings:
         f, sq = c.field, c.square
-        ours = c.precointegrals
+        ours = c.expand(c.precointegrals)
         oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
         rows = np.stack([f.matmul(g, sq.section).reshape(-1) for g in ours])
         assert np.array_equal(rref(f, rows)[0], rref(f, oracle)[0])
-        # the reversed echelon form is unique: the very basis of the dense solve
-        assert same_entries(ours, f.asarray(dense_kernel_gammas(c)))
+        # the basis is the reversed reduced echelon form of its f's
+        assert in_reversed_echelon_form(f, c.precointegrals)
 
 
 @pytest.mark.parametrize("recipe", [0, 7, 9])
@@ -598,8 +620,13 @@ def test_precointegrals_beyond_the_dense_oracle_are_the_square_path_basis(recipe
     corings = module_corings(random_projective_bimodule(recipe))
     assert max(c.dim for c in corings) == (32 if recipe == 7 else 40)
     for c in corings:
-        assert same_entries(c.precointegrals, square_path_precointegrals(c))
-        assert len(c.precointegrals) == (4 if recipe == 7 else 6)
+        f = c.field
+        ours, oracle = c.expand(c.precointegrals), square_path_precointegrals(c)
+        assert len(ours) == len(oracle) == (4 if recipe == 7 else 6)
+        assert np.array_equal(rref(f, ours.reshape(len(ours), -1))[0],
+                              rref(f, oracle.reshape(len(oracle), -1))[0])
+        # the basis is the reversed reduced echelon form of its f's
+        assert in_reversed_echelon_form(f, c.precointegrals)
 
 
 def test_precointegrals_read_neither_the_square_nor_its_projection(monkeypatch):
@@ -916,11 +943,11 @@ def test_precointegrals_of_the_sweedler_coring_of_recipe_7_stay_small():
     c.square
     tracemalloc.start()
     try:
-        gammas = c.precointegrals
+        basis = c.precointegrals
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gammas.shape == (4, 8, 32 * 32)
+    assert basis.shape == (4, 8, 8)  # maps of P = S, dim S = 8
     assert peak < 16 * 2**20
 
 

@@ -1,12 +1,15 @@
 """The checks of a map gamma: C (x)_A C -> A in f-coordinates
-(``coring.verify_cointegral``, ``coring.verify_frobenius_system``) give the
-verdicts of the dense oracle of ``gamma_oracle`` on the field tensor square.
+(``coring.verify_cointegral``, ``coring.verify_frobenius_system``), on the f
+that ``coring.f_of_gamma`` reads from gamma, give the verdicts of the dense
+oracle of ``gamma_oracle`` on the field tensor square, and the Frobenius
+normalizations on f are the dense contractions of gamma_f with e.
 
 The corings are the comatrix and Sweedler corings of the modules of the
 analyze-fp benchmark workload at seed 0 with carriers up to dimension 32, and
 of the bundled files over QQ.  The candidates are the found cointegrals and
 Frobenius systems, one-entry tampers of them, the expansions of a basis of
-End_{B-B}(P) and of one map of P that is not B-linear.
+End_{B-B}(P) and of one map of P that is not B-linear, and each found
+Frobenius gamma with each basis element of the central subspace.
 """
 
 import numpy as np
@@ -15,9 +18,12 @@ import pytest
 from coring_lab import GF
 from coring_lab.coring import (
     Cointegral,
+    Coring,
     FrobeniusSystem,
     _endomorphisms,
-    _map_of_precointegral,
+    _is_precointegral,
+    central_subspace,
+    f_of_gamma,
     find_cointegral,
     find_frobenius_system,
     verify_cointegral,
@@ -54,8 +60,9 @@ def bump(field, gamma, index):
 
 def candidates(c, expansions):
     """(gamma, invariant or None) pairs: the found witnesses, a tamper of each
-    at its first entry, its last and one chosen at random, the given
-    expansions and the expansion of a map of P that is not B-linear."""
+    at its first entry, its last and one chosen at random, the found
+    Frobenius gamma with each central basis element, the given expansions and
+    the expansion of a map of P that is not B-linear."""
     f = c.field
     rng = np.random.default_rng(c.dim)
     found = []
@@ -69,6 +76,8 @@ def candidates(c, expansions):
     for gamma, e in found:
         for index in (0, gamma.size - 1, int(rng.integers(gamma.size))):
             out.append((bump(f, gamma, index), e))
+    if search.found:
+        out += [(search.system.gamma_amb, z) for z in central_subspace(c)]
     q = c.middle.space.dim
     arbitrary = c.expand(f.asarray(rng.integers(0, 5, size=(1, q, q))))
     return out + [(gamma, None) for gamma in np.concatenate([expansions, arbitrary])]
@@ -91,13 +100,58 @@ def test_f_coordinate_checks_give_the_dense_verdicts(case):
                        for g, h in zip(expansions, homs))
         for gamma, e in candidates(c, expansions):
             dense = is_cointegral(c, gamma)
-            assert verify_cointegral(Cointegral(c, gamma)) == dense
-            assert (_map_of_precointegral(c, gamma) is not None) == is_precointegral(c, gamma)
+            f_mat = f_of_gamma(c, gamma)
+            assert (f_mat is not None and verify_cointegral(Cointegral(c, f_mat))) == dense
+            assert ((f_mat is not None and _is_precointegral(c, f_mat))
+                    == is_precointegral(c, gamma))
             if e is not None:
-                assert (verify_frobenius_system(FrobeniusSystem(c, gamma, e))
+                assert ((f_mat is not None
+                         and verify_frobenius_system(FrobeniusSystem(c, f_mat, e)))
                         == is_frobenius_system(c, gamma, e))
             rejected += not dense
     assert rejected
+
+
+@pytest.mark.parametrize("case", sorted(MODULES))
+def test_normalizations_on_f_are_the_dense_contractions(case):
+    """gamma_f(n (x) m (x) e) and gamma_f(e (x) n (x) m) from
+    ``Coring.normalizations`` equal the contractions of the expansion gamma_f
+    with e on the field tensor square, for f on the basis of End_{B-B}(P) and
+    e on the basis of the central subspace."""
+    tower = bimodule_tower(MODULES[case]())
+    for c in (tower.comatrix.coring, tower.sweedler):
+        if c.dim > 32 or not central_subspace(c):
+            continue
+        f = c.field
+        homs = _endomorphisms(c.middle.space)
+        invariants = np.stack(central_subspace(c))
+        norms = c.normalizations(homs, invariants)  # (k, j, 2, a', n, m)
+        g3 = c.expand(homs).reshape(len(homs), c.base.dim, c.dim, c.dim)
+        for k, e in enumerate(invariants):
+            for side, axis in enumerate((3, 2)):  # gamma(c (x) e), gamma(e (x) c)
+                dense = f.tensordot(g3, e, ([axis], [0]))  # (j, a', c)
+                on_pairs = f.tensordot(dense, c.carrier_tensor.projection, ([2], [0]))
+                assert np.array_equal(norms[k, :, side].reshape(on_pairs.shape), on_pairs)
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_deciders_neither_expand_nor_read_back_a_gamma(char, monkeypatch):
+    """find_cointegral and find_frobenius_system work on f alone: with
+    ``Coring.f_of`` and ``Coring.expand`` raising, they decide both corings
+    of the bundled modules as ``analyze`` does."""
+    flags = {(name, mod): analyze(bundled_over(name, char).bimodules[mod], seed=0).flags
+             for name, mod in BUNDLED}
+
+    def unread(c, stack):
+        raise AssertionError("a gamma on the field tensor square was read or written")
+
+    monkeypatch.setattr(Coring, "f_of", unread)
+    monkeypatch.setattr(Coring, "expand", unread)
+    for name, mod in BUNDLED:
+        tower, expected = bimodule_tower(bundled_over(name, char).bimodules[mod]), flags[name, mod]
+        for which, c in (("comatrix", tower.comatrix.coring), ("sweedler", tower.sweedler)):
+            assert (find_cointegral(c) is not None) == expected[f"{which}_coseparable"]
+            assert find_frobenius_system(c, seed=0).found == expected[f"{which}_frobenius"]
 
 
 @pytest.mark.parametrize("char", [2, 3])
@@ -108,4 +162,5 @@ def test_analyze_never_builds_the_representative_coproduct(char):
         tower = bimodule_tower(m)
         for c in (tower.comatrix.coring, tower.sweedler):
             assert "delta_amb" not in c.__dict__, (name, mod)
+            assert "_f_readers" not in c.__dict__, (name, mod)  # f_of never ran
 

@@ -38,6 +38,51 @@ def test_products_at_the_largest_accepted_prime_are_exact():
         assert np.array_equal(big.tensordot(a, b, axes), exact), axes
 
 
+# Contractions of length 64 with more than 2**18 entries in the product, with
+# the axes given as an int, as lists and as bare ints.  At each prime the
+# contraction length decides the route: float BLAS while 64 * (p - 1)**2 is
+# below 2**53, int64 while it is below 2**63, Python ints above.
+TENSORDOT_FORMS = {
+    "int": ((16, 8, 8), (8, 8, 16), 2),
+    "lists": ((16, 8, 8), (8, 16, 8), ([1, 2], [0, 2])),
+    "bare ints": ((64, 64), (64, 64), (1, 0)),
+}
+TENSORDOT_ROUTES = {  # route: (prime, the method only that route calls)
+    "float BLAS": (8388593, "_from_floats"),
+    "int64": (134217689, None),
+    "Python ints": (2**31 - 1, "_via_python_ints"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(TENSORDOT_FORMS))
+@pytest.mark.parametrize("route", sorted(TENSORDOT_ROUTES))
+def test_tensordot_is_exact_on_each_route(route, form, monkeypatch):
+    p, marker = TENSORDOT_ROUTES[route]
+    a_shape, b_shape, axes = TENSORDOT_FORMS[form]
+    bound = {"float BLAS": (0, 2**53), "int64": (2**53, 2**63), "Python ints": (2**63, None)}
+    low, high = bound[route]
+    assert low <= 64 * (p - 1) ** 2 and (high is None or 64 * (p - 1) ** 2 < high)
+    taken = []
+
+    def spy(name):
+        original = getattr(PrimeField, name)
+
+        def recording(self, *args):
+            taken.append(name)
+            return original(self, *args)
+        return recording
+
+    for name in ("_from_floats", "_via_python_ints"):
+        monkeypatch.setattr(PrimeField, name, spy(name))
+    field = GF(p)
+    rng = np.random.default_rng(p % 1000)
+    a, b = field.random(rng, a_shape), field.random(rng, b_shape)
+    assert a.size * b.size > 2**18
+    exact = np.tensordot(a.astype(object), b.astype(object), axes) % p
+    assert np.array_equal(field.tensordot(a, b, axes), exact)
+    assert taken == ([marker] if marker else [])
+
+
 def test_scalar_round_trip():
     assert F3.parse_scalar("2 mod 3") == 2
     assert F3.format_scalar(5) == "2 mod 3"
