@@ -20,12 +20,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .bimodule import BimoduleMap, left_dual, right_dual, target_bs, target_sb
+from .bimodule import BimoduleMap, left_dual, regular_bimodule, right_dual, target_bs, target_sb
 from .comatrix import comatrix_data, context_from_morita
 from .coring import (
     Cointegral,
     FrobeniusSystem,
-    f_of_gamma,
     left_dual_ring,
     splits,
     sweedler_coring,
@@ -40,10 +39,15 @@ from .errors import (
     NotProjectiveError,
     TooLargeToValidateError,
 )
-from .structure import (FLAG_NAMES, analyze, bimodule_tower, dual_evaluation, hom_to_s,
-                        iota_from_frobenius, retracts)
+from .structure import (FLAG_NAMES, WITNESS_PARTS, _generates, analyze, bimodule_tower,
+                        cointegral_from_separability, dual_evaluation, hom_to_s,
+                        iota_from_frobenius, lift_cointegral, lift_cosplit,
+                        lift_frobenius_system, retracts)
 
 _SEED_ENV = "CORING_LAB_SEED"
+# 2: cointegrals and Frobenius systems written as their maps f of P, and
+# each witness written once
+REPORT_FORMAT = 2
 
 
 def _serialize_array(field, arr):
@@ -53,31 +57,26 @@ def _serialize_array(field, arr):
     return texts[inverse.reshape(np.shape(arr))].tolist()
 
 
-def _flag_text(value) -> str:
-    return {True: "true", False: "false"}.get(value, "inconclusive")
+_FLAG_TEXTS = {True: "true", False: "false", None: "inconclusive"}
+
+
+def _document(field, **entries) -> dict:
+    """A document of the tool: its name and version, the field, the entries."""
+    return {"tool": "coring-lab", "version": __version__,
+            "field": {"characteristic": field.characteristic}, **entries}
 
 
 def report_document(deffile: DefinitionFile, name: str, seed: int) -> dict:
-    module = deffile.bimodules[name]
-    report = analyze(module, seed=seed)
+    report = analyze(deffile.bimodules[name], seed=seed)
     fld = deffile.field
-    witnesses = {}
-    for key, data in report.witnesses.items():
-        witnesses[key] = {part: _serialize_array(fld, arr) for part, arr in data.items()}
-    return {
-        "tool": "coring-lab",
-        "version": __version__,
-        "subject": name,
-        "seed": seed,
-        "field": {"characteristic": fld.characteristic},
-        "flags": {k: _flag_text(v) for k, v in report.flags.items()},
-        "witnesses": witnesses,
-        "implication_audit": [
-            {"rule": e.rule, "hypotheses": e.hypotheses, "conclusion": e.conclusion,
-             "kind": e.kind, "status": e.status}
-            for e in report.implication_audit
-        ],
-    }
+    return _document(
+        fld, format=REPORT_FORMAT, subject=name, seed=seed,
+        flags={k: _FLAG_TEXTS[v] for k, v in report.flags.items()},
+        witnesses={key: {part: _serialize_array(fld, arr) for part, arr in data.items()}
+                   for key, data in report.witnesses.items()},
+        implication_audit=[{"rule": e.rule, "hypotheses": e.hypotheses,
+                            "conclusion": e.conclusion, "kind": e.kind, "status": e.status}
+                           for e in report.implication_audit])
 
 
 def render_text(doc: dict) -> str:
@@ -101,38 +100,54 @@ def render_text(doc: dict) -> str:
 
 
 def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
-    """Re-verify every witness of a serialized report, False when one fails
-    its check.  A missing or malformed witness entry, a witness of the wrong
-    shape or with a bad scalar, or a witness key with no check raises
-    DefinitionError."""
+    """Re-verify a serialized report: False when a witness fails its check,
+    a true flag has no witness (``structure.WITNESS_PARTS``) or a witness
+    stands under a flag that is not true, or a transport fails or proves a
+    flag the report calls false.  The transports are re-derived from the
+    witnesses that pass their checks: ``lift_cosplit`` from
+    ``comatrix_cosplit``, ``cointegral_from_separability`` and
+    ``lift_cointegral`` from ``m_separable``, ``lift_frobenius_system`` from
+    ``comatrix_frobenius``, and the written ``iota`` from ``m_frobenius``.
+    ``b_s_faithfully_flat`` has no witness, and ``williard`` needs none when
+    the right dual of the module generates A.  A report of another format, a
+    malformed flags object or witness entry, a witness of the wrong shape or
+    with a bad scalar, or a witness key with no check raises DefinitionError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("witnesses"), dict):
         raise DefinitionError("report must be an object with a 'witnesses' object")
+    if doc.get("format") != REPORT_FORMAT:
+        raise DefinitionError(f"report format {doc.get('format')!r} is not {REPORT_FORMAT}, "
+                              "which writes each cointegral and Frobenius gamma as its f")
+    flags = doc.get("flags")
+    if (not isinstance(flags, dict) or sorted(flags) != sorted(FLAG_NAMES)
+            or not set(flags.values()) <= set(_FLAG_TEXTS.values())):
+        raise DefinitionError("report must have a 'flags' object with a value for each flag")
     module = _resolve(deffile.bimodules, doc.get("subject"), "bimodule", "report subject")
-    fld = deffile.field
     tower = bimodule_tower(module)
     comatrix, sweedler, b_to_s = tower.comatrix.coring, tower.sweedler, tower.b_to_s
     wit = doc["witnesses"]
 
+    @functools.cache  # each entry is parsed once, for its check and its transport
     def parse(key, part, shape):
-        if not isinstance(wit.get(key), dict) or part not in wit[key]:
+        if part not in wit.get(key, {}):
             raise DefinitionError(f"witness {key} has no entry {part!r}")
-        return _parse_tensor(fld, wit[key][part], shape, f"witness {key}.{part}")
+        return _parse_tensor(deffile.field, wit[key][part], shape, f"witness {key}.{part}")
 
-    def cointegral(key, c, part="cointegral"):
-        f_mat = f_of_gamma(c, parse(key, part, (c.base.dim, c.dim * c.dim)))
-        return f_mat is not None and verify_cointegral(Cointegral(c, f_mat))
+    def split(key, part, space, value_mat):  # the map when it splits value_mat, else None
+        mat = parse(key, part, (space.dim, space.left_alg.dim))
+        return (BimoduleMap(regular_bimodule(space.left_alg), space, mat, _validate=False)
+                if splits(space, value_mat, mat) else None)
 
-    def frobenius(key, c):
-        f_mat = f_of_gamma(c, parse(key, "gamma", (c.base.dim, c.dim * c.dim)))
-        e = parse(key, "invariant", (c.dim,))
-        return f_mat is not None and verify_frobenius_system(FrobeniusSystem(c, f_mat, e))
-
-    def section(key, c):
-        return splits(c.carrier, c.counit_mat, parse(key, "section", (c.dim, c.base.dim)))
-
-    def splitting(key, m):
+    def separability(key, m):
         ts, evaluation = dual_evaluation(m)
-        return splits(ts.space, evaluation, parse(key, "splitting", (ts.dim, m.left_alg.dim)))
+        return split(key, "splitting", ts.space, evaluation)
+
+    def cointegral(key, c):
+        return verify_cointegral(Cointegral(c, parse(key, "f", (c.middle.space.dim,) * 2)))
+
+    def frobenius(key, c):  # the system when it verifies, else None
+        fs = FrobeniusSystem(c, parse(key, "f", (c.middle.space.dim,) * 2),
+                             parse(key, "invariant", (c.dim,)))
+        return fs if verify_frobenius_system(fs) else None
 
     def iso(key, part, source, target):  # the map when it is an isomorphism, else None
         found = BimoduleMap(source, target, parse(key, part, (target.dim, source.dim)),
@@ -151,45 +166,56 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
         except (InternalInconsistencyError, NotProjectiveError):
             return False
 
+    def carried(witness, transport, *proved) -> bool:  # from a witness that passed
+        try:
+            return (witness is not None and transport(module, witness) is not None
+                    and "false" not in [flags[name] for name in proved])
+        except InternalInconsistencyError:
+            return False
+
     checks = {
-        "m_separable": lambda k: splitting(k, module),
-        "mstar_separable": lambda k: splitting(k, right_dual(module)),
+        "m_separable": lambda k: carried(
+            separability(k, module), lambda m, nu: lift_cointegral(
+                m, cointegral_from_separability(m, nu)),
+            "comatrix_coseparable", "sweedler_coseparable"),
+        "mstar_separable": lambda k: separability(k, right_dual(module)) is not None,
         "m_frobenius": lambda k: theta() is not None,
-        "comatrix_cosplit": lambda k: section(k, comatrix),
+        "comatrix_cosplit": lambda k: carried(
+            split(k, "section", comatrix.carrier, comatrix.counit_mat), lift_cosplit,
+            "sweedler_cosplit"),
         "comatrix_coseparable": lambda k: cointegral(k, comatrix),
-        "comatrix_frobenius": lambda k: frobenius(k, comatrix),
+        "comatrix_frobenius": lambda k: carried(
+            frobenius(k, comatrix), lift_frobenius_system, "sweedler_frobenius"),
         "extension_split": lambda k: retracts(
             b_to_s, parse(k, "retraction", (b_to_s.source.dim, b_to_s.target.dim))),
         "extension_frobenius": lambda k: iso(k, "iso", right_dual(target_sb(b_to_s)),
                                              target_bs(b_to_s)) is not None,
-        "sweedler_cosplit": lambda k: section(k, sweedler),
+        "sweedler_cosplit": lambda k: split(k, "section", sweedler.carrier,
+                                            sweedler.counit_mat) is not None,
         "sweedler_coseparable": lambda k: cointegral(k, sweedler),
-        "sweedler_frobenius": lambda k: frobenius(k, sweedler),
+        "sweedler_frobenius": lambda k: frobenius(k, sweedler) is not None,
         "williard": lambda k: iso(k, "iso", hom_to_s(tower), right_dual(module)) is not None,
-        "sweedler_cosplit_lift": lambda k: section(k, sweedler),
-        "comatrix_cointegral_constructed": lambda k: cointegral(k, comatrix, "gamma"),
-        "sweedler_cointegral_lift": lambda k: cointegral(k, sweedler, "gamma"),
         "iota": iota,
-        "sweedler_frobenius_lift": lambda k: frobenius(k, sweedler),
     }
-    unchecked = sorted(set(wit) - set(checks))
-    if unchecked:
-        raise DefinitionError(f"witness {unchecked[0]} has no check")
-    return all([checks[key](key) for key in wit])
+    for key in sorted(wit):
+        if key not in checks:
+            raise DefinitionError(f"witness {key} has no check")
+        if not isinstance(wit[key], dict) or sorted(wit[key]) != sorted(WITNESS_PARTS[key]):
+            raise DefinitionError(f"witness {key} must have the entries {WITNESS_PARTS[key]}")
+    passed = [checks[key](key) for key in wit]
+    owed = {name for name in WITNESS_PARTS if flags.get(name) == "true"} - set(wit)
+    if "williard" in owed and _generates(right_dual(module), module.right_alg):
+        owed.remove("williard")  # the generator test of its decider
+    under = {"iota": ["m_frobenius", "comatrix_frobenius"]}
+    return (all(passed) and not owed
+            and all(flags[name] == "true" for key in wit for name in under.get(key, [key])))
 
 
 def _coring_document(coring, what: str, name: str, field) -> dict:
-    return {
-        "tool": "coring-lab",
-        "version": __version__,
-        "construction": what,
-        "name": name,
-        "field": {"characteristic": field.characteristic},
-        "carrier_dim": coring.dim,
-        "coproduct_representative": _serialize_array(field, coring.delta_amb),
-        "counit": _serialize_array(field, coring.counit_mat),
-        "validation": coring.validation,
-    }
+    return _document(field, construction=what, name=name, carrier_dim=coring.dim,
+                     coproduct_representative=_serialize_array(field, coring.delta_amb),
+                     counit=_serialize_array(field, coring.counit_mat),
+                     validation=coring.validation)
 
 
 def cmd_construct(deffile: DefinitionFile, what: str, name: str) -> dict:
@@ -219,32 +245,19 @@ def cmd_construct(deffile: DefinitionFile, what: str, name: str) -> dict:
         if name not in deffile.bimodules:
             raise DefinitionError(f"no bimodule named {name!r}")
         ring = left_dual_ring(comatrix_data(deffile.bimodules[name]).coring)
-        return {
-            "tool": "coring-lab",
-            "version": __version__,
-            "construction": what,
-            "name": name,
-            "field": {"characteristic": fld.characteristic},
-            "dim": ring.dim,
-            "structure": [_serialize_array(fld, ring.structure[i])
-                          for i in range(ring.dim)],
-            "unit": _serialize_array(fld, ring.unit),
-        }
+        return _document(fld, construction=what, name=name, dim=ring.dim,
+                         structure=[_serialize_array(fld, part) for part in ring.structure],
+                         unit=_serialize_array(fld, ring.unit))
     raise DefinitionError(f"unknown construction {what!r}")
 
 
 def cmd_validate(deffile: DefinitionFile) -> dict:
-    return {
-        "tool": "coring-lab",
-        "version": __version__,
-        "field": {"characteristic": deffile.field.characteristic},
-        "algebras": {n: a.dim for n, a in sorted(deffile.algebras.items())},
-        "algebra_maps": sorted(deffile.algebra_maps),
-        "bimodules": {n: b.dim for n, b in sorted(deffile.bimodules.items())},
-        "morita": sorted(deffile.morita),
-        "contexts": sorted(deffile.contexts),
-        "status": "ok",
-    }
+    return _document(deffile.field,
+                     algebras={n: a.dim for n, a in sorted(deffile.algebras.items())},
+                     algebra_maps=sorted(deffile.algebra_maps),
+                     bimodules={n: b.dim for n, b in sorted(deffile.bimodules.items())},
+                     morita=sorted(deffile.morita), contexts=sorted(deffile.contexts),
+                     status="ok")
 
 
 def _emit(doc: dict, fmt: str) -> None:

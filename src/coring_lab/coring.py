@@ -8,8 +8,8 @@ and validated through its context, with no product in C (x)_A C.  The
 coproduct is represented by a matrix ``delta_amb`` from carrier coordinates
 into the *field* tensor square of the carrier, one chosen system of
 representatives for the coproduct valued in C (x)_A C, built from the pairs
-on first read by the few readers that need it: ``construct``, coring
-morphisms and the left dual ring.
+on first read by its two readers: ``construct`` and coring morphisms.  The
+left dual ring applies the coproduct leg by leg from the pairs instead.
 
 Maps gamma: C (x)_A C -> A are held as maps f of P: C (x)_A C =
 N (x)_B P (x)_B M for P = M (x)_A N (``ContextMiddle``), and the A-bimodule
@@ -17,10 +17,10 @@ maps gamma are the gamma_f of the (B, B)-bimodule maps f of P.  Every
 condition on gamma is written on f: ``Coring.precointegral_rows``,
 ``Coring.after_delta`` (gamma o Delta = eps) and ``Coring.normalizations``
 (of Frobenius systems).  ``Coring.precointegrals`` is a basis of such f,
-``Cointegral`` and ``FrobeniusSystem`` hold f, and their ``gamma_amb``
-expands it onto the field tensor square (``Coring.expand``) for a report.
-A gamma from outside enters through ``f_of_gamma`` (``Coring.f_of``).
-Above ``_SQUARE_DIM_LIMIT`` the space is refused (TooLargeToValidateError).
+and ``Cointegral`` and ``FrobeniusSystem`` hold f, the form a report
+writes.  The one gamma built on the field tensor square, that of the
+dual-ring criterion, enters through ``Coring.f_of``.  Above
+``_SQUARE_DIM_LIMIT`` the space is refused (TooLargeToValidateError).
 
 Representatives are compared in C (x)_A C through ``Coring.onto_square``,
 the reduction (C (x)_A N) (x)_B M of ``context_projection``, balanced over
@@ -81,7 +81,6 @@ __all__ = [
     "splits",
     "central_subspace",
     "find_cointegral",
-    "f_of_gamma",
     "verify_cointegral",
     "verify_frobenius_system",
     "find_frobenius_system",
@@ -152,11 +151,12 @@ class Coring:
     ``middle``, a function of no arguments, gives P = M (x)_A N as a
     ``ContextMiddle``; by default it presents ``tensor_over(M, N)``.  It is
     called on the first read of P, by ``precointegrals`` or a check on f.
+    Maps C (x)_A C -> A are held as maps f of P, in these coordinates.
 
     The structure maps never change after construction; the representative
-    coproduct, the tensor-square presentation, P, the pre-cointegral rows
-    and space and the left dual ring are built on first use and memoized on
-    the coring.
+    coproduct, the legs of the pairs, the tensor-square presentation, P, the
+    pre-cointegral rows and space and the left dual ring are built on first
+    use and memoized on the coring.
     """
 
     validation = "full"  # every coring is checked in full at construction
@@ -228,18 +228,16 @@ class Coring:
                            ts.left_factor.left_action, ([0, 3], [0, 1]))
         return on_m, on_n
 
-    def expand(self, f_mats):
-        """The maps gamma_f(n (x) m (x) n' (x) m') = sigma(n (x) f(m (x) n').m')
-        on the field tensor square of the carrier, as a stack [k, a', (u, v)],
-        for a stack ``f_mats`` [k, q', q] of matrices on P: the form a report
-        writes.  ``f_of`` inverts it on End_{B-B}(P)."""
+    @cached_property
+    def pair_legs(self):
+        """[u, n, i] and [v, i, m]: e_n (x) m_i and n_i (x) e_m in C for the
+        pairs (m_i, n_i), the two legs of Delta(e_n (x) e_m)
+        = sum_i (e_n (x) m_i) (x) (n_i (x) e_m); built once per coring."""
         f, ts = self.field, self.carrier_tensor
-        sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, self.dim)
-        values = f.tensordot(f.tensordot(f.asarray(f_mats), self._on_sigma, ([1], [0])),
-                             self.middle.of_pair, ([1], [2]))  # (k, a', n, m', m, n')
-        left = f.tensordot(values, sec, ([2, 4], [0, 1]))  # (k, a', m', n', u)
-        return f.asarray(f.tensordot(left, sec, ([3, 2], [0, 1]))).reshape(
-            len(f_mats), self.base.dim, self.dim * self.dim)
+        ms, ns = _pair_matrices(f, self.tau_pairs, ts.right_factor.dim, ts.left_factor.dim)
+        proj = ts.projection.reshape(self.dim, ts.left_factor.dim, ts.right_factor.dim)
+        return (f.tensordot(proj, ms, ([2], [0])),
+                f.tensordot(proj, ns, ([1], [0])).transpose(0, 2, 1))
 
     @cached_property
     def _f_readers(self):
@@ -249,10 +247,8 @@ class Coring:
         f, ts, mid = self.field, self.carrier_tensor, self.middle
         n, m = ts.left_factor, ts.right_factor
         ms, ns = _pair_matrices(f, self.tau_pairs, m.dim, n.dim)
-        proj = ts.projection.reshape(self.dim, n.dim, m.dim)
-        left = f.tensordot(proj, ns, ([1], [0]))  # (u, m, i): n_i (x) e_m
-        right = f.tensordot(proj, ms, ([2], [0]))  # (v, n, j): e_n (x) m_j
-        reps = f.tensordot(f.tensordot(left, mid.lift, ([1], [1])), right,
+        right, left = self.pair_legs  # e_n (x) m_j and n_i (x) e_m
+        reps = f.tensordot(f.tensordot(left, mid.lift, ([2], [1])), right,
                            ([3], [1])).transpose(0, 3, 2, 1, 4)
         acted = f.tensordot(n.left_action, ns, ([1], [0]))  # (a', n', j): a'.n_j
         onto = f.tensordot(f.tensordot(ms, mid.of_pair, ([0], [0])), acted, ([1], [1]))
@@ -474,7 +470,8 @@ class CoringMorphism:
 @_memo
 def left_dual_ring(c: Coring) -> Algebra:
     """Left-linear functionals C -> A, those of ``left_dual(c.carrier)``,
-    with convolution-style product; built once per coring."""
+    with convolution-style product; built once per coring, with ``hits``,
+    the action matrix of c -> sum c_1 . xi(c_2) of each functional xi."""
     f = c.field
     mats = left_dual(c.carrier).functional_mats
     if not mats:
@@ -484,7 +481,7 @@ def left_dual_ring(c: Coring) -> Algebra:
     structure = _induced_action(f, mats, [[f.matmul(xi, h) for h in hits] for xi in mats])
     unit = _matrix_subspace_coords(f, mats, [c.counit_mat])[0]
     ring = Algebra(f, structure, unit, name=f"*({c.carrier.name or 'C'})")
-    ring.functional_mats = mats
+    ring.functional_mats, ring.hits = mats, hits
     return ring
 
 
@@ -541,22 +538,23 @@ def is_cosplit(c: Coring):
 
 @dataclass
 class _MapOfP:
-    """A map gamma_f: C (x)_A C -> A held as its map f of P; ``gamma_amb``
-    is gamma_f on the field tensor square, (base.dim, dim**2), for a report."""
+    """A map gamma_f: C (x)_A C -> A held as its map f of P, a (q, q)
+    matrix in the coordinates of ``Coring.middle``, q = dim P; a report
+    writes f, and gamma_f is never built."""
 
     coring: Coring
     f_mat: np.ndarray  # (q, q), q = dim P
-    gamma_amb = property(lambda self: self.coring.expand(self.f_mat[None])[0])
 
 
 @dataclass
 class Cointegral(_MapOfP):
-    """A pre-cointegral gamma_f with gamma_f o Delta = eps."""
+    """A pre-cointegral gamma_f with gamma_f o Delta = eps, held as f."""
 
 
 @dataclass
 class FrobeniusSystem(_MapOfP):
-    """A pre-cointegral gamma_f and a central e: gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c)."""
+    """A pre-cointegral gamma_f, held as f, and a central e in C:
+    gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c)."""
 
     invariant: np.ndarray
 
@@ -569,21 +567,6 @@ class FrobeniusSearch:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-
-def f_of_gamma(c: Coring, gamma_amb):
-    """The f of a map gamma on the field tensor square of the carrier, or
-    None when gamma is no gamma_f; a gamma from outside the library enters
-    here.  f = f_gamma (``Coring.f_of``) must (1) commute with the actions of
-    B on P and (2) expand to gamma exactly.  Both hold iff gamma is balanced
-    over A and A-bilinear: gamma_f of a B-bimodule map f is well defined on
-    C (x)_A C = N (x)_B P (x)_B M, and such a gamma is gamma_g for the g of
-    the bijection of ``precointegrals``, which ``f_of`` reads, so f = g."""
-    gamma = c.field.asarray(gamma_amb)
-    f_mat = c.f_of(gamma[None])[0]
-    space = c.middle.space
-    return f_mat if (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
-                     and Field.equal(c.expand(f_mat[None])[0], gamma)) else None
 
 
 def _is_precointegral(c: Coring, f_mat) -> bool:
@@ -676,12 +659,16 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
 
 
 def _hit_from_right(c: Coring, xi_mat):
-    """Action matrix of c -> sum c_1 . xi(c_2) for a functional matrix xi."""
-    f = c.field
-    d = c.dim
-    z = f.tensordot(c.carrier.right_action, xi_mat, ([1], [0]))  # (u, m', v)
-    z = z.transpose(0, 2, 1).reshape(d * d, d)
-    return f.matmul(c.delta_amb.T, z).T  # (m', c)
+    """Action matrix [m', c] of c -> sum c_1 . xi(c_2) for a functional
+    matrix xi, leg by leg from the pairs: n (x) m goes to
+    sum_i (n (x) m_i) . xi(n_i (x) m) (``Coring.pair_legs``)."""
+    f, ts = c.field, c.carrier_tensor
+    first, second = c.pair_legs  # (u, n, i) and (v, i, m)
+    sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, c.dim)
+    values = f.tensordot(f.asarray(xi_mat), second, ([1], [0]))  # (a, i, m)
+    lifted = f.tensordot(sec, values, ([1], [2]))  # (n, c, a, i)
+    left = f.tensordot(first, lifted, ([1, 2], [0, 3]))  # (u, c, a)
+    return f.tensordot(c.carrier.right_action, left, ([0, 1], [0, 2]))  # (m', c)
 
 
 def coring_bimodules_over_dual_ring(c: Coring):
@@ -689,7 +676,7 @@ def coring_bimodules_over_dual_ring(c: Coring):
     ldual = left_dual_ring(c)
     r_alg = opposite(ldual)
     # C with its left A-action and the right action c . xi = sum c_1 xi(c_2)
-    rho_c = np.stack([_hit_from_right(c, xi).T for xi in ldual.functional_mats], axis=1)
+    rho_c = np.stack([hit.T for hit in ldual.hits], axis=1)
     c_mod = Bimodule(c.base, r_alg, c.carrier.left_action, rho_c, name="C as (A,R)")
     # R with (a . xi)(x) = xi(x . a), the left action of the left dual, and
     # right multiplication
@@ -712,8 +699,10 @@ def _frobenius_via_dual_ring_iso(c: Coring, seed: int) -> FrobeniusSearch:
     phi = search.map.matrix
     mats = np.stack([f.asarray(m) for m in ldual.functional_mats])
     g3 = f.tensordot(phi, mats, ([0], [0])).transpose(1, 2, 0)  # (a', u, v)
-    f_mat = f_of_gamma(c, g3.reshape(c.base.dim, c.dim * c.dim))
-    if f_mat is not None and verify_frobenius_system(
-            fs := FrobeniusSystem(c, f_mat, _solve(f, phi, ldual.unit))):
+    # a verified (gamma_f, e) is a Frobenius system whatever gamma_f is; when
+    # the gamma is a Frobenius one, its f_gamma verifies (``precointegrals``)
+    fs = FrobeniusSystem(c, c.f_of(g3.reshape(1, c.base.dim, c.dim * c.dim))[0],
+                         _solve(f, phi, ldual.unit))
+    if verify_frobenius_system(fs):
         return FrobeniusSearch("found", fs)
     return FrobeniusSearch("inconclusive")

@@ -207,6 +207,13 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 # (pre-)cointegral of C goes to the Sweedler coring as the same f: the
 # transport is the identity on f, and only the invariant of a Frobenius
 # system is moved (``_tilde_invariant``).
+#
+# Each transport is a function of a witness that a report already holds, so
+# ``analyze`` writes none of them: ``cli.verify_report_witnesses`` runs
+# ``lift_cosplit``, ``cointegral_from_separability``, ``lift_cointegral``
+# and ``lift_frobenius_system`` from the witnesses they start from.  Only
+# ``iota_from_frobenius``, which needs the comatrix Frobenius flag, is run
+# by ``analyze`` and written.
 # ---------------------------------------------------------------------------
 
 
@@ -383,25 +390,26 @@ _FLAGS = (
     ("m_frobenius", lambda t, seed: is_frobenius_bimodule(t.module, seed=seed),
      [("theta", "matrix")]),
     ("comatrix_cosplit", lambda t, seed: is_cosplit(t.comatrix.coring), [("section", "matrix")]),
-    ("comatrix_coseparable", lambda t, seed: find_cointegral(t.comatrix.coring),
-     [("cointegral", "gamma_amb")]),
+    ("comatrix_coseparable", lambda t, seed: find_cointegral(t.comatrix.coring), [("f", "f_mat")]),
     ("comatrix_frobenius", lambda t, seed: find_frobenius_system(t.comatrix.coring, seed=seed),
-     [("gamma", "gamma_amb"), ("invariant", "invariant")]),
+     [("f", "f_mat"), ("invariant", "invariant")]),
     ("extension_split", lambda t, seed: split_extension_check(t.b_to_s),
      [("retraction", "matrix")]),
     ("extension_frobenius", lambda t, seed: frobenius_extension_check(t.b_to_s, seed=seed),
      [("iso", "matrix")]),
     ("sweedler_cosplit", lambda t, seed: is_cosplit(t.sweedler), [("section", "matrix")]),
-    ("sweedler_coseparable", lambda t, seed: find_cointegral(t.sweedler),
-     [("cointegral", "gamma_amb")]),
+    ("sweedler_coseparable", lambda t, seed: find_cointegral(t.sweedler), [("f", "f_mat")]),
     ("sweedler_frobenius", lambda t, seed: find_frobenius_system(t.sweedler, seed=seed),
-     [("gamma", "gamma_amb"), ("invariant", "invariant")]),
+     [("f", "f_mat"), ("invariant", "invariant")]),
     ("b_s_faithfully_flat", lambda t, seed: (faithfully_flat_check(t.b_to_s, "left")
                                              or faithfully_flat_check(t.b_to_s, "right")), []),
     ("williard", lambda t, seed: williard_check(t.module, seed=seed), [("iso", "matrix")]),
 )
 
 FLAG_NAMES = [name for name, _, _ in _FLAGS]
+# the parts of each witness a report writes: a flag's, and iota's
+WITNESS_PARTS = {**{name: [part for part, _ in parts] for name, _, parts in _FLAGS if parts},
+                 "iota": ["matrix"]}
 
 
 @dataclass
@@ -501,21 +509,9 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
         flags[name], witness = _read(results[name])
         if witness is not None:
             witnesses[name] = {part: getattr(witness, attr) for part, attr in parts}
-
-    # witness-level transports for the forward theorems
-    section, nu = results["comatrix_cosplit"], results["m_separable"]
-    if section is not None:
-        witnesses["sweedler_cosplit_lift"] = {"section": lift_cosplit(m, section).matrix}
-    if nu is not None:
-        constructed = cointegral_from_separability(m, nu)
-        witnesses["comatrix_cointegral_constructed"] = {"gamma": constructed.gamma_amb}
-        witnesses["sweedler_cointegral_lift"] = {
-            "gamma": lift_cointegral(m, constructed).gamma_amb}
+    # the one transport a report writes; the checker re-derives the others
     if flags["m_frobenius"] and flags["comatrix_frobenius"]:
         witnesses["iota"] = {"matrix": iota_from_frobenius(m, results["m_frobenius"].map)}
-        lifted_fs = lift_frobenius_system(m, results["comatrix_frobenius"].system)
-        witnesses["sweedler_frobenius_lift"] = {
-            "gamma": lifted_fs.gamma_amb, "invariant": lifted_fs.invariant}
 
     report = AnalysisReport(m, flags, witnesses)
     report.implication_audit = _audit(flags)

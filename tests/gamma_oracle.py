@@ -3,15 +3,42 @@ on the field tensor square of the carrier and on the representative
 coproduct ``delta_amb``: balance over A, A-bilinearity, the pre-cointegral
 identity and gamma o Delta = eps.  The library checks the same conditions in
 f-coordinates (``coring.verify_cointegral``); these are the independent
-copies the tests compare it with.  ``map_of_gamma`` is the f_gamma of a
+copies the tests compare it with.  ``expand`` writes a map f of P as its
+gamma_f on the field tensor square, the form reports took before they wrote
+f, and ``f_of_gamma`` reads it back.  ``map_of_gamma`` is the f_gamma of a
 comatrix coring read through omega and the dual basis, the oracle of
 ``Coring.f_of``.
 """
 
 import numpy as np
 
+from coring_lab.bimodule import BimoduleMap
 from coring_lab.coring import central_rows
 from coring_lab.fields import Field
+
+
+def expand(c, f_mats):
+    """The maps gamma_f(n (x) m (x) n' (x) m') = sigma(n (x) f(m (x) n').m')
+    on the field tensor square of the carrier, as a stack [k, a', (u, v)],
+    for a stack ``f_mats`` [k, q', q] of matrices on P."""
+    f, ts = c.field, c.carrier_tensor
+    sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, c.dim)
+    values = f.tensordot(f.tensordot(f.asarray(f_mats), c._on_sigma, ([1], [0])),
+                         c.middle.of_pair, ([1], [2]))  # (k, a', n, m', m, n')
+    left = f.tensordot(values, sec, ([2, 4], [0, 1]))  # (k, a', m', n', u)
+    return f.asarray(f.tensordot(left, sec, ([3, 2], [0, 1]))).reshape(
+        len(f_mats), c.base.dim, c.dim * c.dim)
+
+
+def f_of_gamma(c, gamma_amb):
+    """The f of a map gamma on the field tensor square of the carrier, or
+    None when gamma is no gamma_f: f = f_gamma (``Coring.f_of``) must
+    commute with the actions of B on P and expand to gamma exactly."""
+    gamma = c.field.asarray(gamma_amb)
+    f_mat = c.f_of(gamma[None])[0]
+    space = c.middle.space
+    return f_mat if (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
+                     and Field.equal(expand(c, f_mat[None])[0], gamma)) else None
 
 
 def delta_tensor(c):

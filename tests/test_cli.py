@@ -19,10 +19,10 @@ from coring_lab.comatrix import (
 )
 from coring_lab.coring import sweedler_coring
 from coring_lab.definitions import DefinitionFile, _parse_tensor, bundled_path, load, loads
-from coring_lab.errors import DefinitionError, TooLargeToValidateError
+from coring_lab.errors import DefinitionError, InternalInconsistencyError, TooLargeToValidateError
 from coring_lab.linalg import rank
 from coring_lab.bimodule import endomorphism_algebra, right_dual
-from coring_lab.structure import bimodule_tower, dual_evaluation
+from coring_lab.structure import WITNESS_PARTS, bimodule_tower, dual_evaluation
 
 from conftest import MALFORMED_DEFINITIONS, bundled_text_over, non_generator_summand
 from random_modules import random_projective_bimodule
@@ -328,17 +328,17 @@ def test_witnesses_reverify_on_reload(name):
 
 
 @pytest.mark.parametrize("defect", [
-    lambda gamma: [gamma[0], gamma[1][:-1]],  # ragged rows
-    lambda gamma: [gamma[0]],  # a row short of the (dim A, dim C^2) shape
-    lambda gamma: [gamma[0], ["x"] + gamma[1][1:]],  # a scalar that does not parse
-    lambda gamma: [gamma[0], [True] + gamma[1][1:]],  # a JSON true, not an integer
+    lambda f_mat: [f_mat[0], f_mat[1][:-1]],  # ragged rows
+    lambda f_mat: [f_mat[0]],  # a row short of the (dim P, dim P) shape
+    lambda f_mat: [f_mat[0], ["x"] + f_mat[1][1:]],  # a scalar that does not parse
+    lambda f_mat: [f_mat[0], [True] + f_mat[1][1:]],  # a JSON true, not an integer
 ], ids=["ragged", "wrong-shape", "bad-scalar", "boolean-scalar"])
 def test_malformed_witness_is_a_definition_error(defect):
     deffile = load(bundled_path("regular-module"))
     doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
     wit = doc["witnesses"]["comatrix_coseparable"]
-    wit["cointegral"] = defect(wit["cointegral"])
-    with pytest.raises(DefinitionError, match="comatrix_coseparable.cointegral"):
+    wit["f"] = defect(wit["f"])
+    with pytest.raises(DefinitionError, match="comatrix_coseparable.f"):
         verify_report_witnesses(deffile, doc)
 
 
@@ -362,20 +362,18 @@ def test_malformed_witness_entry_is_a_definition_error(entry):
         verify_report_witnesses(deffile, doc)
 
 
-@pytest.mark.parametrize("key", ["comatrix_cointegral_constructed", "sweedler_cointegral_lift",
-                                 "sweedler_frobenius_lift", "comatrix_coseparable.cointegral",
-                                 "sweedler_coseparable.cointegral", "comatrix_frobenius.gamma",
-                                 "comatrix_frobenius.invariant", "sweedler_frobenius.gamma",
-                                 "sweedler_frobenius.invariant"])
+@pytest.mark.parametrize("key", ["comatrix_coseparable.f", "sweedler_coseparable.f",
+                                 "comatrix_frobenius.f", "comatrix_frobenius.invariant",
+                                 "sweedler_frobenius.f", "sweedler_frobenius.invariant"])
 def test_tampered_transported_witness_fails_reverification(key):
-    # "key.part" names a witness entry other than "gamma"; the solved ones
-    # are checked in f-coordinates as the transported ones are
+    # each cointegral and Frobenius system is written as its map f of P and
+    # checked on f; the transported ones are re-derived from these
     deffile = load(bundled_path("product-field"))
     doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
     assert verify_report_witnesses(deffile, doc)
     fld = deffile.field
     key, _, part = key.partition(".")
-    entries = doc["witnesses"][key][part or "gamma"]
+    entries = doc["witnesses"][key][part]
     _bump(fld, entries if isinstance(entries[0], list) else [entries], 0, 0)
     assert not verify_report_witnesses(deffile, doc)
 
@@ -384,7 +382,7 @@ def _bump(fld, entries, i, j):
     entries[i][j] = fld.format_scalar(fld.asarray([fld.parse_scalar(entries[i][j]) + 1])[0])
 
 
-@pytest.mark.parametrize("key", ["comatrix_cosplit", "sweedler_cosplit", "sweedler_cosplit_lift"])
+@pytest.mark.parametrize("key", ["comatrix_cosplit", "sweedler_cosplit"])
 def test_tampered_cosplit_section_fails_reverification(key):
     deffile = load(bundled_path("product-field"))
     doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
@@ -515,18 +513,188 @@ def test_a_witness_with_no_check_is_a_definition_error():
         verify_report_witnesses(deffile, doc)
 
 
+# -- the format, the flags and the re-derived transports ----------------------
+
+
+@pytest.mark.parametrize("value", [None, 1, "2", 3], ids=["format-1", "one", "text", "three"])
+def test_a_report_of_another_format_is_a_definition_error(value):
+    # a report of format 1 had no format entry and wrote gamma in place of f
+    deffile, doc = _frobenius_report()
+    if value is None:
+        del doc["format"]
+        for key in ("comatrix_coseparable", "sweedler_coseparable"):
+            doc["witnesses"][key] = {"cointegral": doc["witnesses"][key].pop("f")}
+    else:
+        doc["format"] = value
+    with pytest.raises(DefinitionError, match="report format"):
+        verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("key,entries", [
+    ("comatrix_coseparable", lambda f_mat: {"cointegral": f_mat}),
+    ("comatrix_frobenius", lambda f_mat: {"gamma": f_mat, "invariant": ["1 mod 2"] * 4}),
+    ("sweedler_frobenius", lambda f_mat: {"f": f_mat, "gamma": f_mat,
+                                          "invariant": ["1 mod 2"] * 4}),
+], ids=["cointegral", "gamma", "gamma-beside-f"])
+def test_a_gamma_entry_is_a_definition_error(key, entries):
+    deffile, doc = _frobenius_report()
+    doc["witnesses"][key] = entries(doc["witnesses"][key]["f"])
+    with pytest.raises(DefinitionError, match=f"witness {key} must have the entries"):
+        verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("key", ["sweedler_cosplit_lift", "comatrix_cointegral_constructed",
+                                 "sweedler_cointegral_lift", "sweedler_frobenius_lift"])
+def test_a_transported_copy_is_a_definition_error(key):
+    # format 2 writes no transport but iota; the checker re-derives them
+    deffile, doc = _frobenius_report()
+    doc["witnesses"][key] = doc["witnesses"]["sweedler_cosplit"]
+    with pytest.raises(DefinitionError, match=f"{key} has no check"):
+        verify_report_witnesses(deffile, doc)
+
+
+def _dual_numbers_report():
+    deffile = load(bundled_path("dual-numbers"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    return deffile, doc
+
+
+def test_a_flipped_flag_fails_reverification():
+    # two false flags called true, with no witness for either
+    deffile, doc = _dual_numbers_report()
+    assert doc["flags"]["m_separable"] == doc["flags"]["m_frobenius"] == "false"
+    doc["flags"]["m_separable"] = doc["flags"]["m_frobenius"] = "true"
+    assert not verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("key", ["comatrix_coseparable", "comatrix_frobenius", "sweedler_cosplit",
+                                 "mstar_separable"])
+def test_a_dropped_witness_fails_reverification(key):
+    deffile, doc = _dual_numbers_report()
+    del doc["witnesses"][key]
+    assert not verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("value", ["false", "inconclusive"])
+@pytest.mark.parametrize("key", ["comatrix_coseparable", "m_frobenius"])
+def test_a_witness_under_a_flag_that_is_not_true_fails_reverification(key, value):
+    deffile, doc = _frobenius_report()
+    doc["flags"][key] = value
+    del doc["witnesses"]["iota"]  # which stands under m_frobenius too
+    assert not verify_report_witnesses(deffile, doc)
+
+
+def test_iota_stands_under_both_frobenius_flags():
+    deffile, doc = _frobenius_report()
+    del doc["witnesses"]["comatrix_frobenius"]
+    doc["flags"]["comatrix_frobenius"] = doc["flags"]["sweedler_frobenius"] = "inconclusive"
+    del doc["witnesses"]["sweedler_frobenius"]
+    assert not verify_report_witnesses(deffile, doc)
+    del doc["witnesses"]["iota"]
+    assert verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("flags", [
+    None, [], {}, lambda flags: {k: v for k, v in flags.items() if k != "williard"},
+    lambda flags: {**flags, "williard": True}, lambda flags: {**flags, "extra": "true"},
+], ids=["missing", "list", "empty", "one-short", "not-a-text", "one-over"])
+def test_malformed_flags_are_a_definition_error(flags):
+    deffile, doc = _frobenius_report()
+    if flags is None:
+        del doc["flags"]
+    else:
+        doc["flags"] = flags(doc["flags"]) if callable(flags) else flags
+    with pytest.raises(DefinitionError, match="'flags' object"):
+        verify_report_witnesses(deffile, doc)
+
+
+def test_a_bare_williard_is_true_only_for_a_generator():
+    # bundled matrix2 generates, so the williard decider writes no iso; the
+    # non-generator summand P1 needs its iso
+    deffile = load(bundled_path("matrix2"))
+    doc = json.loads(json.dumps(report_document(deffile, "M", seed=0)))
+    assert doc["flags"]["williard"] == "true" and "williard" not in doc["witnesses"]
+    assert verify_report_witnesses(deffile, doc)
+    m = non_generator_summand(GF(2))
+    deffile = DefinitionFile(m.field, bimodules={"P1": m})
+    doc = json.loads(json.dumps(report_document(deffile, "P1", seed=0)))
+    assert verify_report_witnesses(deffile, doc)
+    del doc["witnesses"]["williard"]
+    assert not verify_report_witnesses(deffile, doc)
+
+
+# premise -> the transports the checker re-derives from its witness
+TRANSPORTS = {"comatrix_cosplit": ["lift_cosplit"],
+              "m_separable": ["cointegral_from_separability", "lift_cointegral"],
+              "comatrix_frobenius": ["lift_frobenius_system"]}
+
+
+def count_transports(monkeypatch):
+    calls = {name: [] for name in sum(TRANSPORTS.values(), [])}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(cli, name)):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_the_checker_rederives_each_transport_once(monkeypatch):
+    deffile, doc = _frobenius_report()
+    calls = count_transports(monkeypatch)
+    assert verify_report_witnesses(deffile, doc)
+    assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("premise", sorted(TRANSPORTS))
+def test_a_transport_from_a_tampered_premise_fails_the_report(premise, monkeypatch):
+    deffile, doc = _frobenius_report()
+    calls = count_transports(monkeypatch)
+    part = WITNESS_PARTS[premise][0]
+    _bump(deffile.field, doc["witnesses"][premise][part], 0, 0)
+    assert not verify_report_witnesses(deffile, doc)
+    # a transport runs only from a witness that passes its own check
+    assert not any(calls[name] for name in TRANSPORTS[premise])
+
+
+@pytest.mark.parametrize("transport", sorted(sum(TRANSPORTS.values(), [])))
+def test_a_failing_transport_fails_the_report(transport, monkeypatch):
+    deffile, doc = _frobenius_report()
+
+    def failing(*args):
+        raise InternalInconsistencyError(f"{transport} fails verification")
+
+    monkeypatch.setattr(cli, transport, failing)
+    assert not verify_report_witnesses(deffile, doc)
+
+
+@pytest.mark.parametrize("conclusion", ["sweedler_cosplit", "comatrix_coseparable",
+                                        "sweedler_coseparable", "sweedler_frobenius"])
+def test_a_transport_refutes_a_false_conclusion(conclusion):
+    # the flag and its witness both dropped: a transport proves it true
+    deffile, doc = _frobenius_report()
+    del doc["witnesses"][conclusion]
+    doc["flags"][conclusion] = "false"
+    assert not verify_report_witnesses(deffile, doc)
+    doc["flags"][conclusion] = "inconclusive"  # claims nothing
+    assert verify_report_witnesses(deffile, doc)
+
+
 # sha256 of `coring-lab analyze --format json` on the bundled bimodules over
-# GF(2).  Reports are byte-identical across changes that do not change the
-# mathematics; a change that moves a witness updates these pins and says why.
+# GF(2), in report format 2.  Reports are byte-identical across changes that
+# do not change the mathematics; a change that moves a witness updates these
+# pins and says why.  ``test_report_content`` holds the gammas of format 1.
 ANALYZE_JSON_SHA256 = {
-    ("matrix2", "M"): "e231be1936c85878113164db8d011cd3bbf4531b63fae1911810af8668f56edd",
-    ("dual-numbers", "M"): "6632f13bf5a631e7735ced40d65790c648b8b9231d617b98ce371b4f064fc2aa",
-    ("product-field", "M"): "6def4dbe83a70e8a54192d4a1bde3d829dfd80b7e5c262a68cd041626e48494b",
+    ("matrix2", "M"): "6a5440c7e3a33a4e7f3cb10157b9df258f42d1196231dfb78adb1b62f26f0a13",
+    ("dual-numbers", "M"): "9f9f86f6c50f17695b70f87ab2c7831347319b0616201b009341057d1578e394",
+    ("product-field", "M"): "f1227a2d8297c4f6fda0673a80f5f9c481b6fe1510cb08673cb9952330684151",
     ("morita-rows-cols", "cols"):
-        "73b7f43424bff5268c4353e2565230004f3f33c6fffeacb145afe0571be5ba8c",
+        "62d5015d07d80dfbc4dc3ec405670125287342245746ad7c0defce7fe89639c1",
     ("morita-rows-cols", "rows"):
-        "6351b4f1014082a0a93327ae1b835e0ff350775d4986991f73a3e2bedeff39e0",
-    ("regular-module", "M"): "fd89f50770d378e9ab40cfaeb23198f7970eeef183f4fd95b8a04fc8254cb643",
+        "712769c66ab07edd1a7f3a9ee3c213ed2a941d5181c51c7c709736bb1979d8b4",
+    ("regular-module", "M"): "c74ee522c4aa69f9053d136849357a2c9f2c4f43fb7e4c2b2de4d668878b122c",
 }
 
 
@@ -542,14 +710,14 @@ def test_analyze_json_reports_match_their_pins(capsys, fname, bimodule):
 # values are Python ints and the others Fractions: the bytes do not depend on
 # that representation
 ANALYZE_QQ_JSON_SHA256 = {
-    ("matrix2", "M"): "d580d794bfa22ae7e9d0cd74fc292491c4f3cb37caacda9871278f1984c85b94",
-    ("dual-numbers", "M"): "eecde8c549eab66641150b125dade6c49dad3526b0012c6b1ba82ef14ee2363b",
-    ("product-field", "M"): "c1e6e5f2c01522982e6c8309c9ae208bac01f266930bbad9f140c06673ed404a",
+    ("matrix2", "M"): "9f3093a1010460fdaec5051506da2d579ad6c729d5a6cc4a04a3db944b744e7d",
+    ("dual-numbers", "M"): "4decc080ca483f0f9195e315c61476c1aa7626936de357fa9c247914eb0be010",
+    ("product-field", "M"): "81610bf8277ba80c383c04d9f2ed1cbbcfad35a687a147a1849bc7cb43bd705f",
     ("morita-rows-cols", "cols"):
-        "db34668ddcf3b18bee3ca475481e2d35f8fc636e638dd6e0af60f1c6eaa05197",
+        "bc678709ccc096e29dd7d39e9a002672afecafaf98144c956fb06d7478460a11",
     ("morita-rows-cols", "rows"):
-        "10d664e649d1e184b688dfb57a7105d332cd4315b89d66b61fca3577d3c5b214",
-    ("regular-module", "M"): "4243b05ccd87eccf5b881228ee2a772f095b91641a624d613854db806a8634f2",
+        "dfe0ad1489d092e7154347c899f3038b0d816fd7f877ac3cf7398ac5adc405d0",
+    ("regular-module", "M"): "6d766a85fa05208f87910418f489afaf408c77ccad7324be5cd53fd23c7407ef",
 }
 
 
@@ -569,7 +737,7 @@ def test_analyze_json_reports_over_q_match_their_pins(capsys, tmp_path, fname, b
 # stacked solver with no time cap) and its report has that solver's bytes
 RECIPE_7_FALSE_FLAGS = {"m_separable", "comatrix_coseparable", "extension_split",
                         "sweedler_coseparable"}
-RECIPE_7_SHA256 = "fe44d13965e9745fa32e4fcb4d17a0d5555acec509d4764b8c677eb00a4ee6b1"
+RECIPE_7_SHA256 = "cbdeed5de3120ddf792c09785da6c197bb1cb5905a48702661593162673ba837"
 
 
 def test_first_decision_of_recipe_7_matches_the_dense_oracle():

@@ -18,6 +18,7 @@ from coring_lab.bimodule import (
     context_projection,
     endomorphism_algebra,
     intertwiners,
+    left_dual,
     regular_bimodule,
     tensor_over,
 )
@@ -28,7 +29,6 @@ from coring_lab.coring import (
     CoringMorphism,
     FrobeniusSystem,
     central_subspace,
-    f_of_gamma,
     find_cointegral,
     find_frobenius_system,
     is_cosplit,
@@ -63,6 +63,8 @@ from conftest import (
 )
 from gamma_oracle import (
     delta_tensor,
+    expand,
+    f_of_gamma,
     gamma_is_balanced,
     gamma_is_bimodule_map,
     gamma_is_normalized,
@@ -235,6 +237,40 @@ def test_left_dual_ring_of_sweedler_coring_dimension():
     kk = direct_product(k, k)
     ring = left_dual_ring(sweedler_coring(AlgebraMap(k, kk, [[1], [1]])))
     assert ring.dim == 4
+
+
+def hit_through_the_representative_coproduct(c, xi_mat):
+    """Oracle of ``coring._hit_from_right``: c -> sum c_1 . xi(c_2) through
+    ``delta_amb``, the d^2-row representative coproduct."""
+    f, d = c.field, c.dim
+    z = f.tensordot(c.carrier.right_action, xi_mat, ([1], [0]))  # (u, m', v)
+    return f.matmul(c.delta_amb.T, z.transpose(0, 2, 1).reshape(d * d, d)).T
+
+
+@pytest.mark.parametrize("case", ["matrix/3/GF(3)", "matrix2/QQ", "product-field/GF(2)",
+                                  "recipe/3", "recipe/7"])
+def test_the_hit_from_the_pairs_is_the_hit_through_the_coproduct(case):
+    if case.startswith("matrix/"):
+        corings = [matrix_coring(3, F3)]
+    elif case.startswith("recipe/"):
+        corings = module_corings(random_projective_bimodule(int(case[7:])))
+    else:
+        name, char = case.split("/")
+        corings = module_corings(bundled_over(name, 0 if char == "QQ" else 2).bimodules["M"])
+    for c in corings:
+        for xi in left_dual(c.carrier).functional_mats:
+            ours = coring_module._hit_from_right(c, xi)
+            assert np.array_equal(ours, hit_through_the_representative_coproduct(c, xi))
+
+
+def test_the_dual_ring_bimodules_apply_each_hit_once(monkeypatch):
+    hits = []
+    hit = coring_module._hit_from_right
+    monkeypatch.setattr(coring_module, "_hit_from_right",
+                        lambda c, xi: hits.append(xi) or hit(c, xi))
+    c = matrix_coring(2, F2)
+    coring_module.coring_bimodules_over_dual_ring(c)
+    assert len(hits) == len(left_dual_ring(c).functional_mats) == 4
 
 
 # ------------------------------------------------------------------- cosplit
@@ -415,7 +451,7 @@ def test_frobenius_search_solves_both_normalizations_together(side, monkeypatch)
     table = np.outer(eps, phi) if side == "c (x) e" else np.outer(phi, eps)
     monkeypatch.setattr(Coring, "precointegrals",
                         property(lambda c: c.f_of(table.reshape(1, 1, 16))))
-    assert np.array_equal(c.expand(c.precointegrals), table.reshape(1, 1, 16))  # a gamma_f
+    assert np.array_equal(expand(c, c.precointegrals), table.reshape(1, 1, 16))  # a gamma_f
     one_sided = F2.tensordot(table[None], e, ([2], [0]) if side == "c (x) e" else ([1], [0]))
     assert np.array_equal(one_sided, c.counit_mat)
     assert find_frobenius_system(c, seed=0).status == "none"
@@ -485,7 +521,7 @@ def test_precointegrals_span_the_kernel_of_the_dense_system(sweedler):
     f, sq = c.field, c.square
     q = c.middle.space.dim
     assert c.precointegrals.shape[1:] == (q, q)
-    gammas = c.expand(c.precointegrals)
+    gammas = expand(c, c.precointegrals)
     # back to quotient coordinates: gamma_amb @ section = gamma_q
     ours = np.stack([f.matmul(g, sq.section).reshape(-1) for g in gammas])
     oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
@@ -507,7 +543,8 @@ def test_find_cointegral_matches_the_unreduced_system(sweedler):
     ci = find_cointegral(c)
     assert (ci is None) == (sol is None)
     if sol is not None:
-        assert np.array_equal(ci.gamma_amb, f.matmul(sol.reshape(da, q), sq.projection))
+        assert np.array_equal(expand(c, ci.f_mat[None])[0],
+                              f.matmul(sol.reshape(da, q), sq.projection))
 
 
 def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler, monkeypatch):
@@ -518,7 +555,7 @@ def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler
     oracle = find_frobenius_system(sweedler, seed=0)
     assert reduced.status == oracle.status
     if oracle.found:
-        assert np.array_equal(reduced.system.gamma_amb, oracle.system.gamma_amb)
+        assert np.array_equal(reduced.system.f_mat, oracle.system.f_mat)
         assert np.array_equal(reduced.system.invariant, oracle.system.invariant)
 
 
@@ -604,7 +641,7 @@ def test_precointegrals_of_every_kind_of_coring_are_the_dense_kernel_basis(case)
     assert corings
     for c in corings:
         f, sq = c.field, c.square
-        ours = c.expand(c.precointegrals)
+        ours = expand(c, c.precointegrals)
         oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
         rows = np.stack([f.matmul(g, sq.section).reshape(-1) for g in ours])
         assert np.array_equal(rref(f, rows)[0], rref(f, oracle)[0])
@@ -621,7 +658,7 @@ def test_precointegrals_beyond_the_dense_oracle_are_the_square_path_basis(recipe
     assert max(c.dim for c in corings) == (32 if recipe == 7 else 40)
     for c in corings:
         f = c.field
-        ours, oracle = c.expand(c.precointegrals), square_path_precointegrals(c)
+        ours, oracle = expand(c, c.precointegrals), square_path_precointegrals(c)
         assert len(ours) == len(oracle) == (4 if recipe == 7 else 6)
         assert np.array_equal(rref(f, ours.reshape(len(ours), -1))[0],
                               rref(f, oracle.reshape(len(oracle), -1))[0])

@@ -78,8 +78,8 @@ def test_rational_definition_file_through_the_cli(tmp_path, capsys):
     assert out["flags"]["m_separable"] == "true"
     # witnesses serialize rationals as scalar texts that parse back to
     # themselves, and the checker accepts the printed report
-    gamma = out["witnesses"]["comatrix_coseparable"]["cointegral"]
-    flat = [v for row in gamma for v in row]
+    f_mat = out["witnesses"]["comatrix_coseparable"]["f"]
+    flat = [v for row in f_mat for v in row]
     assert all(isinstance(v, str) for v in flat)
     assert all(QQ.format_scalar(QQ.parse_scalar(v)) == v for v in flat)
     assert verify_report_witnesses(load(path), out)

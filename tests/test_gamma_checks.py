@@ -1,6 +1,6 @@
 """The checks of a map gamma: C (x)_A C -> A in f-coordinates
 (``coring.verify_cointegral``, ``coring.verify_frobenius_system``), on the f
-that ``coring.f_of_gamma`` reads from gamma, give the verdicts of the dense
+that ``gamma_oracle.f_of_gamma`` reads from gamma, give the verdicts of the dense
 oracle of ``gamma_oracle`` on the field tensor square, and the Frobenius
 normalizations on f are the dense contractions of gamma_f with e.
 
@@ -15,7 +15,7 @@ Frobenius gamma with each basis element of the central subspace.
 import numpy as np
 import pytest
 
-from coring_lab import GF
+from coring_lab import GF, coring as coring_module
 from coring_lab.coring import (
     Cointegral,
     Coring,
@@ -23,16 +23,23 @@ from coring_lab.coring import (
     _endomorphisms,
     _is_precointegral,
     central_subspace,
-    f_of_gamma,
     find_cointegral,
     find_frobenius_system,
+    left_dual_ring,
     verify_cointegral,
     verify_frobenius_system,
 )
 from coring_lab.structure import analyze, bimodule_tower
 
 from conftest import bundled_over, trivial_bimodule
-from gamma_oracle import is_cointegral, is_frobenius_system, is_precointegral, map_of_gamma
+from gamma_oracle import (
+    expand,
+    f_of_gamma,
+    is_cointegral,
+    is_frobenius_system,
+    is_precointegral,
+    map_of_gamma,
+)
 from random_modules import random_projective_bimodule
 
 F2, F3 = GF(2), GF(3)
@@ -68,18 +75,18 @@ def candidates(c, expansions):
     found = []
     ci = find_cointegral(c)
     if ci is not None:
-        found.append((ci.gamma_amb, None))
+        found.append((expand(c, ci.f_mat[None])[0], None))
     search = find_frobenius_system(c, seed=0)
     if search.found:
-        found.append((search.system.gamma_amb, search.system.invariant))
+        found.append((expand(c, search.system.f_mat[None])[0], search.system.invariant))
     out = list(found)
     for gamma, e in found:
         for index in (0, gamma.size - 1, int(rng.integers(gamma.size))):
             out.append((bump(f, gamma, index), e))
     if search.found:
-        out += [(search.system.gamma_amb, z) for z in central_subspace(c)]
+        out += [(found[-1][0], z) for z in central_subspace(c)]
     q = c.middle.space.dim
-    arbitrary = c.expand(f.asarray(rng.integers(0, 5, size=(1, q, q))))
+    arbitrary = expand(c, f.asarray(rng.integers(0, 5, size=(1, q, q))))
     return out + [(gamma, None) for gamma in np.concatenate([expansions, arbitrary])]
 
 
@@ -93,7 +100,7 @@ def test_f_coordinate_checks_give_the_dense_verdicts(case):
         # f_of inverts the expansion on End_{B-B}(P), and on the comatrix
         # coring it is the map read through omega and the dual basis
         homs = _endomorphisms(c.middle.space)
-        expansions = c.expand(homs)
+        expansions = expand(c, homs)
         assert np.array_equal(c.f_of(expansions), homs)
         if c is tower.comatrix.coring:
             assert all(np.array_equal(map_of_gamma(tower, g), h)
@@ -126,7 +133,7 @@ def test_normalizations_on_f_are_the_dense_contractions(case):
         homs = _endomorphisms(c.middle.space)
         invariants = np.stack(central_subspace(c))
         norms = c.normalizations(homs, invariants)  # (k, j, 2, a', n, m)
-        g3 = c.expand(homs).reshape(len(homs), c.base.dim, c.dim, c.dim)
+        g3 = expand(c, homs).reshape(len(homs), c.base.dim, c.dim, c.dim)
         for k, e in enumerate(invariants):
             for side, axis in enumerate((3, 2)):  # gamma(c (x) e), gamma(e (x) c)
                 dense = f.tensordot(g3, e, ([axis], [0]))  # (j, a', c)
@@ -135,10 +142,10 @@ def test_normalizations_on_f_are_the_dense_contractions(case):
 
 
 @pytest.mark.parametrize("char", [2, 3])
-def test_deciders_neither_expand_nor_read_back_a_gamma(char, monkeypatch):
+def test_deciders_never_read_back_a_gamma(char, monkeypatch):
     """find_cointegral and find_frobenius_system work on f alone: with
-    ``Coring.f_of`` and ``Coring.expand`` raising, they decide both corings
-    of the bundled modules as ``analyze`` does."""
+    ``Coring.f_of`` raising, they decide both corings of the bundled modules
+    as ``analyze`` does.  The library has no expansion of f to raise."""
     flags = {(name, mod): analyze(bundled_over(name, char).bimodules[mod], seed=0).flags
              for name, mod in BUNDLED}
 
@@ -146,7 +153,7 @@ def test_deciders_neither_expand_nor_read_back_a_gamma(char, monkeypatch):
         raise AssertionError("a gamma on the field tensor square was read or written")
 
     monkeypatch.setattr(Coring, "f_of", unread)
-    monkeypatch.setattr(Coring, "expand", unread)
+    assert not hasattr(Coring, "expand")
     for name, mod in BUNDLED:
         tower, expected = bimodule_tower(bundled_over(name, char).bimodules[mod]), flags[name, mod]
         for which, c in (("comatrix", tower.comatrix.coring), ("sweedler", tower.sweedler)):
@@ -163,4 +170,28 @@ def test_analyze_never_builds_the_representative_coproduct(char):
         for c in (tower.comatrix.coring, tower.sweedler):
             assert "delta_amb" not in c.__dict__, (name, mod)
             assert "_f_readers" not in c.__dict__, (name, mod)  # f_of never ran
+
+
+@pytest.mark.parametrize("name,mod", BUNDLED)
+def test_the_dual_ring_route_never_builds_the_representative_coproduct(name, mod,
+                                                                        monkeypatch):
+    """Over QQ, with the Frobenius search sent to the dual-ring route, the
+    left dual ring and its bimodules apply the coproduct leg by leg."""
+    monkeypatch.setattr(coring_module, "_FROBENIUS_ENUMERATION_BUDGET", 0)
+    monkeypatch.setattr(coring_module, "_FROBENIUS_RANDOM_ATTEMPTS", 0)
+    routed = []
+    via_dual_ring = coring_module._frobenius_via_dual_ring_iso
+
+    def recording(c, seed):
+        routed.append(c)
+        return via_dual_ring(c, seed)
+
+    monkeypatch.setattr(coring_module, "_frobenius_via_dual_ring_iso", recording)
+    m = bundled_over(name, 0).bimodules[mod]
+    analyze(m, seed=0)
+    tower = bimodule_tower(m)
+    assert routed
+    for c in (tower.comatrix.coring, tower.sweedler):
+        left_dual_ring(c)
+        assert "delta_amb" not in c.__dict__
 

@@ -43,6 +43,7 @@ from conftest import (
     non_generator_summand,
     trivial_bimodule,
 )
+from gamma_oracle import expand
 from random_modules import random_projective_bimodule
 
 FIELDS = {"gf2": GF(2), "gf3": GF(3), "QQ": QQ}
@@ -87,7 +88,8 @@ def coring(key):
 
 
 def digest(field, *arrays) -> str:
-    """sha256 of the witness entries as a report serializes them."""
+    """sha256 of the witness entries as a report serialized them, with each
+    Frobenius gamma on the field tensor square (``gamma_oracle.expand``)."""
     text = json.dumps([_serialize_array(field, a) for a in arrays])
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -96,7 +98,8 @@ def frobenius_outcome(key, seed):
     search = find_frobenius_system(coring(key), seed=seed)
     if search.system is None:
         return search.status, None
-    return search.status, digest(coring(key).field, search.system.gamma_amb,
+    c = coring(key)
+    return search.status, digest(c.field, expand(c, search.system.f_mat[None])[0],
                                  search.system.invariant)
 
 

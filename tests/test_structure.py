@@ -35,6 +35,7 @@ from coring_lab.coring import find_frobenius_system, is_cosplit, verify_frobeniu
 from coring_lab.errors import CoringLabError, InternalInconsistencyError
 from coring_lab.structure import (
     FLAG_NAMES,
+    WITNESS_PARTS,
     _audit,
     analyze,
     bimodule_tower,
@@ -62,6 +63,7 @@ from conftest import (
     row_module,
     trivial_bimodule,
 )
+from gamma_oracle import expand
 from random_modules import random_projective_bimodule
 
 F2 = GF(2)
@@ -215,7 +217,7 @@ def test_cointegral_from_half_trace_splitting_over_q():
     nu = BimoduleMap(regular_bimodule(m.left_alg), ts.space, target[:, None])
     ci = cointegral_from_separability(m, nu)
     # frozen oracle: gamma(c_ij (x) c_kl) = delta_jk delta_il / 2
-    g3 = ci.gamma_amb.reshape(1, 4, 4)
+    g3 = expand(ci.coring, ci.f_mat[None]).reshape(1, 4, 4)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -287,7 +289,7 @@ def test_map_of_the_comatrix_expansion_is_the_map(label):
     rng = np.random.default_rng(7)
     for f_mat in basis + [_combination(f, f.random(rng, len(basis)), basis)]:
         c = tower.comatrix.coring
-        assert np.array_equal(c.f_of(c.expand(f_mat[None]))[0], f_mat)
+        assert np.array_equal(c.f_of(expand(c, f_mat[None]))[0], f_mat)
 
 
 def _sweedler_reference(tower, f_mat):
@@ -323,7 +325,8 @@ def test_lifted_constructed_cointegral_is_the_sweedler_expansion(label):
     tower = bimodule_tower(m)
     lifted = lift_cointegral(m, cointegral_from_separability(m, nu))
     f_mat = m.field.matmul(tower.b_to_s.matrix, split_from_separability(m, nu).matrix)
-    assert np.array_equal(lifted.gamma_amb, _sweedler_reference(tower, f_mat))
+    assert np.array_equal(expand(lifted.coring, lifted.f_mat[None])[0],
+                          _sweedler_reference(tower, f_mat))
 
 
 # --------------------------------------------------------------- iota and fs
@@ -479,7 +482,9 @@ def test_analyze_k2_all_flags_true():
     for name, value in report.flags.items():
         assert value is True, f"{name} should be true, got {value}"
     assert all(e.status in {"holds", "vacuous"} for e in report.implication_audit)
-    assert "sweedler_frobenius_lift" in report.witnesses
+    # each witness once: the twelve flags' witnesses but williard's, which
+    # the generator test decides, and iota; no transported copy
+    assert set(report.witnesses) == set(WITNESS_PARTS) - {"williard"}
 
 
 def test_analyze_point_module_matches_the_converse_failure_pattern():
