@@ -211,21 +211,17 @@ class ContextIso:
 
 
 def context_iso(ctx: Coring) -> ContextIso:
-    """The coring isomorphism N (x)_B M -> M^* (x)_B M from Theorem-style
-    transport of chi, verified in both directions."""
-    f, ts = ctx.field, ctx.carrier_tensor
-    m = ts.right_factor
+    """The coring isomorphism N (x)_B M -> M^* (x)_B M induced by (chi, id),
+    and its inverse induced by (chi^{-1}, id), verified in both directions."""
+    f, m = ctx.field, ctx.carrier_tensor.right_factor
     _, chi, chi_inv = context_dual_basis(ctx)
     target = comatrix_coring(m)
-    target_ts = target.carrier_tensor
-    theta = ts.induced_map(chi.matrix, f.eye(m.dim), target_ts)
-    theta_inv = target_ts.induced_map(chi_inv.matrix, f.eye(m.dim), ts)
-    if not Field.equal(f.matmul(theta, theta_inv), f.eye(target.dim)):
+    forward = CoringMorphism(ctx, target, chi.matrix, f.eye(m.dim))
+    backward = CoringMorphism(target, ctx, chi_inv.matrix, f.eye(m.dim))
+    if not Field.equal(f.matmul(forward.matrix, backward.matrix), f.eye(target.dim)):
         raise InternalInconsistencyError("context iso does not invert (forward)")
-    if not Field.equal(f.matmul(theta_inv, theta), f.eye(ctx.dim)):
+    if not Field.equal(f.matmul(backward.matrix, forward.matrix), f.eye(ctx.dim)):
         raise InternalInconsistencyError("context iso does not invert (backward)")
-    forward = CoringMorphism(ctx, target, theta)
-    backward = CoringMorphism(target, ctx, theta_inv)
     return ContextIso(forward, backward)
 
 

@@ -1,15 +1,13 @@
-"""Corings over an algebra: validated axioms, Sweedler corings, left dual
-rings, cosplit sections, cointegrals and reduced Frobenius systems.
+"""Corings over an algebra: validated axioms, Sweedler corings, coring maps,
+left dual rings, cosplit sections, cointegrals and reduced Frobenius systems.
 
 Every coring is the coring N (x)_B M of a context (A, B, N, M, sigma, tau):
 the comatrix, Sweedler and context corings alike.  It is built from the
 presented N (x)_B M, the pairs (m_i, n_i) of tau(1) and the counit sigma,
-and validated through its context, with no product in C (x)_A C.  The
-coproduct is represented by a matrix ``delta_amb`` from carrier coordinates
-into the *field* tensor square of the carrier, one chosen system of
-representatives for the coproduct valued in C (x)_A C, built from the pairs
-on first read by its two readers: ``construct`` and coring morphisms.  The
-left dual ring applies the coproduct leg by leg from the pairs instead.
+and validated through its context, with no product in C (x)_A C.  A coring
+map is induced by onto maps of the context factors and checked by the
+counit alone (``CoringMorphism``).  The left dual ring applies the
+coproduct leg by leg from the pairs.
 
 Maps gamma: C (x)_A C -> A are held as maps f of P: C (x)_A C =
 N (x)_B P (x)_B M for P = M (x)_A N (``ContextMiddle``), and the A-bimodule
@@ -18,14 +16,16 @@ condition on gamma is written on f: ``Coring.precointegral_rows``,
 ``Coring.after_delta`` (gamma o Delta = eps) and ``Coring.normalizations``
 (of Frobenius systems).  ``Coring.precointegrals`` is a basis of such f,
 and ``Cointegral`` and ``FrobeniusSystem`` hold f, the form a report
-writes.  The one gamma built on the field tensor square, that of the
-dual-ring criterion, enters through ``Coring.f_of``.  Above
-``_SQUARE_DIM_LIMIT`` the space is refused (TooLargeToValidateError).
+writes.  The dual-ring criterion reads its f off the isomorphism it finds,
+and builds no gamma.  Above ``_SQUARE_DIM_LIMIT`` the pre-cointegral space
+is refused (TooLargeToValidateError).
 
-Representatives are compared in C (x)_A C through ``Coring.onto_square``,
-the reduction (C (x)_A N) (x)_B M of ``context_projection``, balanced over
-the small B.  ``Coring.square`` presents C (x)_A C from it in the
-coordinates of the dense ``tensor_over(C, C)``; no library code reads it.
+One array lives on the field tensor square of the carrier: ``delta_amb``,
+a matrix from carrier coordinates into it, one chosen system of
+representatives for the coproduct, built from the pairs on first read by
+its one reader, ``construct``.  ``Coring.square`` presents C (x)_A C through
+``context_projection`` in the coordinates of the dense ``tensor_over(C, C)``;
+no library code reads it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel, rref
+from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel, rank, rref
 
 __all__ = [
     "Coring",
@@ -97,8 +97,8 @@ _FROBENIUS_RANDOM_ATTEMPTS = 64
 
 def _too_large(dim: int) -> TooLargeToValidateError:
     return TooLargeToValidateError(
-        f"carrier dimension {dim} too large for a dense tensor-square "
-        f"presentation (limit {_SQUARE_DIM_LIMIT})")
+        f"carrier dimension {dim} is above {_SQUARE_DIM_LIMIT}, the limit of the "
+        f"pre-cointegral space")
 
 
 @dataclass
@@ -156,7 +156,8 @@ class Coring:
     The structure maps never change after construction; the representative
     coproduct, the legs of the pairs, the tensor-square presentation, P, the
     pre-cointegral rows and space and the left dual ring are built on first
-    use and memoized on the coring.
+    use and memoized on the coring.  ``construct`` alone reads the
+    representative coproduct.
     """
 
     validation = "full"  # every coring is checked in full at construction
@@ -185,21 +186,16 @@ class Coring:
         """The representative coproduct, built from the pairs on first read."""
         return _context_delta_amb(self.carrier_tensor, self.tau_pairs)
 
-    @cached_property
-    def onto_square(self):
-        """The field tensor square of the carrier onto C (x)_A C, built once
-        by ``context_projection``, with no size limit."""
-        return context_projection(self.carrier, self.carrier_tensor)
-
     @property
     def square(self) -> TensorSpace:
-        """Presentation of C (x)_A C through ``onto_square``, built once per
-        coring, in the coordinates of ``tensor_over(C, C)``; no library code
-        reads it.  Above the limit it refuses with the capacity error."""
+        """Presentation of C (x)_A C through ``context_projection``, built once
+        per coring, in the coordinates of ``tensor_over(C, C)``; no library
+        code reads it.  Above the limit it refuses with the capacity error."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise _too_large(self.dim)
-            pres = QuotientPresentation.from_surjection(self.field, self.onto_square)
+            pres = QuotientPresentation.from_surjection(
+                self.field, context_projection(self.carrier, self.carrier_tensor))
             self._square = _presented_tensor(self.carrier, self.carrier, pres)
         return self._square
 
@@ -238,32 +234,6 @@ class Coring:
         proj = ts.projection.reshape(self.dim, ts.left_factor.dim, ts.right_factor.dim)
         return (f.tensordot(proj, ms, ([2], [0])),
                 f.tensordot(proj, ns, ([1], [0])).transpose(0, 2, 1))
-
-    @cached_property
-    def _f_readers(self):
-        """What ``f_of`` contracts with, built on its first call: [u, v, q, i, j],
-        (n_i (x) x) (x) (y (x) m_j) on the field tensor square for the lift
-        x (x) y of e_q, and [i, q', a', j], the P-coordinates of m_i (x) a'.n_j."""
-        f, ts, mid = self.field, self.carrier_tensor, self.middle
-        n, m = ts.left_factor, ts.right_factor
-        ms, ns = _pair_matrices(f, self.tau_pairs, m.dim, n.dim)
-        right, left = self.pair_legs  # e_n (x) m_j and n_i (x) e_m
-        reps = f.tensordot(f.tensordot(left, mid.lift, ([2], [1])), right,
-                           ([3], [1])).transpose(0, 3, 2, 1, 4)
-        acted = f.tensordot(n.left_action, ns, ([1], [0]))  # (a', n', j): a'.n_j
-        onto = f.tensordot(f.tensordot(ms, mid.of_pair, ([0], [0])), acted, ([1], [1]))
-        return np.ascontiguousarray(reps), onto
-
-    def f_of(self, gammas):
-        """The maps f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j
-        on P, as a stack [k, q', q], for a stack ``gammas`` [k, a', (u, v)]
-        of maps on the field tensor square: each basis element of P is read
-        through its lift, and each value through ``of_pair``."""
-        f = self.field
-        reps, onto = self._f_readers
-        g4 = f.asarray(gammas).reshape(len(gammas), self.base.dim, self.dim, self.dim)
-        values = f.tensordot(g4, reps, ([2, 3], [0, 1]))  # (k, a', q, i, j)
-        return f.asarray(f.tensordot(values, onto, ([1, 3, 4], [2, 0, 3])).transpose(0, 2, 1))
 
     def middle_element(self, pairs):
         """sum_i m_i (x) n_i in P for pairs (m_i, n_i); tau(1) for the coring's."""
@@ -365,17 +335,6 @@ class Coring:
             self._precointegrals = f.asarray(f.tensordot(coeffs, homs, ([1], [0])))
         return self._precointegrals
 
-    # -- evaluation helpers -------------------------------------------------
-
-    def agree_in_square(self, lhs, rhs) -> bool:
-        """True when two maps into the field tensor square of the carrier
-        agree in C (x)_A C: equal representatives, else equal projections
-        through ``onto_square``."""
-        if Field.equal(lhs, rhs):
-            return True
-        onto = self.onto_square
-        return Field.equal(self.field.matmul(onto, lhs), self.field.matmul(onto, rhs))
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -442,29 +401,46 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
 
 
 class CoringMorphism:
-    """A bimodule map of carriers compatible with coproducts and counits."""
+    """The coring map theta = alpha (x) beta from C = N (x)_B M to
+    C' = N' (x)_B M', induced by onto bimodule maps alpha: N -> N' and
+    beta: M -> M' of the two contexts (``TensorSpace.induced_map``), held in
+    ``.matrix``.  It checks that alpha and beta are bimodule maps,
+    that both are onto and that eps' theta = eps.  Then theta is an
+    A-bimodule map, and it intertwines the coproducts:
 
-    def __init__(self, source: Coring, target: Coring, matrix):
+    P' = M' (x)_A N' is a ring, (m1 (x) n1)(m2 (x) n2) = m1 (x) sigma'(n1 (x) m2).n2,
+    and the two context diagrams of C' make t' = tau'(1) a two-sided unit
+    of it.  Let s = sum_i beta(m_i) (x) alpha(n_i) for the pairs of C.  For
+    p = beta(m) (x) alpha(n), counit preservation
+    sigma'(alpha(n_i) (x) beta(m)) = sigma(n_i (x) m), A-linearity and the
+    second diagram of C give
+    s.p = sum_i beta(m_i) (x) sigma(n_i (x) m).alpha(n)
+    = beta(sum_i m_i.sigma(n_i (x) m)) (x) alpha(n) = p.  Such p span P', as
+    alpha and beta are onto, so s.x = x on P', and s = s.t' = t'.  Hence
+    (theta (x) theta) Delta(n (x) m) = alpha(n) (x) s (x) beta(m)
+    = alpha(n) (x) t' (x) beta(m) = Delta' theta(n (x) m) in
+    C' (x)_A C' = N' (x)_B P' (x)_B M'.
+
+    A map that is not onto raises CoringAxiomError: only maps induced by onto
+    maps of the factors are checked."""
+
+    def __init__(self, source: Coring, target: Coring, n_map, m_map):
         if source.base != target.base:
             raise FieldMismatchError("coring morphism requires corings over the same base")
         self.source = source
         self.target = target
-        self.field = source.field
-        self.matrix = self.field.asarray(matrix)
-        if self.matrix.shape != (target.dim, source.dim):
-            raise CoringAxiomError(f"morphism matrix has shape {self.matrix.shape}")
-        self.validate()
-
-    def validate(self) -> None:
-        f = self.field
-        BimoduleMap(self.source.carrier, self.target.carrier, self.matrix)  # raises if not
-        if not Field.equal(f.matmul(self.target.counit_mat, self.matrix),
-                           self.source.counit_mat):
+        self.field = f = source.field
+        ts, target_ts = source.carrier_tensor, target.carrier_tensor
+        factors = [BimoduleMap(ts.left_factor, target_ts.left_factor, n_map),  # raise if not
+                   BimoduleMap(ts.right_factor, target_ts.right_factor, m_map)]
+        for which, factor in zip("NM", factors):
+            if rank(f, factor.matrix) != factor.target.dim:
+                raise CoringAxiomError(
+                    f"the map of {which} is not onto; only coring maps induced by onto "
+                    f"maps of the context factors are checked")
+        self.matrix = ts.induced_map(factors[0].matrix, factors[1].matrix, target_ts)
+        if not Field.equal(f.matmul(target.counit_mat, self.matrix), source.counit_mat):
             raise CoringAxiomError("morphism does not preserve the counit")
-        on_right = _on_right_leg(f, self.matrix, self.source.delta_amb, self.source.dim)
-        lhs = _on_left_leg(f, self.matrix, on_right, self.target.dim)
-        if not self.target.agree_in_square(lhs, f.matmul(self.target.delta_amb, self.matrix)):
-            raise CoringAxiomError("morphism does not intertwine the coproducts")
 
 
 @_memo
@@ -686,7 +662,34 @@ def coring_bimodules_over_dual_ring(c: Coring):
 
 
 def _frobenius_via_dual_ring_iso(c: Coring, seed: int) -> FrobeniusSearch:
-    f = c.field
+    """The Frobenius criterion of the left dual ring (Brzezinski): an
+    isomorphism phi: C -> R of (A, R)-bimodules, R = (*C)^op
+    (``coring_bimodules_over_dual_ring``), found by ``random_bimodule_iso``,
+    gives gamma(c (x) c') = phi(c')(c) and e = phi^-1(eps).
+
+    Write c.xi = sum c_1 xi(c_2) for the action of R on C.  phi is left
+    A-linear, phi(a c)(x) = phi(c)(x a), and R-linear,
+    phi(c.xi)(x) = xi(x.phi(c)).  So gamma is balanced over A and left
+    A-linear, and as c a = c.(eps(-) a), phi(c a)(x) = eps(x.phi(c)) a
+    = phi(c)(x) a: gamma is right A-linear.  phi(e) = eps gives
+    gamma(c (x) e) = eps(c) and phi(e.xi)(x) = xi(x.eps) = xi(x).  So
+    phi(e a) = eps(-) a = phi(a e), and e is central; phi(e.phi(c)) = phi(c)
+    gives c = sum e_1 gamma(e_2 (x) c), and applying eps,
+    gamma(e (x) c) = eps(c).  For zeta in *C,
+    zeta(sum gamma(x (x) c_1) c_2) = sum phi(c_1)(x) zeta(c_2)
+    = phi(c.zeta)(x) = zeta(x.phi(c)) = zeta(sum x_1 gamma(x_2 (x) c)).  So
+    when the functionals of *C separate the points of C (their stacked rows
+    have rank dim C, as whenever C is projective as a left A-module, the
+    hypothesis of the criterion), gamma is a pre-cointegral, (gamma, e) is a
+    Frobenius system and its f_gamma (``Coring.precointegrals``) verifies: a
+    failure is an internal error.  Without that the route is inconclusive.
+
+    f is read on P with no gamma built: for the lift
+    sum lift[q, m, n] e_m (x) e_n of e_q,
+    f(e_q) = sum_ij m_i (x) gamma(n_i (x) e_q (x) m_j).n_j and
+    gamma(n_i (x) e_m (x) e_n (x) m_j) = sum_k phi(e_n (x) m_j)_k xi_k(n_i (x) e_m)
+    over the functionals xi_k of *C, read through ``Coring.pair_legs``."""
+    f, ts, mid = c.field, c.carrier_tensor, c.middle
     try:
         c_mod, r_mod, ldual, _ = coring_bimodules_over_dual_ring(c)
     except CoringAxiomError:
@@ -697,12 +700,19 @@ def _frobenius_via_dual_ring_iso(c: Coring, seed: int) -> FrobeniusSearch:
     if search.status != "found":
         return FrobeniusSearch("inconclusive")
     phi = search.map.matrix
-    mats = np.stack([f.asarray(m) for m in ldual.functional_mats])
-    g3 = f.tensordot(phi, mats, ([0], [0])).transpose(1, 2, 0)  # (a', u, v)
-    # a verified (gamma_f, e) is a Frobenius system whatever gamma_f is; when
-    # the gamma is a Frobenius one, its f_gamma verifies (``precointegrals``)
-    fs = FrobeniusSystem(c, c.f_of(g3.reshape(1, c.base.dim, c.dim * c.dim))[0],
+    mats = np.stack([f.asarray(m) for m in ldual.functional_mats])  # (k, a', v)
+    right, left = c.pair_legs  # e_n (x) m_j and n_i (x) e_m
+    xi = f.tensordot(mats, left, ([2], [0]))  # (k, a', i, m)
+    values = f.tensordot(f.tensordot(xi, mid.lift, ([3], [1])),  # (k, a', i, q, n)
+                         f.tensordot(phi, right, ([1], [0])), ([0, 4], [0, 1]))  # (a', i, q, j)
+    ms, ns = _pair_matrices(f, c.tau_pairs, ts.right_factor.dim, ts.left_factor.dim)
+    acted = f.tensordot(ts.left_factor.left_action, ns, ([1], [0]))  # (a', n', j): a'.n_j
+    onto = f.tensordot(f.tensordot(ms, mid.of_pair, ([0], [0])), acted, ([1], [1]))  # (i, q', a', j)
+    fs = FrobeniusSystem(c, f.asarray(f.tensordot(onto, values, ([0, 2, 3], [1, 0, 3]))),
                          _solve(f, phi, ldual.unit))
     if verify_frobenius_system(fs):
         return FrobeniusSearch("found", fs)
+    if rank(f, mats.reshape(-1, c.dim)) == c.dim:
+        raise InternalInconsistencyError("the Frobenius system of a dual-ring isomorphism "
+                                         "fails verification")
     return FrobeniusSearch("inconclusive")

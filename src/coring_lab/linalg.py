@@ -149,7 +149,7 @@ class QuotientPresentation:
     """Presentation of ambient / span(relations) with a chosen section.
 
     projection @ section is the identity on the quotient and the kernel
-    of projection is exactly the row span of relation_basis.
+    of projection is exactly the span of the relations.
     """
 
     field: Field
@@ -191,23 +191,3 @@ class QuotientPresentation:
         sect = field.zeros((ambient_dim, q))
         sect[free_cols, range(q)] = 1
         return cls(field, ambient_dim, q, proj, sect)
-
-    @property
-    def relation_basis(self) -> np.ndarray:
-        """The reduced echelon rows spanning the kernel of the projection,
-        computed on demand: the row of a non-free column p is 1 at p, 0 at the
-        other non-free columns and minus column p of the projection at the
-        free columns (where the section has its ones)."""
-        f, proj = self.field, self.projection
-        free_cols = np.flatnonzero((self.section != 0).any(axis=1))
-        rest = np.setdiff1d(np.arange(self.ambient_dim), free_cols)
-        rel = f.zeros((len(rest), self.ambient_dim))
-        rel[np.arange(len(rest)), rest] = 1
-        rel[:, free_cols] = -proj[:, rest].T
-        return f.asarray(rel)
-
-    def reduces_to_zero(self, vectors) -> bool:
-        """True when every column of ``vectors`` lies in the relation span."""
-        cols = self.field.asarray(vectors)
-        return bool(np.all(self.field.matmul(self.projection, cols) == 0))
-

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from coring_lab.algebra import Algebra, identity_map, matrix_algebra
-from coring_lab.bimodule import Bimodule, _memo, tensor_over
+from coring_lab.bimodule import (
+    Bimodule,
+    _memo,
+    _on_left_leg,
+    _on_right_leg,
+    context_projection,
+    tensor_over,
+)
 from coring_lab.coring import Coring, sweedler_coring
 from coring_lab.definitions import bundled_path, loads
+from coring_lab.fields import Field
 from coring_lab.linalg import rref
 
 
@@ -211,6 +219,27 @@ def trivial_coring(a):
     """A as a coring: the Sweedler coring A (x)_A A of the identity, with
     counit the multiplication onto A."""
     return sweedler_coring(identity_map(a))
+
+
+def agree_in_square(c, lhs, rhs) -> bool:
+    """Oracle: True when two maps into the field tensor square of the
+    carrier of c agree in C (x)_A C: equal representatives, else equal
+    projections through ``context_projection``."""
+    if Field.equal(lhs, rhs):
+        return True
+    onto = context_projection(c.carrier, c.carrier_tensor)
+    return Field.equal(c.field.matmul(onto, lhs), c.field.matmul(onto, rhs))
+
+
+def is_coring_map(source, target, theta) -> bool:
+    """Oracle: theta keeps the counit and (theta (x) theta) Delta = Delta' theta
+    in C' (x)_A C', compared on the representative coproducts ``delta_amb``."""
+    f = source.field
+    if not Field.equal(f.matmul(target.counit_mat, theta), source.counit_mat):
+        return False
+    on_right = _on_right_leg(f, theta, source.delta_amb, source.dim)
+    lhs = _on_left_leg(f, theta, on_right, target.dim)
+    return agree_in_square(target, lhs, f.matmul(target.delta_amb, theta))
 
 
 def canonical_identification_oracle(m):

@@ -5,15 +5,15 @@ identity and gamma o Delta = eps.  The library checks the same conditions in
 f-coordinates (``coring.verify_cointegral``); these are the independent
 copies the tests compare it with.  ``expand`` writes a map f of P as its
 gamma_f on the field tensor square, the form reports took before they wrote
-f, and ``f_of_gamma`` reads it back.  ``map_of_gamma`` is the f_gamma of a
-comatrix coring read through omega and the dual basis, the oracle of
-``Coring.f_of``.
+f, and ``f_of`` and ``f_of_gamma`` read it back.  ``map_of_gamma`` is the
+f_gamma of a comatrix coring read through omega and the dual basis, the
+oracle of ``f_of``.
 """
 
 import numpy as np
 
 from coring_lab.bimodule import BimoduleMap
-from coring_lab.coring import central_rows
+from coring_lab.coring import _pair_matrices, central_rows
 from coring_lab.fields import Field
 
 
@@ -30,12 +30,32 @@ def expand(c, f_mats):
         len(f_mats), c.base.dim, c.dim * c.dim)
 
 
+def f_of(c, gammas):
+    """The maps f_gamma(p) = sum_ij m_i (x) gamma(n_i (x) p (x) m_j).n_j
+    on P, as a stack [k, q', q], for a stack ``gammas`` [k, a', (u, v)]
+    of maps on the field tensor square: each basis element of P is read
+    through its lift, and each value through ``of_pair``."""
+    f, ts, mid = c.field, c.carrier_tensor, c.middle
+    n, m = ts.left_factor, ts.right_factor
+    ms, ns = _pair_matrices(f, c.tau_pairs, m.dim, n.dim)
+    right, left = c.pair_legs  # e_n (x) m_j and n_i (x) e_m
+    # [u, v, q, i, j]: (n_i (x) x) (x) (y (x) m_j) for the lift x (x) y of e_q
+    reps = f.tensordot(f.tensordot(left, mid.lift, ([2], [1])), right,
+                       ([3], [1])).transpose(0, 3, 2, 1, 4)
+    acted = f.tensordot(n.left_action, ns, ([1], [0]))  # (a', n', j): a'.n_j
+    # [i, q', a', j]: the P-coordinates of m_i (x) a'.n_j
+    onto = f.tensordot(f.tensordot(ms, mid.of_pair, ([0], [0])), acted, ([1], [1]))
+    g4 = f.asarray(gammas).reshape(len(gammas), c.base.dim, c.dim, c.dim)
+    values = f.tensordot(g4, reps, ([2, 3], [0, 1]))  # (k, a', q, i, j)
+    return f.asarray(f.tensordot(values, onto, ([1, 3, 4], [2, 0, 3])).transpose(0, 2, 1))
+
+
 def f_of_gamma(c, gamma_amb):
     """The f of a map gamma on the field tensor square of the carrier, or
-    None when gamma is no gamma_f: f = f_gamma (``Coring.f_of``) must
-    commute with the actions of B on P and expand to gamma exactly."""
+    None when gamma is no gamma_f: f = f_gamma (``f_of``) must commute with
+    the actions of B on P and expand to gamma exactly."""
     gamma = c.field.asarray(gamma_amb)
-    f_mat = c.f_of(gamma[None])[0]
+    f_mat = f_of(c, gamma[None])[0]
     space = c.middle.space
     return f_mat if (BimoduleMap(space, space, f_mat, _validate=False).commutes_with_actions()
                      and Field.equal(expand(c, f_mat[None])[0], gamma)) else None

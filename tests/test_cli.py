@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -791,6 +792,16 @@ def test_capacity_limit_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("capacity: carrier dimension 81 too large")
+
+
+def test_the_capacity_line_names_the_pre_cointegral_space(capsys, monkeypatch):
+    # with the limit at 3, the corings of matrix2 (d = 4 and 16) are refused
+    monkeypatch.setattr(coring, "_SQUARE_DIM_LIMIT", 3)
+    code, out, err = run_cli(capsys, "analyze", str(bundled_path("matrix2")), "--bimodule", "M")
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert re.fullmatch(r"capacity: carrier dimension (4|16) is above 3, the limit of the "
+                        r"pre-cointegral space", line)
 
 
 def test_console_script_entry_point():

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coring_lab import GF, comatrix as comatrix_module
+from coring_lab import GF, bimodule as bimodule_module, comatrix as comatrix_module
+from coring_lab import coring as coring_module
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import (
     Bimodule,
@@ -44,6 +45,7 @@ from coring_lab.errors import ContextAxiomError, NotProjectiveError
 from coring_lab.fields import Field
 
 from conftest import (
+    bundled_over,
     column_module,
     count_memo_bodies,
     dual_numbers,
@@ -80,8 +82,12 @@ def test_comatrix_of_regular_module_is_the_trivial_coring():
     a = direct_product(field_algebra(F2), field_algebra(F2))
     c = comatrix_coring(regular_bimodule(a))
     assert c.dim == a.dim
-    # the counit is an isomorphism onto the trivial coring
-    CoringMorphism(c, trivial_coring(a), c.counit_mat)
+    # the counit is an isomorphism onto the trivial coring, induced by
+    # phi -> phi(1) on M^* and the identity of A
+    at_one = np.stack([F2.matmul(phi, a.unit)
+                       for phi in c.carrier_tensor.left_factor.functional_mats], axis=1)
+    counit = CoringMorphism(c, trivial_coring(a), at_one, F2.eye(a.dim))
+    assert np.array_equal(counit.matrix, c.counit_mat)
 
 
 def test_comatrix_of_k2_is_the_matrix_coring():
@@ -356,6 +362,32 @@ def test_context_iso_for_morita_context_verifies_both_ways():
     assert np.array_equal(f.matmul(iso.backward.matrix, iso.forward.matrix), f.eye(4))
 
 
+@pytest.mark.parametrize("char", [2, 3, 0], ids=["GF(2)", "GF(3)", "QQ"])
+def test_context_iso_reads_neither_the_coproduct_nor_the_square(char, monkeypatch):
+    """context_iso checks its two coring maps on the context factors: it
+    reads no representative coproduct and no projection onto C (x)_A C, on
+    the context of every bundled module and on the morita-rows-cols
+    context."""
+    def unread(*args):
+        raise AssertionError("the tensor square was read")
+
+    monkeypatch.setattr(Coring, "delta_amb", property(unread))
+    monkeypatch.setattr(bimodule_module, "context_projection", unread)
+    monkeypatch.setattr(coring_module, "context_projection", unread)
+    checked = []
+    for path in sorted(bundled_path("matrix2").parent.glob("*.json")):
+        deffile = bundled_over(path.stem, char)
+        contexts = [context_from_bimodule(m) for m in deffile.bimodules.values()]
+        contexts += [context_from_morita(md) for md in deffile.morita.values()]
+        for ctx in contexts:
+            iso = context_iso(ctx)
+            checked.append(path.stem)
+            assert np.array_equal(ctx.field.matmul(iso.backward.matrix, iso.forward.matrix),
+                                  ctx.field.eye(ctx.dim))
+    assert checked.count("morita-rows-cols") == 3
+    assert len(checked) == 7
+
+
 def test_context_coring_of_canonical_context_matches_comatrix():
     m = trivial_bimodule(F3, 2)
     assert context_from_bimodule(m) is comatrix_data(m).coring
@@ -386,7 +418,11 @@ def test_comatrix_of_restricted_regular_module_is_sweedler():
                                               [kk.left_mult[i]])[0]
                 acc = acc + pair[i, j] * ts.pure(ell, f.eye(kk.dim)[:, j])
         cols.append(acc)
-    morphism = CoringMorphism(sw, data.coring, np.stack(cols, axis=1))
+    # induced by a -> (x -> a x) on A and the identity of A
+    ells = np.stack(_matrix_subspace_coords(f, data.dual.functional_mats, list(kk.left_mult)),
+                    axis=1)
+    morphism = CoringMorphism(sw, data.coring, ells, f.eye(kk.dim))
+    assert np.array_equal(morphism.matrix, np.stack(cols, axis=1))
     assert BimoduleMap(sw.carrier, data.coring.carrier,
                        morphism.matrix).is_invertible()
 

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +24,7 @@ from coring_lab.bimodule import (
     regular_bimodule,
     tensor_over,
 )
-from coring_lab.comatrix import comatrix_coring, context_from_morita
+from coring_lab.comatrix import comatrix_coring, context_dual_basis, context_from_morita
 from coring_lab.coring import (
     Cointegral,
     Coring,
@@ -47,14 +49,16 @@ from coring_lab.errors import (
     TooLargeToValidateError,
 )
 from coring_lab.fields import Field, PrimeField
-from coring_lab.linalg import _kernel, _solve, _successive_kernel, rref
+from coring_lab.linalg import _kernel, _solve, _successive_kernel, rank, rref
 from coring_lab.structure import analyze, bimodule_tower
 
 from conftest import (
+    agree_in_square,
     bundled_over,
     dual_numbers,
     field_algebra,
     intertwiner_rows,
+    is_coring_map,
     matrix_coring,
     matrix_coring_arrays,
     trivial_bimodule,
@@ -64,6 +68,7 @@ from conftest import (
 from gamma_oracle import (
     delta_tensor,
     expand,
+    f_of,
     f_of_gamma,
     gamma_is_balanced,
     gamma_is_bimodule_map,
@@ -165,13 +170,13 @@ def test_right_delta_linearity_of_a_trivial_coring_holds_only_in_the_square():
     c = trivial_coring(product_of_fields(F2, 3))
     # a -> a (x) 1, another representative of the coproduct of A (x)_A A = A
     other = F2.kron(F2.eye(c.dim), c.base.unit[:, None])
-    assert c.agree_in_square(other, c.delta_amb)
+    assert agree_in_square(c, other, c.delta_amb)
     act = c.carrier.right_mats[0]
     lhs = F2.matmul(other, act)  # e_0 . e_0 (x) 1
     rhs = _on_right_leg(F2, act, other, c.dim)  # e_0 (x) e_0
     assert not Field.equal(lhs, rhs)
-    assert c.agree_in_square(lhs, rhs)
-    assert not c.agree_in_square(lhs, F2.zeros(lhs.shape))
+    assert agree_in_square(c, lhs, rhs)
+    assert not agree_in_square(c, lhs, F2.zeros(lhs.shape))
 
 
 def test_large_context_carrier_validates_in_full():
@@ -450,7 +455,7 @@ def test_frobenius_search_solves_both_normalizations_together(side, monkeypatch)
     eps = c.counit_mat[0]
     table = np.outer(eps, phi) if side == "c (x) e" else np.outer(phi, eps)
     monkeypatch.setattr(Coring, "precointegrals",
-                        property(lambda c: c.f_of(table.reshape(1, 1, 16))))
+                        property(lambda c: f_of(c, table.reshape(1, 1, 16))))
     assert np.array_equal(expand(c, c.precointegrals), table.reshape(1, 1, 16))  # a gamma_f
     one_sided = F2.tensordot(table[None], e, ([2], [0]) if side == "c (x) e" else ([1], [0]))
     assert np.array_equal(one_sided, c.counit_mat)
@@ -551,7 +556,7 @@ def test_find_frobenius_system_matches_the_kernel_of_the_unreduced_rows(sweedler
     reduced = find_frobenius_system(sweedler, seed=0)
     # the oracle: the same search over the kernel of the dense stacked rows
     monkeypatch.setattr(Coring, "precointegrals",
-                        property(lambda c: c.f_of(dense_kernel_gammas(c))))
+                        property(lambda c: f_of(c, dense_kernel_gammas(c))))
     oracle = find_frobenius_system(sweedler, seed=0)
     assert reduced.status == oracle.status
     if oracle.found:
@@ -667,11 +672,11 @@ def test_precointegrals_beyond_the_dense_oracle_are_the_square_path_basis(recipe
 
 
 def test_precointegrals_read_neither_the_square_nor_its_projection(monkeypatch):
-    def unread(c):
+    def unread(*args):
         raise AssertionError("the square was read")
 
     monkeypatch.setattr(Coring, "square", property(unread))
-    monkeypatch.setattr(Coring, "onto_square", property(unread))
+    monkeypatch.setattr(coring_module, "context_projection", unread)
     modules = [load(bundled_path("matrix2")).bimodules["M"], random_projective_bimodule(7)]
     corings = [c for m in modules for c in module_corings(m)]
     assert [len(c.precointegrals) for c in corings] == [4, 4, 4, 4]
@@ -747,7 +752,6 @@ def test_context_square_is_the_dense_square(case):
         sq.space.validate()  # the descent check alone built it
         assert same_entries(sq.projection, dense.projection)
         assert same_entries(sq.section, dense.section)
-        assert same_entries(sq.presentation.relation_basis, dense.presentation.relation_basis)
         assert same_entries(sq.space.left_action, dense.space.left_action)
         assert same_entries(sq.space.right_action, dense.space.right_action)
         checked += 1
@@ -1017,13 +1021,133 @@ def test_the_benchmark_worker_decides_recipe_7_in_bounded_memory():
 
 def test_identity_is_a_coring_morphism():
     c = matrix_coring(2, F2)
-    CoringMorphism(c, c, F2.eye(4))
+    assert np.array_equal(CoringMorphism(c, c, F2.eye(2), F2.eye(2)).matrix, F2.eye(4))
 
 
 def test_noncounital_map_is_rejected():
+    # (alpha, beta) keeps the counit sum_i e_i (x) e_i of the matrix coring
+    # iff beta^T alpha = 1; the shear alpha with beta = 1 is onto and breaks it
     c = matrix_coring(2, F2)
-    with pytest.raises(CoringAxiomError):
-        CoringMorphism(c, c, F2.zeros((4, 4)))
+    shear = F2.asarray([[1, 1], [0, 1]])
+    with pytest.raises(CoringAxiomError, match="counit"):
+        CoringMorphism(c, c, shear, F2.eye(2))
+    kept = CoringMorphism(c, c, shear, shear.T)  # shear^-1 = shear over GF(2)
+    assert not np.array_equal(kept.matrix, F2.eye(4))
+
+
+def test_a_map_of_the_factors_that_is_not_onto_is_refused():
+    c = matrix_coring(2, F2)
+    with pytest.raises(CoringAxiomError, match="induced by onto maps of the context factors"):
+        CoringMorphism(c, c, F2.eye(2), F2.zeros((2, 2)))
+
+
+def _random_automorphisms(module, rng, count):
+    """The identity and up to ``count`` random invertible bimodule
+    endomorphisms of a module, combinations of a basis of them."""
+    f = module.field
+    acts = list(module.left_mats) + list(module.right_mats)
+    basis = np.stack(intertwiners(f, acts, acts))
+    found = [f.eye(module.dim)]
+    for _ in range(4 * count):
+        mat = f.asarray(f.tensordot(f.random(rng, len(basis)), basis, ([0], [0])))
+        if len(found) <= count and rank(f, mat) == module.dim:
+            found.append(mat)
+    return found
+
+
+def _counit_keeping_partner(source, target, alpha, beta, rng):
+    """b beta for a bimodule endomorphism b of M' with eps' theta = eps for
+    theta = alpha (x) b beta, which is linear in b, when one is onto; else
+    None."""
+    f, ts, target_ts = source.field, source.carrier_tensor, target.carrier_tensor
+    m = target_ts.right_factor
+    acts = list(m.left_mats) + list(m.right_mats)
+    basis = intertwiners(f, acts, acts)
+    system = np.stack([f.matmul(target.counit_mat, ts.induced_map(
+        alpha, f.matmul(b, beta), target_ts)).reshape(-1) for b in basis], axis=1)
+    sol = _solve(f, system, source.counit_mat.reshape(-1))
+    if sol is None:
+        return None
+    for v in _kernel(f, system):
+        sol = f.asarray(sol + f.random(rng, 1)[0] * v)
+    mat = f.matmul(f.asarray(f.tensordot(sol, np.stack(basis), ([0], [0]))), beta)
+    return mat if rank(f, mat) == m.dim else None
+
+
+def onto_factor_maps(field):
+    """(source, target, alpha, beta) for onto maps alpha: N -> N' and
+    beta: M -> M' of two contexts: the identity of the matrix coring, of the
+    comatrix and Sweedler corings of the bundled modules and of the
+    morita-rows-cols context, (chi, id) between that context and the
+    comatrix coring of its M and back, and (phi -> phi(1), id) from the
+    comatrix coring of the regular module of k x k onto the trivial coring."""
+    def identity(c):
+        ts = c.carrier_tensor
+        return c, c, field.eye(ts.left_factor.dim), field.eye(ts.right_factor.dim)
+
+    yield identity(matrix_coring(2, field))
+    for name in ("matrix2", "dual-numbers", "product-field", "regular-module",
+                 "morita-rows-cols"):
+        deffile = bundled_over(name, field.characteristic)
+        for m in deffile.bimodules.values():
+            yield from map(identity, module_corings(m))
+        for md in deffile.morita.values():
+            ctx = context_from_morita(md)
+            yield identity(ctx)
+            _, chi, chi_inv = context_dual_basis(ctx)
+            m = ctx.carrier_tensor.right_factor
+            target = comatrix_coring(m)
+            yield ctx, target, chi.matrix, field.eye(m.dim)
+            yield target, ctx, chi_inv.matrix, field.eye(m.dim)
+    a = direct_product(field_algebra(field), field_algebra(field))
+    c = comatrix_coring(regular_bimodule(a))
+    at_one = np.stack([field.matmul(phi, a.unit)
+                       for phi in c.carrier_tensor.left_factor.functional_mats], axis=1)
+    yield c, trivial_coring(a), at_one, field.eye(a.dim)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["GF(2)", "GF(3)", "QQ"])
+def test_the_counit_check_of_induced_maps_is_the_dense_coproduct_check(field):
+    """On onto maps of the context factors, composed with random automorphisms
+    of N' and M', and with b beta solved to keep the counit, CoringMorphism
+    accepts exactly the maps that keep the counit and intertwine the
+    representative coproducts in C' (x)_A C' (``conftest.is_coring_map``)."""
+    rng = np.random.default_rng(field.characteristic + 5)
+    verdicts = []
+    for source, target, alpha0, beta0 in onto_factor_maps(field):
+        ts, target_ts = source.carrier_tensor, target.carrier_tensor
+        maps = [(field.matmul(a, alpha0), field.matmul(b, beta0)) for a, b in zip(
+            _random_automorphisms(target_ts.left_factor, rng, 2),
+            _random_automorphisms(target_ts.right_factor, rng, 2))]
+        maps += [(alpha, partner) for alpha, beta in maps[1:] if (
+            partner := _counit_keeping_partner(source, target, alpha, beta, rng)) is not None]
+        for alpha, beta in maps:
+            theta = ts.induced_map(alpha, beta, target_ts)
+            try:
+                accepted = np.array_equal(
+                    CoringMorphism(source, target, alpha, beta).matrix, theta)
+            except CoringAxiomError:
+                accepted = False
+            assert accepted == is_coring_map(source, target, theta)
+            verdicts.append(accepted)
+    assert verdicts.count(False) >= 5 and verdicts.count(True) >= 40
+
+
+def test_only_construct_reads_the_representative_coproduct():
+    """``Coring`` defines ``delta_amb``, the d^2-row representative
+    coproduct, and the construct document is its one reader in the library."""
+    assert isinstance(Coring.__dict__["delta_amb"], cached_property)
+    readers = set()
+    for path in sorted(Path(coring_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "delta_amb":
+                scope = parents[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                readers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert readers == {"cli._coring_document"}
 
 
 @pytest.mark.parametrize("field,dtype", [(F2, np.int64), (F3, np.int64), (QQ, object)])
@@ -1032,7 +1156,7 @@ def test_maps_hold_their_matrix_as_a_field_array(field, dtype):
     c = trivial_coring(a)
     plain = np.eye(4, dtype=int).tolist()
     maps = [identity_map(a), BimoduleMap(c.carrier, c.carrier, plain),
-            CoringMorphism(c, c, plain)]
+            CoringMorphism(c, c, plain, plain)]
     for m in maps:
         assert isinstance(m.matrix, np.ndarray)
         assert m.matrix.dtype == dtype

@@ -15,7 +15,7 @@ Frobenius gamma with each basis element of the central subspace.
 import numpy as np
 import pytest
 
-from coring_lab import GF, coring as coring_module
+from coring_lab import GF, QQ, coring as coring_module
 from coring_lab.coring import (
     Cointegral,
     Coring,
@@ -29,11 +29,13 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
+from coring_lab.errors import InternalInconsistencyError
 from coring_lab.structure import analyze, bimodule_tower
 
-from conftest import bundled_over, trivial_bimodule
+from conftest import bundled_over, matrix_coring, trivial_bimodule
 from gamma_oracle import (
     expand,
+    f_of,
     f_of_gamma,
     is_cointegral,
     is_frobenius_system,
@@ -101,7 +103,7 @@ def test_f_coordinate_checks_give_the_dense_verdicts(case):
         # coring it is the map read through omega and the dual basis
         homs = _endomorphisms(c.middle.space)
         expansions = expand(c, homs)
-        assert np.array_equal(c.f_of(expansions), homs)
+        assert np.array_equal(f_of(c, expansions), homs)
         if c is tower.comatrix.coring:
             assert all(np.array_equal(map_of_gamma(tower, g), h)
                        for g, h in zip(expansions, homs))
@@ -142,18 +144,15 @@ def test_normalizations_on_f_are_the_dense_contractions(case):
 
 
 @pytest.mark.parametrize("char", [2, 3])
-def test_deciders_never_read_back_a_gamma(char, monkeypatch):
-    """find_cointegral and find_frobenius_system work on f alone: with
-    ``Coring.f_of`` raising, they decide both corings of the bundled modules
-    as ``analyze`` does.  The library has no expansion of f to raise."""
+def test_deciders_never_read_back_a_gamma(char):
+    """find_cointegral and find_frobenius_system work on f alone: the
+    library has no read-back of a gamma on the field tensor square and no
+    expansion of f, and the deciders decide both corings of the bundled
+    modules as ``analyze`` does."""
+    assert not hasattr(Coring, "f_of")
+    assert not hasattr(Coring, "expand")
     flags = {(name, mod): analyze(bundled_over(name, char).bimodules[mod], seed=0).flags
              for name, mod in BUNDLED}
-
-    def unread(c, stack):
-        raise AssertionError("a gamma on the field tensor square was read or written")
-
-    monkeypatch.setattr(Coring, "f_of", unread)
-    assert not hasattr(Coring, "expand")
     for name, mod in BUNDLED:
         tower, expected = bimodule_tower(bundled_over(name, char).bimodules[mod]), flags[name, mod]
         for which, c in (("comatrix", tower.comatrix.coring), ("sweedler", tower.sweedler)):
@@ -169,7 +168,6 @@ def test_analyze_never_builds_the_representative_coproduct(char):
         tower = bimodule_tower(m)
         for c in (tower.comatrix.coring, tower.sweedler):
             assert "delta_amb" not in c.__dict__, (name, mod)
-            assert "_f_readers" not in c.__dict__, (name, mod)  # f_of never ran
 
 
 @pytest.mark.parametrize("name,mod", BUNDLED)
@@ -195,3 +193,41 @@ def test_the_dual_ring_route_never_builds_the_representative_coproduct(name, mod
         left_dual_ring(c)
         assert "delta_amb" not in c.__dict__
 
+
+
+@pytest.mark.parametrize("char", [2, 3, 0])
+def test_the_dual_ring_f_is_the_f_of_its_gamma(char, monkeypatch):
+    """The f that the dual-ring route reads off an isomorphism phi: C -> R is
+    the oracle's f_gamma of gamma(c (x) c') = phi(c')(c), written on the
+    field tensor square, for both corings of every bundled module."""
+    found = []
+    search = coring_module.random_bimodule_iso
+
+    def recording(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(coring_module, "random_bimodule_iso", recording)
+    for name, mod in BUNDLED:
+        tower = bimodule_tower(bundled_over(name, char).bimodules[mod])
+        for c in (tower.comatrix.coring, tower.sweedler):
+            f = c.field
+            result = coring_module._frobenius_via_dual_ring_iso(c, 0)
+            assert result.found, (name, mod)
+            mats = np.stack(left_dual_ring(c).functional_mats)
+            gamma = f.tensordot(found[-1].map.matrix, mats, ([0], [0])).transpose(1, 2, 0)
+            expected = f_of(c, gamma.reshape(1, c.base.dim, c.dim * c.dim))[0]
+            assert result.system.f_mat.dtype == expected.dtype
+            assert np.array_equal(result.system.f_mat, expected)
+
+
+def test_a_dual_ring_system_that_fails_verification_is_an_internal_error(monkeypatch):
+    """Where the functionals of *C separate the points of C, the system of a
+    dual-ring isomorphism is proven Frobenius, so a failed verification is an
+    internal error; where they do not, the route is inconclusive."""
+    c = matrix_coring(2, QQ)
+    monkeypatch.setattr(coring_module, "verify_frobenius_system", lambda fs: False)
+    with pytest.raises(InternalInconsistencyError, match="fails verification"):
+        coring_module._frobenius_via_dual_ring_iso(c, 0)
+    monkeypatch.setattr(coring_module, "rank", lambda field, a: 0)
+    assert coring_module._frobenius_via_dual_ring_iso(c, 0).status == "inconclusive"

@@ -63,7 +63,7 @@ from conftest import (
     row_module,
     trivial_bimodule,
 )
-from gamma_oracle import expand
+from gamma_oracle import expand, f_of
 from random_modules import random_projective_bimodule
 
 F2 = GF(2)
@@ -289,7 +289,7 @@ def test_map_of_the_comatrix_expansion_is_the_map(label):
     rng = np.random.default_rng(7)
     for f_mat in basis + [_combination(f, f.random(rng, len(basis)), basis)]:
         c = tower.comatrix.coring
-        assert np.array_equal(c.f_of(expand(c, f_mat[None]))[0], f_mat)
+        assert np.array_equal(f_of(c, expand(c, f_mat[None]))[0], f_mat)
 
 
 def _sweedler_reference(tower, f_mat):
