@@ -76,7 +76,7 @@ class Algebra:
         return self.field.tensordot(self.field.asarray(y), self.right_mult, ([0], [0]))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Algebra)
             and self.field == other.field
             and self.dim == other.dim

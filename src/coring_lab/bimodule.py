@@ -97,9 +97,9 @@ class Bimodule:
             raise BimoduleAxiomError(f"left action tensor has shape {self.left_action.shape}")
         if self.right_action.shape != (self.dim, right_alg.dim, self.dim):
             raise BimoduleAxiomError(f"right action tensor has shape {self.right_action.shape}")
-        # per-basis action matrices: left_mats[i] @ v = b_i . v
-        self.left_mats = [self.left_action[i].T.copy() for i in range(left_alg.dim)]
-        self.right_mats = [self.right_action[:, j, :].T.copy() for j in range(right_alg.dim)]
+        # per-basis action matrices, views of the tensors: left_mats[i] @ v = b_i . v
+        self.left_mats = list(self.left_action.transpose(0, 2, 1))
+        self.right_mats = list(self.right_action.transpose(1, 2, 0))
         self._memo: dict = {}  # values of the ``_memo`` functions of this module
         if _validate:
             self.validate()
@@ -207,16 +207,13 @@ class BimoduleMap:
             raise BimoduleAxiomError("matrix does not commute with the bimodule actions")
 
     def commutes_with_actions(self) -> bool:
-        f, mat = self.field, self.matrix
-        for i in range(self.source.left_alg.dim):
-            if not Field.equal(f.matmul(mat, self.source.left_mats[i]),
-                               f.matmul(self.target.left_mats[i], mat)):
-                return False
-        for j in range(self.source.right_alg.dim):
-            if not Field.equal(f.matmul(mat, self.source.right_mats[j]),
-                               f.matmul(self.target.right_mats[j], mat)):
-                return False
-        return True
+        """X lambda_i = lambda'_i X and X rho_j = rho'_j X for every basis
+        element, one stacked product per side of each equation."""
+        f, mat, src, tgt = self.field, self.matrix, self.source, self.target
+        return (Field.equal(f.tensordot(src.left_action, mat, ([2], [1])).transpose(0, 2, 1),
+                            f.tensordot(tgt.left_action, mat, ([1], [0])))
+                and Field.equal(f.tensordot(src.right_action, mat, ([2], [1])).transpose(1, 2, 0),
+                                f.tensordot(tgt.right_action, mat, ([0], [0]))))
 
     def __call__(self, v):
         return self.field.matmul(self.matrix, self.field.asarray(v))
@@ -324,25 +321,38 @@ def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> T
     So L_i L_j P = P K_i K_j = sum_k c_ij^k L_k P, hence
     L_i L_j = sum_k c_ij^k L_k; sum_i u_i L_i P = P gives sum_i u_i L_i = I;
     L_i R_j P = P K_i K'_j = P K'_j K_i = R_j L_i P gives L_i R_j = R_j L_i;
-    the right laws are the mirror image."""
+    the right laws are the mirror image.
+
+    Each side is one leg product over the stacked generators: the rows
+    (u, v) of (P K_i).T and (P K'_j).T for all i or j at once.  L_i.T is
+    the rows S picks; P is the identity on them, so K_i descends iff the
+    other rows are those of L_i P."""
     f = m.field
     proj = pres.projection
+    p3 = proj.reshape(pres.quotient_dim, m.dim, n.dim)  # (c, u, v)
     picked = pres.section.any(axis=1)
     free, rest = np.flatnonzero(picked), np.flatnonzero(~picked)
+    if not rest.size:  # S picks every row, in order: read them without a copy
+        free = slice(None)
 
-    def induced(pk, side: str, i: int):
-        """L.T for L = P K S, given pk = P K.  K descends iff P K = L P; P is
-        the identity on the columns S picks, so only the others can differ."""
-        lmat = pk[:, free]
-        if not Field.equal(pk[:, rest], f.matmul(lmat, proj[:, rest])):
-            raise BimoduleAxiomError(f"{side} action does not descend at basis {i}")
-        return lmat.T
+    def descend(side: str, picked_rows, other_rows):
+        """Raise unless other_rows [k, r, c] are those of L_k P, for
+        picked_rows [k, c'', c] the rows of each L_k.T."""
+        through = f.tensordot(picked_rows, proj[:, rest], ([1], [0])).transpose(0, 2, 1)
+        if not Field.equal(other_rows, through):
+            at = int(np.argwhere(other_rows != through)[0][0])
+            raise BimoduleAxiomError(f"{side} action does not descend at basis {at}")
 
-    # P kron(X, I) and P kron(I, X) are the transposes of the leg products on P.T
-    lam = np.stack([induced(_on_left_leg(f, act.T, proj.T, n.dim).T, "left", i)
-                    for i, act in enumerate(m.left_mats)])
-    rho = np.stack([induced(_on_right_leg(f, act.T, proj.T, m.dim).T, "right", j)
-                    for j, act in enumerate(n.right_mats)], axis=1)
+    # [i, (u, v), c]: sum_u' lambda_i(e_u)[u'] P[c, (u', v)], the rows of (P K_i).T
+    left = f.tensordot(m.left_action, p3.transpose(1, 2, 0), ([2], [0])).reshape(
+        m.left_alg.dim, m.dim * n.dim, pres.quotient_dim)
+    lam = left[:, free]
+    descend("left", lam, left[:, rest])
+    # [(u, v), j, c]: sum_v' rho_j(e_v)[v'] P[c, (u, v')], the rows of (P K'_j).T
+    right = f.matmul(n.right_action.reshape(-1, n.dim), p3.transpose(1, 2, 0)).reshape(
+        m.dim * n.dim, n.right_alg.dim, pres.quotient_dim)
+    rho = right[free]
+    descend("right", rho.transpose(1, 0, 2), right[rest].transpose(1, 0, 2))
     space = Bimodule(m.left_alg, n.right_alg, lam, rho,
                      name=f"{m.name or 'M'}(x){n.name or 'N'}", _validate=False)
     return TensorSpace(m, n, m.right_alg, pres, space)
@@ -395,15 +405,16 @@ def _combination(field: Field, coords, mats):
 def _matrix_subspace_coords(field: Field, basis_mats, targets):
     """Coordinates of each target matrix in the span of basis_mats.
 
-    targets is a list of matrices; raises if any target leaves the span.
+    targets is a list or a stack of matrices; raises if any target leaves
+    the span.
     """
-    if not basis_mats:
+    if not len(basis_mats):
         if any(np.any(field.asarray(t) != 0) for t in targets):
             raise BimoduleAxiomError("matrix outside the empty span")
         return [field.zeros(0) for _ in targets]
-    base = np.stack([field.asarray(b).reshape(-1) for b in basis_mats], axis=1)
-    rhs = np.stack([field.asarray(t).reshape(-1) for t in targets], axis=1)
-    sol = _solve(field, field.asarray(base), rhs)
+    base = field.asarray(np.reshape(basis_mats, (len(basis_mats), -1))).T
+    rhs = field.asarray(np.reshape(targets, (len(targets), -1))).T
+    sol = _solve(field, base, rhs)
     if sol is None:
         raise BimoduleAxiomError("matrix left the expected subspace; conventions violated")
     return [sol[:, i] for i in range(sol.shape[1])]
@@ -449,14 +460,21 @@ def intertwiners(field: Field, src_mats, tgt_mats) -> list:
 
 def _induced_action(field: Field, basis_mats, images):
     """Array [k, alpha, beta]: the coordinate on basis_mats[beta] of
-    images[k][alpha], the image of basis_mats[alpha] under the k-th operator;
-    one solve for all operators, raising if an image leaves the span."""
+    images[k][alpha], the image of basis_mats[alpha] under the k-th operator,
+    for images given as nested lists or as a stack [k, alpha, ...]; one
+    solve for all operators, raising if an image leaves the span."""
     n = len(basis_mats)
     out = field.zeros((len(images), n, n))
     if n:
-        flat = [img for imgs in images for img in imgs]
+        flat = np.reshape(images, (len(images) * n,) + np.shape(basis_mats[0]))
         out[...] = np.stack(_matrix_subspace_coords(field, basis_mats, flat)).reshape(out.shape)
     return out
+
+
+def _products(field: Field, left, right):
+    """[k, l, ...]: left[k] @ right[l] for two stacks of matrices, as one
+    reduced product."""
+    return field.tensordot(left, right, ([2], [1])).transpose(0, 2, 1, 3)
 
 
 @_memo
@@ -468,8 +486,10 @@ def right_dual(m: Bimodule) -> DualModule:
     f = m.field
     a_alg, b_alg = m.right_alg, m.left_alg
     mats = intertwiners(f, m.right_mats, a_alg.right_mult)
-    acts = _induced_action(f, mats, [[f.matmul(x, phi) for phi in mats] for x in a_alg.left_mult]
-                           + [[f.matmul(phi, y) for phi in mats] for y in m.left_mats])
+    stack = np.stack(mats) if mats else f.zeros((0, a_alg.dim, m.dim))
+    acts = _induced_action(f, mats, np.concatenate(
+        [_products(f, a_alg.left_mult, stack),
+         _products(f, stack, m.left_action.transpose(0, 2, 1)).transpose(1, 0, 2, 3)]))
     lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
     return DualModule(a_alg, b_alg, lam, rho, m, mats, name=f"{m.name or 'M'}^*")
 
@@ -483,8 +503,10 @@ def left_dual(m: Bimodule) -> DualModule:
     f = m.field
     a_alg, b_alg = m.right_alg, m.left_alg
     mats = intertwiners(f, m.left_mats, b_alg.left_mult)
-    acts = _induced_action(f, mats, [[f.matmul(psi, x) for psi in mats] for x in m.right_mats]
-                           + [[f.matmul(y, psi) for psi in mats] for y in b_alg.right_mult])
+    stack = np.stack(mats) if mats else f.zeros((0, b_alg.dim, m.dim))
+    acts = _induced_action(f, mats, np.concatenate(
+        [_products(f, stack, m.right_action.transpose(1, 2, 0)).transpose(1, 0, 2, 3),
+         _products(f, b_alg.right_mult, stack)]))
     lam, rho = acts[:a_alg.dim], acts[a_alg.dim:].transpose(1, 0, 2)
     return DualModule(a_alg, b_alg, lam, rho, m, mats, name=f"*{m.name or 'M'}")
 
@@ -573,10 +595,15 @@ class EndData:
     module_as_s_bimodule: Bimodule
 
 
-def _end_algebra_from_mats(field, mats, module, composition, name):
+def _end_algebra_from_mats(field, mats, module, opposite: bool, name):
+    """The algebra on the matrices ``mats`` with x * y = x @ y, or y @ x
+    when ``opposite``."""
     if not mats:
         raise BimoduleAxiomError("endomorphism space is empty; module has dimension problems")
-    structure = _induced_action(field, mats, [[composition(x, y) for y in mats] for x in mats])
+    stack = np.stack(mats)
+    products = _products(field, stack, stack)  # [x, y]: x @ y
+    structure = _induced_action(field, mats,
+                                products.transpose(1, 0, 2, 3) if opposite else products)
     unit = _matrix_subspace_coords(field, mats, [field.eye(module.dim)])[0]
     return EndAlgebra(field, structure, unit, mats, module, name=name)
 
@@ -588,8 +615,7 @@ def endomorphism_algebra(m: Bimodule) -> EndData:
     f = m.field
     dm = m.dim
     mats = intertwiners(f, m.right_mats, m.right_mats)
-    s_alg = _end_algebra_from_mats(f, mats, m, lambda a, b: f.matmul(a, b),
-                                   name=f"End({m.name or 'M'})")
+    s_alg = _end_algebra_from_mats(f, mats, m, False, name=f"End({m.name or 'M'})")
     b_cols = _matrix_subspace_coords(f, mats, [m.left_mats[i] for i in range(m.left_alg.dim)])
     b_to_s = AlgebraMap(m.left_alg, s_alg, np.stack(b_cols, axis=1) if b_cols else
                         f.zeros((len(mats), 0)))
@@ -607,8 +633,7 @@ def left_endomorphism_algebra(m: Bimodule) -> EndAlgebra:
     """End over the left algebra with the opposite-composition product."""
     f = m.field
     mats = intertwiners(f, m.left_mats, m.left_mats)
-    return _end_algebra_from_mats(f, mats, m, lambda a, b: f.matmul(b, a),
-                                  name=f"End_left({m.name or 'M'})")
+    return _end_algebra_from_mats(f, mats, m, True, name=f"End_left({m.name or 'M'})")
 
 
 def hom_bimodule(m: Bimodule, n: Bimodule) -> list[BimoduleMap]:

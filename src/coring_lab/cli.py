@@ -1,6 +1,10 @@
 """Batch front end: validate definition files, run constructions, analyze
 bimodules and emit deterministic reports.
 
+``construct`` writes a coring N (x)_B M as its context: the pairs of
+tau(1), the counit and the carrier dimension (``_coring_document``), never
+its coproduct on the field tensor square of the carrier.
+
 Exit codes: 0 when the requested analysis completed (whatever the flags),
 1 for input problems, 2 when a proven implication failed, which signals an
 implementation bug rather than a mathematical outcome, and 3 when a question
@@ -212,8 +216,15 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
 
 
 def _coring_document(coring, what: str, name: str, field) -> dict:
+    """A coring C = N (x)_B M written as its context: the dimension of the
+    carrier, the pairs (m_i, n_i) of tau(1) as coordinate vectors of M and
+    N, the counit on the carrier and the validation mode.  They fix the
+    coproduct n (x) m -> sum_i (n (x) m_i) (x) (n_i (x) m), which is not
+    written: on the field tensor square it has d^2 rows."""
     return _document(field, construction=what, name=name, carrier_dim=coring.dim,
-                     coproduct_representative=_serialize_array(field, coring.delta_amb),
+                     tau_pairs=[{"m": _serialize_array(field, m_vec),
+                                 "n": _serialize_array(field, n_vec)}
+                                for m_vec, n_vec in coring.tau_pairs],
                      counit=_serialize_array(field, coring.counit_mat),
                      validation=coring.validation)
 

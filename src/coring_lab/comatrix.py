@@ -180,7 +180,11 @@ def context_from_morita(md: MoritaData) -> Coring | None:
 
 def context_dual_basis(ctx: Coring):
     """chi: N -> M^*, n -> sigma(n (x) -), solved once on the basis of N, its
-    inverse, and the dual basis {m_i, chi(n_i)} read off the pairs of tau(1)."""
+    inverse, and the dual basis {m_i, chi(n_i)} read off the pairs of tau(1).
+
+    chi is checked as a bimodule map, the dual basis by its identity, and
+    chi^{-1} as a two-sided inverse of chi; then chi^{-1} is a bimodule
+    map, as the inverse of one, and is not checked again."""
     f, ts, pairs = ctx.field, ctx.carrier_tensor, ctx.tau_pairs
     n, m = ts.left_factor, ts.right_factor
     dual = right_dual(m)
@@ -196,12 +200,12 @@ def context_dual_basis(ctx: Coring):
     ms, ns = _pair_matrices(f, pairs, m.dim, n.dim)
     values = f.tensordot(np.stack(dual.functional_mats), ms, ([2], [0]))  # (phi, a, i)
     acting = f.tensordot(n.left_action, ns, ([1], [0]))  # (a, n', i)
-    chi_inv = BimoduleMap(dual, n, f.tensordot(values, acting, ([1, 2], [0, 2])).T)
-    if not Field.equal(f.matmul(chi.matrix, chi_inv.matrix), f.eye(dual.dim)):
+    inverse = f.tensordot(values, acting, ([1, 2], [0, 2])).T
+    if not Field.equal(f.matmul(chi.matrix, inverse), f.eye(dual.dim)):
         raise InternalInconsistencyError("chi o chi^{-1} is not the identity")
-    if not Field.equal(f.matmul(chi_inv.matrix, chi.matrix), f.eye(n.dim)):
+    if not Field.equal(f.matmul(inverse, chi.matrix), f.eye(n.dim)):
         raise InternalInconsistencyError("chi^{-1} o chi is not the identity")
-    return db, chi, chi_inv
+    return db, chi, BimoduleMap(dual, n, inverse, _validate=False)
 
 
 @dataclass
@@ -211,18 +215,26 @@ class ContextIso:
 
 
 def context_iso(ctx: Coring) -> ContextIso:
-    """The coring isomorphism N (x)_B M -> M^* (x)_B M induced by (chi, id),
-    and its inverse induced by (chi^{-1}, id), verified in both directions."""
+    """The coring isomorphism theta: N (x)_B M -> M^* (x)_B M induced by
+    (chi, id), and its inverse theta' induced by (chi^{-1}, id).
+
+    Each fact is checked once, and the rest follows (``CoringMorphism``):
+    ``context_dual_basis`` checks that chi is a bimodule map and that
+    chi^{-1} is its two-sided inverse, so both are onto bimodule maps; the
+    identity of M is one.  Here eps' theta = eps is checked.  The induced
+    maps compose as their factors do (each factor sends the balancing
+    relations into the balancing relations), so theta theta' and
+    theta' theta are the identities, and eps theta' = eps' theta theta' = eps'.
+    So theta and theta' are mutually inverse coring maps.  A failure
+    contradicts eps'(chi(n) (x) m) = chi(n)(m) = sigma(n (x) m)."""
     f, m = ctx.field, ctx.carrier_tensor.right_factor
     _, chi, chi_inv = context_dual_basis(ctx)
     target = comatrix_coring(m)
-    forward = CoringMorphism(ctx, target, chi.matrix, f.eye(m.dim))
-    backward = CoringMorphism(target, ctx, chi_inv.matrix, f.eye(m.dim))
-    if not Field.equal(f.matmul(forward.matrix, backward.matrix), f.eye(target.dim)):
-        raise InternalInconsistencyError("context iso does not invert (forward)")
-    if not Field.equal(f.matmul(backward.matrix, forward.matrix), f.eye(ctx.dim)):
-        raise InternalInconsistencyError("context iso does not invert (backward)")
-    return ContextIso(forward, backward)
+    identity = BimoduleMap(m, m, f.eye(m.dim), _validate=False)
+    forward = CoringMorphism(ctx, target, chi, identity, _validate=False)
+    if not Field.equal(f.matmul(target.counit_mat, forward.matrix), ctx.counit_mat):
+        raise InternalInconsistencyError("the context iso does not preserve the counit")
+    return ContextIso(forward, CoringMorphism(target, ctx, chi_inv, identity, _validate=False))
 
 
 @dataclass

@@ -20,12 +20,10 @@ writes.  The dual-ring criterion reads its f off the isomorphism it finds,
 and builds no gamma.  Above ``_SQUARE_DIM_LIMIT`` the pre-cointegral space
 is refused (TooLargeToValidateError).
 
-One array lives on the field tensor square of the carrier: ``delta_amb``,
-a matrix from carrier coordinates into it, one chosen system of
-representatives for the coproduct, built from the pairs on first read by
-its one reader, ``construct``.  ``Coring.square`` presents C (x)_A C through
-``context_projection`` in the coordinates of the dense ``tensor_over(C, C)``;
-no library code reads it.
+No array lives on the field tensor square of the carrier: the coproduct
+is its pairs, and ``construct`` writes a coring as its context.
+``Coring.square`` presents C (x)_A C through ``context_projection`` in the
+coordinates of the dense ``tensor_over(C, C)``; no library code reads it.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from .bimodule import (
     _induced_action,
     _matrix_subspace_coords,
     _memo,
-    _on_left_leg,
-    _on_right_leg,
+    _products,
     _presented_tensor,
     context_projection,
     intertwiners,
@@ -143,8 +140,8 @@ class Coring:
     b tau(1) = sum_ij m_j sigma(n_j (x) b m_i) (x) n_i
     = sum_j m_j (x) sum_i sigma(n_j b (x) m_i) n_i = sum_j m_j (x) n_j b.
     So Delta is a well-defined A-bimodule map into
-    C (x)_A C = N (x)_B (M (x)_A N) (x)_B M, where ``delta_amb`` represents
-    it for any section.  Both composites of coassociativity send n (x) m to
+    C (x)_A C = N (x)_B (M (x)_A N) (x)_B M.  Both composites of
+    coassociativity send n (x) m to
     sum_ij n (x) m_i (x) n_i (x) m_j (x) n_j (x) m, and the counit laws are
     the two diagrams on the outer legs.
 
@@ -153,11 +150,10 @@ class Coring:
     called on the first read of P, by ``precointegrals`` or a check on f.
     Maps C (x)_A C -> A are held as maps f of P, in these coordinates.
 
-    The structure maps never change after construction; the representative
-    coproduct, the legs of the pairs, the tensor-square presentation, P, the
-    pre-cointegral rows and space and the left dual ring are built on first
-    use and memoized on the coring.  ``construct`` alone reads the
-    representative coproduct.
+    The structure maps never change after construction; the legs of the
+    pairs, the tensor-square presentation, P, the pre-cointegral rows and
+    space and the left dual ring are built on first use and memoized on the
+    coring.
     """
 
     validation = "full"  # every coring is checked in full at construction
@@ -180,11 +176,6 @@ class Coring:
     @property
     def dim(self) -> int:
         return self.carrier.dim
-
-    @cached_property
-    def delta_amb(self):
-        """The representative coproduct, built from the pairs on first read."""
-        return _context_delta_amb(self.carrier_tensor, self.tau_pairs)
 
     @property
     def square(self) -> TensorSpace:
@@ -338,24 +329,30 @@ class Coring:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        if not BimoduleMap(self.carrier, regular_bimodule(self.base), self.counit_mat,
-                           _validate=False).commutes_with_actions():
+        """sigma is an A-bimodule map, and the two context diagrams commute
+        (``check_context_diagrams``).
+
+        sigma is checked on the pure tensors of the factors,
+        sigma(a.n (x) m) = a.sigma(n (x) m) and sigma(n (x) m.a) = sigma(n (x) m).a,
+        one stacked product per side.  That is the check on C: the action
+        L_a of C is induced through the projection P of the carrier, with
+        L_a P = P kron(lambda_a, I) (its descent check) and P S = I.  So
+        eps L_a = a.eps iff eps L_a P = a.eps P, iff
+        (eps P) kron(lambda_a, I) = a.(eps P), and eps P is ``sigma_pairs``;
+        the right action is the mirror image."""
+        f, ts, a = self.field, self.carrier_tensor, self.base
+        if ts.right_factor.right_alg != a:
+            raise FieldMismatchError("the counit needs the base algebra on both sides")
+        sig = self.sigma_pairs
+        # [a, a', n, m]: sigma(a.n (x) m) and a.sigma(n (x) m)
+        left = (f.tensordot(ts.left_factor.left_action, sig, ([2], [1])).transpose(0, 2, 1, 3),
+                f.tensordot(a.structure, sig, ([1], [0])))
+        # [n, m, a, a']: sigma(n (x) m.a) and sigma(n (x) m).a
+        right = (f.tensordot(sig, ts.right_factor.right_action, ([2], [2])).transpose(1, 2, 3, 0),
+                 f.tensordot(sig, a.structure, ([0], [0])))
+        if not (Field.equal(*left) and Field.equal(*right)):
             raise CoringAxiomError("counit is not a bimodule map into the base")
         check_context_diagrams(self.carrier_tensor, self.tau_pairs, self.counit_mat)
-
-
-def _context_delta_amb(ts: TensorSpace, pairs):
-    """Representative coproduct n (x) m -> sum_i (n (x) m_i) (x) (n_i (x) m) on
-    ts = N (x)_B M, for pairs (m_i, n_i) with tau(1) = sum_i m_i (x) n_i: the
-    dual-basis pairs for a comatrix coring, the pair (1, 1) for A (x)_B A."""
-    f = ts.left_factor.field
-    dn, dm = ts.left_factor.dim, ts.right_factor.dim
-    delta = f.zeros((ts.dim * ts.dim, ts.dim))
-    for m_vec, n_vec in pairs:
-        first = ts.pure(f.eye(dn), f.asarray(m_vec)[:, None])  # n -> n (x) m_i
-        second = ts.pure(f.asarray(n_vec)[:, None], f.eye(dm))  # m -> n_i (x) m
-        delta = delta + _on_left_leg(f, first, _on_right_leg(f, second, ts.section, dn), ts.dim)
-    return f.asarray(delta)
 
 
 def _pair_matrices(f: Field, pairs, m_dim: int, n_dim: int):
@@ -422,24 +419,36 @@ class CoringMorphism:
     C' (x)_A C' = N' (x)_B P' (x)_B M'.
 
     A map that is not onto raises CoringAxiomError: only maps induced by onto
-    maps of the factors are checked."""
+    maps of the factors are checked.
 
-    def __init__(self, source: Coring, target: Coring, n_map, m_map):
+    alpha and beta are given as matrices, checked here as bimodule maps, or
+    as ``BimoduleMap`` objects between the factors, taken as checked when
+    they were built.  With ``_validate=False`` only theta is built: the
+    caller has shown that alpha and beta are onto and that theta keeps the
+    counit."""
+
+    def __init__(self, source: Coring, target: Coring, n_map, m_map, _validate: bool = True):
         if source.base != target.base:
             raise FieldMismatchError("coring morphism requires corings over the same base")
         self.source = source
         self.target = target
         self.field = f = source.field
         ts, target_ts = source.carrier_tensor, target.carrier_tensor
-        factors = [BimoduleMap(ts.left_factor, target_ts.left_factor, n_map),  # raise if not
-                   BimoduleMap(ts.right_factor, target_ts.right_factor, m_map)]
-        for which, factor in zip("NM", factors):
-            if rank(f, factor.matrix) != factor.target.dim:
+        factors = []
+        for which, given, src, tgt in (("N", n_map, ts.left_factor, target_ts.left_factor),
+                                       ("M", m_map, ts.right_factor, target_ts.right_factor)):
+            if not isinstance(given, BimoduleMap):
+                given = BimoduleMap(src, tgt, given)  # raises if it is not one
+            elif given.source is not src or given.target is not tgt:
+                raise FieldMismatchError(f"the map of {which} is not between the factors")
+            if _validate and rank(f, given.matrix) != tgt.dim:
                 raise CoringAxiomError(
                     f"the map of {which} is not onto; only coring maps induced by onto "
                     f"maps of the context factors are checked")
+            factors.append(given)
         self.matrix = ts.induced_map(factors[0].matrix, factors[1].matrix, target_ts)
-        if not Field.equal(f.matmul(target.counit_mat, self.matrix), source.counit_mat):
+        if _validate and not Field.equal(f.matmul(target.counit_mat, self.matrix),
+                                         source.counit_mat):
             raise CoringAxiomError("morphism does not preserve the counit")
 
 
@@ -447,14 +456,15 @@ class CoringMorphism:
 def left_dual_ring(c: Coring) -> Algebra:
     """Left-linear functionals C -> A, those of ``left_dual(c.carrier)``,
     with convolution-style product; built once per coring, with ``hits``,
-    the action matrix of c -> sum c_1 . xi(c_2) of each functional xi."""
+    the stacked action matrices of c -> sum c_1 . xi(c_2) of the functionals
+    xi."""
     f = c.field
     mats = left_dual(c.carrier).functional_mats
     if not mats:
         raise CoringAxiomError("left dual ring is zero; the counit cannot exist")
     # (xi eta)(e_c) = sum_{u,v} Delta-rep[u,v,c] xi(e_u . eta(e_v)) = xi(hit(eta) e_c)
-    hits = [_hit_from_right(c, eta) for eta in mats]
-    structure = _induced_action(f, mats, [[f.matmul(xi, h) for h in hits] for xi in mats])
+    hits = _hit_from_right(c, np.stack(mats))
+    structure = _induced_action(f, mats, _products(f, np.stack(mats), hits))
     unit = _matrix_subspace_coords(f, mats, [c.counit_mat])[0]
     ring = Algebra(f, structure, unit, name=f"*({c.carrier.name or 'C'})")
     ring.functional_mats, ring.hits = mats, hits
@@ -634,17 +644,18 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
     return _frobenius_via_dual_ring_iso(c, seed)
 
 
-def _hit_from_right(c: Coring, xi_mat):
-    """Action matrix [m', c] of c -> sum c_1 . xi(c_2) for a functional
-    matrix xi, leg by leg from the pairs: n (x) m goes to
+def _hit_from_right(c: Coring, xi_mats):
+    """Action matrices [k, m', c] of c -> sum c_1 . xi_k(c_2) for a stack of
+    functional matrices xi_k, leg by leg from the pairs: n (x) m goes to
     sum_i (n (x) m_i) . xi(n_i (x) m) (``Coring.pair_legs``)."""
     f, ts = c.field, c.carrier_tensor
     first, second = c.pair_legs  # (u, n, i) and (v, i, m)
     sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, c.dim)
-    values = f.tensordot(f.asarray(xi_mat), second, ([1], [0]))  # (a, i, m)
-    lifted = f.tensordot(sec, values, ([1], [2]))  # (n, c, a, i)
-    left = f.tensordot(first, lifted, ([1, 2], [0, 3]))  # (u, c, a)
-    return f.tensordot(c.carrier.right_action, left, ([0, 1], [0, 2]))  # (m', c)
+    values = f.tensordot(f.asarray(xi_mats), second, ([2], [0]))  # (k, a, i, m)
+    lifted = f.tensordot(sec, values, ([1], [3]))  # (n, c, k, a, i)
+    left = f.tensordot(first, lifted, ([1, 2], [0, 4]))  # (u, c, k, a)
+    return f.tensordot(c.carrier.right_action, left,
+                       ([0, 1], [0, 3])).transpose(2, 0, 1)  # (k, m', c)
 
 
 def coring_bimodules_over_dual_ring(c: Coring):
@@ -652,7 +663,7 @@ def coring_bimodules_over_dual_ring(c: Coring):
     ldual = left_dual_ring(c)
     r_alg = opposite(ldual)
     # C with its left A-action and the right action c . xi = sum c_1 xi(c_2)
-    rho_c = np.stack([hit.T for hit in ldual.hits], axis=1)
+    rho_c = ldual.hits.transpose(2, 0, 1)
     c_mod = Bimodule(c.base, r_alg, c.carrier.left_action, rho_c, name="C as (A,R)")
     # R with (a . xi)(x) = xi(x . a), the left action of the left dual, and
     # right multiplication

@@ -6,10 +6,10 @@ values and Fraction objects for the others.  A Field instance owns
 construction, reduction, inversion and products; arrays from different
 fields must never be mixed (checked at the public boundaries).
 
-Large integer mat-mats are routed through float64 BLAS when the exact
-result provably fits in 53 bits, which keeps Gaussian elimination on
-relation matrices fast without giving up exactness; products whose sums
-could pass 63 bits (large p) run on Python ints.
+Large integer mat-mats are routed through float32 or float64 BLAS when
+the exact result provably fits in 24 or 53 bits, which keeps Gaussian
+elimination on relation matrices fast without giving up exactness;
+products whose sums could pass 63 bits (large p) run on Python ints.
 """
 
 from __future__ import annotations
@@ -110,6 +110,12 @@ class PrimeField(Field):
         return hash(("GF", self.characteristic))
 
     def asarray(self, data):
+        """The int64 array of ``data`` reduced into [0, p); an int64 array that
+        is reduced already is returned as it is, not copied."""
+        # one pass: the unsigned view puts the negative entries above p
+        if (isinstance(data, np.ndarray) and data.dtype == np.int64 and data.size > 2**12
+                and data.view(np.uint64).max() < self.characteristic):
+            return data
         return np.asarray(data, dtype=np.int64) % self.characteristic
 
     def zeros(self, shape):
@@ -121,16 +127,24 @@ class PrimeField(Field):
     def inv_scalar(self, x):
         return pow(int(x), self.characteristic - 2, self.characteristic)
 
-    def _via_blas(self, inner: int) -> bool:
-        # exactness bound: every dot product stays below 2**53
-        return inner * (self.characteristic - 1) ** 2 < 2**53
+    def _blas_type(self, inner: int):
+        """The float type in which BLAS makes a product of reduced arrays
+        exactly, or None: each entry is an integer of absolute value at most
+        inner * (p - 1)**2, exact in float32 below 2**24 and in float64
+        below 2**53, with every partial sum."""
+        bound = inner * (self.characteristic - 1) ** 2
+        return np.float32 if bound < 2**24 else np.float64 if bound < 2**53 else None
 
-    def _from_floats(self, c):
-        """The exact float64 result of a BLAS product, reduced into [0, p)
-        with one integer copy."""
-        out = np.rint(c, out=c).astype(np.int64)
+    def _from_floats(self, c, inner: int):
+        """The exact float result ``c`` of a BLAS product, reduced into
+        [0, p) in the narrowest integer type that holds its entries, which
+        moves the least memory, and returned as int64."""
+        bound = inner * (self.characteristic - 1) ** 2
+        narrow = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                      if bound <= np.iinfo(t).max)
+        out = c.astype(narrow)
         out %= self.characteristic
-        return out
+        return out.astype(np.int64, copy=False)
 
     def _via_python_ints(self, op, a, b):
         """op(a, b) mod p on Python ints, for sums that could pass 2**63."""
@@ -139,8 +153,9 @@ class PrimeField(Field):
     def matmul(self, a, b):
         p = self.characteristic
         inner = a.shape[-1]
-        if a.size * b.size > 2**16 and self._via_blas(inner):
-            return self._from_floats(a.astype(np.float64) @ b.astype(np.float64))
+        blas = self._blas_type(inner)
+        if a.size * b.size > 2**16 and blas is not None:
+            return self._from_floats(a.astype(blas) @ b.astype(blas), inner)
         if inner * (p - 1) ** 2 < 2**63:
             return (a @ b) % p
         return self._via_python_ints(np.matmul, a, b)
@@ -150,9 +165,10 @@ class PrimeField(Field):
         first = range(a.ndim - axes, a.ndim) if isinstance(axes, int) else axes[0]
         inner = (a.shape[first] if isinstance(first, (int, np.integer))
                  else prod(a.shape[ax] for ax in first))
-        if a.size * b.size > 2**18 and self._via_blas(max(inner, 1)):
-            return self._from_floats(np.tensordot(a.astype(np.float64), b.astype(np.float64),
-                                                  axes))
+        blas = self._blas_type(max(inner, 1))
+        if a.size * b.size > 2**18 and blas is not None:
+            return self._from_floats(np.tensordot(a.astype(blas), b.astype(blas), axes),
+                                     max(inner, 1))
         if inner * (p - 1) ** 2 < 2**63:
             return np.tensordot(a, b, axes) % p
         return self._via_python_ints(lambda x, y: np.tensordot(x, y, axes), a, b)
@@ -287,7 +303,7 @@ class RationalField(Field):
 
     def matmul(self, a, b):
         fast = self._fast_binary(a, b, np.matmul)
-        return np.dot(a, b) if fast is None else fast
+        return np.matmul(a, b) if fast is None else fast
 
     def tensordot(self, a, b, axes):
         fast = self._fast_binary(a, b, lambda x, y: np.tensordot(x, y, axes))

@@ -22,6 +22,8 @@ from coring_lab.definitions import bundled_path, loads
 from coring_lab.fields import Field
 from coring_lab.linalg import rref
 
+from coproduct_oracle import delta_amb
+
 
 def bundled_text_over(name, char):
     """The text of a bundled definition file re-declared over characteristic
@@ -237,9 +239,9 @@ def is_coring_map(source, target, theta) -> bool:
     f = source.field
     if not Field.equal(f.matmul(target.counit_mat, theta), source.counit_mat):
         return False
-    on_right = _on_right_leg(f, theta, source.delta_amb, source.dim)
+    on_right = _on_right_leg(f, theta, delta_amb(source), source.dim)
     lhs = _on_left_leg(f, theta, on_right, target.dim)
-    return agree_in_square(target, lhs, f.matmul(target.delta_amb, theta))
+    return agree_in_square(target, lhs, f.matmul(delta_amb(target), theta))
 
 
 def canonical_identification_oracle(m):

@@ -1,6 +1,6 @@
 """The dense oracle of the conditions on a map gamma: C (x)_A C -> A, written
 on the field tensor square of the carrier and on the representative
-coproduct ``delta_amb``: balance over A, A-bilinearity, the pre-cointegral
+coproduct ``coproduct_oracle.delta_amb``: balance over A, A-bilinearity, the pre-cointegral
 identity and gamma o Delta = eps.  The library checks the same conditions in
 f-coordinates (``coring.verify_cointegral``); these are the independent
 copies the tests compare it with.  ``expand`` writes a map f of P as its
@@ -15,6 +15,8 @@ import numpy as np
 from coring_lab.bimodule import BimoduleMap
 from coring_lab.coring import _pair_matrices, central_rows
 from coring_lab.fields import Field
+
+from coproduct_oracle import delta_amb
 
 
 def expand(c, f_mats):
@@ -65,7 +67,7 @@ def delta_tensor(c):
     """delta_amb reshaped so that [u, v, c] is the (e_u, e_v) coefficient
     of the chosen representative of Delta(e_c)."""
     d = c.dim
-    return c.delta_amb.reshape(d, d, d)
+    return delta_amb(c).reshape(d, d, d)
 
 
 def gamma_is_balanced(c, gamma_amb) -> bool:
@@ -124,7 +126,7 @@ def precointegral_identity_holds(c, gamma_amb) -> bool:
 def gamma_is_normalized(c, gamma_amb) -> bool:
     """gamma o Delta == eps, evaluated on the chosen representatives."""
     f = c.field
-    return Field.equal(f.matmul(f.asarray(gamma_amb), c.delta_amb), c.counit_mat)
+    return Field.equal(f.matmul(f.asarray(gamma_amb), delta_amb(c)), c.counit_mat)
 
 
 def is_precointegral(c, gamma_amb) -> bool:

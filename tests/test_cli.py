@@ -15,6 +15,7 @@ from coring_lab.cli import main, report_document, verify_report_witnesses
 from coring_lab.comatrix import (
     comatrix_data,
     context_from_bimodule,
+    context_from_morita,
     context_iso,
     left_dual_anti_iso,
 )
@@ -25,7 +26,9 @@ from coring_lab.linalg import rank
 from coring_lab.bimodule import endomorphism_algebra, right_dual
 from coring_lab.structure import WITNESS_PARTS, bimodule_tower, dual_evaluation
 
-from conftest import MALFORMED_DEFINITIONS, bundled_text_over, non_generator_summand
+from conftest import (MALFORMED_DEFINITIONS, bundled_text_over, non_generator_summand,
+                      trivial_bimodule)
+from coproduct_oracle import context_delta_amb
 from random_modules import random_projective_bimodule
 
 
@@ -201,10 +204,12 @@ def construct_documents(m):
 
 
 # recipe modules whose Sweedler coring (d = 40) exceeds the square's limit;
-# recorded from the dense product checks with the limit lifted to 100
+# recorded when the corings were first written as their contexts, with
+# every entry but the pairs equal to the documents checked by the dense
+# product checks with the limit lifted to 100
 CONSTRUCT_PINS = {
-    0: "835a6f1385b2ddf2c670cf035f8d420f4a3da45252404f088688942da516c279",
-    9: "b9dbed9cc94384c2a75a339f0ee69855645549a4fde594a06441866cc18d79dd",
+    0: "674a050d6f74b6ccfeae5ccca166127b06ded1092115348d4f765673bf153efb",
+    9: "b411f03f9d9cc0ab3a9ad6b62b9678d980be3f69f7693283ad1663ac8cceca34",
 }
 
 
@@ -218,6 +223,100 @@ def test_construct_documents_of_recipes_beyond_the_square_limit_match_their_pins
     assert comatrix["validation"] == sweedler["validation"] == "full"
     out = "".join(json.dumps(d, indent=1, sort_keys=True) + "\n" for d in docs)
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_PINS[recipe]
+
+
+# sha256 of json.dumps of the d^2 x d "coproduct_representative" that
+# `construct` wrote for each coring before it wrote the context in its
+# place, recorded from those documents
+REPRESENTATIVE_PINS = {
+    "bundled/dual-numbers/M/comatrix": "cca43503200afaa9a43b5e02baed40b69e955f4f14bf9e8016f2999a5ec58428",
+    "bundled/dual-numbers/M/sweedler": "cca43503200afaa9a43b5e02baed40b69e955f4f14bf9e8016f2999a5ec58428",
+    "bundled/matrix2/M/comatrix": "f7453e76b61b147882368b20e4d99a8d14b919e00415544f403bfa0199274a42",
+    "bundled/matrix2/M/sweedler": "619605e4a0f1c87767cec427dcdf9198f116025c32a996e20b2d8633a1ad84f1",
+    "bundled/morita-rows-cols/cols/comatrix": "cca43503200afaa9a43b5e02baed40b69e955f4f14bf9e8016f2999a5ec58428",
+    "bundled/morita-rows-cols/cols/sweedler": "293f845a362d3362abd1bc69d6cbf83e6cda7e2232bf07a563d17e3c49a73ecc",
+    "bundled/morita-rows-cols/rows/comatrix": "0d6e5490cb322ca89346475e3b0f92f825d4323ed5389e53591ac6510799d2ce",
+    "bundled/morita-rows-cols/rows/sweedler": "cca43503200afaa9a43b5e02baed40b69e955f4f14bf9e8016f2999a5ec58428",
+    "bundled/morita-rows-cols/rows-cols/context-coring": "293f845a362d3362abd1bc69d6cbf83e6cda7e2232bf07a563d17e3c49a73ecc",
+    "bundled/product-field/M/comatrix": "f7453e76b61b147882368b20e4d99a8d14b919e00415544f403bfa0199274a42",
+    "bundled/product-field/M/sweedler": "d8ab1159d2ceb1b51fee1b324356c4dc43f62af900aea33843024dd71396c2f3",
+    "bundled/regular-module/M/comatrix": "5c78ab22b0a8ac625dd1589f43d7249479f65c4d2772aa36fba89dc6959cbd4c",
+    "bundled/regular-module/M/sweedler": "f9bef4b1cea3e3a0b95fddf732f84d1d3e2bfb6233eb2a060f331428156ab3e3",
+    "recipe/0/comatrix": "18575190fdd4f916d2bced63d546ffe38991799796f3a57185c857eed2854819",
+    "recipe/0/sweedler": "e6c5a4f2d69644dc96857bc8ef8465d05a6f2251e06e6c72dc8cad62b21665a2",
+    "recipe/7/comatrix": "fb8bf25b17e9126a94d36b093d4b7c3019de97c508909b07fce6a20c912c67a8",
+    "recipe/7/sweedler": "c43f8e50fda4333e0a7202d93dfb013e5c9f1b79641c3b8838266ed1820d076c",
+    "recipe/9/comatrix": "14aea34c684d5c837cb450857949c0efee4b1694a4e6a3e511d1e6a47c49ea57",
+    "recipe/9/sweedler": "9fdabfc0134badaefd0e41a9af78248e24d3644ab25e17e9c112d2c730d50b0f",
+    "k^3/GF(2)/comatrix": "cbd66aef60459810f38c83620ba5024d678e78d4d473b4777a84ea7d9be19522",
+    "k^3/GF(2)/sweedler": "3facd3444626706a22bc237d3ad3244680387ead7dee606a3e9fc62ef653460f",
+    "k^3/GF(3)/comatrix": "54639f07a1f72a214f581d46597aeb4cf41c212f71cb211c23423f03cdcd1797",
+    "k^3/GF(3)/sweedler": "70d05c8dda983ac6e4683b1877d310149c421c38db7ea0a18766a4b7d41ba8a3",
+}
+
+
+def pinned_coring(key):
+    """The coring of a key of ``REPRESENTATIVE_PINS`` and its document, built
+    the way `coring-lab construct` builds it."""
+    family, source, *name, what = key.split("/")
+    if family == "bundled":
+        deffile, name = load(bundled_path(source)), name[0]
+    else:
+        module = (random_projective_bimodule(int(source)) if family == "recipe"
+                  else trivial_bimodule(GF(int(source[3:-1])), 3))
+        deffile, name = DefinitionFile(module.field, bimodules={"M": module}), "M"
+    if what == "comatrix":
+        c = comatrix_data(deffile.bimodules[name]).coring
+    elif what == "sweedler":
+        c = sweedler_coring(endomorphism_algebra(deffile.bimodules[name]).b_to_s)
+    else:
+        c = context_from_morita(deffile.morita[name])
+    doc = (cli._coring_document(c, what, name, deffile.field) if what == "sweedler"
+           else cli.cmd_construct(deffile, what, name))
+    return c, doc
+
+
+@pytest.mark.parametrize("key", sorted(REPRESENTATIVE_PINS))
+def test_the_pairs_of_a_construct_document_rebuild_its_old_representative(key):
+    """The document writes the pairs of tau(1) where it wrote the d^2 x d
+    representative coproduct; rebuilt from the written pairs through the
+    oracle, the representative is the one written before, byte for byte."""
+    c, doc = pinned_coring(key)
+    assert "coproduct_representative" not in doc
+    ts, fld = c.carrier_tensor, c.field
+    assert doc["carrier_dim"] == c.dim and len(doc["tau_pairs"]) == len(c.tau_pairs)
+    pairs = [(_parse_tensor(fld, pair["m"], (ts.right_factor.dim,), "m"),
+              _parse_tensor(fld, pair["n"], (ts.left_factor.dim,), "n"))
+             for pair in doc["tau_pairs"]]
+    assert _parse_tensor(fld, doc["counit"], c.counit_mat.shape, "counit").tolist() \
+        == c.counit_mat.tolist()
+    rep = cli._serialize_array(fld, context_delta_amb(ts, pairs))
+    assert hashlib.sha256(json.dumps(rep).encode()).hexdigest() == REPRESENTATIVE_PINS[key]
+
+
+# the d = 256 Sweedler corings of the benchmark: M = k^4 over k, and the
+# recipe modules 2 and 8, each with S = End_A(M) = M_4(k)
+LARGE_SWEEDLER_MODULES = {
+    "k^4/GF(2)": lambda: trivial_bimodule(GF(2), 4),
+    "k^4/GF(3)": lambda: trivial_bimodule(GF(3), 4),
+    "recipe/2": lambda: random_projective_bimodule(2),
+    "recipe/8": lambda: random_projective_bimodule(8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_SWEEDLER_MODULES))
+def test_the_constructions_of_a_d256_sweedler_coring_are_written_small(case):
+    """M = k^4 as a right module and S = M_4(k): the comatrix coring and the
+    dual ring have dimension 16, the Sweedler coring S (x)_B S dimension 256,
+    and the documents stay far below the size of a d^2-row array."""
+    docs = construct_documents(LARGE_SWEEDLER_MODULES[case]())
+    comatrix, ring, sweedler, ciso, anti = docs
+    assert (comatrix["carrier_dim"], ring["dim"], sweedler["carrier_dim"]) == (16, 16, 256)
+    assert (len(ciso["forward"]), len(ciso["forward"][0])) == (16, 16)
+    assert (len(anti["forward"]), len(anti["forward"][0])) == (16, 16)
+    assert len(sweedler["tau_pairs"]) == 1
+    out = "".join(json.dumps(d, indent=1, sort_keys=True) + "\n" for d in docs)
+    assert len(out.encode()) < 256 * 1024
 
 
 def count_context_checks(monkeypatch):

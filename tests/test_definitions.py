@@ -7,6 +7,7 @@ from coring_lab.definitions import BUNDLED_NAMES, bundled_path, load, loads
 from coring_lab.errors import DefinitionError
 
 from conftest import MALFORMED_DEFINITIONS
+from coproduct_oracle import delta_amb
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)
@@ -123,7 +124,7 @@ def test_context_entry_carries_the_coefficients_of_tau():
     f = scaled.field
     assert [f.asarray(2 * m_vec).tolist() for m_vec, _ in plain.tau_pairs] \
         == [m_vec.tolist() for m_vec, _ in scaled.tau_pairs]
-    assert np.array_equal(scaled.delta_amb, f.asarray(2 * plain.delta_amb))
+    assert np.array_equal(delta_amb(scaled), f.asarray(2 * delta_amb(plain)))
     assert np.array_equal(scaled.counit_mat, f.asarray(2 * plain.counit_mat))
 
 
