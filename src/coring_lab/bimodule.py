@@ -338,7 +338,7 @@ def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> T
     def descend(side: str, picked_rows, other_rows):
         """Raise unless other_rows [k, r, c] are those of L_k P, for
         picked_rows [k, c'', c] the rows of each L_k.T."""
-        through = f.tensordot(picked_rows, proj[:, rest], ([1], [0])).transpose(0, 2, 1)
+        through = f.matmul(proj[:, rest].T, picked_rows)
         if not Field.equal(other_rows, through):
             at = int(np.argwhere(other_rows != through)[0][0])
             raise BimoduleAxiomError(f"{side} action does not descend at basis {at}")

@@ -1,9 +1,9 @@
 """The dense oracle of the conditions on a map gamma: C (x)_A C -> A, written
 on the field tensor square of the carrier and on the representative
-coproduct ``coproduct_oracle.delta_amb``: balance over A, A-bilinearity, the pre-cointegral
-identity and gamma o Delta = eps.  The library checks the same conditions in
-f-coordinates (``coring.verify_cointegral``); these are the independent
-copies the tests compare it with.  ``expand`` writes a map f of P as its
+coproduct (``coproduct_oracle.delta_amb``): balance over A, A-bilinearity,
+the pre-cointegral identity and gamma o Delta = eps.  The library checks
+the same conditions in f-coordinates (``coring.verify_cointegral``); these
+are the independent copies the tests compare it with.  ``expand`` writes a map f of P as its
 gamma_f on the field tensor square, the form reports took before they wrote
 f, and ``f_of`` and ``f_of_gamma`` read it back.  ``map_of_gamma`` is the
 f_gamma of a comatrix coring read through omega and the dual basis, the

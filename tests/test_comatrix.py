@@ -119,7 +119,7 @@ def test_context_with_non_unit_tau_coefficients():
     assert db.verify()
     assert np.array_equal(delta_amb(scaled), F3.asarray(2 * delta_amb(oracle)))
     assert np.array_equal(scaled.counit_mat, F3.asarray(2 * oracle.counit_mat))
-    context_iso(scaled)  # both coring morphisms are verified
+    context_iso(scaled)  # chi, its inverse and the counit of the forward map are checked
 
 
 def test_comatrix_of_point_module_is_one_dimensional():
