@@ -408,7 +408,7 @@ def _matrix_subspace_coords(field: Field, basis_mats, targets):
     targets is a list or a stack of matrices; raises if any target leaves
     the span.
     """
-    if not len(basis_mats):
+    if not basis_mats:
         if any(np.any(field.asarray(t) != 0) for t in targets):
             raise BimoduleAxiomError("matrix outside the empty span")
         return [field.zeros(0) for _ in targets]
