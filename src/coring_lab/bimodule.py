@@ -153,23 +153,30 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 
 def restrict_left(m: Bimodule, f: AlgebraMap) -> Bimodule:
-    """Pull the left action back along an algebra map into the left algebra."""
+    """Pull the left action back along an algebra map into the left algebra.
+
+    For a valid m the result needs no validation once f passes
+    ``check_algebra_map``: b -> lambda_{f(b)} is associative and unital
+    because f is multiplicative and unital, and each lambda_{f(b)}, a
+    combination of the lambda_k, commutes with the right action because each
+    lambda_k does."""
     if f.target != m.left_alg:
         raise FieldMismatchError("map target is not the left algebra of the module")
     if not check_algebra_map(f):
         raise BimoduleAxiomError("restriction along a non-multiplicative map")
     lam = m.field.tensordot(f.matrix, m.left_action, ([0], [0]))
-    return Bimodule(f.source, m.right_alg, lam, m.right_action, name=m.name)
+    return Bimodule(f.source, m.right_alg, lam, m.right_action, name=m.name, _validate=False)
 
 
 def restrict_right(m: Bimodule, f: AlgebraMap) -> Bimodule:
-    """Pull the right action back along an algebra map into the right algebra."""
+    """Pull the right action back along an algebra map into the right
+    algebra; valid without validation, as ``restrict_left`` is."""
     if f.target != m.right_alg:
         raise FieldMismatchError("map target is not the right algebra of the module")
     if not check_algebra_map(f):
         raise BimoduleAxiomError("restriction along a non-multiplicative map")
     rho = m.field.tensordot(f.matrix, m.right_action, ([0], [1])).transpose(1, 0, 2)
-    return Bimodule(m.left_alg, f.source, m.left_action, rho, name=m.name)
+    return Bimodule(m.left_alg, f.source, m.left_action, rho, name=m.name, _validate=False)
 
 
 @_memo
@@ -703,14 +710,20 @@ def random_bimodule_iso(m: Bimodule, n: Bimodule, seed: int = 0) -> IsoSearch:
 
 def span_search(field: Field, stack, attempt, budget: int, attempts: int, seed: int):
     """(status, witness) for the first nonzero combination X of the stacked
-    matrices or vectors with ``attempt(X)`` not None.  Over F_p with
-    p**k <= budget every nonzero combination is tried, so failure is the
-    exact negative 'none'; otherwise ``attempts`` seeded random combinations
-    are tried and failure is 'inconclusive'."""
+    matrices or vectors, in lexicographic order of the coefficients, with
+    ``attempt(X)`` not None.  ``attempt`` must scale: ``attempt(c X)`` is
+    None exactly when ``attempt(X)`` is, for every scalar c != 0.  Then the
+    first success has leading coefficient 1, so over F_p with p**k <= budget
+    one combination of each line is tried, (0, ..., 0, 1, tail) with the 1
+    moving from the last position to the first and the tails in
+    lexicographic order, and failure after (p**k - 1) / (p - 1) attempts is
+    the exact negative 'none'; otherwise ``attempts`` seeded random
+    combinations are tried and failure is 'inconclusive'."""
     k, p = len(stack), field.characteristic
     if p and p**k <= budget:
         status = "none"
-        combos = (field.asarray(c) for c in itertools.product(range(p), repeat=k) if any(c))
+        combos = (field.asarray((0,) * lead + (1,) + tail) for lead in reversed(range(k))
+                  for tail in itertools.product(range(p), repeat=k - 1 - lead))
     else:
         status = "inconclusive"
         rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ needs the pre-cointegral space of a coring whose carrier has dimension above
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -43,15 +42,13 @@ from .errors import (
     NotProjectiveError,
     TooLargeToValidateError,
 )
-from .structure import (FLAG_NAMES, WITNESS_PARTS, _generates, analyze, bimodule_tower,
-                        cointegral_from_separability, dual_evaluation, hom_to_s,
-                        iota_from_frobenius, lift_cointegral, lift_cosplit,
-                        lift_frobenius_system, retracts)
+from .structure import (FLAG_NAMES, WITNESS_PARTS, _RULES, _generates, analyze,
+                        bimodule_tower, dual_evaluation, hom_to_s, retracts)
 
 _SEED_ENV = "CORING_LAB_SEED"
-# 2: cointegrals and Frobenius systems written as their maps f of P, and
-# each witness written once
-REPORT_FORMAT = 2
+# 3: cointegrals and Frobenius systems written as their maps f of P, each
+# witness written once, and no transported witness (format 2 wrote iota)
+REPORT_FORMAT = 3
 
 
 def _serialize_array(field, arr):
@@ -107,15 +104,14 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
     """Re-verify a serialized report: False when a witness fails its check,
     a true flag has no witness (``structure.WITNESS_PARTS``) or a witness
     stands under a flag that is not true, or a transport fails or proves a
-    flag the report calls false.  The transports are re-derived from the
-    witnesses that pass their checks: ``lift_cosplit`` from
-    ``comatrix_cosplit``, ``cointegral_from_separability`` and
-    ``lift_cointegral`` from ``m_separable``, ``lift_frobenius_system`` from
-    ``comatrix_frobenius``, and the written ``iota`` from ``m_frobenius``.
-    ``b_s_faithfully_flat`` has no witness, and ``williard`` needs none when
-    the right dual of the module generates A.  A report of another format, a
-    malformed flags object or witness entry, a witness of the wrong shape or
-    with a bad scalar, or a witness key with no check raises DefinitionError."""
+    flag the report calls false.  Each rule of ``structure._RULES`` with a
+    transport runs it once, from the report's witness of the rule's first
+    hypothesis when that witness passes its check; the transport's result
+    feeds no other rule.  ``b_s_faithfully_flat`` has no witness, and
+    ``williard`` needs none when the right dual of the module generates A.
+    A report of another format, a malformed flags object or witness entry, a
+    witness of the wrong shape or with a bad scalar, or a witness key with
+    no check raises DefinitionError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("witnesses"), dict):
         raise DefinitionError("report must be an object with a 'witnesses' object")
     if doc.get("format") != REPORT_FORMAT:
@@ -123,20 +119,20 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
                               "which writes each cointegral and Frobenius gamma as its f")
     flags = doc.get("flags")
     if (not isinstance(flags, dict) or sorted(flags) != sorted(FLAG_NAMES)
-            or not set(flags.values()) <= set(_FLAG_TEXTS.values())):
+            or not all(v in _FLAG_TEXTS.values() for v in flags.values())):
         raise DefinitionError("report must have a 'flags' object with a value for each flag")
     module = _resolve(deffile.bimodules, doc.get("subject"), "bimodule", "report subject")
     tower = bimodule_tower(module)
     comatrix, sweedler, b_to_s = tower.comatrix.coring, tower.sweedler, tower.b_to_s
     wit = doc["witnesses"]
 
-    @functools.cache  # each entry is parsed once, for its check and its transport
     def parse(key, part, shape):
         if part not in wit.get(key, {}):
             raise DefinitionError(f"witness {key} has no entry {part!r}")
         return _parse_tensor(deffile.field, wit[key][part], shape, f"witness {key}.{part}")
 
-    def split(key, part, space, value_mat):  # the map when it splits value_mat, else None
+    # each check returns the witness when it passes, else None
+    def split(key, part, space, value_mat):
         mat = parse(key, part, (space.dim, space.left_alg.dim))
         return (BimoduleMap(regular_bimodule(space.left_alg), space, mat, _validate=False)
                 if splits(space, value_mat, mat) else None)
@@ -146,73 +142,60 @@ def verify_report_witnesses(deffile: DefinitionFile, doc: dict) -> bool:
         return split(key, "splitting", ts.space, evaluation)
 
     def cointegral(key, c):
-        return verify_cointegral(Cointegral(c, parse(key, "f", (c.middle.space.dim,) * 2)))
+        ci = Cointegral(c, parse(key, "f", (c.middle.space.dim,) * 2))
+        return ci if verify_cointegral(ci) else None
 
-    def frobenius(key, c):  # the system when it verifies, else None
+    def frobenius(key, c):
         fs = FrobeniusSystem(c, parse(key, "f", (c.middle.space.dim,) * 2),
                              parse(key, "invariant", (c.dim,)))
         return fs if verify_frobenius_system(fs) else None
 
-    def iso(key, part, source, target):  # the map when it is an isomorphism, else None
+    def iso(key, part, source, target):
         found = BimoduleMap(source, target, parse(key, part, (target.dim, source.dim)),
                             _validate=False)
         return found if found.is_invertible() and found.commutes_with_actions() else None
 
-    @functools.cache  # checked once for both m_frobenius and iota
-    def theta():
-        return iso("m_frobenius", "theta", right_dual(module), left_dual(module))
-
-    def iota(key):  # re-derived from a theta that passes its check
-        expected, frob = parse(key, "matrix", (comatrix.dim, comatrix.dim)), theta()
-        try:
-            return frob is not None and np.array_equal(
-                iota_from_frobenius(module, frob), expected)
-        except (InternalInconsistencyError, NotProjectiveError):
-            return False
-
-    def carried(witness, transport, *proved) -> bool:  # from a witness that passed
-        try:
-            return (witness is not None and transport(module, witness) is not None
-                    and "false" not in [flags[name] for name in proved])
-        except InternalInconsistencyError:
-            return False
+    def retraction(key):
+        mat = parse(key, "retraction", (b_to_s.source.dim, b_to_s.target.dim))
+        return mat if retracts(b_to_s, mat) else None
 
     checks = {
-        "m_separable": lambda k: carried(
-            separability(k, module), lambda m, nu: lift_cointegral(
-                m, cointegral_from_separability(m, nu)),
-            "comatrix_coseparable", "sweedler_coseparable"),
-        "mstar_separable": lambda k: separability(k, right_dual(module)) is not None,
-        "m_frobenius": lambda k: theta() is not None,
-        "comatrix_cosplit": lambda k: carried(
-            split(k, "section", comatrix.carrier, comatrix.counit_mat), lift_cosplit,
-            "sweedler_cosplit"),
+        "m_separable": lambda k: separability(k, module),
+        "mstar_separable": lambda k: separability(k, right_dual(module)),
+        "m_frobenius": lambda k: iso(k, "theta", right_dual(module), left_dual(module)),
+        "comatrix_cosplit": lambda k: split(k, "section", comatrix.carrier, comatrix.counit_mat),
         "comatrix_coseparable": lambda k: cointegral(k, comatrix),
-        "comatrix_frobenius": lambda k: carried(
-            frobenius(k, comatrix), lift_frobenius_system, "sweedler_frobenius"),
-        "extension_split": lambda k: retracts(
-            b_to_s, parse(k, "retraction", (b_to_s.source.dim, b_to_s.target.dim))),
+        "comatrix_frobenius": lambda k: frobenius(k, comatrix),
+        "extension_split": retraction,
         "extension_frobenius": lambda k: iso(k, "iso", right_dual(target_sb(b_to_s)),
-                                             target_bs(b_to_s)) is not None,
-        "sweedler_cosplit": lambda k: split(k, "section", sweedler.carrier,
-                                            sweedler.counit_mat) is not None,
+                                             target_bs(b_to_s)),
+        "sweedler_cosplit": lambda k: split(k, "section", sweedler.carrier, sweedler.counit_mat),
         "sweedler_coseparable": lambda k: cointegral(k, sweedler),
-        "sweedler_frobenius": lambda k: frobenius(k, sweedler) is not None,
-        "williard": lambda k: iso(k, "iso", hom_to_s(tower), right_dual(module)) is not None,
-        "iota": iota,
+        "sweedler_frobenius": lambda k: frobenius(k, sweedler),
+        "williard": lambda k: iso(k, "iso", hom_to_s(tower), right_dual(module)),
     }
     for key in sorted(wit):
         if key not in checks:
             raise DefinitionError(f"witness {key} has no check")
         if not isinstance(wit[key], dict) or sorted(wit[key]) != sorted(WITNESS_PARTS[key]):
             raise DefinitionError(f"witness {key} must have the entries {WITNESS_PARTS[key]}")
-    passed = [checks[key](key) for key in wit]
-    owed = {name for name in WITNESS_PARTS if flags.get(name) == "true"} - set(wit)
+    passed = {key: checks[key](key) for key in wit}
+    owed = {name for name in WITNESS_PARTS if flags[name] == "true"} - set(wit)
     if "williard" in owed and _generates(right_dual(module), module.right_alg):
         owed.remove("williard")  # the generator test of its decider
-    under = {"iota": ["m_frobenius", "comatrix_frobenius"]}
-    return (all(passed) and not owed
-            and all(flags[name] == "true" for key in wit for name in under.get(key, [key])))
+
+    def carried(transport, premise, conclusion) -> bool:
+        try:
+            transport(module, premise)
+        except (InternalInconsistencyError, NotProjectiveError):
+            return False
+        return flags[conclusion] != "false"
+
+    transported = [carried(transport, passed[hyps[0]], concl)
+                   for _, _, hyps, concl, transport in _RULES
+                   if transport is not None and passed.get(hyps[0]) is not None]
+    return (all(w is not None for w in passed.values()) and not owed
+            and all(flags[key] == "true" for key in wit) and all(transported))
 
 
 def _coring_document(coring, what: str, name: str, field) -> dict:

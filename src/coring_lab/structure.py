@@ -208,12 +208,9 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 # transport is the identity on f, and only the invariant of a Frobenius
 # system is moved (``_tilde_invariant``).
 #
-# Each transport is a function of a witness that a report already holds, so
-# ``analyze`` writes none of them: ``cli.verify_report_witnesses`` runs
-# ``lift_cosplit``, ``cointegral_from_separability``, ``lift_cointegral``
-# and ``lift_frobenius_system`` from the witnesses they start from.  Only
-# ``iota_from_frobenius``, which needs the comatrix Frobenius flag, is run
-# by ``analyze`` and written.
+# Each transport is the proof of a rule of ``_RULES``, a function of the
+# witness of the rule's premise, so ``analyze`` writes none of them:
+# ``cli.verify_report_witnesses`` runs each one from the report's witness.
 # ---------------------------------------------------------------------------
 
 
@@ -407,9 +404,8 @@ _FLAGS = (
 )
 
 FLAG_NAMES = [name for name, _, _ in _FLAGS]
-# the parts of each witness a report writes: a flag's, and iota's
-WITNESS_PARTS = {**{name: [part for part, _ in parts] for name, _, parts in _FLAGS if parts},
-                 "iota": ["matrix"]}
+# the parts of each witness a report writes, one witness for each true flag
+WITNESS_PARTS = {name: [part for part, _ in parts] for name, _, parts in _FLAGS if parts}
 
 
 @dataclass
@@ -446,36 +442,43 @@ def _read(result):
     return result is not None, result
 
 
-# (rule, kind, hypotheses, conclusion).  An implication holds when all its
-# hypotheses and its conclusion do; an equivalence says that, when every
-# hypothesis after the first holds, the first and the conclusion agree.
+# (rule, kind, hypotheses, conclusion, transport).  An implication holds
+# when all its hypotheses and its conclusion do; an equivalence says that,
+# when every hypothesis after the first holds, the first and the conclusion
+# agree.  The transport, or None, is the rule's proof: it builds from a
+# witness of the first hypothesis what proves the conclusion, and raises when
+# that fails verification.  It is named inside its lambda, so it is looked up
+# in this module when it runs.
 _RULES = [
-    ("cosplit_descends_to_sweedler", "implication", ["comatrix_cosplit"], "sweedler_cosplit"),
-    ("coseparable_from_separable", "implication", ["m_separable"], "comatrix_coseparable"),
+    ("cosplit_descends_to_sweedler", "implication", ["comatrix_cosplit"], "sweedler_cosplit",
+     lambda m, w: lift_cosplit(m, w)),
+    ("coseparable_from_separable", "implication", ["m_separable"], "comatrix_coseparable",
+     lambda m, w: cointegral_from_separability(m, w)),
     ("coseparable_descends_to_sweedler", "implication", ["comatrix_coseparable"],
-     "sweedler_coseparable"),
-    ("frobenius_from_bimodule", "implication", ["m_frobenius"], "comatrix_frobenius"),
+     "sweedler_coseparable", lambda m, w: lift_cointegral(m, w)),
+    ("frobenius_from_bimodule", "implication", ["m_frobenius"], "comatrix_frobenius",
+     lambda m, w: iota_from_frobenius(m, w)),
     ("frobenius_descends_to_sweedler", "implication", ["comatrix_frobenius"],
-     "sweedler_frobenius"),
-    ("endomorphism_ring_theorem", "implication", ["m_frobenius"], "extension_frobenius"),
+     "sweedler_frobenius", lambda m, w: lift_frobenius_system(m, w)),
+    ("endomorphism_ring_theorem", "implication", ["m_frobenius"], "extension_frobenius", None),
     ("split_descends_to_sweedler_cosplit", "implication", ["extension_split"],
-     "sweedler_coseparable"),
-    ("dual_separable_iff_cosplit", "equivalence", ["mstar_separable"], "comatrix_cosplit"),
-    ("sugano_split_extension", "equivalence", ["m_separable"], "extension_split"),
+     "sweedler_coseparable", None),
+    ("dual_separable_iff_cosplit", "equivalence", ["mstar_separable"], "comatrix_cosplit", None),
+    ("sugano_split_extension", "equivalence", ["m_separable"], "extension_split", None),
     ("ff_separable_iff_comatrix_coseparable", "equivalence",
-     ["m_separable", "b_s_faithfully_flat"], "comatrix_coseparable"),
+     ["m_separable", "b_s_faithfully_flat"], "comatrix_coseparable", None),
     ("ff_separable_iff_sweedler_coseparable", "equivalence",
-     ["m_separable", "b_s_faithfully_flat"], "sweedler_coseparable"),
+     ["m_separable", "b_s_faithfully_flat"], "sweedler_coseparable", None),
     ("ff_williard_frobenius_iff_comatrix", "equivalence",
-     ["m_frobenius", "b_s_faithfully_flat", "williard"], "comatrix_frobenius"),
+     ["m_frobenius", "b_s_faithfully_flat", "williard"], "comatrix_frobenius", None),
     ("ff_williard_frobenius_iff_sweedler", "equivalence",
-     ["m_frobenius", "b_s_faithfully_flat", "williard"], "sweedler_frobenius"),
+     ["m_frobenius", "b_s_faithfully_flat", "williard"], "sweedler_frobenius", None),
 ]
 
 
 def _audit(flags: dict) -> list:
     entries = []
-    for rule, kind, hyps, concl in _RULES:
+    for rule, kind, hyps, concl, _ in _RULES:
         conditions = hyps if kind == "implication" else hyps[1:]
         if any(flags[n] is None for n in hyps + [concl]):
             status = "skipped_inconclusive"
@@ -503,16 +506,11 @@ def analyze(m: Bimodule, seed: int = 0) -> AnalysisReport:
     if seed < 0:
         raise CoringLabError(f"seed must be non-negative, got {seed}")
     tower = bimodule_tower(m)
-    results, flags, witnesses = {}, {}, {}
+    flags, witnesses = {}, {}
     for name, decide, parts in _FLAGS:
-        results[name] = decide(tower, seed)
-        flags[name], witness = _read(results[name])
+        flags[name], witness = _read(decide(tower, seed))
         if witness is not None:
             witnesses[name] = {part: getattr(witness, attr) for part, attr in parts}
-    # the one transport a report writes; the checker re-derives the others
-    if flags["m_frobenius"] and flags["comatrix_frobenius"]:
-        witnesses["iota"] = {"matrix": iota_from_frobenius(m, results["m_frobenius"].map)}
-
     report = AnalysisReport(m, flags, witnesses)
     report.implication_audit = _audit(flags)
     return report

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from coring_lab.bimodule import (
     restrict_left,
     restrict_right,
     right_dual,
+    span_search,
     tensor_over,
 )
 from coring_lab import bimodule as bimodule_module
@@ -37,7 +39,7 @@ from coring_lab.errors import (
     NotProjectiveError,
 )
 from coring_lab.fields import Field, PrimeField
-from coring_lab.linalg import _kernel, _solve
+from coring_lab.linalg import _kernel, _solve, rank
 from coring_lab.structure import bimodule_tower
 
 from conftest import (
@@ -632,6 +634,43 @@ def test_iso_over_q_uses_random_attempts():
     assert random_bimodule_iso(m, m, seed=3).found
 
 
+def lexicographic_search(field, stack, attempt):
+    """The oracle of ``span_search``'s enumeration: every nonzero combination
+    in the order of ``itertools.product``."""
+    for coeffs in itertools.product(range(field.characteristic), repeat=len(stack)):
+        if any(coeffs):
+            witness = attempt(field.tensordot(field.asarray(coeffs), stack, ([0], [0])))
+            if witness is not None:
+                return "found", witness
+    return "none", None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_span_search_tries_one_combination_per_line(seed):
+    # invertible with a zero corner: both tests hold at X exactly when at cX
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    stack = F3.asarray(rng.integers(0, 3, size=(k, 2, 2)))
+    if seed % 3 == 0:
+        stack[:, 1] = 0  # no combination is invertible
+    tried = []
+
+    def attempt(mat):
+        tried.append(mat)
+        return mat if mat[0, 0] == 0 and rank(F3, mat) == 2 else None
+
+    status, witness = span_search(F3, stack, attempt, 3**k, 0, seed=0)
+    attempts = len(tried)
+    want_status, want = lexicographic_search(F3, stack, attempt)
+    assert status == want_status
+    assert (witness is None) == (want is None)
+    if want is not None:
+        assert Field.equal(witness, want)
+    if seed % 3 == 0:
+        assert status == "none"
+        assert attempts == (3**k - 1) // 2
+
+
 # -------------------------------------------------------------- restriction.
 
 
@@ -642,3 +681,29 @@ def test_restrict_left_along_quotient_map():
     m = restrict_left(trivial_bimodule(F2, 2), quotient)
     assert m.left_alg == b
     m.validate()
+
+
+@pytest.mark.parametrize("restrict", [restrict_left, restrict_right])
+def test_restriction_along_a_non_multiplicative_map_raises(restrict):
+    d = dual_numbers(F2)
+    # 1 -> 1 and x -> 1: unital, but x^2 = 0 goes to 0, not to 1
+    with pytest.raises(BimoduleAxiomError, match="non-multiplicative"):
+        restrict(regular_bimodule(d), AlgebraMap(d, d, [[1, 1], [0, 0]]))
+
+
+def test_a_valid_restriction_is_not_validated_again(monkeypatch):
+    d, k = dual_numbers(F2), field_algebra(F2)
+    module, regular = trivial_bimodule(F2, 2), regular_bimodule(d)
+    validated = []
+    original = Bimodule.validate
+
+    def counting(self):
+        validated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Bimodule, "validate", counting)
+    restricted = [restrict_left(module, AlgebraMap(d, k, [[1, 0]])),
+                  restrict_right(regular, AlgebraMap(k, d, [[1], [0]]))]
+    assert validated == []
+    for m in restricted:
+        m.validate()  # and the restriction is valid

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ, bimodule, cli, coring
+from coring_lab import GF, QQ, bimodule, cli, coring, structure
 from coring_lab.cli import main, report_document, verify_report_witnesses
 from coring_lab.comatrix import (
     comatrix_data,
@@ -21,10 +21,12 @@ from coring_lab.comatrix import (
 )
 from coring_lab.coring import sweedler_coring
 from coring_lab.definitions import DefinitionFile, _parse_tensor, bundled_path, load, loads
-from coring_lab.errors import DefinitionError, InternalInconsistencyError, TooLargeToValidateError
+from coring_lab.errors import (DefinitionError, InternalInconsistencyError, NotProjectiveError,
+                               TooLargeToValidateError)
 from coring_lab.linalg import rank
 from coring_lab.bimodule import endomorphism_algebra, right_dual
-from coring_lab.structure import WITNESS_PARTS, bimodule_tower, dual_evaluation
+from coring_lab.structure import (_RULES, WITNESS_PARTS, bimodule_tower, dual_evaluation,
+                                  iota_from_frobenius)
 
 from conftest import (MALFORMED_DEFINITIONS, bundled_text_over, non_generator_summand,
                       trivial_bimodule)
@@ -554,7 +556,6 @@ def _frobenius_report():
 def test_tampered_frobenius_isomorphism_fails_reverification(key, part):
     deffile, doc = _frobenius_report()
     fld = deffile.field
-    del doc["witnesses"]["iota"]  # which reads theta too
     entries = doc["witnesses"][key][part]
     # an invertible map that is not a bimodule map, then the zero map, a
     # bimodule map that is not invertible
@@ -578,20 +579,9 @@ def test_tampered_williard_isomorphism_fails_reverification():
     assert not verify_report_witnesses(deffile, doc)
 
 
-def test_tampered_iota_fails_reverification_and_needs_theta():
+def test_theta_is_checked_once_for_its_flag_and_its_transport(monkeypatch):
     deffile, doc = _frobenius_report()
-    _bump(deffile.field, doc["witnesses"]["iota"]["matrix"], 0, 0)
-    assert not verify_report_witnesses(deffile, doc)
-    _bump(deffile.field, doc["witnesses"]["iota"]["matrix"], 0, 0)
-    # iota is re-derived from theta, so its check needs the theta entry
-    del doc["witnesses"]["m_frobenius"]
-    with pytest.raises(DefinitionError, match="m_frobenius"):
-        verify_report_witnesses(deffile, doc)
-
-
-def test_theta_is_checked_once_for_both_entries_that_read_it(monkeypatch):
-    deffile, doc = _frobenius_report()
-    assert {"m_frobenius", "iota"} <= set(doc["witnesses"])
+    assert "m_frobenius" in doc["witnesses"]
     module = deffile.bimodules["M"]
     checked = []
     original = bimodule.BimoduleMap.is_invertible
@@ -616,7 +606,8 @@ def test_a_witness_with_no_check_is_a_definition_error():
 # -- the format, the flags and the re-derived transports ----------------------
 
 
-@pytest.mark.parametrize("value", [None, 1, "2", 3], ids=["format-1", "one", "text", "three"])
+@pytest.mark.parametrize("value", [None, 1, 2, "3", 4],
+                         ids=["format-1", "one", "two", "text", "four"])
 def test_a_report_of_another_format_is_a_definition_error(value):
     # a report of format 1 had no format entry and wrote gamma in place of f
     deffile, doc = _frobenius_report()
@@ -643,10 +634,23 @@ def test_a_gamma_entry_is_a_definition_error(key, entries):
         verify_report_witnesses(deffile, doc)
 
 
+def test_a_format_2_report_is_a_definition_error():
+    # format 2 wrote iota, the matrix of the transport from theta
+    deffile, doc = _frobenius_report()
+    module = deffile.bimodules["M"]
+    theta = _parse_tensor(deffile.field, doc["witnesses"]["m_frobenius"]["theta"], (2, 2), "theta")
+    iota = iota_from_frobenius(module, bimodule.BimoduleMap(
+        right_dual(module), bimodule.left_dual(module), theta, _validate=False))
+    doc["format"] = 2
+    doc["witnesses"]["iota"] = {"matrix": cli._serialize_array(deffile.field, iota)}
+    with pytest.raises(DefinitionError, match="report format 2 is not 3"):
+        verify_report_witnesses(deffile, doc)
+
+
 @pytest.mark.parametrize("key", ["sweedler_cosplit_lift", "comatrix_cointegral_constructed",
-                                 "sweedler_cointegral_lift", "sweedler_frobenius_lift"])
+                                 "sweedler_cointegral_lift", "sweedler_frobenius_lift", "iota"])
 def test_a_transported_copy_is_a_definition_error(key):
-    # format 2 writes no transport but iota; the checker re-derives them
+    # format 3 writes no transport; the checker re-derives them
     deffile, doc = _frobenius_report()
     doc["witnesses"][key] = doc["witnesses"]["sweedler_cosplit"]
     with pytest.raises(DefinitionError, match=f"{key} has no check"):
@@ -681,24 +685,15 @@ def test_a_dropped_witness_fails_reverification(key):
 def test_a_witness_under_a_flag_that_is_not_true_fails_reverification(key, value):
     deffile, doc = _frobenius_report()
     doc["flags"][key] = value
-    del doc["witnesses"]["iota"]  # which stands under m_frobenius too
     assert not verify_report_witnesses(deffile, doc)
-
-
-def test_iota_stands_under_both_frobenius_flags():
-    deffile, doc = _frobenius_report()
-    del doc["witnesses"]["comatrix_frobenius"]
-    doc["flags"]["comatrix_frobenius"] = doc["flags"]["sweedler_frobenius"] = "inconclusive"
-    del doc["witnesses"]["sweedler_frobenius"]
-    assert not verify_report_witnesses(deffile, doc)
-    del doc["witnesses"]["iota"]
-    assert verify_report_witnesses(deffile, doc)
 
 
 @pytest.mark.parametrize("flags", [
     None, [], {}, lambda flags: {k: v for k, v in flags.items() if k != "williard"},
     lambda flags: {**flags, "williard": True}, lambda flags: {**flags, "extra": "true"},
-], ids=["missing", "list", "empty", "one-short", "not-a-text", "one-over"])
+    lambda flags: {**flags, "m_separable": [1]}, lambda flags: {**flags, "m_separable": {}},
+], ids=["missing", "list", "empty", "one-short", "not-a-text", "one-over", "a-list-value",
+        "an-object-value"])
 def test_malformed_flags_are_a_definition_error(flags):
     deffile, doc = _frobenius_report()
     if flags is None:
@@ -724,20 +719,23 @@ def test_a_bare_williard_is_true_only_for_a_generator():
     assert not verify_report_witnesses(deffile, doc)
 
 
-# premise -> the transports the checker re-derives from its witness
-TRANSPORTS = {"comatrix_cosplit": ["lift_cosplit"],
-              "m_separable": ["cointegral_from_separability", "lift_cointegral"],
-              "comatrix_frobenius": ["lift_frobenius_system"]}
+# premise -> the transports the checker re-derives from its witness, as
+# ``structure._RULES`` names them inside its lambdas
+TRANSPORTS = {}
+for _, _, _hyps, _, _transport in _RULES:
+    if _transport is not None:
+        TRANSPORTS.setdefault(_hyps[0], []).extend(_transport.__code__.co_names)
 
 
 def count_transports(monkeypatch):
+    # patched where the lambdas of the rule table look them up
     calls = {name: [] for name in sum(TRANSPORTS.values(), [])}
     for name in calls:
-        def counted(*args, name=name, original=getattr(cli, name)):
+        def counted(*args, name=name, original=getattr(structure, name)):
             calls[name].append(args)
             return original(*args)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(structure, name, counted)
     return calls
 
 
@@ -755,25 +753,30 @@ def test_a_transport_from_a_tampered_premise_fails_the_report(premise, monkeypat
     part = WITNESS_PARTS[premise][0]
     _bump(deffile.field, doc["witnesses"][premise][part], 0, 0)
     assert not verify_report_witnesses(deffile, doc)
-    # a transport runs only from a witness that passes its own check
-    assert not any(calls[name] for name in TRANSPORTS[premise])
+    # a transport runs only from a witness that passes its own check, and
+    # from no other rule's transport: the others each run once
+    assert {name: len(args) for name, args in calls.items()} == {
+        name: 0 if name in TRANSPORTS[premise] else 1 for name in calls}
 
 
+@pytest.mark.parametrize("error", [InternalInconsistencyError, NotProjectiveError])
 @pytest.mark.parametrize("transport", sorted(sum(TRANSPORTS.values(), [])))
-def test_a_failing_transport_fails_the_report(transport, monkeypatch):
+def test_a_failing_transport_fails_the_report(transport, error, monkeypatch):
     deffile, doc = _frobenius_report()
 
     def failing(*args):
-        raise InternalInconsistencyError(f"{transport} fails verification")
+        raise error(f"{transport} fails")
 
-    monkeypatch.setattr(cli, transport, failing)
+    monkeypatch.setattr(structure, transport, failing)
     assert not verify_report_witnesses(deffile, doc)
 
 
 @pytest.mark.parametrize("conclusion", ["sweedler_cosplit", "comatrix_coseparable",
-                                        "sweedler_coseparable", "sweedler_frobenius"])
+                                        "sweedler_coseparable", "comatrix_frobenius",
+                                        "sweedler_frobenius"])
 def test_a_transport_refutes_a_false_conclusion(conclusion):
-    # the flag and its witness both dropped: a transport proves it true
+    # the flag and its witness both dropped: a transport proves it true (for
+    # comatrix_frobenius, iota from a theta that passes its check)
     deffile, doc = _frobenius_report()
     del doc["witnesses"][conclusion]
     doc["flags"][conclusion] = "false"
@@ -783,18 +786,18 @@ def test_a_transport_refutes_a_false_conclusion(conclusion):
 
 
 # sha256 of `coring-lab analyze --format json` on the bundled bimodules over
-# GF(2), in report format 2.  Reports are byte-identical across changes that
+# GF(2), in report format 3.  Reports are byte-identical across changes that
 # do not change the mathematics; a change that moves a witness updates these
 # pins and says why.  ``test_report_content`` holds the gammas of format 1.
 ANALYZE_JSON_SHA256 = {
-    ("matrix2", "M"): "6a5440c7e3a33a4e7f3cb10157b9df258f42d1196231dfb78adb1b62f26f0a13",
-    ("dual-numbers", "M"): "9f9f86f6c50f17695b70f87ab2c7831347319b0616201b009341057d1578e394",
-    ("product-field", "M"): "f1227a2d8297c4f6fda0673a80f5f9c481b6fe1510cb08673cb9952330684151",
+    ("matrix2", "M"): "eeadc3fc8f2e0f47bea4825650c1d3b2885cb7e300001f1b55821c8d77de2f74",
+    ("dual-numbers", "M"): "eafb28ff8496057d723b07495a3d6281ecef1c44431a1d83d819c27a86326315",
+    ("product-field", "M"): "dc151ef79cce7ff2191efb553dbee15dd17b0587160c58a80f6492dfe2e915a0",
     ("morita-rows-cols", "cols"):
-        "62d5015d07d80dfbc4dc3ec405670125287342245746ad7c0defce7fe89639c1",
+        "793aae86e0b41fdb48549626b1010e76d01b1f668d267ec216312a99801757b7",
     ("morita-rows-cols", "rows"):
-        "712769c66ab07edd1a7f3a9ee3c213ed2a941d5181c51c7c709736bb1979d8b4",
-    ("regular-module", "M"): "c74ee522c4aa69f9053d136849357a2c9f2c4f43fb7e4c2b2de4d668878b122c",
+        "80e5cb3b78d2becb48a3fe2de2141b1ed5fbaee80206717b420018f25a5d6917",
+    ("regular-module", "M"): "6f144bfd138e898de8bfa62d0436352588b90805de26864a66e6dfaf0f958532",
 }
 
 
@@ -810,14 +813,14 @@ def test_analyze_json_reports_match_their_pins(capsys, fname, bimodule):
 # values are Python ints and the others Fractions: the bytes do not depend on
 # that representation
 ANALYZE_QQ_JSON_SHA256 = {
-    ("matrix2", "M"): "9f3093a1010460fdaec5051506da2d579ad6c729d5a6cc4a04a3db944b744e7d",
-    ("dual-numbers", "M"): "4decc080ca483f0f9195e315c61476c1aa7626936de357fa9c247914eb0be010",
-    ("product-field", "M"): "81610bf8277ba80c383c04d9f2ed1cbbcfad35a687a147a1849bc7cb43bd705f",
+    ("matrix2", "M"): "d792f4277580da62bf0e06079026d9dc97c76c66fbbfd9177ca10e8f502fd45c",
+    ("dual-numbers", "M"): "ed9500c9206a684e1aaffa08a02fa9c7bf7c001cb2fef645e2fc19c9056e04e8",
+    ("product-field", "M"): "efaa14848d8d2164eb099c2092046d3d9582460a9dfe0dbdc0465694b5df2953",
     ("morita-rows-cols", "cols"):
-        "bc678709ccc096e29dd7d39e9a002672afecafaf98144c956fb06d7478460a11",
+        "14f4c3a67ffa36b19bb614217ac879766c4e0045bcc6a9b22043d3fc9c5c2eb4",
     ("morita-rows-cols", "rows"):
-        "dfe0ad1489d092e7154347c899f3038b0d816fd7f877ac3cf7398ac5adc405d0",
-    ("regular-module", "M"): "6d766a85fa05208f87910418f489afaf408c77ccad7324be5cd53fd23c7407ef",
+        "78343933acaf01d495125059e52d0cf45ebe4971a2086de24c9532cb9b25a82d",
+    ("regular-module", "M"): "5a8048eb6e73628621051fd8965488e9d66f527f73ce63e0cf9d617233cbc222",
 }
 
 
@@ -837,7 +840,7 @@ def test_analyze_json_reports_over_q_match_their_pins(capsys, tmp_path, fname, b
 # stacked solver with no time cap) and its report has that solver's bytes
 RECIPE_7_FALSE_FLAGS = {"m_separable", "comatrix_coseparable", "extension_split",
                         "sweedler_coseparable"}
-RECIPE_7_SHA256 = "cbdeed5de3120ddf792c09785da6c197bb1cb5905a48702661593162673ba837"
+RECIPE_7_SHA256 = "664c570c754a006b1ac30d076b505de9977ced802bbf0125794077f34c7e4c44"
 
 
 def test_first_decision_of_recipe_7_matches_the_dense_oracle():

@@ -1,13 +1,14 @@
-"""The content of format-2 reports: each cointegral and Frobenius gamma is
-written as its map f of P, and each witness once.
+"""The content of format-3 reports: each cointegral and Frobenius gamma is
+written as its map f of P, each witness once, and no transported witness.
 
 ``gamma_pins.json`` holds the sha256 of every gamma entry that the reports of
 format 1 wrote on the field tensor square, for the 24 decided cases of the
 analyze-fp benchmark workload at seed 0 and the six bundled modules over QQ.
-Format 2 writes f in its place and drops the transported copies, which the
-checker re-derives.  Expanded by the oracle (``gamma_oracle.expand``), each f
-of a report, and each transport of the report's witnesses, gives back the
-pinned bytes: the content did not move with the format.
+Format 2 wrote f in its place and dropped the transported copies but iota,
+and format 3 drops iota too; the checker re-derives every transport.
+Expanded by the oracle (``gamma_oracle.expand``), each f of a report, and
+each transport of the report's witnesses, gives back the pinned bytes: the
+content did not move with the format.
 """
 
 import hashlib
@@ -72,13 +73,13 @@ def test_the_pins_cover_the_decided_cases():
 def test_each_witness_is_written_once_and_each_f_expands_to_its_pinned_gamma(case):
     deffile, name = case_file(case)
     doc = printed_report(deffile, name)
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     assert verify_report_witnesses(deffile, doc)
     wit, fld = doc["witnesses"], deffile.field
-    # each witness once, under its true flag; iota is the one transport written
+    # each witness once, under its true flag, and no transport
     assert {key: sorted(parts) for key, parts in wit.items()} == {
         key: sorted(WITNESS_PARTS[key]) for key in wit}
-    assert {key for key in wit if key != "iota"} <= {
+    assert set(wit) <= {
         flag for flag, value in doc["flags"].items() if value == "true"}
     module = deffile.bimodules[name]
     tower = bimodule_tower(module)
@@ -112,7 +113,8 @@ def test_each_witness_is_written_once_and_each_f_expands_to_its_pinned_gamma(cas
         constructed = cointegral_from_separability(module, nu)
         gammas["comatrix_cointegral_constructed.gamma"] = sha(constructed)
         gammas["sweedler_cointegral_lift.gamma"] = sha(lift_cointegral(module, constructed))
-    if "iota" in wit:  # written when m_frobenius and comatrix_frobenius are true
+    # format 1 wrote the lift when m_frobenius and comatrix_frobenius were true
+    if doc["flags"]["m_frobenius"] == doc["flags"]["comatrix_frobenius"] == "true":
         gammas["sweedler_frobenius_lift.gamma"] = sha(
             lift_frobenius_system(module, systems["comatrix"]))
     assert gammas == GAMMA_PINS[case]

@@ -483,7 +483,7 @@ def test_analyze_k2_all_flags_true():
         assert value is True, f"{name} should be true, got {value}"
     assert all(e.status in {"holds", "vacuous"} for e in report.implication_audit)
     # each witness once: the twelve flags' witnesses but williard's, which
-    # the generator test decides, and iota; no transported copy
+    # the generator test decides; no transported copy
     assert set(report.witnesses) == set(WITNESS_PARTS) - {"williard"}
 
 
@@ -532,8 +532,10 @@ def test_analyze_runs_each_memoized_body_once_per_module(monkeypatch):
     analyze(m, seed=0)
     per_module = Counter((name, id(module)) for name, module in runs)
     assert set(per_module.values()) == {1}
-    # k^2 is separable and Frobenius, so every transport runs on M itself
-    assert {name for name, module in runs if module is m} == {fn.__name__ for fn in MEMOIZED}
+    # every body runs on M itself but the left endomorphisms', which only
+    # the transport iota_from_frobenius reads, and analyze runs no transport
+    assert {name for name, module in runs if module is m} == (
+        {fn.__name__ for fn in MEMOIZED} - {"left_endomorphism_algebra"})
 
 
 def test_analyze_builds_each_restriction_of_s_once(monkeypatch):

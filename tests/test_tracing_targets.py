@@ -99,6 +99,15 @@ def test_the_tracer_names_the_flags_of_the_flag_table():
     assert _tracing().FLAGS == tuple(structure.FLAG_NAMES)
 
 
+def test_the_tracer_names_the_transports_of_the_rule_table():
+    # each transport is named once, inside its rule's lambda, and looked up in
+    # ``structure`` when it runs, so the tracer's rebinding reaches it
+    named = [name for *_, transport in structure._RULES if transport is not None
+             for name in transport.__code__.co_names]
+    assert sorted(named) == sorted(_tracing().TRANSPORTS)
+    assert len(set(named)) == len(named)
+
+
 @pytest.mark.parametrize("workload", ["analyze-fp", "construct-fp"])
 def test_traced_worker_runs_a_case_and_reports_every_metric(tmp_path, workload):
     requests = [{"op": "case", "id": "bundled/gf2/matrix2/M", "cap": 60, "check": False},
