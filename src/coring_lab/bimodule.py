@@ -242,7 +242,57 @@ class TensorSpace:
     right_factor: Bimodule
     middle: Algebra
     presentation: QuotientPresentation
-    space: Bimodule
+
+    @functools.cached_property
+    def space(self) -> Bimodule:
+        """The tensor as a bimodule, its outer actions induced through the
+        projection P of the presentation, built on first read and checked
+        for descent there.
+
+        The descent check is the only check: with valid factors it implies the
+        bimodule axioms of the result.  Let K_i = kron(lambda_i, I) and
+        K'_j = kron(I, rho_j) on M (x) N.  The left laws of M give
+        K_i K_j = sum_k c_ij^k K_k and sum_i u_i K_i = I, the right laws of N
+        the same for the K'_j, and K_i K'_j = kron(lambda_i, rho_j) = K'_j K_i.
+        The check is P K_i = L_i P and P K'_j = R_j P, with P onto (P S = I).
+        So L_i L_j P = P K_i K_j = sum_k c_ij^k L_k P, hence
+        L_i L_j = sum_k c_ij^k L_k; sum_i u_i L_i P = P gives sum_i u_i L_i = I;
+        L_i R_j P = P K_i K'_j = P K'_j K_i = R_j L_i P gives L_i R_j = R_j L_i;
+        the right laws are the mirror image.
+
+        Each side is one leg product over the stacked generators: the rows
+        (u, v) of (P K_i).T and (P K'_j).T for all i or j at once.  L_i.T is
+        the rows S picks; P is the identity on them, so K_i descends iff the
+        other rows are those of L_i P."""
+        m, n, pres = self.left_factor, self.right_factor, self.presentation
+        f = m.field
+        proj = pres.projection
+        p3 = proj.reshape(pres.quotient_dim, m.dim, n.dim)  # (c, u, v)
+        picked = pres.section.any(axis=1)
+        free, rest = np.flatnonzero(picked), np.flatnonzero(~picked)
+        if not rest.size:  # S picks every row, in order: read them without a copy
+            free = slice(None)
+
+        def descend(side: str, picked_rows, other_rows):
+            """Raise unless other_rows [k, r, c] are those of L_k P, for
+            picked_rows [k, c'', c] the rows of each L_k.T."""
+            through = f.matmul(proj[:, rest].T, picked_rows)
+            if not Field.equal(other_rows, through):
+                at = int(np.argwhere(other_rows != through)[0][0])
+                raise BimoduleAxiomError(f"{side} action does not descend at basis {at}")
+
+        # [i, (u, v), c]: sum_u' lambda_i(e_u)[u'] P[c, (u', v)], the rows of (P K_i).T
+        left = f.tensordot(m.left_action, p3.transpose(1, 2, 0), ([2], [0])).reshape(
+            m.left_alg.dim, m.dim * n.dim, pres.quotient_dim)
+        lam = left[:, free]
+        descend("left", lam, left[:, rest])
+        # [(u, v), j, c]: sum_v' rho_j(e_v)[v'] P[c, (u, v')], the rows of (P K'_j).T
+        right = f.matmul(n.right_action.reshape(-1, n.dim), p3.transpose(1, 2, 0)).reshape(
+            m.dim * n.dim, n.right_alg.dim, pres.quotient_dim)
+        rho = right[free]
+        descend("right", rho.transpose(1, 0, 2), right[rest].transpose(1, 0, 2))
+        return Bimodule(m.left_alg, n.right_alg, lam, rho,
+                        name=f"{m.name or 'M'}(x){n.name or 'N'}", _validate=False)
 
     @property
     def dim(self) -> int:
@@ -316,53 +366,19 @@ def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
 
 def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> TensorSpace:
     """M (x)_C N on ``pres``, any presentation of the field tensor M (x) N
-    modulo the balancing relations, with the outer actions induced through
-    its projection.
+    modulo the balancing relations.
 
-    The descent check is the only check: with valid factors it implies the
-    bimodule axioms of the result.  Let K_i = kron(lambda_i, I) and
-    K'_j = kron(I, rho_j) on M (x) N.  The left laws of M give
-    K_i K_j = sum_k c_ij^k K_k and sum_i u_i K_i = I, the right laws of N
-    the same for the K'_j, and K_i K'_j = kron(lambda_i, rho_j) = K'_j K_i.
-    The check is P K_i = L_i P and P K'_j = R_j P, with P onto (P S = I).
-    So L_i L_j P = P K_i K_j = sum_k c_ij^k L_k P, hence
-    L_i L_j = sum_k c_ij^k L_k; sum_i u_i L_i P = P gives sum_i u_i L_i = I;
-    L_i R_j P = P K_i K'_j = P K'_j K_i = R_j L_i P gives L_i R_j = R_j L_i;
-    the right laws are the mirror image.
-
-    Each side is one leg product over the stacked generators: the rows
-    (u, v) of (P K_i).T and (P K'_j).T for all i or j at once.  L_i.T is
-    the rows S picks; P is the identity on them, so K_i descends iff the
-    other rows are those of L_i P."""
-    f = m.field
-    proj = pres.projection
-    p3 = proj.reshape(pres.quotient_dim, m.dim, n.dim)  # (c, u, v)
-    picked = pres.section.any(axis=1)
-    free, rest = np.flatnonzero(picked), np.flatnonzero(~picked)
-    if not rest.size:  # S picks every row, in order: read them without a copy
-        free = slice(None)
-
-    def descend(side: str, picked_rows, other_rows):
-        """Raise unless other_rows [k, r, c] are those of L_k P, for
-        picked_rows [k, c'', c] the rows of each L_k.T."""
-        through = f.matmul(proj[:, rest].T, picked_rows)
-        if not Field.equal(other_rows, through):
-            at = int(np.argwhere(other_rows != through)[0][0])
-            raise BimoduleAxiomError(f"{side} action does not descend at basis {at}")
-
-    # [i, (u, v), c]: sum_u' lambda_i(e_u)[u'] P[c, (u', v)], the rows of (P K_i).T
-    left = f.tensordot(m.left_action, p3.transpose(1, 2, 0), ([2], [0])).reshape(
-        m.left_alg.dim, m.dim * n.dim, pres.quotient_dim)
-    lam = left[:, free]
-    descend("left", lam, left[:, rest])
-    # [(u, v), j, c]: sum_v' rho_j(e_v)[v'] P[c, (u, v')], the rows of (P K'_j).T
-    right = f.matmul(n.right_action.reshape(-1, n.dim), p3.transpose(1, 2, 0)).reshape(
-        m.dim * n.dim, n.right_alg.dim, pres.quotient_dim)
-    rho = right[free]
-    descend("right", rho.transpose(1, 0, 2), right[rest].transpose(1, 0, 2))
-    space = Bimodule(m.left_alg, n.right_alg, lam, rho,
-                     name=f"{m.name or 'M'}(x){n.name or 'N'}", _validate=False)
-    return TensorSpace(m, n, m.right_alg, pres, space)
+    Its outer actions, ``TensorSpace.space``, are induced through the
+    projection and checked for descent on the rows the section does not
+    pick.  When the presentation drops rows, they are built here, so the
+    descent check raises in ``tensor_over`` wherever it can fail.  With no
+    relations the projection is the identity, the check has no row to
+    compare, and the actions are built when something first reads them: a
+    coring written as its context never does."""
+    ts = TensorSpace(m, n, m.right_alg, pres)
+    if pres.quotient_dim < pres.ambient_dim:
+        ts.space  # builds the actions, and so runs the descent check
+    return ts
 
 
 def context_projection(x: Bimodule, carrier: TensorSpace):

@@ -150,10 +150,12 @@ class Coring:
     called on the first read of P, by ``precointegrals`` or a check on f.
     Maps C (x)_A C -> A are held as maps f of P, in these coordinates.
 
-    The structure maps never change after construction; the legs of the
-    pairs, the tensor-square presentation, P, the pre-cointegral rows and
-    space and the left dual ring are built on first use and memoized on the
-    coring.
+    The structure maps never change after construction; the actions of the
+    carrier when its presentation has no relations (``carrier``), the legs
+    of the pairs, the tensor-square presentation, P, the pre-cointegral rows
+    and space and the left dual ring are built on first use and memoized on
+    the coring or its carrier tensor.  Construction, validation and the
+    context document read none of them.
     """
 
     validation = "full"  # every coring is checked in full at construction
@@ -161,8 +163,7 @@ class Coring:
     def __init__(self, ts: TensorSpace, pairs, counit_mat, middle=None):
         self.carrier_tensor = ts
         self.tau_pairs = list(pairs)
-        self.carrier = ts.space
-        self.base = ts.space.left_alg
+        self.base = ts.left_factor.left_alg
         self.field = self.base.field
         self.counit_mat = self.field.asarray(counit_mat)
         if self.counit_mat.shape != (self.base.dim, self.dim):
@@ -174,8 +175,14 @@ class Coring:
         self.validate()
 
     @property
+    def carrier(self) -> Bimodule:
+        """C as an A-bimodule: the outer actions of the carrier tensor, built
+        on its first read (``TensorSpace.space``)."""
+        return self.carrier_tensor.space
+
+    @property
     def dim(self) -> int:
-        return self.carrier.dim
+        return self.carrier_tensor.dim
 
     @property
     def square(self) -> TensorSpace:

@@ -115,6 +115,18 @@ def kronecker_intertwiners(field, src_mats, tgt_mats) -> list:
     return [v.reshape(shape) for v in field.asarray(basis)]
 
 
+def induced_actions_oracle(ts):
+    """Oracle of ``TensorSpace.space``: the outer actions of a presented
+    tensor, P kron(lambda_i, I) S and P kron(I, rho_j) S, one leg product per
+    basis element, as the action tensors of ``Bimodule``."""
+    f, m, n = ts.left_factor.field, ts.left_factor, ts.right_factor
+    left = [f.matmul(ts.projection, _on_left_leg(f, lam, ts.section, n.dim))
+            for lam in m.left_mats]
+    right = [f.matmul(ts.projection, _on_right_leg(f, rho, ts.section, m.dim))
+             for rho in n.right_mats]
+    return np.stack(left).transpose(0, 2, 1), np.stack(right).transpose(2, 0, 1)
+
+
 def trivial_bimodule(field, n, name=None):
     """k^n with scalars acting on both sides."""
     k = field_algebra(field)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ, comatrix as comatrix_module, coring as coring_module
+from coring_lab import GF, QQ, cli, comatrix as comatrix_module, coring as coring_module
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
@@ -37,7 +37,7 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
-from coring_lab.definitions import bundled_path, load
+from coring_lab.definitions import BUNDLED_NAMES, bundled_path, load
 from coring_lab.errors import (
     AxiomError,
     ContextAxiomError,
@@ -55,6 +55,7 @@ from conftest import (
     bundled_over,
     dual_numbers,
     field_algebra,
+    induced_actions_oracle,
     intertwiner_rows,
     is_coring_map,
     matrix_coring,
@@ -955,6 +956,45 @@ def test_sweedler_coring_of_k3_reads_no_square_and_no_product_above_d_cubed(monk
     # building it forms no array of the size of a representative coproduct
     # (d^3 entries)
     assert 0 < largest[0] < c.dim ** 3
+
+
+def test_writing_the_d256_sweedler_coring_builds_no_carrier_action():
+    # S (x)_k S for S = M_4(k) has no relations, so its two 16 x 256 x 256
+    # action tensors (16 MiB) are built on first read, and writing the coring
+    # as its context never reads them; building them peaked at 23.0 MiB
+    ring_map = endomorphism_algebra(trivial_bimodule(F3, 4)).b_to_s
+    tracemalloc.start()
+    try:
+        c = sweedler_coring(ring_map)
+        doc = cli._coring_document(c, "sweedler", "k^4", F3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc["carrier_dim"] == c.dim == 256
+    assert "space" not in vars(c.carrier_tensor)
+    assert peak < 8 * 2**20
+
+
+def carrier_oracle_modules():
+    """The six bundled modules over GF(2) and GF(3), and k^1 to k^3."""
+    for char in (2, 3):
+        for name in BUNDLED_NAMES:
+            for label, m in sorted(bundled_over(name, char).bimodules.items()):
+                yield pytest.param(m, id=f"bundled/gf{char}/{name}/{label}")
+        for n in (1, 2, 3):
+            yield pytest.param(trivial_bimodule(GF(char), n), id=f"k^{n}/GF({char})")
+
+
+@pytest.mark.parametrize("module", carrier_oracle_modules())
+def test_the_carrier_read_after_construction_is_the_induced_bimodule(module):
+    tower = bimodule_tower(module)
+    for c in (tower.comatrix.coring, tower.sweedler):
+        lam, rho = induced_actions_oracle(c.carrier_tensor)
+        assert c.dim == c.carrier.dim == c.carrier_tensor.dim
+        assert c.base is c.carrier.left_alg is c.carrier.right_alg
+        assert Field.equal(c.carrier.left_action, lam)
+        assert Field.equal(c.carrier.right_action, rho)
+        c.carrier.validate()
 
 
 def test_square_of_the_sweedler_coring_of_recipe_7_stays_small():
