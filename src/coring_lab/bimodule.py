@@ -463,10 +463,11 @@ def intertwiners(field: Field, src_mats, tgt_mats) -> list:
         t_term = field.matmul(t_rows[:, start:stop], x.transpose(1, 0, 2).reshape(stop - start, -1))
         defect = (field.matmul(x.reshape(-1, n_s), s).reshape(x.shape)
                   - t_term.reshape(stop - start, r, n_s).transpose(1, 0, 2))
-        for a in itertools.chain(range(start), range(stop, n_t)):
-            if t_rows[:, a].any():  # the terms t[i, a] X[a] from rows outside the block
-                defect = field.asarray(
-                    defect - t_rows[:, a][None, :, None] * columns(coords[a])[:, None, :])
+        coupled = t_rows.any(axis=0)  # the terms t[i, a] X[a] from rows outside the block
+        coupled[start:stop] = False
+        for a in np.flatnonzero(coupled):
+            defect = field.asarray(
+                defect - t_rows[:, a][None, :, None] * columns(coords[a])[:, None, :])
         return field.asarray(defect).reshape(r, -1)
 
     def equations(columns, rank):

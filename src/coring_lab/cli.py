@@ -28,6 +28,7 @@ from .comatrix import comatrix_data, context_from_morita
 from .coring import (
     Cointegral,
     FrobeniusSystem,
+    _pair_matrices,
     left_dual_ring,
     splits,
     sweedler_coring,
@@ -203,11 +204,13 @@ def _coring_document(coring, what: str, name: str, field) -> dict:
     carrier, the pairs (m_i, n_i) of tau(1) as coordinate vectors of M and
     N, the counit on the carrier and the validation mode.  They fix the
     coproduct n (x) m -> sum_i (n (x) m_i) (x) (n_i (x) m), which is not
-    written: on the field tensor square it has d^2 rows."""
+    written: on the field tensor square it has d^2 rows.  The m_i and the
+    n_i are each serialized as one stack."""
+    ts = coring.carrier_tensor
+    ms, ns = _pair_matrices(field, coring.tau_pairs, ts.right_factor.dim, ts.left_factor.dim)
     return _document(field, construction=what, name=name, carrier_dim=coring.dim,
-                     tau_pairs=[{"m": _serialize_array(field, m_vec),
-                                 "n": _serialize_array(field, n_vec)}
-                                for m_vec, n_vec in coring.tau_pairs],
+                     tau_pairs=[{"m": m_vec, "n": n_vec} for m_vec, n_vec in
+                                zip(_serialize_array(field, ms.T), _serialize_array(field, ns.T))],
                      counit=_serialize_array(field, coring.counit_mat),
                      validation=coring.validation)
 
@@ -240,7 +243,7 @@ def cmd_construct(deffile: DefinitionFile, what: str, name: str) -> dict:
             raise DefinitionError(f"no bimodule named {name!r}")
         ring = left_dual_ring(comatrix_data(deffile.bimodules[name]).coring)
         return _document(fld, construction=what, name=name, dim=ring.dim,
-                         structure=[_serialize_array(fld, part) for part in ring.structure],
+                         structure=_serialize_array(fld, ring.structure),
                          unit=_serialize_array(fld, ring.unit))
     raise DefinitionError(f"unknown construction {what!r}")
 

@@ -34,7 +34,8 @@ def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
     for col in range(ncols):
         if row == nrows:
             break
-        nz = a[row:, col].nonzero()[0]
+        column = a[:, col]  # a view: it follows the swap and the scaling
+        nz = column[row:].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
@@ -43,11 +44,11 @@ def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:
         inv = field.inv_scalar(a[row, col])
         if inv != 1:
             a[row] = field.asarray(a[row] * inv)
-        others = a[:, col].nonzero()[0]
-        others = others[others != row]
-        if others.size:
+        others = column.nonzero()[0]
+        if others.size > 1:  # the pivot row is always among them
+            others = others[others != row]
             block = a[others]
-            block -= np.outer(block[:, col], a[row])
+            block -= block[:, col, None] * a[row]
             if field.characteristic:
                 block %= field.characteristic
             a[others] = block

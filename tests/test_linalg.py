@@ -7,10 +7,11 @@ import pytest
 from coring_lab import GF, QQ
 from coring_lab.algebra import AlgebraMap
 from coring_lab.errors import DimensionMismatchError, FieldMismatchError
-from coring_lab.fields import Field, PrimeField
+from coring_lab.fields import Field, PrimeField, _contraction_plan
 from coring_lab.linalg import QuotientPresentation, _kernel, _solve, rank, rref
 
 from conftest import field_algebra, fraction_free_rref
+from rref_oracle import loop_rref
 
 F2 = GF(2)
 F3 = GF(3)
@@ -81,6 +82,102 @@ def test_tensordot_is_exact_on_each_route(route, form, monkeypatch):
     exact = np.tensordot(a.astype(object), b.astype(object), axes) % p
     assert np.array_equal(field.tensordot(a, b, axes), exact)
     assert taken == ([marker] if marker else [])
+
+
+
+# The contractions of the plan oracle, (a shape, b shape, axes): the axes as
+# an int, as single- and multi-axis lists, as tuples, negative and as bare
+# ints; zero-size dimensions, as in the (0, dim A, dim M) stacks of
+# right_dual; and operands on both sides of the BLAS threshold, where
+# a.size * b.size passes 2**16.
+PLAN_CASES = {
+    "int 0": ((2, 3), (4,), 0),
+    "int 1": ((2, 3, 4), (4, 5), 1),
+    "int 2": ((3, 4, 5), (4, 5, 2), 2),
+    "single-axis lists": ((3, 4, 5), (6, 4), ([1], [1])),
+    "multi-axis lists": ((3, 4, 5), (5, 2, 4), ([1, 2], [2, 0])),
+    "tuples": ((3, 4, 5), (5, 2, 4), ((2, 1), (0, 2))),
+    "negative": ((3, 4, 5), (5, 4, 2), ([-1, -2], [0, -2])),
+    "bare ints": ((4, 6), (3, 6), (1, 1)),
+    "every axis": ((3, 4), (3, 4), ([0, 1], [0, 1])),
+    "zero-size stack": ((0, 3, 4), (3, 5), ([1], [0])),
+    "zero-size contraction": ((3, 0), (0, 5), ([1], [0])),
+    "zero-size free axis": ((2, 3), (3, 0), 1),
+    "large int": ((16, 8, 8), (8, 8, 16), 2),
+    "large lists": ((16, 8, 8), (8, 16, 8), ([1, 2], [0, 2])),
+    "large negative": ((32, 12), (12, 40), ([-1], [-2])),
+    "large zero-size stack": ((0, 16, 16), (16, 16, 64), ([1, 2], [0, 1])),
+}
+LARGE = {"large int", "large lists", "large negative"}
+
+
+def assert_reduced_tensordot(field, a, b, axes):
+    p = field.characteristic
+    exact = np.tensordot(a.astype(object), b.astype(object), axes) % p
+    got = field.tensordot(a, b, axes)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.shape == np.shape(exact) and np.array_equal(got, exact)
+    assert got.size == 0 or 0 <= got.min() <= got.max() < p
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_planned_tensordot_matches_numpy_on_object_arrays(p, case):
+    a_shape, b_shape, axes = PLAN_CASES[case]
+    field = GF(p)
+    rng = np.random.default_rng(p % 1000)
+    a, b = field.random(rng, a_shape), field.random(rng, b_shape)
+    assert (a.size * b.size > 2**16) == (case in LARGE)
+    assert_reduced_tensordot(field, a, b, axes)
+
+
+def test_equal_shapes_with_other_axes_never_share_a_plan():
+    shape = (3, 3, 3)
+    contractions = ([([i], [j]) for i in range(3) for j in range(3)]
+                    + [([0, 1], [0, 1]), ([0, 1], [1, 0]), ([1, 0], [0, 1]), ([2, 0], [1, 2])])
+    plans = [_contraction_plan(shape, shape, tuple(map(tuple, axes))) for axes in contractions]
+    assert len(set(plans)) == len(contractions)
+    assert _contraction_plan.cache_info().maxsize is not None
+    rng = np.random.default_rng(5)
+    a, b = F3.random(rng, shape), F3.random(rng, shape)
+    for axes in contractions + contractions[::-1]:  # each shape pair recurs with other axes
+        assert_reduced_tensordot(F3, a, b, axes)
+
+
+# (shape, rank of a product making it deficient, or None for a random one)
+RREF_LOOP_CASES = {
+    "full square": ((7, 7), None),
+    "wide": ((4, 9), None),
+    "tall": ((9, 4), None),
+    "deficient square": ((8, 8), 3),
+    "deficient wide": ((5, 11), 2),
+    "deficient tall": ((12, 6), 4),
+    "all-zero": ((5, 6), 0),
+    "empty rows": ((0, 4), None),
+    "empty columns": ((4, 0), None),
+    "empty": ((0, 0), None),
+}
+
+
+def rref_case_matrix(field, rng, case):
+    """A random matrix of one of the kinds of ``RREF_LOOP_CASES``."""
+    shape, rank_ = RREF_LOOP_CASES[case]
+    draw = (lambda s: rational_matrix(rng, s)) if field == QQ else (lambda s: field.random(rng, s))
+    if rank_ is None:
+        return draw(shape)
+    return field.matmul(draw((shape[0], rank_)), draw((rank_, shape[1])))
+
+
+@pytest.mark.parametrize("case", sorted(RREF_LOOP_CASES))
+@pytest.mark.parametrize("field", [F2, F3, GF(2**31 - 1), QQ], ids=repr)
+def test_rref_matches_the_loop_oracle(field, case):
+    for seed in range(4):
+        a = rref_case_matrix(field, np.random.default_rng(seed), case)
+        expected, expected_pivots = loop_rref(field, a)
+        red, pivots = rref(field, a)
+        assert pivots == expected_pivots
+        assert red.shape == expected.shape and red.dtype == expected.dtype
+        assert Field.equal(red, expected)
 
 
 def test_scalar_round_trip():
