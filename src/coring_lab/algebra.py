@@ -7,6 +7,8 @@ assume associativity and the unit laws, so bad input must fail here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import AlgebraAxiomError, DimensionMismatchError, FieldMismatchError
@@ -23,6 +25,20 @@ __all__ = [
     "check_algebra_map",
     "center_basis",
 ]
+
+
+def _memo(fn):
+    """Memoize ``fn(m)``, a ``None`` result too, on the bimodule, algebra
+    map or coring ``m`` itself: the value lives exactly as long as ``m``, so
+    a process that analyses many modules keeps none of them alive."""
+
+    @functools.wraps(fn)
+    def memoized(m):
+        if fn not in m._memo:
+            m._memo[fn] = fn(m)
+        return m._memo[fn]
+
+    return memoized
 
 
 class Algebra:
@@ -146,7 +162,7 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.matrix = source.field.asarray(matrix)
-        self._memo: dict = {}  # values of the ``bimodule._memo`` functions of this map
+        self._memo: dict = {}  # values of the ``_memo`` functions of this map
         if self.matrix.ndim != 2:
             raise DimensionMismatchError(f"matrix must be 2-D, got shape {self.matrix.shape}")
         if self.matrix.shape != (target.dim, source.dim):
@@ -162,6 +178,7 @@ class AlgebraMap:
         return f"AlgebraMap({self.source!r} -> {self.target!r})"
 
 
+@_memo
 def check_algebra_map(f: AlgebraMap) -> bool:
     """True iff f is multiplicative on all basis pairs and preserves the unit."""
     fld = f.source.field

@@ -7,9 +7,10 @@ Action tensor conventions (all coordinates are column vectors):
 * ``left_action[i, m, m']``  is the coefficient of e_m' in  b_i . e_m,
 * ``right_action[m, j, m']`` is the coefficient of e_m' in  e_m . a_j.
 
-Tensor products are presented quotients of the field tensor product; the
-presentation fixes one section once and for all, so equality of tensors
-is decided by comparing projected coordinates.
+Tensor products are presented quotients of the field tensor product, whose
+basis lifts to the free columns of the presentation; equality of tensors is
+decided by comparing projected coordinates.  Coordinates on an intertwiner
+basis are read off its free entries, not solved for.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraMap, check_algebra_map
+from .algebra import Algebra, AlgebraMap, _memo, check_algebra_map
 from .errors import (
     BimoduleAxiomError,
     DimensionMismatchError,
@@ -62,20 +63,6 @@ __all__ = [
 # random_bimodule_iso enumerates hom spaces up to this size, else samples
 _ISO_ENUMERATION_BUDGET = 2**20
 _ISO_RANDOM_ATTEMPTS = 32
-
-
-def _memo(fn):
-    """Memoize ``fn(m)``, a ``None`` result too, on the bimodule, algebra
-    map or coring ``m`` itself: the value lives exactly as long as ``m``, so
-    a process that analyses many modules keeps none of them alive."""
-
-    @functools.wraps(fn)
-    def memoized(m):
-        if fn not in m._memo:
-            m._memo[fn] = fn(m)
-        return m._memo[fn]
-
-    return memoized
 
 
 class Bimodule:
@@ -254,7 +241,8 @@ class TensorSpace:
         K'_j = kron(I, rho_j) on M (x) N.  The left laws of M give
         K_i K_j = sum_k c_ij^k K_k and sum_i u_i K_i = I, the right laws of N
         the same for the K'_j, and K_i K'_j = kron(lambda_i, rho_j) = K'_j K_i.
-        The check is P K_i = L_i P and P K'_j = R_j P, with P onto (P S = I).
+        The check is P K_i = L_i P and P K'_j = R_j P, with P onto (P S = I
+        for S the lift to the free columns).
         So L_i L_j P = P K_i K_j = sum_k c_ij^k L_k P, hence
         L_i L_j = sum_k c_ij^k L_k; sum_i u_i L_i P = P gives sum_i u_i L_i = I;
         L_i R_j P = P K_i K'_j = P K'_j K_i = R_j L_i P gives L_i R_j = R_j L_i;
@@ -262,15 +250,14 @@ class TensorSpace:
 
         Each side is one leg product over the stacked generators: the rows
         (u, v) of (P K_i).T and (P K'_j).T for all i or j at once.  L_i.T is
-        the rows S picks; P is the identity on them, so K_i descends iff the
-        other rows are those of L_i P."""
+        rows at the free columns; P is the identity on them, so K_i descends
+        iff the other rows are those of L_i P."""
         m, n, pres = self.left_factor, self.right_factor, self.presentation
         f = m.field
         proj = pres.projection
         p3 = proj.reshape(pres.quotient_dim, m.dim, n.dim)  # (c, u, v)
-        picked = pres.section.any(axis=1)
-        free, rest = np.flatnonzero(picked), np.flatnonzero(~picked)
-        if not rest.size:  # S picks every row, in order: read them without a copy
+        free, rest = pres.free, np.setdiff1d(np.arange(pres.ambient_dim), pres.free)
+        if not rest.size:  # every row is free, in order: read them without a copy
             free = slice(None)
 
         def descend(side: str, picked_rows, other_rows):
@@ -303,8 +290,8 @@ class TensorSpace:
         return self.presentation.projection
 
     @property
-    def section(self):
-        return self.presentation.section
+    def free(self):
+        return self.presentation.free
 
     def pure(self, u, v):
         """Quotient coordinates of the pure tensor u (x) v."""
@@ -312,17 +299,23 @@ class TensorSpace:
         return f.matmul(self.projection, f.kron(f.asarray(u), f.asarray(v)))
 
     def lift(self, t):
-        """A representative of t in the field tensor product, shaped (dimM, dimN)."""
+        """The representative of t in the field tensor product, shaped
+        (dimM, dimN), or [k, dimM, dimN] for a stack t [k, dim]: t at the
+        free columns and 0 elsewhere, which the projection sends back to t."""
         f = self.left_factor.field
-        amb = f.matmul(self.section, f.asarray(t))
-        return amb.reshape(self.left_factor.dim, self.right_factor.dim)
+        t = f.asarray(t)
+        amb = f.zeros(t.shape[:-1] + (self.presentation.ambient_dim,))
+        amb[..., self.free] = t
+        return amb.reshape(t.shape[:-1] + (self.left_factor.dim, self.right_factor.dim))
 
     def induced_map(self, f_mat, g_mat, target: "TensorSpace"):
-        """Matrix of f (x) g between presented tensor products."""
+        """Matrix of f (x) g between presented tensor products: the columns
+        f(e_u) (x) g(e_v) of kron(f, g) at the free columns (u, v) of this
+        presentation, projected onto the target."""
         fld = self.left_factor.field
-        f_mat, g_mat = fld.asarray(f_mat), fld.asarray(g_mat)
-        on_right = _on_right_leg(fld, g_mat, self.section, self.left_factor.dim)
-        return fld.matmul(target.projection, _on_left_leg(fld, f_mat, on_right, g_mat.shape[0]))
+        u, v = np.divmod(self.free, self.right_factor.dim)
+        cols = fld.asarray(fld.asarray(f_mat)[:, None, u] * fld.asarray(g_mat)[None, :, v])
+        return fld.matmul(target.projection, cols.reshape(-1, self.dim))
 
 
 def _on_left_leg(field: Field, mat, x, right_dim: int):
@@ -331,13 +324,6 @@ def _on_left_leg(field: Field, mat, x, right_dim: int):
     k = x.shape[1]
     y = field.tensordot(mat, x.reshape(mat.shape[1], right_dim, k), ([1], [0]))
     return y.reshape(mat.shape[0] * right_dim, k)
-
-
-def _on_right_leg(field: Field, mat, x, left_dim: int):
-    """kron(I, mat) @ x, acting on the second tensor leg of the rows of x."""
-    k = x.shape[1]
-    y = field.tensordot(mat, x.reshape(left_dim, mat.shape[1], k), ([1], [1]))  # (n', m, k)
-    return y.transpose(1, 0, 2).reshape(left_dim * mat.shape[0], k)
 
 
 def _balancing_relations(field: Field, rho, lam):
@@ -369,8 +355,8 @@ def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> T
     modulo the balancing relations.
 
     Its outer actions, ``TensorSpace.space``, are induced through the
-    projection and checked for descent on the rows the section does not
-    pick.  When the presentation drops rows, they are built here, so the
+    projection and checked for descent on the rows outside the free
+    columns.  When the presentation drops rows, they are built here, so the
     descent check raises in ``tensor_over`` wherever it can fail.  With no
     relations the projection is the identity, the check has no row to
     compare, and the actions are built when something first reads them: a
@@ -388,7 +374,7 @@ def context_projection(x: Bimodule, carrier: TensorSpace):
 
     Returns the projection of the field tensor X (x) C onto it,
     x (x) y -> [x (x) n_y] (x) m_y, where n_y (x) m_y is the lift of y
-    through the carrier's section; its kernel is exactly the A-balancing
+    to the carrier's free columns; its kernel is exactly the A-balancing
     relations of X (x) C.  The inner quotient is ``tensor_over(x, n)``, so
     the right B-action on it passes the descent check of every tensor.
     """
@@ -397,9 +383,11 @@ def context_projection(x: Bimodule, carrier: TensorSpace):
     inner = tensor_over(x, n)
     outer = QuotientPresentation.from_relations(
         f, inner.dim * m.dim, _balancing_relations(f, inner.space.right_action, m.left_action))
-    # the transpose of P_outer kron(P_inner, I) kron(I, S_C), one leg at a time
+    # the transpose of P_outer kron(P_inner, I), one leg at a time, at the
+    # free columns of the carrier on the second leg
     through = _on_left_leg(f, inner.projection.T, outer.projection.T, m.dim)
-    return _on_right_leg(f, carrier.section.T, through, x.dim).T
+    k = through.shape[1]
+    return through.reshape(x.dim, -1, k)[:, carrier.free].reshape(-1, k).T
 
 
 class DualModule(Bimodule):
@@ -426,21 +414,24 @@ def _combination(field: Field, coords, mats):
 
 
 def _matrix_subspace_coords(field: Field, basis_mats, targets):
-    """Coordinates of each target matrix in the span of basis_mats.
+    """The array [t, k] of the coordinates of each target matrix on
+    basis_mats[k], for targets a list or a stack of matrices; raises if any
+    target leaves the span.
 
-    targets is a list or a stack of matrices; raises if any target leaves
-    the span.
-    """
-    if not basis_mats:
-        if any(np.any(field.asarray(t) != 0) for t in targets):
+    The basis is an intertwiner basis, in reversed reduced echelon form:
+    each matrix is 1 at its last nonzero entry, its free entry, where the
+    others are 0.  So a target's coordinates are its free entries, and one
+    product checks that they give the target back, hence are the only ones."""
+    flat = field.asarray(np.reshape(targets, (len(targets), -1)))
+    if not len(basis_mats):
+        if flat.any():
             raise BimoduleAxiomError("matrix outside the empty span")
-        return [field.zeros(0) for _ in targets]
-    base = field.asarray(np.reshape(basis_mats, (len(basis_mats), -1))).T
-    rhs = field.asarray(np.reshape(targets, (len(targets), -1))).T
-    sol = _solve(field, base, rhs)
-    if sol is None:
+        return field.zeros((len(flat), 0))
+    base = field.asarray(np.reshape(basis_mats, (len(basis_mats), -1)))
+    coords = flat[:, base.shape[1] - 1 - np.argmax(base[:, ::-1] != 0, axis=1)]
+    if not Field.equal(field.matmul(coords, base), flat):
         raise BimoduleAxiomError("matrix left the expected subspace; conventions violated")
-    return [sol[:, i] for i in range(sol.shape[1])]
+    return coords
 
 
 def intertwiners(field: Field, src_mats, tgt_mats) -> list:
@@ -485,14 +476,13 @@ def intertwiners(field: Field, src_mats, tgt_mats) -> list:
 def _induced_action(field: Field, basis_mats, images):
     """Array [k, alpha, beta]: the coordinate on basis_mats[beta] of
     images[k][alpha], the image of basis_mats[alpha] under the k-th operator,
-    for images given as nested lists or as a stack [k, alpha, ...]; one
-    solve for all operators, raising if an image leaves the span."""
+    for images given as nested lists or as a stack [k, alpha, ...], read
+    for all operators at once, raising if an image leaves the span."""
     n = len(basis_mats)
-    out = field.zeros((len(images), n, n))
-    if n:
-        flat = np.reshape(images, (len(images) * n,) + np.shape(basis_mats[0]))
-        out[...] = np.stack(_matrix_subspace_coords(field, basis_mats, flat)).reshape(out.shape)
-    return out
+    if not n:
+        return field.zeros((len(images), 0, 0))
+    flat = np.reshape(images, (len(images) * n,) + np.shape(basis_mats[0]))
+    return _matrix_subspace_coords(field, basis_mats, flat).reshape(len(images), n, n)
 
 
 def _products(field: Field, left, right):
@@ -640,9 +630,7 @@ def endomorphism_algebra(m: Bimodule) -> EndData:
     dm = m.dim
     mats = intertwiners(f, m.right_mats, m.right_mats)
     s_alg = _end_algebra_from_mats(f, mats, m, False, name=f"End({m.name or 'M'})")
-    b_cols = _matrix_subspace_coords(f, mats, [m.left_mats[i] for i in range(m.left_alg.dim)])
-    b_to_s = AlgebraMap(m.left_alg, s_alg, np.stack(b_cols, axis=1) if b_cols else
-                        f.zeros((len(mats), 0)))
+    b_to_s = AlgebraMap(m.left_alg, s_alg, _matrix_subspace_coords(f, mats, m.left_mats).T)
     if not check_algebra_map(b_to_s):
         raise BimoduleAxiomError("left action does not give an algebra map into End")
     lam = f.zeros((len(mats), dm, dm))
@@ -793,9 +781,8 @@ def canonical_s_iso(m: Bimodule) -> SIso:
     scaled = f.tensordot(np.stack(dual.functional_mats), m.right_action,
                          ([1], [1]))  # (alpha, j, i, i'): e_i . phi_alpha(e_j)
     endos = scaled.transpose(2, 0, 3, 1).reshape(m.dim * dual.dim, m.dim, m.dim)
-    cols = _matrix_subspace_coords(f, s_alg.endo_mats, list(endos))
-    table = np.stack(cols, axis=1) if cols else f.zeros((s_alg.dim, 0))
-    omega = f.asarray(table).reshape(s_alg.dim, m.dim, dual.dim)
+    table = _matrix_subspace_coords(f, s_alg.endo_mats, endos).T
+    omega = table.reshape(s_alg.dim, m.dim, dual.dim)
 
     # amb(s) = sum_k s(e_k) (x) e_k^*, on the pairs
     coords = f.asarray(np.reshape(db.functional_coords, (m.dim, dual.dim)))

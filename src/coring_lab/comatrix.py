@@ -85,7 +85,7 @@ def comatrix_data(m: Bimodule) -> ComatrixData:
     # counit phi (x) m -> phi(m)
     eval_amb = np.concatenate([f.zeros((m.right_alg.dim, 0))] + dual.functional_mats, axis=1)
     coring = Coring(ts, zip(db.elements, db.functional_coords),
-                    f.matmul(f.asarray(eval_amb), ts.section), lambda: _endomorphism_middle(m))
+                    f.asarray(eval_amb)[:, ts.free], lambda: _endomorphism_middle(m))
     return ComatrixData(coring, dual, db)
 
 
@@ -121,7 +121,7 @@ def context_from_tau(ts_nm: TensorSpace, ts_mn: TensorSpace, sigma_mat,
     tau(1) = sum_i m_i (x) n_i, one for each nonzero ambient coefficient."""
     m, n = ts_mn.left_factor, ts_mn.right_factor
     f = m.field
-    w = f.matmul(ts_mn.section, f.matmul(tau_mat, m.left_alg.unit)).reshape(m.dim, n.dim)
+    w = ts_mn.lift(f.matmul(tau_mat, m.left_alg.unit))
     eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
     pairs = [(f.asarray(w[u, v] * eye_m[:, u]), eye_n[:, v]) for u, v in zip(*np.nonzero(w))]
     return Coring(ts_nm, pairs, sigma_mat)
@@ -191,8 +191,7 @@ def context_dual_basis(ctx: Coring):
     eye_n, eye_m = f.eye(n.dim), f.eye(m.dim)
     # sigma(e_v (x) -) as value matrices M -> A
     sigmas = [f.matmul(ctx.counit_mat, ts.pure(eye_n[:, v:v + 1], eye_m)) for v in range(n.dim)]
-    chi = BimoduleMap(n, dual, np.stack(_matrix_subspace_coords(f, dual.functional_mats, sigmas),
-                                        axis=1))
+    chi = BimoduleMap(n, dual, _matrix_subspace_coords(f, dual.functional_mats, sigmas).T)
     db = DualBasis(m, dual, [m_vec for m_vec, _ in pairs], [chi(n_vec) for _, n_vec in pairs])
     if not db.verify():
         raise ContextAxiomError("context does not produce a valid dual basis")
@@ -268,10 +267,9 @@ def left_dual_anti_iso(m: Bimodule) -> AntiIso:
     scaled = f.tensordot(es, m.right_action, ([0], [0]))  # (i, a, x'): e_i . a
     endo_of = f.tensordot(values, scaled, ([1, 3], [1, 0])).transpose(0, 2, 1)
     try:
-        cols = _matrix_subspace_coords(f, endos.endo_mats, list(endo_of))
+        forward = _matrix_subspace_coords(f, endos.endo_mats, endo_of).T
     except BimoduleAxiomError as exc:
         raise InternalInconsistencyError(f"anti-isomorphism left the endo ring: {exc}")
-    forward = f.asarray(np.stack(cols, axis=1))
     backward = _solve(f, forward, f.eye(ring.dim))
     if backward is None or ring.dim != endos.dim:
         raise InternalInconsistencyError("left dual ring is not bijective with End")

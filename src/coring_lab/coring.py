@@ -116,7 +116,7 @@ def _tensor_middle(ts: TensorSpace) -> ContextMiddle:
     m, n = ts.right_factor, ts.left_factor
     p = tensor_over(m, n)
     return ContextMiddle(p.space, p.projection.T.reshape(m.dim, n.dim, p.dim),
-                         p.section.T.reshape(p.dim, m.dim, n.dim))
+                         p.lift(m.field.eye(p.dim)))
 
 
 @_memo
@@ -171,7 +171,7 @@ class Coring:
         self._middle_of = middle or (lambda: _tensor_middle(ts))
         self._square: TensorSpace | None = None
         self._precointegrals: np.ndarray | None = None
-        self._memo: dict = {}  # values of the ``bimodule._memo`` functions of this coring
+        self._memo: dict = {}  # values of the ``_memo`` functions of this coring
         self.validate()
 
     @property
@@ -264,8 +264,7 @@ class Coring:
         sigma(n' (x) f(m' (x) n).m), linear in f and in e; both equal
         ``sigma_pairs`` iff gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c)."""
         f, ts, of_pair = self.field, self.carrier_tensor, self.middle.of_pair
-        lifts = f.tensordot(f.asarray(invariants), ts.section, ([1], [1])).reshape(
-            len(invariants), ts.left_factor.dim, ts.right_factor.dim)  # (k, n', m')
+        lifts = ts.lift(invariants)  # (k, n', m')
         valued = f.tensordot(f.asarray(f_mats), self._on_sigma, ([1], [0]))  # (j, q, a', n, m)
         right = f.tensordot(f.tensordot(lifts, of_pair, ([1], [1])),  # (k, m', m, q)
                             valued, ([1, 3], [4, 1])).transpose(0, 2, 3, 4, 1)
@@ -359,7 +358,7 @@ class Coring:
                  f.tensordot(sig, a.structure, ([0], [0])))
         if not (Field.equal(*left) and Field.equal(*right)):
             raise CoringAxiomError("counit is not a bimodule map into the base")
-        check_context_diagrams(self.carrier_tensor, self.tau_pairs, self.counit_mat)
+        check_context_diagrams(self.carrier_tensor, self.tau_pairs, sig)
 
 
 def _pair_matrices(f: Field, pairs, m_dim: int, n_dim: int):
@@ -369,14 +368,14 @@ def _pair_matrices(f: Field, pairs, m_dim: int, n_dim: int):
                  for k, dim in ((0, m_dim), (1, n_dim)))
 
 
-def check_context_diagrams(ts: TensorSpace, pairs, sigma_mat) -> None:
+def check_context_diagrams(ts: TensorSpace, pairs, sig) -> None:
     """Raise ContextAxiomError unless n = sum_i sigma(n (x) m_i) . n_i and
     m = sum_i m_i . sigma(n_i (x) m) on the bases of N and M, for
-    ts = N (x)_B M, pairs (m_i, n_i) and sigma given on ts."""
+    ts = N (x)_B M, pairs (m_i, n_i) and sig [a', n, m] the values
+    sigma(e_n (x) e_m) (``Coring.sigma_pairs``)."""
     n, m = ts.left_factor, ts.right_factor
     f = n.field
     ms, ns = _pair_matrices(f, pairs, m.dim, n.dim)
-    sig = f.matmul(f.asarray(sigma_mat), ts.projection).reshape(-1, n.dim, m.dim)
     # [n, n'] = sum_{a, i} sigma(e_n (x) m_i)_a (e_a . n_i)_n', and the mirror [m, m']
     first = f.tensordot(f.tensordot(sig, ms, ([2], [0])),  # (a, n, i)
                         f.tensordot(n.left_action, ns, ([1], [0])), ([0, 2], [0, 2]))
@@ -401,7 +400,7 @@ def sweedler_coring(ring_map: AlgebraMap) -> Coring:
                              f.asarray(f.eye(a.dim)[:, :, None] * a.unit[None, None, :]))
 
     # a (x) b -> a (x) 1 (x) 1 (x) b, counit the multiplication
-    return Coring(ts, [(a.unit, a.unit)], f.matmul(mult_amb, ts.section), middle)
+    return Coring(ts, [(a.unit, a.unit)], mult_amb[:, ts.free], middle)
 
 
 class CoringMorphism:
@@ -657,12 +656,14 @@ def _hit_from_right(c: Coring, xi_mats):
     sum_i (n (x) m_i) . xi(n_i (x) m) (``Coring.pair_legs``)."""
     f, ts = c.field, c.carrier_tensor
     first, second = c.pair_legs  # (u, n, i) and (v, i, m)
-    sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, c.dim)
     values = f.tensordot(f.asarray(xi_mats), second, ([2], [0]))  # (k, a, i, m)
-    lifted = f.tensordot(sec, values, ([1], [3]))  # (n, c, k, a, i)
-    left = f.tensordot(first, lifted, ([1, 2], [0, 4]))  # (u, c, k, a)
-    return f.tensordot(c.carrier.right_action, left,
-                       ([0, 1], [0, 3])).transpose(2, 0, 1)  # (k, m', c)
+    k, a, i, _ = values.shape
+    # basis element c of C lifts to e_n (x) e_m at its free column (n, m)
+    n_of, m_of = np.divmod(ts.free, ts.right_factor.dim)
+    left = f.matmul(first[:, n_of].transpose(1, 0, 2),  # (c, u, i) @ (c, i, (k, a))
+                    values[..., m_of].transpose(3, 2, 0, 1).reshape(c.dim, i, k * a))
+    return f.tensordot(c.carrier.right_action, left.reshape(c.dim, c.dim, k, a),
+                       ([0, 1], [1, 3])).transpose(2, 0, 1)  # (k, m', c)
 
 
 def coring_bimodules_over_dual_ring(c: Coring):

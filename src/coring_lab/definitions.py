@@ -164,7 +164,7 @@ def _load_pairing(out: DefinitionFile, fld: Field, where: str, spec):
     ts_mn = tensor_over(m, n)
     sigma_amb = _parse_tensor(fld, spec.get("sigma"), (m.right_alg.dim, n.dim * m.dim),
                               f"{where} sigma")
-    return n, m, ts_nm, ts_mn, fld.matmul(sigma_amb, ts_nm.section)
+    return n, m, ts_nm, ts_mn, sigma_amb[:, ts_nm.free]
 
 
 def _load_morita(out: DefinitionFile, fld: Field, name: str, spec) -> MoritaData:
@@ -176,7 +176,7 @@ def _load_morita(out: DefinitionFile, fld: Field, name: str, spec) -> MoritaData
     try:
         sigma = BimoduleMap(ts_nm.space, regular_bimodule(m.right_alg), sigma_mat)
         tau_tilde = BimoduleMap(ts_mn.space, regular_bimodule(b_alg),
-                                fld.matmul(tau_amb, ts_mn.section))
+                                tau_amb[:, ts_mn.free])
         md = MoritaData(n, m, sigma, tau_tilde, ts_nm, ts_mn)
         md.validate()
     except CoringLabError as exc:

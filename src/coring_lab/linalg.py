@@ -147,31 +147,30 @@ def _successive_kernel(field: Field, n: int, equations):
 
 @dataclass
 class QuotientPresentation:
-    """Presentation of ambient / span(relations) with a chosen section.
+    """Presentation of ambient / span(relations) on the free columns.
 
-    projection @ section is the identity on the quotient and the kernel
-    of projection is exactly the span of the relations.
+    The kernel of ``projection`` is exactly the span of the relations, and
+    ``projection[:, free]`` is the identity: the quotient basis lifts to the
+    ambient unit vectors at ``free``, so a quotient vector lifts by scattering
+    its coordinates into those columns, and an ambient map descends to the
+    quotient by reading its columns there.
     """
 
     field: Field
     ambient_dim: int
     quotient_dim: int
     projection: np.ndarray  # quotient_dim x ambient_dim
-    section: np.ndarray  # ambient_dim x quotient_dim
+    free: np.ndarray  # quotient_dim increasing ambient columns
 
     @classmethod
     def from_relations(cls, field: Field, ambient_dim: int, relations) -> "QuotientPresentation":
         """Quotient by the row span of ``relations``: the projection rows are
-        the reduced-echelon kernel basis of the relations, and the section
-        sends the quotient basis to their free columns."""
+        the reduced-echelon kernel basis of the relations, each 1 at its own
+        free column and 0 at the others."""
         relations = np.reshape(field.asarray(relations), (-1, ambient_dim))
         relations = relations[relations.any(axis=1)]
-        proj, free_cols = _successive_kernel(field, ambient_dim,
-                                             lambda columns, rank: [relations.T])
-        q = len(free_cols)
-        sect = field.zeros((ambient_dim, q))
-        sect[free_cols, range(q)] = 1
-        return cls(field, ambient_dim, q, proj, sect)
+        proj, free = _successive_kernel(field, ambient_dim, lambda columns, rank: [relations.T])
+        return cls(field, ambient_dim, len(free), proj, free)
 
     @classmethod
     def from_surjection(cls, field: Field, onto) -> "QuotientPresentation":
@@ -188,7 +187,5 @@ class QuotientPresentation:
         if len(pivots) != q:
             raise DimensionMismatchError(f"map of rank {len(pivots)} onto {q} coordinates")
         proj = np.ascontiguousarray(red[::-1, ::-1])
-        free_cols = sorted(ambient_dim - 1 - c for _, c in pivots)
-        sect = field.zeros((ambient_dim, q))
-        sect[free_cols, range(q)] = 1
-        return cls(field, ambient_dim, q, proj, sect)
+        free = np.sort([ambient_dim - 1 - c for _, c in pivots]).astype(np.intp)
+        return cls(field, ambient_dim, q, proj, free)

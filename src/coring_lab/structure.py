@@ -134,7 +134,7 @@ def dual_evaluation(m: Bimodule):
     eval_amb = f.zeros((m.left_alg.dim, m.dim * ld.dim))
     for kappa, psi in enumerate(ld.functional_mats):
         eval_amb[:, kappa::ld.dim] = psi
-    return ts, f.matmul(eval_amb, ts.section)
+    return ts, eval_amb[:, ts.free]
 
 
 def is_separable_bimodule(m: Bimodule):
@@ -217,7 +217,7 @@ def frobenius_extension_check(ring_map: AlgebraMap, seed: int = 0) -> IsoSearch:
 def _tilde_invariant(tower: BimoduleTower, e_vec):
     """Transport a central element of the comatrix coring into S (x)_B S.
 
-    Writes e = sum_a w_a^* (x) w_a through the tensor section and returns
+    Writes e = sum_a w_a^* (x) w_a by its lift to the free columns and returns
     sum_{j,a} omega(e_j (x) w_a^*) (x) omega(w_a (x) e_j^*).
     """
     f = tower.module.field
@@ -304,9 +304,8 @@ def iota_from_frobenius(m: Bimodule, theta: BimoduleMap) -> np.ndarray:
     psis = np.stack([ld.mat_of(col) for col in theta.matrix.T])  # (alpha, b, x)
     # iota(phi_alpha (x) e_i) = (x -> theta(phi_alpha)(x) . e_i), as (alpha, i, m', x)
     cols = f.tensordot(psis, m.left_action, ([1], [0])).transpose(0, 2, 3, 1)
-    coords = _matrix_subspace_coords(f, endos.endo_mats, list(cols.reshape(-1, m.dim, m.dim)))
-    iota_amb = np.stack(coords, axis=1)
-    iota = f.matmul(f.asarray(iota_amb), ts.section)
+    iota_amb = _matrix_subspace_coords(f, endos.endo_mats, cols.reshape(-1, m.dim, m.dim)).T
+    iota = iota_amb[:, ts.free]
     if data.coring.dim != endos.dim or rank(f, iota) != endos.dim:
         raise InternalInconsistencyError("iota is not bijective")
     # right linearity over R = End_B(M) acting by phi (x) m . r = phi (x) r(m)

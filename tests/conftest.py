@@ -13,7 +13,6 @@ from coring_lab.bimodule import (
     Bimodule,
     _memo,
     _on_left_leg,
-    _on_right_leg,
     context_projection,
     tensor_over,
 )
@@ -22,7 +21,7 @@ from coring_lab.definitions import bundled_path, loads
 from coring_lab.fields import Field
 from coring_lab.linalg import rref
 
-from coproduct_oracle import delta_amb
+from coproduct_oracle import _on_right_leg, delta_amb, section_matrix
 
 
 def bundled_text_over(name, char):
@@ -120,9 +119,9 @@ def induced_actions_oracle(ts):
     tensor, P kron(lambda_i, I) S and P kron(I, rho_j) S, one leg product per
     basis element, as the action tensors of ``Bimodule``."""
     f, m, n = ts.left_factor.field, ts.left_factor, ts.right_factor
-    left = [f.matmul(ts.projection, _on_left_leg(f, lam, ts.section, n.dim))
+    left = [f.matmul(ts.projection, _on_left_leg(f, lam, section_matrix(ts), n.dim))
             for lam in m.left_mats]
-    right = [f.matmul(ts.projection, _on_right_leg(f, rho, ts.section, m.dim))
+    right = [f.matmul(ts.projection, _on_right_leg(f, rho, section_matrix(ts), m.dim))
              for rho in n.right_mats]
     return np.stack(left).transpose(0, 2, 1), np.stack(right).transpose(2, 0, 1)
 
@@ -226,7 +225,7 @@ def matrix_coring(n, field):
     for i in range(n):
         pairing[0, i * n + i] = 1
     return Coring(ts, [(eye[:, i], eye[:, i]) for i in range(n)],
-                  field.matmul(pairing, ts.section))
+                  field.matmul(pairing, section_matrix(ts)))
 
 
 def trivial_coring(a):
@@ -270,7 +269,7 @@ def canonical_identification_oracle(m):
     dual, s_alg = db.dual, iso.end.algebra
     ts = tensor_over(m, dual)
     table = iso.omega.reshape(s_alg.dim, m.dim * dual.dim)
-    to_endo = f.matmul(table, ts.section)
+    to_endo = f.matmul(table, section_matrix(ts))
     # s -> sum_k s(e_k) (x) e_k^*
     coords = f.asarray(np.reshape(db.functional_coords, (m.dim, dual.dim)))
     amb = f.tensordot(np.stack(s_alg.endo_mats), coords, ([2], [0]))  # (s, m', alpha)

@@ -16,7 +16,7 @@ from coring_lab.bimodule import BimoduleMap
 from coring_lab.coring import _pair_matrices, central_rows
 from coring_lab.fields import Field
 
-from coproduct_oracle import delta_amb
+from coproduct_oracle import delta_amb, section_matrix
 
 
 def expand(c, f_mats):
@@ -24,7 +24,7 @@ def expand(c, f_mats):
     on the field tensor square of the carrier, as a stack [k, a', (u, v)],
     for a stack ``f_mats`` [k, q', q] of matrices on P."""
     f, ts = c.field, c.carrier_tensor
-    sec = ts.section.reshape(ts.left_factor.dim, ts.right_factor.dim, c.dim)
+    sec = section_matrix(ts).reshape(ts.left_factor.dim, ts.right_factor.dim, c.dim)
     values = f.tensordot(f.tensordot(f.asarray(f_mats), c._on_sigma, ([1], [0])),
                          c.middle.of_pair, ([1], [2]))  # (k, a', n, m', m, n')
     left = f.tensordot(values, sec, ([2, 4], [0, 1]))  # (k, a', m', n', u)

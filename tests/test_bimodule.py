@@ -13,7 +13,6 @@ from coring_lab.bimodule import (
     _induced_action,
     _matrix_subspace_coords,
     _on_left_leg,
-    _on_right_leg,
     canonical_s_iso,
     context_projection,
     dual_basis,
@@ -22,6 +21,7 @@ from coring_lab.bimodule import (
     intertwiners,
     left_dual,
     left_dual_basis,
+    left_endomorphism_algebra,
     random_bimodule_iso,
     regular_bimodule,
     restrict_left,
@@ -32,6 +32,7 @@ from coring_lab.bimodule import (
 )
 from coring_lab import bimodule as bimodule_module
 from coring_lab.comatrix import comatrix_coring
+from coring_lab.coring import left_dual_ring
 from coring_lab.errors import (
     BimoduleAxiomError,
     DimensionMismatchError,
@@ -55,6 +56,7 @@ from conftest import (
     row_module,
     trivial_bimodule,
 )
+from coproduct_oracle import _on_right_leg, section_matrix
 from random_modules import random_projective_bimodule
 
 F2 = GF(2)
@@ -347,15 +349,15 @@ def test_leg_wise_tensor_actions_match_kronecker_products(seed, rng):
         for i, mat in enumerate(left.left_mats):
             big = f.kron(mat, f.eye(right.dim))
             assert Field.equal(ts.space.left_mats[i],
-                               f.matmul(ts.projection, f.matmul(big, ts.section)))
+                               f.matmul(ts.projection, f.matmul(big, section_matrix(ts))))
         for j, mat in enumerate(right.right_mats):
             big = f.kron(f.eye(left.dim), mat)
             assert Field.equal(ts.space.right_mats[j],
-                               f.matmul(ts.projection, f.matmul(big, ts.section)))
+                               f.matmul(ts.projection, f.matmul(big, section_matrix(ts))))
         f_mat, g_mat = f.random(rng, (left.dim, left.dim)), f.random(rng, (right.dim, right.dim))
         big = f.kron(f_mat, g_mat)
         assert Field.equal(ts.induced_map(f_mat, g_mat, ts),
-                           f.matmul(ts.projection, f.matmul(big, ts.section)))
+                           f.matmul(ts.projection, f.matmul(big, section_matrix(ts))))
     # Hom_A(M, A) with the actions a.phi and phi.b of the right dual
     a_alg = m.right_alg
     _check_constraint_core(
@@ -707,3 +709,80 @@ def test_a_valid_restriction_is_not_validated_again(monkeypatch):
     assert validated == []
     for m in restricted:
         m.validate()  # and the restriction is valid
+
+
+# ------------------------------------------ coordinates on the free columns
+
+
+def solved_coords(field, basis_mats, targets):
+    """The oracle of ``_matrix_subspace_coords``: the coordinates of each
+    target matrix on basis_mats by one exact solve, as a list; raises if a
+    target leaves the span."""
+    if not basis_mats:
+        if any(np.any(field.asarray(t) != 0) for t in targets):
+            raise BimoduleAxiomError("matrix outside the empty span")
+        return [field.zeros(0) for _ in targets]
+    base = field.asarray(np.reshape(basis_mats, (len(basis_mats), -1))).T
+    rhs = field.asarray(np.reshape(targets, (len(targets), -1))).T
+    sol = _solve(field, base, rhs)
+    if sol is None:
+        raise BimoduleAxiomError("matrix left the expected subspace; conventions violated")
+    return [sol[:, i] for i in range(sol.shape[1])]
+
+
+def coordinate_bases(m):
+    """Every intertwiner basis of m that the library reads coordinates on."""
+    bases = {"right dual": right_dual(m).functional_mats,
+             "left dual": left_dual(m).functional_mats,
+             "End": endomorphism_algebra(m).algebra.endo_mats,
+             "left End": left_endomorphism_algebra(m).endo_mats}
+    if dual_basis(m) is not None:
+        bases["dual ring"] = left_dual_ring(comatrix_coring(m)).functional_mats
+    return bases
+
+
+@pytest.mark.parametrize("char", [2, 3, 0])
+@pytest.mark.parametrize("name", ["matrix2", "dual-numbers", "product-field",
+                                  "morita-rows-cols", "regular-module"])
+def test_read_coordinates_match_the_solved_ones(name, char):
+    """On each basis: the same coordinates as the solve for combinations of
+    the basis, and the same error from both for a matrix outside the span."""
+    rng = np.random.default_rng(char)
+    seen = 0
+    for m in bundled_over(name, char).bimodules.values():
+        f = m.field
+        for which, mats in coordinate_bases(m).items():
+            if not mats:
+                continue
+            stack = np.stack(mats)
+            inside = f.tensordot(f.random(rng, (4, len(mats))), stack, ([1], [0]))
+            targets = np.concatenate([stack, inside])
+            ours = _matrix_subspace_coords(f, mats, targets)
+            assert ours.shape == (len(targets), len(mats))
+            assert Field.equal(ours, np.stack(solved_coords(f, mats, targets))), which
+            seen += 1
+            flat = stack.reshape(len(mats), -1)
+            units = f.eye(flat.shape[1])
+            missed = [u for u in units if rank(f, np.vstack([flat, u])) > len(mats)]
+            if not missed:  # the basis spans every matrix
+                continue
+            outside = np.concatenate([inside, missed[0].reshape((1,) + stack.shape[1:])])
+            for coords in (_matrix_subspace_coords, solved_coords):
+                with pytest.raises(BimoduleAxiomError):
+                    coords(f, mats, outside)
+    assert seen
+
+
+@pytest.mark.parametrize("f", [F2, F3, QQ], ids=repr)
+def test_the_lift_of_a_stack_is_the_stack_of_lifts(f):
+    m = regular_bimodule(dual_numbers(f))
+    ts = tensor_over(m, m)
+    assert ts.dim < ts.presentation.ambient_dim  # the presentation drops columns
+    t = f.random(np.random.default_rng(7), (5, ts.dim))
+    lifts = ts.lift(t)
+    assert lifts.shape == (5, ts.left_factor.dim, ts.right_factor.dim)
+    for k in range(5):
+        single = ts.lift(t[k])
+        assert Field.equal(lifts[k], single)
+        assert Field.equal(f.matmul(ts.projection, single.reshape(-1)), t[k])
+        assert not np.any(np.delete(single.reshape(-1), ts.free) != 0)

@@ -44,7 +44,7 @@ from coring_lab.definitions import bundled_path, load
 from coring_lab.errors import ContextAxiomError, NotProjectiveError
 from coring_lab.fields import Field
 
-from coproduct_oracle import delta_amb
+from coproduct_oracle import delta_amb, section_matrix
 from conftest import (
     bundled_over,
     column_module,
@@ -215,13 +215,13 @@ def rows_cols_morita(field):
         for u in range(2):
             sigma_amb[v * 2 + u, v * 2 + u] = 1
     sigma = BimoduleMap(ts_nm.space, regular_bimodule(a),
-                        f.matmul(sigma_amb, ts_nm.section))
+                        f.matmul(sigma_amb, section_matrix(ts_nm)))
     # tau~: row (x) col -> scalar product
     mult_amb = f.zeros((1, 4))
     mult_amb[0, 0] = 1
     mult_amb[0, 3] = 1
     tau_tilde = BimoduleMap(ts_mn.space, regular_bimodule(field_algebra(field)),
-                            f.matmul(mult_amb, ts_mn.section))
+                            f.matmul(mult_amb, section_matrix(ts_mn)))
     return MoritaData(cols, rows, sigma, tau_tilde, ts_nm, ts_mn)
 
 

@@ -11,6 +11,7 @@ from coring_lab.fields import Field, PrimeField, _contraction_plan
 from coring_lab.linalg import QuotientPresentation, _kernel, _solve, rank, rref
 
 from conftest import field_algebra, fraction_free_rref
+from coproduct_oracle import section_matrix
 from rref_oracle import loop_rref
 
 F2 = GF(2)
@@ -280,7 +281,7 @@ def test_quotient_presentation_round_trip(field, seed):
         r = int(rng.integers(0, n + 1))
         rels = field.random(rng, (r, n))
         pres = QuotientPresentation.from_relations(field, n, rels)
-        pq = field.matmul(pres.projection, pres.section)
+        pq = field.matmul(pres.projection, section_matrix(pres))
         assert np.array_equal(pq, field.eye(pres.quotient_dim))
         # projection annihilates exactly the relation span: it annihilates
         # the relations, and its kernel has the dimension of their span
@@ -289,7 +290,7 @@ def test_quotient_presentation_round_trip(field, seed):
         assert pres.quotient_dim == n - rank(field, rels)
         # section then projection differs from identity only by relations,
         # which is by the kernel of the projection
-        defect = field.asarray(field.matmul(pres.section, pres.projection) - field.eye(n))
+        defect = field.asarray(field.matmul(section_matrix(pres), pres.projection) - field.eye(n))
         assert not np.any(field.matmul(pres.projection, defect))
 
 
@@ -309,7 +310,7 @@ def test_quotient_projection_is_the_kernel_basis_of_the_relations(field, seed):
             assert not np.any(field.matmul(rels, pres.projection.T) != 0)
         red, pivots = rref(field, rels)
         free = sorted(set(range(n)) - {c for _, c in pivots})
-        assert Field.equal(pres.section, field.eye(n)[:, free])
+        assert Field.equal(section_matrix(pres), field.eye(n)[:, free])
         rest = [c for _, c in pivots]
         assert Field.equal(red[:len(pivots)][:, free],
                            field.asarray(-pres.projection[:, rest].T))
@@ -321,11 +322,33 @@ def test_quotient_projection_is_the_kernel_basis_of_the_relations(field, seed):
             assert Field.equal(v, field.asarray(expected))
 
 
+@pytest.mark.parametrize("field,seed", [(F2, 12), (F3, 13), (QQ, 14)])
+def test_a_presentation_is_the_identity_on_its_free_columns(field, seed):
+    """From relations, the free columns are those off the pivots of the
+    relations; from a surjection, those of the columns outside the span of
+    the later ones.  The projection is the identity on them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        rels = field.random(rng, (int(rng.integers(0, n + 1)), n))
+        pres = QuotientPresentation.from_relations(field, n, rels)
+        pivots = {c for _, c in rref(field, rels)[1]}
+        assert pres.free.tolist() == [c for c in range(n) if c not in pivots]
+        assert Field.equal(pres.projection[:, pres.free], field.eye(pres.quotient_dim))
+        onto = field.random(rng, (int(rng.integers(1, n + 1)), n))
+        if rank(field, onto) < len(onto):
+            continue
+        pres = QuotientPresentation.from_surjection(field, onto)
+        later = [rank(field, onto[:, c:]) for c in range(n)] + [0]
+        assert pres.free.tolist() == [c for c in range(n) if later[c] > later[c + 1]]
+        assert Field.equal(pres.projection[:, pres.free], field.eye(len(onto)))
+
+
 def test_a_presentation_holds_no_relation_rows():
     """A presentation of a large square holds only its projection and
-    section, and no relation rows."""
+    free columns, and no relation rows."""
     assert [f.name for f in dataclasses.fields(QuotientPresentation)] == [
-        "field", "ambient_dim", "quotient_dim", "projection", "section"]
+        "field", "ambient_dim", "quotient_dim", "projection", "free"]
 
 
 def test_rref_is_deterministic_first_pivot():

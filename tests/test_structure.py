@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coring_lab import GF, QQ, bimodule as bimodule_module
-from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
+from coring_lab.algebra import AlgebraMap, check_algebra_map, direct_product, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
     _combination,
@@ -63,6 +63,7 @@ from conftest import (
     row_module,
     trivial_bimodule,
 )
+from coproduct_oracle import section_matrix
 from gamma_oracle import expand, f_of
 from random_modules import random_projective_bimodule
 
@@ -303,7 +304,7 @@ def _sweedler_reference(tower, f_mat):
     for a, x, y, b in itertools.product(range(n), repeat=4):
         middle = f.matmul(f_mat, s_alg.mult(eye[:, x], eye[:, y]))
         quad[:, a * n + x, y * n + b] = s_alg.mult(s_alg.mult(eye[:, a], middle), eye[:, b])
-    sec = tower.sweedler.carrier_tensor.section
+    sec = section_matrix(tower.sweedler.carrier_tensor)
     return np.stack([f.matmul(f.matmul(sec.T, quad[t]), sec).reshape(-1) for t in range(n)])
 
 
@@ -549,6 +550,16 @@ def test_analyze_builds_each_restriction_of_s_once(monkeypatch):
     s_b = [mod for name, mod in runs if name == "right_dual"
            and mod.left_alg is b_to_s.target and mod.right_alg is b_to_s.source]
     assert len(s_b) == 1
+
+
+@pytest.mark.parametrize("name", ["dual-numbers", "matrix2"])
+def test_analyze_checks_each_algebra_map_once(name, monkeypatch):
+    """End, the restrictions to S and the Sweedler coring all check their
+    map; the check runs once per map."""
+    runs = count_memo_bodies(monkeypatch, check_algebra_map)
+    analyze(load(bundled_path(name)).bimodules["M"], seed=0)
+    per_map = Counter(id(f) for _, f in runs)
+    assert per_map and set(per_map.values()) == {1}
 
 
 def test_an_analysed_bimodule_is_freed():
