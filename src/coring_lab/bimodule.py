@@ -7,10 +7,12 @@ Action tensor conventions (all coordinates are column vectors):
 * ``left_action[i, m, m']``  is the coefficient of e_m' in  b_i . e_m,
 * ``right_action[m, j, m']`` is the coefficient of e_m' in  e_m . a_j.
 
-Tensor products are presented quotients of the field tensor product, whose
-basis lifts to the free columns of the presentation; equality of tensors is
-decided by comparing projected coordinates.  Coordinates on an intertwiner
-basis are read off its free entries, not solved for.
+Tensor products are presented quotients of the field tensor product: the
+projection rows are the balanced forms, an intertwiner basis solved in
+blocks with no relation rows stacked, and the quotient basis lifts to the
+free columns of the presentation; equality of tensors is decided by
+comparing projected coordinates.  Coordinates on an intertwiner basis are
+read off its free entries, not solved for.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "target_bs",
     "target_bb",
     "tensor_over",
-    "context_projection",
     "right_dual",
     "left_dual",
     "dual_basis",
@@ -63,6 +64,10 @@ __all__ = [
 # random_bimodule_iso enumerates hom spaces up to this size, else samples
 _ISO_ENUMERATION_BUDGET = 2**20
 _ISO_RANDOM_ATTEMPTS = 32
+# the fewest defect entries of a block of _intertwiner_kernel: below it the
+# Python loop over blocks and their coupled rows costs more than the memory
+# it saves, as on the small balanced-form systems of every tensor_over
+_BLOCK_ENTRIES = 2**14
 
 
 class Bimodule:
@@ -318,41 +323,14 @@ class TensorSpace:
         return fld.matmul(target.projection, cols.reshape(-1, self.dim))
 
 
-def _on_left_leg(field: Field, mat, x, right_dim: int):
-    """kron(mat, I) @ x, acting on the first tensor leg of the rows of x
-    without forming the Kronecker product."""
-    k = x.shape[1]
-    y = field.tensordot(mat, x.reshape(mat.shape[1], right_dim, k), ([1], [0]))
-    return y.reshape(mat.shape[0] * right_dim, k)
-
-
-def _balancing_relations(field: Field, rho, lam):
-    """Rows (m, c, n) spanning m.c (x) n - m (x) c.n over the middle algebra,
-    for ``rho`` the right action tensor of the left factor and ``lam`` the
-    left action tensor of the right factor: the right action on the n' = n
-    diagonal minus the left on the m' = m one."""
-    dm, dc, dn = rho.shape[0], rho.shape[1], lam.shape[1]
-    rels = field.zeros((dm, dc, dn, dm, dn))
-    for k in range(dn):
-        rels[:, :, k, :, k] = rho
-    for k in range(dm):
-        rels[k, :, :, k, :] -= lam
-    return field.asarray(rels.reshape(dm * dc * dn, dm * dn))
-
-
 def tensor_over(m: Bimodule, n: Bimodule) -> TensorSpace:
-    """Present M (x)_C N for C = m.right_alg = n.left_alg."""
-    if m.right_alg != n.left_alg:
-        raise FieldMismatchError("middle algebra mismatch in tensor product")
-    f = m.field
-    pres = QuotientPresentation.from_relations(
-        f, m.dim * n.dim, _balancing_relations(f, m.right_action, n.left_action))
-    return _presented_tensor(m, n, pres)
+    """Present M (x)_C N for C = m.right_alg = n.left_alg.
 
-
-def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> TensorSpace:
-    """M (x)_C N on ``pres``, any presentation of the field tensor M (x) N
-    modulo the balancing relations.
+    The projection rows are the C-balanced forms X on M x N,
+    X(m.c, n) = X(m, c.n), that is X @ lambda_c = rho_c.T @ X: the forms
+    that vanish on the balancing relations m.c (x) n - m (x) c.n.  They are
+    an intertwiner basis, whose reversed reduced echelon form is the one
+    ``QuotientPresentation.from_relations`` gives on those relations.
 
     Its outer actions, ``TensorSpace.space``, are induced through the
     projection and checked for descent on the rows outside the free
@@ -361,33 +339,15 @@ def _presented_tensor(m: Bimodule, n: Bimodule, pres: QuotientPresentation) -> T
     relations the projection is the identity, the check has no row to
     compare, and the actions are built when something first reads them: a
     coring written as its context never does."""
-    ts = TensorSpace(m, n, m.right_alg, pres)
-    if pres.quotient_dim < pres.ambient_dim:
+    if m.right_alg != n.left_alg:
+        raise FieldMismatchError("middle algebra mismatch in tensor product")
+    ambient = m.dim * n.dim
+    forms, free = _intertwiner_kernel(m.field, n.left_mats, [r.T for r in m.right_mats])
+    ts = TensorSpace(m, n, m.right_alg,
+                     QuotientPresentation(m.field, ambient, len(free), forms, free))
+    if len(free) < ambient:
         ts.space  # builds the actions, and so runs the descent check
     return ts
-
-
-def context_projection(x: Bimodule, carrier: TensorSpace):
-    """Present X (x)_A C for C = N (x)_B M, the carrier of a context, as
-    (X (x)_A N) (x)_B M, whose relations are balanced over the small B on
-    dim(X (x)_A N) * dim M coordinates, not over A on dim X * dim C.
-
-    Returns the projection of the field tensor X (x) C onto it,
-    x (x) y -> [x (x) n_y] (x) m_y, where n_y (x) m_y is the lift of y
-    to the carrier's free columns; its kernel is exactly the A-balancing
-    relations of X (x) C.  The inner quotient is ``tensor_over(x, n)``, so
-    the right B-action on it passes the descent check of every tensor.
-    """
-    f = x.field
-    n, m = carrier.left_factor, carrier.right_factor
-    inner = tensor_over(x, n)
-    outer = QuotientPresentation.from_relations(
-        f, inner.dim * m.dim, _balancing_relations(f, inner.space.right_action, m.left_action))
-    # the transpose of P_outer kron(P_inner, I), one leg at a time, at the
-    # free columns of the carrier on the second leg
-    through = _on_left_leg(f, inner.projection.T, outer.projection.T, m.dim)
-    k = through.shape[1]
-    return through.reshape(x.dim, -1, k)[:, carrier.free].reshape(-1, k).T
 
 
 class DualModule(Bimodule):
@@ -438,10 +398,20 @@ def intertwiners(field: Field, src_mats, tgt_mats) -> list:
     """Basis of the matrices X with X @ s_k == t_k @ X for every k, each of
     shape (target dim, source dim): the reduced-echelon kernel basis of these
     conditions on vec(X), row-major, which does not depend on the order of
-    the pairs (``linalg._successive_kernel``).  No system is stacked: k^n,
-    n = dim vec(X), is restricted by the defect X @ s - t @ X of its current
-    basis, pair by pair, for n // rank output rows of X at a time, so a block
-    never has more entries than one output row over all of k^n."""
+    the pairs (``linalg._successive_kernel``)."""
+    shape = (tgt_mats[0].shape[0], src_mats[0].shape[0])
+    return [v.reshape(shape) for v in _intertwiner_kernel(field, src_mats, tgt_mats)[0]]
+
+
+def _intertwiner_kernel(field: Field, src_mats, tgt_mats):
+    """The basis of ``intertwiners`` as rows vec(X), and its free columns.
+
+    No system is stacked: k^n, n = dim vec(X), is restricted by the defect
+    X @ s - t @ X of its current basis, pair by pair, for a block of output
+    rows of X at a time.  On a basis of rank k, a block of r rows has
+    r * k <= max(n, _BLOCK_ENTRIES // n_s), so its defect has at most
+    _BLOCK_ENTRIES entries, or those of one output row over all of k^n when
+    that is more."""
     n_t, n_s = tgt_mats[0].shape[0], src_mats[0].shape[0]
     n = n_t * n_s
     coords = np.arange(n).reshape(n_t, n_s)  # of vec(X), by rows of X
@@ -465,12 +435,11 @@ def intertwiners(field: Field, src_mats, tgt_mats) -> list:
         for s, t in zip(src_mats, tgt_mats):
             start = 0
             while start < n_t and rank():
-                stop = min(n_t, start + n // rank())
+                stop = min(n_t, start + max(n, _BLOCK_ENTRIES // n_s) // rank())
                 yield block(columns, s, t, start, stop)
                 start = stop
 
-    shape = (n_t, n_s)
-    return [v.reshape(shape) for v in _successive_kernel(field, n, equations)[0]]
+    return _successive_kernel(field, n, equations)
 
 
 def _induced_action(field: Field, basis_mats, images):

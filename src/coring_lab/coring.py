@@ -22,8 +22,8 @@ is refused (TooLargeToValidateError).
 
 No array lives on the field tensor square of the carrier: the coproduct
 is its pairs, and ``construct`` writes a coring as its context.
-``Coring.square`` presents C (x)_A C through ``context_projection`` in the
-coordinates of the dense ``tensor_over(C, C)``; no library code reads it.
+``Coring.square``, the dense ``tensor_over(C, C)``, is read by no library
+code.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .bimodule import (
     _matrix_subspace_coords,
     _memo,
     _products,
-    _presented_tensor,
-    context_projection,
     intertwiners,
     left_dual,
     random_bimodule_iso,
@@ -62,7 +60,7 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _kernel, _solve, _successive_kernel, rank, rref
+from .linalg import _kernel, _solve, _successive_kernel, rank, rref
 
 __all__ = [
     "Coring",
@@ -84,8 +82,9 @@ __all__ = [
 ]
 
 # Coring.precointegrals (and Coring.square) refuse carriers above this size.
-# No dense array is behind it; lifting it decides recipes 0, 9 and k^3, whose
-# 0.2-0.8 s would move the analyze-fp p90 with no case slower (ROADMAP item 1).
+# The pre-cointegrals need no dense array; lifting the limit decides recipes
+# 0, 9 and k^3, whose 0.2-0.8 s would move the analyze-fp p90 with no case
+# slower (ROADMAP item 1).
 _SQUARE_DIM_LIMIT = 32
 # find_frobenius_system enumerates central subspaces up to this size, else samples
 _FROBENIUS_ENUMERATION_BUDGET = 2**16
@@ -152,10 +151,10 @@ class Coring:
 
     The structure maps never change after construction; the actions of the
     carrier when its presentation has no relations (``carrier``), the legs
-    of the pairs, the tensor-square presentation, P, the pre-cointegral rows
-    and space and the left dual ring are built on first use and memoized on
-    the coring or its carrier tensor.  Construction, validation and the
-    context document read none of them.
+    of the pairs, the dense tensor square (``square``, which no library code
+    reads), P, the pre-cointegral rows and space and the left dual ring are
+    built on first use and memoized on the coring or its carrier tensor.
+    Construction, validation and the context document read none of them.
     """
 
     validation = "full"  # every coring is checked in full at construction
@@ -186,15 +185,14 @@ class Coring:
 
     @property
     def square(self) -> TensorSpace:
-        """Presentation of C (x)_A C through ``context_projection``, built once
-        per coring, in the coordinates of ``tensor_over(C, C)``; no library
-        code reads it.  Above the limit it refuses with the capacity error."""
+        """C (x)_A C as the dense ``tensor_over(C, C)``, built once per coring
+        and refused above the limit with the capacity error.  No library
+        code reads it; it stays because ``bench/tracing.py`` wraps it
+        (ROADMAP item 8)."""
         if self._square is None:
             if self.dim > _SQUARE_DIM_LIMIT:
                 raise _too_large(self.dim)
-            pres = QuotientPresentation.from_surjection(
-                self.field, context_projection(self.carrier, self.carrier_tensor))
-            self._square = _presented_tensor(self.carrier, self.carrier, pres)
+            self._square = tensor_over(self.carrier, self.carrier)
         return self._square
 
     @cached_property
@@ -285,7 +283,7 @@ class Coring:
         defect = f.asarray(f.tensordot(on_m, proj, ([2], [2])).transpose(0, 3, 1, 2)
                            - f.tensordot(on_n, proj, ([2], [1])).transpose(1, 0, 3, 2))
         red, pivots = rref(f, defect.reshape(self.middle.space.dim, -1).T)
-        return red[:len(pivots)]
+        return red[:len(pivots)].copy()  # a slice would keep the whole elimination
 
     @property
     def precointegrals(self):

@@ -171,21 +171,3 @@ class QuotientPresentation:
         relations = relations[relations.any(axis=1)]
         proj, free = _successive_kernel(field, ambient_dim, lambda columns, rank: [relations.T])
         return cls(field, ambient_dim, len(free), proj, free)
-
-    @classmethod
-    def from_surjection(cls, field: Field, onto) -> "QuotientPresentation":
-        """The presentation of ambient / ker(onto), for a surjective ``onto``,
-        in the coordinates ``from_relations`` gives for any relations that
-        span that kernel.  Their free columns are the columns of ``onto``
-        outside the span of the later ones, the pivots of its reversed
-        echelon form.  The projection is the one row-equivalent to ``onto``
-        that is the identity on them: that echelon form read backwards in
-        rows and columns."""
-        onto = field.asarray(onto)
-        q, ambient_dim = onto.shape
-        red, pivots = rref(field, onto[:, ::-1])
-        if len(pivots) != q:
-            raise DimensionMismatchError(f"map of rank {len(pivots)} onto {q} coordinates")
-        proj = np.ascontiguousarray(red[::-1, ::-1])
-        free = np.sort([ambient_dim - 1 - c for _, c in pivots]).astype(np.intp)
-        return cls(field, ambient_dim, q, proj, free)

@@ -9,19 +9,14 @@ import numpy as np
 import pytest
 
 from coring_lab.algebra import Algebra, identity_map, matrix_algebra
-from coring_lab.bimodule import (
-    Bimodule,
-    _memo,
-    _on_left_leg,
-    context_projection,
-    tensor_over,
-)
+from coring_lab.bimodule import Bimodule, _memo, tensor_over
 from coring_lab.coring import Coring, sweedler_coring
 from coring_lab.definitions import bundled_path, loads
 from coring_lab.fields import Field
 from coring_lab.linalg import rref
 
-from coproduct_oracle import _on_right_leg, delta_amb, section_matrix
+from coproduct_oracle import _on_left_leg, _on_right_leg, delta_amb, section_matrix
+from tensor_oracle import context_projection
 
 
 def bundled_text_over(name, char):

@@ -3,13 +3,13 @@ square of its carrier: the d^2 x d matrix ``delta_amb`` that the library
 never builds.  The tests compare the context checks with the dense product
 checks on it, rebuild the written documents of ``construct`` through it,
 and read the oracles of ``gamma_oracle`` off it.  The dense matrices it
-multiplies by are built here: the section of a presentation and the action
-on the second leg of a field tensor, which the library reads by indexing.
+multiplies by are built here: the section of a presentation and the actions
+on the two legs of a field tensor, which the library reads by indexing.
 """
 
 import numpy as np
 
-from coring_lab.bimodule import _memo, _on_left_leg
+from coring_lab.bimodule import _memo
 
 
 def section_matrix(space):
@@ -20,6 +20,14 @@ def section_matrix(space):
     out = pres.field.zeros((pres.ambient_dim, pres.quotient_dim))
     out[pres.free, np.arange(pres.quotient_dim)] = 1
     return out
+
+
+def _on_left_leg(field, mat, x, right_dim: int):
+    """kron(mat, I) @ x, acting on the first tensor leg of the rows of x
+    without forming the Kronecker product."""
+    k = x.shape[1]
+    y = field.tensordot(mat, x.reshape(mat.shape[1], right_dim, k), ([1], [0]))
+    return y.reshape(mat.shape[0] * right_dim, k)
 
 
 def _on_right_leg(field, mat, x, left_dim: int):

@@ -9,12 +9,9 @@ from coring_lab.algebra import AlgebraMap, check_algebra_map, direct_product, ma
 from coring_lab.bimodule import (
     Bimodule,
     BimoduleMap,
-    _balancing_relations,
     _induced_action,
     _matrix_subspace_coords,
-    _on_left_leg,
     canonical_s_iso,
-    context_projection,
     dual_basis,
     endomorphism_algebra,
     hom_bimodule,
@@ -41,7 +38,8 @@ from coring_lab.errors import (
 )
 from coring_lab.fields import Field, PrimeField
 from coring_lab.linalg import _kernel, _solve, rank
-from coring_lab.structure import bimodule_tower
+from coring_lab.definitions import BUNDLED_NAMES
+from coring_lab.structure import bimodule_tower, dual_evaluation
 
 from conftest import (
     bundled_over,
@@ -55,8 +53,10 @@ from conftest import (
     point_module_over_dual_numbers,
     row_module,
     trivial_bimodule,
+    upper_triangular_2,
 )
-from coproduct_oracle import _on_right_leg, section_matrix
+from coproduct_oracle import _on_left_leg, _on_right_leg, section_matrix
+from tensor_oracle import context_projection, relation_tensor
 from random_modules import random_projective_bimodule
 
 F2 = GF(2)
@@ -319,22 +319,99 @@ def test_leg_helpers_match_kronecker_products(rng):
                                                  lambda y: field.matmul(y, s)])
 
 
+def assert_same_presentation(ts, oracle):
+    """Equal projection, free columns and outer actions, entry for entry
+    and in the same dtype."""
+    for ours, theirs in ((ts.projection, oracle.projection), (ts.free, oracle.free),
+                         (ts.space.left_action, oracle.space.left_action),
+                         (ts.space.right_action, oracle.space.right_action)):
+        assert ours.dtype == theirs.dtype and Field.equal(ours, theirs)
+
+
+def _in_random_basis(field, rng, mats):
+    """The matrices conjugated by one random invertible change of basis."""
+    while True:
+        t = field.random(rng, mats[0].shape)
+        t_inv = _solve(field, t, field.eye(len(t)))
+        if t_inv is not None:
+            return [field.matmul(t, field.matmul(x, t_inv)) for x in mats]
+
+
+def random_tensor_pair(field, seed):
+    """A (k, C)-bimodule M and a (C, k)-bimodule N over a random C among
+    k x k, k[x]/(x^2), T_2(k) and M_2(k): direct sums of right and of left
+    ideals of C spanned by basis elements, each in a random basis."""
+    rng = np.random.default_rng(seed)
+    k = field_algebra(field)
+    # each algebra with basis index sets spanning a right and a left ideal
+    c_alg, right_ideals, left_ideals = [
+        (direct_product(k, k), [[0], [1]], [[0], [1]]),
+        (dual_numbers(field), [[0, 1], [1]], [[0, 1], [1]]),
+        (upper_triangular_2(field), [[0, 1, 2], [0, 1], [2]], [[0, 1, 2], [1, 2], [0]]),
+        (matrix_algebra(2, field), [[0, 1], [2, 3]], [[0, 2], [1, 3]]),
+    ][int(rng.integers(0, 4))]
+    c = c_alg.structure
+
+    def summands(ideals, mats_of):
+        picked = [ideals[int(i)] for i in rng.integers(0, len(ideals), int(rng.integers(1, 3)))]
+        dim = sum(map(len, picked))
+        mats = [field.zeros((dim, dim)) for _ in range(c_alg.dim)]
+        at = 0
+        for idx in picked:
+            for j in range(c_alg.dim):
+                mats[j][at:at + len(idx), at:at + len(idx)] = mats_of(j, idx)
+            at += len(idx)
+        return np.stack(_in_random_basis(field, rng, mats)), dim
+
+    # right_mats[j] @ v = v . c_j and left_mats[i] @ v = c_i . v on the ideals
+    right, dm = summands(right_ideals, lambda j, idx: c[np.ix_(idx, [j], idx)][:, 0].T)
+    left, dn = summands(left_ideals, lambda i, idx: c[i][np.ix_(idx, idx)].T)
+    m = Bimodule(k, c_alg, field.eye(dm)[None], right.transpose(2, 0, 1))
+    n = Bimodule(c_alg, k, left.transpose(0, 2, 1), field.eye(dn)[:, None])
+    return m, n
+
+
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
-def test_balancing_relations_match_the_kronecker_construction(field):
-    """Placed entries against m.c (x) n - m (x) c.n built from identities."""
+def test_tensor_over_is_the_kronecker_relation_presentation(field):
+    """The balanced forms present M (x)_C N as ``from_relations`` on the
+    stacked rows m.c (x) n - m (x) c.n does, entry for entry: on rows and
+    columns, regular and point modules, their duals and random pairs."""
     reg_m2 = regular_bimodule(matrix_algebra(2, field))
     point = point_module_over_dual_numbers(field)
     pairs = [(row_module(field), column_module(field)), (column_module(field), row_module(field)),
              (reg_m2, reg_m2), (regular_bimodule(dual_numbers(field)), point)]
     pairs += [(m, right_dual(m)) for m, _ in pairs] + [(right_dual(n), n) for _, n in pairs]
+    pairs += [random_tensor_pair(field, seed) for seed in range(10)]
+    relations = 0
     for m, n in pairs:
-        assert m.right_alg == n.left_alg
-        dm, dc, dn = m.dim, m.right_alg.dim, n.dim
-        eye_m, eye_n = field.eye(dm), field.eye(dn)
-        r1 = m.right_action[:, :, None, :, None] * eye_n[None, None, :, None, :]
-        r2 = eye_m[:, None, None, :, None] * n.left_action[None, :, :, None, :]
-        kron_rows = field.asarray(r1 - r2).reshape(dm * dc * dn, dm * dn)
-        assert Field.equal(_balancing_relations(field, m.right_action, n.left_action), kron_rows)
+        ts = tensor_over(m, n)
+        assert_same_presentation(ts, relation_tensor(m, n))
+        relations += ts.dim < m.dim * n.dim
+    assert relations >= 15
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_over_is_the_kronecker_relation_presentation_with_duals(seed):
+    m = random_projective_bimodule(seed)
+    for left, right in ((m, right_dual(m)), (right_dual(m), m), (left_dual(m), m),
+                        (m, left_dual(m))):
+        assert_same_presentation(tensor_over(left, right), relation_tensor(left, right))
+
+
+@pytest.mark.parametrize("char", [2, 3, 0], ids=["GF(2)", "GF(3)", "QQ"])
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_tensor_over_is_the_kronecker_relation_presentation_on_the_bundled_towers(name, char):
+    """The comatrix and Sweedler carriers, their middles P and the dual
+    evaluation tensor of every bundled module."""
+    for m in bundled_over(name, char).bimodules.values():
+        tower = bimodule_tower(m)
+        evaluation = dual_evaluation(m)[0]
+        pairs = [(evaluation.left_factor, evaluation.right_factor)]
+        for c in (tower.comatrix.coring, tower.sweedler):
+            ts = c.carrier_tensor
+            pairs += [(ts.left_factor, ts.right_factor), (ts.right_factor, ts.left_factor)]
+        for left, right in pairs:
+            assert_same_presentation(tensor_over(left, right), relation_tensor(left, right))
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coring_lab import GF, bimodule as bimodule_module, comatrix as comatrix_module
+from coring_lab import GF, comatrix as comatrix_module
 from coring_lab import coring as coring_module
 from coring_lab.algebra import AlgebraMap, direct_product, matrix_algebra
 from coring_lab.bimodule import (
@@ -401,8 +401,7 @@ def test_context_iso_reads_neither_the_coproduct_nor_the_square(char, monkeypatc
     def unread(*args):
         raise AssertionError("the tensor square was read")
 
-    monkeypatch.setattr(bimodule_module, "context_projection", unread)
-    monkeypatch.setattr(coring_module, "context_projection", unread)
+    monkeypatch.setattr(Coring, "square", property(unread))
     checked = []
     for path in sorted(bundled_path("matrix2").parent.glob("*.json")):
         deffile = bundled_over(path.stem, char)

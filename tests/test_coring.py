@@ -13,8 +13,6 @@ from coring_lab import GF, QQ, cli, comatrix as comatrix_module, coring as corin
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
-    _on_left_leg,
-    context_projection,
     endomorphism_algebra,
     intertwiners,
     left_dual,
@@ -74,7 +72,14 @@ from gamma_oracle import (
     precointegral_defect,
     precointegral_identity_holds,
 )
-from coproduct_oracle import _on_right_leg, context_delta_amb, delta_amb, section_matrix
+from coproduct_oracle import (
+    _on_left_leg,
+    _on_right_leg,
+    context_delta_amb,
+    delta_amb,
+    section_matrix,
+)
+from tensor_oracle import context_projection, context_square
 from random_modules import random_projective_bimodule
 
 F2 = GF(2)
@@ -675,7 +680,6 @@ def test_precointegrals_read_neither_the_square_nor_its_projection(monkeypatch):
         raise AssertionError("the square was read")
 
     monkeypatch.setattr(Coring, "square", property(unread))
-    monkeypatch.setattr(coring_module, "context_projection", unread)
     modules = [load(bundled_path("matrix2")).bimodules["M"], random_projective_bimodule(7)]
     corings = [c for m in modules for c in module_corings(m)]
     assert [len(c.precointegrals) for c in corings] == [4, 4, 4, 4]
@@ -747,12 +751,12 @@ def test_context_square_is_the_dense_square(case):
     checked = 0
     for c in SQUARE_ORACLE_CASES[case]():
         assert c.carrier_tensor is not None and c.dim <= 32
-        sq, dense = c.square, tensor_over(c.carrier, c.carrier)
+        sq, context = c.square, context_square(c)
         sq.space.validate()  # the descent check alone built it
-        assert same_entries(sq.projection, dense.projection)
-        assert same_entries(section_matrix(sq), section_matrix(dense))
-        assert same_entries(sq.space.left_action, dense.space.left_action)
-        assert same_entries(sq.space.right_action, dense.space.right_action)
+        assert same_entries(sq.projection, context.projection)
+        assert same_entries(section_matrix(sq), section_matrix(context))
+        assert same_entries(sq.space.left_action, context.space.left_action)
+        assert same_entries(sq.space.right_action, context.space.right_action)
         checked += 1
     assert checked >= 2
 
@@ -774,8 +778,8 @@ def product_checks(c):
     function of (delta_amb, counit_mat) that names the first axiom failing on
     them, or returns None.  Delta is compared in the square of ``c`` and in
     the triple quotient: built densely up to dimension 16, above that
-    reduced through ``context_projection`` (the dense one for d = 32 has a
-    1 GB relation matrix)."""
+    reduced through the oracle ``context_projection`` (the Kronecker
+    relation matrix of the dense one for d = 32 is 1 GB)."""
     f, d, a = c.field, c.dim, c.base
     lam, rho = c.carrier.left_action, c.carrier.right_action
     cube = {}
@@ -997,10 +1001,10 @@ def test_the_carrier_read_after_construction_is_the_induced_bimodule(module):
 
 
 def test_square_of_the_sweedler_coring_of_recipe_7_stays_small():
-    # the dense build of this square (d = 32, A of dimension 8) reduced an
-    # 8192 x 1024 int64 relation matrix (64 MB) and peaked at 232 MB; the
-    # context presentation peaks at 56 MB, most of it validating the
-    # 128-dimensional square bimodule
+    # this square (d = 32, A of dimension 8) was once presented by reducing
+    # an 8192 x 1024 int64 relation matrix (64 MB), at a peak of 232 MB;
+    # solved for its balanced forms in blocks, with its actions and their
+    # descent check, it peaks at 40.9 MiB, as the context presentation did
     c = bimodule_tower(random_projective_bimodule(7)).sweedler
     assert c.dim == 32
     c._square = None
@@ -1012,6 +1016,15 @@ def test_square_of_the_sweedler_coring_of_recipe_7_stays_small():
         tracemalloc.stop()
     assert c.square.dim == 128
     assert peak < 64 * 2**20
+
+
+def test_precointegral_rows_own_their_data():
+    # a slice of the elimination kept all of it alive: the (15, 16) rows of
+    # the k^4 Sweedler coring over GF(3) held a (65536, 16) array, 8 MiB
+    c = bimodule_tower(trivial_bimodule(F3, 4)).sweedler
+    rows = c.precointegral_rows
+    assert rows.shape == (15, 16)
+    assert rows.base is None
 
 
 def test_precointegrals_of_the_sweedler_coring_of_recipe_7_stay_small():

