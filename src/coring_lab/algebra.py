@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AlgebraAxiomError, DimensionMismatchError, FieldMismatchError
 from .fields import Field
-from .linalg import _kernel
+from .linalg import _first_mismatch, _slabs, _successive_kernel
 
 __all__ = [
     "Algebra",
@@ -62,10 +62,12 @@ class Algebra:
 
     def _validate(self) -> None:
         c, f = self.structure, self.field
-        lhs = f.tensordot(c, c, ([2], [0]))  # (b_i b_j) b_k
-        rhs = np.moveaxis(f.tensordot(c, c, ([2], [1])), 2, 0)  # b_i (b_j b_k)
-        if not Field.equal(lhs, rhs):
-            i, j, k = np.argwhere(lhs != rhs)[0][:3]
+        # (b_i b_j) b_k and b_i (b_j b_k), one slab of the b_i at a time
+        at = _first_mismatch(self.dim, self.dim**3, lambda sl: (
+            f.tensordot(c[sl], c, ([2], [0])),
+            np.moveaxis(f.tensordot(c, c[sl], ([2], [1])), 2, 0)))
+        if at is not None:
+            i, j, k = at[:3]
             raise AlgebraAxiomError(f"non-associative triple (b_{i}, b_{j}, b_{k})")
         eye = f.eye(self.dim)
         left_unit = f.tensordot(self.unit, c, ([0], [0]))
@@ -196,7 +198,32 @@ def identity_map(a: Algebra) -> AlgebraMap:
     return AlgebraMap(a, a, a.field.eye(a.dim))
 
 
+def _central_defect(field: Field, left_action, right_action, x, sl):
+    """[k, i, m]: b_i.x_k - x_k.b_i for the rows x_k of x and the basis
+    elements b_i of the slab sl, for the action tensors of an algebra acting
+    on both sides, in the conventions of ``bimodule.Bimodule``."""
+    return field.asarray(field.tensordot(x, left_action[sl], ([1], [1]))
+                         - field.tensordot(x, right_action[:, sl], ([1], [0])))
+
+
+def _central_kernel(field: Field, left_action, right_action):
+    """The x with b.x = x.b for every basis element b, as the rows of their
+    reversed reduced echelon basis: k^d is restricted by
+    ``linalg._successive_kernel``, one slab of basis elements at a time, and
+    no stacked system of the maps x -> b.x - x.b is built.  The basis is the
+    one the stacked system gives."""
+    n, d = left_action.shape[:2]
+
+    def equations(columns, rank):
+        for sl in _slabs(n, d * d):
+            if rank():
+                yield _central_defect(field, left_action, right_action,
+                                      columns(np.arange(d)), sl).reshape(rank(), -1)
+
+    return _successive_kernel(field, d, equations)[0]
+
+
 def center_basis(a: Algebra) -> list[np.ndarray]:
-    """Basis of {z : z b_i = b_i z for all i}."""
-    rows = np.concatenate([a.right_mult[i] - a.left_mult[i] for i in range(a.dim)])
-    return _kernel(a.field, a.field.asarray(rows))
+    """Basis of {z : z b_i = b_i z for all i}: the central elements of A
+    acting on itself, whose two action tensors are its structure tensor."""
+    return list(_central_kernel(a.field, a.structure, a.structure))

@@ -31,7 +31,15 @@ from .errors import (
     NotProjectiveError,
 )
 from .fields import Field
-from .linalg import QuotientPresentation, _solve, _successive_kernel, rank
+from .linalg import (
+    _BLOCK_ENTRIES,
+    QuotientPresentation,
+    _first_mismatch,
+    _slabs,
+    _solve,
+    _successive_kernel,
+    rank,
+)
 
 __all__ = [
     "Bimodule",
@@ -64,10 +72,6 @@ __all__ = [
 # random_bimodule_iso enumerates hom spaces up to this size, else samples
 _ISO_ENUMERATION_BUDGET = 2**20
 _ISO_RANDOM_ATTEMPTS = 32
-# the fewest defect entries of a block of _intertwiner_kernel: below it the
-# Python loop over blocks and their coupled rows costs more than the memory
-# it saves, as on the small balanced-form systems of every tensor_over
-_BLOCK_ENTRIES = 2**14
 
 
 class Bimodule:
@@ -105,20 +109,26 @@ class Bimodule:
         return self.field.tensordot(self.field.asarray(y), self.right_action, ([0], [1])).T
 
     def validate(self) -> None:
-        f = self.field
+        """The module axioms, each a comparison of two contractions made one
+        slab of its leading axis at a time (``linalg._first_mismatch``)."""
+        f, d = self.field, self.dim
         lam, rho = self.left_action, self.right_action
         cb, ca = self.left_alg.structure, self.right_alg.structure
+        nb, na = self.left_alg.dim, self.right_alg.dim
 
-        lhs = f.tensordot(cb, lam, ([2], [0]))  # (bb')m, axes (i, j, m, m')
-        rhs = f.tensordot(lam, lam, ([2], [1])).transpose(2, 0, 1, 3)  # b(b'm)
-        if not Field.equal(lhs, rhs):
-            i, j, m = (int(v) for v in np.argwhere(lhs != rhs)[0][:3])
+        at = _first_mismatch(nb, nb * d * d, lambda sl: (
+            f.tensordot(cb[sl], lam, ([2], [0])),  # (bb')m, axes (i, j, m, m')
+            f.tensordot(lam, lam[sl], ([2], [1])).transpose(2, 0, 1, 3)))  # b(b'm)
+        if at is not None:
+            i, j, m = at[:3]
             raise BimoduleAxiomError(f"left associativity fails at (b_{i}, b_{j}, e_{m})")
 
-        lhs = f.tensordot(ca, rho, ([2], [1])).transpose(2, 0, 1, 3)  # m(aa'), axes (m, i, j, m')
-        rhs = f.tensordot(rho, rho, ([2], [0]))  # (ma)a'
-        if not Field.equal(lhs, rhs):
-            m, i, j = (int(v) for v in np.argwhere(lhs != rhs)[0][:3])
+        at = _first_mismatch(d, na * na * d, lambda sl: (
+            # m(aa'), axes (m, i, j, m')
+            f.tensordot(ca, rho[sl], ([2], [1])).transpose(2, 0, 1, 3),
+            f.tensordot(rho[sl], rho, ([2], [0]))))  # (ma)a'
+        if at is not None:
+            m, i, j = at[:3]
             raise BimoduleAxiomError(f"right associativity fails at (e_{m}, a_{i}, a_{j})")
 
         eye = f.eye(self.dim)
@@ -127,10 +137,11 @@ class Bimodule:
         if not Field.equal(f.tensordot(self.right_alg.unit, rho, ([0], [1])), eye):
             raise BimoduleAxiomError("right unit does not act as the identity")
 
-        lhs = f.tensordot(lam, rho, ([2], [0]))  # (bm)a, axes (i, m, j, m')
-        rhs = f.tensordot(rho, lam, ([2], [1])).transpose(2, 0, 1, 3)  # b(ma)
-        if not Field.equal(lhs, rhs):
-            i, m, j = (int(v) for v in np.argwhere(lhs != rhs)[0][:3])
+        at = _first_mismatch(nb, d * na * d, lambda sl: (
+            f.tensordot(lam[sl], rho, ([2], [0])),  # (bm)a, axes (i, m, j, m')
+            f.tensordot(rho, lam[sl], ([2], [1])).transpose(2, 0, 1, 3)))  # b(ma)
+        if at is not None:
+            i, m, j = at[:3]
             raise BimoduleAxiomError(f"action compatibility fails at (b_{i}, e_{m}, a_{j})")
 
     def __repr__(self):
@@ -207,12 +218,16 @@ class BimoduleMap:
 
     def commutes_with_actions(self) -> bool:
         """X lambda_i = lambda'_i X and X rho_j = rho'_j X for every basis
-        element, one stacked product per side of each equation."""
+        element, one stacked product per side of each equation for a slab
+        of basis elements at a time (``linalg._first_mismatch``)."""
         f, mat, src, tgt = self.field, self.matrix, self.source, self.target
-        return (Field.equal(f.tensordot(src.left_action, mat, ([2], [1])).transpose(0, 2, 1),
-                            f.tensordot(tgt.left_action, mat, ([1], [0])))
-                and Field.equal(f.tensordot(src.right_action, mat, ([2], [1])).transpose(1, 2, 0),
-                                f.tensordot(tgt.right_action, mat, ([0], [0]))))
+        item = max(src.dim, tgt.dim) ** 2
+        return (_first_mismatch(src.left_alg.dim, item, lambda sl: (
+                    f.tensordot(src.left_action[sl], mat, ([2], [1])).transpose(0, 2, 1),
+                    f.tensordot(tgt.left_action[sl], mat, ([1], [0])))) is None
+                and _first_mismatch(src.right_alg.dim, item, lambda sl: (
+                    f.tensordot(src.right_action[:, sl], mat, ([2], [1])).transpose(1, 2, 0),
+                    f.tensordot(tgt.right_action[:, sl], mat, ([0], [0])))) is None)
 
     def __call__(self, v):
         return self.field.matmul(self.matrix, self.field.asarray(v))
@@ -253,36 +268,45 @@ class TensorSpace:
         L_i R_j P = P K_i K'_j = P K'_j K_i = R_j L_i P gives L_i R_j = R_j L_i;
         the right laws are the mirror image.
 
-        Each side is one leg product over the stacked generators: the rows
-        (u, v) of (P K_i).T and (P K'_j).T for all i or j at once.  L_i.T is
+        Each side is one leg product over the stacked generators of a slab
+        (``linalg._slabs``), written into the action tensor: the rows (u, v)
+        of (P K_i).T and (P K'_j).T for the i or j of the slab.  L_i.T is
         rows at the free columns; P is the identity on them, so K_i descends
         iff the other rows are those of L_i P."""
         m, n, pres = self.left_factor, self.right_factor, self.presentation
         f = m.field
+        amb, dim = pres.ambient_dim, pres.quotient_dim
         proj = pres.projection
-        p3 = proj.reshape(pres.quotient_dim, m.dim, n.dim)  # (c, u, v)
-        free, rest = pres.free, np.setdiff1d(np.arange(pres.ambient_dim), pres.free)
-        if not rest.size:  # every row is free, in order: read them without a copy
+        p3 = np.ascontiguousarray(proj.reshape(dim, m.dim, n.dim).transpose(1, 2, 0))  # (u, v, c)
+        free, rest = pres.free, np.setdiff1d(np.arange(amb), pres.free)
+        if not rest.size:  # every row is free, in order: a slice reads them, with no copy
             free = slice(None)
+        back = proj[:, rest].T
 
-        def descend(side: str, picked_rows, other_rows):
+        def descend(side: str, picked_rows, other_rows, start: int):
             """Raise unless other_rows [k, r, c] are those of L_k P, for
-            picked_rows [k, c'', c] the rows of each L_k.T."""
-            through = f.matmul(proj[:, rest].T, picked_rows)
+            picked_rows [k, c'', c] the rows of each L_k.T, k counted from
+            start."""
+            through = f.matmul(back, picked_rows)
             if not Field.equal(other_rows, through):
-                at = int(np.argwhere(other_rows != through)[0][0])
+                at = start + int(np.argwhere(other_rows != through)[0][0])
                 raise BimoduleAxiomError(f"{side} action does not descend at basis {at}")
 
-        # [i, (u, v), c]: sum_u' lambda_i(e_u)[u'] P[c, (u', v)], the rows of (P K_i).T
-        left = f.tensordot(m.left_action, p3.transpose(1, 2, 0), ([2], [0])).reshape(
-            m.left_alg.dim, m.dim * n.dim, pres.quotient_dim)
-        lam = left[:, free]
-        descend("left", lam, left[:, rest])
-        # [(u, v), j, c]: sum_v' rho_j(e_v)[v'] P[c, (u, v')], the rows of (P K'_j).T
-        right = f.matmul(n.right_action.reshape(-1, n.dim), p3.transpose(1, 2, 0)).reshape(
-            m.dim * n.dim, n.right_alg.dim, pres.quotient_dim)
-        rho = right[free]
-        descend("right", rho.transpose(1, 0, 2), right[rest].transpose(1, 0, 2))
+        lam = f.zeros((m.left_alg.dim, dim, dim))
+        for sl in _slabs(m.left_alg.dim, amb * dim):
+            # [i, (u, v), c]: sum_u' lambda_i(e_u)[u'] P[c, (u', v)], the rows of (P K_i).T
+            left = f.tensordot(m.left_action[sl], p3, ([2], [0])).reshape(
+                sl.stop - sl.start, amb, dim)
+            lam[sl] = left[:, free]
+            descend("left", lam[sl], left[:, rest], sl.start)
+        rho = f.zeros((dim, n.right_alg.dim, dim))
+        for sl in _slabs(n.right_alg.dim, amb * dim):
+            # [(u, v), j, c]: sum_v' rho_j(e_v)[v'] P[c, (u, v')], the rows of (P K'_j).T
+            right = f.matmul(n.right_action[:, sl].reshape(-1, n.dim), p3).reshape(
+                amb, sl.stop - sl.start, dim)
+            rho[:, sl] = right[free]
+            descend("right", rho[:, sl].transpose(1, 0, 2), right[rest].transpose(1, 0, 2),
+                    sl.start)
         return Bimodule(m.left_alg, n.right_alg, lam, rho,
                         name=f"{m.name or 'M'}(x){n.name or 'N'}", _validate=False)
 

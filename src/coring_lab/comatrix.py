@@ -47,7 +47,7 @@ from .errors import (
     NotProjectiveError,
 )
 from .fields import Field
-from .linalg import _solve
+from .linalg import _first_mismatch, _solve
 
 __all__ = [
     "MoritaData",
@@ -274,9 +274,11 @@ def left_dual_anti_iso(m: Bimodule) -> AntiIso:
     if backward is None or ring.dim != endos.dim:
         raise InternalInconsistencyError("left dual ring is not bijective with End")
     images = f.tensordot(forward.T, np.stack(endos.endo_mats), ([1], [0]))  # (i, x', x)
-    lhs = f.tensordot(ring.structure, images, ([2], [0]))  # (i, j, x', x): image of b_i b_j
-    rhs = f.tensordot(images, images, ([2], [1])).transpose(0, 2, 1, 3)
-    if not Field.equal(lhs, rhs):
-        i, j = (int(v) for v in np.argwhere(lhs != rhs)[0][:2])
+    # (i, j, x', x): the image of b_i b_j and the opposite composite, a slab of the i at a time
+    at = _first_mismatch(ring.dim, ring.dim * m.dim * m.dim, lambda sl: (
+        f.tensordot(ring.structure[sl], images, ([2], [0])),
+        f.tensordot(images[sl], images, ([2], [1])).transpose(0, 2, 1, 3)))
+    if at is not None:
+        i, j = at[:2]
         raise InternalInconsistencyError(f"anti-multiplicativity fails at basis pair ({i}, {j})")
     return AntiIso(ring, endos, forward, f.asarray(backward))

@@ -20,6 +20,12 @@ writes.  The dual-ring criterion reads its f off the isomorphism it finds,
 and builds no gamma.  Above ``_SQUARE_DIM_LIMIT`` the pre-cointegral space
 is refused (TooLargeToValidateError).
 
+The central elements of a carrier, the x with a.x = x.a, are k^d
+restricted one slab of basis elements of A at a time
+(``algebra._central_kernel``), with no stacked system.  A cosplit section
+is read from that basis by one solve with a row for each basis element of
+A, and the Frobenius search combines its elements by their coefficients.
+
 No array lives on the field tensor square of the carrier: the coproduct
 is its pairs, and ``construct`` writes a coring as its context.
 ``Coring.square``, the dense ``tensor_over(C, C)``, is read by no library
@@ -30,10 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraMap, check_algebra_map, opposite
+from .algebra import (
+    Algebra,
+    AlgebraMap,
+    _central_defect,
+    _central_kernel,
+    check_algebra_map,
+    opposite,
+)
 from .bimodule import (
     Bimodule,
     BimoduleMap,
@@ -60,7 +74,7 @@ from .errors import (
     TooLargeToValidateError,
 )
 from .fields import Field
-from .linalg import _kernel, _solve, _successive_kernel, rank, rref
+from .linalg import _first_mismatch, _slabs, _solve, _successive_kernel, rank
 
 __all__ = [
     "Coring",
@@ -72,7 +86,6 @@ __all__ = [
     "sweedler_coring",
     "left_dual_ring",
     "is_cosplit",
-    "central_rows",
     "splits",
     "central_subspace",
     "find_cointegral",
@@ -260,30 +273,55 @@ class Coring:
         ``invariants`` [k, c].  For e = sum E[n', m'] n' (x) m' they are
         sum E[n', m'] sigma(n (x) f(m (x) n').m') and sum E[n', m']
         sigma(n' (x) f(m' (x) n).m), linear in f and in e; both equal
-        ``sigma_pairs`` iff gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c)."""
-        f, ts, of_pair = self.field, self.carrier_tensor, self.middle.of_pair
-        lifts = ts.lift(invariants)  # (k, n', m')
-        valued = f.tensordot(f.asarray(f_mats), self._on_sigma, ([1], [0]))  # (j, q, a', n, m)
-        right = f.tensordot(f.tensordot(lifts, of_pair, ([1], [1])),  # (k, m', m, q)
-                            valued, ([1, 3], [4, 1])).transpose(0, 2, 3, 4, 1)
-        left = f.tensordot(f.tensordot(lifts, of_pair, ([2], [0])),  # (k, n', n, q)
-                           valued, ([1, 3], [3, 1])).transpose(0, 2, 3, 1, 4)
-        return f.asarray(np.stack([right, left], axis=2))
+        ``sigma_pairs`` iff gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c).
+        The output is filled one slab of the f at a time (``linalg._slabs``)."""
+        f, ts, on_sigma = self.field, self.carrier_tensor, self._on_sigma
+        f_mats, lifts = f.asarray(f_mats), ts.lift(invariants)  # lifts (k, n', m')
+        on_right = f.tensordot(lifts, self.middle.of_pair, ([1], [1]))  # (k, m', m, q)
+        on_left = f.tensordot(lifts, self.middle.of_pair, ([2], [0]))  # (k, n', n, q)
+        values = on_sigma.shape[1:]  # (a', n, m)
+        out = f.zeros((len(lifts), len(f_mats), 2) + values)
+        # a slab of the f forms valued [j, q, a', n, m] and each side [k, j, a', n, m]
+        for sl in _slabs(len(f_mats), max(on_sigma.shape[0], len(lifts)) * prod(values)):
+            valued = f.tensordot(f_mats[sl], on_sigma, ([1], [0]))
+            out[:, sl, 0] = f.tensordot(on_right, valued, ([1, 3], [4, 1])).transpose(0, 2, 3, 4, 1)
+            out[:, sl, 1] = f.tensordot(on_left, valued, ([1, 3], [3, 1])).transpose(0, 2, 3, 1, 4)
+        return out
 
     @cached_property
     def precointegral_rows(self):
-        """The rows W with W @ f = 0 iff f maps P into the x with
-        n (x) x.m' = n.x (x) m' in C for all basis elements n, m': for f in
-        End_{B-B}(P), iff gamma_f is a pre-cointegral (``precointegrals``).
-        The reduced echelon form of the defect, built once per coring."""
-        f, ts = self.field, self.carrier_tensor
+        """The rows W with W @ f = 0 iff f maps P into the space X of the x
+        with n (x) x.m' = n.x (x) m' in C for all basis elements n, m': for
+        f in End_{B-B}(P), iff gamma_f is a pre-cointegral
+        (``precointegrals``).  Built once per coring.
+
+        X is k^q restricted by ``linalg._successive_kernel``, by the defect
+        of one slab of the n at a time, to its basis, the identity at its
+        free coordinates.  The rows are read off it: row r is 1 at the
+        coordinate rest[r] outside the free ones and -X[k, rest[r]] at
+        free[k], so they span the annihilator of X, the row space of the
+        defect."""
+        f, ts, q = self.field, self.carrier_tensor, self.middle.space.dim
         on_m, on_n = self.middle_actions
         proj = ts.projection.reshape(self.dim, ts.left_factor.dim, ts.right_factor.dim)
-        # [q, n, m', c]: n (x) e_q.m' - n.e_q (x) m' in C
-        defect = f.asarray(f.tensordot(on_m, proj, ([2], [2])).transpose(0, 3, 1, 2)
-                           - f.tensordot(on_n, proj, ([2], [1])).transpose(1, 0, 3, 2))
-        red, pivots = rref(f, defect.reshape(self.middle.space.dim, -1).T)
-        return red[:len(pivots)].copy()  # a slice would keep the whole elimination
+
+        def equations(columns, rank):
+            for sl in _slabs(ts.left_factor.dim, q * ts.right_factor.dim * self.dim):
+                if rank():
+                    # [q, n, m', c]: n (x) e_q.m' - n.e_q (x) m' in C, for the n of sl
+                    defect = f.asarray(
+                        f.tensordot(on_m, proj[:, sl], ([2], [2])).transpose(0, 3, 1, 2)
+                        - f.tensordot(on_n[sl], proj, ([2], [1])).transpose(1, 0, 3, 2))
+                    yield f.matmul(columns(np.arange(q)), defect.reshape(q, -1))
+
+        kernel, free = _successive_kernel(f, q, equations)
+        rest = np.ones(q, dtype=bool)
+        rest[free] = False
+        rest = np.flatnonzero(rest)
+        rows = f.zeros((len(rest), q))
+        rows[np.arange(len(rest)), rest] = 1
+        rows[:, free] = f.asarray(-kernel[:, rest].T)
+        return rows
 
     @property
     def precointegrals(self):
@@ -338,7 +376,8 @@ class Coring:
 
         sigma is checked on the pure tensors of the factors,
         sigma(a.n (x) m) = a.sigma(n (x) m) and sigma(n (x) m.a) = sigma(n (x) m).a,
-        one stacked product per side.  That is the check on C: the action
+        one stacked product per side for a slab of the a or of the n at a
+        time (``linalg._first_mismatch``).  That is the check on C: the action
         L_a of C is induced through the projection P of the carrier, with
         L_a P = P kron(lambda_a, I) (its descent check) and P S = I.  So
         eps L_a = a.eps iff eps L_a P = a.eps P, iff
@@ -348,13 +387,18 @@ class Coring:
         if ts.right_factor.right_alg != a:
             raise FieldMismatchError("the counit needs the base algebra on both sides")
         sig = self.sigma_pairs
-        # [a, a', n, m]: sigma(a.n (x) m) and a.sigma(n (x) m)
-        left = (f.tensordot(ts.left_factor.left_action, sig, ([2], [1])).transpose(0, 2, 1, 3),
-                f.tensordot(a.structure, sig, ([1], [0])))
-        # [n, m, a, a']: sigma(n (x) m.a) and sigma(n (x) m).a
-        right = (f.tensordot(sig, ts.right_factor.right_action, ([2], [2])).transpose(1, 2, 3, 0),
-                 f.tensordot(sig, a.structure, ([0], [0])))
-        if not (Field.equal(*left) and Field.equal(*right)):
+        n, m = ts.left_factor, ts.right_factor
+
+        def left(sl):  # [a, a', n, m]: sigma(a.n (x) m) and a.sigma(n (x) m), for the a of sl
+            return (f.tensordot(n.left_action[sl], sig, ([2], [1])).transpose(0, 2, 1, 3),
+                    f.tensordot(a.structure[sl], sig, ([1], [0])))
+
+        def right(sl):  # [n, m, a, a']: sigma(n (x) m.a) and sigma(n (x) m).a, for the n of sl
+            return (f.tensordot(sig[:, sl], m.right_action, ([2], [2])).transpose(1, 2, 3, 0),
+                    f.tensordot(sig[:, sl], a.structure, ([0], [0])))
+
+        if (_first_mismatch(a.dim, sig.size, left) is not None
+                or _first_mismatch(n.dim, m.dim * a.dim * a.dim, right) is not None):
             raise CoringAxiomError("counit is not a bimodule map into the base")
         check_context_diagrams(self.carrier_tensor, self.tau_pairs, sig)
 
@@ -475,13 +519,6 @@ def left_dual_ring(c: Coring) -> Algebra:
     return ring
 
 
-def central_rows(space: Bimodule):
-    """The stacked rows of x -> b.x - x.b over the basis of the algebra
-    acting on both sides of ``space``: x is central iff they vanish on it."""
-    return space.field.asarray(np.concatenate(
-        [left - right for left, right in zip(space.left_mats, space.right_mats)]))
-
-
 def splits(space: Bimodule, value_mat, mat) -> bool:
     """True when ``mat`` is a bimodule map out of the regular bimodule of the
     algebra acting on both sides of ``space`` with value_mat o mat = id."""
@@ -490,18 +527,45 @@ def splits(space: Bimodule, value_mat, mat) -> bool:
             and Field.equal(f.matmul(value_mat, mat), f.eye(alg.dim)))
 
 
+@_memo
+def _central_basis(space: Bimodule):
+    """The central elements of ``space``, x with b.x = x.b for the algebra
+    acting on both sides, as the rows of their reversed reduced echelon
+    basis (``algebra._central_kernel``), built once per bimodule: the
+    cosplit and the Frobenius deciders of a coring share it."""
+    return _central_kernel(space.field, space.left_action, space.right_action)
+
+
+def _is_central(space: Bimodule, x) -> bool:
+    """True when b.x = x.b for every basis element b of the algebra acting
+    on both sides of ``space``, checked one slab of the b at a time."""
+    return not any(_central_defect(space.field, space.left_action, space.right_action,
+                                   x[None], sl).any()
+                   for sl in _slabs(space.left_alg.dim, space.dim ** 2))
+
+
 def _central_section(space: Bimodule, value_mat):
     """The bimodule map a -> a.e out of the regular bimodule of the algebra
     acting on both sides of ``space``, for a central e with value_mat @ e = 1;
-    None when there is no such e.  Decided by one exact solve."""
+    None when there is no such e.
+
+    e = c @ K on the central basis K (``_central_basis``), for c the reduced
+    echelon particular solution of (value_mat @ K.T) c = 1.  That is the
+    solution of the stacked system of centrality and value whose free
+    variables are zero.  Row k of K is 1 at its free coordinate free[k], 0
+    at the other free coordinates and 0 after free[k], and free increases,
+    so the vector c @ K has its last nonzero entry at free[k] for the last k
+    with c_k != 0.  A column of a system is a free variable iff a solution of
+    its homogeneous form has its last nonzero entry there; so the free
+    variables of the stacked system are the free[k] for the free variables k
+    of the small one, and there e[free[k]] = c_k = 0."""
     f = space.field
     alg = space.left_alg
-    rows = central_rows(space)
-    rhs = f.zeros(len(rows) + alg.dim)
-    rhs[len(rows):] = alg.unit
-    e = _solve(f, np.concatenate([rows, value_mat]), rhs)
-    if e is None:
+    basis = _central_basis(space)
+    coeffs = _solve(f, f.matmul(f.asarray(value_mat), basis.T), alg.unit)
+    if coeffs is None:
         return None
+    e = f.matmul(coeffs, basis)
     section = np.stack([f.matmul(act, e) for act in space.left_mats], axis=1)
     if not splits(space, value_mat, section):
         raise InternalInconsistencyError("the solved central element does not split the map")
@@ -509,8 +573,11 @@ def _central_section(space: Bimodule, value_mat):
 
 
 def central_subspace(c: Coring) -> list[np.ndarray]:
-    """Basis of the A-central elements of the carrier."""
-    return _kernel(c.field, central_rows(c.carrier))
+    """Basis of the A-central elements of the carrier, the x with a.x = x.a:
+    k^d restricted by the defect of one slab of basis elements of A at a
+    time (``linalg._successive_kernel``), with no stacked system.  It is the
+    reduced echelon basis the stacked system gives."""
+    return list(_central_basis(c.carrier))
 
 
 def is_cosplit(c: Coring):
@@ -579,7 +646,7 @@ def verify_frobenius_system(fs: FrobeniusSystem) -> bool:
     """Invariance of e, gamma_f a pre-cointegral (``_is_precointegral``) and
     gamma_f(c (x) e) = gamma_f(e (x) c) = eps(c) (``Coring.normalizations``)."""
     c, e = fs.coring, fs.coring.field.asarray(fs.invariant)
-    if np.any(c.field.matmul(central_rows(c.carrier), e)) or not _is_precointegral(c, fs.f_mat):
+    if not _is_central(c.carrier, e) or not _is_precointegral(c, fs.f_mat):
         return False
     both = c.normalizations(fs.f_mat[None], e[None])[0, 0]
     return all(Field.equal(side, c.sigma_pairs) for side in both)
@@ -620,28 +687,30 @@ def find_frobenius_system(c: Coring, seed: int = 0) -> FrobeniusSearch:
     criterion is tried before reporting inconclusive.
     """
     f = c.field
-    centrals = central_subspace(c)
-    if not centrals:
+    invariants = _central_basis(c.carrier)
+    if not len(invariants):
         return FrobeniusSearch("none")
     basis = c.precointegrals
     if not len(basis):
         # gamma would have to be zero, which cannot reproduce the counit
         return FrobeniusSearch("none")
-    invariants = np.stack(centrals)
     norms = c.normalizations(basis, invariants)  # (k, j, 2, a', n, m)
-    rows = np.concatenate([invariants, norms.reshape(len(invariants), -1)], axis=1)
     counit_twice = np.concatenate([c.sigma_pairs.reshape(-1)] * 2)
 
-    def try_invariant(row):
-        coeffs = _solve(f, row[c.dim:].reshape(len(basis), -1).T, counit_twice)
+    def try_invariant(combo):
+        """The system for the invariant combo @ invariants, or None."""
+        row = f.tensordot(combo, norms, ([0], [0]))  # (j, 2, a', n, m)
+        coeffs = _solve(f, row.reshape(len(basis), -1).T, counit_twice)
         if coeffs is None:
             return None
-        fs = FrobeniusSystem(c, f.tensordot(coeffs, basis, ([0], [0])), row[:c.dim])
+        fs = FrobeniusSystem(c, f.tensordot(coeffs, basis, ([0], [0])),
+                             f.matmul(combo, invariants))
         if not verify_frobenius_system(fs):
             raise CoringAxiomError("Frobenius solver produced a failing system")
         return fs
 
-    status, fs = span_search(f, rows, try_invariant,
+    # the combinations of the central basis, searched by their coefficients
+    status, fs = span_search(f, f.eye(len(invariants)), try_invariant,
                              _FROBENIUS_ENUMERATION_BUDGET, _FROBENIUS_RANDOM_ATTEMPTS, seed)
     if status != "inconclusive":
         return FrobeniusSearch(status, fs)

@@ -2,6 +2,14 @@
 and quotient presentations.  Every homogeneous system is solved by
 successive restriction (``_successive_kernel``), whole or in blocks.
 
+``_BLOCK_ENTRIES``, defined here and nowhere else, is the one entry budget
+of the package: a blocked computation forms no working array larger than
+it.  A check that compares two contractions compares them one slab of a
+leading axis at a time (``_slabs``, ``_first_mismatch``), and a system
+solved in blocks is restricted by one slab of its equations at a time.  A
+slab is one item of the axis when one item alone is larger, and a small
+input is one slab, so it runs the products of an unblocked computation.
+
 Conventions used throughout the package:
 
 * vectors are 1-D arrays understood as columns,
@@ -18,6 +26,34 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .fields import Field
+
+# The entries of the largest working array of a blocked computation.  The
+# intertwiner core (``bimodule._intertwiner_kernel``) was timed at budgets
+# from 2**8 to 2**18: below 2**14 the Python loop over blocks costs more
+# than the memory it saves, on the small balanced-form systems of every
+# tensor product.
+_BLOCK_ENTRIES = 2**14
+
+
+def _slabs(n: int, item_entries: int) -> list[slice]:
+    """The slices of a leading axis of length n into slabs of the most items
+    whose arrays, of ``item_entries`` entries per item, keep within
+    ``_BLOCK_ENTRIES``; a slab is one item when one item is more."""
+    step = max(1, _BLOCK_ENTRIES // max(1, item_entries))
+    return [slice(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+def _first_mismatch(n: int, item_entries: int, sides):
+    """The index of the first entry, in C order, at which the two equally
+    shaped arrays ``sides(sl)`` differ, over the slabs sl of a leading axis
+    of length n (``_slabs``), with its leading coordinate counted on the
+    whole axis; None when they agree on every slab."""
+    for sl in _slabs(n, item_entries):
+        lhs, rhs = sides(sl)
+        if not Field.equal(lhs, rhs):
+            at = np.argwhere(lhs != rhs)[0]
+            return (sl.start + int(at[0]),) + tuple(int(v) for v in at[1:])
+    return None
 
 
 def rref(field: Field, a) -> tuple[np.ndarray, list[tuple[int, int]]]:

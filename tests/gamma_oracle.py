@@ -7,16 +7,37 @@ are the independent copies the tests compare it with.  ``expand`` writes a map f
 gamma_f on the field tensor square, the form reports took before they wrote
 f, and ``f_of`` and ``f_of_gamma`` read it back.  ``map_of_gamma`` is the
 f_gamma of a comatrix coring read through omega and the dual basis, the
-oracle of ``f_of``.
+oracle of ``f_of``.  ``central_rows`` is the stacked system of centrality,
+which the library solves one slab of basis elements at a time, and
+``stacked_central_section`` the one solve of centrality and value that
+the library's ``_central_section`` replaced.
 """
 
 import numpy as np
 
 from coring_lab.bimodule import BimoduleMap
-from coring_lab.coring import _pair_matrices, central_rows
+from coring_lab.coring import _pair_matrices
 from coring_lab.fields import Field
+from coring_lab.linalg import _solve
 
 from coproduct_oracle import delta_amb, section_matrix
+
+
+def central_rows(space):
+    """The stacked rows of x -> b.x - x.b over the basis of the algebra
+    acting on both sides of ``space``: x is central iff they vanish on it."""
+    return space.field.asarray(np.concatenate(
+        [left - right for left, right in zip(space.left_mats, space.right_mats)]))
+
+
+def stacked_central_section(space, value_mat):
+    """The central e with value_mat @ e = 1 of one exact solve of the stacked
+    system of centrality and value, free variables zero; None if none."""
+    f = space.field
+    rows = central_rows(space)
+    rhs = f.zeros(len(rows) + space.left_alg.dim)
+    rhs[len(rows):] = space.left_alg.unit
+    return _solve(f, np.concatenate([rows, f.asarray(value_mat)]), rhs)
 
 
 def expand(c, f_mats):

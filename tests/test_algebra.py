@@ -14,7 +14,7 @@ from coring_lab.algebra import (
     opposite,
 )
 from coring_lab.errors import AlgebraAxiomError, DimensionMismatchError, FieldMismatchError
-from coring_lab.linalg import _solve
+from coring_lab.linalg import _slabs, _solve
 
 from conftest import dual_numbers, field_algebra
 
@@ -51,6 +51,21 @@ def test_associativity_violation_names_a_triple():
     c[1, 0, 0] = 1
     with pytest.raises(AlgebraAxiomError, match="non-associative"):
         new_algebra(F2, c, [1, 0])
+
+
+def test_a_triple_only_the_last_slab_sees_is_named_by_its_global_indices():
+    # k^15 on b_0..b_14, and b_15 with b_15 b_0 = b_15 b_1 = b_15, its other
+    # products zero: every triple led by some b_i, i < 15, associates, and
+    # (b_15 b_0) b_1 = b_15 but b_15 (b_0 b_1) = 0.  The check compares four
+    # b_i per slab, so only the last slab sees the defect, at its fourth b_i.
+    c = F3.zeros((16, 16, 16))
+    for i in range(15):
+        c[i, i, i] = 1
+    c[15, 0, 15] = c[15, 1, 15] = 1
+    assert [sl.start for sl in _slabs(16, 16**3)] == [0, 4, 8, 12]
+    with pytest.raises(AlgebraAxiomError,
+                       match=r"non-associative triple \(b_15, b_0, b_1\)"):
+        new_algebra(F3, c, [1] * 15 + [0])
 
 
 def test_matrix_algebra_n1_is_the_field():

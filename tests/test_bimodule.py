@@ -28,6 +28,7 @@ from coring_lab.bimodule import (
     tensor_over,
 )
 from coring_lab import bimodule as bimodule_module
+from coring_lab import linalg
 from coring_lab.comatrix import comatrix_coring
 from coring_lab.coring import left_dual_ring
 from coring_lab.errors import (
@@ -56,7 +57,7 @@ from conftest import (
     upper_triangular_2,
 )
 from coproduct_oracle import _on_left_leg, _on_right_leg, section_matrix
-from tensor_oracle import context_projection, relation_tensor
+from tensor_oracle import context_projection, context_square, relation_tensor
 from random_modules import random_projective_bimodule
 
 F2 = GF(2)
@@ -88,6 +89,32 @@ def test_bimodule_map_checks_shape_and_actions():
         BimoduleMap(m, m, [[1, 0]])
     with pytest.raises(BimoduleAxiomError):
         BimoduleMap(m, m, [[0, 1], [1, 0]])  # the swap 1 <-> x is not x-linear
+
+
+@pytest.mark.parametrize("one_per_slab", [False, True])
+def test_a_map_that_fails_only_on_the_last_basis_element_does_not_commute(one_per_slab,
+                                                                          monkeypatch):
+    # the projection of k[x]/(x^2) onto k.1 along k.x commutes with the
+    # actions of 1, the first basis element, and not with those of x, the
+    # last; at a budget of one entry each basis element is a slab of its own
+    if one_per_slab:
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)
+    m = regular_bimodule(dual_numbers(F3))
+    projection = F3.asarray([[1, 0], [0, 0]])
+    assert not BimoduleMap(m, m, projection, _validate=False).commutes_with_actions()
+    with pytest.raises(BimoduleAxiomError, match="does not commute"):
+        BimoduleMap(m, m, projection)
+
+
+def test_a_module_axiom_only_the_last_slab_sees_names_its_global_index(monkeypatch):
+    # x in k[x]/(x^2) acting on k^2 by the projection N onto e_0: (x x).e_0 = 0
+    # but x.(x.e_0) = e_0, and every triple led by 1 associates; at a budget
+    # of one entry the check compares one b_i per slab, and x is the last
+    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)
+    lam = np.stack([F3.eye(2), F3.asarray([[1, 0], [0, 0]])])
+    rho = F3.eye(2)[:, None, :]
+    with pytest.raises(BimoduleAxiomError, match=r"left associativity fails at \(b_1, b_1, e_0\)"):
+        Bimodule(dual_numbers(F3), field_algebra(F3), lam, rho)
 
 
 # ------------------------------------------------------------------- tensors
@@ -126,19 +153,23 @@ def test_tensor_requires_matching_middle_algebra():
         tensor_over(trivial_bimodule(F2, 2), point_module_over_dual_numbers(F2))
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_an_action_that_does_not_commute_with_the_middle_does_not_descend(side):
+@pytest.mark.parametrize("side, at", [("left", 0), ("right", 0), ("left", 1), ("right", 1)],
+                         ids=["left", "right", "left-1", "right-1"])
+def test_an_action_that_does_not_commute_with_the_middle_does_not_descend(side, at, monkeypatch):
+    # at a budget of one entry the actions are built one basis element at a
+    # time, and the error names the global index of the one that fails
+    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)
     kk = direct_product(field_algebra(F2), field_algebra(F2))
     reg = regular_bimodule(kk)
     swap = F2.asarray([[0, 1], [1, 0]])  # exchanges the two idempotent lines
-    if side == "left":  # kk as (kk, kk), its first basis element acting by the swap
-        m = Bimodule(kk, kk, np.stack([swap, F2.eye(2)]), reg.right_action, _validate=False)
+    acts = np.stack([swap, F2.eye(2)][::1 if at == 0 else -1])
+    if side == "left":  # kk as (kk, kk), the basis element ``at`` acting by the swap
+        m = Bimodule(kk, kk, acts, reg.right_action, _validate=False)
         n = reg
     else:
         m = reg
-        n = Bimodule(kk, kk, reg.left_action, np.stack([swap, F2.eye(2)], axis=1),
-                     _validate=False)
-    with pytest.raises(BimoduleAxiomError, match=f"{side} action does not descend at basis 0"):
+        n = Bimodule(kk, kk, reg.left_action, np.stack(list(acts), axis=1), _validate=False)
+    with pytest.raises(BimoduleAxiomError, match=f"{side} action does not descend at basis {at}"):
         tensor_over(m, n)
 
 
@@ -286,7 +317,8 @@ LARGEST_SYSTEMS = {
 def test_intertwiners_match_the_kronecker_oracle_on_the_largest_corpus_systems(case):
     build, shape = LARGEST_SYSTEMS[case]
     c = bimodule_tower(build()).sweedler
-    src = c.square.space.left_mats + c.square.space.right_mats
+    sq = context_square(c).space
+    src = sq.left_mats + sq.right_mats
     tgt = list(c.base.left_mult) + list(c.base.right_mult)
     assert np.concatenate(intertwiner_rows(c.field, src, tgt)).shape == shape
     assert assert_intertwiners_match_the_oracle(c.field, src, tgt)
@@ -297,7 +329,8 @@ def test_intertwiners_build_no_kronecker_product(monkeypatch):
         raise AssertionError("kron called")
 
     c = bimodule_tower(trivial_bimodule(F3, 2)).sweedler
-    src = c.square.space.left_mats + c.square.space.right_mats
+    sq = context_square(c).space
+    src = sq.left_mats + sq.right_mats
     tgt = list(c.base.left_mult) + list(c.base.right_mult)
     monkeypatch.setattr(PrimeField, "kron", refuse)
     assert len(intertwiners(F3, src, tgt)) == 16

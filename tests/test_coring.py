@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coring_lab import GF, QQ, cli, comatrix as comatrix_module, coring as coring_module
+from coring_lab import GF, QQ, cli, comatrix as comatrix_module, coring as coring_module, linalg
 from coring_lab.algebra import Algebra, AlgebraMap, direct_product, identity_map, matrix_algebra
 from coring_lab.bimodule import (
     BimoduleMap,
@@ -19,7 +19,15 @@ from coring_lab.bimodule import (
     regular_bimodule,
     tensor_over,
 )
-from coring_lab.comatrix import comatrix_coring, context_dual_basis, context_from_morita
+from coring_lab.comatrix import (
+    comatrix_coring,
+    comatrix_data,
+    context_dual_basis,
+    context_from_bimodule,
+    context_from_morita,
+    context_iso,
+    left_dual_anti_iso,
+)
 from coring_lab.coring import (
     Cointegral,
     Coring,
@@ -141,6 +149,20 @@ def test_counit_that_is_not_a_bimodule_map_is_rejected():
     swap = F2.asarray([[0, 1], [1, 0]])  # exchanges the two idempotents
     with pytest.raises(CoringAxiomError, match="counit is not a bimodule map"):
         Coring(good.carrier_tensor, good.tau_pairs, F2.matmul(swap, good.counit_mat))
+
+
+@pytest.mark.parametrize("one_per_slab", [False, True])
+def test_a_counit_broken_in_the_last_slab_is_rejected(one_per_slab, monkeypatch):
+    # eps + delta on the carrier of k[x]/(x^2), delta(x) = 1: a is checked
+    # on 1, its first basis element, which acts as the identity whatever the
+    # counit, and on x, the last, where eps(x.1) = x + 1 != x = x.eps(1); at
+    # a budget of one entry each basis element is a slab of its own
+    if one_per_slab:
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)
+    good = trivial_coring(dual_numbers(F3))
+    assert Field.equal(good.counit_mat, F3.eye(2))
+    with pytest.raises(CoringAxiomError, match="counit is not a bimodule map"):
+        Coring(good.carrier_tensor, good.tau_pairs, F3.asarray([[1, 1], [0, 1]]))
 
 
 def test_dropped_coproduct_term_fails_validation():
@@ -475,7 +497,7 @@ def dense_constraint_rows(c):
     dropped; unknowns are vec(gamma_q), row-major over (base index,
     tensor-square index)."""
     f = c.field
-    sq = c.square
+    sq = context_square(c)
     d, da, q = c.dim, c.base.dim, sq.dim
     a = c.base
     # gamma_q (da x q) commutes with the actions of the base on the square and on A
@@ -502,7 +524,7 @@ def dense_constraint_rows(c):
 def dense_kernel_gammas(c):
     """The reduced-echelon kernel basis of the oracle rows, expanded to the
     field tensor square: a stack [k, a', (u, v)]."""
-    f, sq = c.field, c.square
+    f, sq = c.field, context_square(c)
     basis = _kernel(f, dense_constraint_rows(c))
     gammas = f.zeros((len(basis), c.base.dim, c.dim * c.dim))
     for k, v in enumerate(basis):
@@ -527,7 +549,7 @@ def sweedler(request):
 
 def test_precointegrals_span_the_kernel_of_the_dense_system(sweedler):
     c = sweedler
-    f, sq = c.field, c.square
+    f, sq = c.field, context_square(c)
     q = c.middle.space.dim
     assert c.precointegrals.shape[1:] == (q, q)
     gammas = expand(c, c.precointegrals)
@@ -540,7 +562,7 @@ def test_precointegrals_span_the_kernel_of_the_dense_system(sweedler):
 
 def test_find_cointegral_matches_the_unreduced_system(sweedler):
     c = sweedler
-    f, sq = c.field, c.square
+    f, sq = c.field, context_square(c)
     da, q = c.base.dim, sq.dim
     homogeneous = dense_constraint_rows(c)
     assert len(rref(f, homogeneous)[1]) < homogeneous.shape[0]
@@ -618,7 +640,7 @@ def square_path_precointegrals(c):
     A-bimodule maps C (x)_A C -> A from ``intertwiners`` on the square's
     bimodule, expanded through its projection and cut down to the kernel of
     their ``precointegral_defect`` blocks by successive restriction."""
-    f, sq, a = c.field, c.square, c.base
+    f, sq, a = c.field, context_square(c), c.base
     homs = intertwiners(f, sq.space.left_mats + sq.space.right_mats,
                         list(a.left_mult) + list(a.right_mult))
     gammas = f.asarray(np.stack([f.matmul(hom, sq.projection) for hom in homs]))
@@ -649,7 +671,7 @@ def test_precointegrals_of_every_kind_of_coring_are_the_dense_kernel_basis(case)
     corings = PRECOINTEGRAL_ORACLE_CASES[case]()
     assert corings
     for c in corings:
-        f, sq = c.field, c.square
+        f, sq = c.field, context_square(c)
         ours = expand(c, c.precointegrals)
         oracle = np.stack(_kernel(f, dense_constraint_rows(c)))
         rows = np.stack([f.matmul(g, section_matrix(sq)).reshape(-1) for g in ours])
@@ -788,10 +810,10 @@ def product_checks(c):
         return Field.equal(lhs, rhs) or Field.equal(project(lhs), project(rhs))
 
     def in_square(t):
-        return f.matmul(c.square.projection, t)
+        return f.matmul(context_square(c).projection, t)
 
     def in_cube(t):  # through kron(square projection, I), then the triple quotient
-        sq = c.square
+        sq = context_square(c)
         if not cube:
             cube["upper"] = (tensor_over(sq.space, c.carrier).projection if d <= 16
                              else context_projection(sq.space, c.carrier_tensor))
@@ -964,7 +986,8 @@ def test_sweedler_coring_of_k3_reads_no_square_and_no_product_above_d_cubed(monk
 def test_writing_the_d256_sweedler_coring_builds_no_carrier_action():
     # S (x)_k S for S = M_4(k) has no relations, so its two 16 x 256 x 256
     # action tensors (16 MiB) are built on first read, and writing the coring
-    # as its context never reads them; building them peaked at 23.0 MiB
+    # as its context never reads them; with the counit compared one slab of
+    # A at a time this peaks at 1.3 MiB (3.1 MiB with the whole comparison)
     ring_map = endomorphism_algebra(trivial_bimodule(F3, 4)).b_to_s
     tracemalloc.start()
     try:
@@ -975,7 +998,49 @@ def test_writing_the_d256_sweedler_coring_builds_no_carrier_action():
         tracemalloc.stop()
     assert doc["carrier_dim"] == c.dim == 256
     assert "space" not in vars(c.carrier_tensor)
-    assert peak < 8 * 2**20
+    assert peak < 2 * 2**20
+
+
+def construct_all(m):
+    """What ``coring-lab construct`` writes of the comatrix coring, its left
+    dual ring and the Sweedler coring of B -> End_A(M), and the context and
+    dual-ring identifications of M."""
+    data = comatrix_data(m)
+    ring = left_dual_ring(data.coring)
+    return (cli._coring_document(data.coring, "comatrix", "M", m.field),
+            cli._serialize_array(m.field, ring.structure),
+            cli._coring_document(sweedler_coring(endomorphism_algebra(m).b_to_s), "sweedler",
+                                 "M", m.field),
+            context_iso(context_from_bimodule(m)), left_dual_anti_iso(m))
+
+
+def test_the_constructions_of_k4_stay_small():
+    # the five constructions of k^4 over GF(3), whose Sweedler coring has
+    # d = 256, with every check compared one slab at a time, peak at 1.5 MiB;
+    # comparing each check whole they peaked at 3.3 MiB.  k^3 runs first, so
+    # that no first import is traced
+    construct_all(trivial_bimodule(F3, 3))
+    tracemalloc.start()
+    try:
+        construct_all(trivial_bimodule(F3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_the_k4_carrier_actions_are_built_in_slabs():
+    # the two 16 x 256 x 256 action tensors of the d = 256 Sweedler carrier
+    # hold 16 MiB; built one basis element at a time they peak at 18.4 MiB,
+    # built by one product for each side they peaked at 22.0 MiB
+    c = sweedler_coring(endomorphism_algebra(trivial_bimodule(F3, 4)).b_to_s)
+    tracemalloc.start()
+    try:
+        c.carrier
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def carrier_oracle_modules():

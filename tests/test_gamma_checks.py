@@ -6,7 +6,10 @@ normalizations on f are the dense contractions of gamma_f with e.
 
 The corings are the comatrix and Sweedler corings of the modules of the
 analyze-fp benchmark workload at seed 0 with carriers up to dimension 32, and
-of the bundled files over QQ.  The candidates are the found cointegrals and
+of the bundled files over QQ.  Their central elements and cosplit sections,
+solved one slab of basis elements at a time, are those of the stacked system
+of ``gamma_oracle.central_rows``, on every carrier and on the separability
+spaces of the modules.  The candidates are the found cointegrals and
 Frobenius systems, one-entry tampers of them, the expansions of a basis of
 End_{B-B}(P) and of one map of P that is not B-linear, and each found
 Frobenius gamma with each basis element of the central subspace.
@@ -20,6 +23,7 @@ from coring_lab.coring import (
     Cointegral,
     Coring,
     FrobeniusSystem,
+    _central_section,
     _endomorphisms,
     _is_precointegral,
     central_subspace,
@@ -29,11 +33,15 @@ from coring_lab.coring import (
     verify_cointegral,
     verify_frobenius_system,
 )
+from coring_lab.bimodule import right_dual
 from coring_lab.errors import InternalInconsistencyError
-from coring_lab.structure import analyze, bimodule_tower
+from coring_lab.fields import Field
+from coring_lab.linalg import _kernel
+from coring_lab.structure import analyze, bimodule_tower, dual_evaluation
 
 from conftest import bundled_over, matrix_coring, trivial_bimodule
 from gamma_oracle import (
+    central_rows,
     expand,
     f_of,
     f_of_gamma,
@@ -41,6 +49,7 @@ from gamma_oracle import (
     is_frobenius_system,
     is_precointegral,
     map_of_gamma,
+    stacked_central_section,
 )
 from random_modules import random_projective_bimodule
 
@@ -58,6 +67,41 @@ MODULES = {
        for f in (F2, F3) for n in (1, 2, 3, 4)},
     **{f"recipe/{i}": (lambda i=i: random_projective_bimodule(i)) for i in range(12)},
 }
+
+
+# more modules of the acceptance generator, past the recipe modules above
+RANDOM_MODULES = {f"random/{i}": (lambda i=i: random_projective_bimodule(i))
+                  for i in range(12, 100)}
+
+
+def same_entries(a, b):
+    return a.dtype == b.dtype and Field.equal(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(MODULES) + sorted(RANDOM_MODULES))
+def test_central_elements_and_sections_are_those_of_the_stacked_system(case):
+    """``central_subspace`` is the kernel basis of the stacked rows, and each
+    section of ``_central_section`` is built from the one solution of the
+    stacked system of centrality and value, byte for byte: on the carriers of
+    both corings (cosplit, value the counit) and on M (x)_A *M of M and M^*
+    (separable, value the evaluation)."""
+    m = {**MODULES, **RANDOM_MODULES}[case]()
+    tower = bimodule_tower(m)
+    spaces = [dual_evaluation(m), dual_evaluation(right_dual(m))]
+    for c in (tower.comatrix.coring, tower.sweedler):
+        oracle = _kernel(c.field, central_rows(c.carrier))
+        ours = central_subspace(c)
+        assert len(ours) == len(oracle)
+        assert all(same_entries(x, y) for x, y in zip(ours, oracle))
+        spaces.append((c.carrier_tensor, c.counit_mat))
+    for ts, value in spaces:
+        f, space = m.field, ts.space
+        e = stacked_central_section(space, value)
+        section = _central_section(space, value)
+        assert (section is None) == (e is None)
+        if e is not None:
+            expected = np.stack([f.matmul(act, e) for act in space.left_mats], axis=1)
+            assert same_entries(section.matrix, expected)
 
 
 def bump(field, gamma, index):
